@@ -125,10 +125,13 @@ where
                 let (mut ok, mut busy) = (0u64, 0u64);
                 for round in 0..rounds {
                     // Fan the round out: one send per connection first,
-                    // so every connection has a request in flight…
+                    // so every connection has a request in flight (sends
+                    // are buffered, so each is flushed here rather than
+                    // by the `recv` that would wait for it)…
                     for (slot, &conn) in mine.iter().enumerate() {
                         let (caller, op) = op_for(conn, round);
                         clients[slot].send(caller, &op).unwrap();
+                        clients[slot].flush().unwrap();
                     }
                     // …then collect, retrying admission rejections.
                     for (slot, &conn) in mine.iter().enumerate() {

@@ -1,11 +1,16 @@
-//! Ingest: a sharded bounded intake with size- and time-based batch
-//! cuts.
+//! Ingest: a sharded bounded intake whose batches are cut when it runs
+//! dry.
 //!
 //! Clients [`submit`](IntakeClient::submit) operations from any thread;
 //! the engine side pulls [`Batch`]es. A batch closes as soon as it holds
-//! [`BatchConfig::max_ops`] operations *or* [`BatchConfig::max_wait`] has
-//! elapsed since its first operation arrived — the standard
-//! latency/throughput knob of every batched execution engine.
+//! [`BatchConfig::max_ops`] operations *or* the shards are drained and
+//! stay empty across one [`yield_now`](std::thread::yield_now) — the
+//! batch is whatever queued while the engine was busy with the previous
+//! one. There is no timer: a lone operation is cut at once, and under
+//! backlog batches fill to `max_ops` because the queues never run dry.
+//! The yield is what keeps a producer sharing the consumer's CPU from
+//! ping-ponging with it in batches of one: it lets the producer run
+//! (and queue its next burst) before the cut is decided.
 //!
 //! # Sharding
 //!
@@ -27,13 +32,19 @@
 //! backpressure to producers instead of buffering without limit —
 //! [`submit`](IntakeClient::submit) blocks on the producer's own shard
 //! until the consumer drains it. An idle pipeline burns no CPU: the
-//! consumer parks on a doorbell condvar, and producers only ring it
-//! when the parked flag says someone is listening.
+//! consumer parks on a doorbell condvar, and the first producer to find
+//! the parked flag set claims it and rings — one wake-up per park,
+//! however many submissions land before the consumer is scheduled.
+//!
+//! # Bursts
+//!
+//! [`try_submit_burst`](IntakeClient::try_submit_burst) is the
+//! primitive: one shard lock and at most one ring admit as much of a
+//! burst as fits. The single-op methods are bursts of one.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 use tokensync_spec::ProcessId;
 
@@ -46,10 +57,9 @@ pub const NO_TICKET: u64 = 0;
 /// Batch-cut policy of the intake stage.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchConfig {
-    /// A batch closes when it reaches this many operations.
+    /// A batch closes when it reaches this many operations (or earlier,
+    /// as soon as the intake runs dry).
     pub max_ops: usize,
-    /// …or when this much time passed since its first operation arrived.
-    pub max_wait: Duration,
     /// Total capacity of the bounded intake (backpressure bound),
     /// divided evenly across the shards.
     pub queue_depth: usize,
@@ -61,7 +71,6 @@ impl Default for BatchConfig {
     fn default() -> Self {
         Self {
             max_ops: 1024,
-            max_wait: Duration::from_millis(2),
             queue_depth: 8192,
             intake_shards: 8,
         }
@@ -118,8 +127,9 @@ struct Intake<Op> {
     /// consumer re-scans whenever the version moved under it.
     doorbell: Mutex<u64>,
     data_ready: Condvar,
-    /// True only while the consumer is blocked in
-    /// [`Batcher::next_batch`]; producers skip the doorbell otherwise.
+    /// Set by the consumer as it parks in [`Batcher::next_batch`] and
+    /// cleared by whoever wakes it: the one producer that claims it
+    /// rings, every other producer skips the doorbell.
     parked: AtomicBool,
     /// Live client handles; 0 means producers are gone for good.
     clients: AtomicUsize,
@@ -130,10 +140,15 @@ struct Intake<Op> {
 }
 
 impl<Op> Intake<Op> {
-    /// Rings the consumer doorbell (push completed, client gone, or
-    /// shutdown). Cheap no-op unless the consumer is parked.
+    /// Rings the consumer doorbell (push completed or last client
+    /// gone). A no-op unless the consumer is parked and nobody rang for
+    /// this park yet: `notify_one` is a futex syscall, and a parked
+    /// consumer stays parked until it is *scheduled*, so without the
+    /// claim every submission in between would pay one.
+    /// [`Batcher::park`] re-scans after publishing the flag, which
+    /// covers a push that raced it.
     fn ring(&self) {
-        if self.parked.load(Ordering::SeqCst) {
+        if self.parked.load(Ordering::SeqCst) && self.parked.swap(false, Ordering::SeqCst) {
             let mut version = self.doorbell.lock().unwrap();
             *version = version.wrapping_add(1);
             self.data_ready.notify_one();
@@ -197,21 +212,8 @@ impl<Op> IntakeClient<Op> {
         op: Op,
         ticket: u64,
     ) -> Result<(), PipelineClosed> {
-        let shard = &self.intake.shards[self.shard];
-        let mut queue = shard.queue.lock().unwrap();
-        loop {
-            if self.intake.closed.load(Ordering::SeqCst) {
-                return Err(PipelineClosed);
-            }
-            if queue.len() < self.intake.shard_cap {
-                break;
-            }
-            queue = shard.not_full.wait(queue).unwrap();
-        }
-        queue.push_back((caller, op, ticket));
-        drop(queue);
-        self.intake.ring();
-        Ok(())
+        self.push(&mut std::iter::once((caller, op, ticket)), true)
+            .map(|_| ())
     }
 
     /// Non-blocking variant: `Ok(false)` when the shard is momentarily
@@ -238,21 +240,53 @@ impl<Op> IntakeClient<Op> {
         op: Op,
         ticket: u64,
     ) -> Result<bool, PipelineClosed> {
-        if self.intake.closed.load(Ordering::SeqCst) {
-            return Err(PipelineClosed);
-        }
+        self.try_submit_burst(&mut std::iter::once((caller, op, ticket)))
+            .map(|admitted| admitted == 1)
+    }
+
+    /// Admits a burst of `(caller, op, ticket)` submissions under one
+    /// shard lock and at most one doorbell ring, without blocking: takes
+    /// from `ops`, in order, exactly as many as the shard has room for
+    /// and returns that count. Whatever did not fit is still in `ops` —
+    /// a front end answers those `Busy`.
+    ///
+    /// # Errors
+    ///
+    /// [`PipelineClosed`] if the engine stopped consuming; nothing was
+    /// taken from `ops`.
+    pub fn try_submit_burst(
+        &self,
+        ops: &mut impl Iterator<Item = (ProcessId, Op, u64)>,
+    ) -> Result<usize, PipelineClosed> {
+        self.push(ops, false)
+    }
+
+    /// The one way into a shard. With `block`, waits for the shard to
+    /// have room for at least one op first.
+    fn push(
+        &self,
+        ops: &mut impl Iterator<Item = (ProcessId, Op, u64)>,
+        block: bool,
+    ) -> Result<usize, PipelineClosed> {
         let shard = &self.intake.shards[self.shard];
         let mut queue = shard.queue.lock().unwrap();
-        if self.intake.closed.load(Ordering::SeqCst) {
-            return Err(PipelineClosed);
+        loop {
+            if self.intake.closed.load(Ordering::SeqCst) {
+                return Err(PipelineClosed);
+            }
+            if !block || queue.len() < self.intake.shard_cap {
+                break;
+            }
+            queue = shard.not_full.wait(queue).unwrap();
         }
-        if queue.len() >= self.intake.shard_cap {
-            return Ok(false);
-        }
-        queue.push_back((caller, op, ticket));
+        let before = queue.len();
+        queue.extend(ops.take(self.intake.shard_cap.saturating_sub(before)));
+        let admitted = queue.len() - before;
         drop(queue);
-        self.intake.ring();
-        Ok(true)
+        if admitted > 0 {
+            self.intake.ring();
+        }
+        Ok(admitted)
     }
 }
 
@@ -333,6 +367,8 @@ impl<Op> Batcher<Op> {
             let mut queue = shard.queue.lock().unwrap();
             let was_full = queue.len() >= self.intake.shard_cap;
             let take = queue.len().min(max - taken);
+            ops.reserve(take);
+            tickets.reserve(take);
             for (caller, op, ticket) in queue.drain(..take) {
                 ops.push((caller, op));
                 tickets.push(ticket);
@@ -348,43 +384,22 @@ impl<Op> Batcher<Op> {
         taken
     }
 
-    /// Parks until a producer rings the doorbell or `timeout` elapses
-    /// (`None` blocks indefinitely). Returns `false` on timeout.
-    fn park(&self, timeout: Option<Duration>) -> bool {
+    /// Parks until a producer rings the doorbell.
+    fn park(&self) {
         let intake = &self.intake;
         let mut version = intake.doorbell.lock().unwrap();
         let seen = *version;
         intake.parked.store(true, Ordering::SeqCst);
         // Re-check after publishing the parked flag: a producer that
         // pushed before seeing it would otherwise be missed (its push
-        // is visible to the caller's next scan; a producer pushing
-        // after sees the flag and rings).
-        if self.queued() > 0 || intake.clients.load(Ordering::SeqCst) == 0 {
-            intake.parked.store(false, Ordering::SeqCst);
-            return true;
-        }
-        let woken = loop {
-            match timeout {
-                Some(left) => {
-                    let (guard, result) = intake.data_ready.wait_timeout(version, left).unwrap();
-                    version = guard;
-                    if *version != seen {
-                        break true;
-                    }
-                    if result.timed_out() {
-                        break false;
-                    }
-                }
-                None => {
-                    version = intake.data_ready.wait(version).unwrap();
-                    if *version != seen {
-                        break true;
-                    }
-                }
+        // is visible to this scan; a producer pushing after sees the
+        // flag and rings).
+        if self.queued() == 0 && intake.clients.load(Ordering::SeqCst) > 0 {
+            while *version == seen {
+                version = intake.data_ready.wait(version).unwrap();
             }
-        };
+        }
         intake.parked.store(false, Ordering::SeqCst);
-        woken
     }
 
     /// Operations currently buffered across every shard (diagnostic).
@@ -415,8 +430,8 @@ impl<Op> Batcher<Op> {
     /// dropped and the shards are drained (engine shutdown).
     pub fn next_batch(&mut self) -> Option<Batch<Op>> {
         let max_ops = self.cfg.max_ops.max(1);
-        let mut ops = Vec::with_capacity(max_ops.min(1024));
-        let mut tickets = Vec::with_capacity(max_ops.min(1024));
+        let mut ops = Vec::new();
+        let mut tickets = Vec::new();
         // Block indefinitely for the batch's first op: an idle pipeline
         // burns no CPU.
         loop {
@@ -430,22 +445,20 @@ impl<Op> Batcher<Op> {
             if clients == 0 {
                 return None;
             }
-            self.park(None);
+            self.park();
         }
-        let deadline = Instant::now() + self.cfg.max_wait;
+        // Keep draining while producers keep the shards non-empty; cut
+        // once a re-scan after one yield finds nothing. The yield gives
+        // a producer on this CPU the chance to queue its next burst —
+        // without it a one-CPU embedder trades batches of one with the
+        // engine.
         while ops.len() < max_ops {
-            let clients = self.intake.clients.load(Ordering::SeqCst);
             let room = max_ops - ops.len();
-            if self.drain_into(&mut ops, &mut tickets, room) > 0 {
-                continue;
-            }
-            if clients == 0 {
-                // Producers gone and queues drained: close the batch.
-                break;
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() || !self.park(Some(left)) {
-                break;
+            if self.drain_into(&mut ops, &mut tickets, room) == 0 {
+                std::thread::yield_now();
+                if self.drain_into(&mut ops, &mut tickets, room) == 0 {
+                    break;
+                }
             }
         }
         let seq = self.next_seq;
@@ -471,7 +484,6 @@ mod tests {
     fn size_cut_closes_full_batches() {
         let (client, mut batcher) = intake(BatchConfig {
             max_ops: 4,
-            max_wait: Duration::from_secs(60),
             queue_depth: 64,
             intake_shards: 1,
         });
@@ -489,7 +501,6 @@ mod tests {
     fn batches_are_numbered_and_ordered() {
         let (client, mut batcher) = intake(BatchConfig {
             max_ops: 3,
-            max_wait: Duration::from_secs(60),
             queue_depth: 64,
             intake_shards: 1,
         });
@@ -514,18 +525,74 @@ mod tests {
     }
 
     #[test]
-    fn time_cut_closes_partial_batches() {
+    fn lone_op_is_cut_without_a_timer() {
         let (client, mut batcher) = intake(BatchConfig {
             max_ops: 1000,
-            max_wait: Duration::from_millis(5),
             queue_depth: 64,
             intake_shards: 8,
         });
         client.submit(ProcessId::new(0), op(1)).unwrap();
+        // The producer is still alive and the batch far from full: the
+        // cut is "the intake ran dry", nothing else.
         let batch = batcher.next_batch().unwrap();
-        assert_eq!(batch.ops.len(), 1, "time cut must not wait for max_ops");
+        assert_eq!(batch.ops.len(), 1);
         drop(client);
         assert!(batcher.next_batch().is_none());
+    }
+
+    #[test]
+    fn backlog_still_fills_batches_to_max_ops() {
+        let (client, mut batcher) = intake(BatchConfig {
+            max_ops: 4,
+            queue_depth: 64,
+            intake_shards: 1,
+        });
+        for v in 0..10u64 {
+            client.submit(ProcessId::new(0), op(v)).unwrap();
+        }
+        let sizes: Vec<usize> = (0..3)
+            .map(|_| batcher.next_batch().unwrap().ops.len())
+            .collect();
+        assert_eq!(sizes, vec![4, 4, 2]);
+        drop(client);
+    }
+
+    #[test]
+    fn parked_consumer_is_rung_once_however_many_submit() {
+        let (client, batcher) = intake(BatchConfig::default());
+        // A consumer that parked and has not been scheduled since: the
+        // flag is up until somebody claims it.
+        batcher.intake.parked.store(true, Ordering::SeqCst);
+        for v in 0..100u64 {
+            client.submit(ProcessId::new(0), op(v)).unwrap();
+        }
+        assert_eq!(*batcher.intake.doorbell.lock().unwrap(), 1);
+        assert!(!batcher.intake.parked.load(Ordering::SeqCst));
+        assert_eq!(batcher.queued(), 100);
+    }
+
+    #[test]
+    fn burst_admits_the_prefix_that_fits_and_keeps_fifo() {
+        let (client, mut batcher) = intake(BatchConfig {
+            max_ops: 64,
+            queue_depth: 8,
+            intake_shards: 1,
+        });
+        let tagged = |v: u64| (ProcessId::new(0), op(v), v + 1);
+        // Part-fill the shard (cap 8), then offer more than the rest.
+        assert_eq!(client.try_submit_burst(&mut (0..3).map(tagged)), Ok(3));
+        let mut burst = (3..13).map(tagged);
+        assert_eq!(client.try_submit_burst(&mut burst), Ok(5));
+        let rest: Vec<u64> = burst.map(|(_, _, ticket)| ticket).collect();
+        assert_eq!(rest, vec![9, 10, 11, 12, 13], "the refused suffix");
+        assert_eq!(client.try_submit_burst(&mut (20..21).map(tagged)), Ok(0));
+        let batch = batcher.next_batch().unwrap();
+        assert_eq!(batch.tickets, (1..=8).collect::<Vec<u64>>());
+        drop(batcher);
+        assert_eq!(
+            client.try_submit_burst(&mut (0..1).map(tagged)),
+            Err(PipelineClosed)
+        );
     }
 
     #[test]
@@ -559,7 +626,6 @@ mod tests {
     fn try_submit_reports_full_shard_without_blocking() {
         let (client, mut batcher) = intake(BatchConfig {
             max_ops: 4,
-            max_wait: Duration::from_millis(1),
             queue_depth: 2,
             intake_shards: 2,
         });

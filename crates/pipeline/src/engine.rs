@@ -471,8 +471,8 @@ fn process_batch<T: ConcurrentObject + ?Sized, K: CommitSink<T>>(
 }
 
 /// Synchronously executes `script` through the pipeline stages against
-/// `token`, cutting batches of [`BatchConfig::max_ops`] (the time cut
-/// never fires: the stream is already complete).
+/// `token`, cutting batches of [`BatchConfig::max_ops`] (the stream is
+/// already complete, so the intake never runs dry before the end).
 ///
 /// # Example
 ///
@@ -679,7 +679,6 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
     use tokensync_core::erc20::{Erc20Op, Erc20Spec, Erc20State};
     use tokensync_core::shared::{ConcurrentToken, ShardedErc20};
     use tokensync_spec::{check_linearizable, AccountId, ObjectType};
@@ -695,7 +694,6 @@ mod tests {
         PipelineConfig {
             batch: BatchConfig {
                 max_ops,
-                max_wait: Duration::from_millis(1),
                 queue_depth: 256,
                 ..BatchConfig::default()
             },

@@ -26,8 +26,9 @@
 //!   queue,    [`Footprint`]) lane)     wave)       log)
 //! ```
 //!
-//! * [`batch`] — bounded MPSC intake with size/time batch cuts, generic
-//!   over the op alphabet.
+//! * [`batch`] — bounded sharded intake with burst submits; a batch is
+//!   cut at `max_ops` or as soon as the intake runs dry (no timer).
+//!   Generic over the op alphabet.
 //! * [`schedule`] — greedy graph coloring of the batch's conflict graph
 //!   into pairwise-commuting **waves**, with heavily contended ops
 //!   funneled through a deterministic **serial lane**. Conflicts come

@@ -47,10 +47,8 @@ fn per_producer_fifo_survives_backpressure_stress() {
     let cfg = PipelineConfig {
         batch: BatchConfig {
             max_ops: 16,
-            max_wait: Duration::from_micros(200),
             queue_depth: 8, // shard cap 1 at 8 shards: maximal squeeze
             intake_shards: 8,
-            ..BatchConfig::default()
         },
         ..PipelineConfig::default()
     };
@@ -111,10 +109,8 @@ fn intake_buffering_is_bounded_by_queue_depth() {
     let shards = 4;
     let (client, batcher) = intake::<Erc20Op>(BatchConfig {
         max_ops: 1024,
-        max_wait: Duration::from_millis(1),
         queue_depth: depth,
         intake_shards: shards,
-        ..BatchConfig::default()
     });
     // One handle per shard (clones assign round-robin).
     let handles: Vec<_> = (0..shards - 1).map(|_| client.clone()).collect();
@@ -147,10 +143,8 @@ fn intake_buffering_is_bounded_by_queue_depth() {
 fn blocked_submit_unblocks_when_the_consumer_drains() {
     let (client, mut batcher) = intake(BatchConfig {
         max_ops: 2,
-        max_wait: Duration::from_millis(1),
         queue_depth: 1, // one shard, cap 1
         intake_shards: 1,
-        ..BatchConfig::default()
     });
     client.submit(p(0), Erc20Op::TotalSupply).unwrap();
     let submitted = Arc::new(AtomicBool::new(false));
@@ -180,10 +174,8 @@ fn blocked_submit_unblocks_when_the_consumer_drains() {
 fn producers_blocked_on_backpressure_fail_fast_on_shutdown() {
     let (client, batcher) = intake(BatchConfig {
         max_ops: 4,
-        max_wait: Duration::from_millis(1),
         queue_depth: 1,
         intake_shards: 1,
-        ..BatchConfig::default()
     });
     client.submit(p(0), Erc20Op::TotalSupply).unwrap();
     let producer = std::thread::spawn(move || {
@@ -210,10 +202,8 @@ fn interleaved_producers_still_linearize_through_the_engine() {
     let cfg = PipelineConfig {
         batch: BatchConfig {
             max_ops: 8,
-            max_wait: Duration::from_micros(500),
             queue_depth: 12,
             intake_shards: 3,
-            ..BatchConfig::default()
         },
         ..PipelineConfig::default()
     };

@@ -4,7 +4,6 @@
 //! recorder records nothing.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use tokensync_core::erc20::{Erc20Op, Erc20State};
 use tokensync_core::shared::ShardedErc20;
@@ -39,10 +38,8 @@ fn small_cfg(max_ops: usize) -> PipelineConfig {
     PipelineConfig {
         batch: BatchConfig {
             max_ops,
-            max_wait: Duration::from_millis(1),
             queue_depth: 256,
             intake_shards: 4,
-            ..BatchConfig::default()
         },
         ..PipelineConfig::default()
     }

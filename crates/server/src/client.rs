@@ -5,6 +5,10 @@
 //! send order — the request id is the correlation key, exactly as the
 //! wire contract specifies. [`Client::call`] keeps one request
 //! outstanding and is therefore trivially ordered.
+//!
+//! Sends are buffered, so a burst of them costs one `write`: requests go
+//! out when the buffer passes 16 KiB, on [`Client::flush`], and — the
+//! rule that makes pipelining safe — before [`Client::recv`] blocks.
 
 use std::io::{self, Read, Write};
 use std::marker::PhantomData;
@@ -14,12 +18,17 @@ use std::time::Duration;
 use tokensync_core::codec::Codec;
 use tokensync_spec::ProcessId;
 
-use crate::wire::{decode_response, encode_request, FrameDecoder, Reply, WireStandard};
+use crate::wire::{decode_response, encode_request_into, FrameDecoder, Reply, WireStandard};
+
+/// Bytes of buffered requests past which [`Client::send`] flushes.
+const SEND_BUFFER: usize = 16 * 1024;
 
 /// Blocking wire client for one standard `T`.
 pub struct Client<T: WireStandard> {
     stream: TcpStream,
     dec: FrameDecoder,
+    /// Encoded requests not yet written to the socket.
+    out: Vec<u8>,
     next_id: u64,
     _standard: PhantomData<fn() -> T>,
 }
@@ -41,6 +50,7 @@ where
         Ok(Self {
             stream,
             dec: FrameDecoder::new(),
+            out: Vec::new(),
             next_id: 1,
             _standard: PhantomData,
         })
@@ -55,21 +65,37 @@ where
         self.stream.set_read_timeout(dur)
     }
 
-    /// Sends one request without waiting for its response; returns the
-    /// request id to correlate the eventual reply with.
+    /// Queues one request without waiting for its response; returns the
+    /// request id to correlate the eventual reply with. The request is
+    /// on the wire once the send buffer fills, [`Client::flush`] runs, or
+    /// [`Client::recv`] has to wait for the server.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the socket write failure of a flush.
+    pub fn send(&mut self, caller: ProcessId, op: &T::Op) -> io::Result<u64> {
+        let request_id = self.next_id;
+        self.next_id += 1;
+        encode_request_into(&mut self.out, request_id, T::STANDARD, caller, op);
+        if self.out.len() >= SEND_BUFFER {
+            self.flush()?;
+        }
+        Ok(request_id)
+    }
+
+    /// Writes every buffered request to the socket.
     ///
     /// # Errors
     ///
     /// Propagates the socket write failure.
-    pub fn send(&mut self, caller: ProcessId, op: &T::Op) -> io::Result<u64> {
-        let request_id = self.next_id;
-        self.next_id += 1;
-        let frame = encode_request(request_id, T::STANDARD, caller, op);
-        self.stream.write_all(&frame)?;
-        Ok(request_id)
+    pub fn flush(&mut self) -> io::Result<()> {
+        let written = self.stream.write_all(&self.out);
+        self.out.clear();
+        written
     }
 
-    /// Receives the next response frame (whatever request it answers).
+    /// Receives the next response frame (whatever request it answers),
+    /// flushing buffered requests first if it has to wait for one.
     ///
     /// # Errors
     ///
@@ -77,16 +103,17 @@ where
     /// (bad CRC, short body, undecodable payload) — the client fails
     /// closed just like the server does.
     pub fn recv(&mut self) -> io::Result<(u64, Reply<T::Resp>)> {
-        let mut buf = [0u8; 4096];
+        let mut buf = [0u8; 8 * 1024];
         loop {
             if let Some(body) = self
                 .dec
                 .try_frame()
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
             {
-                return decode_response::<T::Resp>(&body)
+                return decode_response::<T::Resp>(body)
                     .map_err(|_| io::Error::from(io::ErrorKind::InvalidData));
             }
+            self.flush()?;
             let n = self.stream.read(&mut buf)?;
             if n == 0 {
                 return Err(io::Error::from(io::ErrorKind::UnexpectedEof));

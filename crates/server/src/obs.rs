@@ -32,7 +32,11 @@ pub struct ServerObs {
     /// Connections dropped because their bounded write queue overflowed
     /// (a client that stopped reading responses).
     pub write_overflows: Counter,
-    /// End-to-end request latency in nanoseconds: frame decoded →
+    /// Buffers handed to connection write queues — one per connection
+    /// per committed wave (or rejected read burst), however many
+    /// response frames each carries.
+    pub write_pushes: Counter,
+    /// End-to-end request latency in nanoseconds: burst read →
     /// response queued (after commit, and after the durability wait in
     /// durable-ack mode).
     pub request_ns: Histogram,
@@ -78,10 +82,14 @@ impl ServerObs {
                 "tokensync_server_write_overflows_total",
                 "Connections dropped on bounded write-queue overflow.",
             ),
+            write_pushes: c(
+                "tokensync_server_write_pushes_total",
+                "Response buffers queued for connection writers.",
+            ),
             request_ns: registry.histogram(
                 "tokensync_server_request_ns",
                 &[],
-                "End-to-end request latency (decode to response queued), ns.",
+                "End-to-end request latency (read to response queued), ns.",
             ),
         }
     }

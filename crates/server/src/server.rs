@@ -5,28 +5,35 @@
 //! # Session lifecycle
 //!
 //! Each accepted connection gets two small-stack threads: a **reader**
-//! (socket → [`FrameDecoder`] → decode → `try_submit_tagged`) and a
-//! **writer** (bounded frame queue → socket). The reader owns its own
-//! clone of the intake handle, so every connection is pinned to an
-//! intake shard round-robin — one saturating connection fills *its*
-//! shard and starts seeing `Busy` while other connections' shards keep
-//! admitting (the fairness property the backpressure tests pin).
+//! (socket → [`FrameDecoder`] → decode → vet → admit) and a **writer**
+//! (bounded write queue → socket). The reader owns its own clone of the
+//! intake handle, so every connection is pinned to an intake shard
+//! round-robin — one saturating connection fills *its* shard and starts
+//! seeing `Busy` while other connections' shards keep admitting (the
+//! fairness property the backpressure tests pin).
 //!
-//! Admission control is the intake's bounded depth: a full shard answers
-//! [`Status::Busy`] immediately instead of buffering. Framing
-//! violations fail closed (disconnect); CRC-valid but semantically
-//! invalid requests answer [`Status::BadRequest`] and the session
-//! continues. A connection with a frame stuck mid-transfer past
-//! [`ServerConfig::read_grace`] is a slowloris and is dropped; a
-//! connection whose write queue hits [`ServerConfig::write_queue_frames`]
-//! has stopped reading responses and is dropped. A clean EOF with
-//! requests still in flight lingers just long enough for their commits
-//! to flush.
+//! Every hand-off costs one lock and at most one wake-up or syscall per
+//! **burst**, not per request: the reader admits everything one `read`
+//! returned with one [`IntakeClient::try_submit_burst`]; the commit
+//! stage pushes a wave's responses once per connection; the writer
+//! takes everything queued and issues one `write_all`.
+//!
+//! Admission control is the intake's bounded depth: the part of a burst
+//! its shard has no room for answers [`Status::Busy`] immediately
+//! instead of buffering. Framing violations fail closed (disconnect);
+//! CRC-valid but semantically invalid requests answer
+//! [`Status::BadRequest`] and the session continues. A connection with a
+//! frame stuck mid-transfer past [`ServerConfig::read_grace`] is a
+//! slowloris and is dropped; a connection whose write queue would pass
+//! [`ServerConfig::write_queue_frames`] — filled by commits or by the
+//! reader's own rejections — has stopped reading responses and is
+//! dropped. A clean EOF with requests still in flight lingers just long
+//! enough for their commits to flush.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -37,10 +44,13 @@ use tokensync_pipeline::{
     CommitSink, IntakeClient, Pipeline, PipelineConfig, PipelineObs, PipelineRun,
     SinkedPipelineHandle,
 };
+use tokensync_spec::ProcessId;
 
 use crate::obs::ServerObs;
-use crate::router::{ConnState, Router, RouterSink};
-use crate::wire::{decode_request_header, encode_response, FrameDecoder, Status, WireStandard};
+use crate::router::{ConnState, Router, RouterSink, NEXT_TICKET};
+use crate::wire::{
+    decode_request_header, encode_response_into, FrameDecoder, Status, WireStandard,
+};
 
 /// Server policy knobs.
 #[derive(Clone, Copy, Debug)]
@@ -56,7 +66,12 @@ pub struct ServerConfig {
     /// to ack-at-commit rather than wedging the engine on a dead store.
     pub durable_wait: Duration,
     /// Bounded per-connection write queue, in frames. A connection
-    /// whose queue is full has stopped reading and is disconnected.
+    /// whose queue is full has stopped reading and is disconnected. The
+    /// writer thread holds at most one more buffer it took from the
+    /// queue, so a connection pins at most twice this many frames. One
+    /// push above the bound — a wave (with durable acks: a batch)
+    /// answering more requests of one connection than this — also
+    /// disconnects: keep it above a client's in-flight window.
     pub write_queue_frames: usize,
     /// Slowloris deadline: a frame left incomplete this long after its
     /// last byte arrived drops the connection. An *idle* connection
@@ -80,11 +95,8 @@ impl Default for ServerConfig {
     }
 }
 
-struct ConnEntry {
-    state: Arc<ConnState>,
-    reader: JoinHandle<()>,
-    writer: JoinHandle<()>,
-}
+/// A connection's reader and writer threads.
+type ConnThreads = (JoinHandle<()>, JoinHandle<()>);
 
 /// The TCP front end. See the [crate docs](crate) for the session
 /// lifecycle and [`crate::wire`] for the protocol.
@@ -94,8 +106,8 @@ pub struct Server;
 pub struct ServerHandle<T: ConcurrentObject, S> {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    accept: JoinHandle<()>,
-    conns: Arc<Mutex<Vec<ConnEntry>>>,
+    accept: JoinHandle<Vec<ConnThreads>>,
+    router: Arc<Router>,
     client: IntakeClient<T::Op>,
     engine: SinkedPipelineHandle<T::Op, T::Resp, RouterSink<S>>,
     obs: ServerObs,
@@ -129,38 +141,27 @@ impl Server {
 
         let obs = ServerObs::new(registry);
         let pipe_obs = PipelineObs::new(registry, cfg.pipeline.batch.intake_shards);
-        let router = Router::new();
-        let rsink = RouterSink::new(
-            Arc::clone(&router),
-            obs.clone(),
-            cfg.write_queue_frames,
-            cfg.durable_acks,
-            cfg.durable_wait,
-            sink,
-        );
+        let router = Arc::new(Router::default());
+        let rsink = RouterSink::new(Arc::clone(&router), cfg, sink);
         let (client, engine) = Pipeline::spawn_observed(token, cfg.pipeline, rsink, pipe_obs);
 
         let shutdown = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<ConnEntry>>> = Arc::new(Mutex::new(Vec::new()));
 
         let accept = {
             let shutdown = Arc::clone(&shutdown);
-            let conns = Arc::clone(&conns);
             let router = Arc::clone(&router);
             let obs = obs.clone();
             let client = client.clone();
             std::thread::Builder::new()
                 .name("tokensync-accept".into())
-                .spawn(move || {
-                    accept_loop::<T>(listener, shutdown, conns, router, obs, client, cfg)
-                })?
+                .spawn(move || accept_loop::<T>(listener, shutdown, router, obs, client, cfg))?
         };
 
         Ok(ServerHandle {
             addr,
             shutdown,
             accept,
-            conns,
+            router,
             client,
             engine,
             obs,
@@ -190,43 +191,46 @@ impl<T: ConcurrentObject, S> ServerHandle<T, S> {
     /// Propagates a panic of the engine or a connection thread.
     pub fn finish(self) -> (PipelineRun<T::Op, T::Resp>, S) {
         self.shutdown.store(true, Ordering::SeqCst);
-        self.accept.join().expect("accept thread panicked");
+        let threads = self.accept.join().expect("accept thread panicked");
         // Readers see the shutdown flag at their next poll tick and
         // drop their intake clones; they must be joined *before* the
         // engine, which drains only once every producer handle is gone.
-        let entries: Vec<ConnEntry> = std::mem::take(&mut *self.conns.lock().unwrap());
-        let mut write_sides = Vec::with_capacity(entries.len());
-        for entry in entries {
-            entry.reader.join().expect("conn reader panicked");
-            write_sides.push((entry.state, entry.writer));
+        let mut writers = Vec::with_capacity(threads.len());
+        for (reader, writer) in threads {
+            reader.join().expect("conn reader panicked");
+            writers.push(writer);
         }
         drop(self.client);
         // The engine commits everything admitted and resolves every
         // ticket through the router, queueing the final responses.
         let (run, rsink) = self.engine.finish();
         // Flush and close the write sides.
-        for (state, writer) in write_sides {
+        for state in self.router.lock().unwrap().iter() {
             state.close_drain();
+        }
+        for writer in writers {
             writer.join().expect("conn writer panicked");
         }
         (run, rsink.into_inner())
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Accepts until `shutdown`; returns the threads of every connection it
+/// served, for `finish` to join.
 fn accept_loop<T>(
     listener: TcpListener,
     shutdown: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<ConnEntry>>>,
     router: Arc<Router>,
     obs: ServerObs,
     client: IntakeClient<T::Op>,
     cfg: ServerConfig,
-) where
+) -> Vec<ConnThreads>
+where
     T: WireStandard + 'static,
     T::Op: Codec,
     T::Resp: Codec,
 {
+    let mut threads = Vec::new();
     while !shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -238,13 +242,17 @@ fn accept_loop<T>(
                 let Ok(shutdown_stream) = stream.try_clone() else {
                     continue;
                 };
-                let state = ConnState::new(shutdown_stream);
+                let state = ConnState::attach(
+                    &router,
+                    shutdown_stream,
+                    cfg.write_queue_frames,
+                    obs.clone(),
+                );
                 // Clone-per-connection pins each session to an intake
                 // shard round-robin — the fairness seam.
                 let intake = client.clone();
                 let reader = {
                     let state = Arc::clone(&state);
-                    let router = Arc::clone(&router);
                     let obs = obs.clone();
                     let shutdown = Arc::clone(&shutdown);
                     std::thread::Builder::new()
@@ -252,7 +260,7 @@ fn accept_loop<T>(
                         .stack_size(256 * 1024)
                         .spawn(move || {
                             obs.active.add(1);
-                            conn_reader::<T>(stream, state, intake, router, &obs, &cfg, shutdown);
+                            conn_reader::<T>(stream, state, intake, &obs, &cfg, shutdown);
                             obs.active.add(-1);
                         })
                 };
@@ -264,11 +272,7 @@ fn accept_loop<T>(
                         .spawn(move || conn_writer(write_stream, &state))
                 };
                 if let (Ok(reader), Ok(writer)) = (reader, writer) {
-                    conns.lock().unwrap().push(ConnEntry {
-                        state,
-                        reader,
-                        writer,
-                    });
+                    threads.push((reader, writer));
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -277,13 +281,15 @@ fn accept_loop<T>(
             Err(_) => std::thread::sleep(Duration::from_millis(1)),
         }
     }
+    threads
 }
 
-/// Writer thread: drains the bounded queue to the socket. Exits when
-/// the queue closes (drain or abort) or the socket dies.
+/// Writer thread: drains the bounded queue to the socket, everything
+/// queued per `write_all`. Exits when the queue closes (drain or abort)
+/// or the socket dies.
 fn conn_writer(mut stream: TcpStream, state: &ConnState) {
-    while let Some(frame) = state.next_frame() {
-        if stream.write_all(&frame).is_err() {
+    while let Some(bytes) = state.next_write() {
+        if stream.write_all(&bytes).is_err() {
             state.close_abort();
             return;
         }
@@ -298,18 +304,17 @@ fn conn_reader<T>(
     mut stream: TcpStream,
     state: Arc<ConnState>,
     intake: IntakeClient<T::Op>,
-    router: Arc<Router>,
     obs: &ServerObs,
     cfg: &ServerConfig,
     shutdown: Arc<AtomicBool>,
 ) where
     T: WireStandard,
     T::Op: Codec,
-    T::Resp: Codec,
 {
     let _ = stream.set_read_timeout(Some(cfg.read_poll));
     let mut dec = FrameDecoder::new();
     let mut buf = [0u8; 8 * 1024];
+    let mut burst = Vec::new();
     let mut last_byte = Instant::now();
     loop {
         if shutdown.load(Ordering::SeqCst) {
@@ -319,30 +324,15 @@ fn conn_reader<T>(
             Ok(0) => {
                 // Clean EOF: linger until every in-flight request
                 // resolved, then the writer flushes and closes.
-                state.draining.store(true, Ordering::SeqCst);
-                if state.outstanding.load(Ordering::SeqCst) == 0 {
-                    state.close_drain();
-                }
+                state.drain();
                 return;
             }
             Ok(n) => {
                 last_byte = Instant::now();
                 dec.feed(&buf[..n]);
-                loop {
-                    match dec.try_frame() {
-                        Ok(Some(body)) => {
-                            if !handle_request::<T>(&body, &state, &intake, &router, obs, cfg) {
-                                state.close_abort();
-                                return;
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            obs.wire_errors.inc();
-                            state.close_abort();
-                            return;
-                        }
-                    }
+                if !admit_burst::<T>(&mut dec, &mut burst, last_byte, &state, &intake, obs) {
+                    state.close_abort();
+                    return;
                 }
             }
             Err(e)
@@ -362,57 +352,72 @@ fn conn_reader<T>(
     }
 }
 
-/// One CRC-valid request body through decode → vet → admit. Returns
-/// `false` when the connection must close (uncorrelatable body, or its
-/// write side is already gone).
-fn handle_request<T>(
-    body: &[u8],
-    state: &Arc<ConnState>,
+/// Every complete frame `dec` holds — one read burst — through decode →
+/// vet → admit: one pending-window lock, one intake submit and one
+/// write-queue push (the rejections) for the lot. `burst` is scratch,
+/// empty between calls. Returns `false` when the connection must close:
+/// a framing violation, or a write side that is already gone.
+fn admit_burst<T>(
+    dec: &mut FrameDecoder,
+    burst: &mut Vec<(ProcessId, T::Op, u64)>,
+    now: Instant,
+    state: &ConnState,
     intake: &IntakeClient<T::Op>,
-    router: &Arc<Router>,
     obs: &ServerObs,
-    cfg: &ServerConfig,
 ) -> bool
 where
     T: WireStandard,
     T::Op: Codec,
 {
-    let Some((request_id, standard, caller, op_bytes)) = decode_request_header(body) else {
-        // Too short to even carry a request id: nothing to answer to.
+    let (mut rejects, mut rejected) = (Vec::new(), 0usize);
+    let mut reject = |request_id: u64, status: Status| {
+        encode_response_into(&mut rejects, request_id, status, |_| {});
+        rejected += 1;
+    };
+    // Requests ahead of a framing violation are still served.
+    let intact = loop {
+        let body = match dec.try_frame() {
+            Ok(Some(body)) => body,
+            Ok(None) => break true,
+            Err(_) => break false,
+        };
+        let Some((request_id, standard, caller, mut op_bytes)) = decode_request_header(body) else {
+            // Too short to even carry a request id: nothing to answer to.
+            break false;
+        };
+        let op = (standard == T::STANDARD).then(|| T::Op::decode(&mut op_bytes));
+        match op {
+            Some(Ok(op)) if op_bytes.is_empty() && T::vet(&op) => {
+                burst.push((caller, op, request_id));
+            }
+            _ => {
+                obs.bad_requests.inc();
+                reject(request_id, Status::BadRequest);
+            }
+        }
+    };
+    if !intact {
         obs.wire_errors.inc();
-        return false;
-    };
-    let reject = |status: Status| -> bool {
-        state.push(
-            encode_response(request_id, status, None),
-            cfg.write_queue_frames,
-        )
-    };
-    if standard != T::STANDARD {
-        obs.bad_requests.inc();
-        return reject(Status::BadRequest);
     }
-    let mut input = op_bytes;
-    let op = match T::Op::decode(&mut input) {
-        Ok(op) if input.is_empty() && T::vet(&op) => op,
-        _ => {
-            obs.bad_requests.inc();
-            return reject(Status::BadRequest);
-        }
-    };
-    // Register before submit: the commit callback can fire (and must
-    // find the ticket) before try_submit_tagged even returns.
-    let ticket = router.register(state, request_id);
-    match intake.try_submit_tagged(caller, op, ticket) {
-        Ok(true) => true,
-        Ok(false) => {
-            router.unregister(ticket);
-            obs.busy.inc();
-            reject(Status::Busy)
-        }
-        Err(_closed) => {
-            router.unregister(ticket);
-            reject(Status::Gone)
+    if !burst.is_empty() {
+        // Register before submit: the commit callback can fire (and must
+        // find the slot) before the submit call even returns.
+        let first = state.register(burst.iter().map(|request| request.2), now);
+        let mut rest = burst.drain(..).enumerate();
+        let mut tagged = rest
+            .by_ref()
+            .map(|(i, (caller, op, _))| (caller, op, first.wrapping_add(i as u64 * NEXT_TICKET)));
+        let status = match intake.try_submit_burst(&mut tagged) {
+            Ok(_) => Status::Busy,
+            Err(_closed) => Status::Gone,
+        };
+        let refused = rest
+            .map(|(_, (_, _, request_id))| reject(request_id, status))
+            .count();
+        state.withdraw(refused);
+        if status == Status::Busy {
+            obs.busy.add(refused as u64);
         }
     }
+    (rejected == 0 || state.push(rejects, rejected)) && intact
 }

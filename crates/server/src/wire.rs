@@ -146,6 +146,10 @@ impl std::error::Error for WireError {}
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
+    /// Read cursor: start of the first frame not yet handed out. The
+    /// consumed prefix is dropped once per `feed`, so a read that carries
+    /// many small frames moves the remainder once, not once per frame.
+    at: usize,
 }
 
 impl FrameDecoder {
@@ -156,6 +160,8 @@ impl FrameDecoder {
 
     /// Appends raw stream bytes.
     pub fn feed(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.at);
+        self.at = 0;
         self.buf.extend_from_slice(bytes);
     }
 
@@ -163,10 +169,11 @@ impl FrameDecoder {
     /// interval means a frame is pending mid-transfer — the quantity the
     /// slowloris deadline watches.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.at
     }
 
-    /// Extracts the next complete frame body, if one is fully buffered.
+    /// Extracts the next complete frame body, if one is fully buffered;
+    /// it borrows the decoder's buffer.
     ///
     /// `Ok(None)` means "need more bytes". An oversized declared length
     /// fails as soon as the 8-byte prelude arrives — the server never
@@ -176,74 +183,108 @@ impl FrameDecoder {
     ///
     /// [`WireError`] on an oversized length or CRC mismatch; the caller
     /// must treat the stream as corrupt and drop the connection.
-    pub fn try_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
-        if self.buf.len() < FRAME_HEADER {
+    pub fn try_frame(&mut self) -> Result<Option<&[u8]>, WireError> {
+        let pending = &self.buf[self.at..];
+        if pending.len() < FRAME_HEADER {
             return Ok(None);
         }
-        let len = u32::from_le_bytes(self.buf[0..4].try_into().expect("4-byte slice"));
+        let len = u32::from_le_bytes(pending[0..4].try_into().expect("4-byte slice"));
         if len as usize > MAX_FRAME {
             return Err(WireError::Oversized { len });
         }
         let total = FRAME_HEADER + len as usize;
-        if self.buf.len() < total {
+        if pending.len() < total {
             return Ok(None);
         }
-        let declared = u32::from_le_bytes(self.buf[4..8].try_into().expect("4-byte slice"));
-        let body = &self.buf[FRAME_HEADER..total];
+        let declared = u32::from_le_bytes(pending[4..8].try_into().expect("4-byte slice"));
+        let body = &pending[FRAME_HEADER..total];
         let computed = crc32(body);
         if computed != declared {
             return Err(WireError::BadCrc { declared, computed });
         }
-        let body = body.to_vec();
-        self.buf.drain(..total);
+        self.at += total;
         Ok(Some(body))
     }
+}
+
+/// Appends one `len | crc | body` frame to `out`, its body written in
+/// place by `body` — how a burst of frames shares one buffer. Outbound
+/// frames are built by this crate from bounded payloads, so one past
+/// [`MAX_FRAME`] is a bug, not input: it panics.
+fn frame_into(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    body(out);
+    let (prelude, body) = out[at..].split_at_mut(FRAME_HEADER);
+    assert!(body.len() <= MAX_FRAME, "outbound frame exceeds MAX_FRAME");
+    prelude[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    prelude[4..].copy_from_slice(&crc32(body).to_le_bytes());
 }
 
 /// Wraps `body` in the `len | crc | body` frame.
 ///
 /// # Panics
 ///
-/// Panics if `body` exceeds [`MAX_FRAME`] — outbound frames are built by
-/// this crate from bounded payloads, so an oversized one is a bug, not
-/// input.
+/// Panics if `body` exceeds [`MAX_FRAME`].
 pub fn encode_frame(body: &[u8]) -> Vec<u8> {
-    assert!(body.len() <= MAX_FRAME, "outbound frame exceeds MAX_FRAME");
     let mut out = Vec::with_capacity(FRAME_HEADER + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(body).to_le_bytes());
-    out.extend_from_slice(body);
+    frame_into(&mut out, |b| b.extend_from_slice(body));
     out
 }
 
-/// Encodes a full request frame for `op` under standard tag `standard`.
+/// Appends a full request frame for `op` under standard tag `standard`.
+pub fn encode_request_into<Op: Codec>(
+    out: &mut Vec<u8>,
+    request_id: u64,
+    standard: u8,
+    caller: ProcessId,
+    op: &Op,
+) {
+    frame_into(out, |body| {
+        body.extend_from_slice(&request_id.to_le_bytes());
+        body.push(standard);
+        body.extend_from_slice(&(caller.index() as u32).to_le_bytes());
+        op.encode_into(body);
+    });
+}
+
+/// [`encode_request_into`] a buffer of its own.
 pub fn encode_request<Op: Codec>(
     request_id: u64,
     standard: u8,
     caller: ProcessId,
     op: &Op,
 ) -> Vec<u8> {
-    let mut body = Vec::with_capacity(REQUEST_HEADER + 16);
-    body.extend_from_slice(&request_id.to_le_bytes());
-    body.push(standard);
-    body.extend_from_slice(&(caller.index() as u32).to_le_bytes());
-    op.encode_into(&mut body);
-    encode_frame(&body)
+    let mut out = Vec::with_capacity(FRAME_HEADER + REQUEST_HEADER + 16);
+    encode_request_into(&mut out, request_id, standard, caller, op);
+    out
+}
+
+/// Appends a full response frame. `payload` writes the encoded response
+/// and is only called when `status` is [`Status::Ok`].
+pub fn encode_response_into(
+    out: &mut Vec<u8>,
+    request_id: u64,
+    status: Status,
+    payload: impl FnOnce(&mut Vec<u8>),
+) {
+    frame_into(out, |body| {
+        body.extend_from_slice(&request_id.to_le_bytes());
+        body.push(status.as_u8());
+        if status == Status::Ok {
+            payload(body);
+        }
+    });
 }
 
 /// Encodes a full response frame. `resp` is the already-encoded response
 /// payload and is only included when `status` is [`Status::Ok`].
 pub fn encode_response(request_id: u64, status: Status, resp: Option<&[u8]>) -> Vec<u8> {
-    let payload = if status == Status::Ok {
-        resp.unwrap_or(&[])
-    } else {
-        &[]
-    };
-    let mut body = Vec::with_capacity(9 + payload.len());
-    body.extend_from_slice(&request_id.to_le_bytes());
-    body.push(status.as_u8());
-    body.extend_from_slice(payload);
-    encode_frame(&body)
+    let mut out = Vec::new();
+    encode_response_into(&mut out, request_id, status, |body| {
+        body.extend_from_slice(resp.unwrap_or(&[]));
+    });
+    out
 }
 
 /// Splits a CRC-valid request body into its header fields and the raw op
@@ -370,7 +411,7 @@ mod tests {
         dec.feed(&frame[..3]);
         assert_eq!(dec.try_frame(), Ok(None), "prelude incomplete");
         dec.feed(&frame[3..]);
-        assert_eq!(dec.try_frame(), Ok(Some(body)));
+        assert_eq!(dec.try_frame(), Ok(Some(&body[..])));
         assert_eq!(dec.buffered(), 0);
     }
 
@@ -382,8 +423,8 @@ mod tests {
         let mut joined = a.clone();
         joined.extend_from_slice(&b);
         dec.feed(&joined);
-        assert_eq!(dec.try_frame(), Ok(Some(b"a".to_vec())));
-        assert_eq!(dec.try_frame(), Ok(Some(b"bb".to_vec())));
+        assert_eq!(dec.try_frame(), Ok(Some(&b"a"[..])));
+        assert_eq!(dec.try_frame(), Ok(Some(&b"bb"[..])));
         assert_eq!(dec.try_frame(), Ok(None));
     }
 
@@ -416,7 +457,7 @@ mod tests {
         let mut dec = FrameDecoder::new();
         dec.feed(&frame);
         let body = dec.try_frame().unwrap().unwrap();
-        let (id, standard, caller, rest) = decode_request_header(&body).unwrap();
+        let (id, standard, caller, rest) = decode_request_header(body).unwrap();
         assert_eq!((id, standard, caller), (42, 0x20, ProcessId::new(5)));
         let mut input = rest;
         assert_eq!(Erc20Op::decode(&mut input).unwrap(), op);
@@ -430,14 +471,14 @@ mod tests {
         dec.feed(&frame);
         let body = dec.try_frame().unwrap().unwrap();
         assert_eq!(
-            decode_response::<Erc20Resp>(&body),
+            decode_response::<Erc20Resp>(body),
             Ok((7, Reply::Ok(Erc20Resp::Amount(9))))
         );
         let busy = encode_response(8, Status::Busy, None);
         let mut dec = FrameDecoder::new();
         dec.feed(&busy);
         let body = dec.try_frame().unwrap().unwrap();
-        assert_eq!(decode_response::<Erc20Resp>(&body), Ok((8, Reply::Busy)));
+        assert_eq!(decode_response::<Erc20Resp>(body), Ok((8, Reply::Busy)));
     }
 
     #[test]

@@ -29,9 +29,6 @@ use tokensync_spec::{AccountId, ProcessId};
 
 fn test_config() -> ServerConfig {
     let mut cfg = ServerConfig::default();
-    // Close batches fast so single-request tests don't wait out the
-    // batch window.
-    cfg.pipeline.batch.max_wait = Duration::from_micros(200);
     cfg.read_grace = Duration::from_millis(400);
     cfg.read_poll = Duration::from_millis(10);
     cfg
@@ -120,26 +117,36 @@ proptest! {
         }
     }
 
-    /// A valid frame torn at an arbitrary byte boundary and fed in two
-    /// pieces decodes exactly as if it arrived whole.
+    /// A stream of valid frames decodes to the same bodies however it
+    /// is torn — fed whole, one byte at a time, or in random pieces —
+    /// and after every feed `buffered()` is exactly the bytes of the
+    /// frame still incomplete (what the slowloris deadline watches): a
+    /// partial frame never produces output or an error.
     #[test]
     fn torn_frames_reassemble(
-        body in proptest::collection::vec(0u8..=255, 0..512),
-        cut_seed in 0usize..4096,
+        bodies in proptest::collection::vec(proptest::collection::vec(0u8..=255, 0..96), 1..12),
+        cut_seeds in proptest::collection::vec(1usize..64, 0..48),
     ) {
-        let frame = encode_frame(&body);
-        let cut = cut_seed % (frame.len() + 1);
-        let mut dec = FrameDecoder::new();
-        dec.feed(&frame[..cut]);
-        if cut < frame.len() {
-            // A partial frame must never produce output or error.
-            assert!(matches!(dec.try_frame(), Ok(None)));
-            dec.feed(&frame[cut..]);
-        }
-        let got = dec.try_frame().unwrap().expect("reassembled frame");
-        assert_eq!(got, body);
-        assert!(matches!(dec.try_frame(), Ok(None)));
-        assert_eq!(dec.buffered(), 0);
+        let stream: Vec<u8> = bodies.iter().flat_map(|b| encode_frame(b)).collect();
+        let feed = |pieces: &mut dyn Iterator<Item = usize>| {
+            let mut dec = FrameDecoder::new();
+            let (mut fed, mut consumed, mut got) = (0, 0, Vec::new());
+            while fed < stream.len() {
+                let n = pieces.next().unwrap_or(usize::MAX).min(stream.len() - fed);
+                dec.feed(&stream[fed..fed + n]);
+                fed += n;
+                while let Some(body) = dec.try_frame().unwrap() {
+                    consumed += 8 + body.len();
+                    got.push(body.to_vec());
+                }
+                assert_eq!(dec.buffered(), fed - consumed);
+            }
+            assert_eq!(dec.buffered(), 0);
+            got
+        };
+        assert_eq!(feed(&mut std::iter::empty()), bodies, "all at once");
+        assert_eq!(feed(&mut std::iter::repeat(1)), bodies, "one byte at a time");
+        assert_eq!(feed(&mut cut_seeds.into_iter()), bodies, "random pieces");
     }
 
     /// Any single corrupted byte in a nonempty frame is caught: by the
@@ -241,7 +248,7 @@ proptest! {
             assert!(n > 0, "server dropped a CRC-valid session");
             dec.feed(&buf[..n]);
         };
-        let (echoed, reply) = decode_response::<Erc20Resp>(&reply_body).unwrap();
+        let (echoed, reply) = decode_response::<Erc20Resp>(reply_body).unwrap();
         assert_eq!(echoed, request_id);
         // A random 13+-byte body essentially never spells a valid
         // (standard, op) pair; tolerate the miracle by accepting Ok too.
@@ -263,7 +270,7 @@ proptest! {
             assert!(n > 0, "server dropped the session after a BadRequest");
             dec.feed(&buf[..n]);
         };
-        let (echoed, reply) = decode_response::<Erc20Resp>(&reply_body).unwrap();
+        let (echoed, reply) = decode_response::<Erc20Resp>(reply_body).unwrap();
         assert_eq!(echoed, u64::MAX);
         assert_eq!(reply, Reply::Ok(Erc20Resp::Amount(64_000)));
     }
@@ -342,7 +349,7 @@ fn wrong_standard_tag_rejected_per_standard() {
             dec.feed(&buf[..n]);
         };
         use tokensync_core::standards::erc721::Erc721Resp;
-        let (id, reply) = decode_response::<Erc721Resp>(&body).unwrap();
+        let (id, reply) = decode_response::<Erc721Resp>(body).unwrap();
         assert_eq!(id, 3);
         assert_eq!(reply, Reply::BadRequest);
     }
@@ -404,7 +411,7 @@ fn wrong_standard_tag_rejected_per_standard() {
             dec.feed(&buf[..n]);
         };
         use tokensync_core::standards::erc1155::Erc1155Resp;
-        let (id, reply) = decode_response::<Erc1155Resp>(&body).unwrap();
+        let (id, reply) = decode_response::<Erc1155Resp>(body).unwrap();
         assert_eq!(id, 4);
         assert_eq!(reply, Reply::BadRequest);
     }

@@ -19,7 +19,6 @@ use tokensync_spec::{AccountId, ProcessId};
 
 fn base_config() -> ServerConfig {
     let mut cfg = ServerConfig::default();
-    cfg.pipeline.batch.max_wait = Duration::from_micros(200);
     cfg.read_poll = Duration::from_millis(10);
     cfg
 }
@@ -140,18 +139,10 @@ fn slowloris_dropped_idle_connection_kept() {
         &Erc20Op::TotalSupply,
     );
     idle.write_all(&req).unwrap();
-    let mut dec = FrameDecoder::new();
-    let body = loop {
-        if let Some(b) = dec.try_frame().unwrap() {
-            break b;
-        }
-        let n = idle.read(&mut buf).unwrap();
-        assert!(n > 0, "idle connection was dropped");
-        dec.feed(&buf[..n]);
-    };
-    let (id, reply) = decode_response::<Erc20Resp>(&body).unwrap();
-    assert_eq!(id, 9);
-    assert_eq!(reply, Reply::Ok(Erc20Resp::Amount(64_000_000)));
+    assert_eq!(
+        read_replies(&mut idle, 1),
+        vec![(9, Reply::Ok(Erc20Resp::Amount(64_000_000)))]
+    );
     handle.finish();
 }
 
@@ -256,49 +247,189 @@ fn saturating_connection_does_not_starve_others() {
 
 /// Drain-on-EOF: a client that half-closes after sending is still owed
 /// every admitted response — the server flushes them all, then closes.
+/// The three requests arrive in one segment, so they are one read burst,
+/// one batch, and their responses one buffer.
 #[test]
 fn half_close_drains_pending_responses() {
     let handle = spawn_with(base_config(), ());
     let mut s = TcpStream::connect(handle.addr()).unwrap();
     s.set_nodelay(true).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    for id in 1..=3u64 {
-        let req = encode_request(
-            id,
-            ShardedErc20::STANDARD,
-            ProcessId::new(4),
-            &Erc20Op::TotalSupply,
-        );
-        s.write_all(&req).unwrap();
-    }
+    let burst: Vec<u8> = (1..=3u64)
+        .flat_map(|id| {
+            encode_request(
+                id,
+                ShardedErc20::STANDARD,
+                ProcessId::new(4),
+                &Erc20Op::TotalSupply,
+            )
+        })
+        .collect();
+    s.write_all(&burst).unwrap();
     s.shutdown(Shutdown::Write).unwrap();
 
-    let mut dec = FrameDecoder::new();
-    let mut buf = [0u8; 1024];
-    let mut got = Vec::new();
-    let deadline = Instant::now() + Duration::from_secs(30);
-    'outer: while got.len() < 3 {
-        while let Some(body) = dec.try_frame().unwrap() {
-            let (id, reply) = decode_response::<Erc20Resp>(&body).unwrap();
+    let replies = read_replies(&mut s, 3);
+    let mut got: Vec<u64> = replies
+        .into_iter()
+        .map(|(id, reply)| {
             assert_eq!(reply, Reply::Ok(Erc20Resp::Amount(64_000_000)));
-            got.push(id);
-            if got.len() == 3 {
-                break 'outer;
-            }
-        }
-        assert!(Instant::now() < deadline, "responses never drained");
-        match s.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => dec.feed(&buf[..n]),
-            Err(e) => panic!("read failed before the drain finished: {e}"),
-        }
-    }
+            id
+        })
+        .collect();
     got.sort_unstable();
     assert_eq!(got, vec![1, 2, 3]);
+    assert_eq!(
+        handle.obs().write_pushes.get(),
+        1,
+        "one buffer for the wave"
+    );
     // After the drain the server closes its side.
+    let mut buf = [0u8; 64];
     match s.read(&mut buf) {
         Ok(0) | Err(_) => {}
         Ok(n) => panic!("unexpected {n} extra bytes after the drain"),
     }
     handle.finish();
+}
+
+/// Reads `want` response frames off a raw connection.
+fn read_replies(s: &mut TcpStream, want: usize) -> Vec<(u64, Reply<Erc20Resp>)> {
+    let mut dec = FrameDecoder::new();
+    let mut buf = [0u8; 4096];
+    let mut got = Vec::new();
+    loop {
+        while let Some(body) = dec.try_frame().unwrap() {
+            got.push(decode_response::<Erc20Resp>(body).unwrap());
+        }
+        if got.len() >= want {
+            return got;
+        }
+        match s.read(&mut buf) {
+            Ok(0) => panic!("closed after {} of {want} responses", got.len()),
+            Ok(n) => dec.feed(&buf[..n]),
+            Err(e) => panic!("read failed after {} of {want} responses: {e}", got.len()),
+        }
+    }
+}
+
+/// One queue push per connection per wave: two connections pipeline 50
+/// requests each against a stalled engine, so that once it resumes at
+/// most two batches answer them — and every batch hands each connection
+/// its responses as one buffer, however many frames that is.
+#[test]
+fn a_wave_is_one_push_per_connection() {
+    const K: u64 = 50;
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let handle = spawn_with(
+        base_config(),
+        GateSink {
+            gate: Arc::clone(&gate),
+        },
+    );
+    let obs = handle.obs().clone();
+    let mut conns: Vec<TcpStream> = (0..2)
+        .map(|_| {
+            let s = TcpStream::connect(handle.addr()).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+            s
+        })
+        .collect();
+    for s in &mut conns {
+        let mut burst: Vec<u8> = (1..=K)
+            .flat_map(|id| {
+                encode_request(
+                    id,
+                    ShardedErc20::STANDARD,
+                    ProcessId::new(1),
+                    &Erc20Op::TotalSupply,
+                )
+            })
+            .collect();
+        // A trailing request for the wrong standard: the reader rejects
+        // it only after admitting everything ahead of it, so its reply
+        // is the signal that this connection's requests are all queued.
+        burst.extend(encode_request(
+            0,
+            0xEE,
+            ProcessId::new(1),
+            &Erc20Op::TotalSupply,
+        ));
+        s.write_all(&burst).unwrap();
+    }
+    for s in &mut conns {
+        // The engine is stalled on its first wave: no `Ok` can arrive.
+        assert_eq!(read_replies(s, 1), vec![(0, Reply::BadRequest)]);
+    }
+    {
+        let (lock, cvar) = &*gate;
+        *lock.lock().unwrap() = true;
+        cvar.notify_all();
+    }
+    for s in &mut conns {
+        let replies = read_replies(s, K as usize);
+        assert!(replies
+            .iter()
+            .all(|(_, r)| *r == Reply::Ok(Erc20Resp::Amount(64_000_000))));
+    }
+    drop(conns);
+    let (run, _) = handle.finish();
+    assert_eq!(obs.requests_ok.get(), 2 * K);
+    // The batch cut before the stall, and the one that queued behind it.
+    assert!(run.stats.batches <= 2, "{} batches", run.stats.batches);
+    // Two rejection pushes, then at most one per connection per batch.
+    let pushes = obs.write_pushes.get();
+    assert!(
+        pushes <= 2 + 2 * run.stats.batches,
+        "{pushes} pushes for {} batches",
+        run.stats.batches
+    );
+}
+
+/// Sends are buffered client-side: a burst of `send`s is delivered, in
+/// full, by the `recv`s that follow it.
+#[test]
+fn pipelined_sends_are_all_answered() {
+    let handle = spawn_with(base_config(), ());
+    let mut client = Client::<ShardedErc20>::connect(handle.addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let op = Erc20Op::BalanceOf {
+        account: AccountId::new(3),
+    };
+    let mut sent: Vec<u64> = (0..500)
+        .map(|_| client.send(ProcessId::new(3), &op).unwrap())
+        .collect();
+    let mut answered: Vec<u64> = (0..500)
+        .map(|_| {
+            let (id, reply) = client.recv().unwrap();
+            assert_eq!(reply, Reply::Ok(Erc20Resp::Amount(1_000_000)));
+            id
+        })
+        .collect();
+    sent.sort_unstable();
+    answered.sort_unstable();
+    assert_eq!(sent, answered);
+    handle.finish();
+}
+
+/// ...and a client that only sends puts them on the wire with `flush`.
+#[test]
+fn flush_delivers_sends_without_a_recv() {
+    let handle = spawn_with(base_config(), ());
+    let mut client = Client::<ShardedErc20>::connect(handle.addr()).unwrap();
+    for _ in 0..10 {
+        client
+            .send(ProcessId::new(5), &Erc20Op::TotalSupply)
+            .unwrap();
+    }
+    client.flush().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while handle.obs().requests_ok.get() < 10 {
+        assert!(Instant::now() < deadline, "flushed requests never served");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    drop(client);
+    let (run, ()) = handle.finish();
+    assert_eq!(run.log.len(), 10);
 }

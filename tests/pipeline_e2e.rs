@@ -9,7 +9,6 @@
 //! the sequential spec and acceptable to the Wing–Gong–Lowe checker.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use tokensync::core::erc20::{Erc20Op, Erc20Spec, Erc20State};
 use tokensync::core::shared::{ConcurrentToken, ShardedErc20};
@@ -96,7 +95,6 @@ fn concurrent_clients_through_the_spawned_engine_linearize() {
     let cfg = PipelineConfig {
         batch: BatchConfig {
             max_ops: 16,
-            max_wait: Duration::from_millis(1),
             queue_depth: 64,
             ..BatchConfig::default()
         },

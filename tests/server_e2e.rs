@@ -38,7 +38,6 @@ fn scratch(name: &str) -> PathBuf {
 
 fn server_config(durable_acks: bool) -> ServerConfig {
     let mut cfg = ServerConfig::default();
-    cfg.pipeline.batch.max_wait = Duration::from_micros(200);
     cfg.read_poll = Duration::from_millis(10);
     cfg.durable_acks = durable_acks;
     cfg

@@ -11,7 +11,6 @@
 //! passes the Wing–Gong–Lowe checker.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use tokensync::core::erc20::{Erc20Op, Erc20Spec, Erc20State};
 use tokensync::core::shared::{ConcurrentObject, ShardedErc20};
@@ -226,7 +225,6 @@ fn spawned_engine_serves_concurrent_nft_clients() {
     let cfg = PipelineConfig {
         batch: BatchConfig {
             max_ops: 16,
-            max_wait: Duration::from_millis(1),
             queue_depth: 64,
             ..BatchConfig::default()
         },
