@@ -7,8 +7,7 @@
 //! slow under threads (every op serializes), fine and sharded close at
 //! small n, sharded ahead at large n where per-account locking pays a
 //! mutex per account and `totalSupply`-style global reads pay `O(n)` lock
-//! acquisitions. The `baseline` binary extends this sweep to n = 1M and
-//! writes the checked-in `BENCH_baseline.json` trajectory.
+//! acquisitions.
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -1,8 +1,4 @@
-//! Thread harness shared by the bench targets and the `baseline` binary.
-//!
-//! One definition so the checked-in `BENCH_baseline.json` and the
-//! criterion `scale` numbers always measure the same driving loop — a
-//! fix to chunking or error handling here reaches every figure at once.
+//! Thread harness shared by the bench targets.
 
 use std::sync::Arc;
 
@@ -35,28 +31,6 @@ pub fn run_split<T: ConcurrentObject>(
     .expect("bench worker panicked");
 }
 
-/// The shared `"host"` object every `BENCH_*.json` artifact embeds —
-/// one helper, so the CPU count and the single-core caveat are worded
-/// (and updated) in exactly one place.
-///
-/// Emitted as a complete `"host": {...}` member (no trailing comma):
-/// `cpus` is the host's available parallelism and `caveat` is either
-/// the standard single-core warning — threads and wave workers
-/// time-slice one CPU, so parallel-path ratios reflect overhead, not
-/// the parallel win — or `null` on multi-core hosts.
-pub fn host_json() -> String {
-    let cpus = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let caveat = if cpus == 1 {
-        "\"single-core host: threads/wave workers time-slice one CPU, so \
-         parallel-path ratios reflect scheduling overhead only; the \
-         parallel win needs the multi-core CI artifact\""
-            .to_owned()
-    } else {
-        "null".to_owned()
-    };
-    format!("\"host\": {{\"cpus\": {cpus}, \"caveat\": {caveat}}}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,14 +54,5 @@ mod tests {
         run_split(&token, &[], 4); // empty workload
         let workload = mixed_ops(2, 3, 1);
         run_split(&token, &workload, 8); // more threads than ops
-    }
-
-    #[test]
-    fn host_json_is_a_complete_member() {
-        let host = host_json();
-        assert!(host.starts_with("\"host\": {"));
-        assert!(host.contains("\"cpus\": "));
-        assert!(host.contains("\"caveat\": "));
-        assert!(host.ends_with('}'));
     }
 }

@@ -1,8 +1,10 @@
-//! Shared helpers for the tokensync benchmark harness.
+//! Shared helpers for the paper-facing bench targets.
 //!
-//! Each bench target under `benches/` regenerates one figure of
-//! EXPERIMENTS.md (B1–B6). This crate hosts the workload generators they
-//! share so numbers across figures are comparable.
+//! Each target under `benches/` answers one question (B1–B7, stated in
+//! its header). This crate hosts the workload generators and the thread
+//! harness they share, so numbers across targets are comparable. The
+//! serving stack's benchmark is the `stack` bin beside this library
+//! (`src/bin/stack/`, with its own README).
 
 #![forbid(unsafe_code)]
 #![deny(rustdoc::broken_intra_doc_links)]

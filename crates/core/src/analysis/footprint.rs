@@ -35,12 +35,6 @@
 //! an executor must also order pairs the proof may discharge as
 //! "read-only at q" (e.g. a credit landing on an account another op is
 //! draining).
-//!
-//! [`OpFootprint`] is the original ERC20-shaped footprint (a handful of
-//! `Option` fields, `Copy`, no allocation); it remains as the ERC20
-//! instance and [`FootprintedOp`] for [`Erc20Op`] is defined by lowering
-//! it into the generic cell form — the two relations are proven to agree
-//! by the tests below.
 
 use smallvec::SmallVec;
 use tokensync_spec::{AccountId, ProcessId};
@@ -258,9 +252,8 @@ impl Footprint {
 }
 
 /// An operation that can report its state footprint — the one bound the
-/// generic pipeline scheduler needs. Implemented by [`Erc20Op`] (lowering
-/// [`OpFootprint`]) and by the ERC721/ERC1155 op alphabets in
-/// [`standards`](crate::standards).
+/// generic pipeline scheduler needs. Implemented by [`Erc20Op`] and by
+/// the ERC721/ERC1155 op alphabets in [`standards`](crate::standards).
 pub trait FootprintedOp {
     /// Appends the `(cell, access)` charges of this op invoked by
     /// `caller` into `out` (which the caller has cleared). Batch
@@ -296,143 +289,38 @@ pub(crate) fn cell_index(i: usize) -> u32 {
 
 impl FootprintedOp for Erc20Op {
     fn footprint_into(&self, caller: ProcessId, out: &mut Footprint) {
-        let f = OpFootprint::of(caller, self);
-        if let Some(d) = f.debit {
-            out.push(Cell::Balance(cell_index(d.index())), Access::Update);
-        }
-        if let Some(c) = f.credit {
-            out.push(Cell::Balance(cell_index(c.index())), Access::Credit);
-        }
-        if let Some((a, p)) = f.allowance_write {
-            out.push(
-                Cell::Allowance(cell_index(a.index()), cell_index(p.index())),
-                Access::Update,
-            );
-        }
-        if let Some(r) = f.balance_read {
-            out.push(Cell::Balance(cell_index(r.index())), Access::Read);
-        }
-        if let Some((a, p)) = f.allowance_read {
-            out.push(
-                Cell::Allowance(cell_index(a.index()), cell_index(p.index())),
-                Access::Read,
-            );
-        }
-    }
-}
-
-/// The cells of the state `q = (β, α)` one operation may touch, split by
-/// access mode. Built by [`OpFootprint::of`]; cheap (a few `Option`s, no
-/// allocation) because the pipeline computes one per op per batch.
-///
-/// # Examples
-///
-/// ```
-/// use tokensync_core::analysis::OpFootprint;
-/// use tokensync_core::erc20::Erc20Op;
-/// use tokensync_spec::{AccountId, ProcessId};
-///
-/// let op = Erc20Op::TransferFrom {
-///     from: AccountId::new(2),
-///     to: AccountId::new(5),
-///     value: 1,
-/// };
-/// let f = OpFootprint::of(ProcessId::new(9), &op);
-/// assert_eq!(f.debit, Some(AccountId::new(2)));             // source debited
-/// assert_eq!(f.credit, Some(AccountId::new(5)));            // sink credited
-/// assert_eq!(
-///     f.allowance_write,
-///     Some((AccountId::new(2), ProcessId::new(9)))          // allowance consumed
-/// );
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OpFootprint {
-    /// Balance slot the op reads *and* may decrease (`β(a) -= v`): the
-    /// caller's account for `transfer`, the source for `transferFrom`.
-    pub debit: Option<AccountId>,
-    /// Balance slot the op blindly increases (`β(a) += v`): the
-    /// destination of a `transfer`/`transferFrom`.
-    pub credit: Option<AccountId>,
-    /// Allowance cell the op writes: overwritten by `approve`, consumed
-    /// (read + debited) by `transferFrom`.
-    pub allowance_write: Option<(AccountId, ProcessId)>,
-    /// Balance slot read without mutation (`balanceOf`).
-    pub balance_read: Option<AccountId>,
-    /// Allowance cell read without mutation (`allowance`).
-    pub allowance_read: Option<(AccountId, ProcessId)>,
-}
-
-impl OpFootprint {
-    /// The footprint of `op` invoked by `caller`.
-    pub fn of(caller: ProcessId, op: &Erc20Op) -> Self {
-        match *op {
-            Erc20Op::Transfer { to, .. } => Self {
-                debit: Some(caller.own_account()),
-                credit: Some(to),
-                ..Self::default()
-            },
-            Erc20Op::TransferFrom { from, to, .. } => Self {
-                debit: Some(from),
-                credit: Some(to),
-                allowance_write: Some((from, caller)),
-                ..Self::default()
-            },
-            Erc20Op::Approve { spender, .. } => Self {
-                allowance_write: Some((caller.own_account(), spender)),
-                ..Self::default()
-            },
-            Erc20Op::BalanceOf { account } => Self {
-                balance_read: Some(account),
-                ..Self::default()
-            },
-            Erc20Op::Allowance { account, spender } => Self {
-                allowance_read: Some((account, spender)),
-                ..Self::default()
-            },
+        let balance = |a: AccountId| Cell::Balance(cell_index(a.index()));
+        let allowance = |a: AccountId, p: ProcessId| {
+            Cell::Allowance(cell_index(a.index()), cell_index(p.index()))
+        };
+        match *self {
+            // A debit reads its cell (precondition and response depend
+            // on it), so it is an update; the deposit is a blind `+=`.
+            Erc20Op::Transfer { to, .. } => {
+                out.push(balance(caller.own_account()), Access::Update);
+                out.push(balance(to), Access::Credit);
+            }
+            // `transferFrom` also consumes (reads + debits) the
+            // caller's allowance on the source.
+            Erc20Op::TransferFrom { from, to, .. } => {
+                out.push(balance(from), Access::Update);
+                out.push(balance(to), Access::Credit);
+                out.push(allowance(from, caller), Access::Update);
+            }
+            // `approve` overwrites, and no pair of allowance writes is
+            // order-independent in general.
+            Erc20Op::Approve { spender, .. } => {
+                out.push(allowance(caller.own_account(), spender), Access::Update);
+            }
+            Erc20Op::BalanceOf { account } => out.push(balance(account), Access::Read),
+            Erc20Op::Allowance { account, spender } => {
+                out.push(allowance(account, spender), Access::Read);
+            }
             // Supply is invariant under Δ: the read commutes with every
             // operation, so the footprint is empty.
-            Erc20Op::TotalSupply => Self::default(),
+            Erc20Op::TotalSupply => {}
         }
     }
-
-    /// Whether this op and `other` may fail to commute at *some* state.
-    ///
-    /// If this returns `false`, then at **every** state applying the two
-    /// operations in either order yields the same final state and the
-    /// same two responses (the property tests below check this claim
-    /// against [`Erc20Spec`](crate::erc20::Erc20Spec)). The relation is
-    /// symmetric.
-    pub fn conflicts_with(&self, other: &Self) -> bool {
-        // A debit reads its cell, so it collides with any earlier or
-        // later access to that balance — including a plain credit, whose
-        // deposit can flip the debit's outcome.
-        let balance_hit = |a: &Self, b: &Self| {
-            a.debit.is_some()
-                && (a.debit == b.debit || a.debit == b.credit || a.debit == b.balance_read)
-        };
-        // A credit only writes, so besides debits (covered above) it
-        // collides with reads of its cell; credit/credit commutes.
-        let credit_hit = |a: &Self, b: &Self| a.credit.is_some() && a.credit == b.balance_read;
-        // Allowance cells: any write/write or write/read collision. Two
-        // writes never commute — `approve` overwrites and `transferFrom`
-        // consumes, and no pair of those is order-independent in general.
-        let cell_hit = |a: &Self, b: &Self| {
-            a.allowance_write.is_some()
-                && (a.allowance_write == b.allowance_write || a.allowance_write == b.allowance_read)
-        };
-        balance_hit(self, other)
-            || balance_hit(other, self)
-            || credit_hit(self, other)
-            || credit_hit(other, self)
-            || cell_hit(self, other)
-            || cell_hit(other, self)
-    }
-}
-
-/// Convenience form of [`OpFootprint::conflicts_with`] on raw
-/// `(caller, op)` pairs.
-pub fn ops_conflict(a: (ProcessId, &Erc20Op), b: (ProcessId, &Erc20Op)) -> bool {
-    OpFootprint::of(a.0, a.1).conflicts_with(&OpFootprint::of(b.0, b.1))
 }
 
 #[cfg(test)]
@@ -454,7 +342,7 @@ mod tests {
     fn owner_disjoint_transfers_commute() {
         let t1 = Erc20Op::Transfer { to: a(2), value: 1 };
         let t2 = Erc20Op::Transfer { to: a(3), value: 1 };
-        assert!(!ops_conflict((p(0), &t1), (p(1), &t2)));
+        assert!(!footprints_conflict((p(0), &t1), (p(1), &t2)));
     }
 
     #[test]
@@ -462,7 +350,7 @@ mod tests {
         // Two deposits into the same hot account: += commutes with +=.
         let t1 = Erc20Op::Transfer { to: a(3), value: 1 };
         let t2 = Erc20Op::Transfer { to: a(3), value: 2 };
-        assert!(!ops_conflict((p(0), &t1), (p(1), &t2)));
+        assert!(!footprints_conflict((p(0), &t1), (p(1), &t2)));
     }
 
     #[test]
@@ -478,10 +366,10 @@ mod tests {
             to: a(3),
             value: 1,
         };
-        assert!(ops_conflict((p(2), &tf1), (p(3), &tf2)));
+        assert!(footprints_conflict((p(2), &tf1), (p(3), &tf2)));
         // Owner's own transfer races a transferFrom on its account too.
         let t = Erc20Op::Transfer { to: a(3), value: 1 };
-        assert!(ops_conflict((p(0), &t), (p(2), &tf1)));
+        assert!(footprints_conflict((p(0), &t), (p(2), &tf1)));
     }
 
     #[test]
@@ -497,7 +385,7 @@ mod tests {
             to: a(1),
             value: 1,
         };
-        assert!(ops_conflict((p(0), &approve), (p(2), &spend)));
+        assert!(footprints_conflict((p(0), &approve), (p(2), &spend)));
         // A different spender's allowance is a different cell — but the
         // transferFrom still debits account 0's balance, which approve
         // does not touch, so the pair commutes.
@@ -506,7 +394,7 @@ mod tests {
             to: a(3),
             value: 1,
         };
-        assert!(!ops_conflict((p(0), &approve), (p(2), &other_spend)));
+        assert!(!footprints_conflict((p(0), &approve), (p(2), &other_spend)));
     }
 
     #[test]
@@ -516,7 +404,7 @@ mod tests {
         // outcome.
         let credit = Erc20Op::Transfer { to: a(1), value: 5 };
         let withdraw = Erc20Op::Transfer { to: a(2), value: 5 };
-        assert!(ops_conflict((p(0), &credit), (p(1), &withdraw)));
+        assert!(footprints_conflict((p(0), &credit), (p(1), &withdraw)));
     }
 
     #[test]
@@ -529,9 +417,9 @@ mod tests {
             spender: p(2),
             value: 7,
         };
-        assert!(!ops_conflict((p(0), &a1), (p(1), &a2)));
+        assert!(!footprints_conflict((p(0), &a1), (p(1), &a2)));
         // Same owner, same spender: overwrites do not commute.
-        assert!(ops_conflict((p(0), &a1), (p(0), &a2)));
+        assert!(footprints_conflict((p(0), &a1), (p(0), &a2)));
     }
 
     #[test]
@@ -551,7 +439,7 @@ mod tests {
             Erc20Op::BalanceOf { account: a(0) },
         ];
         for op in &ops {
-            assert!(!ops_conflict((p(0), &read), (p(2), op)));
+            assert!(!footprints_conflict((p(0), &read), (p(2), op)));
         }
     }
 
@@ -559,7 +447,7 @@ mod tests {
     fn reads_conflict_with_writers_of_their_cell() {
         let bal = Erc20Op::BalanceOf { account: a(1) };
         let credit = Erc20Op::Transfer { to: a(1), value: 1 };
-        assert!(ops_conflict((p(3), &bal), (p(0), &credit)));
+        assert!(footprints_conflict((p(3), &bal), (p(0), &credit)));
         let alw = Erc20Op::Allowance {
             account: a(0),
             spender: p(2),
@@ -568,55 +456,9 @@ mod tests {
             spender: p(2),
             value: 9,
         };
-        assert!(ops_conflict((p(3), &alw), (p(0), &approve)));
+        assert!(footprints_conflict((p(3), &alw), (p(0), &approve)));
         // Reads never conflict with reads.
-        assert!(!ops_conflict((p(3), &bal), (p(1), &bal)));
-    }
-
-    #[test]
-    fn generic_footprint_agrees_with_erc20_specialized_relation() {
-        // The generic Cell/Access lowering must induce exactly the
-        // relation `OpFootprint::conflicts_with` defines — every mode
-        // pair of the specialized table maps onto the three-mode rule.
-        let ops = [
-            Erc20Op::Transfer { to: a(1), value: 1 },
-            Erc20Op::Transfer { to: a(2), value: 2 },
-            Erc20Op::TransferFrom {
-                from: a(0),
-                to: a(2),
-                value: 1,
-            },
-            Erc20Op::TransferFrom {
-                from: a(1),
-                to: a(3),
-                value: 1,
-            },
-            Erc20Op::Approve {
-                spender: p(2),
-                value: 5,
-            },
-            Erc20Op::BalanceOf { account: a(1) },
-            Erc20Op::Allowance {
-                account: a(0),
-                spender: p(2),
-            },
-            Erc20Op::TotalSupply,
-        ];
-        for c1 in 0..N {
-            for c2 in 0..N {
-                for o1 in &ops {
-                    for o2 in &ops {
-                        let (c1, c2) = (p(c1), p(c2));
-                        assert_eq!(
-                            footprints_conflict((c1, o1), (c2, o2)),
-                            ops_conflict((c1, o1), (c2, o2)),
-                            "generic and ERC20 relations disagree on \
-                             {c1}:{o1:?} vs {c2}:{o2:?}"
-                        );
-                    }
-                }
-            }
-        }
+        assert!(!footprints_conflict((p(3), &bal), (p(1), &bal)));
     }
 
     #[test]
@@ -759,7 +601,7 @@ mod tests {
             o2 in arb_op(),
         ) {
             let (c1, c2) = (ProcessId::new(c1), ProcessId::new(c2));
-            prop_assume!(!ops_conflict((c1, &o1), (c2, &o2)));
+            prop_assume!(!footprints_conflict((c1, &o1), (c2, &o2)));
             let mut q = Erc20State::from_balances(balances);
             for &(acct, sp, v) in &approvals {
                 q.set_allowance(AccountId::new(acct), ProcessId::new(sp), v);

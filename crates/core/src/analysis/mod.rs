@@ -18,9 +18,7 @@ mod sync_state;
 
 pub use bounds::{consensus_number_bounds, CnBounds};
 pub(crate) use footprint::cell_index;
-pub use footprint::{
-    footprints_conflict, ops_conflict, Access, Cell, CellKey, Footprint, FootprintedOp, OpFootprint,
-};
+pub use footprint::{footprints_conflict, Access, Cell, CellKey, Footprint, FootprintedOp};
 pub use monitor::{SyncMonitor, SyncPoint};
 pub use partition::{max_spender_account, partition_index};
 pub use spenders::enabled_spenders;

@@ -82,12 +82,10 @@ impl Shard {
 #[derive(Debug)]
 pub struct ShardedErc20 {
     shards: Vec<CacheLine<Mutex<Shard>>>,
-    /// Number of shards (a power of two); account `i` maps to shard
-    /// `i & (stripe - 1)` at slot `i >> stripe.trailing_zeros()` — shift
-    /// and mask, not division, because the stripe math sits on the hot
-    /// path of every single operation.
-    stripe: usize,
-    /// `stripe - 1`.
+    /// The shard count `stripe` is a power of two; account `i` maps to
+    /// shard `i & (stripe - 1)` at slot `i >> stripe.trailing_zeros()` —
+    /// shift and mask, not division, because the stripe math sits on
+    /// the hot path of every single operation. This is `stripe - 1`.
     mask: usize,
     /// `log2(stripe)`.
     shift: u32,
@@ -162,17 +160,11 @@ impl ShardedErc20 {
                 .into_iter()
                 .map(|s| CacheLine(Mutex::new(s)))
                 .collect(),
-            stripe: shards,
             mask: shards - 1,
             shift: shards.trailing_zeros(),
             accounts: n,
             supply: AtomicU64::new(supply),
         }
-    }
-
-    /// The stripe count (diagnostic; benchmarks record it).
-    pub fn shard_count(&self) -> usize {
-        self.stripe
     }
 
     /// Drains the copy-on-write dirty set: the full current

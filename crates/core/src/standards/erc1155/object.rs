@@ -575,11 +575,6 @@ impl ShardedErc1155 {
         }
     }
 
-    /// The stripe count (diagnostic; benchmarks record it).
-    pub fn shard_count(&self) -> usize {
-        self.mask + 1
-    }
-
     /// Number of accounts.
     pub fn accounts(&self) -> usize {
         self.accounts

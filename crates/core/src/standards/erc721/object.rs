@@ -610,11 +610,6 @@ impl ShardedErc721 {
         }
     }
 
-    /// The token stripe count (diagnostic; benchmarks record it).
-    pub fn shard_count(&self) -> usize {
-        self.mask + 1
-    }
-
     /// Number of processes.
     pub fn processes(&self) -> usize {
         self.processes

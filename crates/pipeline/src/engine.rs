@@ -36,17 +36,17 @@ use crate::exec::{execute, execute_unordered, ExecConfig};
 use crate::obs::PipelineObs;
 use crate::schedule::{Schedule, ScheduleConfig, Scheduler};
 
-/// A durability hook on the commit stage: the engine hands every wave's
-/// committed entries to the sink the moment they enter the log, and
-/// signals each batch boundary (the group-commit cut).
+/// A durability hook on the commit stage: the engine hands every batch's
+/// committed entries to the sink, as one record, the moment they enter
+/// the log, and signals each batch boundary (the group-commit cut).
 ///
 /// The unit sink `()` is the volatile engine; `tokensync-store`'s
 /// `Store` implements this trait to stream the commit log into a
 /// write-ahead log with snapshots.
 pub trait CommitSink<T: ConcurrentObject + ?Sized> {
-    /// One committed wave (waves arrive in commit order; the serial lane
-    /// arrives last, as one group). `entries` is the contiguous slice of
-    /// the commit log this wave appended.
+    /// One committed record: a whole batch in commit order (waves in
+    /// order, then the serial lane). `entries` is the contiguous slice
+    /// of the commit log the batch appended.
     fn wave_committed(&mut self, token: &T, entries: &[CommittedOp<T::Op, T::Resp>]);
 
     /// [`wave_committed`](CommitSink::wave_committed) plus the routing
@@ -55,7 +55,7 @@ pub trait CommitSink<T: ConcurrentObject + ?Sized> {
     /// (same permutation into commit order), or is empty when the batch
     /// carried no tickets (the synchronous [`run_script`] paths). A
     /// response-routing sink overrides this to resolve per-request
-    /// futures at wave commit; every other sink keeps the default,
+    /// futures at commit; every other sink keeps the default,
     /// which drops the tickets and forwards to `wave_committed` — so
     /// ack-at-commit semantics cost existing sinks nothing.
     ///
@@ -70,7 +70,7 @@ pub trait CommitSink<T: ConcurrentObject + ?Sized> {
         self.wave_committed(token, entries);
     }
 
-    /// The batch boundary after all of a batch's waves committed — where
+    /// The batch boundary after the batch's record committed — where
     /// group-commit durability syncs and snapshot policies trigger.
     /// `token` is quiescent here (no wave in flight), so a
     /// [`snapshot`](ConcurrentObject::snapshot) taken now corresponds
@@ -100,8 +100,7 @@ impl<T: ConcurrentObject + ?Sized> CommitSink<T> for () {
 }
 
 /// A borrowed sink is a sink: lets callers keep ownership (e.g. of a
-/// `Store`) while an engine run observes commits through it, and lets
-/// [`TeeSink`] compose sinks without taking them by value.
+/// `Store`) while an engine run observes commits through it.
 impl<T: ConcurrentObject + ?Sized, S: CommitSink<T> + ?Sized> CommitSink<T> for &mut S {
     fn wave_committed(&mut self, token: &T, entries: &[CommittedOp<T::Op, T::Resp>]) {
         (**self).wave_committed(token, entries);
@@ -119,54 +118,6 @@ impl<T: ConcurrentObject + ?Sized, S: CommitSink<T> + ?Sized> CommitSink<T> for 
     }
     fn durable_seq(&self) -> Option<u64> {
         (**self).durable_seq()
-    }
-}
-
-/// Fans one commit stream out to two sinks, `a` first — the composition
-/// the replication layer uses to run a durable `Store` and a shipping
-/// observer off the same engine without either knowing about the other.
-/// Order matters for durability claims: put the sink whose side effects
-/// others depend on (the WAL) in `a`, observers in `b`.
-#[derive(Debug, Default)]
-pub struct TeeSink<A, B> {
-    /// The first sink (sees every event before `b`).
-    pub a: A,
-    /// The second sink.
-    pub b: B,
-}
-
-impl<A, B> TeeSink<A, B> {
-    /// Composes `a` and `b` into one sink.
-    pub fn new(a: A, b: B) -> Self {
-        Self { a, b }
-    }
-}
-
-impl<T, A, B> CommitSink<T> for TeeSink<A, B>
-where
-    T: ConcurrentObject + ?Sized,
-    A: CommitSink<T>,
-    B: CommitSink<T>,
-{
-    fn wave_committed(&mut self, token: &T, entries: &[CommittedOp<T::Op, T::Resp>]) {
-        self.a.wave_committed(token, entries);
-        self.b.wave_committed(token, entries);
-    }
-    fn wave_committed_tagged(
-        &mut self,
-        token: &T,
-        entries: &[CommittedOp<T::Op, T::Resp>],
-        tickets: &[u64],
-    ) {
-        self.a.wave_committed_tagged(token, entries, tickets);
-        self.b.wave_committed_tagged(token, entries, tickets);
-    }
-    fn batch_sealed(&mut self, token: &T, batch: u64) {
-        self.a.batch_sealed(token, batch);
-        self.b.batch_sealed(token, batch);
-    }
-    fn durable_seq(&self) -> Option<u64> {
-        self.a.durable_seq().or_else(|| self.b.durable_seq())
     }
 }
 
@@ -206,7 +157,7 @@ impl Default for BypassConfig {
 }
 
 /// Full engine configuration.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct PipelineConfig {
     /// Intake batching policy.
     pub batch: BatchConfig,
@@ -216,27 +167,6 @@ pub struct PipelineConfig {
     pub exec: ExecConfig,
     /// Adaptive-bypass policy.
     pub bypass: BypassConfig,
-    /// Whether to fuse a batch's committed waves into a single
-    /// [`CommitSink::wave_committed`] record (the commit order is
-    /// identical either way — waves in order, then the serial lane — so
-    /// fusion changes durability *granularity*, not the linearization:
-    /// the disjoint regime pays one WAL record per batch instead of one
-    /// per wave). `false` restores the PR-5 record-per-wave behavior,
-    /// which also narrows `Durability::PerWave` syncs back to single
-    /// waves.
-    pub fuse_waves: bool,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        Self {
-            batch: BatchConfig::default(),
-            schedule: ScheduleConfig::default(),
-            exec: ExecConfig::default(),
-            bypass: BypassConfig::default(),
-            fuse_waves: true,
-        }
-    }
 }
 
 /// Aggregate counters over every batch an engine processed.
@@ -266,9 +196,8 @@ pub struct PipelineStats {
     /// low-conflict and fell back to the full scheduled path (from its
     /// intake buffer — nothing had executed yet).
     pub bypass_aborts: u64,
-    /// `CommitSink::wave_committed` records emitted: with wave fusion
-    /// one per non-empty batch, without it one per non-empty wave plus
-    /// one for a non-empty serial lane.
+    /// `CommitSink::wave_committed` records emitted: one per non-empty
+    /// batch.
     pub commit_records: u64,
     /// The sink's [`durable_seq`](CommitSink::durable_seq) sampled when
     /// the run ended — `None` for sinks without one. Compared against
@@ -429,41 +358,19 @@ fn process_batch<T: ConcurrentObject + ?Sized, K: CommitSink<T>>(
     );
     let start = run.log.append_batch(seq, ops, &responses, &plan);
     clock.lap(Stage::Commit);
-    // The appended slice is waves in order, then the serial lane: one
-    // fused record for the whole batch, or (unfused) one contiguous
-    // group per wave. The tickets follow the entries through the same
-    // permutation so `tagged[i]` still names `committed[i]`'s producer.
+    // The appended slice is waves in order, then the serial lane, and
+    // reaches the sink as one record for the whole batch. The tickets
+    // follow the entries through the same permutation so `tagged[i]`
+    // still names `committed[i]`'s producer.
     let committed = &run.log.entries()[start..];
     let tagged: Vec<u64> = if tickets.is_empty() {
         Vec::new()
     } else {
         plan.commit_order().map(|idx| tickets[idx]).collect()
     };
-    if cfg.fuse_waves {
-        if !committed.is_empty() {
-            sink.wave_committed_tagged(token, committed, &tagged);
-            run.stats.commit_records += 1;
-        }
-    } else {
-        let mut cursor = 0usize;
-        for len in plan
-            .waves
-            .iter()
-            .map(Vec::len)
-            .chain(std::iter::once(plan.serial.len()))
-        {
-            if len > 0 {
-                let slice = cursor..cursor + len;
-                let wave_tags = if tagged.is_empty() {
-                    &[]
-                } else {
-                    &tagged[slice.clone()]
-                };
-                sink.wave_committed_tagged(token, &committed[slice], wave_tags);
-                run.stats.commit_records += 1;
-                cursor += len;
-            }
-        }
+    if !committed.is_empty() {
+        sink.wave_committed_tagged(token, committed, &tagged);
+        run.stats.commit_records += 1;
     }
     sink.batch_sealed(token, seq);
     clock.lap(Stage::Seal);
@@ -499,7 +406,7 @@ pub fn run_script<T: ConcurrentObject + ?Sized>(
 }
 
 /// [`run_script`] with a durability [`CommitSink`] observing every
-/// committed wave and batch seal.
+/// commit record and batch seal.
 pub fn run_script_with_sink<T: ConcurrentObject + ?Sized, K: CommitSink<T>>(
     token: &T,
     script: &[(ProcessId, T::Op)],

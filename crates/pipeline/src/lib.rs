@@ -127,7 +127,7 @@ pub use commit::{CommitLog, CommittedOp, ReplayDivergence};
 pub use dynamic_lane::{drive_dynamic, DynamicDriveReport};
 pub use engine::{
     run_script, run_script_observed, run_script_with_sink, BypassConfig, CommitSink, Pipeline,
-    PipelineConfig, PipelineHandle, PipelineRun, PipelineStats, SinkedPipelineHandle, TeeSink,
+    PipelineConfig, PipelineHandle, PipelineRun, PipelineStats, SinkedPipelineHandle,
 };
 pub use exec::{execute, execute_unordered, ExecConfig};
 pub use obs::PipelineObs;

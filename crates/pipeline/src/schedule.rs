@@ -439,7 +439,7 @@ pub fn schedule<Op: FootprintedOp>(ops: &[(ProcessId, Op)], cfg: &ScheduleConfig
 mod tests {
     use super::*;
     use std::collections::HashMap;
-    use tokensync_core::analysis::ops_conflict;
+    use tokensync_core::analysis::footprints_conflict;
     use tokensync_core::erc20::Erc20Op;
     use tokensync_core::standards::erc1155::{Erc1155Op, TypeId};
     use tokensync_core::standards::erc721::{Erc721Op, TokenId};
@@ -613,7 +613,7 @@ mod tests {
                 .collect();
             let pairwise_clean = (0..ops.len()).all(|x| {
                 (x + 1..ops.len())
-                    .all(|y| !ops_conflict((ops[x].0, &ops[x].1), (ops[y].0, &ops[y].1)))
+                    .all(|y| !footprints_conflict((ops[x].0, &ops[x].1), (ops[y].0, &ops[y].1)))
             });
             assert_eq!(
                 scheduler.batch_commutes(&ops),
@@ -722,7 +722,7 @@ mod tests {
                 for (i, &x) in wave.iter().enumerate() {
                     for &y in &wave[i + 1..] {
                         assert!(
-                            !ops_conflict((ops[x].0, &ops[x].1), (ops[y].0, &ops[y].1)),
+                            !footprints_conflict((ops[x].0, &ops[x].1), (ops[y].0, &ops[y].1)),
                             "conflicting ops {x} and {y} share a wave"
                         );
                     }
@@ -733,7 +733,7 @@ mod tests {
                 s.commit_order().enumerate().map(|(c, i)| (i, c)).collect();
             for x in 0..ops.len() {
                 for y in x + 1..ops.len() {
-                    if ops_conflict((ops[x].0, &ops[x].1), (ops[y].0, &ops[y].1)) {
+                    if footprints_conflict((ops[x].0, &ops[x].1), (ops[y].0, &ops[y].1)) {
                         assert!(pos[&x] < pos[&y], "conflicting pair ({x}, {y}) reordered");
                     }
                 }

@@ -14,7 +14,9 @@ pub struct ServerObs {
     registry: Registry,
     /// Connections accepted over the server's lifetime.
     pub sessions: Counter,
-    /// Connections currently open.
+    /// Connections currently open: each holds a slot in the response
+    /// routing table (socket, staging buffers, pending window) from
+    /// accept until its writer thread has exited.
     pub active: Gauge,
     /// Requests answered `Ok` (committed and acked).
     pub requests_ok: Counter,

@@ -99,6 +99,7 @@ impl ConnState {
         obs: ServerObs,
     ) -> Arc<Self> {
         let mut conns = router.lock().unwrap();
+        obs.active.add(1);
         let state = Arc::new(Self {
             stream,
             number: conns.len() as u32 + 1,
@@ -108,8 +109,18 @@ impl ConnState {
             ready: Condvar::new(),
             pending: Mutex::default(),
         });
-        conns.push(Arc::clone(&state));
+        conns.push(Some(Arc::clone(&state)));
         state
+    }
+
+    /// Empties this connection's slot in `router`, so the table stops
+    /// pinning its socket, staging buffers and pending window. The
+    /// writer thread calls this as it exits: the write queue is closed
+    /// by then, so a commit that still carries one of this connection's
+    /// tickets had nowhere to push its response anyway.
+    pub(crate) fn detach(&self, router: &Router) {
+        router.lock().unwrap()[self.number as usize - 1] = None;
+        self.obs.active.add(-1);
     }
 
     /// Queues `frames` encoded frames for the writer thread with one
@@ -259,13 +270,14 @@ impl Pending {
 pub(crate) const NEXT_TICKET: u64 = 1 << 32;
 
 /// The one connection table: ticket → connection, by number − 1. Shared
-/// by the acceptor (attach), the engine thread (one lock per wave) and
-/// `finish` (closes every write side). Never pruned — numbers are never
-/// reused — so a closed connection's state stays until `finish`.
-pub(crate) type Router = Mutex<Vec<Arc<ConnState>>>;
+/// by the acceptor (attach), the engine thread (one lock per wave), each
+/// writer thread as it exits (detach) and `finish` (closes every write
+/// side). Slots are emptied, never removed — numbers are never reused —
+/// and a ticket that resolves to an empty slot is skipped.
+pub(crate) type Router = Mutex<Vec<Option<Arc<ConnState>>>>;
 
 /// The response-routing [`CommitSink`]: wraps the server's real
-/// durability sink (a `Store`, a tee, or the unit sink) and resolves
+/// durability sink (a `Store` or the unit sink) and resolves
 /// request tickets as their entries commit. Generic over the inner sink
 /// so ack semantics compose with any durability policy the engine runs.
 pub struct RouterSink<S> {
@@ -334,7 +346,9 @@ where
             if run.as_ref().map(|run| run.0) != Some(number) {
                 drop(run.take()); // unlock before locking the next
                 let conn = conns.get((number as usize).wrapping_sub(1));
-                run = conn.map(|conn| (number, conn, conn.pending.lock().unwrap()));
+                run = conn
+                    .and_then(Option::as_ref)
+                    .map(|conn| (number, conn, conn.pending.lock().unwrap()));
             }
             let Some((_, conn, pending)) = &mut run else {
                 continue;

@@ -205,7 +205,7 @@ impl<T: ConcurrentObject, S> ServerHandle<T, S> {
         // ticket through the router, queueing the final responses.
         let (run, rsink) = self.engine.finish();
         // Flush and close the write sides.
-        for state in self.router.lock().unwrap().iter() {
+        for state in self.router.lock().unwrap().iter().flatten() {
             state.close_drain();
         }
         for writer in writers {
@@ -259,17 +259,16 @@ where
                         .name("tokensync-conn-r".into())
                         .stack_size(256 * 1024)
                         .spawn(move || {
-                            obs.active.add(1);
                             conn_reader::<T>(stream, state, intake, &obs, &cfg, shutdown);
-                            obs.active.add(-1);
                         })
                 };
                 let writer = {
                     let state = Arc::clone(&state);
+                    let router = Arc::clone(&router);
                     std::thread::Builder::new()
                         .name("tokensync-conn-w".into())
                         .stack_size(256 * 1024)
-                        .spawn(move || conn_writer(write_stream, &state))
+                        .spawn(move || conn_writer(write_stream, &state, &router))
                 };
                 if let (Ok(reader), Ok(writer)) = (reader, writer) {
                     threads.push((reader, writer));
@@ -286,15 +285,20 @@ where
 
 /// Writer thread: drains the bounded queue to the socket, everything
 /// queued per `write_all`. Exits when the queue closes (drain or abort)
-/// or the socket dies.
-fn conn_writer(mut stream: TcpStream, state: &ConnState) {
-    while let Some(bytes) = state.next_write() {
+/// or the socket dies, releasing the connection's table slot on the way
+/// out.
+fn conn_writer(mut stream: TcpStream, state: &ConnState, router: &Router) {
+    loop {
+        let Some(bytes) = state.next_write() else {
+            let _ = stream.shutdown(std::net::Shutdown::Write);
+            break;
+        };
         if stream.write_all(&bytes).is_err() {
             state.close_abort();
-            return;
+            break;
         }
     }
-    let _ = stream.shutdown(std::net::Shutdown::Write);
+    state.detach(router);
 }
 
 /// Reader thread: frames, decodes, vets, submits. Every exit path

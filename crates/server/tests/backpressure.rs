@@ -433,3 +433,50 @@ fn flush_delivers_sends_without_a_recv() {
     let (run, ()) = handle.finish();
     assert_eq!(run.log.len(), 10);
 }
+
+/// Connection churn: a closed session leaves nothing behind — its slot
+/// in the routing table (and with it the socket handle, staging buffers
+/// and pending window) is released once its writer has exited — and
+/// the server keeps serving.
+#[test]
+fn closed_connections_release_their_table_slot() {
+    const SESSIONS: u64 = 3_000;
+    // Where the OS lists them, count descriptors too: the table's
+    // handle on the socket is the last one to go.
+    let open_fds = || std::fs::read_dir("/proc/self/fd").map(Iterator::count).ok();
+    let handle = spawn_with(base_config(), ());
+    let fds_before = open_fds();
+    let op = Erc20Op::BalanceOf {
+        account: AccountId::new(3),
+    };
+    let served = Reply::Ok(Erc20Resp::Amount(1_000_000));
+    for _ in 0..SESSIONS {
+        let mut client = Client::<ShardedErc20>::connect(handle.addr()).unwrap();
+        assert_eq!(client.call(ProcessId::new(3), &op).unwrap(), served);
+    }
+    // The last sessions' writers may still be on their way out.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while handle.obs().active.get() != 0 {
+        assert!(
+            Instant::now() < deadline,
+            "{} closed sessions still hold a table slot",
+            handle.obs().active.get()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(handle.obs().sessions.get(), SESSIONS);
+    if let (Some(before), Some(after)) = (fds_before, open_fds()) {
+        // Slack for the tests running beside this one.
+        assert!(
+            after < before + SESSIONS as usize / 2,
+            "descriptors grew from {before} to {after} over {SESSIONS} closed sessions"
+        );
+    }
+
+    let mut client = Client::<ShardedErc20>::connect(handle.addr()).unwrap();
+    assert_eq!(client.call(ProcessId::new(3), &op).unwrap(), served);
+    assert_eq!(handle.obs().active.get(), 1);
+    drop(client);
+    let (run, ()) = handle.finish();
+    assert_eq!(run.log.len() as u64, SESSIONS + 1);
+}

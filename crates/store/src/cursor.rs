@@ -37,7 +37,7 @@ pub struct WalRecord {
     pub first_seq: u64,
     /// Operations in the record.
     pub count: u32,
-    /// Batch the record's wave belonged to.
+    /// The batch the record holds.
     pub batch: u64,
     /// Replication epoch of the segment the record was read from.
     pub epoch: u64,
@@ -170,7 +170,7 @@ impl WalCursor {
             offset: SEG_HEADER_LEN,
             next_seq: segment_first,
         };
-        // Skip forward to `from_seq` — records are whole waves, so the
+        // Skip forward to `from_seq` — records are whole batches, so the
         // target must fall on a record boundary of the surviving chain.
         while cursor.next_seq < from_seq {
             match cursor.next_record() {

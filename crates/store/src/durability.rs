@@ -2,8 +2,8 @@
 //! incremental snapshot publishing.
 //!
 //! One thread per [`Store`](crate::Store), spawned at open. The serving
-//! thread never blocks on `fsync` or snapshot I/O again — it posts
-//! work over a channel and the thread:
+//! thread never blocks on `fsync` or snapshot I/O at a batch seal — it
+//! posts work over a channel and the thread:
 //!
 //! * **coalesces fsyncs** — queued sync requests collapse into one
 //!   `sync_data` on the newest tail handle (safe because

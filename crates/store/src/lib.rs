@@ -1,7 +1,6 @@
 //! Durable serving for the token pipeline: a segmented write-ahead
 //! commit log, versioned state snapshots, and crash recovery — the
-//! layer that turns the volatile PR 3/4 engine into a restartable
-//! store.
+//! layer that turns the volatile engine into a restartable store.
 //!
 //! The paper's consensus-number analysis determines *which* operations
 //! must serialize; the pipeline (`tokensync-pipeline`) exploits that to
@@ -15,9 +14,9 @@
 //! Hobor's concurrent-object reading of contracts; see PAPERS.md).
 //!
 //! Durability runs **off the hot path**: each store owns a background
-//! durability thread. Under the default pipelined group commit, batch
-//! seals *post* their fsync and return — the thread coalesces a backlog
-//! into one `sync_data` and advances the explicit
+//! durability thread. Batch seals *post* their fsync and return
+//! (pipelined group commit) — the thread coalesces a backlog into one
+//! `sync_data` and advances the explicit
 //! [`Store::durable_seq`] watermark (acknowledge-at-commit,
 //! durable-at-fsync; [`Store::wait_durable`]/[`Store::flush`] close the
 //! window). Periodic snapshots drain only the **rows touched** since
@@ -39,7 +38,7 @@
 //! [`ShardedErc1155`](tokensync_core::standards::erc1155::ShardedErc1155):
 //!
 //! * [`wal`] — segment files of length-prefixed, CRC32-framed records;
-//!   one record per committed wave; torn tails truncated on open.
+//!   one record per committed batch; torn tails truncated on open.
 //! * snapshots ([`Store::publish_snapshot`]) — versioned,
 //!   standard-tagged encodings of the full oracle state, published by
 //!   atomic rename; log segments below the snapshot watermark are
@@ -48,15 +47,14 @@
 //!   suffix through the standard's sequential oracle (every recorded
 //!   response is checked) → a live sharded object.
 //!
-//! Durability is a policy, not a rewrite: [`Store`] implements the
+//! Durability is a sink, not a rewrite: [`Store`] implements the
 //! pipeline's [`CommitSink`](tokensync_pipeline::CommitSink), so the
-//! same engine runs volatile ([`Durability::Off`]), fsyncing every wave
-//! ([`Durability::PerWave`]), or riding the existing batch cuts with
-//! one fsync per batch ([`Durability::GroupCommit`]).
+//! same engine runs volatile (the unit sink `()`) or durable, riding
+//! the batch cuts the ingest stage already makes.
 //!
 //! The crash-safety contract — for *any* kill point, recovery yields
-//! the state of a **prefix** of the committed history, and with
-//! group-commit at most the final batch is lost — is property-tested in
+//! the state of a **prefix** of the committed history, cut at a batch
+//! boundary at or above [`Store::durable_seq`] — is property-tested in
 //! `tests/crash_recovery.rs` by truncating WAL bytes at random offsets
 //! and replaying the prefix oracle; docs/persistence.md walks the
 //! formats and invariants.
@@ -88,5 +86,5 @@ pub use recovery::{
     recover, recover_sequential, recover_with, RecoverOptions, Recovered, Restorable,
 };
 pub use snapshot::{install_snapshot, read_latest_snapshot};
-pub use store::{Durability, Store, StoreConfig};
+pub use store::{Store, StoreConfig};
 pub use wal::{decode_commits, ScanStop};

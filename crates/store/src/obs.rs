@@ -17,10 +17,11 @@
 //! * latency histograms — `tokensync_store_append_ns`,
 //!   `tokensync_store_fsync_ns`, `tokensync_store_snapshot_ns`
 //!   (delta publishes record into the same snapshot histogram);
-//! * optionally, `WalAppend`/`Fsync`/`SnapshotWrite` span events into a
+//! * optionally, `WalAppend`/`SnapshotWrite` span events into a
 //!   [`SpanRing`] shared with the pipeline's recorder, so one sampled
-//!   batch's trace shows its durability cost next to its execution
-//!   cost.
+//!   batch's trace shows its serving-thread durability cost next to its
+//!   execution cost (fsyncs are coalesced across batches off-thread, so
+//!   they land in the histogram, not in a batch's trace).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -82,7 +83,7 @@ impl StoreObs {
                 records_appended: registry.counter(
                     "tokensync_store_records_appended_total",
                     &[],
-                    "WAL records appended (one per committed wave or shipped frame).",
+                    "WAL records appended (one per committed batch or shipped frame).",
                 ),
                 segments_created: registry.counter(
                     "tokensync_store_segments_created_total",
@@ -127,9 +128,9 @@ impl StoreObs {
     }
 
     /// Shares a [`SpanRing`] (typically the pipeline recorder's, via
-    /// [`PipelineObs::span_ring`]) so `WalAppend`/`Fsync`/
-    /// `SnapshotWrite` events of every `sample_every`-th batch land in
-    /// the same per-batch trace. No-op when disabled.
+    /// [`PipelineObs::span_ring`]) so `WalAppend`/`SnapshotWrite`
+    /// events of every `sample_every`-th batch land in the same
+    /// per-batch trace. No-op when disabled.
     ///
     /// [`PipelineObs::span_ring`]: tokensync_pipeline::PipelineObs::span_ring
     #[must_use]

@@ -1,6 +1,5 @@
 //! The durable store: the pipeline's [`CommitSink`], wired to the WAL,
-//! a background durability thread, and the snapshotter under a
-//! [`Durability`] policy.
+//! a background durability thread, and the snapshotter.
 
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
@@ -15,37 +14,12 @@ use crate::durability::{self, DurHandle, DurMsg, DurShared};
 use crate::error::StoreError;
 use crate::obs::StoreObs;
 use crate::recovery::{resolve_chain, Restorable};
-use crate::snapshot::{clear_tmp, prune_chain, snapshot_files, write_snapshot};
+use crate::snapshot::{clear_tmp, snapshot_files, write_snapshot};
 use crate::wal::Wal;
-
-/// When committed operations reach stable storage.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Durability {
-    /// Nothing is persisted: the volatile PR 3/4 engine. A crash loses
-    /// every wave; recovery returns the genesis snapshot.
-    Off,
-    /// Every committed wave is appended *and fsynced* before the next
-    /// wave executes — the smallest possible loss window, one `fsync`
-    /// per wave.
-    PerWave,
-    /// Waves are appended as they commit but fsynced **once per batch
-    /// seal** — durability rides the batch cuts the ingest stage already
-    /// makes, so the fsync cost amortizes over the whole batch. With
-    /// [`StoreConfig::pipeline_fsync`] (the default) the fsync itself
-    /// moves to the background durability thread: the seal only *posts*
-    /// the sync and serving continues; the explicit
-    /// [`Store::durable_seq`] watermark reports how far durability has
-    /// caught up. A crash can lose at most the batches between that
-    /// watermark and the commit point. This is the default.
-    #[default]
-    GroupCommit,
-}
 
 /// Store tuning.
 #[derive(Clone, Copy, Debug)]
 pub struct StoreConfig {
-    /// The durability policy.
-    pub durability: Durability,
     /// Publish a snapshot after this many committed operations since
     /// the last one (`0` = only the genesis snapshot; the whole log
     /// replays on recovery).
@@ -55,20 +29,7 @@ pub struct StoreConfig {
     /// How many published **full** snapshots to keep (older fulls and
     /// the deltas they cover are pruned; at least 1).
     pub snapshots_kept: usize,
-    /// [`Durability::GroupCommit`] only: hand batch fsyncs to the
-    /// background durability thread instead of syncing inline at the
-    /// seal. Commits are acknowledged immediately; they become durable
-    /// when the thread's fsync lands (observable via
-    /// [`Store::durable_seq`]). Off = the pre-pipelined behavior, one
-    /// inline fsync per seal.
-    pub pipeline_fsync: bool,
-    /// Publish periodic snapshots incrementally: drain the touched rows
-    /// from the live object (per-shard locks only — serving continues)
-    /// and let the durability thread fold and publish them as a
-    /// `snap-<mark>.delta` chain. Off = the pre-incremental behavior,
-    /// a full state encode on the serving thread at every trigger.
-    pub incremental_snapshots: bool,
-    /// Every `compact_every`-th incremental publish is rewritten as a
+    /// Every `compact_every`-th snapshot publish is written as a
     /// full snapshot from the thread's materialized state, bounding
     /// chain length (at least 1; 1 = every publish is full).
     pub compact_every: u64,
@@ -77,12 +38,9 @@ pub struct StoreConfig {
 impl Default for StoreConfig {
     fn default() -> Self {
         Self {
-            durability: Durability::GroupCommit,
             snapshot_every_ops: 0,
             segment_max_bytes: 64 << 20,
             snapshots_kept: 2,
-            pipeline_fsync: true,
-            incremental_snapshots: true,
             compact_every: 4,
         }
     }
@@ -96,15 +54,15 @@ impl Default for StoreConfig {
 /// The store *is* a [`CommitSink`]: hand it to
 /// [`run_script_with_sink`](tokensync_pipeline::run_script_with_sink)
 /// or [`Pipeline::spawn_with_sink`](tokensync_pipeline::Pipeline::spawn_with_sink)
-/// and every committed wave streams into the WAL as it enters the
+/// and every committed batch streams into the WAL as it enters the
 /// commit log.
 ///
 /// Each store owns a background **durability thread** (see [`store`
-/// module](crate) docs): under the default pipelined group commit the
-/// serving thread never fsyncs, it posts sync requests and the thread
-/// coalesces them; periodic snapshots are drained as row deltas and
-/// folded off-thread. [`Store::durable_seq`] is the explicit watermark
-/// separating *acknowledged* from *crash-proof*;
+/// module](crate) docs): the serving thread never fsyncs, it posts
+/// sync requests at batch seals and the thread coalesces them;
+/// periodic snapshots are drained as row deltas and folded off-thread.
+/// [`Store::durable_seq`] is the explicit watermark separating
+/// *acknowledged* from *crash-proof*;
 /// [`Store::wait_durable`]/[`Store::flush`] block on it.
 ///
 /// # Examples
@@ -282,10 +240,10 @@ where
 
     /// The durable watermark: every operation at or below this sequence
     /// number survives any crash (its WAL prefix is fsynced, or a
-    /// published snapshot chain covers it). Under pipelined group
-    /// commit this trails [`Store::next_seq`] by the batches whose
-    /// background fsync has not landed yet — that gap *is* the
-    /// acknowledge-at-commit / durable-at-fsync window.
+    /// published snapshot chain covers it). This trails
+    /// [`Store::next_seq`] by the batches whose background fsync has not
+    /// landed yet — that gap *is* the acknowledge-at-commit /
+    /// durable-at-fsync window.
     pub fn durable_seq(&self) -> u64 {
         self.shared.durable()
     }
@@ -315,7 +273,6 @@ where
 
     /// Makes everything appended so far durable: posts a sync covering
     /// [`Store::next_seq`] and blocks until the watermark reaches it.
-    /// No-op under [`Durability::Off`].
     ///
     /// # Errors
     ///
@@ -325,9 +282,6 @@ where
         self.poll_thread_error();
         if let Some(e) = self.error.take() {
             return Err(e);
-        }
-        if self.cfg.durability == Durability::Off {
-            return Ok(());
         }
         let target = self.wal.next_seq();
         if self.shared.durable() >= target {
@@ -411,13 +365,11 @@ where
             self.shutdown_thread();
             return Err(e);
         }
-        if self.cfg.durability != Durability::Off {
-            match self.wal.sync() {
-                Ok(()) => self.advance_durable(self.wal.next_seq()),
-                Err(e) => {
-                    self.shutdown_thread();
-                    return Err(e);
-                }
+        match self.wal.sync() {
+            Ok(()) => self.advance_durable(self.wal.next_seq()),
+            Err(e) => {
+                self.shutdown_thread();
+                return Err(e);
             }
         }
         self.shutdown_thread();
@@ -431,10 +383,9 @@ where
     /// and garbage-collects segments and snapshots it supersedes. The
     /// state must reflect exactly the operations appended so far (the
     /// engine guarantees this at batch seals). Synchronous: the
-    /// snapshot is on disk when this returns — under incremental
-    /// snapshots the write itself happens on the durability thread
-    /// (whose materialized state it also re-bases), with this call
-    /// blocking on the acknowledgement.
+    /// snapshot is on disk when this returns — the write itself happens
+    /// on the durability thread (whose materialized state it also
+    /// re-bases), with this call blocking on the acknowledgement.
     ///
     /// # Errors
     ///
@@ -445,39 +396,24 @@ where
         self.wal.sync()?;
         self.advance_durable(self.wal.next_seq());
         let watermark = self.wal.next_seq();
-        if self.cfg.incremental_snapshots {
-            let (ack_tx, ack_rx) = std::sync::mpsc::channel();
-            self.post(DurMsg::Full {
-                watermark,
-                state: state.clone(),
-                ack: ack_tx,
-            });
-            match ack_rx.recv() {
-                Ok(res) => res?,
-                Err(_) => {
-                    return Err(StoreError::Io(std::io::Error::new(
-                        std::io::ErrorKind::Interrupted,
-                        "durability thread gone before acknowledging the snapshot",
-                    )))
-                }
+        let (ack_tx, ack_rx) = std::sync::mpsc::channel();
+        self.post(DurMsg::Full {
+            watermark,
+            state: state.clone(),
+            ack: ack_tx,
+        });
+        match ack_rx.recv() {
+            Ok(res) => res?,
+            Err(_) => {
+                return Err(StoreError::Io(std::io::Error::new(
+                    std::io::ErrorKind::Interrupted,
+                    "durability thread gone before acknowledging the snapshot",
+                )))
             }
-            self.watermark = watermark;
-            self.ops_since_snapshot = 0;
-            self.apply_gc_floor()?;
-        } else {
-            let started = self.obs.clock();
-            write_snapshot(&self.dir, watermark, state)?;
-            self.watermark = watermark;
-            self.ops_since_snapshot = 0;
-            // GC only below the *oldest kept* snapshot: if the newest
-            // one is later found corrupt, recovery falls back to an
-            // older snapshot and still needs that snapshot's log suffix
-            // on disk.
-            let gc_floor = prune_chain(&self.dir, self.cfg.snapshots_kept)?;
-            self.wal.gc(gc_floor)?;
-            self.applied_gc_floor = self.applied_gc_floor.max(gc_floor);
-            self.obs.record_snapshot(started);
         }
+        self.watermark = watermark;
+        self.ops_since_snapshot = 0;
+        self.apply_gc_floor()?;
         Ok(())
     }
 
@@ -538,56 +474,35 @@ where
         self.wal.append(self.base, entries)?;
         self.obs.span(batch, Stage::WalAppend, started);
         self.ops_since_snapshot += entries.len() as u64;
-        if self.cfg.durability == Durability::PerWave {
-            let started = self.obs.clock();
-            self.wal.sync()?;
-            self.obs.span(batch, Stage::Fsync, started);
-            self.advance_durable(self.wal.next_seq());
-        }
         Ok(())
     }
 
     fn try_seal(&mut self, token: &T, batch: u64) -> Result<(), StoreError> {
-        if self.cfg.durability == Durability::GroupCommit {
-            if self.cfg.pipeline_fsync {
-                // Pipelined group commit: post the sync, keep serving.
-                // The thread coalesces a backlog into one fsync.
-                let target = self.wal.next_seq();
-                if self.shared.durable() < target {
-                    let file = self.wal.tail_handle()?;
-                    self.post(DurMsg::Sync { target, file });
-                }
-            } else {
-                let started = self.obs.clock();
-                self.wal.sync()?;
-                self.obs.span(batch, Stage::Fsync, started);
-                self.advance_durable(self.wal.next_seq());
-            }
+        // Pipelined group commit: post the sync, keep serving. The
+        // thread coalesces a backlog into one fsync.
+        let target = self.wal.next_seq();
+        if self.shared.durable() < target {
+            let file = self.wal.tail_handle()?;
+            self.post(DurMsg::Sync { target, file });
         }
         if self.cfg.snapshot_every_ops > 0 && self.ops_since_snapshot >= self.cfg.snapshot_every_ops
         {
-            if self.cfg.incremental_snapshots {
-                // Drain only the rows touched since the last drain —
-                // per-shard locks, no quiescence, no full-state encode —
-                // and let the thread fold and publish them.
-                let started = self.obs.clock();
-                let watermark = self.wal.next_seq();
-                let delta = token.drain_delta();
-                if !T::delta_is_empty(&delta) {
-                    self.post(DurMsg::Delta { watermark, delta });
-                }
-                // An all-read window dirties nothing: skipping the
-                // publish is safe (the next delta's wider window covers
-                // the unchanged stretch), but the drain point advances
-                // either way.
-                self.watermark = watermark;
-                self.ops_since_snapshot = 0;
-                self.obs.span(batch, Stage::SnapshotWrite, started);
-            } else {
-                let started = self.obs.clock();
-                self.publish_snapshot(&token.snapshot())?;
-                self.obs.span(batch, Stage::SnapshotWrite, started);
+            // Drain only the rows touched since the last drain —
+            // per-shard locks, no quiescence, no full-state encode —
+            // and let the thread fold and publish them.
+            let started = self.obs.clock();
+            let watermark = self.wal.next_seq();
+            let delta = token.drain_delta();
+            if !T::delta_is_empty(&delta) {
+                self.post(DurMsg::Delta { watermark, delta });
             }
+            // An all-read window dirties nothing: skipping the publish
+            // is safe (the next delta's wider window covers the
+            // unchanged stretch), but the drain point advances either
+            // way.
+            self.watermark = watermark;
+            self.ops_since_snapshot = 0;
+            self.obs.span(batch, Stage::SnapshotWrite, started);
         }
         self.apply_gc_floor()?;
         Ok(())
@@ -618,7 +533,7 @@ where
 {
     fn wave_committed(&mut self, _token: &T, entries: &[CommittedOp<T::Op, T::Resp>]) {
         self.poll_thread_error();
-        if self.error.is_some() || self.cfg.durability == Durability::Off {
+        if self.error.is_some() {
             return;
         }
         if let Err(e) = self.try_wave(entries) {
@@ -628,7 +543,7 @@ where
 
     fn batch_sealed(&mut self, token: &T, batch: u64) {
         self.poll_thread_error();
-        if self.error.is_some() || self.cfg.durability == Durability::Off {
+        if self.error.is_some() {
             return;
         }
         if let Err(e) = self.try_seal(token, batch) {

@@ -13,9 +13,9 @@
 //!
 //! (all integers little-endian; `op`/`resp` use
 //! [`tokensync_core::codec::Codec`]). One record carries one committed
-//! *wave* — the group the pipeline hands to its
+//! *batch* — the group the pipeline hands to its
 //! [`CommitSink`](tokensync_pipeline::CommitSink) — so group-commit
-//! durability is one `fsync` per batch regardless of wave count.
+//! durability is one record and at most one `fsync` per batch.
 //!
 //! **Torn-tail rule:** a crash can leave the last record half-written.
 //! [`Wal::open`] re-scans the segments, truncates the tail at the first
@@ -503,7 +503,7 @@ impl Wal {
             .map_or(self.next_seq, |&(first, _)| first))
     }
 
-    /// Appends one record holding `entries` (a committed wave). Entry
+    /// Appends one record holding `entries` (a committed batch). Entry
     /// sequence numbers are engine-run-relative; `base` (the store's
     /// durable position when the run began) translates them into the
     /// log's global numbering: entry `seq` lands at `base + seq`, which
@@ -559,12 +559,12 @@ impl Wal {
         Ok(self.file.try_clone()?)
     }
 
-    /// Forces everything appended so far onto stable storage — the
-    /// durability point of [`Durability::PerWave`] (after every append)
-    /// and [`Durability::GroupCommit`] (once per batch seal).
-    ///
-    /// [`Durability::PerWave`]: crate::Durability::PerWave
-    /// [`Durability::GroupCommit`]: crate::Durability::GroupCommit
+    /// Forces everything appended so far onto stable storage. Batch
+    /// seals sync through the store's durability thread; this is the
+    /// inline form for callers that must not proceed before the bytes
+    /// are down — a snapshot publish (log before the snapshot that
+    /// supersedes it), a store close, a replication follower before it
+    /// acks.
     pub fn sync(&mut self) -> Result<(), StoreError> {
         let started = self.obs.clock();
         self.file.sync_data()?;

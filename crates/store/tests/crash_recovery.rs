@@ -28,7 +28,7 @@ use tokensync_pipeline::{
     run_script_with_sink, BatchConfig, CommittedOp, PipelineConfig, ScheduleConfig,
 };
 use tokensync_spec::{AccountId, ObjectType, ProcessId};
-use tokensync_store::{recover, recover_sequential, Durability, Restorable, Store, StoreConfig};
+use tokensync_store::{recover, recover_sequential, Restorable, Store, StoreConfig};
 
 fn p(i: usize) -> ProcessId {
     ProcessId::new(i)
@@ -37,12 +37,10 @@ fn a(i: usize) -> AccountId {
     AccountId::new(i)
 }
 
-/// The default engine now fuses each batch's waves into one WAL record
-/// (`fuse_waves: true`), so every proptest below that uses this config
-/// already kills the WAL at arbitrary offsets *inside* fused records;
-/// `fuse: false` restores the record-per-wave granularity for the
-/// equivalence tests.
-fn pipeline_cfg_fused(batch: usize, fuse: bool) -> PipelineConfig {
+/// The engine hands each batch to the store as one WAL record, so every
+/// proptest below that kills the WAL at an arbitrary offset also kills
+/// it *inside* records.
+fn pipeline_cfg(batch: usize) -> PipelineConfig {
     PipelineConfig {
         batch: BatchConfig {
             max_ops: batch,
@@ -51,13 +49,8 @@ fn pipeline_cfg_fused(batch: usize, fuse: bool) -> PipelineConfig {
         schedule: ScheduleConfig {
             max_parallel_waves: 3,
         },
-        fuse_waves: fuse,
         ..PipelineConfig::default()
     }
-}
-
-fn pipeline_cfg(batch: usize) -> PipelineConfig {
-    pipeline_cfg_fused(batch, true)
 }
 
 /// Runs `script` through the durable pipeline and returns the full
@@ -67,34 +60,6 @@ fn durable_run<T>(
     genesis: &T::State,
     script: &[(ProcessId, T::Op)],
     batch: usize,
-    durability: Durability,
-    snapshot_every_ops: u64,
-    segment_max_bytes: u64,
-) -> Vec<CommittedOp<T::Op, T::Resp>>
-where
-    T: Restorable,
-    T::Op: Codec,
-    T::Resp: Codec,
-    T::State: StateCodec,
-{
-    durable_run_with::<T>(
-        dir,
-        genesis,
-        script,
-        &pipeline_cfg(batch),
-        durability,
-        snapshot_every_ops,
-        segment_max_bytes,
-    )
-}
-
-/// [`durable_run`] with an explicit engine config (fused or unfused).
-fn durable_run_with<T>(
-    dir: &std::path::Path,
-    genesis: &T::State,
-    script: &[(ProcessId, T::Op)],
-    cfg: &PipelineConfig,
-    durability: Durability,
     snapshot_every_ops: u64,
     segment_max_bytes: u64,
 ) -> Vec<CommittedOp<T::Op, T::Resp>>
@@ -109,7 +74,6 @@ where
         dir,
         genesis,
         StoreConfig {
-            durability,
             snapshot_every_ops,
             segment_max_bytes,
             snapshots_kept: 2,
@@ -117,7 +81,7 @@ where
         },
     )
     .expect("create store");
-    let run = run_script_with_sink(&token, script, cfg, &mut store);
+    let run = run_script_with_sink(&token, script, &pipeline_cfg(batch), &mut store);
     assert_eq!(run.stats.ops as usize, script.len());
     store.close().expect("no parked write errors");
     run.log.entries().to_vec()
@@ -231,8 +195,7 @@ proptest! {
         // Tiny segments force rolling; snapshot_every 0 disables
         // mid-run snapshots, 8/16 exercise them plus segment GC.
         let full_log = durable_run::<ShardedErc20>(
-            &dir, &genesis, &script, batch,
-            Durability::GroupCommit, snapshot_every * 8, 512,
+            &dir, &genesis, &script, batch, snapshot_every * 8, 512,
         );
         let total = wal_total_bytes(&dir);
         let offset = kill % (total + 1);
@@ -245,68 +208,9 @@ proptest! {
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
-    #[test]
-    fn erc20_per_wave_durability_also_recovers(
-        callers in vec(0..N20, 1..24),
-        ops in vec(arb_erc20_op(), 1..24),
-        kill in 0u64..1_000_000,
-    ) {
-        let dir = temp_dir("erc20-perwave");
-        let genesis = Erc20State::from_balances(vec![4; N20]);
-        let script: Vec<(ProcessId, Erc20Op)> = callers
-            .iter()
-            .zip(&ops)
-            .map(|(&c, op)| (p(c), op.clone()))
-            .collect();
-        let full_log = durable_run::<ShardedErc20>(
-            &dir, &genesis, &script, 7, Durability::PerWave, 0, 4096,
-        );
-        crash_wal_at(&dir, kill % (wal_total_bytes(&dir) + 1));
-        assert_prefix_recovery::<ShardedErc20>(&dir, &genesis, &full_log);
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    /// Wave-fusion durability equivalence: the same script written
-    /// through a fused WAL and an unfused WAL must produce the same
-    /// commit log and recover to the same state at the same watermark —
-    /// fusion changes record *boundaries*, never the linearization the
-    /// store preserves.
-    #[test]
-    fn erc20_fused_and_unfused_wals_recover_identically(
-        callers in vec(0..N20, 1..32),
-        ops in vec(arb_erc20_op(), 1..32),
-        batch in 1usize..10,
-        snapshot_every in 0u64..3,
-    ) {
-        let genesis = Erc20State::from_balances(vec![6; N20]);
-        let script: Vec<(ProcessId, Erc20Op)> = callers
-            .iter()
-            .zip(&ops)
-            .map(|(&c, op)| (p(c), op.clone()))
-            .collect();
-        let dir_fused = temp_dir("erc20-fused");
-        let dir_unfused = temp_dir("erc20-unfused");
-        let log_fused = durable_run_with::<ShardedErc20>(
-            &dir_fused, &genesis, &script, &pipeline_cfg_fused(batch, true),
-            Durability::GroupCommit, snapshot_every * 8, 512,
-        );
-        let log_unfused = durable_run_with::<ShardedErc20>(
-            &dir_unfused, &genesis, &script, &pipeline_cfg_fused(batch, false),
-            Durability::GroupCommit, snapshot_every * 8, 512,
-        );
-        prop_assert_eq!(&log_fused, &log_unfused, "fusion changed the commit log");
-        let rec_fused = recover::<ShardedErc20>(&dir_fused).expect("fused recovery");
-        let rec_unfused = recover::<ShardedErc20>(&dir_unfused).expect("unfused recovery");
-        prop_assert_eq!(rec_fused.next_seq as usize, log_fused.len());
-        prop_assert_eq!(rec_unfused.next_seq as usize, log_unfused.len());
-        prop_assert_eq!(rec_fused.state, rec_unfused.state);
-        std::fs::remove_dir_all(&dir_fused).expect("cleanup");
-        std::fs::remove_dir_all(&dir_unfused).expect("cleanup");
-    }
-
-    /// Killing the WAL *mid fused record* must drop the whole batch the
+    /// Killing the WAL *mid record* must drop the whole batch the
     /// record carried — recovery can only land on a batch boundary (or
-    /// the end of the stream), never inside one: a fused record is
+    /// the end of the stream), never inside one: a batch's record is
     /// atomic in the log.
     #[test]
     fn erc20_crash_mid_fused_record_lands_on_batch_boundaries(
@@ -315,7 +219,7 @@ proptest! {
         batch in 1usize..12,
         kill in 0u64..1_000_000,
     ) {
-        let dir = temp_dir("erc20-midfused");
+        let dir = temp_dir("erc20-midrecord");
         let genesis = Erc20State::from_balances(vec![6; N20]);
         let script: Vec<(ProcessId, Erc20Op)> = callers
             .iter()
@@ -324,16 +228,15 @@ proptest! {
             .collect();
         // Snapshots off: the watermark stays 0, so next_seq comes from
         // replayed WAL records alone and the boundary claim is pure.
-        let full_log = durable_run_with::<ShardedErc20>(
-            &dir, &genesis, &script, &pipeline_cfg_fused(batch, true),
-            Durability::PerWave, 0, 4096,
+        let full_log = durable_run::<ShardedErc20>(
+            &dir, &genesis, &script, batch, 0, 4096,
         );
         crash_wal_at(&dir, kill % (wal_total_bytes(&dir) + 1));
         let next_seq = assert_prefix_recovery::<ShardedErc20>(&dir, &genesis, &full_log)
             as usize;
         prop_assert!(
             next_seq % batch == 0 || next_seq == full_log.len(),
-            "recovery landed inside a fused batch: next_seq={} batch={} len={}",
+            "recovery landed inside a batch: next_seq={} batch={} len={}",
             next_seq, batch, full_log.len(),
         );
         std::fs::remove_dir_all(&dir).expect("cleanup");
@@ -371,7 +274,7 @@ proptest! {
                 snapshot_every_ops: snapshot_every * 8,
                 segment_max_bytes: 512,
                 snapshots_kept: 2,
-                ..StoreConfig::default() // pipelined group commit
+                ..StoreConfig::default()
             },
         )
         .expect("create store");
@@ -432,7 +335,6 @@ proptest! {
                 segment_max_bytes: 512,
                 snapshots_kept: 2,
                 compact_every: 1_000_000, // never compact: pure chain
-                ..StoreConfig::default()
             },
         )
         .expect("create store");
@@ -456,7 +358,7 @@ proptest! {
 /// Snapshots publish while serving continues: three consecutive runs
 /// against one store keep committing while the durability thread chains
 /// delta links behind them. The serving loop never waits for a
-/// snapshot (no quiescence point exists in the incremental path), the
+/// snapshot (the snapshot path has no quiescence point), the
 /// chain exists on disk, and final recovery still passes the oracle.
 #[test]
 fn serve_during_snapshot_requires_no_quiescence() {
@@ -471,7 +373,6 @@ fn serve_during_snapshot_requires_no_quiescence() {
             segment_max_bytes: 1024,
             snapshots_kept: 2,
             compact_every: 1_000_000, // chain of deltas over the genesis full
-            ..StoreConfig::default()
         },
     )
     .expect("create store");
@@ -555,8 +456,7 @@ proptest! {
             .map(|(&c, op)| (p(c), op.clone()))
             .collect();
         let full_log = durable_run::<ShardedErc721>(
-            &dir, &genesis, &script, batch,
-            Durability::GroupCommit, snapshot_every * 8, 512,
+            &dir, &genesis, &script, batch, snapshot_every * 8, 512,
         );
         crash_wal_at(&dir, kill % (wal_total_bytes(&dir) + 1));
         assert_prefix_recovery::<ShardedErc721>(&dir, &genesis, &full_log);
@@ -622,8 +522,7 @@ proptest! {
             .map(|(&c, op)| (p(c), op.clone()))
             .collect();
         let full_log = durable_run::<ShardedErc1155>(
-            &dir, &genesis, &script, batch,
-            Durability::GroupCommit, snapshot_every * 8, 512,
+            &dir, &genesis, &script, batch, snapshot_every * 8, 512,
         );
         crash_wal_at(&dir, kill % (wal_total_bytes(&dir) + 1));
         assert_prefix_recovery::<ShardedErc1155>(&dir, &genesis, &full_log);

@@ -11,7 +11,7 @@ use tokensync_obs::{Registry, SpanRing, Stage};
 use tokensync_pipeline::{run_script_with_sink, BatchConfig, PipelineConfig};
 use tokensync_spec::{AccountId, ProcessId};
 use tokensync_store::wal::SEG_HEADER_LEN;
-use tokensync_store::{Durability, Store, StoreConfig, StoreObs};
+use tokensync_store::{Store, StoreConfig, StoreObs};
 
 fn transfers(n: usize, count: usize) -> Vec<(ProcessId, Erc20Op)> {
     (0..count)
@@ -37,6 +37,10 @@ fn cfg(batch: usize) -> PipelineConfig {
     }
 }
 
+/// The durability thread coalesces: it can only sync *fewer* times than
+/// batches were sealed, never more, and once the caller waits for
+/// durability the watermark covers every committed operation. Appends
+/// stay on the serving thread and match the disk byte for byte.
 #[test]
 fn group_commit_counters_match_the_disk() {
     let dir = temp_dir("obs-gc");
@@ -47,7 +51,6 @@ fn group_commit_counters_match_the_disk() {
         &genesis,
         StoreConfig {
             snapshot_every_ops: 0, // no snapshots, no GC: exact byte identity
-            pipeline_fsync: false, // inline syncs: exact fsync identity
             ..StoreConfig::default()
         },
     )
@@ -56,12 +59,23 @@ fn group_commit_counters_match_the_disk() {
     store.set_obs(StoreObs::new(&registry));
 
     let run = run_script_with_sink(&token, &transfers(8, 50), &cfg(16), &mut store);
+    store.flush().unwrap();
     let obs = store.obs().clone();
 
-    // One fsync per sealed batch (inline group commit), none yet for
-    // close.
-    assert_eq!(obs.fsyncs(), run.stats.batches);
-    // One WAL record per committed wave.
+    // flush() blocks until the watermark reaches the log head.
+    assert_eq!(store.durable_seq(), run.stats.ops);
+    assert_eq!(obs.durable_seq(), run.stats.ops);
+    // Fsync-thread identity: syncs coalesce, so at most one per sealed
+    // batch plus the explicit flush — and at least one happened.
+    assert!(obs.fsyncs() >= 1, "something must have synced");
+    assert!(
+        obs.fsyncs() <= run.stats.batches + 1,
+        "coalescing can never sync more often than once per seal: \
+         {} fsyncs for {} batches",
+        obs.fsyncs(),
+        run.stats.batches
+    );
+    // One WAL record per committed batch.
     assert_eq!(obs.records_appended(), run.stats.commit_records);
     // Frame bytes on disk = total segment bytes minus the headers.
     let segments = wal_segments(&dir);
@@ -74,17 +88,16 @@ fn group_commit_counters_match_the_disk() {
     assert_eq!(segments.len(), 1);
     assert_eq!(obs.snapshots_taken(), 0);
     assert_eq!(obs.delta_snapshots_taken(), 0);
-    // Inline syncs advance the durable watermark with the seal.
-    assert_eq!(obs.durable_seq(), run.stats.ops);
 
     // Latency histograms observed exactly the counted events.
     assert_eq!(obs.append_latency().unwrap().count, obs.records_appended());
     assert_eq!(obs.fsync_latency().unwrap().count, obs.fsyncs());
     assert_eq!(obs.snapshot_latency().unwrap().count, 0);
 
+    let fsyncs_before_close = obs.fsyncs();
     store.close().unwrap();
-    // Close is the final durability point: exactly one more fsync.
-    assert_eq!(obs.fsyncs(), run.stats.batches + 1);
+    // Close is the final durability point: one more, inline.
+    assert_eq!(obs.fsyncs(), fsyncs_before_close + 1);
 
     // The registry exposes the whole catalog.
     let page = registry.render_text();
@@ -105,59 +118,8 @@ fn group_commit_counters_match_the_disk() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The pipelined fsync thread coalesces: it can only sync *fewer* times
-/// than batches were sealed, never more, and once the caller waits for
-/// durability the watermark covers every committed operation.
-#[test]
-fn pipelined_group_commit_coalesces_fsyncs() {
-    let dir = temp_dir("obs-gc-pipe");
-    let genesis = Erc20State::from_balances(vec![100; 8]);
-    let token = ShardedErc20::from_state(genesis.clone());
-    let mut store: Store<ShardedErc20> = Store::create(
-        &dir,
-        &genesis,
-        StoreConfig {
-            snapshot_every_ops: 0,
-            ..StoreConfig::default() // pipeline_fsync: true
-        },
-    )
-    .unwrap();
-    let registry = Registry::new();
-    store.set_obs(StoreObs::new(&registry));
-
-    let run = run_script_with_sink(&token, &transfers(8, 50), &cfg(16), &mut store);
-    store.flush().unwrap();
-    let obs = store.obs().clone();
-
-    // flush() blocks until the watermark reaches the log head.
-    assert_eq!(store.durable_seq(), run.stats.ops);
-    assert_eq!(obs.durable_seq(), run.stats.ops);
-    // Fsync-thread identity: syncs coalesce, so at most one per sealed
-    // batch plus the explicit flush — and at least one happened.
-    assert!(obs.fsyncs() >= 1, "something must have synced");
-    assert!(
-        obs.fsyncs() <= run.stats.batches + 1,
-        "coalescing can never sync more often than the inline path: \
-         {} fsyncs for {} batches",
-        obs.fsyncs(),
-        run.stats.batches
-    );
-    // Appends are untouched by pipelining: same records, same bytes.
-    assert_eq!(obs.records_appended(), run.stats.commit_records);
-    let segments = wal_segments(&dir);
-    assert_eq!(
-        obs.bytes_appended(),
-        wal_total_bytes(&dir) - segments.len() as u64 * SEG_HEADER_LEN
-    );
-    assert_eq!(obs.fsync_latency().unwrap().count, obs.fsyncs());
-
-    let fsyncs_before_close = obs.fsyncs();
-    store.close().unwrap();
-    // Close syncs inline at most once more (skipped if already durable).
-    assert!(obs.fsyncs() <= fsyncs_before_close + 1);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
+/// `compact_every: 1`: every trigger's drained rows are published as a
+/// full snapshot from the thread's materialized state — no delta links.
 #[test]
 fn snapshots_and_segment_rolls_are_counted() {
     let dir = temp_dir("obs-snap");
@@ -170,35 +132,35 @@ fn snapshots_and_segment_rolls_are_counted() {
             snapshot_every_ops: 64,
             segment_max_bytes: 512, // tiny: force rolls
             snapshots_kept: 2,
-            pipeline_fsync: false,        // inline syncs: exact identity
-            incremental_snapshots: false, // legacy full snapshots
-            ..StoreConfig::default()
+            compact_every: 1,
         },
     )
     .unwrap();
     store.set_obs(StoreObs::new(&Registry::new()));
 
     let run = run_script_with_sink(&token, &transfers(8, 300), &cfg(32), &mut store);
+    store.flush().unwrap();
     let obs = store.obs().clone();
 
     assert!(obs.snapshots_taken() >= 2, "several snapshots published");
     assert_eq!(obs.delta_snapshots_taken(), 0);
     assert_eq!(obs.snapshots_taken(), obs.snapshot_latency().unwrap().count);
     assert!(obs.segments_created() > 1, "tiny cap forced rolls");
-    // Group-commit seal per batch + the log-first sync inside each
-    // snapshot publish; close adds the last one.
-    assert_eq!(obs.fsyncs(), run.stats.batches + obs.snapshots_taken());
+    // Coalesced seal syncs and the explicit flush; close adds the last
+    // one.
+    assert!(obs.fsyncs() <= run.stats.batches + obs.snapshots_taken() + 1);
+    let fsyncs_before_close = obs.fsyncs();
     store.close().unwrap();
-    assert_eq!(obs.fsyncs(), run.stats.batches + obs.snapshots_taken() + 1);
+    assert_eq!(obs.fsyncs(), fsyncs_before_close + 1);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Incremental snapshots ride the durability thread: the serving loop
-/// never fsyncs for them (the delta chain file is its own durability
-/// point), so the fsync-thread identity tightens to
-/// `fsyncs <= batches + 1` even while a snapshot chain is being built.
+/// Snapshots ride the durability thread: the serving loop never fsyncs
+/// for them (the delta chain file is its own durability point), so the
+/// fsync-thread identity stays `fsyncs <= batches + 1` even while a
+/// snapshot chain is being built.
 #[test]
-fn incremental_snapshots_publish_deltas_off_the_hot_path() {
+fn delta_snapshots_publish_off_the_hot_path() {
     let dir = temp_dir("obs-snap-delta");
     let genesis = Erc20State::from_balances(vec![100; 8]);
     let token = ShardedErc20::from_state(genesis.clone());
@@ -209,8 +171,7 @@ fn incremental_snapshots_publish_deltas_off_the_hot_path() {
             snapshot_every_ops: 64,
             segment_max_bytes: 512,
             snapshots_kept: 2,
-            compact_every: 3,         // every third publish compacts to a full
-            ..StoreConfig::default()  // pipelined + incremental
+            compact_every: 3, // every third publish compacts to a full
         },
     )
     .unwrap();
@@ -229,8 +190,8 @@ fn incremental_snapshots_publish_deltas_off_the_hot_path() {
     // Every publish (full or delta) lands in the snapshot histogram.
     assert_eq!(published, obs.snapshot_latency().unwrap().count);
     assert!(obs.segments_created() > 1, "tiny cap forced rolls");
-    // Fsync-thread identity: snapshot publishes no longer cost a WAL
-    // sync; only sealed batches and the explicit flush do, coalesced.
+    // Fsync-thread identity: snapshot publishes cost no WAL sync; only
+    // sealed batches and the explicit flush do, coalesced.
     assert!(
         obs.fsyncs() <= run.stats.batches + 1,
         "{} fsyncs for {} batches and {} chain links",
@@ -246,42 +207,39 @@ fn incremental_snapshots_publish_deltas_off_the_hot_path() {
 }
 
 #[test]
-fn per_wave_spans_join_a_shared_ring() {
+fn wal_append_spans_join_a_shared_ring() {
     let dir = temp_dir("obs-span");
     let genesis = Erc20State::from_balances(vec![100; 4]);
     let token = ShardedErc20::from_state(genesis.clone());
-    let mut store: Store<ShardedErc20> = Store::create(
-        &dir,
-        &genesis,
-        StoreConfig {
-            durability: Durability::PerWave,
-            ..StoreConfig::default()
-        },
-    )
-    .unwrap();
+    let mut store: Store<ShardedErc20> =
+        Store::create(&dir, &genesis, StoreConfig::default()).unwrap();
     let ring = SpanRing::new(256);
     store.set_obs(StoreObs::new(&Registry::new()).with_spans(ring.clone(), 1));
 
     let run = run_script_with_sink(&token, &transfers(4, 40), &cfg(10), &mut store);
     assert_eq!(run.stats.batches, 4);
+    store.flush().unwrap();
 
     let events = ring.dump();
     let appends = events
         .iter()
         .filter(|e| e.stage == Stage::WalAppend)
         .count() as u64;
-    let fsyncs = events.iter().filter(|e| e.stage == Stage::Fsync).count() as u64;
-    // Per-wave durability: every wave appends and fsyncs, and with
-    // sample_every = 1 every one of them is traced.
+    // Every batch appends once, and with sample_every = 1 every one of
+    // them is traced.
     assert_eq!(appends, run.stats.commit_records);
-    assert_eq!(fsyncs, run.stats.commit_records);
-    // Every batch of the run shows up in the trace.
+    assert_eq!(appends, run.stats.batches);
     for batch in 0..run.stats.batches {
         assert!(
             events.iter().any(|e| e.batch == batch),
             "batch {batch} missing from the span ring"
         );
     }
+    // The fsyncs belong to no one batch — the thread coalesces seals —
+    // so they are counted and timed, not traced per batch.
+    let obs = store.obs().clone();
+    assert!((1..=run.stats.batches + 1).contains(&obs.fsyncs()));
+    assert_eq!(obs.fsync_latency().unwrap().count, obs.fsyncs());
     store.close().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }

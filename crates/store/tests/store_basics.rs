@@ -1,6 +1,6 @@
-//! Deterministic behaviour of the store: lifecycle, durability
-//! policies, segment rolling and GC, snapshot fallback, corruption
-//! handling, and the spawned (serving-shape) engine with a sink.
+//! Deterministic behaviour of the store: lifecycle, segment rolling
+//! and GC, snapshot fallback, corruption handling, and the spawned
+//! (serving-shape) engine with a sink.
 
 mod common;
 
@@ -11,7 +11,7 @@ use tokensync_core::erc20::{Erc20Op, Erc20State};
 use tokensync_core::shared::{ConcurrentObject, ShardedErc20};
 use tokensync_pipeline::{run_script_with_sink, BatchConfig, Pipeline, PipelineConfig};
 use tokensync_spec::{AccountId, ObjectType, ProcessId};
-use tokensync_store::{recover, Durability, Store, StoreConfig, StoreError};
+use tokensync_store::{recover, Store, StoreConfig, StoreError};
 
 fn p(i: usize) -> ProcessId {
     ProcessId::new(i)
@@ -67,28 +67,6 @@ fn create_then_recover_round_trips_every_standard_default_config() {
 }
 
 #[test]
-fn durability_off_persists_nothing_and_recovers_genesis() {
-    let dir = temp_dir("off");
-    let genesis = Erc20State::from_balances(vec![10; 4]);
-    let token = ShardedErc20::from_state(genesis.clone());
-    let mut store: Store<ShardedErc20> = Store::create(
-        &dir,
-        &genesis,
-        StoreConfig {
-            durability: Durability::Off,
-            ..StoreConfig::default()
-        },
-    )
-    .unwrap();
-    run_script_with_sink(&token, &transfers(4, 20), &cfg(8), &mut store);
-    store.close().unwrap();
-    let recovered = recover::<ShardedErc20>(&dir).unwrap();
-    assert_eq!(recovered.replayed, 0);
-    assert_eq!(recovered.state, genesis);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn segments_roll_and_snapshots_garbage_collect_them() {
     let dir = temp_dir("gc");
     let genesis = Erc20State::from_balances(vec![100; 8]);
@@ -100,22 +78,25 @@ fn segments_roll_and_snapshots_garbage_collect_them() {
             snapshot_every_ops: 64,
             segment_max_bytes: 256, // tiny: force many segments
             snapshots_kept: 2,
-            // Legacy synchronous path: inline publish + immediate GC,
-            // so the mid-run segment assertions are deterministic. The
-            // async path's lazy GC floor has its own tests.
-            pipeline_fsync: false,
-            incremental_snapshots: false,
-            ..StoreConfig::default()
+            compact_every: 1, // every publish a full `.snap`
         },
     )
     .unwrap();
     let script = transfers(8, 400);
     run_script_with_sink(&token, &script, &cfg(32), &mut store);
     assert!(store.snapshot_watermark() >= 64, "snapshots published");
-    let segments = wal_segments(&dir);
-    assert!(segments.len() > 1, "rolling produced several segments");
+    // The durability thread publishes GC floors behind the serving
+    // thread, but never above the older of the two kept fulls — the
+    // trigger before last — so the log above it is still on disk.
+    assert!(
+        wal_segments(&dir).len() > 1,
+        "rolling produced several segments"
+    );
+    // An explicit publish waits for the thread and applies its floor.
+    store.publish_snapshot(&token.snapshot()).unwrap();
     // GC must have deleted segments wholly below the oldest kept
     // snapshot: the earliest surviving segment is not the first ever.
+    let segments = wal_segments(&dir);
     let first_name = segments[0]
         .file_name()
         .unwrap()
@@ -359,23 +340,34 @@ fn floor_repair_preserves_the_valid_prefix_for_snapshot_fallback() {
         &dir,
         &genesis,
         StoreConfig {
-            snapshot_every_ops: 64,
+            // Explicit publishes only, so which fulls exist and where
+            // the GC floor sits does not depend on thread timing (the
+            // delta chain's corrupt-link fallback is pinned by
+            // `erc20_recovery_survives_a_corrupt_delta_link`).
+            snapshot_every_ops: 0,
             segment_max_bytes: 512, // many segments
             snapshots_kept: 2,
-            // Legacy monolithic snapshots: the fallback-to-older-full
-            // scenario below is specific to the `.snap`-only layout
-            // (the delta chain's corrupt-link fallback is pinned by
-            // `erc20_recovery_survives_a_corrupt_delta_link`).
-            pipeline_fsync: false,
-            incremental_snapshots: false,
             ..StoreConfig::default()
         },
     )
     .unwrap();
+    // Fulls at 96 and 192 (the genesis one is pruned, the GC floor
+    // moves to 96), then a log tail past the newest.
     let script = transfers(8, 300);
-    let run = run_script_with_sink(&token, &script, &cfg(32), &mut store);
+    let mut log = Vec::new();
+    for (phase, publish) in [
+        (&script[..96], true),
+        (&script[96..192], true),
+        (&script[192..], false),
+    ] {
+        let run = run_script_with_sink(&token, phase, &cfg(32), &mut store);
+        log.extend(run.log.entries().iter().cloned());
+        if publish {
+            store.publish_snapshot(&token.snapshot()).unwrap();
+        }
+    }
     let newest_watermark = store.snapshot_watermark();
-    assert!(newest_watermark >= 128, "several snapshots published");
+    assert_eq!(newest_watermark, 192);
     store.close().unwrap();
 
     // Corrupt the header of a mid-chain segment *below* the newest
@@ -418,7 +410,7 @@ fn floor_repair_preserves_the_valid_prefix_for_snapshot_fallback() {
     // Whatever prefix was recovered, it must match the paper trail.
     let spec = tokensync_core::erc20::Erc20Spec::new(genesis.clone());
     let mut state = genesis;
-    for entry in &run.log.entries()[..recovered.next_seq as usize] {
+    for entry in &log[..recovered.next_seq as usize] {
         assert_eq!(spec.apply(&mut state, entry.caller, &entry.op), entry.resp);
     }
     assert_eq!(recovered.state, state);

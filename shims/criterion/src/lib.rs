@@ -16,9 +16,9 @@
 //! consensus_latency/token_alg1/4   time: 812.3 µs/iter   thrpt: …
 //! ```
 //!
-//! Good enough for honest relative numbers on one machine, which is what
-//! the `BENCH_*.json` trajectory tracks; swap in real criterion when the
-//! registry is reachable if statistical rigor is needed.
+//! Good enough for honest relative numbers on one machine; swap in real
+//! criterion when the registry is reachable if statistical rigor is
+//! needed.
 
 #![deny(rustdoc::broken_intra_doc_links)]
 

@@ -146,7 +146,7 @@
 //! check_linearizable(&spec, &spec.initial_state(), &history).expect("linearizes");
 //! ```
 //!
-//! Since PR 5 the stack is durable: the commit stream write-ahead-logs
+//! The stack is durable: the commit stream write-ahead-logs
 //! through a [`store::Store`] sink, and [`store::recover`] rebuilds a
 //! live object from disk alone (formats in docs/persistence.md):
 //!
@@ -245,8 +245,10 @@
 //!   with bounded admission and acks resolved at wave commit:
 //!   [`server`] (see docs/server.md).
 //! * Every table/figure of the evaluation: `cargo run -p
-//!   tokensync-experiments --bin e1_lower_bound` … `e8_standards`, and
-//!   `cargo bench -p tokensync-bench`; see README.md and ARCHITECTURE.md.
+//!   tokensync-experiments --bin e1_lower_bound` … `e8_standards`, the
+//!   paper-facing `cargo bench -p tokensync-bench`, and the serving
+//!   stack's benchmark `cargo run --release -p tokensync-bench --bin
+//!   stack`; see README.md and ARCHITECTURE.md.
 
 #![forbid(unsafe_code)]
 #![deny(rustdoc::broken_intra_doc_links)]
