@@ -97,61 +97,255 @@ pub trait StateCodec: Codec {
     const VERSION: u8;
 }
 
-// ── primitive helpers ──────────────────────────────────────────────────
+// ── field vocabulary ───────────────────────────────────────────────────
+//
+// Every codec below is spelled in these terms: fixed-width little-endian
+// integers, a strict 0/1 boolean, `u32`-wide ids and counts, a
+// presence-tagged `Option`, tuples (fields in order, nothing between
+// them), and count-prefixed row lists (`put_rows` / `get_list` /
+// `get_rows`).
 
-pub(crate) fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn get_u8(input: &mut &[u8]) -> Result<u8, CodecError> {
-    let (&first, rest) = input.split_first().ok_or(CodecError::Truncated)?;
-    *input = rest;
-    Ok(first)
-}
-
-pub(crate) fn get_u32(input: &mut &[u8]) -> Result<u32, CodecError> {
-    if input.len() < 4 {
-        return Err(CodecError::Truncated);
+impl Codec for u8 {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.push(*self);
     }
-    let (head, rest) = input.split_at(4);
-    *input = rest;
-    Ok(u32::from_le_bytes(head.try_into().expect("4-byte slice")))
-}
 
-pub(crate) fn get_u64(input: &mut &[u8]) -> Result<u64, CodecError> {
-    if input.len() < 8 {
-        return Err(CodecError::Truncated);
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        let (&first, rest) = input.split_first().ok_or(CodecError::Truncated)?;
+        *input = rest;
+        Ok(first)
     }
-    let (head, rest) = input.split_at(8);
-    *input = rest;
-    Ok(u64::from_le_bytes(head.try_into().expect("8-byte slice")))
 }
 
-/// Ids are encoded as `u32` — the same key width every sparse state
-/// layout uses internally (guarded there by constructor asserts).
-fn put_id(out: &mut Vec<u8>, index: usize) {
-    let key = u32::try_from(index).expect("id exceeds the u32 key space");
-    put_u32(out, key);
-}
-
-fn get_id(input: &mut &[u8]) -> Result<usize, CodecError> {
-    Ok(get_u32(input)? as usize)
-}
-
-fn get_bool(input: &mut &[u8]) -> Result<bool, CodecError> {
-    match get_u8(input)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(CodecError::Invalid("boolean byte not 0/1")),
+impl Codec for u32 {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
     }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        let (head, rest) = input.split_first_chunk().ok_or(CodecError::Truncated)?;
+        *input = rest;
+        Ok(u32::from_le_bytes(*head))
+    }
+}
+
+impl Codec for u64 {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        let (head, rest) = input.split_first_chunk().ok_or(CodecError::Truncated)?;
+        *input = rest;
+        Ok(u64::from_le_bytes(*head))
+    }
+}
+
+impl Codec for bool {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        match u8::decode(input)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(CodecError::Invalid("boolean byte not 0/1")),
+        }
+    }
+}
+
+/// An id-space size or an id, encoded as `u32` — the same key width
+/// every sparse state layout uses internally (guarded there by
+/// constructor asserts).
+struct Id(usize);
+
+impl Codec for Id {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        u32::try_from(self.0)
+            .expect("id exceeds the u32 key space")
+            .encode_into(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(Id(u32::decode(input)? as usize))
+    }
+}
+
+impl Codec for AccountId {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        Id(self.index()).encode_into(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(Self::new(Id::decode(input)?.0))
+    }
+}
+
+impl Codec for ProcessId {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        Id(self.index()).encode_into(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(Self::new(Id::decode(input)?.0))
+    }
+}
+
+impl Codec for TokenId {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        Id(self.index()).encode_into(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(Self::new(Id::decode(input)?.0))
+    }
+}
+
+impl Codec for TypeId {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        Id(self.index()).encode_into(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(Self::new(Id::decode(input)?.0))
+    }
+}
+
+/// A presence byte (strict boolean), then the value if present.
+impl<T: Codec> Codec for Option<T> {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.is_some().encode_into(out);
+        if let Some(value) = self {
+            value.encode_into(out);
+        }
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(if bool::decode(input)? {
+            Some(T::decode(input)?)
+        } else {
+            None
+        })
+    }
+}
+
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.0.encode_into(out);
+        self.1.encode_into(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok((A::decode(input)?, B::decode(input)?))
+    }
+}
+
+impl<A: Codec, B: Codec, C: Codec> Codec for (A, B, C) {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.0.encode_into(out);
+        self.1.encode_into(out);
+        self.2.encode_into(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok((A::decode(input)?, B::decode(input)?, C::decode(input)?))
+    }
+}
+
+impl<A: Codec, B: Codec, C: Codec, D: Codec> Codec for (A, B, C, D) {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.0.encode_into(out);
+        self.1.encode_into(out);
+        self.2.encode_into(out);
+        self.3.encode_into(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok((
+            A::decode(input)?,
+            B::decode(input)?,
+            C::decode(input)?,
+            D::decode(input)?,
+        ))
+    }
+}
+
+/// Writes a count-prefixed row list: a `u32` row count, then each row
+/// through `put`. The count is patched in after the walk, so `rows` need
+/// not know its length up front.
+fn put_rows<R>(
+    out: &mut Vec<u8>,
+    rows: impl IntoIterator<Item = R>,
+    mut put: impl FnMut(&R, &mut Vec<u8>),
+) {
+    let prefix = out.len();
+    0u32.encode_into(out);
+    let mut count = 0u32;
+    for row in rows {
+        put(&row, out);
+        count = count.checked_add(1).expect("row count exceeds u32");
+    }
+    out[prefix..prefix + 4].copy_from_slice(&count.to_le_bytes());
+}
+
+/// Every row of every list in this file is at least this wide on the
+/// wire (two `u32` ids, or an id and a count).
+const MIN_ROW_BYTES: usize = 8;
+
+/// Reads a count-prefixed row list, each row through `row`, in wire
+/// order. The one place a length read from input sizes an allocation:
+/// the capacity is clamped to what the remaining bytes could hold, so a
+/// hostile count fails as [`CodecError::Truncated`] when the input runs
+/// dry instead of reserving memory first.
+fn get_list<T>(
+    input: &mut &[u8],
+    mut row: impl FnMut(&mut &[u8]) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let count = u32::decode(input)? as usize;
+    let mut rows = Vec::with_capacity(count.min(input.len() / MIN_ROW_BYTES + 1));
+    for _ in 0..count {
+        rows.push(row(input)?);
+    }
+    Ok(rows)
+}
+
+/// Reads a canonical table: a [`get_list`] whose rows carry **strictly
+/// increasing keys**. `row` decodes one row, range-checks it against
+/// whatever id space the caller knows, and returns `(key, value)`; the
+/// values come back in order (state decoders fold each row into the
+/// state as they go and return `()`).
+fn get_rows<K: PartialOrd, T>(
+    input: &mut &[u8],
+    mut row: impl FnMut(&mut &[u8]) -> Result<(K, T), CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let mut last = None;
+    get_list(input, |input| {
+        let (key, value) = row(input)?;
+        if last.as_ref().is_some_and(|last| key <= *last) {
+            return Err(CodecError::Invalid("table rows not strictly sorted"));
+        }
+        last = Some(key);
+        Ok(value)
+    })
+}
+
+/// The `(holder, operator)` table of the ERC721 and ERC1155 states:
+/// both ids below `bound`, each pair handed to `enable`.
+fn get_operator_pairs(
+    input: &mut &[u8],
+    bound: usize,
+    mut enable: impl FnMut(ProcessId, ProcessId),
+) -> Result<(), CodecError> {
+    get_rows(input, |input| {
+        let (holder, operator): (ProcessId, ProcessId) = Codec::decode(input)?;
+        if holder.index() >= bound || operator.index() >= bound {
+            return Err(CodecError::Invalid("operator pair out of range"));
+        }
+        enable(holder, operator);
+        Ok(((holder, operator), ()))
+    })?;
+    Ok(())
 }
 
 // ── ERC20 ──────────────────────────────────────────────────────────────
@@ -166,56 +360,40 @@ const ERC20_TOTAL_SUPPLY: u8 = 5;
 impl Codec for Erc20Op {
     fn encode_into(&self, out: &mut Vec<u8>) {
         match *self {
-            Erc20Op::Transfer { to, value } => {
-                put_u8(out, ERC20_TRANSFER);
-                put_id(out, to.index());
-                put_u64(out, value);
-            }
+            Erc20Op::Transfer { to, value } => (ERC20_TRANSFER, to, value).encode_into(out),
             Erc20Op::TransferFrom { from, to, value } => {
-                put_u8(out, ERC20_TRANSFER_FROM);
-                put_id(out, from.index());
-                put_id(out, to.index());
-                put_u64(out, value);
+                (ERC20_TRANSFER_FROM, from, to, value).encode_into(out);
             }
-            Erc20Op::Approve { spender, value } => {
-                put_u8(out, ERC20_APPROVE);
-                put_id(out, spender.index());
-                put_u64(out, value);
-            }
-            Erc20Op::BalanceOf { account } => {
-                put_u8(out, ERC20_BALANCE_OF);
-                put_id(out, account.index());
-            }
+            Erc20Op::Approve { spender, value } => (ERC20_APPROVE, spender, value).encode_into(out),
+            Erc20Op::BalanceOf { account } => (ERC20_BALANCE_OF, account).encode_into(out),
             Erc20Op::Allowance { account, spender } => {
-                put_u8(out, ERC20_ALLOWANCE);
-                put_id(out, account.index());
-                put_id(out, spender.index());
+                (ERC20_ALLOWANCE, account, spender).encode_into(out);
             }
-            Erc20Op::TotalSupply => put_u8(out, ERC20_TOTAL_SUPPLY),
+            Erc20Op::TotalSupply => ERC20_TOTAL_SUPPLY.encode_into(out),
         }
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(match get_u8(input)? {
+        Ok(match u8::decode(input)? {
             ERC20_TRANSFER => Erc20Op::Transfer {
-                to: AccountId::new(get_id(input)?),
-                value: get_u64(input)?,
+                to: Codec::decode(input)?,
+                value: Codec::decode(input)?,
             },
             ERC20_TRANSFER_FROM => Erc20Op::TransferFrom {
-                from: AccountId::new(get_id(input)?),
-                to: AccountId::new(get_id(input)?),
-                value: get_u64(input)?,
+                from: Codec::decode(input)?,
+                to: Codec::decode(input)?,
+                value: Codec::decode(input)?,
             },
             ERC20_APPROVE => Erc20Op::Approve {
-                spender: ProcessId::new(get_id(input)?),
-                value: get_u64(input)?,
+                spender: Codec::decode(input)?,
+                value: Codec::decode(input)?,
             },
             ERC20_BALANCE_OF => Erc20Op::BalanceOf {
-                account: AccountId::new(get_id(input)?),
+                account: Codec::decode(input)?,
             },
             ERC20_ALLOWANCE => Erc20Op::Allowance {
-                account: AccountId::new(get_id(input)?),
-                spender: ProcessId::new(get_id(input)?),
+                account: Codec::decode(input)?,
+                spender: Codec::decode(input)?,
             },
             ERC20_TOTAL_SUPPLY => Erc20Op::TotalSupply,
             _ => return Err(CodecError::Invalid("unknown Erc20Op tag")),
@@ -229,92 +407,79 @@ const RESP_PAYLOAD: u8 = 1;
 impl Codec for Erc20Resp {
     fn encode_into(&self, out: &mut Vec<u8>) {
         match *self {
-            Erc20Resp::Bool(b) => {
-                put_u8(out, RESP_BOOL);
-                put_u8(out, b as u8);
-            }
-            Erc20Resp::Amount(v) => {
-                put_u8(out, RESP_PAYLOAD);
-                put_u64(out, v);
-            }
+            Erc20Resp::Bool(b) => (RESP_BOOL, b).encode_into(out),
+            Erc20Resp::Amount(v) => (RESP_PAYLOAD, v).encode_into(out),
         }
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(match get_u8(input)? {
-            RESP_BOOL => Erc20Resp::Bool(get_bool(input)?),
-            RESP_PAYLOAD => Erc20Resp::Amount(get_u64(input)?),
+        Ok(match u8::decode(input)? {
+            RESP_BOOL => Erc20Resp::Bool(Codec::decode(input)?),
+            RESP_PAYLOAD => Erc20Resp::Amount(Codec::decode(input)?),
             _ => return Err(CodecError::Invalid("unknown Erc20Resp tag")),
         })
     }
 }
 
+/// One allowance row — a table of positive `(spender, value)` entries
+/// with every spender below `bound`, each handed to `entry`. Returns the
+/// number of entries.
+fn get_allowances(
+    input: &mut &[u8],
+    bound: usize,
+    mut entry: impl FnMut(ProcessId, Amount),
+) -> Result<usize, CodecError> {
+    let entries = get_rows(input, |input| {
+        let (spender, value): (ProcessId, Amount) = Codec::decode(input)?;
+        if spender.index() >= bound {
+            return Err(CodecError::Invalid("allowance spender out of range"));
+        }
+        if value == 0 {
+            return Err(CodecError::Invalid("zero allowance entry not canonical"));
+        }
+        entry(spender, value);
+        Ok((spender, ()))
+    })?;
+    Ok(entries.len())
+}
+
 impl Codec for Erc20State {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        let n = self.accounts();
-        put_id(out, n);
-        for i in 0..n {
-            put_u64(out, self.balance(AccountId::new(i)));
-        }
-        let rows: Vec<AccountId> = self.accounts_with_approvals().collect();
-        put_id(out, rows.len());
-        for account in rows {
-            put_id(out, account.index());
-            put_id(out, self.approval_count(account));
-            for (spender, value) in self.approvals(account) {
-                put_id(out, spender.index());
-                put_u64(out, value);
-            }
-        }
+        let balances = (0..self.accounts()).map(|i| self.balance(AccountId::new(i)));
+        put_rows(out, balances, Codec::encode_into);
+        put_rows(out, self.accounts_with_approvals(), |&account, out| {
+            account.encode_into(out);
+            put_rows(out, self.approvals(account), Codec::encode_into);
+        });
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        let n = get_id(input)?;
-        let mut balances = Vec::with_capacity(n.min(input.len() / 8 + 1));
         let mut supply = 0u64;
-        for _ in 0..n {
-            let balance = get_u64(input)?;
+        let balances = get_list(input, |input| {
+            let balance = u64::decode(input)?;
             // `from_balances` sums the vector to cache the supply; a
             // hostile payload must not push that sum past u64 (debug
             // panic / silent wrap) — reject it here instead.
             supply = supply
                 .checked_add(balance)
                 .ok_or(CodecError::Invalid("balance sum overflows the supply"))?;
-            balances.push(balance);
-        }
+            Ok(balance)
+        })?;
+        let n = balances.len();
         let mut state = Erc20State::from_balances(balances);
-        let rows = get_id(input)?;
-        let mut last_account = None;
-        for _ in 0..rows {
-            let account = get_id(input)?;
-            if account >= n {
+        get_rows(input, |input| {
+            let account = AccountId::decode(input)?;
+            if account.index() >= n {
                 return Err(CodecError::Invalid("allowance row account out of range"));
             }
-            if last_account.is_some_and(|last| account <= last) {
-                return Err(CodecError::Invalid("allowance rows not strictly sorted"));
-            }
-            last_account = Some(account);
-            let entries = get_id(input)?;
+            let entries = get_allowances(input, n, |spender, value| {
+                state.set_allowance(account, spender, value);
+            })?;
             if entries == 0 {
                 return Err(CodecError::Invalid("empty allowance row not canonical"));
             }
-            let mut last_spender = None;
-            for _ in 0..entries {
-                let spender = get_id(input)?;
-                let value = get_u64(input)?;
-                if spender >= n {
-                    return Err(CodecError::Invalid("allowance spender out of range"));
-                }
-                if value == 0 {
-                    return Err(CodecError::Invalid("zero allowance entry not canonical"));
-                }
-                if last_spender.is_some_and(|last| spender <= last) {
-                    return Err(CodecError::Invalid("allowance entries not strictly sorted"));
-                }
-                last_spender = Some(spender);
-                state.set_allowance(AccountId::new(account), ProcessId::new(spender), value);
-            }
-        }
+            Ok((account, ()))
+        })?;
         Ok(state)
     }
 }
@@ -333,83 +498,48 @@ const ERC721_SET_APPROVAL_FOR_ALL: u8 = 3;
 const ERC721_OWNER_OF: u8 = 4;
 const ERC721_GET_APPROVED: u8 = 5;
 
-fn put_opt_process(out: &mut Vec<u8>, p: Option<ProcessId>) {
-    match p {
-        Some(p) => {
-            put_u8(out, 1);
-            put_id(out, p.index());
-        }
-        None => put_u8(out, 0),
-    }
-}
-
-fn get_opt_process(input: &mut &[u8]) -> Result<Option<ProcessId>, CodecError> {
-    Ok(if get_bool(input)? {
-        Some(ProcessId::new(get_id(input)?))
-    } else {
-        None
-    })
-}
-
 impl Codec for Erc721Op {
     fn encode_into(&self, out: &mut Vec<u8>) {
         match *self {
-            Erc721Op::Mint { to, token } => {
-                put_u8(out, ERC721_MINT);
-                put_id(out, to.index());
-                put_id(out, token.index());
-            }
+            Erc721Op::Mint { to, token } => (ERC721_MINT, to, token).encode_into(out),
             Erc721Op::TransferFrom { from, to, token } => {
-                put_u8(out, ERC721_TRANSFER_FROM);
-                put_id(out, from.index());
-                put_id(out, to.index());
-                put_id(out, token.index());
+                (ERC721_TRANSFER_FROM, from, to, token).encode_into(out);
             }
             Erc721Op::Approve { approved, token } => {
-                put_u8(out, ERC721_APPROVE);
-                put_opt_process(out, approved);
-                put_id(out, token.index());
+                (ERC721_APPROVE, approved, token).encode_into(out);
             }
             Erc721Op::SetApprovalForAll { operator, on } => {
-                put_u8(out, ERC721_SET_APPROVAL_FOR_ALL);
-                put_id(out, operator.index());
-                put_u8(out, on as u8);
+                (ERC721_SET_APPROVAL_FOR_ALL, operator, on).encode_into(out);
             }
-            Erc721Op::OwnerOf { token } => {
-                put_u8(out, ERC721_OWNER_OF);
-                put_id(out, token.index());
-            }
-            Erc721Op::GetApproved { token } => {
-                put_u8(out, ERC721_GET_APPROVED);
-                put_id(out, token.index());
-            }
+            Erc721Op::OwnerOf { token } => (ERC721_OWNER_OF, token).encode_into(out),
+            Erc721Op::GetApproved { token } => (ERC721_GET_APPROVED, token).encode_into(out),
         }
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(match get_u8(input)? {
+        Ok(match u8::decode(input)? {
             ERC721_MINT => Erc721Op::Mint {
-                to: ProcessId::new(get_id(input)?),
-                token: TokenId::new(get_id(input)?),
+                to: Codec::decode(input)?,
+                token: Codec::decode(input)?,
             },
             ERC721_TRANSFER_FROM => Erc721Op::TransferFrom {
-                from: ProcessId::new(get_id(input)?),
-                to: ProcessId::new(get_id(input)?),
-                token: TokenId::new(get_id(input)?),
+                from: Codec::decode(input)?,
+                to: Codec::decode(input)?,
+                token: Codec::decode(input)?,
             },
             ERC721_APPROVE => Erc721Op::Approve {
-                approved: get_opt_process(input)?,
-                token: TokenId::new(get_id(input)?),
+                approved: Codec::decode(input)?,
+                token: Codec::decode(input)?,
             },
             ERC721_SET_APPROVAL_FOR_ALL => Erc721Op::SetApprovalForAll {
-                operator: ProcessId::new(get_id(input)?),
-                on: get_bool(input)?,
+                operator: Codec::decode(input)?,
+                on: Codec::decode(input)?,
             },
             ERC721_OWNER_OF => Erc721Op::OwnerOf {
-                token: TokenId::new(get_id(input)?),
+                token: Codec::decode(input)?,
             },
             ERC721_GET_APPROVED => Erc721Op::GetApproved {
-                token: TokenId::new(get_id(input)?),
+                token: Codec::decode(input)?,
             },
             _ => return Err(CodecError::Invalid("unknown Erc721Op tag")),
         })
@@ -419,21 +549,15 @@ impl Codec for Erc721Op {
 impl Codec for Erc721Resp {
     fn encode_into(&self, out: &mut Vec<u8>) {
         match *self {
-            Erc721Resp::Bool(b) => {
-                put_u8(out, RESP_BOOL);
-                put_u8(out, b as u8);
-            }
-            Erc721Resp::Process(p) => {
-                put_u8(out, RESP_PAYLOAD);
-                put_opt_process(out, p);
-            }
+            Erc721Resp::Bool(b) => (RESP_BOOL, b).encode_into(out),
+            Erc721Resp::Process(p) => (RESP_PAYLOAD, p).encode_into(out),
         }
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(match get_u8(input)? {
-            RESP_BOOL => Erc721Resp::Bool(get_bool(input)?),
-            RESP_PAYLOAD => Erc721Resp::Process(get_opt_process(input)?),
+        Ok(match u8::decode(input)? {
+            RESP_BOOL => Erc721Resp::Bool(Codec::decode(input)?),
+            RESP_PAYLOAD => Erc721Resp::Process(Codec::decode(input)?),
             _ => return Err(CodecError::Invalid("unknown Erc721Resp tag")),
         })
     }
@@ -441,59 +565,29 @@ impl Codec for Erc721Resp {
 
 impl Codec for Erc721State {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        put_id(out, self.processes());
-        put_id(out, self.token_span());
-        put_id(out, self.minted());
-        for (token, owner, approved) in self.minted_tokens() {
-            put_id(out, token.index());
-            put_id(out, owner.index());
-            put_opt_process(out, approved);
-        }
-        let pairs: Vec<(ProcessId, ProcessId)> = self.operator_pairs().collect();
-        put_id(out, pairs.len());
-        for (holder, operator) in pairs {
-            put_id(out, holder.index());
-            put_id(out, operator.index());
-        }
+        (Id(self.processes()), Id(self.token_span())).encode_into(out);
+        put_rows(out, self.minted_tokens(), Codec::encode_into);
+        put_rows(out, self.operator_pairs(), Codec::encode_into);
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        let processes = get_id(input)?;
-        let token_span = get_id(input)?;
+        let (Id(processes), Id(token_span)) = Codec::decode(input)?;
         let mut state = Erc721State::new(processes, token_span);
-        let minted = get_id(input)?;
-        let mut last_token = None;
-        for _ in 0..minted {
-            let token = get_id(input)?;
-            let owner = get_id(input)?;
-            let approved = get_opt_process(input)?;
-            if token >= token_span || owner >= processes {
+        get_rows(input, |input| {
+            let (token, owner, approved): (TokenId, ProcessId, Option<ProcessId>) =
+                Codec::decode(input)?;
+            if token.index() >= token_span || owner.index() >= processes {
                 return Err(CodecError::Invalid("minted token out of range"));
             }
             if approved.is_some_and(|p| p.index() >= processes) {
                 return Err(CodecError::Invalid("approved process out of range"));
             }
-            // Strictly increasing ids keep the encoding canonical.
-            if last_token.is_some_and(|last| token <= last) {
-                return Err(CodecError::Invalid("minted tokens not strictly sorted"));
-            }
-            last_token = Some(token);
-            state.put_token(TokenId::new(token), ProcessId::new(owner), approved);
-        }
-        let pairs = get_id(input)?;
-        let mut last_pair = None;
-        for _ in 0..pairs {
-            let holder = get_id(input)?;
-            let operator = get_id(input)?;
-            if holder >= processes || operator >= processes {
-                return Err(CodecError::Invalid("operator pair out of range"));
-            }
-            if last_pair.is_some_and(|last| (holder, operator) <= last) {
-                return Err(CodecError::Invalid("operator pairs not strictly sorted"));
-            }
-            last_pair = Some((holder, operator));
-            state.set_operator(ProcessId::new(holder), ProcessId::new(operator), true);
-        }
+            state.put_token(token, owner, approved);
+            Ok((token, ()))
+        })?;
+        get_operator_pairs(input, processes, |holder, operator| {
+            state.set_operator(holder, operator, true);
+        })?;
         Ok(state)
     }
 }
@@ -519,77 +613,52 @@ impl Codec for Erc1155Op {
                 to,
                 type_id,
                 value,
-            } => {
-                put_u8(out, ERC1155_TRANSFER);
-                put_id(out, from.index());
-                put_id(out, to.index());
-                put_id(out, type_id.index());
-                put_u64(out, value);
-            }
+            } => (ERC1155_TRANSFER, from, to, (type_id, value)).encode_into(out),
             Erc1155Op::BatchTransfer {
                 from,
                 to,
                 ref entries,
             } => {
-                put_u8(out, ERC1155_BATCH_TRANSFER);
-                put_id(out, from.index());
-                put_id(out, to.index());
-                put_id(out, entries.len());
-                for &(type_id, value) in entries {
-                    put_id(out, type_id.index());
-                    put_u64(out, value);
-                }
+                (ERC1155_BATCH_TRANSFER, from, to).encode_into(out);
+                put_rows(out, entries.iter().copied(), Codec::encode_into);
             }
             Erc1155Op::SetApprovalForAll { operator, on } => {
-                put_u8(out, ERC1155_SET_APPROVAL_FOR_ALL);
-                put_id(out, operator.index());
-                put_u8(out, on as u8);
+                (ERC1155_SET_APPROVAL_FOR_ALL, operator, on).encode_into(out);
             }
             Erc1155Op::BalanceOf { account, type_id } => {
-                put_u8(out, ERC1155_BALANCE_OF);
-                put_id(out, account.index());
-                put_id(out, type_id.index());
+                (ERC1155_BALANCE_OF, account, type_id).encode_into(out);
             }
             Erc1155Op::TotalSupply { type_id } => {
-                put_u8(out, ERC1155_TOTAL_SUPPLY);
-                put_id(out, type_id.index());
+                (ERC1155_TOTAL_SUPPLY, type_id).encode_into(out);
             }
         }
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(match get_u8(input)? {
+        Ok(match u8::decode(input)? {
             ERC1155_TRANSFER => Erc1155Op::Transfer {
-                from: AccountId::new(get_id(input)?),
-                to: AccountId::new(get_id(input)?),
-                type_id: TypeId::new(get_id(input)?),
-                value: get_u64(input)?,
+                from: Codec::decode(input)?,
+                to: Codec::decode(input)?,
+                type_id: Codec::decode(input)?,
+                value: Codec::decode(input)?,
             },
-            ERC1155_BATCH_TRANSFER => {
-                let from = AccountId::new(get_id(input)?);
-                let to = AccountId::new(get_id(input)?);
-                let rows = get_id(input)?;
-                if rows > input.len() / 12 + 1 {
-                    // 12 bytes per row minimum: reject length-bomb counts
-                    // before allocating.
-                    return Err(CodecError::Truncated);
-                }
-                let mut entries = Vec::with_capacity(rows);
-                for _ in 0..rows {
-                    entries.push((TypeId::new(get_id(input)?), get_u64(input)?));
-                }
-                Erc1155Op::BatchTransfer { from, to, entries }
-            }
+            // Entries are a list, not a table: a batch may repeat a type
+            // in any order.
+            ERC1155_BATCH_TRANSFER => Erc1155Op::BatchTransfer {
+                from: Codec::decode(input)?,
+                to: Codec::decode(input)?,
+                entries: get_list(input, Codec::decode)?,
+            },
             ERC1155_SET_APPROVAL_FOR_ALL => Erc1155Op::SetApprovalForAll {
-                operator: ProcessId::new(get_id(input)?),
-                on: get_bool(input)?,
+                operator: Codec::decode(input)?,
+                on: Codec::decode(input)?,
             },
             ERC1155_BALANCE_OF => Erc1155Op::BalanceOf {
-                account: AccountId::new(get_id(input)?),
-                type_id: TypeId::new(get_id(input)?),
+                account: Codec::decode(input)?,
+                type_id: Codec::decode(input)?,
             },
             ERC1155_TOTAL_SUPPLY => Erc1155Op::TotalSupply {
-                type_id: TypeId::new(get_id(input)?),
+                type_id: Codec::decode(input)?,
             },
             _ => return Err(CodecError::Invalid("unknown Erc1155Op tag")),
         })
@@ -599,21 +668,15 @@ impl Codec for Erc1155Op {
 impl Codec for Erc1155Resp {
     fn encode_into(&self, out: &mut Vec<u8>) {
         match *self {
-            Erc1155Resp::Bool(b) => {
-                put_u8(out, RESP_BOOL);
-                put_u8(out, b as u8);
-            }
-            Erc1155Resp::Amount(v) => {
-                put_u8(out, RESP_PAYLOAD);
-                put_u64(out, v);
-            }
+            Erc1155Resp::Bool(b) => (RESP_BOOL, b).encode_into(out),
+            Erc1155Resp::Amount(v) => (RESP_PAYLOAD, v).encode_into(out),
         }
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(match get_u8(input)? {
-            RESP_BOOL => Erc1155Resp::Bool(get_bool(input)?),
-            RESP_PAYLOAD => Erc1155Resp::Amount(get_u64(input)?),
+        Ok(match u8::decode(input)? {
+            RESP_BOOL => Erc1155Resp::Bool(Codec::decode(input)?),
+            RESP_PAYLOAD => Erc1155Resp::Amount(Codec::decode(input)?),
             _ => return Err(CodecError::Invalid("unknown Erc1155Resp tag")),
         })
     }
@@ -621,40 +684,20 @@ impl Codec for Erc1155Resp {
 
 impl Codec for Erc1155State {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        put_id(out, self.accounts());
-        let types = self.types();
-        put_id(out, types);
-        for t in 0..types {
-            put_u64(out, self.total_supply(TypeId::new(t)));
-        }
-        let entries: Vec<(TypeId, AccountId, Amount)> = self.balance_entries().collect();
-        put_id(out, entries.len());
-        for (type_id, account, value) in entries {
-            put_id(out, type_id.index());
-            put_id(out, account.index());
-            put_u64(out, value);
-        }
-        let pairs: Vec<(AccountId, ProcessId)> = self.operator_pairs().collect();
-        put_id(out, pairs.len());
-        for (holder, operator) in pairs {
-            put_id(out, holder.index());
-            put_id(out, operator.index());
-        }
+        Id(self.accounts()).encode_into(out);
+        let supplies = (0..self.types()).map(|t| self.total_supply(TypeId::new(t)));
+        put_rows(out, supplies, Codec::encode_into);
+        put_rows(out, self.balance_entries(), Codec::encode_into);
+        put_rows(out, self.operator_pairs(), Codec::encode_into);
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        let accounts = get_id(input)?;
+        let Id(accounts) = Id::decode(input)?;
         if accounts == 0 {
             return Err(CodecError::Invalid("ERC1155 state needs >= 1 account"));
         }
-        let types = get_id(input)?;
-        if types > input.len() / 8 + 1 {
-            return Err(CodecError::Truncated);
-        }
-        let mut supplies = Vec::with_capacity(types);
-        for _ in 0..types {
-            supplies.push(get_u64(input)?);
-        }
+        let supplies: Vec<Amount> = get_list(input, Codec::decode)?;
+        let types = supplies.len();
         // Deploy parks every supply at account 0, then redistribute: the
         // cached per-type supplies are rebuilt by `set_balance`, so the
         // final cache equals the sum of the decoded entries — validated
@@ -664,43 +707,25 @@ impl Codec for Erc1155State {
         for t in 0..types {
             state.set_balance(deployer.own_account(), TypeId::new(t), 0);
         }
-        let entries = get_id(input)?;
-        let mut last_entry = None;
-        for _ in 0..entries {
-            let type_id = get_id(input)?;
-            let account = get_id(input)?;
-            let value = get_u64(input)?;
-            if type_id >= types || account >= accounts {
+        get_rows(input, |input| {
+            let (type_id, account, value): (TypeId, AccountId, Amount) = Codec::decode(input)?;
+            if type_id.index() >= types || account.index() >= accounts {
                 return Err(CodecError::Invalid("balance entry out of range"));
             }
             if value == 0 {
                 return Err(CodecError::Invalid("zero balance entry not canonical"));
             }
-            if last_entry.is_some_and(|last| (type_id, account) <= last) {
-                return Err(CodecError::Invalid("balance entries not strictly sorted"));
-            }
-            last_entry = Some((type_id, account));
-            state.set_balance(AccountId::new(account), TypeId::new(type_id), value);
-        }
+            state.set_balance(account, type_id, value);
+            Ok(((type_id, account), ()))
+        })?;
         for (t, &declared) in supplies.iter().enumerate() {
             if state.total_supply(TypeId::new(t)) != declared {
                 return Err(CodecError::Invalid("per-type supply mismatch"));
             }
         }
-        let pairs = get_id(input)?;
-        let mut last_pair = None;
-        for _ in 0..pairs {
-            let holder = get_id(input)?;
-            let operator = get_id(input)?;
-            if holder >= accounts || operator >= accounts {
-                return Err(CodecError::Invalid("operator pair out of range"));
-            }
-            if last_pair.is_some_and(|last| (holder, operator) <= last) {
-                return Err(CodecError::Invalid("operator pairs not strictly sorted"));
-            }
-            last_pair = Some((holder, operator));
-            state.set_operator(AccountId::new(holder), ProcessId::new(operator), true);
-        }
+        get_operator_pairs(input, accounts, |holder, operator| {
+            state.set_operator(holder.own_account(), operator, true);
+        })?;
         Ok(state)
     }
 }
@@ -717,153 +742,66 @@ impl StateCodec for Erc1155State {
 // delta is folded onto a concrete base state (`apply_to`), which is the
 // only place the bound is known.
 
-/// Shared `(u32, u32, bool)` row list encoding for the operator-pair
-/// deltas of ERC721 and ERC1155.
-fn put_pair_rows(out: &mut Vec<u8>, rows: &[(u32, u32, bool)]) {
-    put_u32(
-        out,
-        u32::try_from(rows.len()).expect("row count exceeds u32"),
-    );
-    for &(a, b, on) in rows {
-        put_u32(out, a);
-        put_u32(out, b);
-        put_u8(out, u8::from(on));
-    }
-}
-
-fn get_pair_rows(input: &mut &[u8]) -> Result<Vec<(u32, u32, bool)>, CodecError> {
-    let count = get_u32(input)? as usize;
-    let mut rows = Vec::with_capacity(count.min(input.len() / 9 + 1));
-    let mut last = None;
-    for _ in 0..count {
-        let a = get_u32(input)?;
-        let b = get_u32(input)?;
-        let on = get_bool(input)?;
-        if last.is_some_and(|l| (a, b) <= l) {
-            return Err(CodecError::Invalid("pair rows not strictly sorted"));
-        }
-        last = Some((a, b));
-        rows.push((a, b, on));
-    }
-    Ok(rows)
+/// The `(holder, operator, enabled)` table of the ERC721 and ERC1155
+/// deltas.
+fn get_toggled_pairs(input: &mut &[u8]) -> Result<Vec<(u32, u32, bool)>, CodecError> {
+    get_rows(input, |input| {
+        let row: (u32, u32, bool) = Codec::decode(input)?;
+        Ok(((row.0, row.1), row))
+    })
 }
 
 impl Codec for Erc20Delta {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        put_u32(
-            out,
-            u32::try_from(self.rows.len()).expect("row count exceeds u32"),
-        );
-        for (account, balance, row) in &self.rows {
-            put_u32(out, *account);
-            put_u64(out, *balance);
-            put_u32(out, u32::try_from(row.len()).expect("row exceeds u32"));
-            for (spender, value) in row.iter() {
-                put_id(out, spender.index());
-                put_u64(out, value);
-            }
-        }
+        put_rows(out, &self.rows, |(account, balance, row), out| {
+            (*account, *balance).encode_into(out);
+            put_rows(out, row.iter(), Codec::encode_into);
+        });
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        let count = get_u32(input)? as usize;
-        let mut rows = Vec::with_capacity(count.min(input.len() / 16 + 1));
-        let mut last_account = None;
-        for _ in 0..count {
-            let account = get_u32(input)?;
-            if last_account.is_some_and(|l| account <= l) {
-                return Err(CodecError::Invalid("delta rows not strictly sorted"));
-            }
-            last_account = Some(account);
-            let balance = get_u64(input)?;
-            let entries = get_u32(input)? as usize;
-            let mut map = SpenderMap::new();
-            let mut last_spender = None;
-            for _ in 0..entries {
-                let spender = get_id(input)?;
-                let value = get_u64(input)?;
-                if value == 0 {
-                    return Err(CodecError::Invalid("zero allowance entry not canonical"));
-                }
-                if last_spender.is_some_and(|l| spender <= l) {
-                    return Err(CodecError::Invalid("allowance entries not strictly sorted"));
-                }
-                last_spender = Some(spender);
-                map.set(spender, value);
-            }
-            rows.push((account, balance, map));
-        }
+        let rows = get_rows(input, |input| {
+            let (account, balance): (u32, Amount) = Codec::decode(input)?;
+            let mut row = SpenderMap::new();
+            get_allowances(input, usize::MAX, |spender, value| {
+                row.set(spender.index(), value);
+            })?;
+            Ok((account, (account, balance, row)))
+        })?;
         Ok(Erc20Delta { rows })
     }
 }
 
 impl Codec for Erc721Delta {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        put_u32(
-            out,
-            u32::try_from(self.tokens.len()).expect("row count exceeds u32"),
-        );
-        for &(token, owner, approved) in &self.tokens {
-            put_u32(out, token);
-            put_u32(out, owner);
-            put_opt_process(out, approved.map(|a| ProcessId::new(a as usize)));
-        }
-        put_pair_rows(out, &self.operators);
+        put_rows(out, self.tokens.iter().copied(), Codec::encode_into);
+        put_rows(out, self.operators.iter().copied(), Codec::encode_into);
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        let count = get_u32(input)? as usize;
-        let mut tokens = Vec::with_capacity(count.min(input.len() / 9 + 1));
-        let mut last_token = None;
-        for _ in 0..count {
-            let token = get_u32(input)?;
-            if last_token.is_some_and(|l| token <= l) {
-                return Err(CodecError::Invalid("delta token rows not strictly sorted"));
-            }
-            last_token = Some(token);
-            let owner = get_u32(input)?;
-            let approved =
-                get_opt_process(input)?.map(|p| u32::try_from(p.index()).expect("u32-decoded id"));
-            tokens.push((token, owner, approved));
-        }
-        let operators = get_pair_rows(input)?;
+        let tokens = get_rows(input, |input| {
+            let row: (u32, u32, Option<u32>) = Codec::decode(input)?;
+            Ok((row.0, row))
+        })?;
+        let operators = get_toggled_pairs(input)?;
         Ok(Erc721Delta { tokens, operators })
     }
 }
 
 impl Codec for Erc1155Delta {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        put_u32(
-            out,
-            u32::try_from(self.balances.len()).expect("row count exceeds u32"),
-        );
-        for &(type_id, account, value) in &self.balances {
-            put_u32(out, type_id);
-            put_u32(out, account);
-            put_u64(out, value);
-        }
-        put_pair_rows(out, &self.operators);
+        put_rows(out, self.balances.iter().copied(), Codec::encode_into);
+        put_rows(out, self.operators.iter().copied(), Codec::encode_into);
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        let count = get_u32(input)? as usize;
-        let mut balances = Vec::with_capacity(count.min(input.len() / 16 + 1));
-        let mut last = None;
-        for _ in 0..count {
-            let type_id = get_u32(input)?;
-            let account = get_u32(input)?;
-            // Zero values are meaningful here (the cell is now empty),
-            // unlike the state encoding's positive-only entries.
-            let value = get_u64(input)?;
-            if last.is_some_and(|l| (type_id, account) <= l) {
-                return Err(CodecError::Invalid(
-                    "delta balance rows not strictly sorted",
-                ));
-            }
-            last = Some((type_id, account));
-            balances.push((type_id, account, value));
-        }
-        let operators = get_pair_rows(input)?;
+        // Zero values are meaningful here (the cell is now empty), unlike
+        // the state encoding's positive-only entries.
+        let balances = get_rows(input, |input| {
+            let row: (u32, u32, Amount) = Codec::decode(input)?;
+            Ok(((row.0, row.1), row))
+        })?;
+        let operators = get_toggled_pairs(input)?;
         Ok(Erc1155Delta {
             balances,
             operators,
@@ -874,6 +812,14 @@ impl Codec for Erc1155Delta {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn put_u32(out: &mut Vec<u8>, v: u32) {
+        v.encode_into(out);
+    }
+
+    fn put_u64(out: &mut Vec<u8>, v: u64) {
+        v.encode_into(out);
+    }
 
     fn roundtrip<T: Codec + PartialEq + std::fmt::Debug>(value: T) {
         let bytes = value.encode();
@@ -1107,7 +1053,7 @@ mod tests {
         let mut input = bytes.as_slice();
         assert_eq!(
             Erc20State::decode(&mut input),
-            Err(CodecError::Invalid("allowance rows not strictly sorted"))
+            Err(CodecError::Invalid("table rows not strictly sorted"))
         );
         // Unsorted spenders within a row.
         let mut bytes = Vec::new();
@@ -1125,7 +1071,7 @@ mod tests {
         let mut input = bytes.as_slice();
         assert_eq!(
             Erc20State::decode(&mut input),
-            Err(CodecError::Invalid("allowance entries not strictly sorted"))
+            Err(CodecError::Invalid("table rows not strictly sorted"))
         );
         // An empty row is never emitted by the encoder.
         let mut bytes = Vec::new();

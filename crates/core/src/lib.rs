@@ -77,7 +77,6 @@ pub mod setup;
 pub mod shared;
 pub mod standards;
 pub mod token_consensus;
-mod util;
 
 pub use analysis::{consensus_number_bounds, enabled_spenders, CnBounds, SyncMonitor};
 pub use emulation::RestrictedToken;

@@ -21,6 +21,7 @@ mod coarse;
 mod fine;
 mod interface;
 mod sharded;
+pub(crate) mod striped;
 
 pub use coarse::CoarseErc20;
 pub use fine::SharedErc20;

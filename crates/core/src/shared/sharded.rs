@@ -18,18 +18,16 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::{Mutex, MutexGuard};
 use tokensync_spec::{AccountId, Amount, ProcessId};
 
 use crate::erc20::{Erc20Delta, Erc20Op, Erc20Resp, Erc20State, SpenderMap};
 use crate::error::TokenError;
-use crate::util::CacheLine;
 
 use super::interface::{apply_erc20, ConcurrentObject, ConcurrentToken};
+use super::striped::{default_stripes, Striped, Striping};
 
-/// The accounts striped onto one lock: account `i` lives in shard
-/// `i % stripe` at slot `i / stripe`.
-#[derive(Debug, Default)]
+/// The accounts striped onto one lock, one dense row per slot.
+#[derive(Debug)]
 struct Shard {
     balances: Vec<Amount>,
     allowances: Vec<SpenderMap>,
@@ -48,19 +46,18 @@ impl Shard {
     }
 }
 
-/// An ERC20 token striped across `min(n, 4 × cores)` lock shards.
+/// An ERC20 token striped by **account** across `min(n, 4 × cores)` lock
+/// shards (striping scheme and lock order: `shared/striped.rs`, the one
+/// container every sharded object is built on).
 ///
-/// Each operation locks only the shards of the accounts it touches, in
-/// ascending shard order (a global lock order, so no deadlock is
-/// possible):
+/// Each operation locks only the shards of the accounts it touches:
 ///
 /// * `transfer` / `transferFrom` — at most two shards;
 /// * `approve`, `allowance`, `balanceOf` — one shard;
 /// * `totalSupply` — **zero** shards (cached atomic; supply is invariant
 ///   under every operation);
-/// * [`ConcurrentToken::state_snapshot`] — all shards, ascending; `O(4 ×
-///   cores)` lock acquisitions instead of the `O(n)` of the per-account
-///   design.
+/// * [`ConcurrentToken::state_snapshot`] — all shards; `O(4 × cores)`
+///   lock acquisitions instead of the `O(n)` of the per-account design.
 ///
 /// Linearizability is established empirically by the recorded-history
 /// stress tests in `shared::tests` and the proptest suite in
@@ -81,14 +78,7 @@ impl Shard {
 /// ```
 #[derive(Debug)]
 pub struct ShardedErc20 {
-    shards: Vec<CacheLine<Mutex<Shard>>>,
-    /// The shard count `stripe` is a power of two; account `i` maps to
-    /// shard `i & (stripe - 1)` at slot `i >> stripe.trailing_zeros()` —
-    /// shift and mask, not division, because the stripe math sits on
-    /// the hot path of every single operation. This is `stripe - 1`.
-    mask: usize,
-    /// `log2(stripe)`.
-    shift: u32,
+    shards: Striped<Shard>,
     accounts: usize,
     /// Cached `Σ_a β(a)`; constant after construction because every
     /// operation conserves the supply.
@@ -99,13 +89,8 @@ impl ShardedErc20 {
     /// The default stripe count: `min(n, 4 × available cores)` rounded
     /// *down* to a power of two (so the bound is never exceeded), at
     /// least 1.
-    ///
-    /// Four stripes per core keeps the collision probability of two random
-    /// concurrent operations low (≤ 1/4 per pair per core) without paying
-    /// for a mutex per account; the power-of-two constraint turns the
-    /// per-operation stripe math into shift/mask.
     pub fn default_shards(n: usize) -> usize {
-        crate::util::default_stripe(n)
+        default_stripes(n)
     }
 
     /// Deploys a fresh token (deployer holds the whole supply) over the
@@ -126,19 +111,14 @@ impl ShardedErc20 {
     }
 
     /// Wraps `state` over an explicit number of shards (tests exercise
-    /// degenerate stripings; benchmarks sweep the knob).
+    /// degenerate stripings).
     ///
     /// # Panics
     ///
     /// Panics if `shards` is zero or not a power of two.
     pub fn with_shards(state: Erc20State, shards: usize) -> Self {
-        assert!(
-            shards.is_power_of_two(),
-            "shard count must be a power of two (got {shards})"
-        );
+        let at = Striping::new(shards);
         let n = state.accounts();
-        let supply = state.total_supply();
-        // Shard s holds accounts s, s + stripe, s + 2·stripe, …
         let mut built: Vec<Shard> = (0..shards)
             .map(|_| Shard {
                 balances: Vec::with_capacity(n / shards + 1),
@@ -146,9 +126,10 @@ impl ShardedErc20 {
                 dirty: Vec::new(),
             })
             .collect();
+        // Ascending accounts push ascending slots onto each shard.
         for i in 0..n {
             let account = AccountId::new(i);
-            let shard = &mut built[i % shards];
+            let shard = &mut built[at.stripe_of(i)];
             shard.balances.push(state.balance(account));
             shard.allowances.push(state.approval_row(account).clone());
         }
@@ -156,14 +137,9 @@ impl ShardedErc20 {
             shard.dirty = vec![0; shard.balances.len().div_ceil(64)];
         }
         Self {
-            shards: built
-                .into_iter()
-                .map(|s| CacheLine(Mutex::new(s)))
-                .collect(),
-            mask: shards - 1,
-            shift: shards.trailing_zeros(),
+            shards: Striped::new(built),
             accounts: n,
-            supply: AtomicU64::new(supply),
+            supply: AtomicU64::new(state.total_supply()),
         }
     }
 
@@ -177,36 +153,23 @@ impl ShardedErc20 {
     /// `snapshot()` exactly; mid-traffic the rows are each individually
     /// consistent but need not form an atomic cut.
     pub fn drain_delta(&self) -> Erc20Delta {
-        let mut rows = Vec::new();
-        for (shard_idx, cell) in self.shards.iter().enumerate() {
-            let shard = &mut *cell.0.lock();
+        let (at, mut rows) = (self.shards.at(), Vec::new());
+        self.shards.each(|shard_idx, shard| {
             for (word_idx, word) in shard.dirty.iter_mut().enumerate() {
-                let mut bits = *word;
-                *word = 0;
+                let mut bits = std::mem::take(word);
                 while bits != 0 {
                     let slot = (word_idx << 6) | bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    let account = ((slot << self.shift) | shard_idx) as u32;
                     rows.push((
-                        account,
+                        at.key_at(shard_idx, slot) as u32,
                         shard.balances[slot],
                         shard.allowances[slot].clone(),
                     ));
                 }
             }
-        }
+        });
         rows.sort_unstable_by_key(|&(a, _, _)| a);
         Erc20Delta { rows }
-    }
-
-    #[inline]
-    fn shard_of(&self, account: usize) -> usize {
-        account & self.mask
-    }
-
-    #[inline]
-    fn slot_of(&self, account: usize) -> usize {
-        account >> self.shift
     }
 
     fn check_account(&self, account: AccountId) -> Result<(), TokenError> {
@@ -224,11 +187,6 @@ impl ShardedErc20 {
             Err(TokenError::UnknownProcess { process })
         }
     }
-
-    /// Locks every shard in ascending order (snapshot only).
-    fn lock_all(&self) -> Vec<MutexGuard<'_, Shard>> {
-        self.shards.iter().map(|s| s.0.lock()).collect()
-    }
 }
 
 impl ConcurrentObject for ShardedErc20 {
@@ -241,15 +199,17 @@ impl ConcurrentObject for ShardedErc20 {
     }
 
     fn snapshot(&self) -> Erc20State {
-        let guards = self.lock_all();
+        let (at, guards) = (self.shards.at(), self.shards.lock_all());
+        let row = |i: usize| (&guards[at.stripe_of(i)], at.slot_of(i));
         let mut balances = vec![0; self.accounts];
-        for i in 0..self.accounts {
-            balances[i] = guards[self.shard_of(i)].balances[self.slot_of(i)];
+        for (i, balance) in balances.iter_mut().enumerate() {
+            let (shard, slot) = row(i);
+            *balance = shard.balances[slot];
         }
         let mut state = Erc20State::from_balances(balances);
         for i in 0..self.accounts {
-            let shard = &guards[self.shard_of(i)];
-            for (spender, v) in shard.allowances[self.slot_of(i)].iter() {
+            let (shard, slot) = row(i);
+            for (spender, v) in shard.allowances[slot].iter() {
                 state.set_allowance(AccountId::new(i), spender, v);
             }
         }
@@ -266,49 +226,25 @@ impl ConcurrentToken for ShardedErc20 {
         self.check_process(caller)?;
         self.check_account(to)?;
         let from = caller.own_account();
-        // Hot path: written as straight-line indexed code — no closures,
-        // no simultaneous-borrow gymnastics — because at tens of millions
-        // of ops per second every saved branch shows up in the baseline.
-        let (fs, ts) = (self.shard_of(from.index()), self.shard_of(to.index()));
-        let (fi, ti) = (self.slot_of(from.index()), self.slot_of(to.index()));
-        if fs == ts {
-            // Covers from == to as well (fi == ti debits then credits the
-            // same slot: checked, then a net no-op — the ERC20 semantics).
-            let shard = &mut *self.shards[fs].0.lock();
-            let balance = shard.balances[fi];
-            if balance < value {
-                return Err(TokenError::InsufficientBalance {
-                    account: from,
-                    balance,
-                    required: value,
-                });
-            }
-            shard.balances[fi] = balance - value;
-            shard.balances[ti] += value;
-            shard.mark(fi);
-            shard.mark(ti);
-        } else {
-            let (lo, hi) = (fs.min(ts), fs.max(ts));
-            let mut lo_guard = self.shards[lo].0.lock();
-            let mut hi_guard = self.shards[hi].0.lock();
-            let (src, dst) = if fs == lo {
-                (&mut *lo_guard, &mut *hi_guard)
-            } else {
-                (&mut *hi_guard, &mut *lo_guard)
-            };
-            let balance = src.balances[fi];
-            if balance < value {
-                return Err(TokenError::InsufficientBalance {
-                    account: from,
-                    balance,
-                    required: value,
-                });
-            }
-            src.balances[fi] = balance - value;
-            dst.balances[ti] += value;
-            src.mark(fi);
-            dst.mark(ti);
+        let at = self.shards.at();
+        let (fi, ti) = (at.slot_of(from.index()), at.slot_of(to.index()));
+        let mut pair = self.shards.lock_pair(from.index(), to.index());
+        let (src, dst) = pair.split();
+        let balance = src.balances[fi];
+        if balance < value {
+            return Err(TokenError::InsufficientBalance {
+                account: from,
+                balance,
+                required: value,
+            });
         }
+        src.balances[fi] = balance - value;
+        src.mark(fi);
+        // One shard covers from == to as well: debit then credit of the
+        // same slot is a checked net no-op — the ERC20 semantics.
+        let dst = dst.unwrap_or(src);
+        dst.balances[ti] += value;
+        dst.mark(ti);
         Ok(())
     }
 
@@ -322,52 +258,35 @@ impl ConcurrentToken for ShardedErc20 {
         self.check_process(caller)?;
         self.check_account(from)?;
         self.check_account(to)?;
-        let spend = |balance: &mut Amount, allowances: &mut SpenderMap| {
-            let allowance = allowances.get(caller.index());
-            if allowance < value {
-                return Err(TokenError::InsufficientAllowance {
-                    account: from,
-                    spender: caller,
-                    allowance,
-                    required: value,
-                });
-            }
-            if *balance < value {
-                return Err(TokenError::InsufficientBalance {
-                    account: from,
-                    balance: *balance,
-                    required: value,
-                });
-            }
-            allowances.debit(caller.index(), value);
-            *balance -= value;
-            Ok(())
-        };
-        let (fs, ts) = (self.shard_of(from.index()), self.shard_of(to.index()));
-        let (fi, ti) = (self.slot_of(from.index()), self.slot_of(to.index()));
-        if fs == ts {
-            // Covers from == to as well: spend debits the one cell, then
-            // the credit lands back on it (allowance burned, balance kept).
-            let shard = &mut *self.shards[fs].0.lock();
-            let (balances, allowances) = (&mut shard.balances, &mut shard.allowances);
-            spend(&mut balances[fi], &mut allowances[fi])?;
-            balances[ti] += value;
-            shard.mark(fi);
-            shard.mark(ti);
-        } else {
-            let (lo, hi) = (fs.min(ts), fs.max(ts));
-            let mut lo_guard = self.shards[lo].0.lock();
-            let mut hi_guard = self.shards[hi].0.lock();
-            let (src, dst) = if fs == lo {
-                (&mut *lo_guard, &mut *hi_guard)
-            } else {
-                (&mut *hi_guard, &mut *lo_guard)
-            };
-            spend(&mut src.balances[fi], &mut src.allowances[fi])?;
-            dst.balances[ti] += value;
-            src.mark(fi);
-            dst.mark(ti);
+        let at = self.shards.at();
+        let (fi, ti) = (at.slot_of(from.index()), at.slot_of(to.index()));
+        let mut pair = self.shards.lock_pair(from.index(), to.index());
+        let (src, dst) = pair.split();
+        let allowance = src.allowances[fi].get(caller.index());
+        if allowance < value {
+            return Err(TokenError::InsufficientAllowance {
+                account: from,
+                spender: caller,
+                allowance,
+                required: value,
+            });
         }
+        let balance = src.balances[fi];
+        if balance < value {
+            return Err(TokenError::InsufficientBalance {
+                account: from,
+                balance,
+                required: value,
+            });
+        }
+        src.allowances[fi].debit(caller.index(), value);
+        src.balances[fi] = balance - value;
+        src.mark(fi);
+        // from == to: the credit lands back on the debited cell
+        // (allowance burned, balance kept).
+        let dst = dst.unwrap_or(src);
+        dst.balances[ti] += value;
+        dst.mark(ti);
         Ok(())
     }
 
@@ -379,9 +298,9 @@ impl ConcurrentToken for ShardedErc20 {
     ) -> Result<(), TokenError> {
         self.check_process(caller)?;
         self.check_process(spender)?;
-        let account = caller.own_account();
-        let mut shard = self.shards[self.shard_of(account.index())].0.lock();
-        let slot = self.slot_of(account.index());
+        let account = caller.own_account().index();
+        let slot = self.shards.at().slot_of(account);
+        let mut shard = self.shards.lock(account);
         shard.allowances[slot].set(spender.index(), value);
         shard.mark(slot);
         Ok(())
@@ -391,16 +310,16 @@ impl ConcurrentToken for ShardedErc20 {
         if account.index() >= self.accounts {
             return 0;
         }
-        let shard = self.shards[self.shard_of(account.index())].0.lock();
-        shard.balances[self.slot_of(account.index())]
+        let slot = self.shards.at().slot_of(account.index());
+        self.shards.lock(account.index()).balances[slot]
     }
 
     fn allowance(&self, account: AccountId, spender: ProcessId) -> Amount {
         if account.index() >= self.accounts {
             return 0;
         }
-        let shard = self.shards[self.shard_of(account.index())].0.lock();
-        shard.allowances[self.slot_of(account.index())].get(spender.index())
+        let slot = self.shards.at().slot_of(account.index());
+        self.shards.lock(account.index()).allowances[slot].get(spender.index())
     }
 
     fn total_supply(&self) -> Amount {

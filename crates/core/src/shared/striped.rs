@@ -1,0 +1,289 @@
+//! The one lock-striped container under every sharded object
+//! ([`ShardedErc20`](super::ShardedErc20),
+//! [`ShardedErc721`](crate::standards::erc721::ShardedErc721),
+//! [`ShardedErc1155`](crate::standards::erc1155::ShardedErc1155)).
+//!
+//! # Striping scheme
+//!
+//! A key space `0..n` is spread over `S` stripes, `S` a power of two:
+//! key `k` lives in stripe `k & (S − 1)` at slot `k >> log2(S)` — shift
+//! and mask, not division, because the stripe math sits on the hot path
+//! of every operation. Each stripe is one mutex padded to its own cache
+//! line, so neighbouring locks do not false-share under cross-core
+//! traffic. What a stripe *holds* (dense per-slot rows, a sparse map, a
+//! dirty set for incremental snapshots) is the owning object's business;
+//! the container only decides which lock guards which key. The
+//! arithmetic is [`Striping`]; [`Striped`] is that plus the locks.
+//!
+//! # Lock order
+//!
+//! One global order makes deadlock impossible:
+//!
+//! 1. within a container, stripes are acquired in **ascending stripe
+//!    index** — [`Striped::lock_pair`] for the two-key operations
+//!    (transfers), [`Striped::lock_all`] for snapshots; `lock_pair` is
+//!    the only code in the crate that holds two stripes of one container
+//!    outside a snapshot;
+//! 2. an object built from two containers fixes an order between them
+//!    and never acquires against it. `ShardedErc721` is the one such
+//!    object: **every token stripe before every operator stripe** (token
+//!    operations read an operator row under their token lock;
+//!    `setApprovalForAll` takes its operator stripe alone).
+//!
+//! [`Striped::each`] holds one stripe at a time, so drains and audits
+//! never stall more than the stripe they are reading.
+
+use parking_lot::{Mutex, MutexGuard};
+
+/// Pads a stripe to its own cache line.
+#[derive(Debug)]
+#[repr(align(64))]
+struct CacheLine<T>(T);
+
+/// The default stripe count: `min(n, 4 × available cores)` rounded *down*
+/// to a power of two (so the bound is never exceeded), at least 1.
+///
+/// Four stripes per core keeps the collision probability of two random
+/// concurrent operations low (≤ 1/4 per pair per core) without paying
+/// for a lock per slot.
+pub(crate) fn default_stripes(n: usize) -> usize {
+    let cores = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1);
+    let bound = n.clamp(1, 4 * cores);
+    // Largest power of two ≤ bound (bound ≥ 1, so this is well-formed).
+    1 << (usize::BITS - 1 - bound.leading_zeros())
+}
+
+/// Which stripe and slot each key of a striped key space lives in — the
+/// arithmetic half of the container, usable before the locks exist
+/// (objects fill plain stripes with it, then hand them to
+/// [`Striped::new`]).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Striping {
+    /// `S − 1`.
+    mask: usize,
+    /// `log2(S)`.
+    shift: u32,
+}
+
+impl Striping {
+    /// The striping over `count` stripes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` is zero or not a power of two.
+    pub(crate) fn new(count: usize) -> Self {
+        assert!(
+            count.is_power_of_two(),
+            "shard count must be a power of two (got {count})"
+        );
+        Self {
+            mask: count - 1,
+            shift: count.trailing_zeros(),
+        }
+    }
+
+    /// The stripe `key` lives in.
+    #[inline]
+    pub(crate) fn stripe_of(self, key: usize) -> usize {
+        key & self.mask
+    }
+
+    /// The slot of `key` inside its stripe (dense layouts index by it).
+    #[inline]
+    pub(crate) fn slot_of(self, key: usize) -> usize {
+        key >> self.shift
+    }
+
+    /// The key at `slot` of `stripe` — the inverse of
+    /// ([`stripe_of`](Self::stripe_of), [`slot_of`](Self::slot_of)).
+    #[inline]
+    pub(crate) fn key_at(self, stripe: usize, slot: usize) -> usize {
+        (slot << self.shift) | stripe
+    }
+}
+
+/// `S` stripes of state `T`, each behind its own lock; see the module
+/// docs for the striping scheme and the lock order.
+#[derive(Debug)]
+pub(crate) struct Striped<T> {
+    stripes: Vec<CacheLine<Mutex<T>>>,
+    at: Striping,
+}
+
+impl<T> Striped<T> {
+    /// Puts `stripes` — already filled, in stripe order — behind their
+    /// locks. Filling plain stripes first keeps construction lock-free
+    /// and makes the small lock container the object's *last*
+    /// allocation, after the stripes' large vectors; the `stack`
+    /// benchmark's `setup_s` measurably depends on that order (glibc
+    /// trims the heap between reps unless a small chunk caps the
+    /// object's region, and a trimmed region is re-faulted page by page).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stripe count is zero or not a power of two.
+    pub(crate) fn new(stripes: Vec<T>) -> Self {
+        Self {
+            at: Striping::new(stripes.len()),
+            stripes: stripes
+                .into_iter()
+                .map(|s| CacheLine(Mutex::new(s)))
+                .collect(),
+        }
+    }
+
+    /// The container's striping.
+    #[inline]
+    pub(crate) fn at(&self) -> Striping {
+        self.at
+    }
+
+    /// Locks the stripe of `key`.
+    #[inline]
+    pub(crate) fn lock(&self, key: usize) -> MutexGuard<'_, T> {
+        self.stripes[self.at.stripe_of(key)].0.lock()
+    }
+
+    /// Locks the stripes of `src` and `dst`, lower stripe index first.
+    #[inline]
+    pub(crate) fn lock_pair(&self, src: usize, dst: usize) -> Pair<'_, T> {
+        let (s, d) = (self.at.stripe_of(src), self.at.stripe_of(dst));
+        if s == d {
+            return Pair {
+                src: self.stripes[s].0.lock(),
+                dst: None,
+            };
+        }
+        let (lo, hi) = (s.min(d), s.max(d));
+        let lo_guard = self.stripes[lo].0.lock();
+        let hi_guard = self.stripes[hi].0.lock();
+        let (src, dst) = if s == lo {
+            (lo_guard, hi_guard)
+        } else {
+            (hi_guard, lo_guard)
+        };
+        Pair {
+            src,
+            dst: Some(dst),
+        }
+    }
+
+    /// Locks every stripe in ascending order (snapshots only): index `i`
+    /// of the result guards stripe `i`.
+    pub(crate) fn lock_all(&self) -> Vec<MutexGuard<'_, T>> {
+        self.stripes.iter().map(|s| s.0.lock()).collect()
+    }
+
+    /// Visits every stripe in ascending order, **one lock at a time**
+    /// (drains, audits): serving continues on the other stripes, and the
+    /// visit is an atomic cut only at a quiescent point.
+    pub(crate) fn each(&self, mut visit: impl FnMut(usize, &mut T)) {
+        for (index, stripe) in self.stripes.iter().enumerate() {
+            visit(index, &mut stripe.0.lock());
+        }
+    }
+}
+
+/// The locked stripes of a two-key operation, from
+/// [`Striped::lock_pair`].
+pub(crate) struct Pair<'a, T> {
+    src: MutexGuard<'a, T>,
+    /// `None` when both keys share `src`'s stripe.
+    dst: Option<MutexGuard<'a, T>>,
+}
+
+impl<T> Pair<'_, T> {
+    /// The source stripe, and the destination stripe when it is a
+    /// different one. `None` means both keys live in the source stripe
+    /// (covers `src == dst`): finish with `dst.unwrap_or(src)` once the
+    /// source side is done.
+    #[inline]
+    pub(crate) fn split(&mut self) -> (&mut T, Option<&mut T>) {
+        (&mut *self.src, self.dst.as_deref_mut())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn key_at_inverts_stripe_and_slot() {
+        for count in (0..=6).map(|log| 1usize << log) {
+            let at = Striping::new(count);
+            for k in 0..4096 {
+                assert!(at.stripe_of(k) < count);
+                assert_eq!(at.key_at(at.stripe_of(k), at.slot_of(k)), k, "{count}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shard count must be a power of two (got 6)")]
+    fn non_power_of_two_count_panics() {
+        Striped::new(vec![(); 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "shard count must be a power of two (got 0)")]
+    fn zero_count_panics() {
+        Striped::new(Vec::<()>::new());
+    }
+
+    #[test]
+    fn same_stripe_keys_share_one_guard() {
+        let striped = Striped::new(vec![0u32; 4]);
+        for (src, dst) in [(1, 1), (1, 5), (6, 2)] {
+            let mut pair = striped.lock_pair(src, dst);
+            let (src, dst) = pair.split();
+            assert!(dst.is_none());
+            *dst.unwrap_or(src) += 1;
+        }
+        assert_eq!(*striped.lock(1), 2);
+        assert_eq!(*striped.lock(2), 1);
+        // Distinct stripes: src and dst are the stripes of their keys,
+        // whichever index is lower.
+        for (src, dst) in [(0, 3), (3, 0)] {
+            let mut pair = striped.lock_pair(src, dst);
+            let (s, d) = pair.split();
+            *s += 10;
+            *d.expect("two stripes") += 100;
+        }
+        assert_eq!((*striped.lock(0), *striped.lock(3)), (110, 110));
+    }
+
+    #[test]
+    fn opposed_lock_pairs_terminate() {
+        // lock_pair(a, b) racing lock_pair(b, a): without the ascending
+        // order this deadlocks within a few iterations.
+        const ROUNDS: u64 = 20_000;
+        let striped = Striped::new(vec![0u64; 2]);
+        std::thread::scope(|scope| {
+            for (src, dst) in [(0, 1), (1, 0)] {
+                let striped = &striped;
+                scope.spawn(move || {
+                    for _ in 0..ROUNDS {
+                        let mut pair = striped.lock_pair(src, dst);
+                        let (s, d) = pair.split();
+                        *s += 1;
+                        *d.expect("two stripes") += 1;
+                    }
+                });
+            }
+        });
+        let mut totals = Vec::new();
+        striped.each(|_, total| totals.push(*total));
+        assert_eq!(totals, [2 * ROUNDS; 2]);
+    }
+
+    #[test]
+    fn lock_all_and_each_visit_in_stripe_order() {
+        let striped = Striped::new((0..8).collect());
+        let all: Vec<usize> = striped.lock_all().iter().map(|g| **g).collect();
+        assert_eq!(all, (0..8).collect::<Vec<_>>());
+        striped.each(|index, value| assert_eq!(index, *value));
+        assert_eq!(*striped.lock(8 + 5), 5);
+    }
+}

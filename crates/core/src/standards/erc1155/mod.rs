@@ -6,7 +6,8 @@
 //! synchronization requirements but that exact bounds "would need an
 //! in-depth analysis, based on combinations of accounts" — we implement the
 //! object, its operator census (an upper-bound analogue of `σ`), and leave
-//! the exact characterization as documented future work (EXPERIMENTS.md).
+//! the exact characterization as future work (the §6 rows of
+//! `docs/paper-map.md`; `e8_standards` prints the census).
 //!
 //! The `object` submodule provides the standard as a *servable*
 //! concurrent object: the footprinted [`Erc1155Op`]/[`Erc1155Resp`]

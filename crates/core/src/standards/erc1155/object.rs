@@ -25,14 +25,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use parking_lot::{Mutex, MutexGuard};
 use tokensync_spec::{AccountId, Amount, ObjectType, ProcessId};
 
 use crate::analysis::cell_index;
 use crate::analysis::{Access, Cell, Footprint, FootprintedOp};
 use crate::erc20::SpenderMap;
+use crate::shared::striped::{default_stripes, Striped, Striping};
 use crate::shared::ConcurrentObject;
-use crate::util::CacheLine;
 
 use super::TypeId;
 
@@ -482,15 +481,14 @@ struct Shard1155 {
 /// An ERC1155 contract lock-striped by **account**, scaling to ~1M
 /// accounts × many types.
 ///
-/// Account `a` lives in shard `a & (S−1)` at slot `a >> log2(S)` with
-/// `S = min(n, 4 × cores)` shards. An account's operator set lives in
-/// the *same* shard cell as its balances, so a transfer's authorization
-/// check, validation and debit are all under the source shard's lock —
-/// one critical section, no cross-structure ordering concerns. Transfers
-/// lock at most two shards in ascending order (the ERC20 discipline);
-/// per-type `totalSupply` locks **nothing**: supplies are invariant
-/// under every operation, so the constructor-cached values serve every
-/// read.
+/// Accounts are striped over `min(n, 4 × cores)` shards (striping
+/// scheme and lock order: `shared/striped.rs`). An account's operator
+/// set lives in the *same* shard cell as its balances, so a transfer's
+/// authorization check, validation and debit are all under the source
+/// shard's lock — one critical section, no cross-structure ordering
+/// concerns. Transfers lock at most two shards; per-type `totalSupply`
+/// locks **nothing**: supplies are invariant under every operation, so
+/// the constructor-cached values serve every read.
 ///
 /// # Example
 ///
@@ -512,9 +510,7 @@ struct Shard1155 {
 /// ```
 #[derive(Debug)]
 pub struct ShardedErc1155 {
-    shards: Vec<CacheLine<Mutex<Shard1155>>>,
-    mask: usize,
-    shift: u32,
+    shards: Striped<Shard1155>,
     accounts: usize,
     types: usize,
     /// Constructor-cached per-type totals; constant because every
@@ -525,7 +521,7 @@ pub struct ShardedErc1155 {
 impl ShardedErc1155 {
     /// Builds from a sequential state over the default stripe count.
     pub fn from_state(state: Erc1155State) -> Self {
-        let shards = crate::util::default_stripe(state.accounts().max(1));
+        let shards = default_stripes(state.accounts());
         Self::with_shards(state, shards)
     }
 
@@ -536,39 +532,30 @@ impl ShardedErc1155 {
     ///
     /// Panics if `shards` is zero or not a power of two.
     pub fn with_shards(state: Erc1155State, shards: usize) -> Self {
-        assert!(
-            shards.is_power_of_two(),
-            "shard count must be a power of two (got {shards})"
-        );
+        let at = Striping::new(shards);
         let n = state.accounts();
-        let per = n / shards + 1;
         let mut built: Vec<Shard1155> = (0..shards)
             .map(|_| Shard1155 {
-                balances: Vec::with_capacity(per),
-                operators: Vec::with_capacity(per),
-                dirty_bal: BTreeSet::new(),
-                dirty_ops: BTreeSet::new(),
+                balances: Vec::with_capacity(n / shards + 1),
+                operators: Vec::with_capacity(n / shards + 1),
+                ..Shard1155::default()
             })
             .collect();
         for i in 0..n {
-            let shard = &mut built[i & (shards - 1)];
+            let shard = &mut built[at.stripe_of(i)];
             shard.balances.push(SpenderMap::new());
             shard.operators.push(BTreeSet::new());
         }
-        let shift = shards.trailing_zeros();
         for (&(t, a), &v) in &state.balances {
-            built[a as usize & (shards - 1)].balances[a as usize >> shift].set(t as usize, v);
+            let a = a as usize;
+            built[at.stripe_of(a)].balances[at.slot_of(a)].set(t as usize, v);
         }
         for &(h, o) in &state.operators {
-            built[h as usize & (shards - 1)].operators[h as usize >> shift].insert(o);
+            let h = h as usize;
+            built[at.stripe_of(h)].operators[at.slot_of(h)].insert(o);
         }
         Self {
-            shards: built
-                .into_iter()
-                .map(|s| CacheLine(Mutex::new(s)))
-                .collect(),
-            mask: shards - 1,
-            shift,
+            shards: Striped::new(built),
             accounts: n,
             types: state.types(),
             supplies: state.supplies.clone(),
@@ -593,25 +580,14 @@ impl ShardedErc1155 {
     /// divergence means a transfer lost or minted tokens.
     pub fn audit_supplies(&self) -> Vec<Amount> {
         let mut sums = vec![0; self.types];
-        for shard in &self.shards {
-            let shard = shard.0.lock();
+        self.shards.each(|_, shard| {
             for row in &shard.balances {
                 for (t, v) in row.iter() {
                     sums[t.index()] += v;
                 }
             }
-        }
+        });
         sums
-    }
-
-    #[inline]
-    fn shard_of(&self, account: usize) -> usize {
-        account & self.mask
-    }
-
-    #[inline]
-    fn slot_of(&self, account: usize) -> usize {
-        account >> self.shift
     }
 
     /// Drains the copy-on-write dirty sets: the current value of every
@@ -626,17 +602,18 @@ impl ShardedErc1155 {
     pub fn drain_delta(&self) -> Erc1155Delta {
         let mut balances = Vec::new();
         let mut operators = Vec::new();
-        for (shard_idx, cell) in self.shards.iter().enumerate() {
-            let shard = &mut *cell.0.lock();
+        let at = self.shards.at();
+        self.shards.each(|shard_idx, shard| {
+            let account_at = |slot: u32| at.key_at(shard_idx, slot as usize) as u32;
             for (slot, t) in std::mem::take(&mut shard.dirty_bal) {
-                let account = ((slot as usize) << self.shift | shard_idx) as u32;
-                balances.push((t, account, shard.balances[slot as usize].get(t as usize)));
+                let value = shard.balances[slot as usize].get(t as usize);
+                balances.push((t, account_at(slot), value));
             }
             for (slot, o) in std::mem::take(&mut shard.dirty_ops) {
-                let holder = ((slot as usize) << self.shift | shard_idx) as u32;
-                operators.push((holder, o, shard.operators[slot as usize].contains(&o)));
+                let enabled = shard.operators[slot as usize].contains(&o);
+                operators.push((account_at(slot), o, enabled));
             }
-        }
+        });
         balances.sort_unstable_by_key(|&(t, a, _)| (t, a));
         operators.sort_unstable_by_key(|&(h, o, _)| (h, o));
         Erc1155Delta {
@@ -667,56 +644,30 @@ impl ShardedErc1155 {
         for &(t, v) in rows {
             *required.entry(cell_index(t.index())).or_insert(0) += v;
         }
-        let (fs, ts) = (self.shard_of(from.index()), self.shard_of(to.index()));
-        let (fi, ti) = (self.slot_of(from.index()), self.slot_of(to.index()));
-        let authorized = |shard: &Shard1155| {
-            caller == from.owner() || shard.operators[fi].contains(&cell_index(caller.index()))
-        };
-        let validate = |shard: &Shard1155| {
-            required
-                .iter()
-                .all(|(&t, &v)| shard.balances[fi].get(t as usize) >= v)
-        };
-        let debit = |shard: &mut Shard1155| {
-            for (&t, &v) in &required {
-                if v > 0 {
-                    shard.balances[fi].debit(t as usize, v);
-                    shard.dirty_bal.insert((fi as u32, t));
-                }
-            }
-        };
-        let credit = |shard: &mut Shard1155, slot: usize| {
-            for (&t, &v) in &required {
-                if v > 0 {
-                    let old = shard.balances[slot].get(t as usize);
-                    shard.balances[slot].set(t as usize, old + v);
-                    shard.dirty_bal.insert((slot as u32, t));
-                }
-            }
-        };
-        if fs == ts {
-            let shard = &mut *self.shards[fs].0.lock();
-            if !authorized(shard) || !validate(shard) {
-                return false;
-            }
-            // Covers from == to as well: debit then credit the same slot
-            // is a validated net no-op — the ERC1155 semantics.
-            debit(shard);
-            credit(shard, ti);
-        } else {
-            let (lo, hi) = (fs.min(ts), fs.max(ts));
-            let mut lo_guard = self.shards[lo].0.lock();
-            let mut hi_guard = self.shards[hi].0.lock();
-            let (src, dst) = if fs == lo {
-                (&mut *lo_guard, &mut *hi_guard)
-            } else {
-                (&mut *hi_guard, &mut *lo_guard)
-            };
-            if !authorized(src) || !validate(src) {
-                return false;
-            }
-            debit(src);
-            credit(dst, ti);
+        required.retain(|_, v| *v > 0); // zero rows move nothing
+        let at = self.shards.at();
+        let (fi, ti) = (at.slot_of(from.index()), at.slot_of(to.index()));
+        let mut pair = self.shards.lock_pair(from.index(), to.index());
+        let (src, dst) = pair.split();
+        let authorized =
+            caller == from.owner() || src.operators[fi].contains(&cell_index(caller.index()));
+        let covered = required
+            .iter()
+            .all(|(&t, &v)| src.balances[fi].get(t as usize) >= v);
+        if !authorized || !covered {
+            return false;
+        }
+        for (&t, &v) in &required {
+            src.balances[fi].debit(t as usize, v);
+            src.dirty_bal.insert((fi as u32, t));
+        }
+        // One shard covers from == to as well: debit then credit of the
+        // same slot is a validated net no-op — the ERC1155 semantics.
+        let dst = dst.unwrap_or(src);
+        for (&t, &v) in &required {
+            let old = dst.balances[ti].get(t as usize);
+            dst.balances[ti].set(t as usize, old + v);
+            dst.dirty_bal.insert((ti as u32, t));
         }
         true
     }
@@ -747,8 +698,8 @@ impl ConcurrentObject for ShardedErc1155 {
                 {
                     return Erc1155Resp::FALSE;
                 }
-                let mut shard = self.shards[self.shard_of(process.index())].0.lock();
-                let slot = self.slot_of(process.index());
+                let mut shard = self.shards.lock(process.index());
+                let slot = self.shards.at().slot_of(process.index());
                 if on {
                     shard.operators[slot].insert(cell_index(operator.index()));
                 } else {
@@ -763,18 +714,16 @@ impl ConcurrentObject for ShardedErc1155 {
                 if account.index() >= self.accounts {
                     return Erc1155Resp::Amount(0);
                 }
-                let shard = self.shards[self.shard_of(account.index())].0.lock();
-                Erc1155Resp::Amount(
-                    shard.balances[self.slot_of(account.index())].get(type_id.index()),
-                )
+                let slot = self.shards.at().slot_of(account.index());
+                let shard = self.shards.lock(account.index());
+                Erc1155Resp::Amount(shard.balances[slot].get(type_id.index()))
             }
             Erc1155Op::TotalSupply { type_id } => Erc1155Resp::Amount(self.total_supply(type_id)),
         }
     }
 
     fn snapshot(&self) -> Erc1155State {
-        let guards: Vec<MutexGuard<'_, Shard1155>> =
-            self.shards.iter().map(|s| s.0.lock()).collect();
+        let (at, guards) = (self.shards.at(), self.shards.lock_all());
         let mut state = Erc1155State {
             accounts: self.accounts,
             balances: BTreeMap::new(),
@@ -782,8 +731,7 @@ impl ConcurrentObject for ShardedErc1155 {
             supplies: self.supplies.clone(),
         };
         for a in 0..self.accounts {
-            let shard = &guards[self.shard_of(a)];
-            let slot = self.slot_of(a);
+            let (shard, slot) = (&guards[at.stripe_of(a)], at.slot_of(a));
             for (t, v) in shard.balances[slot].iter() {
                 state
                     .balances

@@ -24,13 +24,13 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::MutexGuard;
 use tokensync_spec::{ObjectType, ProcessId};
 
 use crate::analysis::cell_index;
 use crate::analysis::{Access, Cell, Footprint, FootprintedOp};
+use crate::shared::striped::{default_stripes, Striped, Striping};
 use crate::shared::ConcurrentObject;
-use crate::util::CacheLine;
 
 use super::TokenId;
 
@@ -515,13 +515,11 @@ struct OpStripe {
 /// An ERC721 contract lock-striped by **token id**, scaling to ~1M
 /// token ids.
 ///
-/// Token `t` lives in shard `t & (S−1)` with `S = min(span, 4 × cores)`
-/// shards; each shard is a sparse hash map over its minted ids, so the
-/// unminted tail of the id space costs nothing. Operator rows are
-/// striped separately by holder. The global lock order is *every token
-/// shard before every operator stripe* (token ops read operator rows
-/// under their token lock; `setApprovalForAll` touches only its operator
-/// stripe), so no deadlock is possible.
+/// Tokens are striped over `min(span, 4 × cores)` shards, each a sparse
+/// hash map over its minted ids, so the unminted tail of the id space
+/// costs nothing. Operator rows are striped separately, by holder — two
+/// containers, always acquired token shard first (striping scheme and
+/// lock order: `shared/striped.rs`).
 ///
 /// Linearizability is established empirically by the per-standard
 /// pipeline proptests
@@ -546,14 +544,10 @@ struct OpStripe {
 /// ```
 #[derive(Debug)]
 pub struct ShardedErc721 {
-    /// Minted tokens of shard `s`: `tokenId → cell` for ids with
-    /// `id & mask == s`, plus the shard's dirty set.
-    token_shards: Vec<CacheLine<Mutex<TokenShard>>>,
-    /// Operator pairs `(holder, operator)` of holder stripe `h & op_mask`,
-    /// plus the stripe's dirty set.
-    operator_stripes: Vec<CacheLine<Mutex<OpStripe>>>,
-    mask: usize,
-    op_mask: usize,
+    /// Keyed by token id.
+    tokens: Striped<TokenShard>,
+    /// Keyed by holder.
+    operators: Striped<OpStripe>,
     processes: usize,
     token_span: usize,
 }
@@ -562,7 +556,7 @@ impl ShardedErc721 {
     /// Builds from a sequential state over the default stripe count
     /// (`min(span, 4 × cores)` rounded down to a power of two).
     pub fn from_state(state: Erc721State) -> Self {
-        let shards = crate::util::default_stripe(state.token_span.max(1));
+        let shards = default_stripes(state.token_span);
         Self::with_shards(state, shards)
     }
 
@@ -573,38 +567,25 @@ impl ShardedErc721 {
     ///
     /// Panics if `shards` is zero or not a power of two.
     pub fn with_shards(state: Erc721State, shards: usize) -> Self {
-        assert!(
-            shards.is_power_of_two(),
-            "shard count must be a power of two (got {shards})"
-        );
-        let op_stripes = crate::util::default_stripe(state.processes.max(1));
-        let mut token_shards: Vec<TokenShard> = vec![TokenShard::default(); shards];
+        let by_token = Striping::new(shards);
+        let mut tokens = vec![TokenShard::default(); shards];
         for (&t, &owner) in &state.owners {
-            token_shards[t as usize & (shards - 1)].cells.insert(
-                t,
-                NftCell {
-                    owner,
-                    approved: state.approved.get(&t).copied(),
-                },
-            );
+            let approved = state.approved.get(&t).copied();
+            tokens[by_token.stripe_of(t as usize)]
+                .cells
+                .insert(t, NftCell { owner, approved });
         }
-        let mut operator_stripes: Vec<OpStripe> = vec![OpStripe::default(); op_stripes];
+        let op_stripes = default_stripes(state.processes);
+        let by_holder = Striping::new(op_stripes);
+        let mut operators = vec![OpStripe::default(); op_stripes];
         for &(h, o) in &state.operators {
-            operator_stripes[h as usize & (op_stripes - 1)]
+            operators[by_holder.stripe_of(h as usize)]
                 .pairs
                 .insert((h, o));
         }
         Self {
-            token_shards: token_shards
-                .into_iter()
-                .map(|s| CacheLine(Mutex::new(s)))
-                .collect(),
-            operator_stripes: operator_stripes
-                .into_iter()
-                .map(|s| CacheLine(Mutex::new(s)))
-                .collect(),
-            mask: shards - 1,
-            op_mask: op_stripes - 1,
+            tokens: Striped::new(tokens),
+            operators: Striped::new(operators),
             processes: state.processes,
             token_span: state.token_span,
         }
@@ -616,16 +597,15 @@ impl ShardedErc721 {
     }
 
     fn token_shard(&self, token: u32) -> MutexGuard<'_, TokenShard> {
-        self.token_shards[token as usize & self.mask].0.lock()
+        self.tokens.lock(token as usize)
     }
 
     /// Whether `(holder, operator)` is enabled — acquires the holder's
     /// operator stripe (callers must already hold no operator stripe and
     /// may hold token shards: the global token-before-operator order).
     fn operator_enabled(&self, holder: u32, operator: u32) -> bool {
-        self.operator_stripes[holder as usize & self.op_mask]
-            .0
-            .lock()
+        self.operators
+            .lock(holder as usize)
             .pairs
             .contains(&(holder, operator))
     }
@@ -644,21 +624,19 @@ impl ShardedErc721 {
     /// exactly.
     pub fn drain_delta(&self) -> Erc721Delta {
         let mut tokens = Vec::new();
-        for cell in &self.token_shards {
-            let shard = &mut *cell.0.lock();
+        self.tokens.each(|_, shard| {
             for t in std::mem::take(&mut shard.dirty) {
                 if let Some(c) = shard.cells.get(&t) {
                     tokens.push((t, c.owner, c.approved));
                 }
             }
-        }
+        });
         let mut operators = Vec::new();
-        for cell in &self.operator_stripes {
-            let stripe = &mut *cell.0.lock();
+        self.operators.each(|_, stripe| {
             for pair in std::mem::take(&mut stripe.dirty) {
                 operators.push((pair.0, pair.1, stripe.pairs.contains(&pair)));
             }
-        }
+        });
         tokens.sort_unstable_by_key(|&(t, _, _)| t);
         operators.sort_unstable_by_key(|&(h, o, _)| (h, o));
         Erc721Delta { tokens, operators }
@@ -750,9 +728,7 @@ impl ConcurrentObject for ShardedErc721 {
                     return Erc721Resp::FALSE;
                 }
                 let pair = (cell_index(process.index()), cell_index(operator.index()));
-                let mut stripe = self.operator_stripes[pair.0 as usize & self.op_mask]
-                    .0
-                    .lock();
+                let mut stripe = self.operators.lock(pair.0 as usize);
                 if on {
                     stripe.pairs.insert(pair);
                 } else {
@@ -788,10 +764,9 @@ impl ConcurrentObject for ShardedErc721 {
     }
 
     fn snapshot(&self) -> Erc721State {
-        // Global lock order: every token shard (ascending), then every
-        // operator stripe (ascending).
-        let token_guards: Vec<_> = self.token_shards.iter().map(|s| s.0.lock()).collect();
-        let operator_guards: Vec<_> = self.operator_stripes.iter().map(|s| s.0.lock()).collect();
+        // Token shards before operator stripes, as everywhere.
+        let token_guards = self.tokens.lock_all();
+        let operator_guards = self.operators.lock_all();
         let mut state = Erc721State::new(self.processes, self.token_span);
         for shard in &token_guards {
             for (&t, cell) in shard.cells.iter() {

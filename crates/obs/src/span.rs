@@ -21,7 +21,6 @@ pub enum Stage {
     Commit,
     Seal,
     WalAppend,
-    Fsync,
     SnapshotWrite,
     QuorumAck,
 }
@@ -38,7 +37,6 @@ impl Stage {
             Stage::Commit => "commit",
             Stage::Seal => "seal",
             Stage::WalAppend => "wal_append",
-            Stage::Fsync => "fsync",
             Stage::SnapshotWrite => "snapshot_write",
             Stage::QuorumAck => "quorum_ack",
         }
@@ -216,11 +214,11 @@ mod tests {
     #[test]
     fn render_trace_mentions_every_stage() {
         let ring = SpanRing::new(16);
-        ring.push(ev(3, Stage::Fsync, 50, 900));
+        ring.push(ev(3, Stage::SnapshotWrite, 50, 900));
         ring.push(ev(3, Stage::WalAppend, 40, 10));
         let text = ring.render_trace(3);
         assert!(text.contains("wal_append"));
-        assert!(text.contains("fsync"));
+        assert!(text.contains("snapshot_write"));
         assert!(text.starts_with("batch 3"));
     }
 }

@@ -215,8 +215,26 @@ impl<T: ConcurrentObject, S> ServerHandle<T, S> {
     }
 }
 
-/// Accepts until `shutdown`; returns the threads of every connection it
-/// served, for `finish` to join.
+/// Joins and drops every connection whose reader *and* writer have
+/// exited, so the list is bounded by live connections rather than by
+/// every session ever served. A thread's panic propagates here exactly
+/// as it would have in `finish`.
+fn reap_finished(threads: &mut Vec<ConnThreads>) {
+    let mut i = 0;
+    while i < threads.len() {
+        if threads[i].0.is_finished() && threads[i].1.is_finished() {
+            let (reader, writer) = threads.swap_remove(i);
+            reader.join().expect("conn reader panicked");
+            writer.join().expect("conn writer panicked");
+        } else {
+            i += 1;
+        }
+    }
+}
+
+/// Accepts until `shutdown`, reaping finished connections every tick;
+/// returns the threads of the connections still live, for `finish` to
+/// join.
 fn accept_loop<T>(
     listener: TcpListener,
     shutdown: Arc<AtomicBool>,
@@ -232,6 +250,7 @@ where
 {
     let mut threads = Vec::new();
     while !shutdown.load(Ordering::SeqCst) {
+        reap_finished(&mut threads);
         match listener.accept() {
             Ok((stream, _peer)) => {
                 obs.sessions.inc();
@@ -424,4 +443,39 @@ where
         }
     }
     (rejected == 0 || state.push(rejects, rejected)) && intact
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    fn wait_finished(handle: &JoinHandle<()>) {
+        while !handle.is_finished() {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn reap_drops_finished_pairs_and_keeps_running_ones() {
+        let (release, parked) = mpsc::channel::<()>();
+        let done = (std::thread::spawn(|| ()), std::thread::spawn(|| ()));
+        // Reader gone, writer still flushing: the pair must stay.
+        let half = (
+            std::thread::spawn(|| ()),
+            std::thread::spawn(move || parked.recv().expect("released")),
+        );
+        for handle in [&done.0, &done.1, &half.0] {
+            wait_finished(handle);
+        }
+        let mut threads = vec![done, half];
+        reap_finished(&mut threads);
+        assert_eq!(threads.len(), 1, "finished pair reaped, live pair kept");
+        assert!(!threads[0].1.is_finished());
+
+        release.send(()).expect("writer parked");
+        wait_finished(&threads[0].1);
+        reap_finished(&mut threads);
+        assert!(threads.is_empty());
+    }
 }
