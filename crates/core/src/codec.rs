@@ -715,7 +715,9 @@ impl Codec for Erc1155State {
             if value == 0 {
                 return Err(CodecError::Invalid("zero balance entry not canonical"));
             }
-            state.set_balance(account, type_id, value);
+            if !state.try_set_balance(account, type_id, value) {
+                return Err(CodecError::Invalid("per-type supply exceeds u64"));
+            }
             Ok(((type_id, account), ()))
         })?;
         for (t, &declared) in supplies.iter().enumerate() {

@@ -64,6 +64,12 @@ impl Shard {
 /// `tests/sharded_linearizability.rs`, both through
 /// [`check_linearizable`](tokensync_spec::check_linearizable).
 ///
+/// Incremental snapshots follow the mark/drain contract of
+/// `shared/striped.rs`: every mutation sets its slot's bit in the
+/// shard's dirty bitmap (one OR-store under the lock it holds), and
+/// [`drain_delta`](ShardedErc20::drain_delta) scans and clears the
+/// bitmaps — one bit per account of tracking, whatever the traffic.
+///
 /// # Example
 ///
 /// ```

@@ -32,6 +32,34 @@
 //!
 //! [`Striped::each`] holds one stripe at a time, so drains and audits
 //! never stall more than the stripe they are reading.
+//!
+//! # Mark/drain contract
+//!
+//! Incremental snapshots need, per stripe, the set of cells written
+//! since the last `drain_delta`. Every object keeps it the same way, so
+//! that a mark costs the operation nothing it can feel:
+//!
+//! * **mark** — under the stripe lock the write already holds, test a
+//!   *dirty flag stored with the cell* and, on the clean → dirty
+//!   transition only, record the cell's key in the stripe: `O(1)`, no
+//!   comparison, no allocation beyond the list's amortised growth;
+//! * **exact** — a key is recorded at most once between drains, so the
+//!   tracking is bounded by the *distinct* dirty cells even on an
+//!   object nobody ever drains (a volatile engine, a store with
+//!   snapshots off), and a drain needs no de-duplication;
+//! * **drain** — under the same lock, walk what was recorded, read each
+//!   cell's *current* value, clear its flag, forget the key. A cell the
+//!   object would otherwise drop (a balance debited to zero) stays,
+//!   reading as absent, until the drain has reported it;
+//! * **order** — none is kept: `drain_delta` sorts the rows of all
+//!   stripes by key once, so a delta's bytes depend only on which cells
+//!   were written.
+//!
+//! `ShardedErc20` flags a slot in a per-stripe bitmap and drains by
+//! scanning it (dense slots: the bitmap *is* the record); ERC721's
+//! `NftCell` and ERC1155's `TypedCell` carry the flag and their stripes
+//! a `Vec` of keys. The two operator-pair sets (`setApprovalForAll`
+//! only) are small `BTreeSet`s: exact, but `O(log n)` per mark.
 
 use parking_lot::{Mutex, MutexGuard};
 

@@ -29,7 +29,6 @@ use tokensync_spec::{AccountId, Amount, ObjectType, ProcessId};
 
 use crate::analysis::cell_index;
 use crate::analysis::{Access, Cell, Footprint, FootprintedOp};
-use crate::erc20::SpenderMap;
 use crate::shared::striped::{default_stripes, Striped, Striping};
 use crate::shared::ConcurrentObject;
 
@@ -249,17 +248,51 @@ impl Erc1155State {
     ///
     /// # Panics
     ///
-    /// Panics if either index is out of range.
+    /// Panics if either index is out of range, or if the type's supply
+    /// would pass `u64::MAX`.
     pub fn set_balance(&mut self, account: AccountId, type_id: TypeId, value: Amount) {
+        assert!(
+            self.try_set_balance(account, type_id, value),
+            "per-type supply exceeds u64::MAX"
+        );
+    }
+
+    /// [`set_balance`](Self::set_balance) for values from outside the
+    /// program (the state decoder): `false`, with nothing changed, if
+    /// the type's supply would pass `u64::MAX`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range.
+    pub(crate) fn try_set_balance(
+        &mut self,
+        account: AccountId,
+        type_id: TypeId,
+        value: Amount,
+    ) -> bool {
         assert!(account.index() < self.accounts && type_id.index() < self.types());
         let key = (cell_index(type_id.index()), cell_index(account.index()));
-        let old = if value == 0 {
-            self.balances.remove(&key).unwrap_or(0)
-        } else {
-            self.balances.insert(key, value).unwrap_or(0)
-        };
+        let old = self.replace_cell(key, value);
         let supply = &mut self.supplies[type_id.index()];
-        *supply = *supply - old + value;
+        match (*supply - old).checked_add(value) {
+            Some(replaced) => *supply = replaced,
+            None => {
+                self.replace_cell(key, old);
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Overwrites one balance cell (zero empties it) and returns what it
+    /// held; the caller keeps the supply cache in step.
+    fn replace_cell(&mut self, key: (u32, u32), value: Amount) -> Amount {
+        let old = if value == 0 {
+            self.balances.remove(&key)
+        } else {
+            self.balances.insert(key, value)
+        };
+        old.unwrap_or(0)
     }
 
     /// The positive balance entries `((type, account) → amount)` in
@@ -310,24 +343,20 @@ impl Erc1155State {
         {
             return false;
         }
-        let mut required: BTreeMap<u32, Amount> = BTreeMap::new();
-        for &(t, v) in rows {
-            if t.index() >= self.types() {
-                return false;
-            }
-            *required.entry(cell_index(t.index())).or_insert(0) += v;
+        if rows.iter().any(|(t, _)| t.index() >= self.types()) {
+            return false;
         }
+        let Some(required) = Required::of(rows) else {
+            return false;
+        };
         let f = cell_index(from.index());
-        for (&t, &v) in &required {
+        for &(t, v) in required.rows() {
             if self.balances.get(&(t, f)).copied().unwrap_or(0) < v {
                 return false;
             }
         }
         let d = cell_index(to.index());
-        for (&t, &v) in &required {
-            if v == 0 {
-                continue;
-            }
+        for &(t, v) in required.rows() {
             let src = self.balances.get_mut(&(t, f)).expect("validated above");
             *src -= v;
             if *src == 0 {
@@ -337,6 +366,72 @@ impl Erc1155State {
         }
         true
     }
+}
+
+/// Rows a transfer aggregates without touching the heap: a single
+/// `Transfer` is one, and batches carry a handful.
+const INLINE_ROWS: usize = 8;
+
+/// What one (possibly batched) transfer must find at its source: its
+/// rows summed per type — so duplicated ids in one batch cannot
+/// overdraw — in increasing type order, zero rows dropped (they move
+/// nothing).
+enum Required {
+    /// Up to [`INLINE_ROWS`] rows, on the stack; the length in use.
+    Inline([(u32, Amount); INLINE_ROWS], usize),
+    Spilled(Vec<(u32, Amount)>),
+}
+
+impl Required {
+    /// Aggregates `rows`, whose type ids the caller has range-checked.
+    /// `None` if one type's amounts sum past `u64::MAX`: no balance
+    /// covers that.
+    fn of(rows: &[(TypeId, Amount)]) -> Option<Self> {
+        let moving = rows
+            .iter()
+            .filter(|row| row.1 > 0)
+            .map(|&(t, v)| (cell_index(t.index()), v));
+        if rows.len() <= INLINE_ROWS {
+            let mut buf = [(0, 0); INLINE_ROWS];
+            let mut len = 0;
+            for row in moving {
+                buf[len] = row;
+                len += 1;
+            }
+            let len = sum_per_type(&mut buf[..len])?;
+            Some(Required::Inline(buf, len))
+        } else {
+            let mut spill: Vec<(u32, Amount)> = moving.collect();
+            let len = sum_per_type(&mut spill)?;
+            spill.truncate(len);
+            Some(Required::Spilled(spill))
+        }
+    }
+
+    fn rows(&self) -> &[(u32, Amount)] {
+        match self {
+            Required::Inline(buf, len) => &buf[..*len],
+            Required::Spilled(rows) => rows,
+        }
+    }
+}
+
+/// Sorts `rows` by type and sums each run of one type into a single
+/// row, in place; returns how many rows remain at the front. `None` on
+/// `u64` overflow.
+fn sum_per_type(rows: &mut [(u32, Amount)]) -> Option<usize> {
+    rows.sort_unstable_by_key(|row| row.0);
+    let mut len = 0;
+    for i in 0..rows.len() {
+        let (t, v) = rows[i];
+        if len > 0 && rows[len - 1].0 == t {
+            rows[len - 1].1 = rows[len - 1].1.checked_add(v)?;
+        } else {
+            rows[len] = (t, v);
+            len += 1;
+        }
+    }
+    Some(len)
 }
 
 /// The ERC1155 object type over [`Erc1155State`] — the sequential
@@ -428,9 +523,9 @@ impl Erc1155Delta {
 
     /// Folds the delta onto `state`, overwriting every carried cell with
     /// its current value. Returns `false` (caller must discard the
-    /// state) if any row is outside the state's id spaces — a valid
-    /// producer never emits such a row, so `false` means a corrupt or
-    /// foreign delta file.
+    /// state) if any row is outside the state's id spaces or lifts a
+    /// type's supply past `u64::MAX` — a valid producer never emits
+    /// such a row, so `false` means a corrupt or foreign delta file.
     pub fn apply_to(&self, state: &mut Erc1155State) -> bool {
         let (types, accounts) = (state.types(), state.accounts);
         if self
@@ -444,14 +539,21 @@ impl Erc1155Delta {
         {
             return false;
         }
-        for &(t, a, v) in &self.balances {
-            let old = if v == 0 {
-                state.balances.remove(&(t, a)).unwrap_or(0)
-            } else {
-                state.balances.insert((t, a), v).unwrap_or(0)
+        // Rows are full-cell replacements in `(type, account)` order, so
+        // a type's supply may pass through values above its final one
+        // (a credit listed before the debit that funds it): fold each
+        // type's run of rows in 128 bits and range-check where it ends.
+        for run in self.balances.chunk_by(|x, y| x.0 == y.0) {
+            let t = run[0].0;
+            let mut supply = u128::from(state.supplies[t as usize]);
+            for &(_, a, v) in run {
+                let old = state.replace_cell((t, a), v);
+                supply = supply - u128::from(old) + u128::from(v);
+            }
+            let Ok(supply) = Amount::try_from(supply) else {
+                return false;
             };
-            let supply = &mut state.supplies[t as usize];
-            *supply = *supply - old + v;
+            state.supplies[t as usize] = supply;
         }
         for &(h, o, on) in &self.operators {
             if on {
@@ -464,18 +566,104 @@ impl Erc1155Delta {
     }
 }
 
+/// One `(type, balance)` cell of an account's row — the line a transfer
+/// already holds, so the dirty flag of the mark/drain contract
+/// (`shared/striped.rs`) rides in it.
+#[derive(Clone, Copy, Debug)]
+struct TypedCell {
+    type_id: u32,
+    /// Listed in the shard's `dirty_bal` since the last drain.
+    dirty: bool,
+    value: Amount,
+}
+
+/// One account's typed balances, sorted by type id. A cell is present
+/// iff its balance is positive **or it is dirty**: a cell debited to
+/// zero stays until the drain has reported `(type, account, 0)`, and
+/// reads as absent meanwhile ([`get`](Self::get) returns 0,
+/// [`iter`](Self::iter) skips it).
+#[derive(Debug, Default)]
+struct TypedRow {
+    cells: Vec<TypedCell>,
+}
+
+impl TypedRow {
+    fn find(&self, type_id: u32) -> Result<usize, usize> {
+        self.cells.binary_search_by_key(&type_id, |c| c.type_id)
+    }
+
+    /// The balance of `type_id`; absent types read as 0.
+    fn get(&self, type_id: usize) -> Amount {
+        // Not `as u32`: a wrapping cast would alias out-of-range type
+        // ids onto small ones, and reads carry no range check.
+        u32::try_from(type_id)
+            .ok()
+            .and_then(|t| self.find(t).ok())
+            .map_or(0, |i| self.cells[i].value)
+    }
+
+    /// The positive balances `(type, amount)` in increasing type order.
+    fn iter(&self) -> impl Iterator<Item = (u32, Amount)> + '_ {
+        self.cells
+            .iter()
+            .filter(|c| c.value > 0)
+            .map(|c| (c.type_id, c.value))
+    }
+
+    /// The cell of `type_id`, entered empty and clean if absent.
+    fn cell_mut(&mut self, type_id: u32) -> &mut TypedCell {
+        let at = self.find(type_id).unwrap_or_else(|at| {
+            let cell = TypedCell {
+                type_id,
+                dirty: false,
+                value: 0,
+            };
+            self.cells.insert(at, cell);
+            at
+        });
+        &mut self.cells[at]
+    }
+
+    /// Drain side of the contract: the listed cell's current balance,
+    /// its flag cleared, the cell dropped if it is empty.
+    fn drain(&mut self, type_id: u32) -> Amount {
+        let at = self.find(type_id).expect("a listed cell is kept");
+        let cell = &mut self.cells[at];
+        debug_assert!(cell.dirty, "listed cells are flagged");
+        cell.dirty = false;
+        let value = cell.value;
+        if value == 0 {
+            self.cells.remove(at);
+        }
+        value
+    }
+}
+
 /// The accounts striped onto one lock: per-slot sparse typed balances
-/// (a [`SpenderMap`] keyed by type id — the same sorted-vec sparse row
-/// the ERC20 allowance layer uses) and the slot's operator set, plus the
-/// copy-on-write dirty sets of `(slot, type)` balance cells and
-/// `(slot, operator)` pairs touched since the last
-/// [`ShardedErc1155::drain_delta`].
+/// and the slot's operator set, plus what changed since the last
+/// [`ShardedErc1155::drain_delta`] — the `(slot, type)` balance cells
+/// as a list under the mark/drain contract of `shared/striped.rs`, the
+/// `(slot, operator)` pairs as a set (`setApprovalForAll` only).
 #[derive(Debug, Default)]
 struct Shard1155 {
-    balances: Vec<SpenderMap>,
+    balances: Vec<TypedRow>,
     operators: Vec<BTreeSet<u32>>,
-    dirty_bal: BTreeSet<(u32, u32)>,
+    dirty_bal: Vec<(u32, u32)>,
     dirty_ops: BTreeSet<(u32, u32)>,
+}
+
+impl Shard1155 {
+    /// Mark side of the contract: the balance of `(slot, type_id)`, for
+    /// writing. The first mark since the last drain lists the cell.
+    #[inline]
+    fn balance_mut(&mut self, slot: usize, type_id: u32) -> &mut Amount {
+        let cell = self.balances[slot].cell_mut(type_id);
+        if !cell.dirty {
+            cell.dirty = true;
+            self.dirty_bal.push((slot as u32, type_id));
+        }
+        &mut cell.value
+    }
 }
 
 /// An ERC1155 contract lock-striped by **account**, scaling to ~1M
@@ -489,6 +677,15 @@ struct Shard1155 {
 /// concerns. Transfers lock at most two shards; per-type `totalSupply`
 /// locks **nothing**: supplies are invariant under every operation, so
 /// the constructor-cached values serve every read.
+///
+/// Incremental snapshots follow the mark/drain contract of
+/// `shared/striped.rs`: a `(type, account)` balance cell carries a
+/// dirty flag, the first debit or credit since the last drain pushes
+/// its key onto the shard's list, and
+/// [`drain_delta`](ShardedErc1155::drain_delta) walks the lists —
+/// `O(1)` per touched cell, one list entry per distinct cell written,
+/// drained or not. A cell debited to zero is kept (reading as absent)
+/// until the drain has reported it as `(type, account, 0)`.
 ///
 /// # Example
 ///
@@ -543,12 +740,14 @@ impl ShardedErc1155 {
             .collect();
         for i in 0..n {
             let shard = &mut built[at.stripe_of(i)];
-            shard.balances.push(SpenderMap::new());
+            shard.balances.push(TypedRow::default());
             shard.operators.push(BTreeSet::new());
         }
         for (&(t, a), &v) in &state.balances {
             let a = a as usize;
-            built[at.stripe_of(a)].balances[at.slot_of(a)].set(t as usize, v);
+            built[at.stripe_of(a)].balances[at.slot_of(a)]
+                .cell_mut(t)
+                .value = v;
         }
         for &(h, o) in &state.operators {
             let h = h as usize;
@@ -583,17 +782,17 @@ impl ShardedErc1155 {
         self.shards.each(|_, shard| {
             for row in &shard.balances {
                 for (t, v) in row.iter() {
-                    sums[t.index()] += v;
+                    sums[t as usize] += v;
                 }
             }
         });
         sums
     }
 
-    /// Drains the copy-on-write dirty sets: the current value of every
+    /// Drains the copy-on-write tracking: the current value of every
     /// `(type, account)` balance cell and the current membership of
     /// every operator pair touched since the previous drain, clearing
-    /// the tracking sets.
+    /// the flags and lists.
     ///
     /// Each shard is visited under its own lock — serving continues on
     /// the other shards throughout. At a quiescent point the drained
@@ -605,8 +804,8 @@ impl ShardedErc1155 {
         let at = self.shards.at();
         self.shards.each(|shard_idx, shard| {
             let account_at = |slot: u32| at.key_at(shard_idx, slot as usize) as u32;
-            for (slot, t) in std::mem::take(&mut shard.dirty_bal) {
-                let value = shard.balances[slot as usize].get(t as usize);
+            for (slot, t) in shard.dirty_bal.drain(..) {
+                let value = shard.balances[slot as usize].drain(t);
                 balances.push((t, account_at(slot), value));
             }
             for (slot, o) in std::mem::take(&mut shard.dirty_ops) {
@@ -638,13 +837,9 @@ impl ShardedErc1155 {
         {
             return false;
         }
-        // Aggregate per type so duplicated ids in one batch cannot
-        // overdraw (the all-or-nothing ERC1155 batch semantics).
-        let mut required: BTreeMap<u32, Amount> = BTreeMap::new();
-        for &(t, v) in rows {
-            *required.entry(cell_index(t.index())).or_insert(0) += v;
-        }
-        required.retain(|_, v| *v > 0); // zero rows move nothing
+        let Some(required) = Required::of(rows) else {
+            return false;
+        };
         let at = self.shards.at();
         let (fi, ti) = (at.slot_of(from.index()), at.slot_of(to.index()));
         let mut pair = self.shards.lock_pair(from.index(), to.index());
@@ -652,22 +847,20 @@ impl ShardedErc1155 {
         let authorized =
             caller == from.owner() || src.operators[fi].contains(&cell_index(caller.index()));
         let covered = required
+            .rows()
             .iter()
-            .all(|(&t, &v)| src.balances[fi].get(t as usize) >= v);
+            .all(|&(t, v)| src.balances[fi].get(t as usize) >= v);
         if !authorized || !covered {
             return false;
         }
-        for (&t, &v) in &required {
-            src.balances[fi].debit(t as usize, v);
-            src.dirty_bal.insert((fi as u32, t));
+        for &(t, v) in required.rows() {
+            *src.balance_mut(fi, t) -= v;
         }
         // One shard covers from == to as well: debit then credit of the
         // same slot is a validated net no-op — the ERC1155 semantics.
         let dst = dst.unwrap_or(src);
-        for (&t, &v) in &required {
-            let old = dst.balances[ti].get(t as usize);
-            dst.balances[ti].set(t as usize, old + v);
-            dst.dirty_bal.insert((ti as u32, t));
+        for &(t, v) in required.rows() {
+            *dst.balance_mut(ti, t) += v;
         }
         true
     }
@@ -733,9 +926,7 @@ impl ConcurrentObject for ShardedErc1155 {
         for a in 0..self.accounts {
             let (shard, slot) = (&guards[at.stripe_of(a)], at.slot_of(a));
             for (t, v) in shard.balances[slot].iter() {
-                state
-                    .balances
-                    .insert((cell_index(t.index()), cell_index(a)), v);
+                state.balances.insert((t, cell_index(a)), v);
             }
             for &o in &shard.operators[slot] {
                 state.operators.insert((cell_index(a), o));
@@ -800,6 +991,30 @@ mod tests {
         };
         assert!(!delta.apply_to(&mut state));
         assert_eq!(state, Erc1155State::deploy(2, p(0), &[5]));
+    }
+
+    /// A type's whole supply, above `u64::MAX / 2`, moves to a lower
+    /// account id: the delta lists the credit before the debit, so the
+    /// fold passes through twice the supply on its way back to it.
+    #[test]
+    fn delta_fold_tolerates_a_credit_listed_before_its_debit() {
+        let supply = u64::MAX - 1;
+        let m = ShardedErc1155::with_shards(Erc1155State::deploy(2, p(1), &[supply]), 2);
+        let mut folded = m.snapshot();
+        m.apply(
+            p(1),
+            &Erc1155Op::Transfer {
+                from: a(1),
+                to: a(0),
+                type_id: t(0),
+                value: supply,
+            },
+        );
+        let delta = m.drain_delta();
+        assert_eq!(delta.balances, [(0, 0, supply), (0, 1, 0)]);
+        assert!(delta.apply_to(&mut folded));
+        assert_eq!(folded, m.snapshot());
+        assert_eq!(folded.total_supply(t(0)), supply);
     }
 
     #[test]
@@ -1103,5 +1318,116 @@ mod tests {
             prop_assert_eq!(r1a, r1b, "first op's response depends on order");
             prop_assert_eq!(r2a, r2b, "second op's response depends on order");
         }
+
+        /// The mark/drain contract, differentially: whatever the script
+        /// (debits to exactly zero, re-credits before the drain,
+        /// self-transfers, duplicated type ids) and wherever the drains
+        /// fall, each drain reports exactly the cells a reference set
+        /// of mutated keys names — same rows, same order — the deltas
+        /// fold onto genesis to the live snapshot, and an object nobody
+        /// drains lists each distinct cell once.
+        #[test]
+        fn drains_report_exactly_the_mutated_cells(
+            steps in vec((0..N, arb_op(), 0..4usize), 0..48),
+            shards_log in 0..3usize,
+        ) {
+            let mut genesis = Erc1155State::deploy(N, p(0), &[0; TYPES]);
+            for (acct, ty) in (0..N).flat_map(|acct| (0..TYPES).map(move |ty| (acct, ty))) {
+                genesis.set_balance(a(acct), t(ty), ((acct + ty) % 3) as Amount);
+            }
+            let spec = Erc1155Spec::new(genesis.clone());
+            let mut oracle = spec.initial_state();
+            let drained = ShardedErc1155::with_shards(genesis.clone(), 1 << shards_log);
+            let undrained = ShardedErc1155::with_shards(genesis.clone(), 1 << shards_log);
+            let listed = |m: &ShardedErc1155| {
+                let mut cells = 0;
+                m.shards.each(|_, shard| cells += shard.dirty_bal.len());
+                cells
+            };
+            // `(type, account)` cells and `(holder, operator)` pairs
+            // written since the last drain; every cell ever written.
+            let mut cells = BTreeSet::new();
+            let mut pairs = BTreeSet::new();
+            let mut ever = BTreeSet::new();
+            let mut folded = genesis;
+            // The last step always drains.
+            let last = (0, Erc1155Op::TotalSupply { type_id: t(0) }, 3);
+            for (caller, op, choice) in steps.into_iter().chain([last]) {
+                // Half the transfers come from the holder, so they land.
+                let caller = match op {
+                    Erc1155Op::Transfer { from, .. } | Erc1155Op::BatchTransfer { from, .. }
+                        if choice & 1 == 1 => from.owner(),
+                    _ => p(caller),
+                };
+                let resp = spec.apply(&mut oracle, caller, &op);
+                prop_assert_eq!(drained.apply(caller, &op), resp);
+                prop_assert_eq!(undrained.apply(caller, &op), resp);
+                if resp == Erc1155Resp::TRUE {
+                    let (from, to, rows) = match op {
+                        Erc1155Op::Transfer { from, to, type_id, value } => {
+                            (from, to, vec![(type_id, value)])
+                        }
+                        Erc1155Op::BatchTransfer { from, to, entries } => (from, to, entries),
+                        Erc1155Op::SetApprovalForAll { operator, .. } => {
+                            pairs.insert((caller.index() as u32, operator.index() as u32));
+                            (a(0), a(0), Vec::new())
+                        }
+                        _ => unreachable!("reads answer amounts"),
+                    };
+                    for (ty, _) in rows.into_iter().filter(|row| row.1 > 0) {
+                        for account in [from, to] {
+                            cells.insert((ty.index() as u32, account.index() as u32));
+                        }
+                    }
+                }
+                ever.extend(cells.iter().copied());
+                prop_assert_eq!(listed(&undrained), ever.len(), "one entry per distinct cell");
+                if choice < 3 {
+                    continue;
+                }
+                let delta = drained.drain_delta();
+                let expected = Erc1155Delta {
+                    balances: std::mem::take(&mut cells)
+                        .into_iter()
+                        .map(|(ty, acct)| {
+                            (ty, acct, oracle.balance_of(a(acct as usize), t(ty as usize)))
+                        })
+                        .collect(),
+                    operators: std::mem::take(&mut pairs)
+                        .into_iter()
+                        .map(|(h, o)| {
+                            (h, o, oracle.is_approved_for_all(a(h as usize), p(o as usize)))
+                        })
+                        .collect(),
+                };
+                prop_assert_eq!(&delta, &expected);
+                prop_assert!(delta.apply_to(&mut folded));
+                prop_assert_eq!(&folded, &drained.snapshot());
+                prop_assert_eq!(listed(&drained), 0, "a drain empties the lists");
+            }
+            prop_assert_eq!(folded, oracle);
+            prop_assert_eq!(undrained.snapshot(), drained.snapshot());
+        }
+    }
+
+    #[test]
+    fn required_sums_duplicates_spills_and_refuses_overflow() {
+        let rows = |rows: &[(usize, Amount)]| -> Vec<(TypeId, Amount)> {
+            rows.iter().map(|&(ty, v)| (t(ty), v)).collect()
+        };
+        let required = Required::of(&rows(&[(2, 6), (0, 1), (2, 4), (1, 0)])).unwrap();
+        assert_eq!(required.rows(), [(0, 1), (2, 10)]);
+        // Past the inline capacity the same answer comes off the heap.
+        let many: Vec<(usize, Amount)> = (0..3 * INLINE_ROWS).map(|i| (i % 5, 1)).collect();
+        let required = Required::of(&rows(&many)).unwrap();
+        assert!(matches!(required, Required::Spilled(_)));
+        let per_type = (3 * INLINE_ROWS / 5) as Amount;
+        assert!(required.rows().iter().map(|row| row.0).eq(0..5));
+        assert!(required.rows().iter().all(|row| row.1 >= per_type));
+        assert_eq!(
+            required.rows().iter().map(|row| row.1).sum::<Amount>(),
+            3 * INLINE_ROWS as Amount
+        );
+        assert!(Required::of(&rows(&[(0, u64::MAX), (1, 5), (0, 1)])).is_none());
     }
 }

@@ -489,19 +489,61 @@ impl Erc721Delta {
     }
 }
 
-/// One minted token's mutable cell.
+/// One minted token's mutable cell — the line every token operation
+/// already holds, so the dirty flag of the mark/drain contract
+/// (`shared/striped.rs`) rides in it. Packed (no `Option`) so the flag
+/// adds nothing to the 12 bytes a cell took without it.
 #[derive(Clone, Copy, Debug)]
 struct NftCell {
     owner: u32,
-    approved: Option<u32>,
+    /// The single-use approval; meaningful iff `has_approved`.
+    approved: u32,
+    has_approved: bool,
+    /// Listed in the shard's `dirty` since the last drain.
+    dirty: bool,
 }
 
-/// One token shard: its minted cells plus the copy-on-write dirty set of
-/// token ids mutated since the last [`ShardedErc721::drain_delta`].
+impl NftCell {
+    fn new(owner: u32, approved: Option<u32>) -> Self {
+        Self {
+            owner,
+            approved: approved.unwrap_or(0),
+            has_approved: approved.is_some(),
+            dirty: false,
+        }
+    }
+
+    fn approved(&self) -> Option<u32> {
+        self.has_approved.then_some(self.approved)
+    }
+}
+
+/// One token shard: its minted cells plus the list of token ids mutated
+/// since the last [`ShardedErc721::drain_delta`], under the mark/drain
+/// contract of `shared/striped.rs`.
 #[derive(Clone, Debug, Default)]
 struct TokenShard {
     cells: HashMap<u32, NftCell>,
-    dirty: BTreeSet<u32>,
+    dirty: Vec<u32>,
+}
+
+impl TokenShard {
+    /// Mark side of the contract: overwrites the cell of `token`
+    /// (minting it if absent). The first write since the last drain
+    /// lists the token.
+    #[inline]
+    fn write(&mut self, token: u32, owner: u32, approved: Option<u32>) {
+        let fresh = NftCell::new(owner, approved);
+        let cell = self.cells.entry(token).or_insert(fresh);
+        let listed = cell.dirty;
+        *cell = NftCell {
+            dirty: true,
+            ..fresh
+        };
+        if !listed {
+            self.dirty.push(token);
+        }
+    }
 }
 
 /// One operator stripe: its enabled pairs plus the dirty set of pairs
@@ -525,6 +567,13 @@ struct OpStripe {
 /// pipeline proptests
 /// (`tokensync-pipeline/tests/standards_linearizability.rs`) through
 /// [`check_linearizable`](tokensync_spec::check_linearizable).
+///
+/// Incremental snapshots follow the mark/drain contract of
+/// `shared/striped.rs`: a token cell carries a dirty flag, the first
+/// write since the last drain pushes the token id onto its shard's
+/// list, and [`drain_delta`](ShardedErc721::drain_delta) walks the
+/// lists — `O(1)` per write, one list entry per distinct token written,
+/// drained or not.
 ///
 /// # Example
 ///
@@ -573,7 +622,7 @@ impl ShardedErc721 {
             let approved = state.approved.get(&t).copied();
             tokens[by_token.stripe_of(t as usize)]
                 .cells
-                .insert(t, NftCell { owner, approved });
+                .insert(t, NftCell::new(owner, approved));
         }
         let op_stripes = default_stripes(state.processes);
         let by_holder = Striping::new(op_stripes);
@@ -614,9 +663,9 @@ impl ShardedErc721 {
         p.index() < self.processes
     }
 
-    /// Drains the copy-on-write dirty sets: the current cell of every
+    /// Drains the copy-on-write tracking: the current cell of every
     /// token and the current membership of every operator pair touched
-    /// since the previous drain, clearing the tracking sets.
+    /// since the previous drain, clearing the flags, list and sets.
     ///
     /// Each shard/stripe is visited under its own lock — serving
     /// continues elsewhere throughout. At a quiescent point the drained
@@ -625,10 +674,11 @@ impl ShardedErc721 {
     pub fn drain_delta(&self) -> Erc721Delta {
         let mut tokens = Vec::new();
         self.tokens.each(|_, shard| {
-            for t in std::mem::take(&mut shard.dirty) {
-                if let Some(c) = shard.cells.get(&t) {
-                    tokens.push((t, c.owner, c.approved));
-                }
+            for t in shard.dirty.drain(..) {
+                // Tokens are never unminted: a listed cell is there.
+                let cell = shard.cells.get_mut(&t).expect("a listed cell is kept");
+                cell.dirty = false;
+                tokens.push((t, cell.owner, cell.approved()));
             }
         });
         let mut operators = Vec::new();
@@ -661,14 +711,7 @@ impl ConcurrentObject for ShardedErc721 {
                 if shard.cells.contains_key(&t) {
                     return Erc721Resp::FALSE;
                 }
-                shard.cells.insert(
-                    t,
-                    NftCell {
-                        owner: cell_index(to.index()),
-                        approved: None,
-                    },
-                );
-                shard.dirty.insert(t);
+                shard.write(t, cell_index(to.index()), None);
                 Erc721Resp::TRUE
             }
             Erc721Op::TransferFrom { from, to, token } => {
@@ -687,19 +730,13 @@ impl ConcurrentObject for ShardedErc721 {
                 }
                 let caller = cell_index(process.index());
                 let authorized = cell.owner == caller
-                    || cell.approved == Some(caller)
+                    || cell.approved() == Some(caller)
                     || self.operator_enabled(cell.owner, caller);
                 if !authorized {
                     return Erc721Resp::FALSE;
                 }
-                shard.cells.insert(
-                    t,
-                    NftCell {
-                        owner: cell_index(to.index()),
-                        approved: None,
-                    },
-                );
-                shard.dirty.insert(t);
+                // Single-use approval cleared with the move.
+                shard.write(t, cell_index(to.index()), None);
                 Erc721Resp::TRUE
             }
             Erc721Op::Approve { approved, token } => {
@@ -717,10 +754,7 @@ impl ConcurrentObject for ShardedErc721 {
                 if cell.owner != caller && !self.operator_enabled(cell.owner, caller) {
                     return Erc721Resp::FALSE;
                 }
-                if let Some(c) = shard.cells.get_mut(&t) {
-                    c.approved = approved.map(|p| cell_index(p.index()));
-                }
-                shard.dirty.insert(t);
+                shard.write(t, cell.owner, approved.map(|p| cell_index(p.index())));
                 Erc721Resp::TRUE
             }
             Erc721Op::SetApprovalForAll { operator, on } => {
@@ -756,7 +790,7 @@ impl ConcurrentObject for ShardedErc721 {
                     self.token_shard(t)
                         .cells
                         .get(&t)
-                        .and_then(|c| c.approved)
+                        .and_then(NftCell::approved)
                         .map(|p| ProcessId::new(p as usize)),
                 )
             }
@@ -771,7 +805,7 @@ impl ConcurrentObject for ShardedErc721 {
         for shard in &token_guards {
             for (&t, cell) in shard.cells.iter() {
                 state.owners.insert(t, cell.owner);
-                if let Some(a) = cell.approved {
+                if let Some(a) = cell.approved() {
                     state.approved.insert(t, a);
                 }
             }
@@ -1160,6 +1194,90 @@ mod tests {
             prop_assert_eq!(qa, qb, "states diverge for a non-conflicting pair");
             prop_assert_eq!(r1a, r1b, "first op's response depends on order");
             prop_assert_eq!(r2a, r2b, "second op's response depends on order");
+        }
+
+        /// The mark/drain contract, differentially: whatever the script
+        /// (mints, moves there and back, self-transfers, approvals set
+        /// and cleared) and wherever the drains fall, each drain reports
+        /// exactly the tokens a reference set of mutated keys names —
+        /// same rows, same order — the deltas fold onto genesis to the
+        /// live snapshot, and an object nobody drains lists each
+        /// distinct token once.
+        #[test]
+        fn drains_report_exactly_the_mutated_cells(
+            steps in vec((0..N, arb_op(), 0..4usize), 0..48),
+            shards_log in 0..3usize,
+        ) {
+            let genesis = Erc721State::minted_round_robin(N, SPAN, SPAN / 2);
+            let spec = Erc721Spec::new(genesis.clone());
+            let mut oracle = spec.initial_state();
+            let drained = ShardedErc721::with_shards(genesis.clone(), 1 << shards_log);
+            let undrained = ShardedErc721::with_shards(genesis.clone(), 1 << shards_log);
+            let listed = |nft: &ShardedErc721| {
+                let mut tokens = 0;
+                nft.tokens.each(|_, shard| tokens += shard.dirty.len());
+                tokens
+            };
+            // Tokens and `(holder, operator)` pairs written since the
+            // last drain; every token ever written.
+            let mut tokens = BTreeSet::new();
+            let mut pairs = BTreeSet::new();
+            let mut ever = BTreeSet::new();
+            let mut folded = genesis;
+            // The last step always drains.
+            let last = (0, Erc721Op::OwnerOf { token: t(0) }, 3);
+            for (caller, op, choice) in steps.into_iter().chain([last]) {
+                // Half the transfers come from the claimed owner.
+                let caller = match op {
+                    Erc721Op::TransferFrom { from, .. } if choice & 1 == 1 => from,
+                    _ => p(caller),
+                };
+                let resp = spec.apply(&mut oracle, caller, &op);
+                prop_assert_eq!(drained.apply(caller, &op), resp);
+                prop_assert_eq!(undrained.apply(caller, &op), resp);
+                if resp == Erc721Resp::TRUE {
+                    match op {
+                        Erc721Op::Mint { token, .. }
+                        | Erc721Op::TransferFrom { token, .. }
+                        | Erc721Op::Approve { token, .. } => {
+                            tokens.insert(token.index() as u32);
+                        }
+                        Erc721Op::SetApprovalForAll { operator, .. } => {
+                            pairs.insert((caller.index() as u32, operator.index() as u32));
+                        }
+                        _ => unreachable!("reads answer processes"),
+                    }
+                }
+                ever.extend(tokens.iter().copied());
+                prop_assert_eq!(listed(&undrained), ever.len(), "one entry per distinct token");
+                if choice < 3 {
+                    continue;
+                }
+                let delta = drained.drain_delta();
+                let index = |p: ProcessId| p.index() as u32;
+                let expected = Erc721Delta {
+                    tokens: std::mem::take(&mut tokens)
+                        .into_iter()
+                        .map(|token| {
+                            let id = t(token as usize);
+                            let owner = oracle.owner_of(id).expect("written tokens are minted");
+                            (token, index(owner), oracle.get_approved(id).map(index))
+                        })
+                        .collect(),
+                    operators: std::mem::take(&mut pairs)
+                        .into_iter()
+                        .map(|(h, o)| {
+                            (h, o, oracle.is_approved_for_all(p(h as usize), p(o as usize)))
+                        })
+                        .collect(),
+                };
+                prop_assert_eq!(&delta, &expected);
+                prop_assert!(delta.apply_to(&mut folded));
+                prop_assert_eq!(&folded, &drained.snapshot());
+                prop_assert_eq!(listed(&drained), 0, "a drain empties the lists");
+            }
+            prop_assert_eq!(folded, oracle);
+            prop_assert_eq!(undrained.snapshot(), drained.snapshot());
         }
     }
 }

@@ -11,7 +11,7 @@
 //!   different byte strings.
 
 use proptest::prelude::*;
-use tokensync_core::codec::Codec;
+use tokensync_core::codec::{Codec, CodecError};
 use tokensync_core::erc20::{Erc20Delta, Erc20Op, Erc20Resp, Erc20State};
 use tokensync_core::standards::erc1155::{Erc1155Delta, Erc1155Op, Erc1155Resp, Erc1155State};
 use tokensync_core::standards::erc721::{Erc721Delta, Erc721Op, Erc721Resp, Erc721State};
@@ -113,5 +113,36 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// CRC-valid but hostile ERC1155 bytes: two entries of one type whose
+    /// amounts sum past `u64::MAX`, the declared supply set to the
+    /// wrapped sum so that wrapping arithmetic would accept it. The state
+    /// decoder must answer `Invalid` and the delta fold `false` — in
+    /// debug builds (no overflow panic) and release builds (no wrap).
+    #[test]
+    fn erc1155_supply_overflow_is_rejected_not_wrapped(
+        first in (u64::MAX / 2 + 1)..=u64::MAX,
+        second in (u64::MAX / 2 + 1)..=u64::MAX,
+    ) {
+        let mut bytes = Vec::new();
+        // 2 accounts; 1 type, its supply; 2 balance rows; 0 operators.
+        (2u32, 1u32, first.wrapping_add(second)).encode_into(&mut bytes);
+        (2u32, (0u32, 0u32, first), (0u32, 1u32, second), 0u32).encode_into(&mut bytes);
+        assert_eq!(
+            Erc1155State::decode(&mut bytes.as_slice()),
+            Err(CodecError::Invalid("per-type supply exceeds u64"))
+        );
+        assert_codec_total::<Erc1155State>(&bytes);
+
+        let delta = Erc1155Delta {
+            balances: vec![(0, 0, first), (0, 1, second)],
+            operators: Vec::new(),
+        };
+        let bytes = delta.encode();
+        assert_codec_total::<Erc1155Delta>(&bytes);
+        let decoded = Erc1155Delta::decode(&mut bytes.as_slice()).expect("deltas carry no bound");
+        let mut base = Erc1155State::deploy(2, tokensync_spec::ProcessId::new(0), &[5]);
+        assert!(!decoded.apply_to(&mut base), "fold past u64::MAX must be refused");
     }
 }

@@ -34,7 +34,11 @@
 //! until the consumer drains it. An idle pipeline burns no CPU: the
 //! consumer parks on a doorbell condvar, and the first producer to find
 //! the parked flag set claims it and rings — one wake-up per park,
-//! however many submissions land before the consumer is scheduled.
+//! however many submissions land before the consumer is scheduled. A
+//! consumer with work of its own that ripens while it waits (the
+//! engine's sink holding acks for the durable watermark) bounds the
+//! park instead: an arrival still wakes it at once, and otherwise it
+//! looks at that work after a short nap.
 //!
 //! # Bursts
 //!
@@ -45,6 +49,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use tokensync_spec::ProcessId;
 
@@ -384,8 +389,9 @@ impl<Op> Batcher<Op> {
         taken
     }
 
-    /// Parks until a producer rings the doorbell.
-    fn park(&self) {
+    /// Parks until a producer rings the doorbell — or, given a `nap`,
+    /// until that much time has passed, whichever comes first.
+    fn park(&self, nap: Option<Duration>) {
         let intake = &self.intake;
         let mut version = intake.doorbell.lock().unwrap();
         let seen = *version;
@@ -395,8 +401,16 @@ impl<Op> Batcher<Op> {
         // is visible to this scan; a producer pushing after sees the
         // flag and rings).
         if self.queued() == 0 && intake.clients.load(Ordering::SeqCst) > 0 {
-            while *version == seen {
-                version = intake.data_ready.wait(version).unwrap();
+            match nap {
+                None => {
+                    while *version == seen {
+                        version = intake.data_ready.wait(version).unwrap();
+                    }
+                }
+                Some(nap) => {
+                    let unrung = |version: &mut u64| *version == seen;
+                    drop(intake.data_ready.wait_timeout_while(version, nap, unrung));
+                }
             }
         }
         intake.parked.store(false, Ordering::SeqCst);
@@ -429,11 +443,24 @@ impl<Op> Batcher<Op> {
     /// Blocks for the next batch; `None` once every client handle is
     /// dropped and the shards are drained (engine shutdown).
     pub fn next_batch(&mut self) -> Option<Batch<Op>> {
+        self.next_batch_or(|| None)
+    }
+
+    /// [`next_batch`](Self::next_batch) for a consumer with work of its
+    /// own that ripens while it waits: each time the intake is found
+    /// dry, `idle` runs before the consumer parks. `None` parks until an
+    /// operation arrives; `Some(nap)` parks for at most `nap`, after
+    /// which — still dry — `idle` runs again. A consumer that is kept
+    /// busy never calls it.
+    pub(crate) fn next_batch_or(
+        &mut self,
+        mut idle: impl FnMut() -> Option<Duration>,
+    ) -> Option<Batch<Op>> {
         let max_ops = self.cfg.max_ops.max(1);
         let mut ops = Vec::new();
         let mut tickets = Vec::new();
-        // Block indefinitely for the batch's first op: an idle pipeline
-        // burns no CPU.
+        // Block for the batch's first op — indefinitely unless `idle`
+        // asks otherwise: an idle pipeline burns no CPU.
         loop {
             // Read the client count *before* scanning: every push by an
             // already-departed producer is then visible to the scan, so
@@ -445,7 +472,7 @@ impl<Op> Batcher<Op> {
             if clients == 0 {
                 return None;
             }
-            self.park();
+            self.park(idle());
         }
         // Keep draining while producers keep the shards non-empty; cut
         // once a re-scan after one yield finds nothing. The yield gives

@@ -25,6 +25,7 @@
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use tokensync_core::shared::ConcurrentObject;
 use tokensync_obs::Stage;
@@ -91,6 +92,22 @@ pub trait CommitSink<T: ConcurrentObject + ?Sized> {
     fn durable_seq(&self) -> Option<u64> {
         None
     }
+
+    /// The spawned engine found its intake dry (or closed): a sink with
+    /// work that ripens on its own — acks held for the durable
+    /// watermark — advances it here. `None`: nothing pending, the
+    /// engine parks until an operation arrives. `Some(nap)`: the engine
+    /// waits for an arrival for at most `nap`, then, still dry, calls
+    /// again; once the intake has closed it keeps calling until `None`,
+    /// so nothing is pending when the run is returned.
+    ///
+    /// The engine calls this on the sink it was handed, not through
+    /// wrappers: a sink that needs it is the outermost one. A busy
+    /// engine never calls it — whatever must also advance under load
+    /// advances in the commit and seal callbacks.
+    fn idle(&mut self) -> Option<Duration> {
+        None
+    }
 }
 
 /// The volatile engine: no durability.
@@ -118,6 +135,9 @@ impl<T: ConcurrentObject + ?Sized, S: CommitSink<T> + ?Sized> CommitSink<T> for 
     }
     fn durable_seq(&self) -> Option<u64> {
         (**self).durable_seq()
+    }
+    fn idle(&mut self) -> Option<Duration> {
+        (**self).idle()
     }
 }
 
@@ -504,7 +524,7 @@ fn engine_loop<T: ConcurrentObject, K: CommitSink<T>>(
         // The wait for a batch is itself a stage: it is the intake
         // (queueing) component of an op's end-to-end latency.
         let waiting_since = obs.now();
-        let Some(batch) = batcher.next_batch() else {
+        let Some(batch) = batcher.next_batch_or(|| sink.idle()) else {
             break;
         };
         obs.record_stage(batch.seq, Stage::IntakeWait, waiting_since);
@@ -520,6 +540,10 @@ fn engine_loop<T: ConcurrentObject, K: CommitSink<T>>(
             sink,
             obs,
         );
+    }
+    // Nothing more will arrive: what the sink still holds ripens alone.
+    while let Some(nap) = sink.idle() {
+        std::thread::sleep(nap);
     }
     run.stats.durable_seq = sink.durable_seq();
     run

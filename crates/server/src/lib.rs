@@ -17,7 +17,8 @@
 //! - **Ack semantics**: responses resolve at **wave commit** through the
 //!   [`RouterSink`] — an `Ok` ack is a pipeline commit. Flip
 //!   [`ServerConfig::durable_acks`] and acks additionally wait for the
-//!   store's fsync watermark ([`tokensync_pipeline::CommitSink::durable_seq`]).
+//!   store's fsync watermark ([`tokensync_pipeline::CommitSink::durable_seq`]):
+//!   the acks wait, held per batch, while the engine goes on committing.
 //! - **Slow-client firewall**: bounded per-connection write queues and a
 //!   slowloris read deadline; a client that stops reading (or never
 //!   finishes a frame) is disconnected, never buffered without bound.

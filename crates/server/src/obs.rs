@@ -42,6 +42,13 @@ pub struct ServerObs {
     /// response queued (after commit, and after the durability wait in
     /// durable-ack mode).
     pub request_ns: Histogram,
+    /// Durable-ack mode: sealed batches whose acks are waiting for the
+    /// durable watermark.
+    pub acks_held: Gauge,
+    /// Durable-ack mode: how long a sealed batch's acks waited for the
+    /// watermark, seal → release, in nanoseconds — the share of
+    /// `request_ns` that is the fsync, not the engine.
+    pub durable_hold_ns: Histogram,
 }
 
 impl ServerObs {
@@ -92,6 +99,16 @@ impl ServerObs {
                 "tokensync_server_request_ns",
                 &[],
                 "End-to-end request latency (read to response queued), ns.",
+            ),
+            acks_held: registry.gauge(
+                "tokensync_server_acks_held",
+                &[],
+                "Sealed batches whose acks await the durable watermark.",
+            ),
+            durable_hold_ns: registry.histogram(
+                "tokensync_server_durable_hold_ns",
+                &[],
+                "Wait of a sealed batch's acks for the durable watermark (seal to release), ns.",
             ),
         }
     }

@@ -14,6 +14,25 @@
 //! means exactly what a pipeline commit means; with durable acks enabled
 //! it additionally means the store's fsync watermark passed the entry.
 //!
+//! # Durable acks
+//!
+//! A durable ack waits for an fsync; the engine thread does not. At
+//! batch seal the sink *cuts* each connection's staging buffer — what
+//! lies before the cut is that batch's share, releasable once the
+//! watermark reaches the batch's last entry — queues the batch as
+//! **held**, and returns. The watermark
+//! ([`CommitSink::durable_seq`] of the wrapped sink) is looked at again
+//! at every later wave commit and seal, and, when the intake runs dry
+//! with something held, from the engine's idle hook
+//! ([`CommitSink::idle`]): every held batch it has passed is released in
+//! order, and all the batches one fsync covers leave as **one push per
+//! connection**. A reply therefore never reaches a socket before the
+//! watermark covers its entry, and the engine commits batch N + 1 while
+//! batch N's fsync is in flight — which is what lets the store coalesce
+//! fsyncs at all. A batch held longer than
+//! [`ServerConfig::durable_wait`] degrades to ack-at-commit, alone; the
+//! engine drains everything held before it returns its run.
+//!
 //! The write queue is the slow-client firewall: pushes never block (the
 //! engine thread is the caller), and a queue at capacity closes the
 //! connection instead of growing — a client that stops reading is
@@ -69,6 +88,19 @@ struct Pending {
     /// Staged response frames, and the admit time of each.
     staged: Vec<u8>,
     staged_admitted: Vec<Instant>,
+    /// Durable-ack mode: where sealed batches end in the staging
+    /// buffers, oldest first. What lies past the last cut belongs to
+    /// the batch still committing.
+    cuts: VecDeque<Cut>,
+}
+
+/// The end of one sealed batch's share of a connection's staging
+/// buffers: `staged[..bytes]` and `staged_admitted[..frames]` answer
+/// entries below `covers` (that batch's and every earlier one's).
+struct Cut {
+    covers: u64,
+    bytes: usize,
+    frames: usize,
 }
 
 /// Per-connection shared state: the bounded write queue its writer
@@ -209,15 +241,59 @@ impl ConnState {
         p.outstanding -= n;
     }
 
-    /// Pushes everything staged as one buffer: one writer wake-up, one
-    /// `write`. A push refused by a closed or overflowing write queue is
-    /// not an error here — the connection is gone; the commit stands.
+    /// Ack at commit: pushes everything staged as one buffer.
     fn flush(&self, now: Instant) {
         let mut p = self.pending.lock().unwrap();
+        debug_assert!(p.cuts.is_empty(), "cut shares leave through `release`");
         let bytes = std::mem::take(&mut p.staged);
         let admitted = std::mem::take(&mut p.staged_admitted);
         drop(p);
-        for then in &admitted {
+        self.deliver(bytes, &admitted, now);
+    }
+
+    /// Batch seal in durable-ack mode: what was staged since the last
+    /// cut may leave once the watermark reaches `covers`.
+    fn cut(&self, covers: u64) {
+        let mut p = self.pending.lock().unwrap();
+        let (bytes, frames) = (p.staged.len(), p.staged_admitted.len());
+        p.cuts.push_back(Cut {
+            covers,
+            bytes,
+            frames,
+        });
+    }
+
+    /// The watermark reached `upto`: pushes the share of every batch it
+    /// covers as one buffer — nothing staged behind the last such cut.
+    /// A connection listed by several of the batches released together
+    /// is emptied by the first call; the rest find nothing.
+    fn release(&self, upto: u64, now: Instant) {
+        let mut p = self.pending.lock().unwrap();
+        let mut end = None;
+        while p.cuts.front().is_some_and(|cut| cut.covers <= upto) {
+            end = p.cuts.pop_front();
+        }
+        let Some(end) = end else {
+            return;
+        };
+        for cut in &mut p.cuts {
+            cut.bytes -= end.bytes;
+            cut.frames -= end.frames;
+        }
+        let later = p.staged.split_off(end.bytes);
+        let bytes = std::mem::replace(&mut p.staged, later);
+        let later = p.staged_admitted.split_off(end.frames);
+        let admitted = std::mem::replace(&mut p.staged_admitted, later);
+        drop(p);
+        self.deliver(bytes, &admitted, now);
+    }
+
+    /// Hands the writer one buffer of responses to requests admitted at
+    /// `admitted`: one wake-up, one `write`. A push refused by a closed
+    /// or overflowing write queue is not an error here — the connection
+    /// is gone; the commit stands.
+    fn deliver(&self, bytes: Vec<u8>, admitted: &[Instant], now: Instant) {
+        for then in admitted {
             let waited = now.duration_since(*then).as_nanos();
             self.obs.request_ns.record(waited as u64);
         }
@@ -249,7 +325,8 @@ impl ConnState {
 impl Pending {
     /// Commit-time resolution: stages the `Ok` response, its payload
     /// written by `resp`, to the request behind sequence number `seq`.
-    /// Returns `true` when it is the first staged since the last flush.
+    /// Returns `true` when it is the first staged since the last flush
+    /// or cut.
     fn stage(&mut self, seq: u32, resp: impl FnOnce(&mut Vec<u8>)) -> bool {
         let at = seq.wrapping_sub(self.base) as usize;
         let Some((request_id, admitted)) = self.slots.get_mut(at).and_then(Option::take) else {
@@ -261,7 +338,7 @@ impl Pending {
         }
         encode_response_into(&mut self.staged, request_id, Status::Ok, resp);
         self.staged_admitted.push(admitted);
-        self.staged_admitted.len() == 1
+        self.staged_admitted.len() - self.cuts.back().map_or(0, |cut| cut.frames) == 1
     }
 }
 
@@ -276,6 +353,24 @@ pub(crate) const NEXT_TICKET: u64 = 1 << 32;
 /// and a ticket that resolves to an empty slot is skipped.
 pub(crate) type Router = Mutex<Vec<Option<Arc<ConnState>>>>;
 
+/// A sealed batch whose acks wait for the durable watermark.
+struct Held {
+    /// One past the batch's highest sequence number: what the
+    /// watermark must reach.
+    covers: u64,
+    /// When the batch sealed: `durable_wait` runs from here.
+    sealed: Instant,
+    /// The connections the batch answers, each cut at `covers`.
+    conns: Vec<Arc<ConnState>>,
+}
+
+/// How long an idle engine waits for an arrival between two looks at
+/// the watermark while acks are held. Nothing wakes the engine when the
+/// durability thread advances it, so this bounds how long a finished
+/// fsync goes unnoticed on an otherwise idle server; a busy engine
+/// looks at every commit and seal and never waits.
+const WATERMARK_POLL: Duration = Duration::from_micros(50);
+
 /// The response-routing [`CommitSink`]: wraps the server's real
 /// durability sink (a `Store` or the unit sink) and resolves
 /// request tickets as their entries commit. Generic over the inner sink
@@ -283,22 +378,29 @@ pub(crate) type Router = Mutex<Vec<Option<Arc<ConnState>>>>;
 pub struct RouterSink<S> {
     router: Arc<Router>,
     cfg: ServerConfig,
-    /// Connections with responses staged and not yet pushed: the ones
-    /// the current wave (in durable-ack mode: batch) answers.
+    obs: ServerObs,
+    /// Connections with responses staged since the last flush (in
+    /// durable-ack mode: the last seal) — the ones the current wave
+    /// (batch) answers.
     staged: Vec<Arc<ConnState>>,
     /// One past the highest sequence number staged: what the durable
-    /// watermark must reach before a durable-ack flush.
+    /// watermark must reach before the batch's acks leave.
     staged_to: u64,
+    /// Durable-ack mode: sealed batches awaiting the watermark, oldest
+    /// first (`covers` increasing).
+    held: VecDeque<Held>,
     inner: S,
 }
 
 impl<S> RouterSink<S> {
-    pub(crate) fn new(router: Arc<Router>, cfg: ServerConfig, inner: S) -> Self {
+    pub(crate) fn new(router: Arc<Router>, cfg: ServerConfig, obs: ServerObs, inner: S) -> Self {
         Self {
             router,
             cfg,
+            obs,
             staged: Vec::new(),
             staged_to: 0,
+            held: VecDeque::new(),
             inner,
         }
     }
@@ -308,10 +410,74 @@ impl<S> RouterSink<S> {
         self.inner
     }
 
-    /// One push per connection the staged responses answer.
+    /// Ack at commit: one push per connection the staged responses
+    /// answer.
     fn flush(&mut self) {
         let now = Instant::now();
         self.staged.drain(..).for_each(|conn| conn.flush(now));
+    }
+
+    /// Batch seal in durable-ack mode: cuts the staged responses off as
+    /// this batch's and queues them for the watermark.
+    fn hold(&mut self) {
+        if self.staged.is_empty() {
+            return;
+        }
+        for conn in &self.staged {
+            conn.cut(self.staged_to);
+        }
+        self.held.push_back(Held {
+            covers: self.staged_to,
+            sealed: Instant::now(),
+            conns: std::mem::take(&mut self.staged),
+        });
+        self.obs.acks_held.set(self.held.len() as i64);
+    }
+
+    /// One look at the watermark — a single branch while nothing is
+    /// held (always, with acks at commit). Returns how long an idle
+    /// engine may wait before the next look, `None` once nothing is
+    /// held.
+    #[inline]
+    fn release<T>(&mut self) -> Option<Duration>
+    where
+        T: ConcurrentObject + ?Sized,
+        S: CommitSink<T>,
+    {
+        if self.held.is_empty() {
+            return None;
+        }
+        self.release_held::<T>()
+    }
+
+    /// Releases, oldest first, every held batch the durable watermark
+    /// has reached — all of them as one push per connection. A sink
+    /// without a watermark covers everything (acks then mean commit),
+    /// and a batch held past `durable_wait` is released uncovered, alone:
+    /// a dead store degrades to ack-at-commit rather than wedging
+    /// replies.
+    fn release_held<T>(&mut self) -> Option<Duration>
+    where
+        T: ConcurrentObject + ?Sized,
+        S: CommitSink<T>,
+    {
+        let (durable, now) = (self.inner.durable_seq(), Instant::now());
+        let (mut upto, mut conns) = (None, Vec::new());
+        while let Some(front) = self.held.front() {
+            let covered = durable.is_none_or(|durable| durable >= front.covers);
+            if !covered && now.duration_since(front.sealed) < self.cfg.durable_wait {
+                break;
+            }
+            let waited = now.duration_since(front.sealed).as_nanos();
+            self.obs.durable_hold_ns.record(waited as u64);
+            upto = Some(front.covers);
+            conns.extend(self.held.pop_front().expect("front exists").conns);
+        }
+        if let Some(upto) = upto {
+            self.obs.acks_held.set(self.held.len() as i64);
+            conns.iter().for_each(|conn| conn.release(upto, now));
+        }
+        (!self.held.is_empty()).then_some(WATERMARK_POLL)
     }
 }
 
@@ -333,6 +499,7 @@ where
     ) {
         // Inner first: the WAL append happens before any ack is built.
         self.inner.wave_committed_tagged(token, entries, tickets);
+        self.release::<T>();
         debug_assert!(tickets.is_empty() || entries.len() == tickets.len());
         let conns = self.router.lock().unwrap();
         // The connection the previous entry answered, its pending window
@@ -368,27 +535,18 @@ where
     fn batch_sealed(&mut self, token: &T, batch: u64) {
         // Inner first: a group-commit store posts its fsync here.
         self.inner.batch_sealed(token, batch);
-        if self.staged.is_empty() {
-            return;
+        if self.cfg.durable_acks {
+            self.hold();
         }
-        // One durability wait per batch, on the highest staged sequence
-        // (the watermark is next_seq-style, so entry S is covered once
-        // it reaches S + 1) — the engine thread stalls at most one fsync
-        // turnaround while the store's background durability thread
-        // catches up. A sink without a watermark (or one that stops
-        // advancing within the bounded wait) degrades to ack-at-commit
-        // rather than wedging the engine.
-        let deadline = Instant::now() + self.cfg.durable_wait;
-        while self.inner.durable_seq().is_some_and(|d| d < self.staged_to)
-            && Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_micros(50));
-        }
-        self.flush();
+        self.release::<T>();
     }
 
     fn durable_seq(&self) -> Option<u64> {
         self.inner.durable_seq()
+    }
+
+    fn idle(&mut self) -> Option<Duration> {
+        self.release::<T>()
     }
 }
 
@@ -396,15 +554,26 @@ where
 mod tests {
     use super::*;
     use std::net::TcpListener;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use tokensync_core::erc20::{Erc20Op, Erc20Resp, Erc20State};
+    use tokensync_core::shared::ShardedErc20;
     use tokensync_obs::Registry;
+    use tokensync_pipeline::{Pipeline, PipelineConfig};
+    use tokensync_spec::ProcessId;
+
+    use crate::wire::{decode_response, FrameDecoder};
+
+    /// The next connection of `router`, write bound 4 frames.
+    fn attach(router: &Router, obs: &ServerObs) -> Arc<ConnState> {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        ConnState::attach(router, stream, 4, obs.clone())
+    }
 
     /// Connection number 1 of a fresh table, write bound 4 frames.
     fn conn() -> (Arc<ConnState>, ServerObs) {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let obs = ServerObs::new(&Registry::new());
-        let conn = ConnState::attach(&Router::default(), stream, 4, obs.clone());
-        (conn, obs)
+        (attach(&Router::default(), &obs), obs)
     }
 
     /// The sequence half of a ticket wraps without carrying into the
@@ -444,5 +613,250 @@ mod tests {
         assert!(!conn.push(vec![0; 1], 1));
         assert_eq!(obs.write_overflows.get(), 1);
         assert_eq!(conn.next_write(), None);
+    }
+
+    /// A sink whose durable watermark the test moves by hand.
+    #[derive(Clone, Default)]
+    struct Watermark(Arc<AtomicU64>);
+
+    impl Watermark {
+        fn raise(&self, to: u64) {
+            self.0.store(to, Ordering::SeqCst);
+        }
+    }
+
+    impl CommitSink<ShardedErc20> for Watermark {
+        fn wave_committed(&mut self, _: &ShardedErc20, _: &[CommittedOp<Erc20Op, Erc20Resp>]) {}
+        fn batch_sealed(&mut self, _: &ShardedErc20, _: u64) {}
+        fn durable_seq(&self) -> Option<u64> {
+            Some(self.0.load(Ordering::SeqCst))
+        }
+    }
+
+    /// A durable-ack router over a hand-moved watermark, with `conns`
+    /// connections (numbers 1..) attached.
+    struct Rig {
+        token: ShardedErc20,
+        router: Arc<Router>,
+        obs: ServerObs,
+        watermark: Watermark,
+        conns: Vec<Arc<ConnState>>,
+        /// The next commit sequence number and batch number.
+        next: (u64, u64),
+    }
+
+    impl Rig {
+        fn new(conns: usize) -> Self {
+            let obs = ServerObs::new(&Registry::new());
+            let router = Arc::new(Router::default());
+            Self {
+                token: ShardedErc20::from_state(Erc20State::from_balances(vec![1; 4])),
+                conns: (0..conns).map(|_| attach(&router, &obs)).collect(),
+                router,
+                obs,
+                watermark: Watermark::default(),
+                next: (0, 0),
+            }
+        }
+
+        fn sink(&self, durable_wait: Duration) -> RouterSink<Watermark> {
+            let cfg = ServerConfig {
+                durable_acks: true,
+                durable_wait,
+                ..ServerConfig::default()
+            };
+            let (router, obs) = (Arc::clone(&self.router), self.obs.clone());
+            RouterSink::new(router, cfg, obs, self.watermark.clone())
+        }
+
+        /// Admits one request per `(connection index, request id)` and
+        /// commits and seals them as one batch, the way the engine
+        /// does. Returns the batch's `covers`.
+        fn commit(&mut self, sink: &mut RouterSink<Watermark>, requests: &[(usize, u64)]) -> u64 {
+            let now = Instant::now();
+            let (mut entries, mut tickets) = (Vec::new(), Vec::new());
+            for &(conn, id) in requests {
+                tickets.push(self.conns[conn].register([id].into_iter(), now));
+                entries.push(CommittedOp {
+                    seq: self.next.0,
+                    batch: self.next.1,
+                    caller: ProcessId::new(0),
+                    op: Erc20Op::TotalSupply,
+                    resp: Erc20Resp::Amount(4),
+                });
+                self.next.0 += 1;
+            }
+            sink.wave_committed_tagged(&self.token, &entries, &tickets);
+            sink.batch_sealed(&self.token, self.next.1);
+            self.next.1 += 1;
+            self.next.0
+        }
+
+        /// The request ids answered in connection `conn`'s write queue,
+        /// which is emptied.
+        fn delivered(&self, conn: usize) -> Vec<u64> {
+            let mut dec = FrameDecoder::new();
+            dec.feed(&std::mem::take(&mut *self.conns[conn].queue.lock().unwrap()).buf);
+            let mut ids = Vec::new();
+            while let Some(body) = dec.try_frame().expect("well-framed") {
+                let (id, reply) = decode_response::<Erc20Resp>(body).expect("well-formed");
+                assert_eq!(reply, crate::wire::Reply::Ok(Erc20Resp::Amount(4)));
+                ids.push(id);
+            }
+            ids
+        }
+    }
+
+    /// Batch B commits while A is still held; the watermark then passes
+    /// A only: exactly A's replies leave, B's stay, and once it passes B
+    /// too they follow — each time one push per connection.
+    #[test]
+    fn watermark_over_a_releases_a_and_keeps_b() {
+        let mut rig = Rig::new(2);
+        let mut sink = rig.sink(Duration::from_secs(3600));
+        let a = rig.commit(&mut sink, &[(0, 10), (1, 20), (0, 11)]);
+        assert_eq!((a, rig.obs.acks_held.get()), (3, 1));
+        let b = rig.commit(&mut sink, &[(0, 12), (1, 21)]);
+        assert_eq!((b, rig.obs.acks_held.get()), (5, 2));
+        assert_eq!(rig.obs.write_pushes.get(), 0, "nothing is durable yet");
+        assert!(sink.idle().is_some());
+
+        rig.watermark.raise(a - 1);
+        assert!(sink.idle().is_some());
+        assert_eq!(
+            rig.obs.write_pushes.get(),
+            0,
+            "A's last entry is not covered"
+        );
+
+        rig.watermark.raise(a);
+        assert!(sink.idle().is_some(), "B is still held");
+        assert_eq!(rig.delivered(0), [10, 11]);
+        assert_eq!(rig.delivered(1), [20]);
+        assert_eq!(rig.obs.write_pushes.get(), 2);
+        assert_eq!((rig.obs.acks_held.get(), rig.obs.requests_ok.get()), (1, 3));
+
+        rig.watermark.raise(b);
+        assert_eq!(sink.idle(), None, "nothing left to wait for");
+        assert_eq!((rig.delivered(0), rig.delivered(1)), (vec![12], vec![21]));
+        assert_eq!(rig.obs.write_pushes.get(), 4);
+        assert_eq!(rig.obs.durable_hold_ns.count(), 2);
+    }
+
+    /// Three batches one fsync covers leave together: one push per
+    /// connection, not one per batch — and the look that finds them
+    /// covered is the next commit's, no idle engine needed.
+    #[test]
+    fn batches_one_fsync_covers_are_one_push_per_connection() {
+        let mut rig = Rig::new(2);
+        let mut sink = rig.sink(Duration::from_secs(3600));
+        rig.commit(&mut sink, &[(0, 1), (1, 2)]);
+        rig.commit(&mut sink, &[(0, 3)]);
+        let c = rig.commit(&mut sink, &[(0, 4), (1, 5)]);
+        rig.watermark.raise(c);
+        let d = rig.commit(&mut sink, &[(1, 6)]);
+        assert_eq!(rig.obs.write_pushes.get(), 2);
+        assert_eq!(
+            (rig.delivered(0), rig.delivered(1)),
+            (vec![1, 3, 4], vec![2, 5])
+        );
+        assert_eq!(rig.obs.acks_held.get(), 1, "the batch that looked is held");
+        rig.watermark.raise(d);
+        assert_eq!(sink.idle(), None);
+        assert_eq!(rig.delivered(1), [6]);
+    }
+
+    /// `durable_wait` runs per batch, from its own seal: a watermark
+    /// that stopped degrades the batch that has waited that long to
+    /// ack-at-commit, and leaves the younger one behind it held.
+    #[test]
+    fn durable_wait_expiry_degrades_one_batch_not_the_queue() {
+        let wait = Duration::from_secs(3600);
+        let mut rig = Rig::new(1);
+        let mut sink = rig.sink(wait);
+        rig.commit(&mut sink, &[(0, 1)]);
+        rig.commit(&mut sink, &[(0, 2)]);
+        assert!(sink.idle().is_some());
+        assert_eq!(rig.obs.write_pushes.get(), 0);
+        // The first batch sealed `durable_wait` ago.
+        sink.held[0].sealed = Instant::now().checked_sub(wait).expect("uptime > wait");
+        assert!(sink.idle().is_some(), "the second batch is still held");
+        assert_eq!(rig.delivered(0), [1]);
+        assert_eq!(rig.obs.acks_held.get(), 1);
+    }
+
+    /// A connection that closed while its replies were held: they are
+    /// dropped, its pending window still settles, the other
+    /// connection's replies are untouched.
+    #[test]
+    fn closed_connection_drops_its_held_replies_quietly() {
+        let mut rig = Rig::new(2);
+        let mut sink = rig.sink(Duration::from_secs(3600));
+        let a = rig.commit(&mut sink, &[(0, 1), (1, 2)]);
+        rig.conns[0].close_abort();
+        rig.conns[0].detach(&rig.router);
+        rig.watermark.raise(a);
+        assert_eq!(sink.idle(), None);
+        assert_eq!((rig.delivered(0), rig.delivered(1)), (vec![], vec![2]));
+        assert_eq!(rig.obs.requests_ok.get(), 1);
+        assert_eq!(rig.conns[0].pending.lock().unwrap().outstanding, 0);
+    }
+
+    /// Spawns an engine over a durable-ack router and one connection.
+    fn spawn_engine(
+        rig: &Rig,
+        durable_wait: Duration,
+    ) -> (
+        tokensync_pipeline::IntakeClient<Erc20Op>,
+        tokensync_pipeline::SinkedPipelineHandle<Erc20Op, Erc20Resp, RouterSink<Watermark>>,
+    ) {
+        let token = Arc::new(ShardedErc20::from_state(Erc20State::from_balances(vec![
+            1;
+            4
+        ])));
+        Pipeline::spawn_with_sink(token, PipelineConfig::default(), rig.sink(durable_wait))
+    }
+
+    fn submit(rig: &Rig, client: &tokensync_pipeline::IntakeClient<Erc20Op>, id: u64) {
+        let ticket = rig.conns[0].register([id].into_iter(), Instant::now());
+        client
+            .submit_tagged(ProcessId::new(0), Erc20Op::TotalSupply, ticket)
+            .expect("engine alive");
+    }
+
+    /// An engine with held acks and an intake that stays dry: nothing
+    /// leaves while the watermark stands still, and moving it is enough
+    /// — no arrival is needed to make the engine look.
+    #[test]
+    fn idle_engine_releases_when_the_watermark_moves() {
+        let rig = Rig::new(1);
+        let (client, engine) = spawn_engine(&rig, Duration::from_secs(3600));
+        submit(&rig, &client, 7);
+        while rig.obs.acks_held.get() == 0 {
+            std::thread::yield_now();
+        }
+        assert_eq!(rig.obs.write_pushes.get(), 0, "sealed, not durable");
+        rig.watermark.raise(1);
+        // Blocks until the engine's idle hook has pushed the reply.
+        assert!(rig.conns[0].next_write().is_some());
+        assert_eq!((rig.obs.acks_held.get(), rig.obs.requests_ok.get()), (0, 1));
+        drop(client);
+        engine.finish();
+    }
+
+    /// The engine does not return its run while acks are held: with the
+    /// watermark stuck for good, `finish` still delivers every admitted
+    /// request's reply — after `durable_wait`, degraded.
+    #[test]
+    fn finish_flushes_everything_held() {
+        let rig = Rig::new(1);
+        let (client, engine) = spawn_engine(&rig, Duration::from_millis(50));
+        (1..=3).for_each(|id| submit(&rig, &client, id));
+        drop(client);
+        let (run, sink) = engine.finish();
+        assert_eq!(run.stats.ops, 3);
+        assert!(sink.held.is_empty());
+        assert_eq!(rig.delivered(0), [1, 2, 3]);
+        assert_eq!(rig.obs.acks_held.get(), 0);
     }
 }

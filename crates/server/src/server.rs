@@ -15,8 +15,9 @@
 //! Every hand-off costs one lock and at most one wake-up or syscall per
 //! **burst**, not per request: the reader admits everything one `read`
 //! returned with one [`IntakeClient::try_submit_burst`]; the commit
-//! stage pushes a wave's responses once per connection; the writer
-//! takes everything queued and issues one `write_all`.
+//! stage pushes a wave's responses (with durable acks: those of every
+//! batch one fsync covers) once per connection; the writer takes
+//! everything queued and issues one `write_all`.
 //!
 //! Admission control is the intake's bounded depth: the part of a burst
 //! its shard has no room for answers [`Status::Busy`] immediately
@@ -58,20 +59,28 @@ pub struct ServerConfig {
     /// The engine configuration the server spawns.
     pub pipeline: PipelineConfig,
     /// When `true`, `Ok` acks are withheld until the durability sink's
-    /// fsync watermark covers them (one bounded wait per batch on the
-    /// engine thread). With a sink that has no watermark this is a
-    /// no-op: acks mean commit, exactly the pipeline's guarantee.
+    /// fsync watermark covers them. The engine thread never waits for
+    /// that: at batch seal the batch's acks are set aside, and they are
+    /// released — all the batches one fsync covers as one push per
+    /// connection — when a later commit, seal or idle moment finds the
+    /// watermark past them (see [`RouterSink`]). With a sink that has no
+    /// watermark this is a no-op: acks mean commit, exactly the
+    /// pipeline's guarantee.
     pub durable_acks: bool,
-    /// Upper bound on one durable-ack wait; past it the batch degrades
-    /// to ack-at-commit rather than wedging the engine on a dead store.
+    /// How long one batch's durable acks may be held, counted from its
+    /// seal; past it that batch — alone, not the ones sealed after it —
+    /// degrades to ack-at-commit rather than leaving clients waiting on
+    /// a dead store. Also bounds how long [`ServerHandle::finish`]
+    /// waits for a watermark that stopped.
     pub durable_wait: Duration,
     /// Bounded per-connection write queue, in frames. A connection
     /// whose queue is full has stopped reading and is disconnected. The
     /// writer thread holds at most one more buffer it took from the
     /// queue, so a connection pins at most twice this many frames. One
-    /// push above the bound — a wave (with durable acks: a batch)
-    /// answering more requests of one connection than this — also
-    /// disconnects: keep it above a client's in-flight window.
+    /// push above the bound — a wave (with durable acks: the batches
+    /// one fsync covers) answering more requests of one connection than
+    /// this — also disconnects: keep it above a client's in-flight
+    /// window.
     pub write_queue_frames: usize,
     /// Slowloris deadline: a frame left incomplete this long after its
     /// last byte arrived drops the connection. An *idle* connection
@@ -142,7 +151,7 @@ impl Server {
         let obs = ServerObs::new(registry);
         let pipe_obs = PipelineObs::new(registry, cfg.pipeline.batch.intake_shards);
         let router = Arc::new(Router::default());
-        let rsink = RouterSink::new(Arc::clone(&router), cfg, sink);
+        let rsink = RouterSink::new(Arc::clone(&router), cfg, obs.clone(), sink);
         let (client, engine) = Pipeline::spawn_observed(token, cfg.pipeline, rsink, pipe_obs);
 
         let shutdown = Arc::new(AtomicBool::new(false));

@@ -6,6 +6,7 @@
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -312,6 +313,35 @@ fn read_replies(s: &mut TcpStream, want: usize) -> Vec<(u64, Reply<Erc20Resp>)> 
     }
 }
 
+/// Two connections with a generous read timeout.
+fn connect_pair<S>(handle: &ServerHandle<ShardedErc20, S>) -> Vec<TcpStream> {
+    (0..2)
+        .map(|_| {
+            let s = TcpStream::connect(handle.addr()).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+            s
+        })
+        .collect()
+}
+
+/// Pipelines requests `1..=k` on every connection, then a trailing
+/// request for the wrong standard (id 0): the reader rejects it only
+/// after admitting everything ahead of it, so its reply is the signal
+/// that this connection's requests are all queued.
+fn pipeline_requests(conns: &mut [TcpStream], k: u64) {
+    let wrong_standard = 0xEE;
+    for s in conns {
+        let burst: Vec<u8> = (1..=k)
+            .map(|id| (id, ShardedErc20::STANDARD))
+            .chain([(0, wrong_standard)])
+            .flat_map(|(id, standard)| {
+                encode_request(id, standard, ProcessId::new(1), &Erc20Op::TotalSupply)
+            })
+            .collect();
+        s.write_all(&burst).unwrap();
+    }
+}
+
 /// One queue push per connection per wave: two connections pipeline 50
 /// requests each against a stalled engine, so that once it resumes at
 /// most two batches answer them — and every batch hands each connection
@@ -327,35 +357,8 @@ fn a_wave_is_one_push_per_connection() {
         },
     );
     let obs = handle.obs().clone();
-    let mut conns: Vec<TcpStream> = (0..2)
-        .map(|_| {
-            let s = TcpStream::connect(handle.addr()).unwrap();
-            s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-            s
-        })
-        .collect();
-    for s in &mut conns {
-        let mut burst: Vec<u8> = (1..=K)
-            .flat_map(|id| {
-                encode_request(
-                    id,
-                    ShardedErc20::STANDARD,
-                    ProcessId::new(1),
-                    &Erc20Op::TotalSupply,
-                )
-            })
-            .collect();
-        // A trailing request for the wrong standard: the reader rejects
-        // it only after admitting everything ahead of it, so its reply
-        // is the signal that this connection's requests are all queued.
-        burst.extend(encode_request(
-            0,
-            0xEE,
-            ProcessId::new(1),
-            &Erc20Op::TotalSupply,
-        ));
-        s.write_all(&burst).unwrap();
-    }
+    let mut conns = connect_pair(&handle);
+    pipeline_requests(&mut conns, K);
     for s in &mut conns {
         // The engine is stalled on its first wave: no `Ok` can arrive.
         assert_eq!(read_replies(s, 1), vec![(0, Reply::BadRequest)]);
@@ -383,6 +386,78 @@ fn a_wave_is_one_push_per_connection() {
         "{pushes} pushes for {} batches",
         run.stats.batches
     );
+}
+
+/// A sink with a durable watermark the test moves by hand, which
+/// publishes how much it has seen sealed.
+#[derive(Clone, Default)]
+struct ManualWatermark {
+    durable: Arc<AtomicU64>,
+    committed: u64,
+    /// Entries in sealed batches, and those batches.
+    sealed: Arc<(AtomicU64, AtomicU64)>,
+}
+
+impl<T: ConcurrentObject + ?Sized> CommitSink<T> for ManualWatermark {
+    fn wave_committed(&mut self, _token: &T, entries: &[CommittedOp<T::Op, T::Resp>]) {
+        self.committed += entries.len() as u64;
+    }
+
+    fn batch_sealed(&mut self, _token: &T, _batch: u64) {
+        self.sealed.1.fetch_add(1, Ordering::SeqCst);
+        self.sealed.0.store(self.committed, Ordering::SeqCst);
+    }
+
+    fn durable_seq(&self) -> Option<u64> {
+        Some(self.durable.load(Ordering::SeqCst))
+    }
+}
+
+/// The durable-ack counterpart of `a_wave_is_one_push_per_connection`:
+/// two connections pipeline 50 requests each, cut into batches of at
+/// most 16, against a watermark that stands still — every batch seals
+/// and is held, no `Ok` leaves. One move of the watermark over all of
+/// them is one release: each connection gets the replies of all its
+/// batches as one buffer, not one per batch.
+#[test]
+fn batches_one_fsync_covers_are_one_push_per_connection() {
+    const K: u64 = 50;
+    let mut cfg = base_config();
+    cfg.durable_acks = true;
+    cfg.pipeline.batch.max_ops = 16;
+    let sink = ManualWatermark::default();
+    let handle = spawn_with(cfg, sink.clone());
+    let obs = handle.obs().clone();
+    let mut conns = connect_pair(&handle);
+    pipeline_requests(&mut conns, K);
+    for s in &mut conns {
+        assert_eq!(read_replies(s, 1), vec![(0, Reply::BadRequest)]);
+    }
+    // Every admitted request in a sealed batch, every sealed batch held.
+    while sink.sealed.0.load(Ordering::SeqCst) < 2 * K {
+        std::thread::yield_now();
+    }
+    let batches = sink.sealed.1.load(Ordering::SeqCst);
+    assert!(batches >= 2 * K / 16, "{batches} batches");
+    while (obs.acks_held.get() as u64) < batches {
+        std::thread::yield_now();
+    }
+    assert_eq!(obs.requests_ok.get(), 0, "acked ahead of the watermark");
+    assert_eq!(obs.write_pushes.get(), 2, "the two rejections");
+
+    sink.durable.store(2 * K, Ordering::SeqCst);
+    for s in &mut conns {
+        let replies = read_replies(s, K as usize);
+        assert!(replies
+            .iter()
+            .all(|(_, r)| *r == Reply::Ok(Erc20Resp::Amount(64_000_000))));
+    }
+    drop(conns);
+    handle.finish();
+    assert_eq!(obs.requests_ok.get(), 2 * K);
+    assert_eq!(obs.durable_hold_ns.count(), batches);
+    // One release × two connections, after the two rejection pushes.
+    assert_eq!(obs.write_pushes.get(), 2 + 2);
 }
 
 /// Sends are buffered client-side: a burst of `send`s is delivered, in
