@@ -60,6 +60,28 @@ impl<Resp: Debug> std::fmt::Display for ReplayDivergence<Resp> {
 
 impl<Resp: Debug> std::error::Error for ReplayDivergence<Resp> {}
 
+/// The one verified sequential replay: applies `entries` to `state`
+/// through `spec`, checking every recorded response. The first mismatch
+/// is returned as a [`ReplayDivergence`] (its op already applied).
+pub fn replay_verified<S: ObjectType>(
+    spec: &S,
+    state: &mut S::State,
+    entries: &[CommittedOp<S::Op, S::Resp>],
+) -> Result<(), ReplayDivergence<S::Resp>> {
+    for entry in entries {
+        let expected = spec.apply(state, entry.caller, &entry.op);
+        if expected != entry.resp {
+            let recorded = entry.resp.clone();
+            return Err(ReplayDivergence {
+                seq: entry.seq,
+                recorded,
+                expected,
+            });
+        }
+    }
+    Ok(())
+}
+
 /// The pipeline's append-only linearization record.
 #[derive(Clone, Debug)]
 pub struct CommitLog<Op, Resp> {
@@ -164,16 +186,7 @@ impl<Op: Clone + Debug, Resp: Clone + PartialEq + Debug> CommitLog<Op, Resp> {
         S: ObjectType<Op = Op, Resp = Resp>,
     {
         let mut state = spec.initial_state();
-        for entry in &self.entries {
-            let expected = spec.apply(&mut state, entry.caller, &entry.op);
-            if expected != entry.resp {
-                return Err(ReplayDivergence {
-                    seq: entry.seq,
-                    recorded: entry.resp.clone(),
-                    expected,
-                });
-            }
-        }
+        replay_verified(spec, &mut state, &self.entries)?;
         Ok(state)
     }
 

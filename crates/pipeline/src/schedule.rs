@@ -384,20 +384,26 @@ impl Scheduler {
         out
     }
 
-    /// The adaptive-bypass probe: whether every pair of ops in `ops`
-    /// commutes (no cell is touched by two ops in non-commuting modes).
-    /// A `true` answer certifies — *before anything executes* — that
-    /// uncoordinated execution of the batch linearizes in submission
-    /// order, because commuting neighbors can be exchanged freely; the
-    /// engine then skips wave construction entirely. Exits on the first
-    /// conflict found, so the conflicting regimes pay only a prefix scan.
-    ///
-    /// Intra-op repeats (one op charging a cell twice, e.g. an ERC1155
-    /// batch naming a type twice) are not conflicts and are ignored, like
-    /// in the scheduler proper.
+    /// The adaptive-bypass probe: whether [`Scheduler::commuting_prefix`]
+    /// spans all of `ops`, certifying — *before anything executes* — that
+    /// uncoordinated execution linearizes in submission order.
     pub fn batch_commutes<Op: FootprintedOp>(&mut self, ops: &[(ProcessId, Op)]) -> bool {
+        self.commuting_prefix(ops.iter().map(|(caller, op)| (*caller, op))) == ops.len()
+    }
+
+    /// Length of the longest prefix of `ops` that pairwise commutes (no
+    /// cell touched by two ops in non-commuting modes) — the one probe
+    /// behind the engine's bypass and recovery's parallel replay runs.
+    /// Stops at the first conflict, so conflicting regimes pay only a
+    /// prefix scan. Intra-op repeats (one op charging a cell twice, e.g.
+    /// an ERC1155 batch naming a type twice) are not conflicts, like in
+    /// the scheduler proper.
+    pub fn commuting_prefix<'a, Op: FootprintedOp + 'a>(
+        &mut self,
+        ops: impl IntoIterator<Item = (ProcessId, &'a Op)>,
+    ) -> usize {
         self.modes.reset();
-        for (caller, op) in ops {
+        let commutes = |(caller, op): &(ProcessId, &Op)| {
             self.fp.clear();
             op.footprint_into(*caller, &mut self.fp);
             // Pass 1: check against *earlier ops'* accesses only (this
@@ -422,8 +428,9 @@ impl Scheduler {
                 };
                 *self.modes.entry(cell.key()) |= mode;
             }
-        }
-        true
+            true
+        };
+        ops.into_iter().take_while(commutes).count()
     }
 }
 

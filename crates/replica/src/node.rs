@@ -26,8 +26,7 @@ use tokensync_pipeline::{run_script_with_sink, PipelineRun};
 use tokensync_spec::ProcessId;
 use tokensync_store::wal::{Wal, FRAME_LEN};
 use tokensync_store::{
-    decode_commits, install_snapshot, read_latest_snapshot, recover, Restorable, Store, StoreError,
-    WalCursor,
+    decode_commits, install_snapshot, recover, Restorable, Store, StoreError, WalCursor,
 };
 
 use crate::msg::{AckMode, ReplicaConfig, ReplicaMsg};
@@ -673,8 +672,9 @@ where
         // Exact continuation: decode for replay, append the raw bytes
         // (CRC + continuity re-validated there), replay through the
         // live object verifying every recorded response, fsync, ack.
-        let Ok(entries) = decode_commits::<T::Op, T::Resp>(&frame[FRAME_LEN..]) else {
-            return; // undecodable payload: no ack, sender retries
+        let payload = frame.get(FRAME_LEN..).unwrap_or_default();
+        let Ok(entries) = decode_commits::<T::Op, T::Resp>(payload) else {
+            return; // short or undecodable payload: no ack, sender retries
         };
         if f.wal.append_frames(&frame).is_err() {
             return; // invalid frame bytes: no ack
@@ -897,11 +897,11 @@ where
         ctx: &mut Context<ReplicaMsg>,
     ) {
         self.stats.snapshot_ships += 1;
+        let state = self.object.snapshot();
         self.store
-            .publish_snapshot(&self.object.snapshot())
+            .publish_snapshot(&state)
             .expect("publish snapshot for shipping");
-        let (watermark, state) =
-            read_latest_snapshot::<T::State>(self.store.dir()).expect("read back snapshot");
+        let watermark = self.store.snapshot_watermark();
         let peer = &mut self.peers[dst];
         peer.active = true;
         peer.cursor = None;

@@ -50,6 +50,8 @@
 //! assert_eq!(run.log.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod client;
 mod obs;
 mod router;

@@ -23,10 +23,10 @@ use std::path::{Path, PathBuf};
 use tokensync_core::codec::{Codec, CodecError};
 use tokensync_pipeline::CommittedOp;
 
-use crate::crc::crc32;
 use crate::error::StoreError;
 use crate::wal::{
-    decode_commits, segment_files, SegmentPins, FRAME_LEN, SEG_HEADER_LEN, SEG_MAGIC,
+    check_frame, decode_commits, numbered_files, SegmentHeader, SegmentPins, FRAME_LEN,
+    SEG_HEADER_LEN, SEG_PREFIX, SEG_SUFFIX,
 };
 
 /// One CRC-validated committed record read from the log, still in its
@@ -101,8 +101,9 @@ fn unpin(pins: &SegmentPins, seg: u64) {
     }
 }
 
-/// Reads and validates a segment header; returns its `(first_seq,
-/// epoch)`.
+/// Opens a segment and validates its header against the cursor's
+/// standard and the `first_seq` its file name promises; returns the
+/// file (positioned past the header) and the header's epoch.
 fn read_header(
     path: &Path,
     standard: u8,
@@ -110,25 +111,16 @@ fn read_header(
     expect_first: u64,
 ) -> Result<(File, u64), StoreError> {
     let mut file = File::open(path)?;
-    let mut header = [0u8; SEG_HEADER_LEN as usize];
-    file.read_exact(&mut header)?;
-    if &header[0..8] != SEG_MAGIC {
-        return Err(StoreError::Codec(CodecError::Invalid("bad segment magic")));
-    }
-    if (header[8], header[9]) != (standard, version) {
-        return Err(StoreError::WrongStandard {
-            found: (header[8], header[9]),
-            expected: (standard, version),
-        });
-    }
-    let first = u64::from_le_bytes(header[10..18].try_into().expect("8 bytes"));
-    if first != expect_first {
+    let mut bytes = [0u8; SEG_HEADER_LEN as usize];
+    file.read_exact(&mut bytes)?;
+    let (header, _) = SegmentHeader::parse(&bytes)?;
+    header.check(standard, version)?;
+    if header.first_seq != expect_first {
         return Err(StoreError::Codec(CodecError::Invalid(
             "segment header disagrees with its file name",
         )));
     }
-    let epoch = u64::from_le_bytes(header[18..26].try_into().expect("8 bytes"));
-    Ok((file, epoch))
+    Ok((file, header.epoch))
 }
 
 impl WalCursor {
@@ -142,7 +134,7 @@ impl WalCursor {
         from_seq: u64,
         pins: SegmentPins,
     ) -> Result<Self, StoreError> {
-        let segs = segment_files(dir)?;
+        let segs = numbered_files(dir, SEG_PREFIX, SEG_SUFFIX)?;
         let available_from = segs.first().map_or(from_seq, |&(first, _)| first);
         // The segment whose range contains `from_seq`: the last one
         // starting at or below it.
@@ -210,39 +202,23 @@ impl WalCursor {
     /// I/O errors from the underlying reads.
     pub fn next_record(&mut self) -> Result<Option<WalRecord>, StoreError> {
         loop {
-            self.file.seek(SeekFrom::Start(self.offset))?;
-            let mut head = [0u8; FRAME_LEN];
-            if read_fully(&mut self.file, &mut head)? {
-                let len = u32::from_le_bytes(head[0..4].try_into().expect("4 bytes")) as usize;
-                let crc = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
-                let mut payload = vec![0u8; len];
-                if read_fully(&mut self.file, &mut payload)? && frame_valid(&payload, crc) {
-                    let first = u64::from_le_bytes(payload[9..17].try_into().expect("8 bytes"));
-                    let count = u32::from_le_bytes(payload[17..21].try_into().expect("4 bytes"));
-                    if first != self.next_seq || count == 0 {
-                        // A mid-chain discontinuity is permanent: no
-                        // retry will repair it, the tail is dead.
-                        return Ok(None);
-                    }
-                    let batch = u64::from_le_bytes(payload[1..9].try_into().expect("8 bytes"));
-                    let mut frame = Vec::with_capacity(FRAME_LEN + len);
-                    frame.extend_from_slice(&head);
-                    frame.extend_from_slice(&payload);
-                    self.offset += (FRAME_LEN + len) as u64;
-                    self.next_seq += count as u64;
+            if let Some(frame) = self.read_frame()? {
+                if let Some((head, _, _)) = check_frame(&frame, self.next_seq) {
+                    self.offset += frame.len() as u64;
+                    self.next_seq = head.end_seq();
                     return Ok(Some(WalRecord {
-                        first_seq: first,
-                        count,
-                        batch,
+                        first_seq: head.first_seq,
+                        count: head.count,
+                        batch: head.batch,
                         epoch: self.segment_epoch,
                         frame,
                     }));
                 }
-                // Incomplete or CRC-failing tail: either the writer is
-                // mid-append (retry later) or the log is torn here.
             }
-            // Nothing (valid) at this offset. If the writer rolled to a
-            // fresh segment starting exactly at our position, follow it;
+            // Nothing valid at this offset: an incomplete or
+            // CRC-failing tail (the writer is mid-append — retry later —
+            // or the log is torn here). If the writer rolled to a fresh
+            // segment starting exactly at our position, follow it;
             // otherwise report end-of-log-for-now.
             let Some(next_path) = self.roll_target()? else {
                 return Ok(None);
@@ -258,13 +234,34 @@ impl WalCursor {
         }
     }
 
+    /// The whole frame at `offset`, if the segment already holds it. The
+    /// length prefix is bounded by the bytes the file actually has past
+    /// the offset *before* anything is allocated, so a corrupt length
+    /// reads as an incomplete frame, never as a 4 GiB buffer.
+    fn read_frame(&mut self) -> Result<Option<Vec<u8>>, StoreError> {
+        let held = self.file.metadata()?.len().saturating_sub(self.offset);
+        if held < FRAME_LEN as u64 {
+            return Ok(None);
+        }
+        self.file.seek(SeekFrom::Start(self.offset))?;
+        let mut frame = vec![0u8; FRAME_LEN];
+        self.file.read_exact(&mut frame)?;
+        let len = FRAME_LEN as u64 + u64::from(u32::decode(&mut frame.as_slice())?);
+        if len > held {
+            return Ok(None);
+        }
+        frame.resize(len as usize, 0);
+        self.file.read_exact(&mut frame[FRAME_LEN..])?;
+        Ok(Some(frame))
+    }
+
     /// Path of the successor segment starting at `next_seq`, if the
     /// writer has rolled past the cursor's current segment.
     fn roll_target(&self) -> Result<Option<PathBuf>, StoreError> {
         if self.next_seq == self.segment_first {
             return Ok(None); // still in (possibly empty) current segment
         }
-        Ok(segment_files(&self.dir)?
+        Ok(numbered_files(&self.dir, SEG_PREFIX, SEG_SUFFIX)?
             .into_iter()
             .find(|&(first, _)| first == self.next_seq)
             .map(|(_, path)| path))
@@ -275,24 +272,4 @@ impl Drop for WalCursor {
     fn drop(&mut self) {
         unpin(&self.pins, self.segment_first);
     }
-}
-
-/// Reads exactly `buf.len()` bytes or reports `false` (EOF before the
-/// buffer filled — the frame is not complete yet).
-fn read_fully(file: &mut File, buf: &mut [u8]) -> Result<bool, StoreError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        let n = file.read(&mut buf[filled..])?;
-        if n == 0 {
-            return Ok(false);
-        }
-        filled += n;
-    }
-    Ok(true)
-}
-
-/// Frame-level validity of a payload: CRC plus the fixed head the
-/// writer always emits.
-fn frame_valid(payload: &[u8], crc: u32) -> bool {
-    payload.len() >= 21 && payload[0] == 1 && crc32(payload) == crc
 }

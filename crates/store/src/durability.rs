@@ -33,12 +33,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use tokensync_core::codec::{Codec, StateCodec};
-use tokensync_spec::ObjectType;
+use tokensync_pipeline::commit::replay_verified;
 
 use crate::error::StoreError;
 use crate::obs::StoreObs;
 use crate::recovery::Restorable;
-use crate::snapshot::{prune_chain, write_delta_snapshot, write_snapshot};
+use crate::snapshot::{prune_chain, publish, write_snapshot};
 use crate::wal::read_entries;
 
 /// Work posted to the durability thread.
@@ -313,32 +313,21 @@ where
         if self.mark >= self.open_base {
             return Ok(());
         }
-        let (entries, _) = read_entries::<T::Op, T::Resp>(
+        let (live, _) = read_entries::<T::Op, T::Resp>(
             &self.dir,
             <T::State as StateCodec>::STANDARD,
             <T::State as StateCodec>::VERSION,
             self.mark,
         )?;
-        let spec = T::spec(self.state.clone());
-        for entry in &entries {
-            if entry.seq < self.mark || entry.seq >= self.open_base {
-                continue;
-            }
-            if entry.seq != self.mark {
-                return Err(StoreError::Divergence { seq: entry.seq });
-            }
-            let resp = spec.apply(&mut self.state, entry.caller, &entry.op);
-            if resp != entry.resp {
-                return Err(StoreError::Divergence { seq: entry.seq });
-            }
-            self.mark += 1;
-        }
-        if self.mark != self.open_base {
+        let gap = (self.open_base - self.mark) as usize;
+        let Some(live) = live.get(..gap) else {
             return Err(StoreError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "log suffix below the open position is no longer readable",
             )));
-        }
+        };
+        replay_verified(&T::spec(self.state.clone()), &mut self.state, live)?;
+        self.mark = self.open_base;
         Ok(())
     }
 
@@ -364,14 +353,11 @@ where
             self.since_full = 0;
             self.obs.record_snapshot(started);
         } else {
-            write_delta_snapshot(
-                &self.dir,
+            let tag = (
                 <T::State as StateCodec>::STANDARD,
                 <T::State as StateCodec>::VERSION,
-                watermark,
-                base,
-                delta,
-            )?;
+            );
+            publish(&self.dir, tag, watermark, Some(base), delta)?;
             self.obs.record_delta_snapshot(started);
         }
         self.after_publish(watermark)

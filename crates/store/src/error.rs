@@ -4,6 +4,7 @@ use std::fmt;
 use std::io;
 
 use tokensync_core::codec::CodecError;
+use tokensync_pipeline::ReplayDivergence;
 
 /// Why a store operation failed.
 #[derive(Debug)]
@@ -95,5 +96,11 @@ impl From<io::Error> for StoreError {
 impl From<CodecError> for StoreError {
     fn from(e: CodecError) -> Self {
         StoreError::Codec(e)
+    }
+}
+
+impl<Resp> From<ReplayDivergence<Resp>> for StoreError {
+    fn from(d: ReplayDivergence<Resp>) -> Self {
+        StoreError::Divergence { seq: d.seq }
     }
 }

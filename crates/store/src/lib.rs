@@ -24,10 +24,11 @@
 //! quiescence) and the thread folds them onto its materialized state,
 //! publishing a chained `snap-<mark>.delta` series with periodic full
 //! compaction. Recovery replays the surviving log suffix in parallel:
-//! it re-derives each record's conflict footprint and fans
-//! non-conflicting stretches across a scoped worker pool, verifying
-//! recorded responses exactly as the sequential oracle
-//! ([`recover_sequential`]) does.
+//! the serving path's own bypass probe
+//! ([`Scheduler::commuting_prefix`](tokensync_pipeline::Scheduler::commuting_prefix))
+//! cuts it into maximal commuting runs, and each run fans across a
+//! scoped worker pool, verifying recorded responses exactly as the
+//! sequential oracle ([`recover_sequential`]) does.
 //!
 //! Three pieces, all generic over the served standard through the
 //! [`Codec`](tokensync_core::codec::Codec) /
@@ -46,6 +47,16 @@
 //! * [`recover`] — newest valid snapshot + verified replay of the log
 //!   suffix through the standard's sequential oracle (every recorded
 //!   response is checked) → a live sharded object.
+//!
+//! Each on-disk format has exactly one reader and one writer: one
+//! segment-header type, one record-head parser and one frame check
+//! (length · CRC · head · sequence continuity) shared by the open-time
+//! scan, [`Wal::append_frames`](wal::Wal::append_frames) and the
+//! tailing [`WalCursor`]; one envelope for full and delta snapshots;
+//! one lister of numbered files. Every verified replay — recovery's
+//! sequential path, the durability thread's catch-up,
+//! [`CommitLog::replay`](tokensync_pipeline::CommitLog::replay) — is
+//! [`replay_verified`](tokensync_pipeline::commit::replay_verified).
 //!
 //! Durability is a sink, not a rewrite: [`Store`] implements the
 //! pipeline's [`CommitSink`](tokensync_pipeline::CommitSink), so the
@@ -82,9 +93,7 @@ pub use crc::crc32;
 pub use cursor::{WalCursor, WalRecord};
 pub use error::StoreError;
 pub use obs::StoreObs;
-pub use recovery::{
-    recover, recover_sequential, recover_with, RecoverOptions, Recovered, Restorable,
-};
-pub use snapshot::{install_snapshot, read_latest_snapshot};
+pub use recovery::{recover, recover_sequential, Recovered, Restorable};
+pub use snapshot::install_snapshot;
 pub use store::{Store, StoreConfig};
 pub use wal::{decode_commits, ScanStop};

@@ -3,32 +3,30 @@
 //!
 //! Recovery resolves the newest valid **snapshot chain** — a full
 //! snapshot plus any incremental deltas published on top of it — and
-//! then replays the surviving log suffix. The replay re-derives each
-//! logged operation's conflict footprint with the same
-//! [`FootprintedOp`] analysis the pipeline scheduler uses, partitions
+//! then replays the surviving log suffix. The replay partition *is* the
+//! serving path's bypass probe: [`Scheduler::commuting_prefix`] cuts
 //! the suffix into maximal runs of pairwise-commuting operations, and
-//! applies each run concurrently on a scoped worker pool
+//! each run applies concurrently on a scoped worker pool
 //! ([`recover`]). Because operations within a run commute at every
 //! state, the final state and every verified response are identical to
 //! the one-at-a-time replay ([`recover_sequential`], kept as the
 //! oracle).
 
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use tokensync_core::analysis::{Access, Footprint, FootprintedOp};
 use tokensync_core::codec::{Codec, StateCodec};
 use tokensync_core::erc20::{Erc20Delta, Erc20Spec};
 use tokensync_core::shared::{ConcurrentObject, ShardedErc20};
 use tokensync_core::standards::erc1155::{Erc1155Delta, Erc1155Spec, ShardedErc1155};
 use tokensync_core::standards::erc721::{Erc721Delta, Erc721Spec, ShardedErc721};
-use tokensync_pipeline::CommittedOp;
+use tokensync_pipeline::commit::replay_verified;
+use tokensync_pipeline::{CommittedOp, Scheduler};
 use tokensync_spec::ObjectType;
 
 use crate::error::StoreError;
-use crate::snapshot::{delta_files, latest_snapshot, read_delta, SnapshotDefect};
+use crate::snapshot::{latest_snapshot, read_snapshot, Kind};
 use crate::wal::{read_entries, ScanStop};
 
 /// A servable object that can be rebuilt from its oracle state — the
@@ -151,67 +149,33 @@ where
     T: Restorable,
     T::State: StateCodec,
 {
-    let (full_mark, mut state) = latest_snapshot::<T::State>(dir)?;
-    let standard = <T::State as StateCodec>::STANDARD;
-    let version = <T::State as StateCodec>::VERSION;
-    let deltas = delta_files(dir)?;
-    let mut mark = full_mark;
+    let (mut mark, mut state) = latest_snapshot::<T::State>(dir)?;
+    let tag = (
+        <T::State as StateCodec>::STANDARD,
+        <T::State as StateCodec>::VERSION,
+    );
+    let deltas = Kind::Delta.files(dir)?;
     let mut links = 0u64;
-    loop {
-        let mut advanced = false;
+    'chain: loop {
         // Newest-first among candidates above the current mark.
         for (w, path) in deltas.iter().rev() {
             if *w <= mark {
                 break;
             }
-            match read_delta::<T::Delta>(path, standard, version) {
-                Ok((_, base, delta)) if base == mark => {
-                    if T::apply_delta(&mut state, &delta) {
-                        mark = *w;
-                        links += 1;
-                        advanced = true;
-                        break;
-                    }
+            if let Some((_, base, delta)) = read_snapshot::<T::Delta>(path, Kind::Delta, tag)? {
+                if base == Some(mark) && T::apply_delta(&mut state, &delta) {
+                    (mark, links) = (*w, links + 1);
+                    continue 'chain;
                 }
-                Err(SnapshotDefect::WrongStandard { found }) => {
-                    return Err(StoreError::WrongStandard {
-                        found,
-                        expected: (standard, version),
-                    });
-                }
-                _ => {}
             }
         }
-        if !advanced {
-            break;
-        }
-    }
-    Ok(ResolvedChain { state, mark, links })
-}
-
-/// How [`recover_with`] replays the log suffix.
-#[derive(Clone, Copy, Debug)]
-pub struct RecoverOptions {
-    /// Replay non-conflicting records concurrently (the default). The
-    /// sequential path remains available as the verification oracle.
-    pub parallel: bool,
-    /// Worker threads for the parallel replay (`0` = the machine's
-    /// available parallelism).
-    pub threads: usize,
-    /// Below this many surviving log entries the sequential path is
-    /// used regardless — thread fan-out costs more than it saves.
-    pub min_parallel_ops: usize,
-}
-
-impl Default for RecoverOptions {
-    fn default() -> Self {
-        Self {
-            parallel: true,
-            threads: 0,
-            min_parallel_ops: 4096,
-        }
+        return Ok(ResolvedChain { state, mark, links });
     }
 }
+
+/// Below this many surviving log entries [`recover`] replays
+/// sequentially: thread fan-out would cost more than it saves.
+const MIN_PARALLEL_OPS: usize = 4096;
 
 /// What [`recover`] rebuilt.
 #[derive(Debug)]
@@ -247,8 +211,8 @@ pub struct Recovered<T: ConcurrentObject> {
 /// Recovers the store in `dir`: resolves the newest valid snapshot
 /// chain, replays the surviving log suffix — verifying every recorded
 /// response on the way — and rebuilds the live sharded object.
-/// Non-conflicting stretches of the log replay concurrently; see
-/// [`recover_with`] to tune or disable that.
+/// From 4096 surviving entries on, non-conflicting stretches of the log
+/// replay concurrently on the machine's available parallelism.
 ///
 /// The recovered history is always a *prefix* of the committed history:
 /// record framing is CRC-checked and sequence numbers are gap-free, so
@@ -270,7 +234,7 @@ where
     T::Resp: Codec,
     T::State: StateCodec,
 {
-    recover_with(dir, RecoverOptions::default())
+    recover_impl(dir, true)
 }
 
 /// [`recover`] restricted to the one-at-a-time oracle replay — the
@@ -286,21 +250,10 @@ where
     T::Resp: Codec,
     T::State: StateCodec,
 {
-    recover_with(
-        dir,
-        RecoverOptions {
-            parallel: false,
-            ..RecoverOptions::default()
-        },
-    )
+    recover_impl(dir, false)
 }
 
-/// [`recover`] with explicit [`RecoverOptions`].
-///
-/// # Errors
-///
-/// As [`recover`].
-pub fn recover_with<T>(dir: &Path, opts: RecoverOptions) -> Result<Recovered<T>, StoreError>
+fn recover_impl<T>(dir: &Path, parallel: bool) -> Result<Recovered<T>, StoreError>
 where
     T: Restorable,
     T::Op: Codec,
@@ -312,45 +265,21 @@ where
     let snapshot_load = load_started.elapsed();
 
     let replay_started = Instant::now();
-    let (entries, scan) = read_entries::<T::Op, T::Resp>(
+    let (live, scan) = read_entries::<T::Op, T::Resp>(
         dir,
         <T::State as StateCodec>::STANDARD,
         <T::State as StateCodec>::VERSION,
         chain.mark,
     )?;
-    // The contiguous replay slice: records below the chain mark are
-    // already folded in; a gap past it ends the recoverable prefix.
-    let mut lo = 0usize;
-    while lo < entries.len() && entries[lo].seq < chain.mark {
-        lo += 1;
-    }
-    let mut hi = lo;
-    let mut expect = chain.mark;
-    while hi < entries.len() && entries[hi].seq == expect {
-        expect += 1;
-        hi += 1;
-    }
-    let live = &entries[lo..hi];
-
-    let threads = if opts.threads == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        opts.threads
-    };
-    let (object, state) = if opts.parallel && threads > 1 && live.len() >= opts.min_parallel_ops {
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    let (object, state) = if parallel && threads > 1 && live.len() >= MIN_PARALLEL_OPS {
         let object = T::restore(chain.state);
-        replay_parallel(&object, live, threads).map_err(|seq| StoreError::Divergence { seq })?;
+        replay_parallel(&object, &live, threads).map_err(|seq| StoreError::Divergence { seq })?;
         let state = object.snapshot();
         (object, state)
     } else {
         let mut state = chain.state;
-        let spec = T::spec(state.clone());
-        for entry in live {
-            let resp = spec.apply(&mut state, entry.caller, &entry.op);
-            if resp != entry.resp {
-                return Err(StoreError::Divergence { seq: entry.seq });
-            }
-        }
+        replay_verified(&T::spec(state.clone()), &mut state, &live)?;
         (T::restore(state.clone()), state)
     };
     let replay = replay_started.elapsed();
@@ -369,14 +298,14 @@ where
     })
 }
 
-/// Replays `entries` onto the live `object` concurrently: re-derives
-/// each op's footprint, greedily cuts the sequence into maximal runs of
-/// pairwise-commuting ops (the same commutativity analysis the pipeline
-/// scheduler applies at serve time), and fans each run out across
-/// `threads` scoped workers. Commuting ops produce the same responses
-/// and final state in any order, so verification against the recorded
-/// responses is exact; on mismatch the smallest diverging sequence
-/// number is returned — the same one the sequential oracle reports.
+/// Replays `entries` onto the live `object` concurrently: cuts the
+/// sequence into maximal runs of pairwise-commuting ops with the
+/// serving path's own bypass probe ([`Scheduler::commuting_prefix`]),
+/// and fans each run out across `threads` scoped workers. Commuting ops
+/// produce the same responses and final state in any order, so
+/// verification against the recorded responses is exact; on mismatch
+/// the smallest diverging sequence number is returned — the same one
+/// the sequential oracle reports.
 fn replay_parallel<T>(
     object: &T,
     entries: &[CommittedOp<T::Op, T::Resp>],
@@ -385,63 +314,26 @@ fn replay_parallel<T>(
 where
     T: Restorable,
 {
-    // Partition into waves. A cell's merged access within a wave stays
-    // its class while all charges agree (read/read, credit/credit) and
-    // hardens to `Update` when one op both reads and writes the cell
-    // (self-collisions commute with nothing).
-    let mut waves: Vec<(usize, usize)> = Vec::new();
-    let mut accesses: HashMap<u128, Access> = HashMap::new();
-    let mut fp = Footprint::new();
-    let mut wave_start = 0usize;
-    for (i, entry) in entries.iter().enumerate() {
-        fp.clear();
-        entry.op.footprint_into(entry.caller, &mut fp);
-        let conflicts = fp.iter().any(|(cell, access)| {
-            accesses
-                .get(&cell.key().packed())
-                .map_or(false, |prev| !prev.commutes_with(access))
-        });
-        if conflicts {
-            waves.push((wave_start, i));
-            wave_start = i;
-            accesses.clear();
-        }
-        for (cell, access) in fp.iter() {
-            accesses
-                .entry(cell.key().packed())
-                .and_modify(|prev| {
-                    if *prev != access {
-                        *prev = Access::Update;
-                    }
-                })
-                .or_insert(access);
-        }
-    }
-    if wave_start < entries.len() {
-        waves.push((wave_start, entries.len()));
-    }
-
     let diverged = AtomicU64::new(u64::MAX);
-    for &(start, end) in &waves {
-        let wave = &entries[start..end];
-        if wave.len() < 2 * threads {
-            for entry in wave {
-                if object.apply(entry.caller, &entry.op) != entry.resp {
-                    diverged.fetch_min(entry.seq, Ordering::Relaxed);
-                }
+    let apply = |part: &[CommittedOp<T::Op, T::Resp>]| {
+        for entry in part {
+            if object.apply(entry.caller, &entry.op) != entry.resp {
+                diverged.fetch_min(entry.seq, Ordering::Relaxed);
             }
+        }
+    };
+    let mut probe = Scheduler::new();
+    let mut rest = entries;
+    while !rest.is_empty() {
+        let run = probe.commuting_prefix(rest.iter().map(|e| (e.caller, &e.op)));
+        let (wave, tail) = rest.split_at(run);
+        rest = tail;
+        if wave.len() < 2 * threads {
+            apply(wave);
         } else {
-            let chunk = wave.len().div_ceil(threads);
             crossbeam::scope(|s| {
-                for part in wave.chunks(chunk) {
-                    let diverged = &diverged;
-                    s.spawn(move |_| {
-                        for entry in part {
-                            if object.apply(entry.caller, &entry.op) != entry.resp {
-                                diverged.fetch_min(entry.seq, Ordering::Relaxed);
-                            }
-                        }
-                    });
+                for part in wave.chunks(wave.len().div_ceil(threads)) {
+                    s.spawn(move |_| apply(part));
                 }
             })
             .expect("recovery replay worker panicked");

@@ -1,23 +1,20 @@
 //! Versioned state snapshots with atomic publish.
 //!
 //! A snapshot file `snap-<watermark>.snap` holds the full oracle state
-//! after exactly `watermark` committed operations:
+//! after exactly `watermark` committed operations; an **incremental**
+//! snapshot `snap-<watermark>.delta` holds only the rows touched since a
+//! predecessor snapshot (full or delta) at `base`, forming a chain
+//! `full(F) ← delta(base=F) ← delta(base=W₁) ← …`. Both kinds share one
+//! envelope, written by [`publish`] and read by [`read_snapshot`]:
 //!
 //! ```text
-//! snapshot := magic "TSSNAP01" · payload · crc32(payload) u32
-//! payload  := standard u8 · version u8 · watermark u64
-//!             · state_len u64 · state bytes
+//! snapshot := magic · payload · crc32(payload) u32
+//! payload  := standard u8 · version u8 · watermark u64 · [base u64]
+//!             · body_len u64 · body bytes
 //! ```
 //!
-//! An **incremental** snapshot `snap-<watermark>.delta` holds only the
-//! rows touched since a predecessor snapshot (full or delta) at `base`,
-//! forming a chain `full(F) ← delta(base=F) ← delta(base=W₁) ← …`:
-//!
-//! ```text
-//! delta   := magic "TSSNAPD1" · payload · crc32(payload) u32
-//! payload := standard u8 · version u8 · watermark u64 · base u64
-//!            · delta_len u64 · delta bytes
-//! ```
+//! with magic `"TSSNAP01"` and no `base` for a full snapshot, magic
+//! `"TSSNAPD1"` and the chain's `base` for a delta.
 //!
 //! Publishing is crash-atomic: the bytes are written to a `.tmp` file,
 //! fsynced, then renamed into place (rename is atomic on POSIX), then
@@ -31,11 +28,11 @@ use std::fs::{self, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use tokensync_core::codec::{Codec, StateCodec};
+use tokensync_core::codec::{Codec, CodecError, StateCodec};
 
 use crate::crc::crc32;
 use crate::error::StoreError;
-use crate::wal::sync_dir;
+use crate::wal::{numbered_files, numbered_name, sync_dir};
 
 /// Magic prefix of every full snapshot file.
 pub const SNAP_MAGIC: &[u8; 8] = b"TSSNAP01";
@@ -43,159 +40,149 @@ pub const SNAP_MAGIC: &[u8; 8] = b"TSSNAP01";
 /// Magic prefix of every incremental (delta) snapshot file.
 pub const DELTA_MAGIC: &[u8; 8] = b"TSSNAPD1";
 
-fn snapshot_name(watermark: u64) -> String {
-    format!("snap-{watermark:020}.snap")
+/// Name prefix of every snapshot file (and of its `.tmp` while it is
+/// being published).
+const PREFIX: &str = "snap-";
+
+/// The two snapshot kinds: one envelope, told apart by magic, file
+/// suffix, and whether the payload names the `base` a delta chains onto.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Kind {
+    /// A full oracle state.
+    Full,
+    /// A chain link of touched rows.
+    Delta,
 }
 
-fn delta_name(watermark: u64) -> String {
-    format!("snap-{watermark:020}.delta")
-}
-
-/// The sorted `(watermark, path)` list of snapshot files in `dir`.
-pub(crate) fn snapshot_files(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreError> {
-    let mut snaps = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(mark) = name
-            .strip_prefix("snap-")
-            .and_then(|rest| rest.strip_suffix(".snap"))
-            .and_then(|digits| digits.parse::<u64>().ok())
-        {
-            snaps.push((mark, entry.path()));
+impl Kind {
+    fn magic(self) -> &'static [u8; 8] {
+        match self {
+            Kind::Full => SNAP_MAGIC,
+            Kind::Delta => DELTA_MAGIC,
         }
     }
-    snaps.sort();
-    Ok(snaps)
+
+    fn suffix(self) -> &'static str {
+        match self {
+            Kind::Full => ".snap",
+            Kind::Delta => ".delta",
+        }
+    }
+
+    /// The sorted `(watermark, path)` list of this kind's files in `dir`.
+    pub(crate) fn files(self, dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreError> {
+        numbered_files(dir, PREFIX, self.suffix())
+    }
 }
 
-/// Writes and atomically publishes a snapshot of `state` at
-/// `watermark`; returns its path.
-pub(crate) fn write_snapshot<S: StateCodec>(
+/// The one snapshot writer: encodes the envelope around `body` — a
+/// delta chained onto `base`, or a full snapshot when `base` is `None`
+/// — and publishes it crash-atomically at `watermark`
+/// (`.tmp` → fsync → rename → directory fsync).
+pub(crate) fn publish<B: Codec>(
     dir: &Path,
+    (standard, version): (u8, u8),
     watermark: u64,
-    state: &S,
-) -> Result<PathBuf, StoreError> {
-    let mut payload = Vec::new();
-    payload.push(S::STANDARD);
-    payload.push(S::VERSION);
-    payload.extend_from_slice(&watermark.to_le_bytes());
-    let state_start = payload.len() + 8;
-    payload.extend_from_slice(&0u64.to_le_bytes()); // placeholder
-    state.encode_into(&mut payload);
-    let state_len = (payload.len() - state_start) as u64;
-    payload[state_start - 8..state_start].copy_from_slice(&state_len.to_le_bytes());
-
-    let final_path = dir.join(snapshot_name(watermark));
-    publish_bytes(dir, &final_path, watermark, SNAP_MAGIC, &payload)?;
-    Ok(final_path)
-}
-
-/// Crash-atomic publish shared by full and delta snapshots:
-/// `.tmp` → fsync → rename → directory fsync.
-fn publish_bytes(
-    dir: &Path,
-    final_path: &Path,
-    watermark: u64,
-    magic: &[u8; 8],
-    payload: &[u8],
+    base: Option<u64>,
+    body: &B,
 ) -> Result<(), StoreError> {
-    let tmp_path = dir.join(format!("snap-{watermark:020}.tmp"));
+    let kind = if base.is_some() {
+        Kind::Delta
+    } else {
+        Kind::Full
+    };
+    let mut bytes = kind.magic().to_vec();
+    (standard, version, watermark).encode_into(&mut bytes);
+    if let Some(base) = base {
+        base.encode_into(&mut bytes);
+    }
+    // The body length is patched in once the body is encoded.
+    let len_at = bytes.len();
+    0u64.encode_into(&mut bytes);
+    body.encode_into(&mut bytes);
+    let body_len = (bytes.len() - len_at - 8) as u64;
+    bytes[len_at..len_at + 8].copy_from_slice(&body_len.to_le_bytes());
+    let crc = crc32(&bytes[kind.magic().len()..]);
+    crc.encode_into(&mut bytes);
+
+    let tmp_path = dir.join(numbered_name(PREFIX, watermark, ".tmp"));
     let mut file = OpenOptions::new()
         .create(true)
         .truncate(true)
         .write(true)
         .open(&tmp_path)?;
-    file.write_all(magic)?;
-    file.write_all(payload)?;
-    file.write_all(&crc32(payload).to_le_bytes())?;
+    file.write_all(&bytes)?;
     file.sync_all()?;
     drop(file);
-    fs::rename(&tmp_path, final_path)?;
+    fs::rename(
+        &tmp_path,
+        dir.join(numbered_name(PREFIX, watermark, kind.suffix())),
+    )?;
     sync_dir(dir);
     Ok(())
 }
 
-/// The sorted `(watermark, path)` list of delta-snapshot files in `dir`.
-pub(crate) fn delta_files(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreError> {
-    let mut deltas = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(mark) = name
-            .strip_prefix("snap-")
-            .and_then(|rest| rest.strip_suffix(".delta"))
-            .and_then(|digits| digits.parse::<u64>().ok())
-        {
-            deltas.push((mark, entry.path()));
-        }
-    }
-    deltas.sort();
-    Ok(deltas)
-}
-
-/// Writes and atomically publishes a delta snapshot at `watermark`
-/// chained onto the snapshot at `base`; returns its path.
-pub(crate) fn write_delta_snapshot<D: Codec>(
+/// Publishes a full snapshot of `state` at `watermark`.
+pub(crate) fn write_snapshot<S: StateCodec>(
     dir: &Path,
-    standard: u8,
-    version: u8,
     watermark: u64,
-    base: u64,
-    delta: &D,
-) -> Result<PathBuf, StoreError> {
-    let mut payload = Vec::new();
-    payload.push(standard);
-    payload.push(version);
-    payload.extend_from_slice(&watermark.to_le_bytes());
-    payload.extend_from_slice(&base.to_le_bytes());
-    let delta_start = payload.len() + 8;
-    payload.extend_from_slice(&0u64.to_le_bytes()); // placeholder
-    delta.encode_into(&mut payload);
-    let delta_len = (payload.len() - delta_start) as u64;
-    payload[delta_start - 8..delta_start].copy_from_slice(&delta_len.to_le_bytes());
-
-    let final_path = dir.join(delta_name(watermark));
-    publish_bytes(dir, &final_path, watermark, DELTA_MAGIC, &payload)?;
-    Ok(final_path)
+    state: &S,
+) -> Result<(), StoreError> {
+    publish(dir, (S::STANDARD, S::VERSION), watermark, None, state)
 }
 
-/// Validates and decodes one delta-snapshot file into
-/// `(watermark, base, delta)`.
-pub(crate) fn read_delta<D: Codec>(
+/// The one snapshot reader: validates a `kind` file's magic, CRC and
+/// `(standard, version)` tag and decodes its whole body into `(watermark,
+/// base, body)` (`base` only for a delta). `Ok(None)` means unreadable —
+/// missing bytes, bad magic, bad CRC, or an undecodable body — and the
+/// caller falls back to an older file.
+///
+/// # Errors
+///
+/// [`StoreError::WrongStandard`] for a valid file of another standard or
+/// codec version: the caller opened the wrong directory, and that is
+/// loud, not a fallback.
+pub(crate) fn read_snapshot<B: Codec>(
     path: &Path,
-    standard: u8,
-    version: u8,
-) -> Result<(u64, u64, D), SnapshotDefect> {
-    let bytes = fs::read(path).map_err(|_| SnapshotDefect::Unreadable)?;
-    if bytes.len() < 8 + 2 + 8 + 8 + 8 + 4 || &bytes[0..8] != DELTA_MAGIC {
-        return Err(SnapshotDefect::Unreadable);
+    kind: Kind,
+    tag: (u8, u8),
+) -> Result<Option<(u64, Option<u64>, B)>, StoreError> {
+    let Ok(bytes) = fs::read(path) else {
+        return Ok(None);
+    };
+    let Some((payload, crc)) = bytes
+        .strip_prefix(kind.magic())
+        .and_then(|rest| rest.split_last_chunk())
+    else {
+        return Ok(None);
+    };
+    if crc32(payload) != u32::from_le_bytes(*crc) {
+        return Ok(None);
     }
-    let payload = &bytes[8..bytes.len() - 4];
-    let crc = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-    if crc32(payload) != crc {
-        return Err(SnapshotDefect::Unreadable);
-    }
-    if (payload[0], payload[1]) != (standard, version) {
-        return Err(SnapshotDefect::WrongStandard {
-            found: (payload[0], payload[1]),
+    let mut input = payload;
+    let head = |input: &mut &[u8]| -> Result<_, CodecError> {
+        let (standard, version, watermark) = <(u8, u8, u64)>::decode(input)?;
+        let base = match kind {
+            Kind::Full => None,
+            Kind::Delta => Some(u64::decode(input)?),
+        };
+        Ok(((standard, version), watermark, base, u64::decode(input)?))
+    };
+    let Ok((found, watermark, base, body_len)) = head(&mut input) else {
+        return Ok(None);
+    };
+    if found != tag {
+        return Err(StoreError::WrongStandard {
+            found,
+            expected: tag,
         });
     }
-    let watermark = u64::from_le_bytes(payload[2..10].try_into().expect("8 bytes"));
-    let base = u64::from_le_bytes(payload[10..18].try_into().expect("8 bytes"));
-    let delta_len = u64::from_le_bytes(payload[18..26].try_into().expect("8 bytes")) as usize;
-    let delta_bytes = &payload[26..];
-    if delta_bytes.len() != delta_len {
-        return Err(SnapshotDefect::Unreadable);
-    }
-    let mut input = delta_bytes;
-    let delta = D::decode(&mut input).map_err(|_| SnapshotDefect::Unreadable)?;
-    if !input.is_empty() {
-        return Err(SnapshotDefect::Unreadable);
-    }
-    Ok((watermark, base, delta))
+    let body = (input.len() as u64 == body_len)
+        .then(|| B::decode(&mut input).ok())
+        .flatten();
+    Ok(body
+        .filter(|_| input.is_empty())
+        .map(|body| (watermark, base, body)))
 }
 
 /// Writes and atomically publishes a snapshot of `state` at `watermark`
@@ -212,97 +199,19 @@ pub fn install_snapshot<S: StateCodec>(
     state: &S,
 ) -> Result<(), StoreError> {
     fs::create_dir_all(dir)?;
-    write_snapshot(dir, watermark, state)?;
-    Ok(())
+    write_snapshot(dir, watermark, state)
 }
 
-/// Loads the newest snapshot in `dir` that validates — `(watermark,
-/// state)` — skipping corrupt files. The read half of snapshot
-/// shipping: a primary serves a lagging follower from its newest
-/// published snapshot.
-///
-/// # Errors
-///
-/// [`StoreError::NoSnapshot`] when nothing validates;
-/// [`StoreError::WrongStandard`] for a foreign directory; I/O errors.
-pub fn read_latest_snapshot<S: StateCodec>(dir: &Path) -> Result<(u64, S), StoreError> {
-    latest_snapshot(dir)
-}
-
-/// Validates and decodes one snapshot file.
-pub(crate) fn read_snapshot<S: StateCodec>(path: &Path) -> Result<(u64, S), SnapshotDefect> {
-    let bytes = fs::read(path).map_err(|_| SnapshotDefect::Unreadable)?;
-    if bytes.len() < 8 + 2 + 8 + 8 + 4 || &bytes[0..8] != SNAP_MAGIC {
-        return Err(SnapshotDefect::Unreadable);
-    }
-    let payload = &bytes[8..bytes.len() - 4];
-    let crc = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-    if crc32(payload) != crc {
-        return Err(SnapshotDefect::Unreadable);
-    }
-    let (standard, version) = (payload[0], payload[1]);
-    if (standard, version) != (S::STANDARD, S::VERSION) {
-        return Err(SnapshotDefect::WrongStandard {
-            found: (standard, version),
-        });
-    }
-    let watermark = u64::from_le_bytes(payload[2..10].try_into().expect("8 bytes"));
-    let state_len = u64::from_le_bytes(payload[10..18].try_into().expect("8 bytes")) as usize;
-    let state_bytes = &payload[18..];
-    if state_bytes.len() != state_len {
-        return Err(SnapshotDefect::Unreadable);
-    }
-    let mut input = state_bytes;
-    let state = S::decode(&mut input).map_err(|_| SnapshotDefect::Unreadable)?;
-    if !input.is_empty() {
-        return Err(SnapshotDefect::Unreadable);
-    }
-    Ok((watermark, state))
-}
-
-/// Why one snapshot file was rejected (recovery falls back to the next
-/// older file on `Unreadable`, but surfaces `WrongStandard` loudly).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum SnapshotDefect {
-    /// Missing bytes, bad magic, bad CRC, or an undecodable state.
-    Unreadable,
-    /// Valid file for a different standard/version — the caller opened
-    /// the wrong directory or skewed the codec version.
-    WrongStandard {
-        /// `(standard, version)` found in the header.
-        found: (u8, u8),
-    },
-}
-
-/// Loads the newest snapshot that validates; skips corrupt files.
+/// Loads the newest full snapshot that validates; skips corrupt files.
 pub(crate) fn latest_snapshot<S: StateCodec>(dir: &Path) -> Result<(u64, S), StoreError> {
-    let mut snaps = snapshot_files(dir)?;
-    snaps.reverse();
-    for (_, path) in snaps {
-        match read_snapshot::<S>(&path) {
-            Ok(found) => return Ok(found),
-            Err(SnapshotDefect::WrongStandard { found }) => {
-                return Err(StoreError::WrongStandard {
-                    found,
-                    expected: (S::STANDARD, S::VERSION),
-                });
-            }
-            Err(SnapshotDefect::Unreadable) => continue,
+    for (_, path) in Kind::Full.files(dir)?.iter().rev() {
+        if let Some((watermark, _, state)) =
+            read_snapshot(path, Kind::Full, (S::STANDARD, S::VERSION))?
+        {
+            return Ok((watermark, state));
         }
     }
     Err(StoreError::NoSnapshot)
-}
-
-/// Removes all but the newest `keep` snapshots.
-pub(crate) fn prune_snapshots(dir: &Path, keep: usize) -> Result<(), StoreError> {
-    let snaps = snapshot_files(dir)?;
-    if snaps.len() > keep {
-        for (_, path) in &snaps[..snaps.len() - keep] {
-            fs::remove_file(path)?;
-        }
-        sync_dir(dir);
-    }
-    Ok(())
 }
 
 /// Prunes the snapshot chain down to the newest `keep` full snapshots
@@ -312,16 +221,16 @@ pub(crate) fn prune_snapshots(dir: &Path, keep: usize) -> Result<(), StoreError>
 /// newest full or any delta link is later found corrupt, recovery falls
 /// back no further than that full, and needs its log suffix intact.
 pub(crate) fn prune_chain(dir: &Path, keep: usize) -> Result<u64, StoreError> {
-    prune_snapshots(dir, keep.max(1))?;
-    let floor = snapshot_files(dir)?.first().map_or(0, |&(mark, _)| mark);
-    let mut removed = false;
-    for (mark, path) in delta_files(dir)? {
-        if mark <= floor {
-            fs::remove_file(&path)?;
-            removed = true;
-        }
+    let fulls = Kind::Full.files(dir)?;
+    let dropped = fulls.len().saturating_sub(keep.max(1));
+    let floor = fulls.get(dropped).map_or(0, |&(mark, _)| mark);
+    let deltas = Kind::Delta.files(dir)?;
+    let covered = deltas.iter().filter(|&&(mark, _)| mark <= floor);
+    let doomed: Vec<_> = fulls[..dropped].iter().chain(covered).collect();
+    for (_, path) in &doomed {
+        fs::remove_file(path)?;
     }
-    if removed {
+    if !doomed.is_empty() {
         sync_dir(dir);
     }
     Ok(floor)
@@ -330,12 +239,8 @@ pub(crate) fn prune_chain(dir: &Path, keep: usize) -> Result<u64, StoreError> {
 /// Leftover `.tmp` files from a crash mid-publish are dead weight;
 /// remove them on open.
 pub(crate) fn clear_tmp(dir: &Path) -> Result<(), StoreError> {
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        if name.to_str().is_some_and(|n| n.ends_with(".tmp")) {
-            fs::remove_file(entry.path())?;
-        }
+    for (_, path) in numbered_files(dir, PREFIX, ".tmp")? {
+        fs::remove_file(path)?;
     }
     Ok(())
 }

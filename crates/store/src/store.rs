@@ -14,8 +14,8 @@ use crate::durability::{self, DurHandle, DurMsg, DurShared};
 use crate::error::StoreError;
 use crate::obs::StoreObs;
 use crate::recovery::{resolve_chain, Restorable};
-use crate::snapshot::{clear_tmp, snapshot_files, write_snapshot};
-use crate::wal::Wal;
+use crate::snapshot::{clear_tmp, write_snapshot, Kind};
+use crate::wal::{numbered_files, Wal, SEG_PREFIX, SEG_SUFFIX};
 
 /// Store tuning.
 #[derive(Clone, Copy, Debug)]
@@ -141,7 +141,9 @@ where
     /// files; I/O errors otherwise.
     pub fn create(dir: &Path, genesis: &T::State, cfg: StoreConfig) -> Result<Self, StoreError> {
         std::fs::create_dir_all(dir)?;
-        if !snapshot_files(dir)?.is_empty() || !crate::wal::segment_files(dir)?.is_empty() {
+        if !Kind::Full.files(dir)?.is_empty()
+            || !numbered_files(dir, SEG_PREFIX, SEG_SUFFIX)?.is_empty()
+        {
             return Err(StoreError::AlreadyInitialized);
         }
         write_snapshot(dir, 0, genesis)?;

@@ -17,6 +17,12 @@
 //! [`CommitSink`](tokensync_pipeline::CommitSink) — so group-commit
 //! durability is one record and at most one `fsync` per batch.
 //!
+//! Each format has one parser: `SegmentHeader` reads and writes the
+//! header, `RecordHead` the payload head, and one frame check (length ·
+//! CRC · head · sequence continuity) serves the open-time scan,
+//! [`Wal::append_frames`] and the tailing
+//! [`WalCursor`](crate::cursor::WalCursor) alike.
+//!
 //! **Torn-tail rule:** a crash can leave the last record half-written.
 //! [`Wal::open`] re-scans the segments, truncates the tail at the first
 //! frame whose length, checksum, or sequence continuity fails, and
@@ -26,7 +32,7 @@
 //! reader, which decodes the surviving prefix.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use tokensync_core::codec::{Codec, CodecError};
@@ -47,28 +53,38 @@ const KIND_COMMITS: u8 = 1;
 /// Bytes of a record's frame prefix (payload length u32 + CRC u32) —
 /// a shipped frame's payload starts at this offset.
 pub const FRAME_LEN: usize = 8;
+/// Name prefix of segment files, `wal-<first_seq>.seg`.
+pub(crate) const SEG_PREFIX: &str = "wal-";
+/// Name suffix of segment files.
+pub(crate) const SEG_SUFFIX: &str = ".seg";
 
-fn segment_name(first_seq: u64) -> String {
-    format!("wal-{first_seq:020}.seg")
+/// `<prefix><n, 20 digits><suffix>`: the file names
+/// [`numbered_files`] lists.
+pub(crate) fn numbered_name(prefix: &str, n: u64, suffix: &str) -> String {
+    format!("{prefix}{n:020}{suffix}")
 }
 
-/// The sorted `(first_seq, path)` list of segment files in `dir`.
-pub(crate) fn segment_files(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreError> {
-    let mut segs = Vec::new();
+/// The sorted `(n, path)` list of the files in `dir` named
+/// `<prefix><n><suffix>` — the one directory lister of the store.
+pub(crate) fn numbered_files(
+    dir: &Path,
+    prefix: &str,
+    suffix: &str,
+) -> Result<Vec<(u64, PathBuf)>, StoreError> {
+    let mut files = Vec::new();
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(seq) = name
-            .strip_prefix("wal-")
-            .and_then(|rest| rest.strip_suffix(".seg"))
-            .and_then(|digits| digits.parse::<u64>().ok())
-        {
-            segs.push((seq, entry.path()));
+        let n = name.to_str().and_then(|name| {
+            let digits = name.strip_prefix(prefix)?.strip_suffix(suffix)?;
+            digits.parse::<u64>().ok()
+        });
+        if let Some(n) = n {
+            files.push((n, entry.path()));
         }
     }
-    segs.sort();
-    Ok(segs)
+    files.sort();
+    Ok(files)
 }
 
 /// Best-effort directory fsync so created/renamed/removed files survive
@@ -77,6 +93,108 @@ pub(crate) fn sync_dir(dir: &Path) {
     if let Ok(handle) = File::open(dir) {
         let _ = handle.sync_all();
     }
+}
+
+/// A segment file's fixed header.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SegmentHeader {
+    pub standard: u8,
+    pub version: u8,
+    pub first_seq: u64,
+    pub epoch: u64,
+}
+
+impl SegmentHeader {
+    /// Parses the header off the front of a segment's bytes; returns it
+    /// and the frames behind it.
+    pub(crate) fn parse(bytes: &[u8]) -> Result<(Self, &[u8]), CodecError> {
+        let mut input = bytes
+            .strip_prefix(SEG_MAGIC)
+            .ok_or(CodecError::Invalid("bad segment magic"))?;
+        let (standard, version, first_seq, epoch) = Codec::decode(&mut input)?;
+        let header = Self {
+            standard,
+            version,
+            first_seq,
+            epoch,
+        };
+        Ok((header, input))
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        let mut out = SEG_MAGIC.to_vec();
+        (self.standard, self.version, self.first_seq, self.epoch).encode_into(&mut out);
+        out
+    }
+
+    /// Refuses a readable header of another standard or codec version
+    /// loudly, instead of silently truncating someone else's data.
+    pub(crate) fn check(&self, standard: u8, version: u8) -> Result<(), StoreError> {
+        if (self.standard, self.version) != (standard, version) {
+            return Err(StoreError::WrongStandard {
+                found: (self.standard, self.version),
+                expected: (standard, version),
+            });
+        }
+        Ok(())
+    }
+}
+
+/// The fixed head of a record payload: `kind · batch · first_seq ·
+/// count`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RecordHead {
+    pub batch: u64,
+    pub first_seq: u64,
+    pub count: u32,
+}
+
+impl RecordHead {
+    /// Parses the head off a record payload; returns it and the entry
+    /// bytes behind it.
+    pub(crate) fn parse(payload: &[u8]) -> Result<(Self, &[u8]), CodecError> {
+        let mut input = payload;
+        let (kind, batch, first_seq, count) = <(u8, u64, u64, u32)>::decode(&mut input)?;
+        if kind != KIND_COMMITS {
+            return Err(CodecError::Invalid("unknown WAL record kind"));
+        }
+        Ok((
+            Self {
+                batch,
+                first_seq,
+                count,
+            },
+            input,
+        ))
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        (KIND_COMMITS, self.batch, self.first_seq, self.count).encode_into(out);
+    }
+
+    /// Sequence number past the record's last entry.
+    pub(crate) fn end_seq(&self) -> u64 {
+        self.first_seq.saturating_add(u64::from(self.count))
+    }
+}
+
+/// The one frame check: whether `bytes` starts with a whole frame whose
+/// CRC holds and whose non-empty record continues the log at
+/// `next_seq`. Returns the record's head, its entry bytes and the
+/// frame's length.
+pub(crate) fn check_frame(bytes: &[u8], next_seq: u64) -> Option<(RecordHead, &[u8], usize)> {
+    let mut input = bytes;
+    let (len, crc) = <(u32, u32)>::decode(&mut input).ok()?;
+    let payload = input.get(..len as usize)?;
+    if crc32(payload) != crc {
+        return None;
+    }
+    let (head, entries) = RecordHead::parse(payload).ok()?;
+    (head.first_seq == next_seq && head.count != 0).then_some((
+        head,
+        entries,
+        FRAME_LEN + payload.len(),
+    ))
 }
 
 /// Where and why a log scan stopped before the physical end of the log.
@@ -89,43 +207,22 @@ pub struct ScanStop {
     pub offset: u64,
 }
 
-/// One frame-level walk over a segment's bytes (header already split
-/// off). Calls `sink(payload)` for every CRC-valid record whose
-/// sequence numbers continue `next_seq`; returns the byte offset of the
-/// first invalid frame (or the end) and the updated `next_seq`.
+/// Walks the frames of `bytes` from `next_seq` on, handing every valid
+/// record to `sink`; returns the byte offset of the first invalid frame
+/// (or the end), the sequence number past the last valid record, and
+/// whether the walk consumed every byte.
 fn walk_frames<E>(
     bytes: &[u8],
     mut next_seq: u64,
-    mut sink: impl FnMut(&[u8]) -> Result<(), E>,
+    mut sink: impl FnMut(RecordHead, &[u8]) -> Result<(), E>,
 ) -> Result<(u64, u64, bool), E> {
-    let mut offset = 0usize;
-    loop {
-        let rest = &bytes[offset..];
-        if rest.len() < FRAME_LEN {
-            return Ok((offset as u64, next_seq, rest.is_empty()));
-        }
-        let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-        if rest.len() < FRAME_LEN + len {
-            return Ok((offset as u64, next_seq, false));
-        }
-        let payload = &rest[FRAME_LEN..FRAME_LEN + len];
-        if crc32(payload) != crc {
-            return Ok((offset as u64, next_seq, false));
-        }
-        // Parse the fixed payload head: kind, batch, first_seq, count.
-        if payload.len() < 1 + 8 + 8 + 4 || payload[0] != KIND_COMMITS {
-            return Ok((offset as u64, next_seq, false));
-        }
-        let first = u64::from_le_bytes(payload[9..17].try_into().expect("8 bytes"));
-        let count = u32::from_le_bytes(payload[17..21].try_into().expect("4 bytes")) as u64;
-        if first != next_seq || count == 0 {
-            return Ok((offset as u64, next_seq, false));
-        }
-        sink(payload)?;
-        next_seq += count;
-        offset += FRAME_LEN + len;
+    let mut offset = 0;
+    while let Some((head, entries, len)) = check_frame(&bytes[offset..], next_seq) {
+        sink(head, entries)?;
+        next_seq = head.end_seq();
+        offset += len;
     }
+    Ok((offset as u64, next_seq, offset == bytes.len()))
 }
 
 /// Result of re-scanning the segment chain at open/recovery time.
@@ -144,7 +241,7 @@ pub(crate) struct LogScan {
 }
 
 /// Walks every segment in order, handing CRC-valid, seq-continuous
-/// record payloads to `sink`, stopping at the first invalid frame or
+/// records to `sink`, stopping at the first invalid frame or
 /// backward-overlapping segment.
 ///
 /// A *forward* jump between segments (the next segment's `first_seq`
@@ -159,108 +256,79 @@ pub(crate) fn scan_log<E: From<StoreError>>(
     dir: &Path,
     standard: u8,
     version: u8,
-    mut sink: impl FnMut(&[u8]) -> Result<(), E>,
+    mut sink: impl FnMut(RecordHead, &[u8]) -> Result<(), E>,
 ) -> Result<LogScan, E> {
-    let segs = segment_files(dir).map_err(E::from)?;
-    let mut next_seq = 0u64;
-    let mut epoch = 0u64;
-    let mut tail: Option<(u64, PathBuf, u64)> = None;
-    for (i, (first, path)) in segs.iter().enumerate() {
-        let bytes = fs::read(path).map_err(|e| E::from(StoreError::Io(e)))?;
-        let seg_epoch = (bytes.len() as u64 >= SEG_HEADER_LEN)
-            .then(|| u64::from_le_bytes(bytes[18..26].try_into().expect("8 bytes")))
-            .unwrap_or(0);
+    let mut scan = LogScan {
+        next_seq: 0,
+        tail: None,
+        stop: None,
+        epoch: 0,
+    };
+    let segs = numbered_files(dir, SEG_PREFIX, SEG_SUFFIX)?;
+    for (i, (first, path)) in segs.into_iter().enumerate() {
+        let bytes = fs::read(&path).map_err(StoreError::Io)?;
         // Epochs only ever increase along the chain: a segment stamped
         // with an *older* epoch after a newer one is a stale primary's
         // leftover and ends the usable chain, exactly like a backward
-        // sequence overlap.
-        let header_ok = bytes.len() as u64 >= SEG_HEADER_LEN
-            && &bytes[0..8] == SEG_MAGIC
-            && u64::from_le_bytes(bytes[10..18].try_into().expect("8 bytes")) == *first
-            && (i == 0 || (*first >= next_seq && seg_epoch >= epoch));
-        if header_ok && (bytes[8], bytes[9]) != (standard, version) {
-            // Readable header, wrong contents: refuse loudly instead of
-            // silently truncating someone else's data.
-            return Err(E::from(StoreError::WrongStandard {
-                found: (bytes[8], bytes[9]),
-                expected: (standard, version),
-            }));
-        }
-        if !header_ok {
-            // Unreadable header or a backward overlap: the chain ends at
-            // the previous segment.
-            return Ok(LogScan {
-                next_seq,
-                tail,
-                stop: Some(ScanStop {
-                    segment_first_seq: *first,
-                    offset: 0,
-                }),
-                epoch,
+        // sequence overlap — and so does an unreadable header.
+        let parsed = SegmentHeader::parse(&bytes).ok().filter(|(header, _)| {
+            header.first_seq == first
+                && (i == 0 || (first >= scan.next_seq && header.epoch >= scan.epoch))
+        });
+        let Some((header, frames)) = parsed else {
+            scan.stop = Some(ScanStop {
+                segment_first_seq: first,
+                offset: 0,
             });
-        }
-        next_seq = *first;
-        epoch = seg_epoch;
-        let (valid_end, seq, clean) =
-            walk_frames(&bytes[SEG_HEADER_LEN as usize..], next_seq, &mut sink)?;
-        next_seq = seq;
-        tail = Some((*first, path.clone(), SEG_HEADER_LEN + valid_end));
+            return Ok(scan);
+        };
+        header.check(standard, version)?;
+        scan.epoch = header.epoch;
+        let (valid_end, next_seq, clean) = walk_frames(frames, first, &mut sink)?;
+        let end = SEG_HEADER_LEN + valid_end;
+        scan.next_seq = next_seq;
+        scan.tail = Some((first, path, end));
         if !clean {
-            return Ok(LogScan {
-                next_seq,
-                tail,
-                stop: Some(ScanStop {
-                    segment_first_seq: *first,
-                    offset: SEG_HEADER_LEN + valid_end,
-                }),
-                epoch,
+            scan.stop = Some(ScanStop {
+                segment_first_seq: first,
+                offset: end,
             });
+            return Ok(scan);
         }
     }
-    Ok(LogScan {
-        next_seq,
-        tail,
-        stop: None,
-        epoch,
-    })
+    Ok(scan)
 }
 
-/// Decodes the committed-operation entries of one record payload whose
-/// framing (CRC, fixed head) has already been validated — the shared
-/// decode path of recovery and of a replication follower unpacking a
-/// shipped frame.
+/// Decodes the committed-operation entries of one record payload — the
+/// shared decode path of recovery and of a replication follower
+/// unpacking a shipped frame. Total: short or foreign bytes are an
+/// error, never a panic.
+///
+/// # Errors
+///
+/// [`CodecError`] when the payload does not hold a well-formed record.
 pub fn decode_commits<Op: Codec, Resp: Codec>(
     payload: &[u8],
 ) -> Result<Vec<CommittedOp<Op, Resp>>, CodecError> {
+    let (head, entries) = RecordHead::parse(payload)?;
     let mut out = Vec::new();
-    decode_record(payload, &mut out)?;
+    decode_entries(head, entries, &mut out)?;
     Ok(out)
 }
 
-/// Decodes the committed-operation entries of one record payload
-/// (already CRC-validated) into `out`.
-fn decode_record<Op: Codec, Resp: Codec>(
-    payload: &[u8],
+/// Decodes the `head.count` entries behind a record head into `out`.
+fn decode_entries<Op: Codec, Resp: Codec>(
+    head: RecordHead,
+    mut input: &[u8],
     out: &mut Vec<CommittedOp<Op, Resp>>,
 ) -> Result<(), CodecError> {
-    let batch = u64::from_le_bytes(payload[1..9].try_into().expect("8 bytes"));
-    let first = u64::from_le_bytes(payload[9..17].try_into().expect("8 bytes"));
-    let count = u32::from_le_bytes(payload[17..21].try_into().expect("4 bytes")) as u64;
-    let mut input = &payload[21..];
-    for k in 0..count {
-        let caller = {
-            if input.len() < 4 {
-                return Err(CodecError::Truncated);
-            }
-            let (head, rest) = input.split_at(4);
-            input = rest;
-            u32::from_le_bytes(head.try_into().expect("4 bytes")) as usize
-        };
+    for seq in head.first_seq..head.end_seq() {
+        let caller = u32::decode(&mut input)? as usize;
         let op = Op::decode(&mut input)?;
         let resp = Resp::decode(&mut input)?;
         out.push(CommittedOp {
-            seq: first + k,
-            batch,
+            seq,
+            batch: head.batch,
             caller: ProcessId::new(caller),
             op,
             resp,
@@ -272,13 +340,14 @@ fn decode_record<Op: Codec, Resp: Codec>(
     Ok(())
 }
 
-/// Reads the surviving, decodable suffix of the log from `min_seq` on:
-/// every committed operation whose record framing, checksum and
-/// sequence continuity are intact, in commit order. Records wholly
-/// below `min_seq` (already folded into the caller's snapshot) are
-/// frame-validated by the scan but never decoded — at the default GC
-/// policy roughly a snapshot-interval of records sits below the newest
-/// watermark, and decoding it just to throw it away would double
+/// Reads the replayable suffix of the log from `min_seq` on: the
+/// gap-free run of committed operations starting exactly at `min_seq`
+/// whose record framing, checksum and sequence continuity are intact,
+/// in commit order. A gap ends the run, and records wholly below
+/// `min_seq` (already folded into the caller's snapshot) or past a gap
+/// are frame-validated by the scan but never decoded — at the default
+/// GC policy roughly a snapshot-interval of records sits below the
+/// newest watermark, and decoding it just to throw it away would double
 /// recovery's decode work.
 ///
 /// # Errors
@@ -293,17 +362,19 @@ pub(crate) fn read_entries<Op: Codec, Resp: Codec>(
     version: u8,
     min_seq: u64,
 ) -> Result<(Vec<CommittedOp<Op, Resp>>, LogScan), StoreError> {
-    let mut entries = Vec::new();
-    let scan = scan_log::<StoreError>(dir, standard, version, |payload| {
-        // walk_frames already validated the fixed head fields.
-        let first = u64::from_le_bytes(payload[9..17].try_into().expect("8 bytes"));
-        let count = u32::from_le_bytes(payload[17..21].try_into().expect("4 bytes")) as u64;
-        if first.saturating_add(count) <= min_seq {
-            return Ok(());
+    let mut out = Vec::new();
+    let mut next = min_seq;
+    let scan = scan_log::<StoreError>(dir, standard, version, |head, entries| {
+        if head.first_seq <= next && next < head.end_seq() {
+            decode_entries(head, entries, &mut out)?;
+            next = head.end_seq();
         }
-        decode_record(payload, &mut entries).map_err(StoreError::Codec)
+        Ok(())
     })?;
-    Ok((entries, scan))
+    // The record straddling `min_seq` contributes only its suffix.
+    let folded = out.partition_point(|e| e.seq < min_seq);
+    out.drain(..folded);
+    Ok((out, scan))
 }
 
 /// Shared registry of segments pinned by live [`WalCursor`]s (keyed by
@@ -353,26 +424,22 @@ impl Wal {
         floor_seq: u64,
     ) -> Result<Self, StoreError> {
         fs::create_dir_all(dir)?;
-        let scan = scan_log::<StoreError>(dir, standard, version, |_| Ok(()))?;
-        // First repair the surviving chain: truncate the torn tail of
-        // the stop segment and drop everything after it (unreachable —
-        // appends would collide with its sequence numbers otherwise).
-        // With no usable tail at all (the very first header is
-        // unreadable) nothing is replayable, so clear the files.
-        if let Some((scanned_first, scanned_path, scanned_end)) = &scan.tail {
-            for (first, seg_path) in segment_files(dir)? {
-                if first > *scanned_first {
-                    fs::remove_file(seg_path)?;
-                }
-            }
-            let file = OpenOptions::new().write(true).open(scanned_path)?;
-            if file.metadata()?.len() != *scanned_end {
-                file.set_len(*scanned_end)?;
-                file.sync_data()?;
-            }
-        } else {
-            for (_, seg_path) in segment_files(dir)? {
+        let scan = scan_log::<StoreError>(dir, standard, version, |_, _| Ok(()))?;
+        // First repair the surviving chain: drop every segment past the
+        // scan's tail (unreachable — appends would collide with its
+        // sequence numbers otherwise; with no usable tail at all, that
+        // is every file), then truncate the tail's torn end.
+        let last_kept = scan.tail.as_ref().map(|(first, ..)| *first);
+        for (first, seg_path) in numbered_files(dir, SEG_PREFIX, SEG_SUFFIX)? {
+            if last_kept.is_none_or(|last| first > last) {
                 fs::remove_file(seg_path)?;
+            }
+        }
+        if let Some((_, path, end)) = &scan.tail {
+            let file = OpenOptions::new().write(true).open(path)?;
+            if file.metadata()?.len() != *end {
+                file.set_len(*end)?;
+                file.sync_data()?;
             }
         }
         // Then position the writer. If the surviving log ends below the
@@ -386,7 +453,13 @@ impl Wal {
                 (first, path, valid_end, scan.next_seq)
             }
             _ => {
-                let path = Self::create_segment(dir, standard, version, floor_seq, epoch)?;
+                let header = SegmentHeader {
+                    standard,
+                    version,
+                    first_seq: floor_seq,
+                    epoch,
+                };
+                let path = Self::create_segment(dir, &header)?;
                 (floor_seq, path, SEG_HEADER_LEN, floor_seq)
             }
         };
@@ -413,28 +486,26 @@ impl Wal {
         self.obs = obs;
     }
 
-    fn create_segment(
-        dir: &Path,
-        standard: u8,
-        version: u8,
-        first_seq: u64,
-        epoch: u64,
-    ) -> Result<PathBuf, StoreError> {
-        let path = dir.join(segment_name(first_seq));
-        let mut header = Vec::with_capacity(SEG_HEADER_LEN as usize);
-        header.extend_from_slice(SEG_MAGIC);
-        header.push(standard);
-        header.push(version);
-        header.extend_from_slice(&first_seq.to_le_bytes());
-        header.extend_from_slice(&epoch.to_le_bytes());
+    fn create_segment(dir: &Path, header: &SegmentHeader) -> Result<PathBuf, StoreError> {
+        let path = dir.join(numbered_name(SEG_PREFIX, header.first_seq, SEG_SUFFIX));
         let mut file = OpenOptions::new()
             .create_new(true)
             .write(true)
             .open(&path)?;
-        file.write_all(&header)?;
+        file.write_all(&header.encode())?;
         file.sync_data()?;
         sync_dir(dir);
         Ok(path)
+    }
+
+    /// The header this log stamps on a segment starting at `first_seq`.
+    fn header(&self, first_seq: u64) -> SegmentHeader {
+        SegmentHeader {
+            standard: self.standard,
+            version: self.version,
+            first_seq,
+            epoch: self.epoch,
+        }
     }
 
     /// First sequence number the next append must carry.
@@ -465,9 +536,10 @@ impl Wal {
         }
         self.epoch = epoch;
         if self.segment_bytes == SEG_HEADER_LEN {
-            // Empty tail segment: restamp its header in place.
-            self.file.seek(SeekFrom::Start(18))?;
-            self.file.write_all(&epoch.to_le_bytes())?;
+            // Empty tail segment: rewrite its header in place.
+            self.file.seek(SeekFrom::Start(0))?;
+            self.file
+                .write_all(&self.header(self.segment_first).encode())?;
             self.file.sync_data()?;
             self.file.seek(SeekFrom::Start(self.segment_bytes))?;
         } else {
@@ -498,7 +570,7 @@ impl Wal {
     /// The `first_seq` of the oldest segment still on disk — the lower
     /// bound of what [`Wal::cursor`] can serve.
     pub fn oldest_segment_seq(&self) -> Result<u64, StoreError> {
-        Ok(segment_files(&self.dir)?
+        Ok(numbered_files(&self.dir, SEG_PREFIX, SEG_SUFFIX)?
             .first()
             .map_or(self.next_seq, |&(first, _)| first))
     }
@@ -525,23 +597,27 @@ impl Wal {
         if self.segment_bytes >= self.max_segment_bytes {
             self.roll()?;
         }
-        let mut payload = Vec::with_capacity(21 + entries.len() * 16);
-        payload.push(KIND_COMMITS);
-        payload.extend_from_slice(&head.batch.to_le_bytes());
-        payload.extend_from_slice(&(base + head.seq).to_le_bytes());
-        payload.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+        // The frame prefix (length, CRC) is patched in once the payload
+        // behind it is encoded.
+        let mut frame = vec![0u8; FRAME_LEN];
+        frame.reserve(21 + entries.len() * 16);
+        let record = RecordHead {
+            batch: head.batch,
+            first_seq: base + head.seq,
+            count: entries.len() as u32,
+        };
+        record.encode_into(&mut frame);
         for (k, entry) in entries.iter().enumerate() {
             debug_assert_eq!(entry.seq, head.seq + k as u64, "entries not contiguous");
             let caller =
                 u32::try_from(entry.caller.index()).expect("caller exceeds the u32 key space");
-            payload.extend_from_slice(&caller.to_le_bytes());
-            entry.op.encode_into(&mut payload);
-            entry.resp.encode_into(&mut payload);
+            caller.encode_into(&mut frame);
+            entry.op.encode_into(&mut frame);
+            entry.resp.encode_into(&mut frame);
         }
-        let mut frame = Vec::with_capacity(FRAME_LEN + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let (prefix, payload) = frame.split_at_mut(FRAME_LEN);
+        prefix[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        prefix[4..].copy_from_slice(&crc32(payload).to_le_bytes());
         self.file.write_all(&frame)?;
         self.segment_bytes += frame.len() as u64;
         self.next_seq += entries.len() as u64;
@@ -586,11 +662,11 @@ impl Wal {
     /// contiguous frame run (a partially valid run is rejected whole).
     pub fn append_frames(&mut self, bytes: &[u8]) -> Result<u64, StoreError> {
         let mut frames = 0u64;
-        let (valid_end, end_seq, clean) = walk_frames::<StoreError>(bytes, self.next_seq, |_| {
+        let (_, end_seq, clean) = walk_frames::<StoreError>(bytes, self.next_seq, |_, _| {
             frames += 1;
             Ok(())
         })?;
-        if !clean || valid_end != bytes.len() as u64 {
+        if !clean {
             return Err(StoreError::Codec(CodecError::Invalid(
                 "shipped frames are not a clean continuation of the log",
             )));
@@ -612,13 +688,7 @@ impl Wal {
     /// sequence number.
     fn roll(&mut self) -> Result<(), StoreError> {
         self.file.sync_data()?;
-        let path = Self::create_segment(
-            &self.dir,
-            self.standard,
-            self.version,
-            self.next_seq,
-            self.epoch,
-        )?;
+        let path = Self::create_segment(&self.dir, &self.header(self.next_seq))?;
         self.file = OpenOptions::new().read(true).write(true).open(&path)?;
         self.file.seek(SeekFrom::End(0))?;
         self.segment_first = self.next_seq;
@@ -637,7 +707,7 @@ impl Wal {
     ///
     /// [`WalCursor`]: crate::cursor::WalCursor
     pub fn gc(&mut self, watermark: u64) -> Result<(), StoreError> {
-        let segs = segment_files(&self.dir)?;
+        let segs = numbered_files(&self.dir, SEG_PREFIX, SEG_SUFFIX)?;
         let pin_floor = {
             let pins = self.pins.lock().expect("pin registry poisoned");
             pins.keys().copied().min().unwrap_or(u64::MAX)
@@ -657,17 +727,9 @@ impl Wal {
     /// the store bench records it).
     pub fn disk_bytes(&self) -> Result<u64, StoreError> {
         let mut total = 0;
-        for (_, path) in segment_files(&self.dir)? {
+        for (_, path) in numbered_files(&self.dir, SEG_PREFIX, SEG_SUFFIX)? {
             total += fs::metadata(path)?.len();
         }
         Ok(total)
     }
-}
-
-/// Reads a whole segment file's bytes (test aid for crash injection).
-#[doc(hidden)]
-pub fn read_segment_bytes(path: &Path) -> std::io::Result<Vec<u8>> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    Ok(bytes)
 }
