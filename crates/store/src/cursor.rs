@@ -79,6 +79,8 @@ pub struct WalCursor {
     file: File,
     /// Byte offset of the next unread frame within the segment.
     offset: u64,
+    /// Length of that segment when last measured.
+    segment_len: u64,
     /// Sequence number the next record must start at.
     next_seq: u64,
 }
@@ -160,6 +162,7 @@ impl WalCursor {
             segment_epoch,
             file,
             offset: SEG_HEADER_LEN,
+            segment_len: 0,
             next_seq: segment_first,
         };
         // Skip forward to `from_seq` — records are whole batches, so the
@@ -203,7 +206,12 @@ impl WalCursor {
     pub fn next_record(&mut self) -> Result<Option<WalRecord>, StoreError> {
         loop {
             if let Some(frame) = self.read_frame()? {
-                if let Some((head, _, _)) = check_frame(&frame, self.next_seq) {
+                if let Some((head, _, _)) = check_frame(&frame) {
+                    if !head.continues(self.next_seq) {
+                        // A mid-chain discontinuity is permanent: no
+                        // retry will repair it, the tail is dead.
+                        return Ok(None);
+                    }
                     self.offset += frame.len() as u64;
                     self.next_seq = head.end_seq();
                     return Ok(Some(WalRecord {
@@ -231,6 +239,7 @@ impl WalCursor {
             self.segment_epoch = epoch;
             self.file = file;
             self.offset = SEG_HEADER_LEN;
+            self.segment_len = 0;
         }
     }
 
@@ -239,20 +248,30 @@ impl WalCursor {
     /// the offset *before* anything is allocated, so a corrupt length
     /// reads as an incomplete frame, never as a 4 GiB buffer.
     fn read_frame(&mut self) -> Result<Option<Vec<u8>>, StoreError> {
-        let held = self.file.metadata()?.len().saturating_sub(self.offset);
-        if held < FRAME_LEN as u64 {
+        if !self.holds(FRAME_LEN as u64)? {
             return Ok(None);
         }
         self.file.seek(SeekFrom::Start(self.offset))?;
         let mut frame = vec![0u8; FRAME_LEN];
         self.file.read_exact(&mut frame)?;
         let len = FRAME_LEN as u64 + u64::from(u32::decode(&mut frame.as_slice())?);
-        if len > held {
+        if !self.holds(len)? {
             return Ok(None);
         }
         frame.resize(len as usize, 0);
         self.file.read_exact(&mut frame[FRAME_LEN..])?;
         Ok(Some(frame))
+    }
+
+    /// Whether the segment holds `bytes` more past `offset`. Segments
+    /// only grow under a cursor, so the file is re-measured only when
+    /// the last known length falls short.
+    fn holds(&mut self, bytes: u64) -> Result<bool, StoreError> {
+        let end = self.offset.saturating_add(bytes);
+        if end > self.segment_len {
+            self.segment_len = self.file.metadata()?.len();
+        }
+        Ok(end <= self.segment_len)
     }
 
     /// Path of the successor segment starting at `next_seq`, if the

@@ -313,22 +313,27 @@ where
         if self.mark >= self.open_base {
             return Ok(());
         }
-        let (live, _) = read_entries::<T::Op, T::Resp>(
+        let (live, resumes, _) = read_entries::<T::Op, T::Resp>(
             &self.dir,
             <T::State as StateCodec>::STANDARD,
             <T::State as StateCodec>::VERSION,
             self.mark,
         )?;
-        let gap = (self.open_base - self.mark) as usize;
-        let Some(live) = live.get(..gap) else {
-            return Err(StoreError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "log suffix below the open position is no longer readable",
-            )));
-        };
-        replay_verified(&T::spec(self.state.clone()), &mut self.state, live)?;
-        self.mark = self.open_base;
-        Ok(())
+        let run = &live[..live.len().min((self.open_base - self.mark) as usize)];
+        replay_verified(&T::spec(self.state.clone()), &mut self.state, run)?;
+        self.mark += run.len() as u64;
+        if self.mark == self.open_base {
+            return Ok(());
+        }
+        // The run stopped short: a log that resumes past a hole below
+        // the open position diverges there; otherwise the suffix is gone.
+        if let Some(seq) = resumes.filter(|&seq| seq < self.open_base) {
+            return Err(StoreError::Divergence { seq });
+        }
+        Err(StoreError::Io(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "log suffix below the open position is no longer readable",
+        )))
     }
 
     fn publish_delta(&mut self, watermark: u64, delta: &T::Delta) {

@@ -265,7 +265,7 @@ where
     let snapshot_load = load_started.elapsed();
 
     let replay_started = Instant::now();
-    let (live, scan) = read_entries::<T::Op, T::Resp>(
+    let (live, _, scan) = read_entries::<T::Op, T::Resp>(
         dir,
         <T::State as StateCodec>::STANDARD,
         <T::State as StateCodec>::VERSION,

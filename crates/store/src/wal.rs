@@ -176,13 +176,19 @@ impl RecordHead {
     pub(crate) fn end_seq(&self) -> u64 {
         self.first_seq.saturating_add(u64::from(self.count))
     }
+
+    /// Whether the record is non-empty and continues the log at
+    /// `next_seq`.
+    pub(crate) fn continues(&self, next_seq: u64) -> bool {
+        self.first_seq == next_seq && self.count != 0
+    }
 }
 
 /// The one frame check: whether `bytes` starts with a whole frame whose
-/// CRC holds and whose non-empty record continues the log at
-/// `next_seq`. Returns the record's head, its entry bytes and the
-/// frame's length.
-pub(crate) fn check_frame(bytes: &[u8], next_seq: u64) -> Option<(RecordHead, &[u8], usize)> {
+/// CRC holds over a well-formed record head. Returns the head, the
+/// record's entry bytes and the frame's length; sequence continuity is
+/// the caller's [`RecordHead::continues`].
+pub(crate) fn check_frame(bytes: &[u8]) -> Option<(RecordHead, &[u8], usize)> {
     let mut input = bytes;
     let (len, crc) = <(u32, u32)>::decode(&mut input).ok()?;
     let payload = input.get(..len as usize)?;
@@ -190,11 +196,7 @@ pub(crate) fn check_frame(bytes: &[u8], next_seq: u64) -> Option<(RecordHead, &[
         return None;
     }
     let (head, entries) = RecordHead::parse(payload).ok()?;
-    (head.first_seq == next_seq && head.count != 0).then_some((
-        head,
-        entries,
-        FRAME_LEN + payload.len(),
-    ))
+    Some((head, entries, FRAME_LEN + payload.len()))
 }
 
 /// Where and why a log scan stopped before the physical end of the log.
@@ -217,7 +219,9 @@ fn walk_frames<E>(
     mut sink: impl FnMut(RecordHead, &[u8]) -> Result<(), E>,
 ) -> Result<(u64, u64, bool), E> {
     let mut offset = 0;
-    while let Some((head, entries, len)) = check_frame(&bytes[offset..], next_seq) {
+    while let Some((head, entries, len)) =
+        check_frame(&bytes[offset..]).filter(|(head, ..)| head.continues(next_seq))
+    {
         sink(head, entries)?;
         next_seq = head.end_seq();
         offset += len;
@@ -340,6 +344,10 @@ fn decode_entries<Op: Codec, Resp: Codec>(
     Ok(())
 }
 
+/// What [`read_entries`] returns: the run, where the log resumes past
+/// a gap that ended it, and the scan.
+type Replayable<Op, Resp> = (Vec<CommittedOp<Op, Resp>>, Option<u64>, LogScan);
+
 /// Reads the replayable suffix of the log from `min_seq` on: the
 /// gap-free run of committed operations starting exactly at `min_seq`
 /// whose record framing, checksum and sequence continuity are intact,
@@ -348,7 +356,8 @@ fn decode_entries<Op: Codec, Resp: Codec>(
 /// are frame-validated by the scan but never decoded — at the default
 /// GC policy roughly a snapshot-interval of records sits below the
 /// newest watermark, and decoding it just to throw it away would double
-/// recovery's decode work.
+/// recovery's decode work. Also returns the sequence number the log
+/// resumes at past such a gap, if it does.
 ///
 /// # Errors
 ///
@@ -361,20 +370,23 @@ pub(crate) fn read_entries<Op: Codec, Resp: Codec>(
     standard: u8,
     version: u8,
     min_seq: u64,
-) -> Result<(Vec<CommittedOp<Op, Resp>>, LogScan), StoreError> {
+) -> Result<Replayable<Op, Resp>, StoreError> {
     let mut out = Vec::new();
     let mut next = min_seq;
+    let mut resumes = None;
     let scan = scan_log::<StoreError>(dir, standard, version, |head, entries| {
         if head.first_seq <= next && next < head.end_seq() {
             decode_entries(head, entries, &mut out)?;
             next = head.end_seq();
+        } else if head.first_seq > next {
+            resumes = resumes.or(Some(head.first_seq));
         }
         Ok(())
     })?;
     // The record straddling `min_seq` contributes only its suffix.
     let folded = out.partition_point(|e| e.seq < min_seq);
     out.drain(..folded);
-    Ok((out, scan))
+    Ok((out, resumes, scan))
 }
 
 /// Shared registry of segments pinned by live [`WalCursor`]s (keyed by

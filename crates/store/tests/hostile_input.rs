@@ -7,11 +7,32 @@ mod common;
 use std::io::Write;
 
 use common::{temp_dir, wal_segments};
+use tokensync_core::codec::StateCodec;
 use tokensync_core::erc20::{Erc20Op, Erc20Resp, Erc20State};
 use tokensync_core::shared::ShardedErc20;
-use tokensync_pipeline::{run_script_with_sink, BatchConfig, PipelineConfig};
+use tokensync_pipeline::{run_script_with_sink, BatchConfig, CommittedOp, PipelineConfig};
 use tokensync_spec::{AccountId, ProcessId};
-use tokensync_store::{decode_commits, Store, StoreConfig};
+use tokensync_store::wal::Wal;
+use tokensync_store::{decode_commits, Store, StoreConfig, StoreError};
+
+fn transfers(count: usize) -> Vec<(ProcessId, Erc20Op)> {
+    (0..count)
+        .map(|i| {
+            let to = AccountId::new((i + 1) % 4);
+            (ProcessId::new(i % 4), Erc20Op::Transfer { to, value: 1 })
+        })
+        .collect()
+}
+
+fn batches_of(max_ops: usize) -> PipelineConfig {
+    PipelineConfig {
+        batch: BatchConfig {
+            max_ops,
+            ..BatchConfig::default()
+        },
+        ..PipelineConfig::default()
+    }
+}
 
 #[test]
 fn decode_commits_rejects_short_and_foreign_payloads() {
@@ -35,20 +56,7 @@ fn cursor_stops_at_a_hostile_length_prefix_without_allocating_it() {
     let token = ShardedErc20::from_state(genesis.clone());
     let mut store: Store<ShardedErc20> =
         Store::create(&dir, &genesis, StoreConfig::default()).unwrap();
-    let script: Vec<(ProcessId, Erc20Op)> = (0..12)
-        .map(|i| {
-            let to = AccountId::new((i + 1) % 4);
-            (ProcessId::new(i % 4), Erc20Op::Transfer { to, value: 1 })
-        })
-        .collect();
-    let cfg = PipelineConfig {
-        batch: BatchConfig {
-            max_ops: 4,
-            ..BatchConfig::default()
-        },
-        ..PipelineConfig::default()
-    };
-    run_script_with_sink(&token, &script, &cfg, &mut store);
+    run_script_with_sink(&token, &transfers(12), &batches_of(4), &mut store);
     store.flush().unwrap();
 
     // A corrupt tail claiming a ~4 GiB frame, plus a few bytes of it.
@@ -73,5 +81,49 @@ fn cursor_stops_at_a_hostile_length_prefix_without_allocating_it() {
     }
     drop(cursor);
     drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn catch_up_over_a_log_hole_diverges_where_the_log_resumes() {
+    let dir = temp_dir("catch-up-hole");
+    let genesis = Erc20State::from_balances(vec![100; 4]);
+    Store::<ShardedErc20>::create(&dir, &genesis, StoreConfig::default())
+        .unwrap()
+        .close()
+        .unwrap();
+    // Above the genesis snapshot the log resumes at 20: [0, 20) is gone.
+    for segment in wal_segments(&dir) {
+        std::fs::remove_file(segment).unwrap();
+    }
+    let (standard, version) = (Erc20State::STANDARD, Erc20State::VERSION);
+    let mut wal = Wal::open(&dir, standard, version, u64::MAX, 20).unwrap();
+    let entries: Vec<CommittedOp<Erc20Op, Erc20Resp>> = (0..4)
+        .map(|seq| CommittedOp {
+            seq,
+            batch: 0,
+            caller: ProcessId::new(0),
+            op: Erc20Op::BalanceOf {
+                account: AccountId::new(0),
+            },
+            resp: Erc20Resp::Amount(100),
+        })
+        .collect();
+    wal.append(20, &entries).unwrap();
+    wal.sync().unwrap();
+    drop(wal);
+
+    // The first delta publish replays [0, 24) first and meets the hole.
+    let cfg = StoreConfig {
+        snapshot_every_ops: 4,
+        ..StoreConfig::default()
+    };
+    let mut store: Store<ShardedErc20> = Store::open(&dir, cfg).unwrap();
+    let token = ShardedErc20::from_state(genesis);
+    run_script_with_sink(&token, &transfers(8), &batches_of(4), &mut store);
+    assert!(matches!(
+        store.close(),
+        Err(StoreError::Divergence { seq: 20 })
+    ));
     std::fs::remove_dir_all(&dir).unwrap();
 }
