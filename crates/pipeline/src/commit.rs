@@ -71,10 +71,9 @@ pub fn replay_verified<S: ObjectType>(
     for entry in entries {
         let expected = spec.apply(state, entry.caller, &entry.op);
         if expected != entry.resp {
-            let recorded = entry.resp.clone();
             return Err(ReplayDivergence {
                 seq: entry.seq,
-                recorded,
+                recorded: entry.resp.clone(),
                 expected,
             });
         }

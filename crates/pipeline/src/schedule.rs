@@ -403,9 +403,10 @@ impl Scheduler {
         ops: impl IntoIterator<Item = (ProcessId, &'a Op)>,
     ) -> usize {
         self.modes.reset();
-        let commutes = |(caller, op): &(ProcessId, &Op)| {
+        let mut len = 0;
+        for (caller, op) in ops {
             self.fp.clear();
-            op.footprint_into(*caller, &mut self.fp);
+            op.footprint_into(caller, &mut self.fp);
             // Pass 1: check against *earlier ops'* accesses only (this
             // op's own cells are not yet registered).
             for (cell, access) in self.fp.iter() {
@@ -416,7 +417,7 @@ impl Scheduler {
                     Access::Read => seen & (M_UPDATE | M_CREDIT) != 0,
                 };
                 if clash {
-                    return false;
+                    return len;
                 }
             }
             // Pass 2: register this op's accesses.
@@ -428,9 +429,9 @@ impl Scheduler {
                 };
                 *self.modes.entry(cell.key()) |= mode;
             }
-            true
-        };
-        ops.into_iter().take_while(commutes).count()
+            len += 1;
+        }
+        len
     }
 }
 

@@ -50,7 +50,7 @@
 //!
 //! Each on-disk format has exactly one reader and one writer: one
 //! segment-header type, one record-head parser and one frame check
-//! (length · CRC · head · sequence continuity) shared by the open-time
+//! (length · CRC · head, then sequence continuity) shared by the open-time
 //! scan, [`Wal::append_frames`](wal::Wal::append_frames) and the
 //! tailing [`WalCursor`]; one envelope for full and delta snapshots;
 //! one lister of numbered files. Every verified replay — recovery's

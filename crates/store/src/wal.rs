@@ -19,7 +19,7 @@
 //!
 //! Each format has one parser: `SegmentHeader` reads and writes the
 //! header, `RecordHead` the payload head, and one frame check (length ·
-//! CRC · head · sequence continuity) serves the open-time scan,
+//! CRC · head, then `RecordHead::continues`) serves the open-time scan,
 //! [`Wal::append_frames`] and the tailing
 //! [`WalCursor`](crate::cursor::WalCursor) alike.
 //!
