@@ -422,14 +422,10 @@ impl Codec for Erc20Resp {
 }
 
 /// One allowance row — a table of positive `(spender, value)` entries
-/// with every spender below `bound`, each handed to `entry`. Returns the
-/// number of entries.
-fn get_allowances(
-    input: &mut &[u8],
-    bound: usize,
-    mut entry: impl FnMut(ProcessId, Amount),
-) -> Result<usize, CodecError> {
-    let entries = get_rows(input, |input| {
+/// with every spender below `bound`.
+fn get_allowances(input: &mut &[u8], bound: usize) -> Result<SpenderMap, CodecError> {
+    let mut row = SpenderMap::new();
+    get_rows(input, |input| {
         let (spender, value): (ProcessId, Amount) = Codec::decode(input)?;
         if spender.index() >= bound {
             return Err(CodecError::Invalid("allowance spender out of range"));
@@ -437,10 +433,11 @@ fn get_allowances(
         if value == 0 {
             return Err(CodecError::Invalid("zero allowance entry not canonical"));
         }
-        entry(spender, value);
+        // Ascending spenders: each `set` appends.
+        row.set(spender.index(), value);
         Ok((spender, ()))
     })?;
-    Ok(entries.len())
+    Ok(row)
 }
 
 impl Codec for Erc20State {
@@ -466,21 +463,27 @@ impl Codec for Erc20State {
             Ok(balance)
         })?;
         let n = balances.len();
-        let mut state = Erc20State::from_balances(balances);
-        get_rows(input, |input| {
-            let account = AccountId::decode(input)?;
-            if account.index() >= n {
-                return Err(CodecError::Invalid("allowance row account out of range"));
-            }
-            let entries = get_allowances(input, n, |spender, value| {
-                state.set_allowance(account, spender, value);
-            })?;
-            if entries == 0 {
+        let mut allowances = vec![SpenderMap::new(); n];
+        // Strictly increasing by `get_rows`, and one per non-empty row:
+        // exactly the approval index, in order.
+        let with_approvals = get_rows(input, |input| {
+            let account = u32::decode(input)?;
+            let slot = allowances
+                .get_mut(account as usize)
+                .ok_or(CodecError::Invalid("allowance row account out of range"))?;
+            let row = get_allowances(input, n)?;
+            if row.is_empty() {
                 return Err(CodecError::Invalid("empty allowance row not canonical"));
             }
-            Ok((account, ()))
+            *slot = row;
+            Ok((account, account))
         })?;
-        Ok(state)
+        Ok(Erc20State::from_rows(
+            balances,
+            allowances,
+            with_approvals,
+            supply,
+        ))
     }
 }
 
@@ -764,10 +767,7 @@ impl Codec for Erc20Delta {
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
         let rows = get_rows(input, |input| {
             let (account, balance): (u32, Amount) = Codec::decode(input)?;
-            let mut row = SpenderMap::new();
-            get_allowances(input, usize::MAX, |spender, value| {
-                row.set(spender.index(), value);
-            })?;
+            let row = get_allowances(input, usize::MAX)?;
             Ok((account, (account, balance, row)))
         })?;
         Ok(Erc20Delta { rows })

@@ -41,7 +41,9 @@ use super::sparse::SpenderMap;
 /// assert_eq!(q.allowance(AccountId::new(1), ProcessId::new(2)), 5);
 /// # Ok::<(), tokensync_core::TokenError>(())
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+///
+/// `Default` is the zero-account state, `Erc20State::new(0)`.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Erc20State {
     balances: Vec<Amount>,
     /// `allowances[a]` is the sparse row `α(a, ·)`.
@@ -92,6 +94,39 @@ impl Erc20State {
             approval_index: BTreeSet::new(),
             supply,
         }
+    }
+
+    /// Assembles a state from rows that are already canonical: `supply`
+    /// is `Σ balances`, every row of `allowances` is a valid
+    /// [`SpenderMap`], and `with_approvals` lists exactly the indices of
+    /// the non-empty rows, strictly increasing — so the approval index is
+    /// bulk-built instead of inserted row by row. Decoders that have
+    /// checked all of this use it.
+    pub(crate) fn from_rows(
+        balances: Vec<Amount>,
+        allowances: Vec<SpenderMap>,
+        with_approvals: Vec<u32>,
+        supply: Amount,
+    ) -> Self {
+        debug_assert_eq!(balances.len(), allowances.len());
+        debug_assert!(with_approvals.windows(2).all(|w| w[0] < w[1]));
+        debug_assert_eq!(
+            with_approvals.len(),
+            allowances.iter().filter(|row| !row.is_empty()).count()
+        );
+        Self {
+            balances,
+            allowances,
+            approval_index: with_approvals.into_iter().collect(),
+            supply,
+        }
+    }
+
+    /// Takes the state apart into its balances, its allowance rows and
+    /// its supply, so a live object can own the rows without copying
+    /// them.
+    pub(crate) fn into_rows(self) -> (Vec<Amount>, Vec<SpenderMap>, Amount) {
+        (self.balances, self.allowances, self.supply)
     }
 
     /// Number of accounts `n = |A| = |Π|`.

@@ -34,8 +34,8 @@ use crate::error::TokenError;
 pub trait ConcurrentObject: Send + Sync {
     /// The operation alphabet `O`, carrying its own conflict footprints.
     type Op: FootprintedOp + Clone + Debug + Send + Sync + 'static;
-    /// The response alphabet `R`. `Sync` so recovery can verify recorded
-    /// responses from parallel replay workers sharing the log slice.
+    /// The response alphabet `R`. `Sync` so a slice of committed
+    /// entries can be shared across threads.
     type Resp: Clone + PartialEq + Debug + Send + Sync + 'static;
     /// The sequential oracle state `Q` — an atomic snapshot type
     /// comparable against a sequential replay (diagnostic / test oracle).

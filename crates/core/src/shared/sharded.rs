@@ -117,7 +117,8 @@ impl ShardedErc20 {
     }
 
     /// Wraps `state` over an explicit number of shards (tests exercise
-    /// degenerate stripings).
+    /// degenerate stripings). Every balance and allowance row moves out
+    /// of `state` into its shard: nothing is copied.
     ///
     /// # Panics
     ///
@@ -125,6 +126,7 @@ impl ShardedErc20 {
     pub fn with_shards(state: Erc20State, shards: usize) -> Self {
         let at = Striping::new(shards);
         let n = state.accounts();
+        let (balances, allowances, supply) = state.into_rows();
         let mut built: Vec<Shard> = (0..shards)
             .map(|_| Shard {
                 balances: Vec::with_capacity(n / shards + 1),
@@ -133,11 +135,10 @@ impl ShardedErc20 {
             })
             .collect();
         // Ascending accounts push ascending slots onto each shard.
-        for i in 0..n {
-            let account = AccountId::new(i);
+        for (i, (balance, row)) in balances.into_iter().zip(allowances).enumerate() {
             let shard = &mut built[at.stripe_of(i)];
-            shard.balances.push(state.balance(account));
-            shard.allowances.push(state.approval_row(account).clone());
+            shard.balances.push(balance);
+            shard.allowances.push(row);
         }
         for shard in &mut built {
             shard.dirty = vec![0; shard.balances.len().div_ceil(64)];
@@ -145,7 +146,7 @@ impl ShardedErc20 {
         Self {
             shards: Striped::new(built),
             accounts: n,
-            supply: AtomicU64::new(state.total_supply()),
+            supply: AtomicU64::new(supply),
         }
     }
 
@@ -206,20 +207,20 @@ impl ConcurrentObject for ShardedErc20 {
 
     fn snapshot(&self) -> Erc20State {
         let (at, guards) = (self.shards.at(), self.shards.lock_all());
-        let row = |i: usize| (&guards[at.stripe_of(i)], at.slot_of(i));
-        let mut balances = vec![0; self.accounts];
-        for (i, balance) in balances.iter_mut().enumerate() {
-            let (shard, slot) = row(i);
-            *balance = shard.balances[slot];
-        }
-        let mut state = Erc20State::from_balances(balances);
+        let mut balances = Vec::with_capacity(self.accounts);
+        let mut allowances = Vec::with_capacity(self.accounts);
+        let mut with_approvals = Vec::new();
         for i in 0..self.accounts {
-            let (shard, slot) = row(i);
-            for (spender, v) in shard.allowances[slot].iter() {
-                state.set_allowance(AccountId::new(i), spender, v);
+            let (shard, slot) = (&guards[at.stripe_of(i)], at.slot_of(i));
+            balances.push(shard.balances[slot]);
+            let row = &shard.allowances[slot];
+            if !row.is_empty() {
+                with_approvals.push(u32::try_from(i).expect("account index exceeds u32::MAX"));
             }
+            allowances.push(row.clone());
         }
-        state
+        let supply = balances.iter().sum();
+        Erc20State::from_rows(balances, allowances, with_approvals, supply)
     }
 }
 
@@ -406,6 +407,37 @@ mod tests {
         let t2 = ShardedErc20::with_shards(snap.clone(), 4);
         assert_eq!(t2.state_snapshot(), snap);
         assert_eq!(snap.total_supply(), 9);
+    }
+
+    proptest::proptest! {
+        /// Restoring moves every row into the shards and `snapshot`
+        /// rebuilds the same state: balances, allowance rows (drained
+        /// ones included), approval index and supply cache, at every
+        /// striping.
+        #[test]
+        fn from_state_then_snapshot_is_the_identity(
+            balances in proptest::collection::vec(0u64..20, 1..12),
+            steps in proptest::collection::vec((0usize..12, 0usize..12, 0usize..12, 0u64..6), 0..40),
+            shards_log in 0u32..4,
+        ) {
+            let n = balances.len();
+            let mut state = Erc20State::from_balances(balances);
+            // Approve, then spend through the allowance: rows fill,
+            // drain to empty and refill.
+            for (owner, spender, to, value) in steps {
+                let (owner, spender, to) = (owner % n, spender % n, to % n);
+                if value % 2 == 0 {
+                    state.approve(p(owner), p(spender), value / 2).unwrap();
+                } else {
+                    let _ = state.transfer_from(p(spender), a(owner), a(to), value / 2 + 1);
+                }
+            }
+            let restored = ShardedErc20::from_state(state.clone());
+            proptest::prop_assert_eq!(restored.snapshot(), state.clone());
+            proptest::prop_assert_eq!(restored.total_supply(), state.total_supply());
+            let striped = ShardedErc20::with_shards(state.clone(), 1 << shards_log);
+            proptest::prop_assert_eq!(striped.snapshot(), state);
+        }
     }
 
     #[test]

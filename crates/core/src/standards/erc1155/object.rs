@@ -144,7 +144,9 @@ impl FootprintedOp for Erc1155Op {
 /// entries (positive only — the canonical encoding that makes derived
 /// `Eq`/`Hash` mathematical equality) plus operator pairs and the
 /// cached, transfer-invariant per-type supplies.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+///
+/// `Default` is the empty state: no accounts, no token types.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Erc1155State {
     accounts: usize,
     /// Positive balances only: `(type, account) → amount`.

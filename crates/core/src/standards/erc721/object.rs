@@ -153,7 +153,9 @@ impl FootprintedOp for Erc721Op {
 /// (no tombstones), so derived `Eq`/`Hash` coincide with mathematical
 /// state equality — the linearizability checker and the model checker
 /// both rely on that.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+///
+/// `Default` is the empty state, `Erc721State::new(0, 0)`.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Erc721State {
     processes: usize,
     /// Capacity of the token-id space; mint beyond it fails.

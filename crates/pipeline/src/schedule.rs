@@ -393,7 +393,7 @@ impl Scheduler {
 
     /// Length of the longest prefix of `ops` that pairwise commutes (no
     /// cell touched by two ops in non-commuting modes) — the one probe
-    /// behind the engine's bypass and recovery's parallel replay runs.
+    /// behind the engine's bypass.
     /// Stops at the first conflict, so conflicting regimes pay only a
     /// prefix scan. Intra-op repeats (one op charging a cell twice, e.g.
     /// an ERC1155 batch naming a type twice) are not conflicts, like in

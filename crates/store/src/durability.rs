@@ -37,7 +37,7 @@ use tokensync_pipeline::commit::replay_verified;
 
 use crate::error::StoreError;
 use crate::obs::StoreObs;
-use crate::recovery::Restorable;
+use crate::recovery::{oracle, Restorable};
 use crate::snapshot::{prune_chain, publish, write_snapshot};
 use crate::wal::read_entries;
 
@@ -320,7 +320,7 @@ where
             self.mark,
         )?;
         let run = &live[..live.len().min((self.open_base - self.mark) as usize)];
-        replay_verified(&T::spec(self.state.clone()), &mut self.state, run)?;
+        replay_verified(&oracle::<T>(), &mut self.state, run)?;
         self.mark += run.len() as u64;
         if self.mark == self.open_base {
             return Ok(());

@@ -23,12 +23,12 @@
 //! the last drain ([`Restorable::drain_delta`] — per-shard locks, no
 //! quiescence) and the thread folds them onto its materialized state,
 //! publishing a chained `snap-<mark>.delta` series with periodic full
-//! compaction. Recovery replays the surviving log suffix in parallel:
-//! the serving path's own bypass probe
-//! ([`Scheduler::commuting_prefix`](tokensync_pipeline::Scheduler::commuting_prefix))
-//! cuts it into maximal commuting runs, and each run fans across a
-//! scoped worker pool, verifying recorded responses exactly as the
-//! sequential oracle ([`recover_sequential`]) does.
+//! compaction. Recovery replays the surviving log suffix on one core
+//! through the sequential oracle, checking every recorded response, and
+//! then moves the replayed state into the live object: at a million
+//! entries that replay costs less than decoding the snapshot, so a
+//! parallel replay has nothing to win (docs/persistence.md has the
+//! phase costs).
 //!
 //! Three pieces, all generic over the served standard through the
 //! [`Codec`](tokensync_core::codec::Codec) /
@@ -53,8 +53,8 @@
 //! (length · CRC · head, then sequence continuity) shared by the open-time
 //! scan, [`Wal::append_frames`](wal::Wal::append_frames) and the
 //! tailing [`WalCursor`]; one envelope for full and delta snapshots;
-//! one lister of numbered files. Every verified replay — recovery's
-//! sequential path, the durability thread's catch-up,
+//! one lister of numbered files. Every verified replay — [`recover`],
+//! the durability thread's catch-up,
 //! [`CommitLog::replay`](tokensync_pipeline::CommitLog::replay) — is
 //! [`replay_verified`](tokensync_pipeline::commit::replay_verified).
 //!

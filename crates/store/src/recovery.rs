@@ -2,18 +2,16 @@
 //! a live sharded object.
 //!
 //! Recovery resolves the newest valid **snapshot chain** — a full
-//! snapshot plus any incremental deltas published on top of it — and
-//! then replays the surviving log suffix. The replay partition *is* the
-//! serving path's bypass probe: [`Scheduler::commuting_prefix`] cuts
-//! the suffix into maximal runs of pairwise-commuting operations, and
-//! each run applies concurrently on a scoped worker pool
-//! ([`recover`]). Because operations within a run commute at every
-//! state, the final state and every verified response are identical to
-//! the one-at-a-time replay ([`recover_sequential`], kept as the
-//! oracle).
+//! snapshot plus any incremental deltas published on top of it — then
+//! replays the surviving log suffix onto the chain state through the
+//! standard's sequential oracle, checking every recorded response
+//! ([`replay_verified`]), and finally moves that state into the live
+//! sharded object ([`Restorable::restore`]). One path, one core: at a
+//! million logged operations the oracle replay costs less than decoding
+//! the snapshot, so a worker pool has nothing to win
+//! (docs/persistence.md has the phase costs).
 
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use tokensync_core::codec::{Codec, StateCodec};
@@ -22,7 +20,6 @@ use tokensync_core::shared::{ConcurrentObject, ShardedErc20};
 use tokensync_core::standards::erc1155::{Erc1155Delta, Erc1155Spec, ShardedErc1155};
 use tokensync_core::standards::erc721::{Erc721Delta, Erc721Spec, ShardedErc721};
 use tokensync_pipeline::commit::replay_verified;
-use tokensync_pipeline::{CommittedOp, Scheduler};
 use tokensync_spec::ObjectType;
 
 use crate::error::StoreError;
@@ -35,8 +32,9 @@ use crate::wal::{read_entries, ScanStop};
 /// suffix replays through (and is verified against) before the live
 /// object is constructed; the associated [`Restorable::Delta`] is the
 /// standard's row-level change set, the currency of incremental
-/// snapshots.
-pub trait Restorable: ConcurrentObject + Sized + 'static {
+/// snapshots. The state's `Default` is the empty state the store's own
+/// replays build their oracle over.
+pub trait Restorable: ConcurrentObject<State: Default> + Sized + 'static {
     /// The sequential oracle of this standard.
     type Spec: ObjectType<Op = Self::Op, Resp = Self::Resp, State = Self::State>;
 
@@ -65,6 +63,13 @@ pub trait Restorable: ConcurrentObject + Sized + 'static {
 
     /// Whether `delta` carries no rows.
     fn delta_is_empty(delta: &Self::Delta) -> bool;
+}
+
+/// The oracle every verified replay of the store runs through. Replay
+/// reads only the transition function, never the initial state, so the
+/// oracle is built over the empty state: nothing O(accounts) is copied.
+pub(crate) fn oracle<T: Restorable>() -> T::Spec {
+    T::spec(T::State::default())
 }
 
 impl Restorable for ShardedErc20 {
@@ -173,10 +178,6 @@ where
     }
 }
 
-/// Below this many surviving log entries [`recover`] replays
-/// sequentially: thread fan-out would cost more than it saves.
-const MIN_PARALLEL_OPS: usize = 4096;
-
 /// What [`recover`] rebuilt.
 #[derive(Debug)]
 pub struct Recovered<T: ConcurrentObject> {
@@ -203,16 +204,15 @@ pub struct Recovered<T: ConcurrentObject> {
     pub epoch: u64,
     /// Wall time resolving and decoding the snapshot chain.
     pub snapshot_load: Duration,
-    /// Wall time scanning, footprint-partitioning and replaying the log
-    /// suffix (verification included).
+    /// Wall time scanning and replaying the log suffix (verification
+    /// included) and building the live object.
     pub replay: Duration,
 }
 
 /// Recovers the store in `dir`: resolves the newest valid snapshot
-/// chain, replays the surviving log suffix — verifying every recorded
-/// response on the way — and rebuilds the live sharded object.
-/// From 4096 surviving entries on, non-conflicting stretches of the log
-/// replay concurrently on the machine's available parallelism.
+/// chain, replays the surviving log suffix onto it through the
+/// sequential oracle — verifying every recorded response on the way —
+/// and moves the replayed state into the live sharded object.
 ///
 /// The recovered history is always a *prefix* of the committed history:
 /// record framing is CRC-checked and sequence numbers are gap-free, so
@@ -223,10 +223,11 @@ pub struct Recovered<T: ConcurrentObject> {
 ///
 /// [`StoreError::NoSnapshot`] for an uninitialized directory,
 /// [`StoreError::WrongStandard`] for a directory of another standard or
-/// codec version, [`StoreError::Divergence`] if a logged response
-/// disagrees with the oracle replay (snapshot/log mismatch — the store
-/// is untrustworthy), [`StoreError::Codec`] for CRC-valid but
-/// undecodable records (encoder/decoder skew), and I/O errors.
+/// codec version, [`StoreError::Divergence`] at the first logged
+/// response that disagrees with the oracle replay (snapshot/log
+/// mismatch — the store is untrustworthy), [`StoreError::Codec`] for
+/// CRC-valid but undecodable records (encoder/decoder skew), and I/O
+/// errors.
 pub fn recover<T>(dir: &Path) -> Result<Recovered<T>, StoreError>
 where
     T: Restorable,
@@ -234,11 +235,41 @@ where
     T::Resp: Codec,
     T::State: StateCodec,
 {
-    recover_impl(dir, true)
+    let load_started = Instant::now();
+    let ResolvedChain {
+        mut state,
+        mark,
+        links,
+    } = resolve_chain::<T>(dir)?;
+    let snapshot_load = load_started.elapsed();
+
+    let replay_started = Instant::now();
+    let (live, _, scan) = read_entries::<T::Op, T::Resp>(
+        dir,
+        <T::State as StateCodec>::STANDARD,
+        <T::State as StateCodec>::VERSION,
+        mark,
+    )?;
+    replay_verified(&oracle::<T>(), &mut state, &live)?;
+    let object = T::restore(state.clone());
+    let replay = replay_started.elapsed();
+
+    Ok(Recovered {
+        object,
+        state,
+        snapshot_watermark: mark,
+        delta_links: links,
+        replayed: live.len() as u64,
+        next_seq: mark + live.len() as u64,
+        log_stop: scan.stop,
+        epoch: scan.epoch,
+        snapshot_load,
+        replay,
+    })
 }
 
-/// [`recover`] restricted to the one-at-a-time oracle replay — the
-/// reference the parallel path is property-tested against.
+/// The same recovery as [`recover`], under the name callers that want
+/// the one-at-a-time oracle replay spelled out already use.
 ///
 /// # Errors
 ///
@@ -250,98 +281,5 @@ where
     T::Resp: Codec,
     T::State: StateCodec,
 {
-    recover_impl(dir, false)
-}
-
-fn recover_impl<T>(dir: &Path, parallel: bool) -> Result<Recovered<T>, StoreError>
-where
-    T: Restorable,
-    T::Op: Codec,
-    T::Resp: Codec,
-    T::State: StateCodec,
-{
-    let load_started = Instant::now();
-    let chain = resolve_chain::<T>(dir)?;
-    let snapshot_load = load_started.elapsed();
-
-    let replay_started = Instant::now();
-    let (live, _, scan) = read_entries::<T::Op, T::Resp>(
-        dir,
-        <T::State as StateCodec>::STANDARD,
-        <T::State as StateCodec>::VERSION,
-        chain.mark,
-    )?;
-    let threads = std::thread::available_parallelism().map_or(1, usize::from);
-    let (object, state) = if parallel && threads > 1 && live.len() >= MIN_PARALLEL_OPS {
-        let object = T::restore(chain.state);
-        replay_parallel(&object, &live, threads).map_err(|seq| StoreError::Divergence { seq })?;
-        let state = object.snapshot();
-        (object, state)
-    } else {
-        let mut state = chain.state;
-        replay_verified(&T::spec(state.clone()), &mut state, &live)?;
-        (T::restore(state.clone()), state)
-    };
-    let replay = replay_started.elapsed();
-
-    Ok(Recovered {
-        object,
-        state,
-        snapshot_watermark: chain.mark,
-        delta_links: chain.links,
-        replayed: live.len() as u64,
-        next_seq: chain.mark + live.len() as u64,
-        log_stop: scan.stop,
-        epoch: scan.epoch,
-        snapshot_load,
-        replay,
-    })
-}
-
-/// Replays `entries` onto the live `object` concurrently: cuts the
-/// sequence into maximal runs of pairwise-commuting ops with the
-/// serving path's own bypass probe ([`Scheduler::commuting_prefix`]),
-/// and fans each run out across `threads` scoped workers. Commuting ops
-/// produce the same responses and final state in any order, so
-/// verification against the recorded responses is exact; on mismatch
-/// the smallest diverging sequence number is returned — the same one
-/// the sequential oracle reports.
-fn replay_parallel<T>(
-    object: &T,
-    entries: &[CommittedOp<T::Op, T::Resp>],
-    threads: usize,
-) -> Result<(), u64>
-where
-    T: Restorable,
-{
-    let diverged = AtomicU64::new(u64::MAX);
-    let apply = |part: &[CommittedOp<T::Op, T::Resp>]| {
-        for entry in part {
-            if object.apply(entry.caller, &entry.op) != entry.resp {
-                diverged.fetch_min(entry.seq, Ordering::Relaxed);
-            }
-        }
-    };
-    let mut probe = Scheduler::new();
-    let mut rest = entries;
-    while !rest.is_empty() {
-        let run = probe.commuting_prefix(rest.iter().map(|e| (e.caller, &e.op)));
-        let (wave, tail) = rest.split_at(run);
-        rest = tail;
-        if wave.len() < 2 * threads {
-            apply(wave);
-        } else {
-            crossbeam::scope(|s| {
-                for part in wave.chunks(wave.len().div_ceil(threads)) {
-                    s.spawn(move |_| apply(part));
-                }
-            })
-            .expect("recovery replay worker panicked");
-        }
-        let seq = diverged.load(Ordering::Relaxed);
-        if seq != u64::MAX {
-            return Err(seq);
-        }
-    }
-    Ok(())
+    recover(dir)
 }

@@ -1,24 +1,30 @@
-//! Recovery's parallel replay runs are the serving path's bypass-probe
-//! runs: `recover` cuts the log suffix with
-//! `Scheduler::commuting_prefix`, so these properties pin that probe
-//! against the brute-force pairwise relation on random logs of all
-//! three standards — every run pairwise commuting, every run maximal,
-//! and `batch_commutes` exactly "the prefix spans the batch" — and pin
-//! the parallel/sequential switch on both sides of its threshold.
+//! The commutativity probe and verified recovery on one log.
+//!
+//! `Scheduler::commuting_prefix` is the serving path's bypass probe.
+//! These properties pin it against the brute-force pairwise relation
+//! on random logs of all three standards: every run pairwise commuting,
+//! every run maximal, and `batch_commutes` exactly "the prefix spans
+//! the batch". Recovery replays the log suffix sequentially through the
+//! oracle, and a wrong logged response deep in a long contended log
+//! fails it at exactly that response's sequence number.
 
 mod common;
+
+use std::path::PathBuf;
 
 use common::temp_dir;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use tokensync_core::analysis::{footprints_conflict, FootprintedOp};
-use tokensync_core::erc20::{Erc20Op, Erc20State};
+use tokensync_core::codec::StateCodec;
+use tokensync_core::erc20::{Erc20Op, Erc20Resp, Erc20Spec, Erc20State};
 use tokensync_core::shared::{ConcurrentObject, ShardedErc20};
 use tokensync_core::standards::erc1155::{Erc1155Op, TypeId};
 use tokensync_core::standards::erc721::{Erc721Op, TokenId};
-use tokensync_pipeline::{run_script_with_sink, BatchConfig, PipelineConfig, Scheduler};
-use tokensync_spec::{AccountId, ProcessId};
-use tokensync_store::{recover, recover_sequential, Store, StoreConfig};
+use tokensync_pipeline::{CommittedOp, Scheduler};
+use tokensync_spec::{AccountId, ObjectType, ProcessId};
+use tokensync_store::wal::Wal;
+use tokensync_store::{recover, recover_sequential, Store, StoreConfig, StoreError};
 
 fn p(i: usize) -> ProcessId {
     ProcessId::new(i)
@@ -201,14 +207,15 @@ fn duplicate_type_ids_in_one_batch_are_not_a_conflict() {
     assert_probe_runs(&ops);
 }
 
-/// Writes `live` ERC20 ops above the genesis snapshot — a contended mix,
-/// so the parallel path cuts many runs — and checks that both recovery
-/// modes agree.
-fn recover_both_ways(live: usize) {
-    let dir = temp_dir("partition-threshold");
-    let accounts = 32;
-    let genesis = Erc20State::from_balances(vec![1_000; accounts]);
-    let token = ShardedErc20::from_state(genesis.clone());
+/// A contended ERC20 log of `len` entries over the accounts of
+/// `genesis` (approvals and `transferFrom`s concentrated on four
+/// owners), each carrying the response the sequential oracle gives,
+/// and the oracle's state after it.
+fn contended_log(
+    genesis: &Erc20State,
+    len: usize,
+) -> (Vec<CommittedOp<Erc20Op, Erc20Resp>>, Erc20State) {
+    let accounts = genesis.accounts();
     let mut rng = 0x9E37_79B9_7F4A_7C15u64;
     let mut next = move |m: usize| {
         rng ^= rng << 13;
@@ -216,9 +223,11 @@ fn recover_both_ways(live: usize) {
         rng ^= rng << 17;
         (rng % m as u64) as usize
     };
-    let script: Vec<(ProcessId, Erc20Op)> = (0..live)
-        .map(|_| {
-            let c = next(accounts);
+    let spec = Erc20Spec::new(genesis.clone());
+    let mut state = spec.initial_state();
+    let log = (0..len as u64)
+        .map(|seq| {
+            let caller = p(next(accounts));
             let op = match next(3) {
                 0 => Erc20Op::Approve {
                     spender: p(next(accounts)),
@@ -234,37 +243,61 @@ fn recover_both_ways(live: usize) {
                     value: 1,
                 },
             };
-            (p(c), op)
+            let resp = spec.apply(&mut state, caller, &op);
+            CommittedOp {
+                seq,
+                batch: seq / 500,
+                caller,
+                op,
+                resp,
+            }
         })
         .collect();
-    let mut store: Store<ShardedErc20> =
-        Store::create(&dir, &genesis, StoreConfig::default()).expect("create store");
-    let cfg = PipelineConfig {
-        batch: BatchConfig {
-            max_ops: 512,
-            ..BatchConfig::default()
-        },
-        ..PipelineConfig::default()
-    };
-    run_script_with_sink(&token, &script, &cfg, &mut store);
-    store.close().expect("clean close");
+    (log, state)
+}
 
-    let parallel = recover::<ShardedErc20>(&dir).expect("recover");
-    let sequential = recover_sequential::<ShardedErc20>(&dir).expect("recover sequentially");
-    assert_eq!(parallel.replayed, live as u64);
-    assert_eq!(sequential.replayed, live as u64);
-    assert_eq!(parallel.state, sequential.state);
-    assert_eq!(parallel.object.snapshot(), token.snapshot());
-    assert_eq!(sequential.object.snapshot(), token.snapshot());
+/// A store holding `genesis` as its snapshot and `log` as its WAL, one
+/// record per 500 entries.
+fn store_with_log(genesis: &Erc20State, log: &[CommittedOp<Erc20Op, Erc20Resp>]) -> PathBuf {
+    let dir = temp_dir("verified-replay");
+    Store::<ShardedErc20>::create(&dir, genesis, StoreConfig::default())
+        .expect("create store")
+        .close()
+        .expect("clean close");
+    let (standard, version) = (Erc20State::STANDARD, Erc20State::VERSION);
+    let mut wal = Wal::open(&dir, standard, version, u64::MAX, 0).expect("open the log");
+    for record in log.chunks(500) {
+        wal.append(0, record).expect("append");
+    }
+    wal.sync().expect("sync");
+    dir
+}
+
+#[test]
+fn a_wrong_response_deep_in_the_log_diverges_at_its_seq() {
+    let genesis = Erc20State::from_balances(vec![1_000; 32]);
+    let (mut log, oracle) = contended_log(&genesis, 5_000);
+
+    // As logged, the whole suffix replays onto the oracle's state.
+    let dir = store_with_log(&genesis, &log);
+    let back = recover::<ShardedErc20>(&dir).expect("recover");
+    assert_eq!((back.replayed, back.next_seq), (5_000, 5_000));
+    assert_eq!(back.state, oracle);
+    assert_eq!(back.object.snapshot(), oracle);
     std::fs::remove_dir_all(&dir).unwrap();
-}
 
-#[test]
-fn recovery_modes_agree_just_below_the_parallel_threshold() {
-    recover_both_ways(4095);
-}
-
-#[test]
-fn recovery_modes_agree_at_the_parallel_threshold() {
-    recover_both_ways(4096);
+    // One record, one entry, one wrong response.
+    let entry = &mut log[4_500];
+    entry.resp = match entry.resp {
+        Erc20Resp::Bool(ok) => Erc20Resp::Bool(!ok),
+        Erc20Resp::Amount(v) => Erc20Resp::Amount(v + 1),
+    };
+    let dir = store_with_log(&genesis, &log);
+    for recovered in [recover::<ShardedErc20>(&dir), recover_sequential(&dir)] {
+        assert!(matches!(
+            recovered,
+            Err(StoreError::Divergence { seq: 4_500 })
+        ));
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
