@@ -433,7 +433,8 @@ fn get_allowances(input: &mut &[u8], bound: usize) -> Result<SpenderMap, CodecEr
         if value == 0 {
             return Err(CodecError::Invalid("zero allowance entry not canonical"));
         }
-        // Ascending spenders: each `set` appends.
+        // Spenders ascend (`get_rows` refuses the row otherwise), so
+        // each `set` appends.
         row.set(spender.index(), value);
         Ok((spender, ()))
     })?;

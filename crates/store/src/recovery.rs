@@ -6,10 +6,10 @@
 //! replays the surviving log suffix onto the chain state through the
 //! standard's sequential oracle, checking every recorded response
 //! ([`replay_verified`]), and finally moves that state into the live
-//! sharded object ([`Restorable::restore`]). One path, one core: at a
-//! million logged operations the oracle replay costs less than decoding
-//! the snapshot, so a worker pool has nothing to win
-//! (docs/persistence.md has the phase costs).
+//! sharded object ([`Restorable::restore`]). One path, one core: on a
+//! million-entry log the oracle replay ran about five times faster than
+//! the footprint-parallel replay it replaced (docs/persistence.md has
+//! the phase costs).
 
 use std::path::Path;
 use std::time::{Duration, Instant};
