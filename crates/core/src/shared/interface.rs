@@ -39,8 +39,8 @@ pub trait ConcurrentObject: Send + Sync {
     type Resp: Clone + PartialEq + Debug + Send + Sync + 'static;
     /// The sequential oracle state `Q` — an atomic snapshot type
     /// comparable against a sequential replay (diagnostic / test oracle).
-    /// `Send` so a durability layer can materialize state on a
-    /// background snapshot thread.
+    /// `Send` so a durability layer can encode a snapshot on a
+    /// background thread.
     type State: Clone + PartialEq + Debug + Send + 'static;
 
     /// Applies a formal operation, returning the formal response.

@@ -1,5 +1,5 @@
 //! The background durability thread: pipelined group commit and
-//! incremental snapshot publishing.
+//! snapshot publishing.
 //!
 //! One thread per [`Store`](crate::Store), spawned at open. The serving
 //! thread never blocks on `fsync` or snapshot I/O at a batch seal — it
@@ -10,12 +10,12 @@
 //!   [`Wal::roll`](crate::wal::Wal) syncs the outgoing segment before
 //!   switching files, so only the tail ever holds unsynced bytes), then
 //!   advances the shared [`durable watermark`](DurShared::durable);
-//! * **materializes state** — it keeps its own copy of the oracle state
-//!   at the chain mark, folds each posted row-level delta onto it, and
-//!   publishes the delta as a chained `snap-<mark>.delta` file (every
-//!   `compact_every`-th publish is rewritten as a full snapshot from the
-//!   materialized state, so full-state encoding also leaves the serving
-//!   path).
+//! * **publishes snapshots** — a posted row-level delta becomes a
+//!   chained `snap-<mark>.delta` file linked to the last published
+//!   watermark, and a posted full state becomes a `snap-<mark>.snap`.
+//!   The thread keeps no copy of the state: compaction fulls are cut
+//!   from the live object at the seal (see `Store::try_seal`) and only
+//!   their encoding and write happen here.
 //!
 //! A published snapshot chain *is* a durable representation of its
 //! prefix, so delta/full publishes advance the durable watermark too —
@@ -32,14 +32,12 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use tokensync_core::codec::{Codec, StateCodec};
-use tokensync_pipeline::commit::replay_verified;
+use tokensync_core::codec::StateCodec;
 
 use crate::error::StoreError;
 use crate::obs::StoreObs;
-use crate::recovery::{oracle, Restorable};
+use crate::recovery::Restorable;
 use crate::snapshot::{prune_chain, publish, write_snapshot};
-use crate::wal::read_entries;
 
 /// Work posted to the durability thread.
 pub(crate) enum DurMsg<T: Restorable> {
@@ -49,14 +47,15 @@ pub(crate) enum DurMsg<T: Restorable> {
     /// Publish an incremental snapshot: `delta` holds every row touched
     /// since the previous drain, bringing the chain to `watermark`.
     Delta { watermark: u64, delta: T::Delta },
-    /// Publish a full snapshot of `state` at `watermark` and
-    /// acknowledge (the synchronous [`Store::publish_snapshot`] path).
+    /// Publish a full snapshot of `state` at `watermark`, acknowledging
+    /// on `ack` if one is given (the synchronous
+    /// [`Store::publish_snapshot`] path; a compaction seal posts none).
     ///
     /// [`Store::publish_snapshot`]: crate::Store::publish_snapshot
     Full {
         watermark: u64,
         state: T::State,
-        ack: Sender<Result<(), StoreError>>,
+        ack: Option<Sender<Result<(), StoreError>>>,
     },
     /// Swap the recorder seam (obs can be attached after open).
     SetObs(StoreObs),
@@ -165,75 +164,52 @@ pub(crate) struct DurHandle<T: Restorable> {
     pub(crate) handle: JoinHandle<()>,
 }
 
-/// Spawns the durability thread. `mark`/`state` is the resolved
-/// snapshot-chain top; `open_base` the WAL position at open — the point
-/// the serving token's dirty tracking starts from, which the thread
-/// catches up to (by replaying `[mark, open_base)` from the log) before
-/// folding the first delta.
+/// Spawns the durability thread. `mark` is the resolved snapshot-chain
+/// top: the base the first posted delta links to.
 pub(crate) fn spawn<T>(
     dir: PathBuf,
     mark: u64,
-    state: T::State,
-    open_base: u64,
     snapshots_kept: usize,
-    compact_every: u64,
     obs: StoreObs,
     shared: Arc<DurShared>,
 ) -> DurHandle<T>
 where
     T: Restorable,
-    T::Op: Codec,
-    T::Resp: Codec,
     T::State: StateCodec,
 {
     let (tx, rx) = std::sync::mpsc::channel();
     let handle = std::thread::Builder::new()
         .name("tokensync-durability".into())
         .spawn(move || {
-            let mut worker = Worker::<T> {
+            let mut worker = Worker {
                 dir,
                 mark,
-                state,
-                open_base,
                 snapshots_kept: snapshots_kept.max(1),
-                compact_every: compact_every.max(1),
-                since_full: 0,
                 obs,
                 shared,
             };
-            worker.run(&rx);
+            worker.run::<T>(&rx);
         })
         .expect("spawn durability thread");
     DurHandle { tx, handle }
 }
 
-struct Worker<T: Restorable> {
+struct Worker {
     dir: PathBuf,
-    /// Position of the materialized `state`.
+    /// Watermark of the last published snapshot — the base the next
+    /// delta links to.
     mark: u64,
-    /// The oracle state at `mark` — folded forward by deltas, replaced
-    /// by fulls, the source of compaction snapshots.
-    state: T::State,
-    /// WAL position at store open; `[mark, open_base)` must be replayed
-    /// from the log before the first delta folds (the serving token's
-    /// tracking window starts there).
-    open_base: u64,
     snapshots_kept: usize,
-    compact_every: u64,
-    /// Delta publishes since the last full.
-    since_full: u64,
     obs: StoreObs,
     shared: Arc<DurShared>,
 }
 
-impl<T> Worker<T>
-where
-    T: Restorable,
-    T::Op: Codec,
-    T::Resp: Codec,
-    T::State: StateCodec,
-{
-    fn run(&mut self, rx: &Receiver<DurMsg<T>>) {
+impl Worker {
+    fn run<T>(&mut self, rx: &Receiver<DurMsg<T>>)
+    where
+        T: Restorable,
+        T::State: StateCodec,
+    {
         let mut queue: Vec<DurMsg<T>> = Vec::new();
         'serve: loop {
             queue.clear();
@@ -252,7 +228,7 @@ where
                 if self.shared.killed() {
                     // Crash simulation: drop work, unblock publishers.
                     match msg {
-                        DurMsg::Full { ack, .. } => {
+                        DurMsg::Full { ack: Some(ack), .. } => {
                             let _ = ack.send(Err(StoreError::Io(std::io::Error::new(
                                 std::io::ErrorKind::Interrupted,
                                 "durability thread killed",
@@ -265,14 +241,20 @@ where
                 }
                 match msg {
                     DurMsg::Sync { target, file } => sync = Some((target, file)),
-                    DurMsg::Delta { watermark, delta } => self.publish_delta(watermark, &delta),
+                    DurMsg::Delta { watermark, delta } => {
+                        let res = self.publish_delta::<T>(watermark, &delta);
+                        self.park(res);
+                    }
                     DurMsg::Full {
                         watermark,
                         state,
                         ack,
                     } => {
-                        let res = self.publish_full(watermark, state);
-                        let _ = ack.send(res);
+                        let res = self.publish_full(watermark, &state);
+                        match ack {
+                            Some(ack) => drop(ack.send(res)),
+                            None => self.park(res),
+                        }
                     }
                     DurMsg::SetObs(obs) => self.obs = obs,
                     DurMsg::Shutdown => {
@@ -304,79 +286,31 @@ where
         }
     }
 
-    /// Replays `[self.mark, self.open_base)` from the log through the
-    /// sequential oracle, so the materialized state reaches the point
-    /// the serving token's dirty tracking started from. The records are
-    /// on disk (they were scanned at open, and the GC floor cannot pass
-    /// them before this thread publishes something newer).
-    fn catch_up(&mut self) -> Result<(), StoreError> {
-        if self.mark >= self.open_base {
-            return Ok(());
-        }
-        let (live, resumes, _) = read_entries::<T::Op, T::Resp>(
-            &self.dir,
-            <T::State as StateCodec>::STANDARD,
-            <T::State as StateCodec>::VERSION,
-            self.mark,
-        )?;
-        let run = &live[..live.len().min((self.open_base - self.mark) as usize)];
-        replay_verified(&oracle::<T>(), &mut self.state, run)?;
-        self.mark += run.len() as u64;
-        if self.mark == self.open_base {
-            return Ok(());
-        }
-        // The run stopped short: a log that resumes past a hole below
-        // the open position diverges there; otherwise the suffix is gone.
-        if let Some(seq) = resumes.filter(|&seq| seq < self.open_base) {
-            return Err(StoreError::Divergence { seq });
-        }
-        Err(StoreError::Io(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "log suffix below the open position is no longer readable",
-        )))
-    }
-
-    fn publish_delta(&mut self, watermark: u64, delta: &T::Delta) {
-        if let Err(e) = self.try_publish_delta(watermark, delta) {
+    fn park(&self, res: Result<(), StoreError>) {
+        if let Err(e) = res {
             self.shared.park(e);
         }
     }
 
-    fn try_publish_delta(&mut self, watermark: u64, delta: &T::Delta) -> Result<(), StoreError> {
-        self.catch_up()?;
+    /// Publishes `delta` as the chain link `[self.mark, watermark)`.
+    fn publish_delta<T>(&mut self, watermark: u64, delta: &T::Delta) -> Result<(), StoreError>
+    where
+        T: Restorable,
+        T::State: StateCodec,
+    {
         let started = self.obs.clock();
-        if !T::apply_delta(&mut self.state, delta) {
-            return Err(StoreError::Divergence { seq: watermark });
-        }
-        let base = self.mark;
-        self.mark = watermark;
-        self.since_full += 1;
-        if self.since_full >= self.compact_every {
-            // Periodic compaction: rewrite the chain as one full
-            // snapshot from the materialized state.
-            write_snapshot(&self.dir, watermark, &self.state)?;
-            self.since_full = 0;
-            self.obs.record_snapshot(started);
-        } else {
-            let tag = (
-                <T::State as StateCodec>::STANDARD,
-                <T::State as StateCodec>::VERSION,
-            );
-            publish(&self.dir, tag, watermark, Some(base), delta)?;
-            self.obs.record_delta_snapshot(started);
-        }
+        let tag = (
+            <T::State as StateCodec>::STANDARD,
+            <T::State as StateCodec>::VERSION,
+        );
+        publish(&self.dir, tag, watermark, Some(self.mark), delta)?;
+        self.obs.record_delta_snapshot(started);
         self.after_publish(watermark)
     }
 
-    fn publish_full(&mut self, watermark: u64, state: T::State) -> Result<(), StoreError> {
+    fn publish_full<S: StateCodec>(&mut self, watermark: u64, state: &S) -> Result<(), StoreError> {
         let started = self.obs.clock();
-        self.state = state;
-        // A full supersedes the materialized chain wholesale — any
-        // pending catch-up replay is moot (`watermark >= open_base`:
-        // fulls are cut at the live log position).
-        self.mark = watermark;
-        self.since_full = 0;
-        write_snapshot(&self.dir, watermark, &self.state)?;
+        write_snapshot(&self.dir, watermark, state)?;
         self.obs.record_snapshot(started);
         self.after_publish(watermark)
     }
@@ -384,6 +318,7 @@ where
     /// Prunes the chain, publishes the WAL GC floor, and advances the
     /// durable watermark — a published chain is durable on its own.
     fn after_publish(&mut self, watermark: u64) -> Result<(), StoreError> {
+        self.mark = watermark;
         let floor = prune_chain(&self.dir, self.snapshots_kept)?;
         self.shared.publish_floor(floor);
         self.shared.advance(watermark);

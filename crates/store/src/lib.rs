@@ -21,10 +21,11 @@
 //! durable-at-fsync; [`Store::wait_durable`]/[`Store::flush`] close the
 //! window). Periodic snapshots drain only the **rows touched** since
 //! the last drain ([`Restorable::drain_delta`] — per-shard locks, no
-//! quiescence) and the thread folds them onto its materialized state,
-//! publishing a chained `snap-<mark>.delta` series with periodic full
-//! compaction. Recovery replays the surviving log suffix on one core
-//! through the sequential oracle, checking every recorded response, and
+//! quiescence) and the thread publishes them as a chained
+//! `snap-<mark>.delta` series; every `compact_every`-th trigger instead
+//! posts a full snapshot cut from the live object at that seal.
+//! Recovery replays the surviving log suffix on one core through the
+//! sequential oracle, checking every recorded response, and
 //! then moves the replayed state into the live object. On a
 //! million-entry log that replay ran about five times faster than a
 //! footprint-parallel one (docs/persistence.md has the phase costs).
@@ -52,9 +53,8 @@
 //! (length · CRC · head, then sequence continuity) shared by the open-time
 //! scan, [`Wal::append_frames`](wal::Wal::append_frames) and the
 //! tailing [`WalCursor`]; one envelope for full and delta snapshots;
-//! one lister of numbered files. Every verified replay — [`recover`],
-//! the durability thread's catch-up,
-//! [`CommitLog::replay`](tokensync_pipeline::CommitLog::replay) — is
+//! one lister of numbered files. Every verified replay — [`recover`]
+//! and [`CommitLog::replay`](tokensync_pipeline::CommitLog::replay) — is
 //! [`replay_verified`](tokensync_pipeline::commit::replay_verified).
 //!
 //! Durability is a sink, not a rewrite: [`Store`] implements the

@@ -30,7 +30,7 @@ pub struct StoreConfig {
     /// the deltas they cover are pruned; at least 1).
     pub snapshots_kept: usize,
     /// Every `compact_every`-th snapshot publish is written as a
-    /// full snapshot from the thread's materialized state, bounding
+    /// full snapshot cut from the live object at the seal, bounding
     /// chain length (at least 1; 1 = every publish is full).
     pub compact_every: u64,
 }
@@ -60,7 +60,9 @@ impl Default for StoreConfig {
 /// Each store owns a background **durability thread** (see [`store`
 /// module](crate) docs): the serving thread never fsyncs, it posts
 /// sync requests at batch seals and the thread coalesces them;
-/// periodic snapshots are drained as row deltas and folded off-thread.
+/// periodic snapshots are drained as row deltas (every
+/// `compact_every`-th as a full state cut from the live object) and
+/// written off-thread.
 /// [`Store::durable_seq`] is the explicit watermark separating
 /// *acknowledged* from *crash-proof*;
 /// [`Store::wait_durable`]/[`Store::flush`] block on it.
@@ -104,6 +106,12 @@ pub struct Store<T: Restorable> {
     watermark: u64,
     /// Ops appended since that point.
     ops_since_snapshot: u64,
+    /// Delta links posted on top of the newest full snapshot.
+    links_since_full: u64,
+    /// The next trigger must post a full snapshot: the chain top is
+    /// below the position the token's dirty tracking started from (set
+    /// at an open over a log suffix the chain does not cover).
+    full_due: bool,
     /// The durable position when this store handle was opened: engine
     /// runs number their commits from 0, so WAL appends translate a
     /// run-relative `seq` to the global `base + seq`.
@@ -152,21 +160,22 @@ where
 
     /// Opens an existing store for appending: truncates any torn WAL
     /// tail, clears stale `.tmp` files, positions the writer after the
-    /// last valid record, and spawns the durability thread seeded with
-    /// the resolved snapshot chain.
+    /// last valid record, and spawns the durability thread at the
+    /// resolved snapshot chain's mark.
     ///
     /// # Errors
     ///
     /// [`StoreError::NoSnapshot`] if the directory was never
     /// initialized; [`StoreError::WrongStandard`] if it belongs to a
-    /// different standard or codec version; I/O errors otherwise.
+    /// different standard or codec version;
+    /// [`StoreError::Divergence`] at the seq where the log resumes if
+    /// it has a hole above the chain mark; I/O errors otherwise.
     pub fn open(dir: &Path, cfg: StoreConfig) -> Result<Self, StoreError> {
         clear_tmp(dir)?;
         // The *validated* newest snapshot chain (corrupt links are
         // skipped, a foreign directory errors): its mark is both the GC
         // bookkeeping floor and the sequence floor the WAL may never
-        // restart below — and its state seeds the durability thread's
-        // materialized copy.
+        // restart below.
         let chain = resolve_chain::<T>(dir)?;
         let wal = Wal::open(
             dir,
@@ -175,6 +184,9 @@ where
             cfg.segment_max_bytes,
             chain.mark,
         )?;
+        if let Some(seq) = wal.resumes_past_hole() {
+            return Err(StoreError::Divergence { seq });
+        }
         let ops_since_snapshot = wal.next_seq().saturating_sub(chain.mark);
         let base = wal.next_seq();
         // Everything scanned at open sits on disk: the handle starts
@@ -184,10 +196,7 @@ where
         let dur = durability::spawn::<T>(
             dir.to_path_buf(),
             chain.mark,
-            chain.state,
-            base,
             cfg.snapshots_kept,
-            cfg.compact_every,
             obs.clone(),
             Arc::clone(&shared),
         );
@@ -197,6 +206,10 @@ where
             wal,
             watermark: chain.mark,
             ops_since_snapshot,
+            links_since_full: chain.links,
+            // The token's tracking starts at `base`: a delta drained
+            // from it cannot link to a chain top below that.
+            full_due: chain.mark < base,
             base,
             error: None,
             shared,
@@ -386,8 +399,8 @@ where
     /// state must reflect exactly the operations appended so far (the
     /// engine guarantees this at batch seals). Synchronous: the
     /// snapshot is on disk when this returns — the write itself happens
-    /// on the durability thread (whose materialized state it also
-    /// re-bases), with this call blocking on the acknowledgement.
+    /// on the durability thread, with this call blocking on the
+    /// acknowledgement.
     ///
     /// # Errors
     ///
@@ -402,7 +415,7 @@ where
         self.post(DurMsg::Full {
             watermark,
             state: state.clone(),
-            ack: ack_tx,
+            ack: Some(ack_tx),
         });
         match ack_rx.recv() {
             Ok(res) => res?,
@@ -415,6 +428,8 @@ where
         }
         self.watermark = watermark;
         self.ops_since_snapshot = 0;
+        self.links_since_full = 0;
+        self.full_due = false;
         self.apply_gc_floor()?;
         Ok(())
     }
@@ -489,14 +504,30 @@ where
         }
         if self.cfg.snapshot_every_ops > 0 && self.ops_since_snapshot >= self.cfg.snapshot_every_ops
         {
-            // Drain only the rows touched since the last drain —
-            // per-shard locks, no quiescence, no full-state encode —
-            // and let the thread fold and publish them.
+            // Drain the rows touched since the last drain — per-shard
+            // locks, no full-state encode — and let the thread publish
+            // them as the next chain link.
             let started = self.obs.clock();
             let watermark = self.wal.next_seq();
             let delta = token.drain_delta();
-            if !T::delta_is_empty(&delta) {
+            if self.full_due
+                || (!T::delta_is_empty(&delta)
+                    && self.links_since_full + 1 >= self.cfg.compact_every.max(1))
+            {
+                // Compaction: the token is quiescent at a seal, so its
+                // snapshot is the state at `watermark`; the drain above
+                // only reset the tracking for the next link.
+                let state = token.snapshot();
+                self.post(DurMsg::Full {
+                    watermark,
+                    state,
+                    ack: None,
+                });
+                self.links_since_full = 0;
+                self.full_due = false;
+            } else if !T::delta_is_empty(&delta) {
                 self.post(DurMsg::Delta { watermark, delta });
+                self.links_since_full += 1;
             }
             // An all-read window dirties nothing: skipping the publish
             // is safe (the next delta's wider window covers the

@@ -344,10 +344,6 @@ fn decode_entries<Op: Codec, Resp: Codec>(
     Ok(())
 }
 
-/// What [`read_entries`] returns: the run, where the log resumes past
-/// a gap that ended it, and the scan.
-type Replayable<Op, Resp> = (Vec<CommittedOp<Op, Resp>>, Option<u64>, LogScan);
-
 /// Reads the replayable suffix of the log from `min_seq` on: the
 /// gap-free run of committed operations starting exactly at `min_seq`
 /// whose record framing, checksum and sequence continuity are intact,
@@ -356,8 +352,7 @@ type Replayable<Op, Resp> = (Vec<CommittedOp<Op, Resp>>, Option<u64>, LogScan);
 /// are frame-validated by the scan but never decoded — at the default
 /// GC policy roughly a snapshot-interval of records sits below the
 /// newest watermark, and decoding it just to throw it away would double
-/// recovery's decode work. Also returns the sequence number the log
-/// resumes at past such a gap, if it does.
+/// recovery's decode work.
 ///
 /// # Errors
 ///
@@ -370,23 +365,20 @@ pub(crate) fn read_entries<Op: Codec, Resp: Codec>(
     standard: u8,
     version: u8,
     min_seq: u64,
-) -> Result<Replayable<Op, Resp>, StoreError> {
+) -> Result<(Vec<CommittedOp<Op, Resp>>, LogScan), StoreError> {
     let mut out = Vec::new();
     let mut next = min_seq;
-    let mut resumes = None;
     let scan = scan_log::<StoreError>(dir, standard, version, |head, entries| {
         if head.first_seq <= next && next < head.end_seq() {
             decode_entries(head, entries, &mut out)?;
             next = head.end_seq();
-        } else if head.first_seq > next {
-            resumes = resumes.or(Some(head.first_seq));
         }
         Ok(())
     })?;
     // The record straddling `min_seq` contributes only its suffix.
     let folded = out.partition_point(|e| e.seq < min_seq);
     out.drain(..folded);
-    Ok((out, resumes, scan))
+    Ok((out, scan))
 }
 
 /// Shared registry of segments pinned by live [`WalCursor`]s (keyed by
@@ -412,6 +404,9 @@ pub struct Wal {
     next_seq: u64,
     epoch: u64,
     pins: SegmentPins,
+    /// Where the log resumes past a hole above the open floor, if it
+    /// does: the records `[floor, resume)` are gone.
+    resumes_past_hole: Option<u64>,
     /// Recorder seam (disabled by default): append/fsync latency and
     /// byte/record/segment counters.
     obs: StoreObs,
@@ -436,7 +431,14 @@ impl Wal {
         floor_seq: u64,
     ) -> Result<Self, StoreError> {
         fs::create_dir_all(dir)?;
-        let scan = scan_log::<StoreError>(dir, standard, version, |_, _| Ok(()))?;
+        let (mut covered, mut resumes_past_hole) = (floor_seq, None);
+        let scan = scan_log::<StoreError>(dir, standard, version, |head, _| {
+            if head.first_seq > covered {
+                resumes_past_hole = resumes_past_hole.or(Some(head.first_seq));
+            }
+            covered = covered.max(head.end_seq());
+            Ok(())
+        })?;
         // First repair the surviving chain: drop every segment past the
         // scan's tail (unreachable — appends would collide with its
         // sequence numbers otherwise; with no usable tail at all, that
@@ -489,8 +491,16 @@ impl Wal {
             next_seq,
             epoch,
             pins: SegmentPins::default(),
+            resumes_past_hole,
             obs: StoreObs::disabled(),
         })
+    }
+
+    /// Where the log scanned at open resumes past a hole above its
+    /// floor (the records below that point down to the floor are gone),
+    /// if it does.
+    pub(crate) fn resumes_past_hole(&self) -> Option<u64> {
+        self.resumes_past_hole
     }
 
     /// Attaches a recorder; WAL I/O records into it from then on.

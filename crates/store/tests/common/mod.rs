@@ -23,19 +23,25 @@ pub fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// The store's WAL segment files, sorted by first sequence number.
-pub fn wal_segments(dir: &Path) -> Vec<PathBuf> {
-    let mut segs: Vec<PathBuf> = fs::read_dir(dir)
+/// The files of `dir` named `<prefix>…<suffix>`, sorted by name (the
+/// store zero-pads the number in between, so that is numeric order).
+fn store_files(dir: &Path, prefix: &str, suffix: &str) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = fs::read_dir(dir)
         .expect("read store dir")
         .map(|e| e.expect("dir entry").path())
         .filter(|p| {
             p.file_name()
                 .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("wal-") && n.ends_with(".seg"))
+                .is_some_and(|n| n.starts_with(prefix) && n.ends_with(suffix))
         })
         .collect();
-    segs.sort();
-    segs
+    files.sort();
+    files
+}
+
+/// The store's WAL segment files, sorted by first sequence number.
+pub fn wal_segments(dir: &Path) -> Vec<PathBuf> {
+    store_files(dir, "wal-", ".seg")
 }
 
 /// Total bytes across all WAL segments.
@@ -113,17 +119,12 @@ pub fn offset_of_seq(dir: &Path, seq: u64) -> u64 {
 
 /// The store's delta-snapshot chain links, sorted by watermark.
 pub fn delta_links(dir: &Path) -> Vec<PathBuf> {
-    let mut links: Vec<PathBuf> = fs::read_dir(dir)
-        .expect("read store dir")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("snap-") && n.ends_with(".delta"))
-        })
-        .collect();
-    links.sort();
-    links
+    store_files(dir, "snap-", ".delta")
+}
+
+/// The store's full snapshots, sorted by watermark.
+pub fn full_snapshots(dir: &Path) -> Vec<PathBuf> {
+    store_files(dir, "snap-", ".snap")
 }
 
 /// Flips one bit of `path` at byte `offset` (wrapped into range).

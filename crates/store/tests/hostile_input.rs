@@ -85,8 +85,8 @@ fn cursor_stops_at_a_hostile_length_prefix_without_allocating_it() {
 }
 
 #[test]
-fn catch_up_over_a_log_hole_diverges_where_the_log_resumes() {
-    let dir = temp_dir("catch-up-hole");
+fn open_over_a_log_hole_diverges_where_the_log_resumes() {
+    let dir = temp_dir("open-hole");
     let genesis = Erc20State::from_balances(vec![100; 4]);
     Store::<ShardedErc20>::create(&dir, &genesis, StoreConfig::default())
         .unwrap()
@@ -113,16 +113,10 @@ fn catch_up_over_a_log_hole_diverges_where_the_log_resumes() {
     wal.sync().unwrap();
     drop(wal);
 
-    // The first delta publish replays [0, 24) first and meets the hole.
-    let cfg = StoreConfig {
-        snapshot_every_ops: 4,
-        ..StoreConfig::default()
-    };
-    let mut store: Store<ShardedErc20> = Store::open(&dir, cfg).unwrap();
-    let token = ShardedErc20::from_state(genesis);
-    run_script_with_sink(&token, &transfers(8), &batches_of(4), &mut store);
+    // The chain mark is 0 and the log resumes at 20: no snapshot the
+    // store could publish would link to what it serves.
     assert!(matches!(
-        store.close(),
+        Store::<ShardedErc20>::open(&dir, StoreConfig::default()),
         Err(StoreError::Divergence { seq: 20 })
     ));
     std::fs::remove_dir_all(&dir).unwrap();

@@ -4,14 +4,15 @@
 
 mod common;
 
-use common::{temp_dir, wal_segments, wal_total_bytes};
+use common::{delta_links, full_snapshots, temp_dir, wal_segments, wal_total_bytes};
 use tokensync_core::erc20::{Erc20Op, Erc20State};
-use tokensync_core::shared::ShardedErc20;
+use tokensync_core::shared::{ConcurrentObject, ShardedErc20};
+use tokensync_core::standards::erc1155::{Erc1155Op, Erc1155State, ShardedErc1155, TypeId};
 use tokensync_obs::{Registry, SpanRing, Stage};
 use tokensync_pipeline::{run_script_with_sink, BatchConfig, PipelineConfig};
 use tokensync_spec::{AccountId, ProcessId};
 use tokensync_store::wal::SEG_HEADER_LEN;
-use tokensync_store::{Store, StoreConfig, StoreObs};
+use tokensync_store::{recover, Store, StoreConfig, StoreObs};
 
 fn transfers(n: usize, count: usize) -> Vec<(ProcessId, Erc20Op)> {
     (0..count)
@@ -119,7 +120,7 @@ fn group_commit_counters_match_the_disk() {
 }
 
 /// `compact_every: 1`: every trigger's drained rows are published as a
-/// full snapshot from the thread's materialized state — no delta links.
+/// full snapshot cut from the live object at the seal — no delta links.
 #[test]
 fn snapshots_and_segment_rolls_are_counted() {
     let dir = temp_dir("obs-snap");
@@ -203,6 +204,69 @@ fn delta_snapshots_publish_off_the_hot_path() {
     // (and flush pinned it to the log head).
     assert_eq!(obs.durable_seq(), run.stats.ops);
     store.close().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Compaction fulls are cut from the live object at the seal: three
+/// sessions, each one compaction cycle (two delta links, then a full),
+/// reopened over the chain the last one left. After every cycle the
+/// chain alone recovers the token's state, pruning keeps
+/// `snapshots_kept` fulls plus the links above the older one, and the
+/// counters match the publishes.
+#[test]
+fn compaction_cycles_cut_fulls_from_the_live_object() {
+    let dir = temp_dir("obs-compact");
+    let mut genesis = Erc1155State::deploy(8, ProcessId::new(0), &[0; 3]);
+    for acct in 0..8 {
+        for ty in 0..3 {
+            genesis.set_balance(AccountId::new(acct), TypeId::new(ty), 50);
+        }
+    }
+    let store_cfg = StoreConfig {
+        snapshot_every_ops: 64,
+        segment_max_bytes: 4096,
+        snapshots_kept: 2,
+        compact_every: 3,
+    };
+    let token = ShardedErc1155::from_state(genesis.clone());
+    Store::<ShardedErc1155>::create(&dir, &genesis, store_cfg)
+        .unwrap()
+        .close()
+        .unwrap();
+    for cycle in 1..=3u64 {
+        let mut store: Store<ShardedErc1155> = Store::open(&dir, store_cfg).unwrap();
+        store.set_obs(StoreObs::new(&Registry::new()));
+        let script: Vec<(ProcessId, Erc1155Op)> = (0..192)
+            .map(|i| {
+                let from = (i + cycle as usize) % 8;
+                let op = Erc1155Op::Transfer {
+                    from: AccountId::new(from),
+                    to: AccountId::new((from + 3) % 8),
+                    type_id: TypeId::new(i % 3),
+                    value: 1,
+                };
+                (ProcessId::new(from), op)
+            })
+            .collect();
+        let run = run_script_with_sink(&token, &script, &cfg(16), &mut store);
+        let obs = store.obs().clone();
+        store.close().unwrap();
+
+        // One cycle: two delta links, then the compaction full.
+        assert_eq!(obs.delta_snapshots_taken(), 2);
+        assert_eq!(obs.snapshots_taken(), 1);
+        assert_eq!(obs.snapshot_latency().unwrap().count, 3);
+        assert_eq!(obs.records_appended(), run.stats.commit_records);
+        assert!(obs.fsyncs() <= run.stats.batches + 1);
+        assert_eq!(obs.durable_seq(), 192 * cycle);
+
+        let back = recover::<ShardedErc1155>(&dir).unwrap();
+        assert_eq!(back.snapshot_watermark, 192 * cycle);
+        assert_eq!((back.delta_links, back.replayed), (0, 0));
+        assert_eq!(back.object.snapshot(), token.snapshot());
+        assert_eq!(full_snapshots(&dir).len(), store_cfg.snapshots_kept);
+        assert_eq!(delta_links(&dir).len(), 2, "the links above the older full");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -140,6 +140,44 @@ fn reopen_continues_the_sequence_across_runs() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A reopen over a log the chain does not cover (chain at 20, log at
+/// 25): the serving token tracks changes from 25, so the first trigger
+/// publishes a full and the deltas after it link to that full. Recovery
+/// then starts at the newest link, not back at 20.
+#[test]
+fn reopen_publishes_a_reachable_chain() {
+    let dir = temp_dir("reopen-chain");
+    let genesis = Erc20State::from_balances(vec![50; 4]);
+    let store_cfg = StoreConfig {
+        snapshot_every_ops: 10,
+        ..StoreConfig::default()
+    };
+    let token = ShardedErc20::from_state(genesis.clone());
+    let mut store: Store<ShardedErc20> = Store::create(&dir, &genesis, store_cfg).unwrap();
+    run_script_with_sink(&token, &transfers(4, 25), &cfg(5), &mut store);
+    assert_eq!(store.snapshot_watermark(), 20);
+    store.close().unwrap();
+
+    let token = recover::<ShardedErc20>(&dir).unwrap().object;
+    let mut store: Store<ShardedErc20> = Store::open(&dir, store_cfg).unwrap();
+    run_script_with_sink(&token, &transfers(4, 27), &cfg(5), &mut store);
+    assert_eq!(store.snapshot_watermark(), 50);
+    store.close().unwrap();
+
+    let end = recover::<ShardedErc20>(&dir).unwrap();
+    assert_eq!(
+        end.snapshot_watermark, 50,
+        "the chain reaches the last publish"
+    );
+    assert_eq!(
+        end.delta_links, 2,
+        "deltas at 40 and 50 over the full at 30"
+    );
+    assert_eq!((end.replayed, end.next_seq), (2, 52));
+    assert_eq!(end.object.snapshot(), token.snapshot());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn create_refuses_an_initialized_directory() {
     let dir = temp_dir("twice");
