@@ -1,8 +1,7 @@
 //! **B2 — consensus-object latency vs k.**
 //!
 //! One full k-process decision (all proposers racing on threads) for each
-//! construction: Algorithm 1 over the serving ERC20 token (`TokenConsensus` on
-//! `ShardedErc20`),
+//! construction: Algorithm 1 over an ERC20 token (`TokenConsensus`),
 //! the k-AT race (`AtConsensus`), hardware CAS (`CasConsensus`), and the
 //! ERC777/ERC721 adaptations. Expected shape: all scale gently with k
 //! (one object op + a k-scan each); CAS is the floor.
@@ -13,7 +12,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tokensync_consensus::{CasConsensus, Consensus};
 use tokensync_core::setup::sync_state_fixture;
-use tokensync_core::shared::ShardedErc20;
+use tokensync_core::shared::SharedErc20;
 use tokensync_core::standards::erc721::Erc721Consensus;
 use tokensync_core::standards::erc777::Erc777Consensus;
 use tokensync_core::token_consensus::TokenConsensus;
@@ -40,8 +39,8 @@ fn bench_consensus(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("token_alg1", k), &k, |b, &k| {
             b.iter(|| {
                 let (state, witness) = sync_state_fixture(k, k + 1, 64);
-                let cons: Arc<TokenConsensus<ShardedErc20, usize>> = Arc::new(TokenConsensus::new(
-                    ShardedErc20::from_state(state),
+                let cons: Arc<TokenConsensus<SharedErc20, usize>> = Arc::new(TokenConsensus::new(
+                    SharedErc20::from_state(state),
                     witness,
                     AccountId::new(k),
                 ));

@@ -2,7 +2,7 @@
 //!
 //! Per-operation latency of the `T|Q_k` emulation (`RestrictedToken`:
 //! balances in a k-AT object, allowances in registers, gated approve)
-//! against the direct `ShardedErc20`, on identical workloads. Expected
+//! against the direct `SharedErc20`, on identical workloads. Expected
 //! shape: a small constant-factor overhead — the reduction is cheap,
 //! which is the practical content of Theorem 4.
 
@@ -11,7 +11,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use tokensync_bench::workloads::{funded_state, mixed_ops};
 use tokensync_core::emulation::RestrictedToken;
-use tokensync_core::shared::{ConcurrentObject, ShardedErc20};
+use tokensync_core::shared::{ConcurrentObject, SharedErc20};
 
 const OPS: usize = 2048;
 
@@ -26,7 +26,7 @@ fn bench_emulation(c: &mut Criterion) {
         group.throughput(Throughput::Elements(OPS as u64));
         group.bench_with_input(BenchmarkId::new("direct", n), &n, |b, &n| {
             b.iter(|| {
-                let token = ShardedErc20::from_state(funded_state(n));
+                let token = SharedErc20::from_state(funded_state(n));
                 for (caller, op) in &workload {
                     token.apply(*caller, op);
                 }

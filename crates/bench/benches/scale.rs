@@ -1,12 +1,13 @@
-//! **B7 — account-count scaling of the serving ERC20 object's lock layout.**
+//! **B7 — account-count scaling of the concurrent token implementations.**
 //!
 //! Sweeps the number of accounts under a Zipfian (hot-account) workload
-//! and compares three stripe counts of the one `ShardedErc20`: one stripe
-//! (a single global lock), the default `min(n, 4 × cores)` stripes, and
-//! `n` stripes (a lock per account). Expected shape: one lock flat and
-//! slow under threads (every op serializes), per-account and default
-//! close at small n, default ahead at large n where a lock per account
-//! pays a cache-line-padded mutex per account.
+//! and compares the three lock architectures: one global lock
+//! (`CoarseErc20`), one lock per account (`SharedErc20`) and `min(n, 4 ×
+//! cores)` lock stripes (`ShardedErc20`). Expected shape: coarse flat and
+//! slow under threads (every op serializes), fine and sharded close at
+//! small n, sharded ahead at large n where per-account locking pays a
+//! mutex per account and `totalSupply`-style global reads pay `O(n)` lock
+//! acquisitions.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -14,11 +15,17 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use tokensync_bench::harness::run_split;
 use tokensync_bench::workloads::{funded_state, zipf_ops};
-use tokensync_core::shared::ShardedErc20;
+use tokensync_core::erc20::Erc20Op;
+use tokensync_core::shared::{CoarseErc20, ConcurrentToken, ShardedErc20, SharedErc20};
+use tokensync_spec::ProcessId;
 
 const OPS: usize = 2048;
 const THREADS: usize = 4;
 const THETA: f64 = 0.99;
+
+fn run_threads<T: ConcurrentToken>(token: &Arc<T>, workload: &[(ProcessId, Erc20Op)]) {
+    run_split(token, workload, THREADS);
+}
 
 fn bench_scale(c: &mut Criterion) {
     let mut group = c.benchmark_group("scale");
@@ -30,19 +37,24 @@ fn bench_scale(c: &mut Criterion) {
         let initial = funded_state(n);
         let workload = zipf_ops(n, OPS, 7, THETA);
         group.throughput(Throughput::Elements(OPS as u64));
-        let layouts = [
-            ("one_lock", 1),
-            ("striped", ShardedErc20::default_shards(n)),
-            ("per_account", n),
-        ];
-        for (name, shards) in layouts {
-            group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
-                b.iter(|| {
-                    let token = Arc::new(ShardedErc20::with_shards(initial.clone(), shards));
-                    run_split(&token, &workload, THREADS);
-                });
+        group.bench_with_input(BenchmarkId::new("coarse", n), &n, |b, _| {
+            b.iter(|| {
+                let token = Arc::new(CoarseErc20::from_state(initial.clone()));
+                run_threads(&token, &workload);
             });
-        }
+        });
+        group.bench_with_input(BenchmarkId::new("fine", n), &n, |b, _| {
+            b.iter(|| {
+                let token = Arc::new(SharedErc20::from_state(initial.clone()));
+                run_threads(&token, &workload);
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("sharded", n), &n, |b, _| {
+            b.iter(|| {
+                let token = Arc::new(ShardedErc20::from_state(initial.clone()));
+                run_threads(&token, &workload);
+            });
+        });
     }
     group.finish();
 }

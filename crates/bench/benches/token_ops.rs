@@ -1,12 +1,12 @@
 //! **B1 — token implementation throughput.**
 //!
-//! Compares hosting the ERC20 object as the serving `ShardedErc20` —
-//! with one stripe (a single global lock) and with its default
-//! `min(n, 4 × cores)` stripes — against the consensus-backed universal
-//! construction (`Universal<Erc20Spec>` — the "run everything through
-//! consensus" blockchain baseline). Expected shape: striped ≥ one lock ≫
-//! universal, with the gap widening as threads are added — the
-//! parallelism the paper says total ordering wastes.
+//! Compares the three ways to host a linearizable ERC20 object: one global
+//! lock (`CoarseErc20`), per-account locks (`SharedErc20`), and the
+//! consensus-backed universal construction (`Universal<Erc20Spec>` — the
+//! "run everything through consensus" blockchain baseline). Expected
+//! shape: fine-grained ≥ coarse ≫ universal, with the gap widening as
+//! threads are added — the parallelism the paper says total ordering
+//! wastes.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -15,12 +15,12 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use tokensync_bench::workloads::{funded_state, mixed_ops};
 use tokensync_consensus::Universal;
 use tokensync_core::erc20::Erc20Spec;
-use tokensync_core::shared::{ConcurrentObject, ShardedErc20};
+use tokensync_core::shared::{CoarseErc20, ConcurrentObject, ConcurrentToken, SharedErc20};
 
 const N_ACCOUNTS: usize = 16;
 const OPS_PER_THREAD: usize = 256;
 
-fn run_threads(token: &Arc<ShardedErc20>, threads: usize) {
+fn run_threads<T: ConcurrentToken>(token: &Arc<T>, threads: usize) {
     crossbeam::scope(|s| {
         for t in 0..threads {
             let token = Arc::clone(token);
@@ -43,21 +43,21 @@ fn bench_token_ops(c: &mut Criterion) {
     for threads in [1usize, 2, 4, 8] {
         group.throughput(Throughput::Elements((threads * OPS_PER_THREAD) as u64));
         group.bench_with_input(
-            BenchmarkId::new("one_lock", threads),
+            BenchmarkId::new("coarse", threads),
             &threads,
             |b, &threads| {
                 b.iter(|| {
-                    let token = Arc::new(ShardedErc20::with_shards(funded_state(N_ACCOUNTS), 1));
+                    let token = Arc::new(CoarseErc20::from_state(funded_state(N_ACCOUNTS)));
                     run_threads(&token, threads);
                 });
             },
         );
         group.bench_with_input(
-            BenchmarkId::new("striped", threads),
+            BenchmarkId::new("fine", threads),
             &threads,
             |b, &threads| {
                 b.iter(|| {
-                    let token = Arc::new(ShardedErc20::from_state(funded_state(N_ACCOUNTS)));
+                    let token = Arc::new(SharedErc20::from_state(funded_state(N_ACCOUNTS)));
                     run_threads(&token, threads);
                 });
             },

@@ -35,22 +35,22 @@ pub fn run_split<T: ConcurrentObject>(
 mod tests {
     use super::*;
     use crate::workloads::{funded_state, mixed_ops};
-    use tokensync_core::shared::ShardedErc20;
+    use tokensync_core::shared::{CoarseErc20, ConcurrentToken};
 
     #[test]
     fn applies_every_op_once() {
         let n = 4;
-        let token = Arc::new(ShardedErc20::from_state(funded_state(n)));
+        let token = Arc::new(CoarseErc20::from_state(funded_state(n)));
         let workload = mixed_ops(n, 100, 9);
         run_split(&token, &workload, 3);
         // Supply conservation: each op applied atomically, none dropped
         // into a torn state.
-        assert_eq!(token.snapshot().total_supply(), (n as u64) * 1000);
+        assert_eq!(token.total_supply(), (n as u64) * 1000);
     }
 
     #[test]
     fn degenerate_shapes_do_not_panic() {
-        let token = Arc::new(ShardedErc20::from_state(funded_state(2)));
+        let token = Arc::new(CoarseErc20::from_state(funded_state(2)));
         run_split(&token, &[], 4); // empty workload
         let workload = mixed_ops(2, 3, 1);
         run_split(&token, &workload, 8); // more threads than ops

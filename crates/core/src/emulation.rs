@@ -508,7 +508,7 @@ mod tests {
             let got = t.apply(caller, &op);
             assert_eq!(got, expected, "step {step}: divergence on {op:?}");
         }
-        assert_eq!(t.snapshot(), oracle);
+        assert_eq!(t.state_snapshot(), oracle);
     }
 
     #[test]
@@ -579,7 +579,7 @@ mod tests {
             }
         })
         .unwrap();
-        let final_state = t.snapshot();
+        let final_state = t.state_snapshot();
         assert_eq!(final_state.total_supply(), 200);
         assert!(within_restriction(&final_state, 2));
     }

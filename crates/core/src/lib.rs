@@ -12,11 +12,11 @@
 //! * [`erc20`] — the token object: sequential specification
 //!   ([`Erc20Spec`]), convenience sequential token ([`Erc20Token`],
 //!   Algorithm 3 of the paper) with typed errors.
-//! * [`shared`] — the lock-striped [`ShardedErc20`], the one concurrent
-//!   ERC20 object the pipeline serves, the store recovers and
-//!   Algorithm 1 races on, behind the ERC20 [`ConcurrentToken`]
-//!   interface, itself an instance of the standard-generic
-//!   [`ConcurrentObject`] trait (footprinted ops + oracle snapshots).
+//! * [`shared`] — linearizable concurrent implementations
+//!   ([`CoarseErc20`], [`SharedErc20`], [`ShardedErc20`]) behind the
+//!   ERC20 [`ConcurrentToken`] interface, itself an instance of the
+//!   standard-generic [`ConcurrentObject`] trait (footprinted ops +
+//!   oracle snapshots) the batched pipeline serves.
 //! * [`analysis`] — the Section 5 machinery: enabled spenders `σ_q`,
 //!   the partition `{Q_k}`, the unique-winner predicate `U`,
 //!   synchronization states `S_k`, and per-state consensus-number bounds
@@ -83,5 +83,5 @@ pub use emulation::RestrictedToken;
 pub use erc20::{Erc20Op, Erc20Resp, Erc20Spec, Erc20State, Erc20Token};
 pub use error::TokenError;
 pub use setup::prepare_sync_state;
-pub use shared::{ConcurrentObject, ConcurrentToken, ShardedErc20};
+pub use shared::{CoarseErc20, ConcurrentObject, ConcurrentToken, ShardedErc20, SharedErc20};
 pub use token_consensus::TokenConsensus;

@@ -98,7 +98,8 @@ pub fn prepare_sync_state<T: ConcurrentToken>(
             .approve(owner, *spender, *allowance)
             .map_err(|_| SetupError::ApproveFailed { spender: *spender })?;
     }
-    SyncWitness::for_account(&token.snapshot(), account).ok_or(SetupError::NotUnique { account })
+    SyncWitness::for_account(&token.state_snapshot(), account)
+        .ok_or(SetupError::NotUnique { account })
 }
 
 /// Builds a fixture state in `S_k`: `n` accounts, balance `balance` on
@@ -137,7 +138,7 @@ pub fn current_sync_level(state: &Erc20State) -> usize {
 mod tests {
     use super::*;
     use crate::analysis::{consensus_number_bounds, unique_transfers};
-    use crate::shared::{ConcurrentObject, ShardedErc20};
+    use crate::shared::{CoarseErc20, SharedErc20};
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -165,25 +166,28 @@ mod tests {
 
     #[test]
     fn prepare_reaches_sk_on_live_token() {
-        let token = ShardedErc20::deploy(5, p(0), 20);
+        let token = SharedErc20::deploy(5, p(0), 20);
         let spenders = [p(1), p(2), p(3)];
         let allowances = pairwise_exceeding_allowances(4, 20);
         let w = prepare_sync_state(&token, p(0), &spenders, &allowances).unwrap();
         assert_eq!(w.k(), 4);
         assert_eq!(w.balance, 20);
-        assert_eq!(consensus_number_bounds(&token.snapshot()).exact(), Some(4));
+        assert_eq!(
+            consensus_number_bounds(&token.state_snapshot()).exact(),
+            Some(4)
+        );
     }
 
     #[test]
     fn prepare_rejects_empty_account() {
-        let token = ShardedErc20::deploy(3, p(0), 5);
+        let token = CoarseErc20::deploy(3, p(0), 5);
         let err = prepare_sync_state(&token, p(1), &[p(2)], &[3]).unwrap_err();
         assert_eq!(err, SetupError::EmptyAccount { account: a(1) });
     }
 
     #[test]
     fn prepare_rejects_non_unique_allowances() {
-        let token = ShardedErc20::deploy(4, p(0), 10);
+        let token = CoarseErc20::deploy(4, p(0), 10);
         // 3 + 4 ≤ 10: two spenders could both win.
         let err = prepare_sync_state(&token, p(0), &[p(1), p(2)], &[3, 4]).unwrap_err();
         assert_eq!(err, SetupError::NotUnique { account: a(0) });
@@ -191,7 +195,7 @@ mod tests {
 
     #[test]
     fn prepare_rejects_unknown_spender() {
-        let token = ShardedErc20::deploy(2, p(0), 10);
+        let token = CoarseErc20::deploy(2, p(0), 10);
         let err = prepare_sync_state(&token, p(0), &[p(7)], &[6]).unwrap_err();
         assert_eq!(err, SetupError::ApproveFailed { spender: p(7) });
     }

@@ -143,6 +143,12 @@ pub trait ConcurrentToken:
 
     /// `totalSupply()` — atomic with respect to transfers.
     fn total_supply(&self) -> Amount;
+
+    /// Legacy alias of [`ConcurrentObject::snapshot`], kept so existing
+    /// callers migrate incrementally; prefer `snapshot()`.
+    fn state_snapshot(&self) -> Erc20State {
+        self.snapshot()
+    }
 }
 
 impl<T: ConcurrentToken + ?Sized> ConcurrentToken for std::sync::Arc<T> {

@@ -1,23 +1,30 @@
-//! The linearizable concurrent ERC20 object.
+//! Linearizable concurrent implementations of the ERC20 token object.
 //!
 //! The paper's model assumes processes access the token as a linearizable
-//! shared object. [`ShardedErc20`] is that object — the one the pipeline
-//! serves, the store recovers, and Algorithm 1 and the benches race on:
-//! accounts lock-striped across `min(n, 4 × cores)` shards with a
-//! lock-free cached `totalSupply`. Its stripe count spans every lock
-//! layout — one stripe is a single global lock, `n` stripes a lock per
-//! account — so the layouts are one model, not three.
+//! shared object. Three implementations are provided behind the
+//! [`ConcurrentToken`] interface:
 //!
-//! It implements the ERC20 [`ConcurrentToken`] interface, itself an
-//! instance of the standard-generic [`ConcurrentObject`]; it is
-//! differentially tested against the sequential
-//! [`Erc20Spec`](crate::erc20::Erc20Spec) and checked for
+//! * [`CoarseErc20`] — one global lock; the obviously correct baseline.
+//! * [`SharedErc20`] — per-account locks acquired in ascending index order;
+//!   disjoint accounts proceed in parallel. This is the implementation the
+//!   consensus constructions run on.
+//! * [`ShardedErc20`] — accounts lock-striped across `min(n, 4 × cores)`
+//!   shards with a lock-free cached `totalSupply`; the fast path for
+//!   million-account deployments, where a mutex per account and
+//!   all-account global reads stop scaling.
+//!
+//! All are differentially tested against the sequential
+//! [`Erc20Token`](crate::erc20::Erc20Token) and checked for
 //! linearizability with recorded histories.
 
+mod coarse;
+mod fine;
 mod interface;
 mod sharded;
 pub(crate) mod striped;
 
+pub use coarse::CoarseErc20;
+pub use fine::SharedErc20;
 pub use interface::{apply_erc20, ConcurrentObject, ConcurrentToken};
 pub use sharded::ShardedErc20;
 
@@ -103,10 +110,27 @@ mod tests {
     }
 
     #[test]
+    fn coarse_token_linearizable_under_stress() {
+        for seed in 0..8 {
+            let initial = seeded_initial();
+            let token = CoarseErc20::from_state(initial.clone());
+            linearizability_stress(&token, initial, seed * 100);
+        }
+    }
+
+    #[test]
+    fn fine_token_linearizable_under_stress() {
+        for seed in 0..8 {
+            let initial = seeded_initial();
+            let token = SharedErc20::from_state(initial.clone());
+            linearizability_stress(&token, initial, seed * 100 + 7);
+        }
+    }
+
+    #[test]
     fn sharded_token_linearizable_under_stress() {
         // Stripe counts below, at, and above the account count, so the
-        // one-lock layout, the same-shard two-account path and the
-        // cross-shard path all race.
+        // same-shard two-account path and the cross-shard path both race.
         for (seed, shards) in (0..8).zip([1, 2, 2, 4, 4, 8, 8, 16].into_iter().cycle()) {
             let initial = seeded_initial();
             let token = ShardedErc20::with_shards(initial.clone(), shards);
@@ -115,10 +139,11 @@ mod tests {
     }
 
     #[test]
-    fn stripings_agree_on_sequential_script() {
-        // One stripe (a single global lock), two, and one per account.
+    fn implementations_agree_on_sequential_script() {
         let initial = seeded_initial();
-        let tokens = [1, 2, 4].map(|shards| ShardedErc20::with_shards(initial.clone(), shards));
+        let coarse = CoarseErc20::from_state(initial.clone());
+        let fine = SharedErc20::from_state(initial.clone());
+        let sharded = ShardedErc20::with_shards(initial.clone(), 2);
         let mut oracle = initial;
         let spec = Erc20Spec::new(Erc20State::new(0));
         let mut rng = StdRng::seed_from_u64(42);
@@ -126,18 +151,26 @@ mod tests {
             let caller = p(rng.gen_range(0..3));
             let op = random_op(&mut rng, 3);
             let expected = spec.apply(&mut oracle, caller, &op);
-            for token in &tokens {
-                assert_eq!(token.apply(caller, &op), expected, "diverged on {op:?}");
-            }
+            assert_eq!(
+                coarse.apply(caller, &op),
+                expected,
+                "coarse diverged on {op:?}"
+            );
+            assert_eq!(fine.apply(caller, &op), expected, "fine diverged on {op:?}");
+            assert_eq!(
+                sharded.apply(caller, &op),
+                expected,
+                "sharded diverged on {op:?}"
+            );
         }
-        for token in &tokens {
-            assert_eq!(token.snapshot(), oracle);
-        }
+        assert_eq!(coarse.state_snapshot(), oracle);
+        assert_eq!(fine.state_snapshot(), oracle);
+        assert_eq!(sharded.state_snapshot(), oracle);
     }
 
     #[test]
     fn supply_conserved_under_heavy_concurrency() {
-        let token = Arc::new(ShardedErc20::from_state(Erc20State::from_balances(vec![
+        let token = Arc::new(SharedErc20::from_state(Erc20State::from_balances(vec![
             100, 100, 100, 100,
         ])));
         crossbeam::scope(|s| {
@@ -154,6 +187,5 @@ mod tests {
         })
         .unwrap();
         assert_eq!(token.total_supply(), 400);
-        assert_eq!(token.snapshot().total_supply(), 400);
     }
 }

@@ -1,14 +1,13 @@
 //! Lock-striped concurrent token: the million-account fast path.
 //!
-//! A mutex per account is perfect contention-wise but costs a mutex per
-//! account and makes the global reads (snapshots) lock all `n` cells — a
-//! full-engine stall at a million accounts. [`ShardedErc20`] keeps the
-//! parallelism where it matters (disjoint *shards* proceed in parallel;
-//! two ops conflict only when their accounts collide modulo the stripe
-//! count) while bounding the lock count by the hardware: accounts are
-//! striped across `min(n, 4 × cores)` shards by default. An explicit
-//! stripe count ([`ShardedErc20::with_shards`]) reaches the other
-//! layouts: one stripe is a single global lock, `n` a lock per account.
+//! [`SharedErc20`](super::SharedErc20) buys parallelism with one mutex per
+//! account, which is perfect contention-wise but costs a mutex per account
+//! and makes the global reads (`totalSupply`, snapshots) lock all `n`
+//! cells — a full-engine stall at a million accounts. [`ShardedErc20`]
+//! keeps the parallelism where it matters (disjoint *shards* proceed in
+//! parallel; two ops conflict only when their accounts collide modulo the
+//! stripe count) while bounding the lock count by the hardware: accounts
+//! are striped across `min(n, 4 × cores)` shards.
 //!
 //! `totalSupply` needs no locks at all: every ERC20 operation conserves
 //! the supply (no mint/burn in Definition 3), so the value is fixed at
@@ -57,7 +56,7 @@ impl Shard {
 /// * `approve`, `allowance`, `balanceOf` — one shard;
 /// * `totalSupply` — **zero** shards (cached atomic; supply is invariant
 ///   under every operation);
-/// * [`ConcurrentObject::snapshot`] — all shards; `O(4 × cores)`
+/// * [`ConcurrentToken::state_snapshot`] — all shards; `O(4 × cores)`
 ///   lock acquisitions instead of the `O(n)` of the per-account design.
 ///
 /// Linearizability is established empirically by the recorded-history
@@ -404,9 +403,9 @@ mod tests {
         let t = ShardedErc20::with_shards(Erc20State::with_deployer(5, p(1), 9), 2);
         t.approve(p(1), p(0), 4).unwrap();
         t.transfer(p(1), a(4), 2).unwrap();
-        let snap = t.snapshot();
+        let snap = t.state_snapshot();
         let t2 = ShardedErc20::with_shards(snap.clone(), 4);
-        assert_eq!(t2.snapshot(), snap);
+        assert_eq!(t2.state_snapshot(), snap);
         assert_eq!(snap.total_supply(), 9);
     }
 
@@ -491,14 +490,14 @@ mod tests {
             }
         })
         .unwrap();
-        assert_eq!(t.snapshot().total_supply(), 400);
+        assert_eq!(t.state_snapshot().total_supply(), 400);
     }
 
     #[test]
     fn drain_delta_tracks_touched_rows_and_folds_onto_base() {
         let t = ShardedErc20::with_shards(Erc20State::with_deployer(8, p(0), 100), 4);
         assert!(t.drain_delta().is_empty(), "fresh object has no dirty rows");
-        let base = t.snapshot();
+        let base = t.state_snapshot();
         t.transfer(p(0), a(5), 10).unwrap();
         t.approve(p(3), p(1), 7).unwrap();
         t.transfer_from(p(1), a(3), a(6), 0).unwrap();
@@ -507,7 +506,7 @@ mod tests {
         assert_eq!(touched, vec![0, 3, 5, 6]);
         let mut folded = base;
         assert!(delta.apply_to(&mut folded));
-        assert_eq!(folded, t.snapshot());
+        assert_eq!(folded, t.state_snapshot());
         assert!(t.drain_delta().is_empty(), "drain clears the tracking bits");
     }
 

@@ -245,36 +245,6 @@ impl Erc1155State {
             }
     }
 
-    /// The operator census of `account`: `{owner} ∪ operators(account)`
-    /// if the account holds any tokens of any type, `{owner}` otherwise —
-    /// the conservative ERC1155 analogue of `σ_q(a)`, upper-bounding the
-    /// contract's synchronization needs per account.
-    pub fn enabled_movers(&self, account: AccountId) -> BTreeSet<ProcessId> {
-        let mut movers = BTreeSet::from([account.owner()]);
-        let Ok(h) = u32::try_from(account.index()) else {
-            return movers;
-        };
-        if self.balances.keys().any(|&(_, a)| a == h) {
-            movers.extend(
-                self.operators
-                    .range((h, 0)..=(h, u32::MAX))
-                    .map(|&(_, o)| ProcessId::new(o as usize)),
-            );
-        }
-        movers
-    }
-
-    /// `max_a |movers(a)|` — the upper-bound synchronization level, at
-    /// least 1. Only an account with operators can exceed 1.
-    pub fn sync_level(&self) -> usize {
-        self.operators
-            .iter()
-            .map(|&(h, _)| self.enabled_movers(AccountId::new(h as usize)).len())
-            .max()
-            .unwrap_or(1)
-            .max(1)
-    }
-
     /// Directly sets a balance — test-fixture aid; adjusts the cached
     /// per-type supply.
     ///
@@ -1102,30 +1072,6 @@ mod tests {
         );
         assert_eq!(q.balance_of(a(1), t(0)), 10);
         assert_eq!(q.total_supply(t(0)), 10);
-    }
-
-    #[test]
-    fn census_follows_operators_and_holdings() {
-        let multi = ShardedErc1155::from_state(Erc1155State::deploy(3, p(0), &[5]));
-        for operator in [1, 2] {
-            let on = Erc1155Op::SetApprovalForAll {
-                operator: p(operator),
-                on: true,
-            };
-            assert_eq!(multi.apply(p(0), &on), Erc1155Resp::TRUE);
-        }
-        assert_eq!(multi.snapshot().sync_level(), 3);
-        // Drain the account: its operators go dormant.
-        let drain = Erc1155Op::Transfer {
-            from: a(0),
-            to: a(1),
-            type_id: t(0),
-            value: 5,
-        };
-        assert_eq!(multi.apply(p(0), &drain), Erc1155Resp::TRUE);
-        let q = multi.snapshot();
-        assert_eq!(q.enabled_movers(a(0)), [p(0)].into());
-        assert_eq!(q.sync_level(), 1);
     }
 
     #[test]

@@ -7,17 +7,17 @@
 //! `transferFrom` on a single `tokenId` and the winner is read off
 //! `ownerOf`.
 //!
-//! The `object` submodule is the standard's one model: the formal
-//! [`Erc721Op`]/[`Erc721Resp`] alphabet with per-op footprints, the
-//! [`Erc721State`] with its [`Erc721Spec`] oracle, and the lock-striped
-//! [`ShardedErc721`] the generic pipeline serves. The consensus race
-//! below runs on that same serving object.
+//! Besides the sequential [`Erc721Token`] and the consensus race, the
+//! `object` submodule provides the standard as a *servable* concurrent
+//! object: the formal [`Erc721Op`]/[`Erc721Resp`] alphabet with per-op
+//! footprints, the [`Erc721Spec`] oracle, and the lock-striped
+//! [`ShardedErc721`] the generic pipeline executes.
 
+use std::collections::BTreeSet;
 use std::fmt;
 
+use parking_lot::Mutex;
 use tokensync_spec::ProcessId;
-
-use crate::shared::ConcurrentObject;
 
 use super::race;
 
@@ -47,29 +47,253 @@ impl fmt::Display for TokenId {
     }
 }
 
-/// The NFT the race is run on.
-const RACE_NFT: TokenId = TokenId::new(0);
-/// Its owner before the race, mover 0.
-const RACE_OWNER: ProcessId = ProcessId::new(0);
+/// Errors of the ERC721 object.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Erc721Error {
+    /// The token id does not exist.
+    UnknownToken(TokenId),
+    /// The caller may not move this token (not owner, approved, or
+    /// operator).
+    NotAuthorized {
+        /// The caller that was refused.
+        caller: ProcessId,
+        /// The token involved.
+        token: TokenId,
+    },
+    /// `from` does not currently own the token.
+    WrongOwner {
+        /// The claimed owner.
+        claimed: ProcessId,
+        /// The actual owner.
+        actual: ProcessId,
+    },
+}
 
-/// The state the ERC721 consensus race among `k` movers starts from:
-/// `k + 1` processes, one NFT (`nft0`) owned by `p_0`, the other movers
-/// `p_1 .. p_{k-1}` enabled as `p_0`'s operators, and `p_k` the sink the
-/// owner parks the NFT at. [`Erc721Consensus`] serves it from a
-/// [`ShardedErc721`]; the model checker explores it through
-/// [`Erc721Spec`].
-///
-/// # Panics
-///
-/// Panics if `k == 0`.
-pub fn race_state(k: usize) -> Erc721State {
-    assert!(k > 0, "consensus requires at least one process");
-    let mut state = Erc721State::new(k + 1, 1);
-    state.put_token(RACE_NFT, RACE_OWNER, None);
-    for i in 1..k {
-        state.set_operator(RACE_OWNER, ProcessId::new(i), true);
+impl fmt::Display for Erc721Error {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Erc721Error::UnknownToken(t) => write!(f, "token {t} does not exist"),
+            Erc721Error::NotAuthorized { caller, token } => {
+                write!(f, "{caller} is not authorized to move {token}")
+            }
+            Erc721Error::WrongOwner { claimed, actual } => {
+                write!(f, "token is owned by {actual}, not {claimed}")
+            }
+        }
     }
-    state
+}
+
+impl std::error::Error for Erc721Error {}
+
+/// A sequential ERC721 token contract.
+///
+/// # Example
+///
+/// ```
+/// use tokensync_core::standards::erc721::{Erc721Token, TokenId};
+/// use tokensync_spec::ProcessId;
+///
+/// let minter = ProcessId::new(0);
+/// let mut nft = Erc721Token::mint_to(3, minter, 2); // tokens nft0, nft1
+/// nft.approve(minter, Some(ProcessId::new(2)), TokenId::new(0))?;
+/// nft.transfer_from(ProcessId::new(2), minter, ProcessId::new(2), TokenId::new(0))?;
+/// assert_eq!(nft.owner_of(TokenId::new(0)), Some(ProcessId::new(2)));
+/// # Ok::<(), tokensync_core::standards::erc721::Erc721Error>(())
+/// ```
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct Erc721Token {
+    processes: usize,
+    owner_of: Vec<ProcessId>,
+    approved: Vec<Option<ProcessId>>,
+    /// `operators[holder]`: processes enabled for *all* of holder's tokens.
+    operators: Vec<BTreeSet<ProcessId>>,
+}
+
+impl Erc721Token {
+    /// Mints `tokens` NFTs, all owned by `minter`, in a system of
+    /// `processes` processes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `minter.index() >= processes`.
+    pub fn mint_to(processes: usize, minter: ProcessId, tokens: usize) -> Self {
+        assert!(minter.index() < processes, "minter out of range");
+        Self {
+            processes,
+            owner_of: vec![minter; tokens],
+            approved: vec![None; tokens],
+            operators: vec![BTreeSet::new(); processes],
+        }
+    }
+
+    /// Number of minted tokens.
+    pub fn tokens(&self) -> usize {
+        self.owner_of.len()
+    }
+
+    /// `ownerOf(tokenId)`.
+    pub fn owner_of(&self, token: TokenId) -> Option<ProcessId> {
+        self.owner_of.get(token.index()).copied()
+    }
+
+    /// `getApproved(tokenId)`.
+    pub fn get_approved(&self, token: TokenId) -> Option<ProcessId> {
+        self.approved.get(token.index()).copied().flatten()
+    }
+
+    /// `balanceOf(owner)`: number of tokens held.
+    pub fn balance_of(&self, holder: ProcessId) -> usize {
+        self.owner_of.iter().filter(|o| **o == holder).count()
+    }
+
+    /// `isApprovedForAll(owner, operator)`.
+    pub fn is_approved_for_all(&self, holder: ProcessId, operator: ProcessId) -> bool {
+        self.operators
+            .get(holder.index())
+            .is_some_and(|s| s.contains(&operator))
+    }
+
+    /// `setApprovalForAll(operator, approved)` by `caller`.
+    pub fn set_approval_for_all(&mut self, caller: ProcessId, operator: ProcessId, on: bool) {
+        if caller.index() >= self.processes || operator.index() >= self.processes {
+            return;
+        }
+        if on {
+            self.operators[caller.index()].insert(operator);
+        } else {
+            self.operators[caller.index()].remove(&operator);
+        }
+    }
+
+    fn may_manage(&self, caller: ProcessId, token: TokenId) -> bool {
+        let Some(owner) = self.owner_of(token) else {
+            return false;
+        };
+        caller == owner
+            || self.get_approved(token) == Some(caller)
+            || self.is_approved_for_all(owner, caller)
+    }
+
+    /// `approve(approved, tokenId)` by `caller` (owner or operator);
+    /// `None` clears the approval.
+    ///
+    /// # Errors
+    ///
+    /// [`Erc721Error::UnknownToken`] or [`Erc721Error::NotAuthorized`].
+    pub fn approve(
+        &mut self,
+        caller: ProcessId,
+        approved: Option<ProcessId>,
+        token: TokenId,
+    ) -> Result<(), Erc721Error> {
+        let owner = self
+            .owner_of(token)
+            .ok_or(Erc721Error::UnknownToken(token))?;
+        if caller != owner && !self.is_approved_for_all(owner, caller) {
+            return Err(Erc721Error::NotAuthorized { caller, token });
+        }
+        self.approved[token.index()] = approved;
+        Ok(())
+    }
+
+    /// `transferFrom(from, to, tokenId)` by `caller`.
+    ///
+    /// On success the token's single-use approval is cleared (ERC721
+    /// semantics) and ownership moves to `to`.
+    ///
+    /// # Errors
+    ///
+    /// [`Erc721Error::UnknownToken`], [`Erc721Error::WrongOwner`] if `from`
+    /// is not the current owner, [`Erc721Error::NotAuthorized`] if the
+    /// caller is neither owner, approved, nor operator.
+    pub fn transfer_from(
+        &mut self,
+        caller: ProcessId,
+        from: ProcessId,
+        to: ProcessId,
+        token: TokenId,
+    ) -> Result<(), Erc721Error> {
+        let owner = self
+            .owner_of(token)
+            .ok_or(Erc721Error::UnknownToken(token))?;
+        if owner != from {
+            return Err(Erc721Error::WrongOwner {
+                claimed: from,
+                actual: owner,
+            });
+        }
+        if !self.may_manage(caller, token) {
+            return Err(Erc721Error::NotAuthorized { caller, token });
+        }
+        self.owner_of[token.index()] = to;
+        self.approved[token.index()] = None;
+        Ok(())
+    }
+
+    /// The movers of `token`: owner, approved process, and the owner's
+    /// operators — the ERC721 analogue of `σ_q` for a single token.
+    pub fn enabled_movers(&self, token: TokenId) -> BTreeSet<ProcessId> {
+        let mut set = BTreeSet::new();
+        if let Some(owner) = self.owner_of(token) {
+            set.insert(owner);
+            if let Some(approved) = self.get_approved(token) {
+                set.insert(approved);
+            }
+            if let Some(ops) = self.operators.get(owner.index()) {
+                set.extend(ops.iter().copied());
+            }
+        }
+        set
+    }
+
+    /// The contract-wide synchronization level: `max_t |movers(t)|`.
+    pub fn sync_level(&self) -> usize {
+        (0..self.tokens())
+            .map(|t| self.enabled_movers(TokenId::new(t)).len())
+            .max()
+            .unwrap_or(1)
+            .max(1)
+    }
+}
+
+/// Coarse-grained linearizable ERC721 for threaded use.
+#[derive(Debug)]
+pub struct SharedErc721 {
+    inner: Mutex<Erc721Token>,
+}
+
+impl SharedErc721 {
+    /// Wraps a sequential contract.
+    pub fn new(token: Erc721Token) -> Self {
+        Self {
+            inner: Mutex::new(token),
+        }
+    }
+
+    /// `transferFrom` (see [`Erc721Token::transfer_from`]).
+    ///
+    /// # Errors
+    ///
+    /// As the sequential method.
+    pub fn transfer_from(
+        &self,
+        caller: ProcessId,
+        from: ProcessId,
+        to: ProcessId,
+        token: TokenId,
+    ) -> Result<(), Erc721Error> {
+        self.inner.lock().transfer_from(caller, from, to, token)
+    }
+
+    /// `ownerOf`.
+    pub fn owner_of(&self, token: TokenId) -> Option<ProcessId> {
+        self.inner.lock().owner_of(token)
+    }
+
+    /// Snapshot.
+    pub fn snapshot(&self) -> Erc721Token {
+        self.inner.lock().clone()
+    }
 }
 
 /// The ERC721 decisive race: the `k` movers of one NFT race
@@ -80,7 +304,9 @@ pub fn race_state(k: usize) -> Erc721State {
 /// mover) rather than to itself — an owner-to-owner transfer would leave
 /// `ownerOf` unchanged and the race winnable twice.
 struct NftRace {
-    token: ShardedErc721,
+    token: SharedErc721,
+    nft: TokenId,
+    original_owner: ProcessId,
     sink: ProcessId,
 }
 
@@ -91,50 +317,54 @@ impl race::DecisiveRace for NftRace {
         // successful transfer changes `ownerOf` away from the original
         // owner, failing all later `from = original_owner` claims.
         let process = ProcessId::new(mover);
-        let to = if mover == 0 { self.sink } else { process };
-        let claim = Erc721Op::TransferFrom {
-            from: RACE_OWNER,
-            to,
-            token: RACE_NFT,
-        };
-        self.token.apply(process, &claim);
+        let target = if mover == 0 { self.sink } else { process };
+        let _ = self
+            .token
+            .transfer_from(process, self.original_owner, target, self.nft);
     }
 
     fn winner(&self) -> Option<usize> {
-        match self
-            .token
-            .apply(RACE_OWNER, &Erc721Op::OwnerOf { token: RACE_NFT })
-        {
-            // The owner won by parking the NFT at the sink.
-            Erc721Resp::Process(Some(current)) if current == self.sink => Some(0),
-            Erc721Resp::Process(Some(current)) if current != RACE_OWNER => Some(current.index()),
-            _ => None,
+        let current = self.token.owner_of(self.nft)?;
+        if current == self.original_owner {
+            return None;
         }
+        Some(if current == self.sink {
+            0 // the owner won by parking the NFT at the sink
+        } else {
+            current.index()
+        })
     }
 }
 
 /// Wait-free consensus from one NFT (Section 6): an instance of the
 /// generic [`race::RaceConsensus`] choreography whose decisive transfer
-/// is a `transferFrom` race on a single `tokenId` of a [`ShardedErc721`].
+/// is a `transferFrom` race on a single `tokenId`.
 pub struct Erc721Consensus<V> {
     inner: race::RaceConsensus<V, NftRace>,
 }
 
 impl<V: Clone + Send + Sync> Erc721Consensus<V> {
-    /// Creates a fresh instance over [`race_state`]`(k)`: one NFT owned
-    /// by `p_0`, movers `p_0 .. p_{k-1}` (non-owners enabled via
-    /// `setApprovalForAll`), and sink process `p_k`.
+    /// Creates a fresh instance: one NFT owned by `p_0`, movers
+    /// `p_0 .. p_{k-1}` (non-owners enabled via `setApprovalForAll`), and
+    /// sink process `p_k`.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0`.
     pub fn new(k: usize) -> Self {
-        let token = ShardedErc721::from_state(race_state(k));
+        assert!(k > 0, "consensus requires at least one process");
+        let owner = ProcessId::new(0);
+        let mut token = Erc721Token::mint_to(k + 1, owner, 1);
+        for i in 1..k {
+            token.set_approval_for_all(owner, ProcessId::new(i), true);
+        }
         Self {
             inner: race::RaceConsensus::new(
                 (0..k).map(ProcessId::new).collect(),
                 NftRace {
-                    token,
+                    token: SharedErc721::new(token),
+                    nft: TokenId::new(0),
+                    original_owner: owner,
                     sink: ProcessId::new(k),
                 },
             ),
@@ -171,36 +401,49 @@ mod tests {
     }
 
     #[test]
-    fn only_one_claim_on_the_original_owner_lands() {
-        let nft = ShardedErc721::from_state(race_state(3));
-        let claim = |caller: usize| {
-            nft.apply(
-                p(caller),
-                &Erc721Op::TransferFrom {
-                    from: p(0),
-                    to: p(caller),
-                    token: t(0),
-                },
-            )
-        };
-        // The sink p3 is neither owner, approved nor operator.
-        assert_eq!(claim(3), Erc721Resp::FALSE);
-        assert_eq!(claim(1), Erc721Resp::TRUE);
-        // The race property: every later claim naming p0 as owner fails.
-        assert_eq!(claim(2), Erc721Resp::FALSE);
-        assert_eq!(claim(0), Erc721Resp::FALSE);
-        assert_eq!(nft.snapshot().owner_of(t(0)), Some(p(1)));
+    fn mint_and_transfer() {
+        let mut nft = Erc721Token::mint_to(3, p(0), 2);
+        assert_eq!(nft.balance_of(p(0)), 2);
+        nft.transfer_from(p(0), p(0), p(1), t(0)).unwrap();
+        assert_eq!(nft.owner_of(t(0)), Some(p(1)));
+        assert_eq!(nft.balance_of(p(0)), 1);
+    }
+
+    #[test]
+    fn approval_is_single_use() {
+        let mut nft = Erc721Token::mint_to(3, p(0), 1);
+        nft.approve(p(0), Some(p(2)), t(0)).unwrap();
+        nft.transfer_from(p(2), p(0), p(2), t(0)).unwrap();
+        // Approval cleared by the transfer: p2 cannot move it again on
+        // behalf of anyone (it is now the owner though).
+        assert_eq!(nft.get_approved(t(0)), None);
+        assert_eq!(nft.owner_of(t(0)), Some(p(2)));
+    }
+
+    #[test]
+    fn unauthorized_transfer_rejected() {
+        let mut nft = Erc721Token::mint_to(3, p(0), 1);
+        let err = nft.transfer_from(p(1), p(0), p(1), t(0)).unwrap_err();
+        assert!(matches!(err, Erc721Error::NotAuthorized { .. }));
+    }
+
+    #[test]
+    fn wrong_owner_rejected_after_move() {
+        let mut nft = Erc721Token::mint_to(3, p(0), 1);
+        nft.set_approval_for_all(p(0), p(1), true);
+        nft.transfer_from(p(1), p(0), p(1), t(0)).unwrap();
+        // The race property: a second transfer claiming `from = p0` fails.
+        let err = nft.transfer_from(p(0), p(0), p(0), t(0)).unwrap_err();
+        assert!(matches!(err, Erc721Error::WrongOwner { .. }));
     }
 
     #[test]
     fn movers_include_owner_approved_and_operators() {
-        let mut q = Erc721State::new(4, 1);
-        q.put_token(t(0), p(0), Some(p(1)));
-        q.set_operator(p(0), p(2), true);
-        assert_eq!(q.enabled_movers(t(0)), [p(0), p(1), p(2)].into());
-        assert_eq!(q.sync_level(), 3);
-        // The race state of k movers sits at level k.
-        assert_eq!(race_state(4).sync_level(), 4);
+        let mut nft = Erc721Token::mint_to(4, p(0), 1);
+        nft.approve(p(0), Some(p(1)), t(0)).unwrap();
+        nft.set_approval_for_all(p(0), p(2), true);
+        assert_eq!(nft.enabled_movers(t(0)), [p(0), p(1), p(2)].into());
+        assert_eq!(nft.sync_level(), 3);
     }
 
     #[test]

@@ -317,35 +317,6 @@ impl Erc721State {
         }
     }
 
-    /// The movers of `token`: its owner, its approved process and the
-    /// owner's operators — the ERC721 analogue of `σ_q` for a single
-    /// token (empty for an unminted token).
-    pub fn enabled_movers(&self, token: TokenId) -> BTreeSet<ProcessId> {
-        let mut movers = BTreeSet::new();
-        if let Some(owner) = self.owner_of(token) {
-            movers.insert(owner);
-            movers.extend(self.get_approved(token));
-            let h = cell_index(owner.index());
-            movers.extend(
-                self.operators
-                    .range((h, 0)..=(h, u32::MAX))
-                    .map(|&(_, o)| ProcessId::new(o as usize)),
-            );
-        }
-        movers
-    }
-
-    /// The contract-wide synchronization level: `max_t |movers(t)|` over
-    /// the minted tokens, at least 1.
-    pub fn sync_level(&self) -> usize {
-        self.owners
-            .keys()
-            .map(|&t| self.enabled_movers(TokenId::new(t as usize)).len())
-            .max()
-            .unwrap_or(1)
-            .max(1)
-    }
-
     /// Whether `token`, `owner` and `approved` are all inside the state's
     /// id spaces (delta-apply pre-validation).
     fn token_row_in_range(&self, token: u32, owner: u32, approved: Option<u32>) -> bool {

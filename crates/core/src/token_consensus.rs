@@ -57,7 +57,7 @@ pub enum RaceMode {
 /// ```
 /// use tokensync_core::analysis::SyncWitness;
 /// use tokensync_core::erc20::Erc20State;
-/// use tokensync_core::shared::ShardedErc20;
+/// use tokensync_core::shared::SharedErc20;
 /// use tokensync_core::token_consensus::TokenConsensus;
 /// use tokensync_spec::{AccountId, ProcessId};
 ///
@@ -68,7 +68,7 @@ pub enum RaceMode {
 /// let witness = SyncWitness::for_account(&q, AccountId::new(0)).unwrap();
 ///
 /// let consensus = TokenConsensus::new(
-///     ShardedErc20::from_state(q),
+///     SharedErc20::from_state(q),
 ///     witness,
 ///     AccountId::new(1),
 /// );
@@ -129,7 +129,7 @@ impl<T: ConcurrentToken, V: Clone + Send + Sync> TokenConsensus<T, V> {
         }
         if mode == RaceMode::Verbatim {
             assert!(
-                algorithm1_ready(&token.snapshot(), witness.account),
+                algorithm1_ready(&token.state_snapshot(), witness.account),
                 "verbatim Algorithm 1 requires allowances ≤ balance (see analysis::algorithm1_ready)"
             );
         }
@@ -252,7 +252,7 @@ impl<T: ConcurrentToken, V: Clone + Send + Sync + std::fmt::Debug> std::fmt::Deb
 mod tests {
     use super::*;
     use crate::erc20::Erc20State;
-    use crate::shared::ShardedErc20;
+    use crate::shared::SharedErc20;
     use std::collections::HashSet;
     use std::sync::Arc;
 
@@ -280,7 +280,7 @@ mod tests {
     #[test]
     fn k1_owner_decides_alone() {
         let (q, w) = sk_state(1, 2, 5);
-        let c = TokenConsensus::new(ShardedErc20::from_state(q), w, a(1));
+        let c = TokenConsensus::new(SharedErc20::from_state(q), w, a(1));
         assert_eq!(c.read_decision(), None);
         assert_eq!(c.propose(p(0), 42), 42);
         assert_eq!(c.read_decision(), Some(42));
@@ -290,7 +290,7 @@ mod tests {
     fn sequential_first_proposer_wins_each_rank() {
         for first in 0..3 {
             let (q, w) = sk_state(3, 4, 10);
-            let c = TokenConsensus::new(ShardedErc20::from_state(q), w, a(3));
+            let c = TokenConsensus::new(SharedErc20::from_state(q), w, a(3));
             let order: Vec<usize> = (0..3).map(|i| (first + i) % 3).collect();
             let mut decisions = Vec::new();
             for i in &order {
@@ -308,8 +308,8 @@ mod tests {
         for k in [2usize, 3, 5, 8] {
             for round in 0..20 {
                 let (q, w) = sk_state(k, k + 1, 64);
-                let c: Arc<TokenConsensus<ShardedErc20, usize>> =
-                    Arc::new(TokenConsensus::new(ShardedErc20::from_state(q), w, a(k)));
+                let c: Arc<TokenConsensus<SharedErc20, usize>> =
+                    Arc::new(TokenConsensus::new(SharedErc20::from_state(q), w, a(k)));
                 let mut decisions = Vec::new();
                 crossbeam::scope(|s| {
                     let handles: Vec<_> = (0..k)
@@ -339,7 +339,7 @@ mod tests {
         q.set_allowance(a(0), p(1), 12);
         let w = SyncWitness::for_account(&q, a(0)).unwrap();
         // Spender proposes first: its min(12, 5) withdrawal wins.
-        let c = TokenConsensus::new(ShardedErc20::from_state(q), w, a(2));
+        let c = TokenConsensus::new(SharedErc20::from_state(q), w, a(2));
         assert_eq!(c.propose(p(1), "spender"), "spender");
         assert_eq!(c.propose(p(0), "owner"), "spender");
     }
@@ -351,15 +351,15 @@ mod tests {
         q.set_allowance(a(0), p(1), 12);
         let w = SyncWitness::for_account(&q, a(0)).unwrap();
         let _c: TokenConsensus<_, u8> =
-            TokenConsensus::with_mode(ShardedErc20::from_state(q), w, a(2), RaceMode::Verbatim);
+            TokenConsensus::with_mode(SharedErc20::from_state(q), w, a(2), RaceMode::Verbatim);
     }
 
     #[test]
     fn verbatim_mode_agrees_under_contention() {
         for _ in 0..30 {
             let (q, w) = sk_state(4, 5, 10);
-            let c: Arc<TokenConsensus<ShardedErc20, usize>> = Arc::new(TokenConsensus::with_mode(
-                ShardedErc20::from_state(q),
+            let c: Arc<TokenConsensus<SharedErc20, usize>> = Arc::new(TokenConsensus::with_mode(
+                SharedErc20::from_state(q),
                 w,
                 a(4),
                 RaceMode::Verbatim,
@@ -385,7 +385,7 @@ mod tests {
     #[should_panic(expected = "not a participant")]
     fn non_participant_cannot_propose() {
         let (q, w) = sk_state(2, 4, 10);
-        let c = TokenConsensus::new(ShardedErc20::from_state(q), w, a(3));
+        let c = TokenConsensus::new(SharedErc20::from_state(q), w, a(3));
         c.propose(p(3), 0);
     }
 
@@ -393,7 +393,7 @@ mod tests {
     #[should_panic(expected = "destination must differ")]
     fn destination_must_not_be_race_account() {
         let (q, w) = sk_state(2, 4, 10);
-        let _c: TokenConsensus<_, u8> = TokenConsensus::new(ShardedErc20::from_state(q), w, a(0));
+        let _c: TokenConsensus<_, u8> = TokenConsensus::new(SharedErc20::from_state(q), w, a(0));
     }
 
     #[test]
@@ -401,6 +401,6 @@ mod tests {
     fn stale_witness_rejected() {
         let (q, mut w) = sk_state(2, 4, 10);
         w.balance = 99;
-        let _c: TokenConsensus<_, u8> = TokenConsensus::new(ShardedErc20::from_state(q), w, a(1));
+        let _c: TokenConsensus<_, u8> = TokenConsensus::new(SharedErc20::from_state(q), w, a(1));
     }
 }

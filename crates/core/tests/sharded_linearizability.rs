@@ -3,7 +3,7 @@
 //! Mirrors the recorded-history stress tests in `shared::tests`, but lets
 //! proptest drive the degrees of freedom the fixed-seed tests pin down:
 //! the initial state (balances and outstanding approvals), the stripe
-//! count (1 — a single global lock — through more shards than accounts), and
+//! count (1 — coarse-degenerate — through more shards than accounts), and
 //! the per-thread operation scripts. Every recorded concurrent history
 //! must linearize against the sequential `Erc20Spec` from the same
 //! initial state.
@@ -108,6 +108,6 @@ proptest! {
         })
         .expect("worker panicked");
         prop_assert_eq!(token.total_supply(), supply);
-        prop_assert_eq!(token.snapshot().total_supply(), supply);
+        prop_assert_eq!(token.state_snapshot().total_supply(), supply);
     }
 }

@@ -12,7 +12,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use tokensync_core::setup::sync_state_fixture;
-use tokensync_core::shared::ShardedErc20;
+use tokensync_core::shared::SharedErc20;
 use tokensync_core::token_consensus::{RaceMode, TokenConsensus};
 use tokensync_experiments::Table;
 use tokensync_mc::protocols::{Mode, TokenRace};
@@ -60,9 +60,9 @@ fn main() {
         let mut violations = 0;
         for round in 0..runs {
             let (state, witness) = sync_state_fixture(k, k + 1, 64 + round as u64);
-            let consensus: Arc<TokenConsensus<ShardedErc20, usize>> =
+            let consensus: Arc<TokenConsensus<SharedErc20, usize>> =
                 Arc::new(TokenConsensus::with_mode(
-                    ShardedErc20::from_state(state),
+                    SharedErc20::from_state(state),
                     witness,
                     AccountId::new(k),
                     RaceMode::Generalized,

@@ -5,17 +5,13 @@
 //!   "Algorithm 1 can be adapted [to ERC721] … the winner of this race
 //!   can then be determined by invoking ownerOf").
 //! * Threaded stress of the real adapter objects for larger k.
-//! * The ERC1155 operator census, read off the serving object, and the
-//!   ERC1363 unbounded-power note.
+//! * The ERC1155 operator census and the ERC1363 unbounded-power note.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use tokensync_core::shared::ConcurrentObject;
-use tokensync_core::standards::erc1155::{
-    Erc1155Op, Erc1155Resp, Erc1155State, ShardedErc1155, TypeId,
-};
-use tokensync_core::standards::erc721::{self, Erc721Consensus};
+use tokensync_core::standards::erc1155::{Erc1155Token, TypeId};
+use tokensync_core::standards::erc721::Erc721Consensus;
 use tokensync_core::standards::erc777::Erc777Consensus;
 use tokensync_experiments::Table;
 use tokensync_mc::protocols::{Erc721Race, Erc777Race};
@@ -119,40 +115,32 @@ fn main() {
     }
     t.print("threaded stress of the adapter consensus objects");
 
-    // --- ERC721 census ----------------------------------------------------
-    for k in [2usize, 4, 8] {
-        assert_eq!(erc721::race_state(k).sync_level(), k);
-    }
-    println!(
-        "\nERC721: the movers census puts each race state at level k \
-         (owner + k-1 operators of one NFT), k = 2, 4, 8."
-    );
-
     // --- ERC1155 census ---------------------------------------------------
-    let owner = ProcessId::new(0);
-    let multi = ShardedErc1155::from_state(Erc1155State::deploy(4, owner, &[10, 10]));
-    for operator in [1, 2] {
-        let on = Erc1155Op::SetApprovalForAll {
-            operator: ProcessId::new(operator),
-            on: true,
-        };
-        assert_eq!(multi.apply(owner, &on), Erc1155Resp::TRUE);
-    }
+    let mut multi = Erc1155Token::deploy(4, ProcessId::new(0), &[10, 10]);
+    multi
+        .set_approval_for_all(ProcessId::new(0), ProcessId::new(1), true)
+        .expect("ids in range");
+    multi
+        .set_approval_for_all(ProcessId::new(0), ProcessId::new(2), true)
+        .expect("ids in range");
     println!(
         "\nERC1155: operator census upper-bounds the contract at level {} \
          (owner + 2 operators on a funded account); exact bounds remain open, \
          as the paper notes.",
-        multi.snapshot().sync_level()
+        multi.sync_level()
     );
-    let drain = Erc1155Op::BatchTransfer {
-        from: AccountId::new(0),
-        to: AccountId::new(3),
-        entries: vec![(TypeId::new(0), 10), (TypeId::new(1), 10)],
-    };
-    assert_eq!(multi.apply(owner, &drain), Erc1155Resp::TRUE, "drain");
+    multi
+        .safe_batch_transfer_from(
+            ProcessId::new(0),
+            AccountId::new(0),
+            AccountId::new(3),
+            &[TypeId::new(0), TypeId::new(1)],
+            &[10, 10],
+        )
+        .expect("drain");
     println!(
         "after draining the account its operators go dormant: level {}.",
-        multi.snapshot().sync_level()
+        multi.sync_level()
     );
 
     println!(

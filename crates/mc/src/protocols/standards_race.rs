@@ -1,15 +1,14 @@
 //! Section 6 adaptations as step machines: consensus races over ERC777
 //! and ERC721 objects, exhaustively model-checked.
 //!
-//! These reuse the standards' own sequential models from
-//! `tokensync-core::standards` as the explicit shared state — for ERC721
-//! the `Erc721Spec` oracle over the `Erc721State` the serving object
-//! snapshots to — so the model checker exercises exactly the semantics
-//! the threaded constructions run on.
+//! These reuse the *actual* sequential token implementations from
+//! `tokensync-core::standards` as the explicit shared state, so the model
+//! checker exercises exactly the semantics the threaded constructions run
+//! on.
 
-use tokensync_core::standards::erc721::{self, Erc721Op, Erc721Spec, Erc721State, TokenId};
+use tokensync_core::standards::erc721::{Erc721Token, TokenId};
 use tokensync_core::standards::erc777::Erc777Token;
-use tokensync_spec::{AccountId, Amount, ObjectType, ProcessId};
+use tokensync_spec::{AccountId, Amount, ProcessId};
 
 use crate::protocol::{Protocol, Step};
 use crate::protocols::alg1::BOTTOM;
@@ -116,12 +115,11 @@ impl Protocol for Erc777Race {
 /// The ERC721 consensus race (Section 6): the `k` movers of one NFT race
 /// `transferFrom`; ownership changes exactly once and `ownerOf` names the
 /// winner (the owner parks the NFT at a sink process, see the fidelity
-/// note in `core::standards::erc721`), from the same
-/// [`race_state`](erc721::race_state) `Erc721Consensus` serves.
+/// note in `core::standards::erc721`).
 #[derive(Clone, Debug)]
 pub struct Erc721Race {
     k: usize,
-    spec: Erc721Spec,
+    initial: Erc721Token,
 }
 
 impl Erc721Race {
@@ -131,15 +129,18 @@ impl Erc721Race {
     ///
     /// Panics if `k == 0`.
     pub fn new(k: usize) -> Self {
-        Self {
-            k,
-            spec: Erc721Spec::new(erc721::race_state(k)),
+        assert!(k >= 1);
+        let owner = ProcessId::new(0);
+        let mut token = Erc721Token::mint_to(k + 1, owner, 1);
+        for i in 1..k {
+            token.set_approval_for_all(owner, ProcessId::new(i), true);
         }
+        Self { k, initial: token }
     }
 }
 
 impl Protocol for Erc721Race {
-    type Shared = (Erc721State, Vec<Option<u64>>);
+    type Shared = (Erc721Token, Vec<Option<u64>>);
     type Local = u8;
 
     fn processes(&self) -> usize {
@@ -147,7 +148,7 @@ impl Protocol for Erc721Race {
     }
 
     fn initial_shared(&self) -> Self::Shared {
-        (self.spec.initial_state(), vec![None; self.k])
+        (self.initial.clone(), vec![None; self.k])
     }
 
     fn initial_local(&self, _p: ProcessId) -> u8 {
@@ -171,13 +172,8 @@ impl Protocol for Erc721Race {
                 Step::Continue
             }
             1 => {
-                let to = if i == 0 { sink } else { p };
-                let claim = Erc721Op::TransferFrom {
-                    from: original,
-                    to,
-                    token: nft,
-                };
-                self.spec.apply(token, p, &claim);
+                let target = if i == 0 { sink } else { p };
+                let _ = token.transfer_from(p, original, target, nft);
                 *pc = 2;
                 Step::Continue
             }

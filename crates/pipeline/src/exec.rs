@@ -200,7 +200,7 @@ mod tests {
     use super::*;
     use crate::schedule::{schedule, ScheduleConfig};
     use tokensync_core::erc20::{Erc20Op, Erc20Resp, Erc20State};
-    use tokensync_core::shared::ShardedErc20;
+    use tokensync_core::shared::{ConcurrentToken, ShardedErc20};
     use tokensync_core::standards::erc721::{
         Erc721Op, Erc721Resp, Erc721State, ShardedErc721, TokenId,
     };
@@ -226,7 +226,7 @@ mod tests {
                 min_ops_per_worker: min,
             },
         );
-        (responses, token.snapshot().total_supply())
+        (responses, token.state_snapshot().total_supply())
     }
 
     #[test]
@@ -329,7 +329,7 @@ mod tests {
             },
         );
         assert_eq!(inline, parallel);
-        assert_eq!(token.snapshot(), token2.snapshot());
+        assert_eq!(token.state_snapshot(), token2.state_snapshot());
     }
 
     #[test]

@@ -67,7 +67,7 @@
 //!
 //! ```
 //! use tokensync_core::erc20::{Erc20Op, Erc20Spec, Erc20State};
-//! use tokensync_core::shared::{ConcurrentObject, ShardedErc20};
+//! use tokensync_core::shared::{ConcurrentToken, ShardedErc20};
 //! use tokensync_pipeline::{run_script, PipelineConfig};
 //! use tokensync_spec::{AccountId, ProcessId};
 //!
@@ -84,7 +84,7 @@
 //! assert!(run.stats.wave_parallelism() > 1.0);
 //! // The commit log replays to exactly the token's final state.
 //! let spec = Erc20Spec::new(initial);
-//! assert_eq!(run.log.replay(&spec).unwrap(), token.snapshot());
+//! assert_eq!(run.log.replay(&spec).unwrap(), token.state_snapshot());
 //! ```
 //!
 //! The identical engine over an ERC721 object:

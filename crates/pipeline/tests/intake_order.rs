@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tokensync_core::erc20::{Erc20Op, Erc20Spec, Erc20State};
-use tokensync_core::shared::{ConcurrentObject, ShardedErc20};
+use tokensync_core::shared::{ConcurrentToken, ShardedErc20};
 use tokensync_pipeline::{intake, BatchConfig, Pipeline, PipelineConfig};
 use tokensync_spec::{AccountId, ProcessId};
 
@@ -97,7 +97,7 @@ fn per_producer_fifo_survives_backpressure_stress() {
         .log
         .replay(&Erc20Spec::new(initial))
         .expect("responses consistent");
-    assert_eq!(replayed, token.snapshot());
+    assert_eq!(replayed, token.state_snapshot());
 }
 
 #[test]
@@ -235,7 +235,7 @@ fn interleaved_producers_still_linearize_through_the_engine() {
         .log
         .replay(&Erc20Spec::new(initial))
         .expect("responses consistent");
-    assert_eq!(replayed, token.snapshot());
+    assert_eq!(replayed, token.state_snapshot());
     // Per-producer FIFO of the conflicting subsequence (all ops from one
     // producer touch its own balance cell, so order is preserved).
     for t in 0..P {

@@ -19,7 +19,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use tokensync_core::erc20::{Erc20Op, Erc20Spec, Erc20State};
-use tokensync_core::shared::{ConcurrentObject, ShardedErc20};
+use tokensync_core::shared::{ConcurrentToken, ShardedErc20};
 use tokensync_pipeline::{run_script, BatchConfig, PipelineConfig, ScheduleConfig};
 use tokensync_spec::{check_linearizable, AccountId, ObjectType, ProcessId};
 
@@ -112,7 +112,7 @@ fn check_pipeline(initial: Erc20State, script: Vec<(ProcessId, Erc20Op)>, batch:
         committed_state, sequential,
         "pipeline state diverged from sequential replay"
     );
-    assert_eq!(token.snapshot(), sequential);
+    assert_eq!(token.state_snapshot(), sequential);
     // Responses match per op (commit order permutes ops, so compare
     // through the submission indices recorded in each batch): every
     // committed (caller, op) response must equal the sequential one at

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use tokensync_core::erc20::{Erc20Op, Erc20Spec, Erc20State};
-use tokensync_core::shared::{ConcurrentObject, ShardedErc20};
+use tokensync_core::shared::{ConcurrentObject, ConcurrentToken, ShardedErc20};
 use tokensync_core::standards::erc1155::{Erc1155Op, Erc1155State, ShardedErc1155, TypeId};
 use tokensync_core::standards::erc721::{Erc721Op, Erc721State, ShardedErc721, TokenId};
 use tokensync_pipeline::{
@@ -316,7 +316,7 @@ fn check_matrix(name: &str, state: &Erc20State, script: &[(ProcessId, Erc20Op)],
             );
         }
 
-        final_states.push((case, token.snapshot()));
+        final_states.push((case, token.state_snapshot()));
     }
     // Same input, same committed state, regardless of config.
     let (first_case, first) = &final_states[0];
@@ -330,7 +330,7 @@ fn check_matrix(name: &str, state: &Erc20State, script: &[(ProcessId, Erc20Op)],
         .log
         .replay(&Erc20Spec::new(state.clone()))
         .expect("consistent responses");
-    assert_eq!(replayed, token.snapshot());
+    assert_eq!(replayed, token.state_snapshot());
 }
 
 #[test]

@@ -839,6 +839,10 @@ mod tests {
         rig.watermark.raise(1);
         // Blocks until the engine's idle hook has pushed the reply.
         assert!(rig.conns[0].next_write().is_some());
+        // `requests_ok` is counted after the push returns: wait it out.
+        while rig.obs.requests_ok.get() == 0 {
+            std::thread::yield_now();
+        }
         assert_eq!((rig.obs.acks_held.get(), rig.obs.requests_ok.get()), (0, 1));
         drop(client);
         engine.finish();

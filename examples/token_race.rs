@@ -13,14 +13,14 @@
 use std::sync::Arc;
 
 use tokensync::core::setup::{pairwise_exceeding_allowances, prepare_sync_state};
-use tokensync::core::shared::{ConcurrentToken, ShardedErc20};
+use tokensync::core::shared::{ConcurrentToken, SharedErc20};
 use tokensync::core::token_consensus::TokenConsensus;
 use tokensync::spec::{AccountId, ProcessId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     const K: usize = 5;
     let owner = ProcessId::new(0);
-    let token = ShardedErc20::deploy(K + 1, owner, 100);
+    let token = SharedErc20::deploy(K + 1, owner, 100);
 
     // The (non-wait-free) preparation: the owner approves k-1 spenders.
     let spenders: Vec<ProcessId> = (1..K).map(ProcessId::new).collect();
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &witness.participants[1..]
     );
 
-    let consensus: Arc<TokenConsensus<ShardedErc20, String>> =
+    let consensus: Arc<TokenConsensus<SharedErc20, String>> =
         Arc::new(TokenConsensus::new(token, witness, AccountId::new(K)));
 
     let proposals = ["red", "green", "blue", "amber", "violet"];

@@ -1,6 +1,6 @@
 //! Cross-crate integration: the full consensus stack.
 //!
-//! Wires `setup` → `ShardedErc20` → `TokenConsensus` (Algorithm 1) and
+//! Wires `setup` → `SharedErc20` → `TokenConsensus` (Algorithm 1) and
 //! cross-checks against the other consensus constructions in the
 //! workspace (`AtConsensus`, `CasConsensus`) and against the universal
 //! construction wrapping the ERC20 spec.
@@ -11,7 +11,7 @@ use std::sync::Arc;
 use tokensync::consensus::{CasConsensus, Consensus, Universal};
 use tokensync::core::erc20::{Erc20Op, Erc20Spec, Erc20Token};
 use tokensync::core::setup::{pairwise_exceeding_allowances, prepare_sync_state};
-use tokensync::core::shared::{ConcurrentToken, ShardedErc20};
+use tokensync::core::shared::{ConcurrentToken, SharedErc20};
 use tokensync::core::token_consensus::TokenConsensus;
 use tokensync::kat::AtConsensus;
 use tokensync::spec::{AccountId, ProcessId};
@@ -52,7 +52,7 @@ where
 fn live_token_prepared_and_raced_end_to_end() {
     for k in [2usize, 3, 5, 8] {
         let owner = p(0);
-        let token = ShardedErc20::deploy(k + 1, owner, 1000);
+        let token = SharedErc20::deploy(k + 1, owner, 1000);
         // Move some funds around first: a real token with history.
         token.transfer(owner, a(1), 100).unwrap();
         token.transfer(p(1), a(0), 40).unwrap();
@@ -63,7 +63,7 @@ fn live_token_prepared_and_raced_end_to_end() {
         let witness = prepare_sync_state(&token, owner, &spenders, &allowances).unwrap();
         assert_eq!(witness.k(), k);
 
-        let consensus: Arc<TokenConsensus<ShardedErc20, usize>> =
+        let consensus: Arc<TokenConsensus<SharedErc20, usize>> =
             Arc::new(TokenConsensus::new(token, witness, a(k)));
         assert_consensus(k, |proc, v| consensus.propose(proc, v));
         // The race consumed the synchronization state: funds moved out.
@@ -87,7 +87,7 @@ fn token_consensus_is_a_consensus_object() {
     // TokenConsensus implements the Consensus trait: use it behind dyn.
     let (state, witness) = tokensync::core::setup::sync_state_fixture(3, 4, 12);
     let consensus: Arc<dyn Consensus<usize>> = Arc::new(TokenConsensus::new(
-        ShardedErc20::from_state(state),
+        SharedErc20::from_state(state),
         witness,
         a(3),
     ));

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use tokensync::core::erc20::{Erc20Op, Erc20Spec, Erc20State};
-use tokensync::core::shared::{ConcurrentObject, ShardedErc20};
+use tokensync::core::shared::{ConcurrentToken, ShardedErc20};
 use tokensync::net::dynamic::DynamicNetwork;
 use tokensync::pipeline::{
     drive_dynamic, run_script, BatchConfig, Pipeline, PipelineConfig, ScheduleConfig,
@@ -78,8 +78,8 @@ fn owner_disjoint_traffic_executes_with_wave_parallelism() {
         run.stats
     );
     let spec = Erc20Spec::new(initial.clone());
-    assert_eq!(run.log.replay(&spec).unwrap(), token.snapshot());
-    assert_eq!(token.snapshot(), sequential(&initial, &script));
+    assert_eq!(run.log.replay(&spec).unwrap(), token.state_snapshot());
+    assert_eq!(token.state_snapshot(), sequential(&initial, &script));
 }
 
 #[test]
@@ -131,7 +131,7 @@ fn concurrent_clients_through_the_spawned_engine_linearize() {
     // The commit log is a genuine linearization of what the token did.
     let spec = Erc20Spec::new(initial);
     let committed = run.log.replay(&spec).expect("responses consistent");
-    assert_eq!(committed, token.snapshot());
+    assert_eq!(committed, token.state_snapshot());
     assert_eq!(committed.total_supply(), 160);
     check_linearizable(&spec, &spec.initial_state(), &run.log.to_history())
         .expect("commit log linearizes");
@@ -177,9 +177,9 @@ fn hot_allowance_row_serializes_but_stays_correct() {
     };
     let run = run_script(&token, &script, &cfg);
     assert!(run.stats.serial_ops > 0, "hot row must spill serial");
-    assert_eq!(token.snapshot(), sequential(&initial, &script));
+    assert_eq!(token.state_snapshot(), sequential(&initial, &script));
     let spec = Erc20Spec::new(initial.clone());
-    assert_eq!(run.log.replay(&spec).unwrap(), token.snapshot());
+    assert_eq!(run.log.replay(&spec).unwrap(), token.state_snapshot());
 }
 
 #[test]
@@ -226,5 +226,5 @@ fn scheduled_batches_drive_the_dynamic_protocol() {
     // The same script through the local pipeline reaches the same state.
     let token = ShardedErc20::from_state(initial);
     run_script(&token, &script, &PipelineConfig::default());
-    assert_eq!(token.snapshot(), expected);
+    assert_eq!(token.state_snapshot(), expected);
 }

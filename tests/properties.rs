@@ -7,7 +7,7 @@ use tokensync::core::analysis::{
 };
 use tokensync::core::emulation::{within_restriction, RestrictedErc20Spec, RestrictedToken};
 use tokensync::core::erc20::{Erc20Op, Erc20Spec, Erc20State};
-use tokensync::core::shared::{ConcurrentObject, ShardedErc20};
+use tokensync::core::shared::{CoarseErc20, ConcurrentObject, ConcurrentToken, SharedErc20};
 use tokensync::spec::{check_linearizable, AccountId, History, ObjectType, ProcessId};
 
 const N: usize = 4;
@@ -112,24 +112,23 @@ proptest! {
         }
     }
 
-    /// The concurrent token replays any script exactly like the
-    /// sequential specification, at one stripe (a single global lock)
-    /// and at one stripe per account.
+    /// Both concurrent implementations replay any script exactly like the
+    /// sequential specification.
     #[test]
     fn concurrent_tokens_match_spec_sequentially(script in arb_script()) {
         let initial = Erc20State::from_balances(vec![25; N]);
         let spec = Erc20Spec::new(initial.clone());
-        let one_lock = ShardedErc20::with_shards(initial.clone(), 1);
-        let per_account = ShardedErc20::with_shards(initial, N);
+        let coarse = CoarseErc20::from_state(initial.clone());
+        let fine = SharedErc20::from_state(initial);
         let mut oracle = spec.initial_state();
         for (caller, op) in &script {
             let caller = ProcessId::new(*caller);
             let expected = spec.apply(&mut oracle, caller, op);
-            prop_assert_eq!(one_lock.apply(caller, op), expected);
-            prop_assert_eq!(per_account.apply(caller, op), expected);
+            prop_assert_eq!(coarse.apply(caller, op), expected);
+            prop_assert_eq!(fine.apply(caller, op), expected);
         }
-        prop_assert_eq!(one_lock.snapshot(), oracle.clone());
-        prop_assert_eq!(per_account.snapshot(), oracle);
+        prop_assert_eq!(coarse.state_snapshot(), oracle.clone());
+        prop_assert_eq!(fine.state_snapshot(), oracle);
     }
 
     /// Algorithm 2: the emulation tracks its sequential spec on any
@@ -146,7 +145,7 @@ proptest! {
             prop_assert_eq!(token.apply(caller, op), expected);
             prop_assert!(within_restriction(&oracle, k));
         }
-        prop_assert_eq!(token.snapshot(), oracle);
+        prop_assert_eq!(token.state_snapshot(), oracle);
     }
 
     /// The linearizability checker accepts every sequential history…
