@@ -11,24 +11,21 @@
 //! updated (static) owner map; [`SharedAt::set_account_owners`] models the
 //! instance swap and counts instances.
 //!
-//! ## Fidelity notes (deviations from the paper's pseudocode, both
-//! documented in DESIGN.md)
+//! ## Fidelity notes
 //!
-//! 1. The pseudocode's `approve` gate (`|{p_a} ∪ {p_j : R_a[j] > 0}| = k ⇒
-//!    FALSE`) also refuses revocations and same-spender updates once the
-//!    account is at `k` spenders; we gate only *growth beyond `k`*, which
-//!    matches `Δ' = {(q,p,o,r,q') ∈ Δ : q' ∈ Q_k}` more closely.
-//! 2. The pseudocode decrements `R_{a_s}[i]` before invoking
-//!    `k-AT.transfer` and ignores its result; a failed balance check would
-//!    then lose allowance. We invoke the `k`-AT transfer first and decrement
-//!    only on success.
-//! 3. The pseudocode's read-modify-write on allowance registers is not
-//!    atomic under concurrent `approve`; we serialize the per-account
-//!    critical sections with a short internal lock. This is an engineering
-//!    convenience for linearizability of the *implementation*, not part of
-//!    the reduction: the consensus-power argument only needs the object to
-//!    exist, and the lock sections are bounded (no waiting on other
-//!    processes).
+//! Two deviations from the paper's pseudocode — the `approve` gate
+//! admits revocations and same-spender updates at `k` spenders, and the
+//! allowance register is decremented only after the `k`-AT transfer
+//! succeeds — are stated with their reasons in `docs/paper-map.md`,
+//! "Section 5 — the state-dependent analysis".
+//!
+//! The pseudocode's read-modify-write on allowance registers is also not
+//! atomic under concurrent `approve`; we serialize the per-account
+//! critical sections with a short internal lock. This is an engineering
+//! convenience for linearizability of the *implementation*, not part of
+//! the reduction: the consensus-power argument only needs the object to
+//! exist, and the lock sections are bounded (no waiting on other
+//! processes).
 //!
 //! The gate is *conservative* with respect to `σ` (it counts positive
 //! allowances even on zero-balance accounts, where `σ` would not), which
@@ -159,7 +156,8 @@ pub struct RestrictedToken {
     /// `allowances[a][j]` mirrors `R_a[j]`.
     allowances: Vec<Vec<U64Register>>,
     /// Per-account critical sections for allowance read-modify-writes and
-    /// owner-map swaps (fidelity note 3 in the module docs).
+    /// owner-map swaps (the per-account lock of the module docs' fidelity
+    /// notes).
     sections: Vec<Mutex<()>>,
     supply: Amount,
 }
@@ -311,7 +309,7 @@ impl ConcurrentToken for RestrictedToken {
     }
 
     /// Algorithm 2, lines 7–11 (with the success-ordered decrement of
-    /// fidelity note 2).
+    /// fidelity note 2 in `docs/paper-map.md`).
     fn transfer_from(
         &self,
         caller: ProcessId,

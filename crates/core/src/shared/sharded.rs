@@ -24,26 +24,16 @@ use crate::erc20::{Erc20Delta, Erc20Op, Erc20Resp, Erc20State, SpenderMap};
 use crate::error::TokenError;
 
 use super::interface::{apply_erc20, ConcurrentObject, ConcurrentToken};
-use super::striped::{default_stripes, Striped, Striping};
+use super::striped::{default_stripes, Marks, Striped, Striping};
 
 /// The accounts striped onto one lock, one dense row per slot.
 #[derive(Debug)]
 struct Shard {
     balances: Vec<Amount>,
     allowances: Vec<SpenderMap>,
-    /// Copy-on-write tracking for incremental snapshots: bit `s` set iff
-    /// slot `s` was mutated since the last [`ShardedErc20::drain_delta`].
-    /// Two OR-stores on the transfer hot path; drained (and cleared)
-    /// under the same shard lock, so a drain at a quiescent point sees
-    /// exactly the slots touched since the previous drain.
-    dirty: Vec<u64>,
-}
-
-impl Shard {
-    #[inline]
-    fn mark(&mut self, slot: usize) {
-        self.dirty[slot >> 6] |= 1 << (slot & 63);
-    }
+    /// The slots mutated since the last [`ShardedErc20::drain_delta`]:
+    /// two OR-stores on the transfer hot path.
+    dirty: Marks,
 }
 
 /// An ERC20 token striped by **account** across `min(n, 4 × cores)` lock
@@ -67,8 +57,9 @@ impl Shard {
 /// Incremental snapshots follow the mark/drain contract of
 /// `shared/striped.rs`: every mutation sets its slot's bit in the
 /// shard's dirty bitmap (one OR-store under the lock it holds), and
-/// [`drain_delta`](ShardedErc20::drain_delta) scans and clears the
-/// bitmaps — one bit per account of tracking, whatever the traffic.
+/// [`drain_delta`](ShardedErc20::drain_delta) walks and clears the
+/// bitmaps under every shard lock — one bit per account of tracking,
+/// whatever the traffic.
 ///
 /// # Example
 ///
@@ -131,7 +122,7 @@ impl ShardedErc20 {
             .map(|_| Shard {
                 balances: Vec::with_capacity(n / shards + 1),
                 allowances: Vec::with_capacity(n / shards + 1),
-                dirty: Vec::new(),
+                dirty: Marks::default(),
             })
             .collect();
         // Ascending accounts push ascending slots onto each shard.
@@ -141,7 +132,7 @@ impl ShardedErc20 {
             shard.allowances.push(row);
         }
         for shard in &mut built {
-            shard.dirty = vec![0; shard.balances.len().div_ceil(64)];
+            shard.dirty = Marks::new(shard.balances.len());
         }
         Self {
             shards: Striped::new(built),
@@ -154,28 +145,23 @@ impl ShardedErc20 {
     /// `(balance, allowance row)` of every account touched since the
     /// previous drain, clearing the tracking bits.
     ///
-    /// Each shard is visited under its own lock — serving continues on the
-    /// other shards throughout. At a quiescent point (a sealed batch) the
-    /// drained rows together with the previous snapshot reconstruct
-    /// `snapshot()` exactly; mid-traffic the rows are each individually
-    /// consistent but need not form an atomic cut.
+    /// The drain holds every shard lock at once and visits the marked
+    /// accounts in ascending order, so the rows come out sorted and form
+    /// an atomic cut: the previous snapshot plus the rows is the state
+    /// at one linearization point, even while other threads serve (they
+    /// wait on their shard for the length of the drain).
     pub fn drain_delta(&self) -> Erc20Delta {
-        let (at, mut rows) = (self.shards.at(), Vec::new());
-        self.shards.each(|shard_idx, shard| {
-            for (word_idx, word) in shard.dirty.iter_mut().enumerate() {
-                let mut bits = std::mem::take(word);
-                while bits != 0 {
-                    let slot = (word_idx << 6) | bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    rows.push((
-                        at.key_at(shard_idx, slot) as u32,
-                        shard.balances[slot],
-                        shard.allowances[slot].clone(),
-                    ));
-                }
-            }
-        });
-        rows.sort_unstable_by_key(|&(a, _, _)| a);
+        let mut rows = Vec::new();
+        self.shards.drain_marked(
+            |shard| &mut shard.dirty,
+            |account, shard, slot| {
+                rows.push((
+                    account as u32,
+                    shard.balances[slot],
+                    shard.allowances[slot].clone(),
+                ));
+            },
+        );
         Erc20Delta { rows }
     }
 
@@ -246,12 +232,12 @@ impl ConcurrentToken for ShardedErc20 {
             });
         }
         src.balances[fi] = balance - value;
-        src.mark(fi);
+        src.dirty.mark(fi);
         // One shard covers from == to as well: debit then credit of the
         // same slot is a checked net no-op — the ERC20 semantics.
         let dst = dst.unwrap_or(src);
         dst.balances[ti] += value;
-        dst.mark(ti);
+        dst.dirty.mark(ti);
         Ok(())
     }
 
@@ -288,12 +274,12 @@ impl ConcurrentToken for ShardedErc20 {
         }
         src.allowances[fi].debit(caller.index(), value);
         src.balances[fi] = balance - value;
-        src.mark(fi);
+        src.dirty.mark(fi);
         // from == to: the credit lands back on the debited cell
         // (allowance burned, balance kept).
         let dst = dst.unwrap_or(src);
         dst.balances[ti] += value;
-        dst.mark(ti);
+        dst.dirty.mark(ti);
         Ok(())
     }
 
@@ -309,7 +295,7 @@ impl ConcurrentToken for ShardedErc20 {
         let slot = self.shards.at().slot_of(account);
         let mut shard = self.shards.lock(account);
         shard.allowances[slot].set(spender.index(), value);
-        shard.mark(slot);
+        shard.dirty.mark(slot);
         Ok(())
     }
 
@@ -437,6 +423,72 @@ mod tests {
             proptest::prop_assert_eq!(restored.total_supply(), state.total_supply());
             let striped = ShardedErc20::with_shards(state.clone(), 1 << shards_log);
             proptest::prop_assert_eq!(striped.snapshot(), state);
+        }
+    }
+
+    proptest::proptest! {
+        /// The mark/drain contract, differentially (the ERC20 counterpart
+        /// of ERC1155's `drains_report_exactly_the_mutated_cells`):
+        /// whatever the script and wherever the drains fall, each drain
+        /// reports exactly the accounts a reference set of written
+        /// accounts names, strictly ascending, with the oracle's rows,
+        /// and the deltas fold onto genesis to the live snapshot. Account
+        /// counts leave stripes with unequal slot counts and a partial
+        /// last bitmap word.
+        #[test]
+        fn erc20_drains_report_exactly_the_mutated_rows(
+            n in 1usize..200,
+            balances in proptest::collection::vec(0u64..8, 200),
+            steps in proptest::collection::vec((0u8..3, 0usize..400, 0usize..400, 0usize..400, 0u64..6, 0..4usize), 0..64),
+            shards_log in 0u32..4,
+        ) {
+            // Half the ids come from a few hot accounts, so approvals
+            // and the transferFroms spending them meet.
+            let id = |raw: usize| if raw < 200 { raw % n.min(5) } else { raw % n };
+            let genesis = Erc20State::from_balances(balances[..n].to_vec());
+            let mut oracle = genesis.clone();
+            let t = ShardedErc20::with_shards(genesis.clone(), 1 << shards_log);
+            let mut written = std::collections::BTreeSet::new();
+            let mut folded = genesis;
+            // The last step always drains.
+            for (kind, x, y, z, value, choice) in steps.into_iter().chain([(0, 0, 0, 0, 9, 3)]) {
+                let (x, y, z) = (id(x), id(y), id(z));
+                let (landed, rows) = match kind {
+                    0 => (
+                        oracle.transfer(p(x), a(y), value).is_ok(),
+                        [x, y],
+                    ),
+                    1 => (
+                        oracle.transfer_from(p(x), a(y), a(z), value).is_ok(),
+                        [y, z],
+                    ),
+                    _ => (oracle.approve(p(x), p(y), value).is_ok(), [x, x]),
+                };
+                let served = match kind {
+                    0 => t.transfer(p(x), a(y), value),
+                    1 => t.transfer_from(p(x), a(y), a(z), value),
+                    _ => t.approve(p(x), p(y), value),
+                };
+                proptest::prop_assert_eq!(served.is_ok(), landed);
+                if landed {
+                    written.extend(rows.map(|i| i as u32));
+                }
+                if choice < 3 {
+                    continue;
+                }
+                let delta = t.drain_delta();
+                let accounts: Vec<u32> = delta.rows.iter().map(|row| row.0).collect();
+                proptest::prop_assert!(accounts.windows(2).all(|w| w[0] < w[1]), "{:?}", accounts);
+                let expected: Vec<u32> = std::mem::take(&mut written).into_iter().collect();
+                proptest::prop_assert_eq!(&accounts, &expected);
+                for (account, balance, row) in &delta.rows {
+                    proptest::prop_assert_eq!(*balance, oracle.balance(a(*account as usize)));
+                    proptest::prop_assert_eq!(row, oracle.approval_row(a(*account as usize)));
+                }
+                proptest::prop_assert!(delta.apply_to(&mut folded));
+                proptest::prop_assert_eq!(&folded, &t.snapshot());
+            }
+            proptest::prop_assert_eq!(folded, oracle);
         }
     }
 

@@ -29,7 +29,7 @@ use tokensync_spec::{AccountId, Amount, ObjectType, ProcessId};
 
 use crate::analysis::cell_index;
 use crate::analysis::{Access, Cell, Footprint, FootprintedOp};
-use crate::shared::striped::{default_stripes, Striped, Striping};
+use crate::shared::striped::{default_stripes, Marks, Striped, Striping};
 use crate::shared::ConcurrentObject;
 
 use super::TypeId;
@@ -569,12 +569,12 @@ impl Erc1155Delta {
 }
 
 /// One `(type, balance)` cell of an account's row — the line a transfer
-/// already holds, so the dirty flag of the mark/drain contract
-/// (`shared/striped.rs`) rides in it.
+/// already holds, so the flag saying which cells of a marked row the
+/// drain reports (mark/drain contract, `shared/striped.rs`) rides in it.
 #[derive(Clone, Copy, Debug)]
 struct TypedCell {
     type_id: u32,
-    /// Listed in the shard's `dirty_bal` since the last drain.
+    /// Written since the last drain.
     dirty: bool,
     value: Amount,
 }
@@ -626,43 +626,43 @@ impl TypedRow {
         &mut self.cells[at]
     }
 
-    /// Drain side of the contract: the listed cell's current balance,
-    /// its flag cleared, the cell dropped if it is empty.
-    fn drain(&mut self, type_id: u32) -> Amount {
-        let at = self.find(type_id).expect("a listed cell is kept");
-        let cell = &mut self.cells[at];
-        debug_assert!(cell.dirty, "listed cells are flagged");
-        cell.dirty = false;
-        let value = cell.value;
-        if value == 0 {
-            self.cells.remove(at);
-        }
-        value
+    /// Drain side of the contract: reports every flagged cell's
+    /// `(type, current balance)` in type order, clears the flags and
+    /// drops the cells left empty, in one pass over the row.
+    fn drain_flagged(&mut self, mut report: impl FnMut(u32, Amount)) {
+        self.cells.retain_mut(|cell| {
+            if cell.dirty {
+                cell.dirty = false;
+                report(cell.type_id, cell.value);
+            }
+            cell.value > 0
+        });
     }
 }
 
 /// The accounts striped onto one lock: per-slot sparse typed balances
 /// and the slot's operator set, plus what changed since the last
-/// [`ShardedErc1155::drain_delta`] — the `(slot, type)` balance cells
-/// as a list under the mark/drain contract of `shared/striped.rs`, the
-/// `(slot, operator)` pairs as a set (`setApprovalForAll` only).
+/// [`ShardedErc1155::drain_delta`] — the slots with a written balance
+/// cell as marks under the mark/drain contract of `shared/striped.rs`,
+/// the `(slot, operator)` pairs as a set (`setApprovalForAll` only).
 #[derive(Debug, Default)]
 struct Shard1155 {
     balances: Vec<TypedRow>,
     operators: Vec<BTreeSet<u32>>,
-    dirty_bal: Vec<(u32, u32)>,
+    dirty_rows: Marks,
     dirty_ops: BTreeSet<(u32, u32)>,
 }
 
 impl Shard1155 {
     /// Mark side of the contract: the balance of `(slot, type_id)`, for
-    /// writing. The first mark since the last drain lists the cell.
+    /// writing. The first write since the last drain flags the cell and
+    /// marks its row.
     #[inline]
     fn balance_mut(&mut self, slot: usize, type_id: u32) -> &mut Amount {
         let cell = self.balances[slot].cell_mut(type_id);
         if !cell.dirty {
             cell.dirty = true;
-            self.dirty_bal.push((slot as u32, type_id));
+            self.dirty_rows.mark(slot);
         }
         &mut cell.value
     }
@@ -682,12 +682,12 @@ impl Shard1155 {
 ///
 /// Incremental snapshots follow the mark/drain contract of
 /// `shared/striped.rs`: a `(type, account)` balance cell carries a
-/// dirty flag, the first debit or credit since the last drain pushes
-/// its key onto the shard's list, and
-/// [`drain_delta`](ShardedErc1155::drain_delta) walks the lists —
-/// `O(1)` per touched cell, one list entry per distinct cell written,
-/// drained or not. A cell debited to zero is kept (reading as absent)
-/// until the drain has reported it as `(type, account, 0)`.
+/// dirty flag, the first debit or credit since the last drain sets it
+/// and marks the account's slot in the shard's bitmap, and
+/// [`drain_delta`](ShardedErc1155::drain_delta) walks the bitmaps —
+/// `O(1)` per touched cell, one bit per account of tracking, drained or
+/// not. A cell debited to zero is kept (reading as absent) until the
+/// drain has reported it as `(type, account, 0)`.
 ///
 /// # Example
 ///
@@ -745,6 +745,9 @@ impl ShardedErc1155 {
             shard.balances.push(TypedRow::default());
             shard.operators.push(BTreeSet::new());
         }
+        for shard in &mut built {
+            shard.dirty_rows = Marks::new(shard.balances.len());
+        }
         for (&(t, a), &v) in &state.balances {
             let a = a as usize;
             built[at.stripe_of(a)].balances[at.slot_of(a)]
@@ -794,29 +797,38 @@ impl ShardedErc1155 {
     /// Drains the copy-on-write tracking: the current value of every
     /// `(type, account)` balance cell and the current membership of
     /// every operator pair touched since the previous drain, clearing
-    /// the flags and lists.
+    /// the flags, marks and sets.
     ///
-    /// Each shard is visited under its own lock — serving continues on
-    /// the other shards throughout. At a quiescent point the drained
-    /// rows together with the previous snapshot reconstruct `snapshot()`
-    /// exactly.
+    /// The drain holds every shard lock at once, so the delta is an
+    /// atomic cut even while other threads serve (they wait on their
+    /// shard for the length of the drain). It visits each marked account
+    /// once, in ascending order, and files each flagged cell into its
+    /// type's bucket: every bucket is in account order, so the buckets
+    /// concatenate into `(type, account)` order with no sort.
     pub fn drain_delta(&self) -> Erc1155Delta {
-        let mut balances = Vec::new();
-        let mut operators = Vec::new();
+        let mut by_type: Vec<Vec<(u32, Amount)>> = vec![Vec::new(); self.types];
+        let mut guards = self.shards.drain_marked(
+            |shard| &mut shard.dirty_rows,
+            |account, shard, slot| {
+                shard.balances[slot]
+                    .drain_flagged(|t, v| by_type[t as usize].push((cell_index(account), v)));
+            },
+        );
         let at = self.shards.at();
-        self.shards.each(|shard_idx, shard| {
-            let account_at = |slot: u32| at.key_at(shard_idx, slot as usize) as u32;
-            for (slot, t) in shard.dirty_bal.drain(..) {
-                let value = shard.balances[slot as usize].drain(t);
-                balances.push((t, account_at(slot), value));
-            }
+        let mut operators = Vec::new();
+        for (shard_idx, shard) in guards.iter_mut().enumerate() {
             for (slot, o) in std::mem::take(&mut shard.dirty_ops) {
                 let enabled = shard.operators[slot as usize].contains(&o);
-                operators.push((account_at(slot), o, enabled));
+                operators.push((cell_index(at.key_at(shard_idx, slot as usize)), o, enabled));
             }
-        });
-        balances.sort_unstable_by_key(|&(t, a, _)| (t, a));
+        }
+        drop(guards);
         operators.sort_unstable_by_key(|&(h, o, _)| (h, o));
+        let mut balances = Vec::with_capacity(by_type.iter().map(Vec::len).sum());
+        for (t, cells) in by_type.into_iter().enumerate() {
+            let t = cell_index(t);
+            balances.extend(cells.into_iter().map(|(a, v)| (t, a, v)));
+        }
         Erc1155Delta {
             balances,
             operators,
@@ -1334,7 +1346,8 @@ mod tests {
         /// fall, each drain reports exactly the cells a reference set
         /// of mutated keys names — same rows, same order — the deltas
         /// fold onto genesis to the live snapshot, and an object nobody
-        /// drains lists each distinct cell once.
+        /// drains marks each distinct account and flags each distinct
+        /// cell once.
         #[test]
         fn drains_report_exactly_the_mutated_cells(
             steps in vec((0..N, arb_op(), 0..4usize), 0..48),
@@ -1348,10 +1361,15 @@ mod tests {
             let mut oracle = spec.initial_state();
             let drained = ShardedErc1155::with_shards(genesis.clone(), 1 << shards_log);
             let undrained = ShardedErc1155::with_shards(genesis.clone(), 1 << shards_log);
-            let listed = |m: &ShardedErc1155| {
-                let mut cells = 0;
-                m.shards.each(|_, shard| cells += shard.dirty_bal.len());
-                cells
+            // `(marked accounts, flagged cells)` across the shards.
+            let marked = |m: &ShardedErc1155| {
+                let (mut rows, mut cells) = (0, 0);
+                m.shards.each(|_, shard| {
+                    rows += shard.dirty_rows.count();
+                    let flags = shard.balances.iter().flat_map(|row| &row.cells);
+                    cells += flags.filter(|cell| cell.dirty).count();
+                });
+                (rows, cells)
             };
             // `(type, account)` cells and `(holder, operator)` pairs
             // written since the last drain; every cell ever written.
@@ -1390,7 +1408,12 @@ mod tests {
                     }
                 }
                 ever.extend(cells.iter().copied());
-                prop_assert_eq!(listed(&undrained), ever.len(), "one entry per distinct cell");
+                let accounts: BTreeSet<u32> = ever.iter().map(|&(_, acct)| acct).collect();
+                prop_assert_eq!(
+                    marked(&undrained),
+                    (accounts.len(), ever.len()),
+                    "one mark per distinct account, one flag per distinct cell"
+                );
                 if choice < 3 {
                     continue;
                 }
@@ -1412,7 +1435,7 @@ mod tests {
                 prop_assert_eq!(&delta, &expected);
                 prop_assert!(delta.apply_to(&mut folded));
                 prop_assert_eq!(&folded, &drained.snapshot());
-                prop_assert_eq!(listed(&drained), 0, "a drain empties the lists");
+                prop_assert_eq!(marked(&drained), (0, 0), "a drain clears marks and flags");
             }
             prop_assert_eq!(folded, oracle);
             prop_assert_eq!(undrained.snapshot(), drained.snapshot());

@@ -1,0 +1,121 @@
+//! Drains taken while other threads serve are atomic cuts.
+//!
+//! Threads serve transfers between accounts of different stripes while
+//! the test thread drains over and over. A drain that read the stripes
+//! one at a time could catch a transfer's debit and miss its credit (or
+//! the reverse), and the running fold of genesis plus deltas would then
+//! hold more or less than the supply. Every running fold must conserve
+//! each type's supply (for ERC20, the total supply), and once the
+//! threads have joined a final drain must bring the fold to
+//! `snapshot()`.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use tokensync_core::erc20::Erc20State;
+use tokensync_core::shared::{ConcurrentObject, ConcurrentToken, ShardedErc20};
+use tokensync_core::standards::erc1155::{Erc1155Op, Erc1155State, ShardedErc1155, TypeId};
+use tokensync_spec::{AccountId, ProcessId};
+
+const ACCOUNTS: usize = 256;
+const STRIPES: usize = 4;
+const THREADS: usize = 3;
+const OPS: usize = 20_000;
+
+/// A deterministic per-thread stream of `(from, to, value)` with `from`
+/// and `to` in different stripes.
+fn transfers(seed: u64) -> impl Iterator<Item = (usize, usize, u64)> {
+    let mut x = seed;
+    std::iter::repeat_with(move || {
+        x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let from = (x >> 33) as usize % ACCOUNTS;
+        let hop = 1 + (x >> 20) as usize % (STRIPES - 1);
+        let to = (from + hop) % ACCOUNTS;
+        (from, to, 1 + (x >> 8) % 5)
+    })
+}
+
+/// Runs `serve(thread)` on [`THREADS`] threads and `drain()` on this one
+/// until they are done.
+fn drain_while_serving(serve: impl Fn(usize) + Sync, mut drain: impl FnMut()) {
+    let done = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for thread in 0..THREADS {
+            let (serve, done) = (&serve, &done);
+            scope.spawn(move || {
+                serve(thread);
+                done.fetch_add(1, Ordering::Release);
+            });
+        }
+        while done.load(Ordering::Acquire) < THREADS {
+            drain();
+        }
+    });
+}
+
+#[test]
+fn erc20_drains_under_traffic_conserve_the_supply() {
+    let genesis = Erc20State::from_balances(vec![1_000; ACCOUNTS]);
+    let supply = genesis.total_supply();
+    let token = ShardedErc20::with_shards(genesis.clone(), STRIPES);
+    let mut folded = genesis;
+    drain_while_serving(
+        |thread| {
+            for (from, to, value) in transfers(thread as u64).take(OPS) {
+                let _ = token.transfer(ProcessId::new(from), AccountId::new(to), value);
+            }
+        },
+        || {
+            assert!(token.drain_delta().apply_to(&mut folded));
+            assert_eq!(folded.total_supply(), supply, "a drain split a transfer");
+        },
+    );
+    assert!(token.drain_delta().apply_to(&mut folded));
+    assert_eq!(folded, token.snapshot());
+}
+
+#[test]
+fn erc1155_drains_under_traffic_conserve_every_supply() {
+    const TYPES: usize = 3;
+    let mut genesis = Erc1155State::deploy(ACCOUNTS, ProcessId::new(0), &[0; TYPES]);
+    for account in 0..ACCOUNTS {
+        for t in 0..TYPES {
+            genesis.set_balance(AccountId::new(account), TypeId::new(t), 100);
+        }
+    }
+    let supplies: Vec<u64> = (0..TYPES)
+        .map(|t| genesis.total_supply(TypeId::new(t)))
+        .collect();
+    let multi = ShardedErc1155::with_shards(genesis.clone(), STRIPES);
+    let mut folded = genesis;
+    drain_while_serving(
+        |thread| {
+            for (i, (from, to, value)) in transfers(thread as u64).take(OPS).enumerate() {
+                let (from, to) = (AccountId::new(from), AccountId::new(to));
+                let op = Erc1155Op::BatchTransfer {
+                    from,
+                    to,
+                    entries: vec![
+                        (TypeId::new(i % TYPES), value),
+                        (TypeId::new((i + 1) % TYPES), 1),
+                    ],
+                };
+                multi.apply(from.owner(), &op);
+            }
+        },
+        || {
+            assert!(multi.drain_delta().apply_to(&mut folded));
+            for (t, &supply) in supplies.iter().enumerate() {
+                let held: u64 = folded
+                    .balance_entries()
+                    .filter(|&(ty, _, _)| ty.index() == t)
+                    .map(|(_, _, v)| v)
+                    .sum();
+                assert_eq!(held, supply, "a drain split a transfer of type {t}");
+            }
+        },
+    );
+    assert!(multi.drain_delta().apply_to(&mut folded));
+    assert_eq!(folded, multi.snapshot());
+}

@@ -16,9 +16,9 @@
 //!   group's sequencer, which orders it into the account's stream.
 //!
 //! The group sequencer here is the account owner — the simplest correct
-//! stand-in for any black-box consensus among `σ_q(a)` (see DESIGN.md §3;
-//! in a Byzantine deployment this would be a BFT instance among the
-//! spender group). The measurable consequences are what the paper
+//! stand-in for any black-box consensus among `σ_q(a)` (see
+//! `docs/paper-map.md`, "Section 7 — protocols"; in a Byzantine
+//! deployment this would be a BFT instance among the spender group). The measurable consequences are what the paper
 //! predicts: owner operations commit in one broadcast with no extra hop,
 //! load spreads across accounts instead of concentrating in one global
 //! sequencer, and only `transferFrom` traffic pays a coordination hop.

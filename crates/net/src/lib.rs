@@ -26,7 +26,8 @@
 //!   streams; `transfer`/`approve` commit without global coordination,
 //!   `transferFrom` synchronizes only within the account's spender group.
 //!   The owner acts as the group's sequencer — a stand-in for any
-//!   black-box consensus among `σ(a)` (see DESIGN.md §3).
+//!   black-box consensus among `σ(a)` (see `docs/paper-map.md`,
+//!   "Section 7 — protocols").
 //!
 //! # Example
 //!

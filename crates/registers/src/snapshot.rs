@@ -16,7 +16,8 @@ use crate::stamped::{Stamped, StampedRegister};
 /// relies on monotonicity instead), so we provide the simple primitive and
 /// use it only in tests, examples and diagnostics, never inside wait-free
 /// algorithms. A fully wait-free atomic snapshot (Afek et al.) is
-/// deliberately out of scope; see DESIGN.md §3.
+/// deliberately out of scope; see `docs/paper-map.md`, "The model
+/// (§2–§3)".
 ///
 /// # Example
 ///

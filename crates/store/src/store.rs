@@ -504,9 +504,9 @@ where
         }
         if self.cfg.snapshot_every_ops > 0 && self.ops_since_snapshot >= self.cfg.snapshot_every_ops
         {
-            // Drain the rows touched since the last drain — per-shard
-            // locks, no full-state encode — and let the thread publish
-            // them as the next chain link.
+            // Drain the rows touched since the last drain — no
+            // full-state encode — and let the thread publish them as
+            // the next chain link.
             let started = self.obs.clock();
             let watermark = self.wal.next_seq();
             let delta = token.drain_delta();
