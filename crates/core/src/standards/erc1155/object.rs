@@ -32,7 +32,7 @@ use crate::analysis::{Access, Cell, Footprint, FootprintedOp};
 use crate::shared::striped::{default_stripes, Marks, Striped, Striping};
 use crate::shared::ConcurrentObject;
 
-use super::TypeId;
+use super::{Erc1155Error, TypeId};
 
 /// Operations `O` of the ERC1155 object (the cell-granular subset the
 /// pipeline serves).
@@ -143,9 +143,29 @@ impl FootprintedOp for Erc1155Op {
 /// The sequential ERC1155 state: sparse `(type, account) → balance`
 /// entries (positive only — the canonical encoding that makes derived
 /// `Eq`/`Hash` mathematical equality) plus operator pairs and the
-/// cached, transfer-invariant per-type supplies.
+/// cached, transfer-invariant per-type supplies. A typed transition
+/// that returns an [`Erc1155Error`] leaves the state unchanged.
 ///
 /// `Default` is the empty state: no accounts, no token types.
+///
+/// # Example
+///
+/// ```
+/// use tokensync_core::standards::erc1155::{Erc1155State, TypeId};
+/// use tokensync_spec::{AccountId, ProcessId};
+///
+/// // 2 token types, 3 accounts; deployer holds 10 of each type.
+/// let mut multi = Erc1155State::deploy(3, ProcessId::new(0), &[10, 10]);
+/// multi.safe_batch_transfer_from(
+///     ProcessId::new(0),
+///     AccountId::new(0),
+///     AccountId::new(1),
+///     &[TypeId::new(0), TypeId::new(1)],
+///     &[3, 4],
+/// )?;
+/// assert_eq!(multi.balance_of(AccountId::new(1), TypeId::new(1)), 4);
+/// # Ok::<(), tokensync_core::standards::erc1155::Erc1155Error>(())
+/// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Erc1155State {
     accounts: usize,
@@ -328,6 +348,119 @@ impl Erc1155State {
         }
     }
 
+    /// `safeTransferFrom(from, to, id, amount)` by `caller`.
+    ///
+    /// # Errors
+    ///
+    /// [`Erc1155Error::BadId`], [`Erc1155Error::NotAuthorized`] or
+    /// [`Erc1155Error::InsufficientBalance`]. The state is unchanged on
+    /// error.
+    pub fn safe_transfer_from(
+        &mut self,
+        caller: ProcessId,
+        from: AccountId,
+        to: AccountId,
+        type_id: TypeId,
+        amount: Amount,
+    ) -> Result<(), Erc1155Error> {
+        self.transfer(caller, from, to, &[(type_id, amount)])
+    }
+
+    /// `safeBatchTransferFrom(from, to, ids, amounts)` by `caller` —
+    /// **atomic**: either every row moves or none does.
+    ///
+    /// # Errors
+    ///
+    /// [`Erc1155Error::LengthMismatch`] first, then those of
+    /// [`safe_transfer_from`](Self::safe_transfer_from). The state is
+    /// unchanged on error.
+    pub fn safe_batch_transfer_from(
+        &mut self,
+        caller: ProcessId,
+        from: AccountId,
+        to: AccountId,
+        ids: &[TypeId],
+        amounts: &[Amount],
+    ) -> Result<(), Erc1155Error> {
+        if ids.len() != amounts.len() {
+            return Err(Erc1155Error::LengthMismatch);
+        }
+        let rows: Vec<_> = ids.iter().copied().zip(amounts.iter().copied()).collect();
+        self.transfer(caller, from, to, &rows)
+    }
+
+    /// `setApprovalForAll(operator, approved)` by `caller`.
+    ///
+    /// # Errors
+    ///
+    /// [`Erc1155Error::BadId`] or [`Erc1155Error::SelfApproval`]. The
+    /// state is unchanged on error.
+    pub fn set_approval_for_all(
+        &mut self,
+        caller: ProcessId,
+        operator: ProcessId,
+        approved: bool,
+    ) -> Result<(), Erc1155Error> {
+        if caller.index() >= self.accounts || operator.index() >= self.accounts {
+            return Err(Erc1155Error::BadId);
+        }
+        if operator == caller {
+            return Err(Erc1155Error::SelfApproval);
+        }
+        self.set_operator(AccountId::new(caller.index()), operator, approved);
+        Ok(())
+    }
+
+    /// `balanceOfBatch`: one `(account, id)` query per pair.
+    ///
+    /// # Errors
+    ///
+    /// [`Erc1155Error::LengthMismatch`] if the arrays differ in length.
+    pub fn balance_of_batch(
+        &self,
+        accounts: &[AccountId],
+        ids: &[TypeId],
+    ) -> Result<Vec<Amount>, Erc1155Error> {
+        if accounts.len() != ids.len() {
+            return Err(Erc1155Error::LengthMismatch);
+        }
+        Ok(accounts
+            .iter()
+            .zip(ids)
+            .map(|(&a, &t)| self.balance_of(a, t))
+            .collect())
+    }
+
+    /// The operator census of `account`: `{owner} ∪ operators(account)` if
+    /// the account holds any tokens of any type, `{owner}` otherwise — the
+    /// conservative ERC1155 analogue of `σ_q(a)`, upper-bounding the
+    /// contract's synchronization needs per account. `O(types)` lookups.
+    pub fn enabled_movers(&self, account: AccountId) -> BTreeSet<ProcessId> {
+        let mut movers = BTreeSet::from([account.owner()]);
+        let Ok(a) = u32::try_from(account.index()) else {
+            return movers;
+        };
+        if (0..self.types()).any(|t| self.balances.contains_key(&(cell_index(t), a))) {
+            movers.extend(
+                self.operators
+                    .range((a, 0)..=(a, u32::MAX))
+                    .map(|&(_, o)| ProcessId::new(o as usize)),
+            );
+        }
+        movers
+    }
+
+    /// `max_a |movers(a)|` — the upper-bound synchronization level. Only
+    /// holders with operators can pass 1, so each is visited once.
+    pub fn sync_level(&self) -> usize {
+        let mut last = None;
+        self.operators
+            .iter()
+            .filter(|&&(h, _)| last.replace(h) != Some(h))
+            .map(|&(h, _)| self.enabled_movers(AccountId::new(h as usize)).len())
+            .fold(1, usize::max)
+    }
+
     /// Validates and applies one (possibly batched) transfer: aggregate
     /// per type so duplicated ids cannot overdraw, check everything,
     /// then move — all-or-nothing.
@@ -337,24 +470,31 @@ impl Erc1155State {
         from: AccountId,
         to: AccountId,
         rows: &[(TypeId, Amount)],
-    ) -> bool {
+    ) -> Result<(), Erc1155Error> {
         if from.index() >= self.accounts
             || to.index() >= self.accounts
             || caller.index() >= self.accounts
-            || !self.is_approved_for_all(from, caller)
         {
-            return false;
+            return Err(Erc1155Error::BadId);
+        }
+        if !self.is_approved_for_all(from, caller) {
+            return Err(Erc1155Error::NotAuthorized { caller, from });
         }
         if rows.iter().any(|(t, _)| t.index() >= self.types()) {
-            return false;
+            return Err(Erc1155Error::BadId);
         }
         let Some(required) = Required::of(rows) else {
-            return false;
+            return Err(self.overflow(from, rows));
         };
         let f = cell_index(from.index());
         for &(t, v) in required.rows() {
-            if self.balances.get(&(t, f)).copied().unwrap_or(0) < v {
-                return false;
+            let balance = self.balances.get(&(t, f)).copied().unwrap_or(0);
+            if balance < v {
+                return Err(Erc1155Error::InsufficientBalance {
+                    type_id: TypeId::new(t as usize),
+                    balance,
+                    required: v,
+                });
             }
         }
         let d = cell_index(to.index());
@@ -366,7 +506,25 @@ impl Erc1155State {
             }
             *self.balances.entry((t, d)).or_insert(0) += v;
         }
-        true
+        Ok(())
+    }
+
+    /// The refusal of rows [`Required::of`] cannot sum: the first type
+    /// whose amounts pass `u64::MAX`, which no balance covers.
+    fn overflow(&self, from: AccountId, rows: &[(TypeId, Amount)]) -> Erc1155Error {
+        let mut sums = BTreeMap::<TypeId, Amount>::new();
+        for &(type_id, v) in rows {
+            let sum = sums.entry(type_id).or_default();
+            let Some(next) = sum.checked_add(v) else {
+                return Erc1155Error::InsufficientBalance {
+                    type_id,
+                    balance: self.balance_of(from, type_id),
+                    required: Amount::MAX,
+                };
+            };
+            *sum = next;
+        }
+        unreachable!("Required::of refuses only a sum past u64::MAX")
     }
 }
 
@@ -437,9 +595,10 @@ fn sum_per_type(rows: &mut [(u32, Amount)]) -> Option<usize> {
 }
 
 /// The ERC1155 object type over [`Erc1155State`] — the sequential
-/// oracle the pipeline's commit log replays against. Transitions are
-/// total: out-of-range ids and failed preconditions return `FALSE`
-/// (mutators) or `0` (reads) with the state unchanged.
+/// oracle the pipeline's commit log replays against. Each mutator runs
+/// the typed transition on [`Erc1155State`] — a batch's rows as they
+/// stand, so no `LengthMismatch` arises — and answers `TRUE` for `Ok`,
+/// `FALSE` for `Err` (state unchanged); reads out of range answer `0`.
 #[derive(Clone, Debug)]
 pub struct Erc1155Spec {
     initial: Erc1155State,
@@ -468,26 +627,18 @@ impl ObjectType for Erc1155Spec {
                 to,
                 type_id,
                 value,
-            } => Erc1155Resp::Bool(state.transfer(process, from, to, &[(type_id, value)])),
+            } => Erc1155Resp::Bool(
+                state
+                    .safe_transfer_from(process, from, to, type_id, value)
+                    .is_ok(),
+            ),
             Erc1155Op::BatchTransfer {
                 from,
                 to,
                 ref entries,
-            } => Erc1155Resp::Bool(state.transfer(process, from, to, entries)),
+            } => Erc1155Resp::Bool(state.transfer(process, from, to, entries).is_ok()),
             Erc1155Op::SetApprovalForAll { operator, on } => {
-                if process.index() >= state.accounts
-                    || operator.index() >= state.accounts
-                    || operator == process
-                {
-                    return Erc1155Resp::FALSE;
-                }
-                let pair = (cell_index(process.index()), cell_index(operator.index()));
-                if on {
-                    state.operators.insert(pair);
-                } else {
-                    state.operators.remove(&pair);
-                }
-                Erc1155Resp::TRUE
+                Erc1155Resp::Bool(state.set_approval_for_all(process, operator, on).is_ok())
             }
             Erc1155Op::BalanceOf { account, type_id } => {
                 Erc1155Resp::Amount(state.balance_of(account, type_id))
@@ -960,8 +1111,10 @@ impl ConcurrentObject for ShardedErc1155 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Codec;
     use proptest::collection::vec;
     use proptest::prelude::*;
+    use proptest::test_runner::{cases, rng_for_test};
 
     fn a(i: usize) -> AccountId {
         AccountId::new(i)
@@ -1277,8 +1430,13 @@ mod tests {
     const TYPES: usize = 3;
 
     fn arb_op() -> impl Strategy<Value = Erc1155Op> {
+        arb_op_in(N, TYPES)
+    }
+
+    /// Ops over accounts (and processes) `0..n` and types `0..types`.
+    fn arb_op_in(n: usize, types: usize) -> impl Strategy<Value = Erc1155Op> {
         prop_oneof![
-            (0..N, 0..N, 0..TYPES, 0u64..4).prop_map(|(from, to, ty, value)| {
+            (0..n, 0..n, 0..types, 0u64..4).prop_map(|(from, to, ty, value)| {
                 Erc1155Op::Transfer {
                     from: a(from),
                     to: a(to),
@@ -1286,23 +1444,102 @@ mod tests {
                     value,
                 }
             }),
-            (0..N, 0..N, vec((0..TYPES, 0u64..4), 0..3)).prop_map(|(from, to, rows)| {
+            (0..n, 0..n, vec((0..types, 0u64..4), 0..3)).prop_map(|(from, to, rows)| {
                 Erc1155Op::BatchTransfer {
                     from: a(from),
                     to: a(to),
                     entries: rows.into_iter().map(|(ty, v)| (t(ty), v)).collect(),
                 }
             }),
-            (0..N, 0..2usize).prop_map(|(op, on)| Erc1155Op::SetApprovalForAll {
+            (0..n, 0..2usize).prop_map(|(op, on)| Erc1155Op::SetApprovalForAll {
                 operator: p(op),
                 on: on == 1,
             }),
-            (0..N, 0..TYPES).prop_map(|(account, ty)| Erc1155Op::BalanceOf {
+            (0..n, 0..types).prop_map(|(account, ty)| Erc1155Op::BalanceOf {
                 account: a(account),
                 type_id: t(ty),
             }),
-            (0..TYPES).prop_map(|ty| Erc1155Op::TotalSupply { type_id: t(ty) }),
+            (0..types).prop_map(|ty| Erc1155Op::TotalSupply { type_id: t(ty) }),
         ]
+    }
+
+    /// `op`'s typed transition on `q` by `caller`, a batch with one
+    /// amount too many when `mismatch`; `None` for a read.
+    fn typed(
+        q: &mut Erc1155State,
+        caller: ProcessId,
+        op: &Erc1155Op,
+        mismatch: bool,
+    ) -> Option<Result<(), Erc1155Error>> {
+        Some(match *op {
+            Erc1155Op::Transfer {
+                from,
+                to,
+                type_id,
+                value,
+            } => q.safe_transfer_from(caller, from, to, type_id, value),
+            Erc1155Op::BatchTransfer {
+                from,
+                to,
+                ref entries,
+            } => {
+                let (ids, mut amounts): (Vec<_>, Vec<_>) = entries.iter().copied().unzip();
+                if mismatch {
+                    amounts.push(1);
+                }
+                q.safe_batch_transfer_from(caller, from, to, &ids, &amounts)
+            }
+            Erc1155Op::SetApprovalForAll { operator, on } => {
+                q.set_approval_for_all(caller, operator, on)
+            }
+            Erc1155Op::BalanceOf { .. } | Erc1155Op::TotalSupply { .. } => return None,
+        })
+    }
+
+    /// Every refused typed transition leaves the state `==` to what it
+    /// was and its codec bytes unchanged, over 3 accounts × 2 types.
+    /// Scripts draw ids up to one past each space, half the transfers
+    /// come from the source's owner, a quarter of the batches carry
+    /// unequal arrays, and the run must reach every [`Erc1155Error`]
+    /// variant (the match below names each), so the check cannot pass
+    /// vacuously.
+    #[test]
+    fn typed_errors_leave_the_state_unchanged() {
+        const ACCOUNTS: usize = 3;
+        const KINDS: usize = 2;
+        let script = vec(
+            (0..=ACCOUNTS, arb_op_in(ACCOUNTS + 1, KINDS + 1), 0..4usize),
+            0..32,
+        );
+        let mut rng = rng_for_test("typed_errors_leave_the_state_unchanged");
+        let mut reached = [false; 5];
+        for _ in 0..cases() {
+            let mut q = Erc1155State::deploy(ACCOUNTS, p(0), &[3, 3]);
+            for (caller, op, choice) in script.generate(&mut rng) {
+                let caller = match op {
+                    Erc1155Op::Transfer { from, .. } | Erc1155Op::BatchTransfer { from, .. }
+                        if choice & 1 == 1 =>
+                    {
+                        from.owner()
+                    }
+                    _ => p(caller),
+                };
+                let (before, bytes) = (q.clone(), q.encode());
+                let Some(Err(err)) = typed(&mut q, caller, &op, choice == 2) else {
+                    continue;
+                };
+                reached[match err {
+                    Erc1155Error::BadId => 0,
+                    Erc1155Error::NotAuthorized { .. } => 1,
+                    Erc1155Error::InsufficientBalance { .. } => 2,
+                    Erc1155Error::LengthMismatch => 3,
+                    Erc1155Error::SelfApproval => 4,
+                }] = true;
+                assert_eq!(q, before, "{err} changed the state ({op:?} by {caller})");
+                assert_eq!(q.encode(), bytes, "{err} changed the codec bytes");
+            }
+        }
+        assert_eq!(reached, [true; 5], "an error variant was never reached");
     }
 
     proptest! {

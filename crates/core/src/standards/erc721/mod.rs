@@ -7,19 +7,23 @@
 //! `transferFrom` on a single `tokenId` and the winner is read off
 //! `ownerOf`.
 //!
-//! Besides the sequential [`Erc721Token`] and the consensus race, the
-//! `object` submodule provides the standard as a *servable* concurrent
-//! object: the formal [`Erc721Op`]/[`Erc721Resp`] alphabet with per-op
-//! footprints, the [`Erc721Spec`] oracle, and the lock-striped
-//! [`ShardedErc721`] the generic pipeline executes.
+//! The standard has one sequential state, [`Erc721State`]: its typed
+//! transitions (`mint`, `transfer_from`, `approve`,
+//! `set_approval_for_all`) return [`Erc721Error`], and its
+//! `enabled_movers`/`sync_level` give the per-token census. The `object`
+//! submodule also makes the standard a *servable* concurrent object: the
+//! formal [`Erc721Op`]/[`Erc721Resp`] alphabet with per-op footprints,
+//! the [`Erc721Spec`] oracle (the typed transitions, `Ok` as `TRUE`), and
+//! the lock-striped [`ShardedErc721`] the generic pipeline executes. The
+//! consensus race, [`Erc721Consensus`], runs on that same serving object
+//! from the layout [`race_state`] sets up.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
-use parking_lot::Mutex;
 use tokensync_spec::ProcessId;
 
 use super::race;
+use crate::shared::ConcurrentObject;
 
 mod object;
 
@@ -50,8 +54,14 @@ impl fmt::Display for TokenId {
 /// Errors of the ERC721 object.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Erc721Error {
-    /// The token id does not exist.
+    /// A process or token id lies outside the contract's id spaces.
+    BadId,
+    /// The token id is in range but not minted.
     UnknownToken(TokenId),
+    /// `mint` of a token id that already exists.
+    AlreadyMinted(TokenId),
+    /// `setApprovalForAll` naming the caller as its own operator.
+    SelfApproval,
     /// The caller may not move this token (not owner, approved, or
     /// operator).
     NotAuthorized {
@@ -72,7 +82,10 @@ pub enum Erc721Error {
 impl fmt::Display for Erc721Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            Erc721Error::BadId => write!(f, "process or token id out of range"),
             Erc721Error::UnknownToken(t) => write!(f, "token {t} does not exist"),
+            Erc721Error::AlreadyMinted(t) => write!(f, "token {t} is already minted"),
+            Erc721Error::SelfApproval => write!(f, "a holder cannot be its own operator"),
             Erc721Error::NotAuthorized { caller, token } => {
                 write!(f, "{caller} is not authorized to move {token}")
             }
@@ -85,254 +98,80 @@ impl fmt::Display for Erc721Error {
 
 impl std::error::Error for Erc721Error {}
 
-/// A sequential ERC721 token contract.
-///
-/// # Example
-///
-/// ```
-/// use tokensync_core::standards::erc721::{Erc721Token, TokenId};
-/// use tokensync_spec::ProcessId;
-///
-/// let minter = ProcessId::new(0);
-/// let mut nft = Erc721Token::mint_to(3, minter, 2); // tokens nft0, nft1
-/// nft.approve(minter, Some(ProcessId::new(2)), TokenId::new(0))?;
-/// nft.transfer_from(ProcessId::new(2), minter, ProcessId::new(2), TokenId::new(0))?;
-/// assert_eq!(nft.owner_of(TokenId::new(0)), Some(ProcessId::new(2)));
-/// # Ok::<(), tokensync_core::standards::erc721::Erc721Error>(())
-/// ```
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct Erc721Token {
-    processes: usize,
-    owner_of: Vec<ProcessId>,
-    approved: Vec<Option<ProcessId>>,
-    /// `operators[holder]`: processes enabled for *all* of holder's tokens.
-    operators: Vec<BTreeSet<ProcessId>>,
+/// The NFT the Section 6 race is fought over.
+pub const RACE_NFT: TokenId = TokenId::new(0);
+
+/// The process that owns [`RACE_NFT`] when the race starts: mover 0.
+pub const RACE_OWNER: ProcessId = ProcessId::new(0);
+
+/// The sink of the race among `k` movers, `p_k`: where the owner parks
+/// the NFT to win. It is not a mover, since an owner-to-owner transfer
+/// would leave `ownerOf` unchanged and the race winnable twice.
+pub const fn race_sink(k: usize) -> ProcessId {
+    ProcessId::new(k)
 }
 
-impl Erc721Token {
-    /// Mints `tokens` NFTs, all owned by `minter`, in a system of
-    /// `processes` processes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `minter.index() >= processes`.
-    pub fn mint_to(processes: usize, minter: ProcessId, tokens: usize) -> Self {
-        assert!(minter.index() < processes, "minter out of range");
-        Self {
-            processes,
-            owner_of: vec![minter; tokens],
-            approved: vec![None; tokens],
-            operators: vec![BTreeSet::new(); processes],
-        }
-    }
-
-    /// Number of minted tokens.
-    pub fn tokens(&self) -> usize {
-        self.owner_of.len()
-    }
-
-    /// `ownerOf(tokenId)`.
-    pub fn owner_of(&self, token: TokenId) -> Option<ProcessId> {
-        self.owner_of.get(token.index()).copied()
-    }
-
-    /// `getApproved(tokenId)`.
-    pub fn get_approved(&self, token: TokenId) -> Option<ProcessId> {
-        self.approved.get(token.index()).copied().flatten()
-    }
-
-    /// `balanceOf(owner)`: number of tokens held.
-    pub fn balance_of(&self, holder: ProcessId) -> usize {
-        self.owner_of.iter().filter(|o| **o == holder).count()
-    }
-
-    /// `isApprovedForAll(owner, operator)`.
-    pub fn is_approved_for_all(&self, holder: ProcessId, operator: ProcessId) -> bool {
-        self.operators
-            .get(holder.index())
-            .is_some_and(|s| s.contains(&operator))
-    }
-
-    /// `setApprovalForAll(operator, approved)` by `caller`.
-    pub fn set_approval_for_all(&mut self, caller: ProcessId, operator: ProcessId, on: bool) {
-        if caller.index() >= self.processes || operator.index() >= self.processes {
-            return;
-        }
-        if on {
-            self.operators[caller.index()].insert(operator);
-        } else {
-            self.operators[caller.index()].remove(&operator);
-        }
-    }
-
-    fn may_manage(&self, caller: ProcessId, token: TokenId) -> bool {
-        let Some(owner) = self.owner_of(token) else {
-            return false;
-        };
-        caller == owner
-            || self.get_approved(token) == Some(caller)
-            || self.is_approved_for_all(owner, caller)
-    }
-
-    /// `approve(approved, tokenId)` by `caller` (owner or operator);
-    /// `None` clears the approval.
-    ///
-    /// # Errors
-    ///
-    /// [`Erc721Error::UnknownToken`] or [`Erc721Error::NotAuthorized`].
-    pub fn approve(
-        &mut self,
-        caller: ProcessId,
-        approved: Option<ProcessId>,
-        token: TokenId,
-    ) -> Result<(), Erc721Error> {
-        let owner = self
-            .owner_of(token)
-            .ok_or(Erc721Error::UnknownToken(token))?;
-        if caller != owner && !self.is_approved_for_all(owner, caller) {
-            return Err(Erc721Error::NotAuthorized { caller, token });
-        }
-        self.approved[token.index()] = approved;
-        Ok(())
-    }
-
-    /// `transferFrom(from, to, tokenId)` by `caller`.
-    ///
-    /// On success the token's single-use approval is cleared (ERC721
-    /// semantics) and ownership moves to `to`.
-    ///
-    /// # Errors
-    ///
-    /// [`Erc721Error::UnknownToken`], [`Erc721Error::WrongOwner`] if `from`
-    /// is not the current owner, [`Erc721Error::NotAuthorized`] if the
-    /// caller is neither owner, approved, nor operator.
-    pub fn transfer_from(
-        &mut self,
-        caller: ProcessId,
-        from: ProcessId,
-        to: ProcessId,
-        token: TokenId,
-    ) -> Result<(), Erc721Error> {
-        let owner = self
-            .owner_of(token)
-            .ok_or(Erc721Error::UnknownToken(token))?;
-        if owner != from {
-            return Err(Erc721Error::WrongOwner {
-                claimed: from,
-                actual: owner,
-            });
-        }
-        if !self.may_manage(caller, token) {
-            return Err(Erc721Error::NotAuthorized { caller, token });
-        }
-        self.owner_of[token.index()] = to;
-        self.approved[token.index()] = None;
-        Ok(())
-    }
-
-    /// The movers of `token`: owner, approved process, and the owner's
-    /// operators — the ERC721 analogue of `σ_q` for a single token.
-    pub fn enabled_movers(&self, token: TokenId) -> BTreeSet<ProcessId> {
-        let mut set = BTreeSet::new();
-        if let Some(owner) = self.owner_of(token) {
-            set.insert(owner);
-            if let Some(approved) = self.get_approved(token) {
-                set.insert(approved);
-            }
-            if let Some(ops) = self.operators.get(owner.index()) {
-                set.extend(ops.iter().copied());
-            }
-        }
-        set
-    }
-
-    /// The contract-wide synchronization level: `max_t |movers(t)|`.
-    pub fn sync_level(&self) -> usize {
-        (0..self.tokens())
-            .map(|t| self.enabled_movers(TokenId::new(t)).len())
-            .max()
-            .unwrap_or(1)
-            .max(1)
-    }
-}
-
-/// Coarse-grained linearizable ERC721 for threaded use.
-#[derive(Debug)]
-pub struct SharedErc721 {
-    inner: Mutex<Erc721Token>,
-}
-
-impl SharedErc721 {
-    /// Wraps a sequential contract.
-    pub fn new(token: Erc721Token) -> Self {
-        Self {
-            inner: Mutex::new(token),
-        }
-    }
-
-    /// `transferFrom` (see [`Erc721Token::transfer_from`]).
-    ///
-    /// # Errors
-    ///
-    /// As the sequential method.
-    pub fn transfer_from(
-        &self,
-        caller: ProcessId,
-        from: ProcessId,
-        to: ProcessId,
-        token: TokenId,
-    ) -> Result<(), Erc721Error> {
-        self.inner.lock().transfer_from(caller, from, to, token)
-    }
-
-    /// `ownerOf`.
-    pub fn owner_of(&self, token: TokenId) -> Option<ProcessId> {
-        self.inner.lock().owner_of(token)
-    }
-
-    /// Snapshot.
-    pub fn snapshot(&self) -> Erc721Token {
-        self.inner.lock().clone()
-    }
-}
-
-/// The ERC721 decisive race: the `k` movers of one NFT race
-/// `transferFrom` on the same `tokenId`; ownership changes exactly once,
-/// and `ownerOf` names the winner.
+/// The starting state of the race among `k` movers `p_0 .. p_{k-1}`:
+/// [`RACE_NFT`] minted to [`RACE_OWNER`], every other mover its operator
+/// via `setApprovalForAll`, and [`race_sink`]`(k)` as one more process.
 ///
-/// The owner transfers the NFT to a dedicated *sink* process (not a
-/// mover) rather than to itself — an owner-to-owner transfer would leave
-/// `ownerOf` unchanged and the race winnable twice.
+/// Each mover fires one `transferFrom(RACE_OWNER, ·, RACE_NFT)`: the
+/// owner to the sink, every other mover to itself. Exactly one lands,
+/// because it moves `ownerOf` away from the owner and every later claim
+/// of `from = RACE_OWNER` fails; `ownerOf` then names the winner, the
+/// sink standing for the owner.
+///
+/// # Panics
+///
+/// Panics if `k == 0`.
+pub fn race_state(k: usize) -> Erc721State {
+    assert!(k > 0, "consensus requires at least one process");
+    let mut state = Erc721State::new(k + 1, 1);
+    state
+        .mint(RACE_OWNER, RACE_OWNER, RACE_NFT)
+        .expect("the race NFT is in range");
+    for i in 1..k {
+        state
+            .set_approval_for_all(RACE_OWNER, ProcessId::new(i), true)
+            .expect("movers are in range");
+    }
+    state
+}
+
+/// The ERC721 decisive race on the serving object: the layout of
+/// [`race_state`], fired as [`Erc721Op::TransferFrom`] and read back
+/// through [`Erc721Op::OwnerOf`].
 struct NftRace {
-    token: SharedErc721,
-    nft: TokenId,
-    original_owner: ProcessId,
+    token: ShardedErc721,
     sink: ProcessId,
 }
 
 impl race::DecisiveRace for NftRace {
     fn fire(&self, mover: usize) {
-        // The owner sends the NFT to the sink; every other mover sends it
-        // to itself. Exactly one transferFrom can succeed because a
-        // successful transfer changes `ownerOf` away from the original
-        // owner, failing all later `from = original_owner` claims.
         let process = ProcessId::new(mover);
-        let target = if mover == 0 { self.sink } else { process };
-        let _ = self
-            .token
-            .transfer_from(process, self.original_owner, target, self.nft);
+        let to = if process == RACE_OWNER {
+            self.sink
+        } else {
+            process
+        };
+        let transfer = Erc721Op::TransferFrom {
+            from: RACE_OWNER,
+            to,
+            token: RACE_NFT,
+        };
+        self.token.apply(process, &transfer);
     }
 
     fn winner(&self) -> Option<usize> {
-        let current = self.token.owner_of(self.nft)?;
-        if current == self.original_owner {
-            return None;
+        match self
+            .token
+            .apply(RACE_OWNER, &Erc721Op::OwnerOf { token: RACE_NFT })
+        {
+            // The owner won by parking the NFT at the sink.
+            Erc721Resp::Process(Some(current)) if current == self.sink => Some(RACE_OWNER.index()),
+            Erc721Resp::Process(Some(current)) if current != RACE_OWNER => Some(current.index()),
+            _ => None,
         }
-        Some(if current == self.sink {
-            0 // the owner won by parking the NFT at the sink
-        } else {
-            current.index()
-        })
     }
 }
 
@@ -344,28 +183,21 @@ pub struct Erc721Consensus<V> {
 }
 
 impl<V: Clone + Send + Sync> Erc721Consensus<V> {
-    /// Creates a fresh instance: one NFT owned by `p_0`, movers
-    /// `p_0 .. p_{k-1}` (non-owners enabled via `setApprovalForAll`), and
-    /// sink process `p_k`.
+    /// Creates a fresh instance over [`race_state`]`(k)`: one NFT owned
+    /// by `p_0`, movers `p_0 .. p_{k-1}`, and sink process `p_k`.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0`.
     pub fn new(k: usize) -> Self {
-        assert!(k > 0, "consensus requires at least one process");
-        let owner = ProcessId::new(0);
-        let mut token = Erc721Token::mint_to(k + 1, owner, 1);
-        for i in 1..k {
-            token.set_approval_for_all(owner, ProcessId::new(i), true);
-        }
         Self {
             inner: race::RaceConsensus::new(
                 (0..k).map(ProcessId::new).collect(),
                 NftRace {
-                    token: SharedErc721::new(token),
-                    nft: TokenId::new(0),
-                    original_owner: owner,
-                    sink: ProcessId::new(k),
+                    // One NFT, so one token shard (what `from_state`
+                    // would pick, without probing the core count).
+                    token: ShardedErc721::with_shards(race_state(k), 1),
+                    sink: race_sink(k),
                 },
             ),
         }
@@ -400,10 +232,24 @@ mod tests {
         TokenId::new(i)
     }
 
+    /// `tokens` NFTs `nft0..`, all minted to `owner`, in a system of
+    /// `processes` processes.
+    fn minted_to(processes: usize, owner: ProcessId, tokens: usize) -> Erc721State {
+        let mut nft = Erc721State::new(processes, tokens);
+        for i in 0..tokens {
+            nft.mint(owner, owner, t(i)).unwrap();
+        }
+        nft
+    }
+
     #[test]
     fn mint_and_transfer() {
-        let mut nft = Erc721Token::mint_to(3, p(0), 2);
+        let mut nft = minted_to(3, p(0), 2);
         assert_eq!(nft.balance_of(p(0)), 2);
+        assert_eq!(
+            nft.mint(p(1), p(1), t(0)),
+            Err(Erc721Error::AlreadyMinted(t(0)))
+        );
         nft.transfer_from(p(0), p(0), p(1), t(0)).unwrap();
         assert_eq!(nft.owner_of(t(0)), Some(p(1)));
         assert_eq!(nft.balance_of(p(0)), 1);
@@ -411,7 +257,7 @@ mod tests {
 
     #[test]
     fn approval_is_single_use() {
-        let mut nft = Erc721Token::mint_to(3, p(0), 1);
+        let mut nft = minted_to(3, p(0), 1);
         nft.approve(p(0), Some(p(2)), t(0)).unwrap();
         nft.transfer_from(p(2), p(0), p(2), t(0)).unwrap();
         // Approval cleared by the transfer: p2 cannot move it again on
@@ -422,15 +268,15 @@ mod tests {
 
     #[test]
     fn unauthorized_transfer_rejected() {
-        let mut nft = Erc721Token::mint_to(3, p(0), 1);
+        let mut nft = minted_to(3, p(0), 1);
         let err = nft.transfer_from(p(1), p(0), p(1), t(0)).unwrap_err();
         assert!(matches!(err, Erc721Error::NotAuthorized { .. }));
     }
 
     #[test]
     fn wrong_owner_rejected_after_move() {
-        let mut nft = Erc721Token::mint_to(3, p(0), 1);
-        nft.set_approval_for_all(p(0), p(1), true);
+        let mut nft = minted_to(3, p(0), 1);
+        nft.set_approval_for_all(p(0), p(1), true).unwrap();
         nft.transfer_from(p(1), p(0), p(1), t(0)).unwrap();
         // The race property: a second transfer claiming `from = p0` fails.
         let err = nft.transfer_from(p(0), p(0), p(0), t(0)).unwrap_err();
@@ -439,11 +285,15 @@ mod tests {
 
     #[test]
     fn movers_include_owner_approved_and_operators() {
-        let mut nft = Erc721Token::mint_to(4, p(0), 1);
+        let mut nft = minted_to(4, p(0), 1);
         nft.approve(p(0), Some(p(1)), t(0)).unwrap();
-        nft.set_approval_for_all(p(0), p(2), true);
+        nft.set_approval_for_all(p(0), p(2), true).unwrap();
         assert_eq!(nft.enabled_movers(t(0)), [p(0), p(1), p(2)].into());
         assert_eq!(nft.sync_level(), 3);
+        assert_eq!(
+            nft.set_approval_for_all(p(0), p(0), true),
+            Err(Erc721Error::SelfApproval)
+        );
     }
 
     #[test]

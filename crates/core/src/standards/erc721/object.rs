@@ -32,7 +32,7 @@ use crate::analysis::{Access, Cell, Footprint, FootprintedOp};
 use crate::shared::striped::{default_stripes, Striped, Striping};
 use crate::shared::ConcurrentObject;
 
-use super::TokenId;
+use super::{Erc721Error, TokenId};
 
 /// Capacity guard shared by the constructors: ids are stored as `u32`
 /// keys, so the id spaces must fit (a bound no real deployment meets).
@@ -152,9 +152,25 @@ impl FootprintedOp for Erc721Op {
 /// what has actually been minted and approved. Entries are canonical
 /// (no tombstones), so derived `Eq`/`Hash` coincide with mathematical
 /// state equality — the linearizability checker and the model checker
-/// both rely on that.
+/// both rely on that. A typed transition that returns an
+/// [`Erc721Error`] leaves the state unchanged.
 ///
 /// `Default` is the empty state, `Erc721State::new(0, 0)`.
+///
+/// # Example
+///
+/// ```
+/// use tokensync_core::standards::erc721::{Erc721State, TokenId};
+/// use tokensync_spec::ProcessId;
+///
+/// let minter = ProcessId::new(0);
+/// let mut nft = Erc721State::new(3, 2); // 3 processes, ids nft0 and nft1
+/// nft.mint(minter, minter, TokenId::new(0))?;
+/// nft.approve(minter, Some(ProcessId::new(2)), TokenId::new(0))?;
+/// nft.transfer_from(ProcessId::new(2), minter, ProcessId::new(2), TokenId::new(0))?;
+/// assert_eq!(nft.owner_of(TokenId::new(0)), Some(ProcessId::new(2)));
+/// # Ok::<(), tokensync_core::standards::erc721::Erc721Error>(())
+/// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Erc721State {
     processes: usize,
@@ -330,12 +346,159 @@ impl Erc721State {
             || self.approved.get(&token) == Some(&cell_index(caller.index()))
             || self.is_approved_for_all(owner, caller)
     }
+
+    /// The storage key of `token` if it and every one of `processes`
+    /// lie inside the id spaces — the check each transition makes first.
+    fn key_in_range(&self, token: TokenId, processes: &[ProcessId]) -> Result<u32, Erc721Error> {
+        match token_key(token, self.token_span) {
+            Some(t) if processes.iter().all(|p| p.index() < self.processes) => Ok(t),
+            _ => Err(Erc721Error::BadId),
+        }
+    }
+
+    /// `mint(to, tokenId)` by `caller` — lazy minting: any process may
+    /// create an unminted id inside the span.
+    ///
+    /// # Errors
+    ///
+    /// [`Erc721Error::BadId`] or [`Erc721Error::AlreadyMinted`]. The
+    /// state is unchanged on error.
+    pub fn mint(
+        &mut self,
+        caller: ProcessId,
+        to: ProcessId,
+        token: TokenId,
+    ) -> Result<(), Erc721Error> {
+        let t = self.key_in_range(token, &[caller, to])?;
+        if self.owners.contains_key(&t) {
+            return Err(Erc721Error::AlreadyMinted(token));
+        }
+        self.owners.insert(t, cell_index(to.index()));
+        Ok(())
+    }
+
+    /// `transferFrom(from, to, tokenId)` by `caller`.
+    ///
+    /// On success the token's single-use approval is cleared (ERC721
+    /// semantics) and ownership moves to `to`.
+    ///
+    /// # Errors
+    ///
+    /// [`Erc721Error::BadId`], [`Erc721Error::UnknownToken`] for an
+    /// unminted id, [`Erc721Error::WrongOwner`] if `from` is not the
+    /// current owner, [`Erc721Error::NotAuthorized`] if the caller is
+    /// neither owner, approved, nor operator — checked in that order.
+    /// The state is unchanged on error.
+    pub fn transfer_from(
+        &mut self,
+        caller: ProcessId,
+        from: ProcessId,
+        to: ProcessId,
+        token: TokenId,
+    ) -> Result<(), Erc721Error> {
+        let t = self.key_in_range(token, &[caller, from, to])?;
+        let owner = self
+            .owner_of(token)
+            .ok_or(Erc721Error::UnknownToken(token))?;
+        if owner != from {
+            return Err(Erc721Error::WrongOwner {
+                claimed: from,
+                actual: owner,
+            });
+        }
+        if !self.may_manage(caller, owner, t) {
+            return Err(Erc721Error::NotAuthorized { caller, token });
+        }
+        self.owners.insert(t, cell_index(to.index()));
+        self.approved.remove(&t);
+        Ok(())
+    }
+
+    /// `approve(approved, tokenId)` by `caller` (owner or operator);
+    /// `None` clears the approval.
+    ///
+    /// # Errors
+    ///
+    /// [`Erc721Error::BadId`], [`Erc721Error::UnknownToken`] or
+    /// [`Erc721Error::NotAuthorized`]. The state is unchanged on error.
+    pub fn approve(
+        &mut self,
+        caller: ProcessId,
+        approved: Option<ProcessId>,
+        token: TokenId,
+    ) -> Result<(), Erc721Error> {
+        let t = self.key_in_range(token, &[caller])?;
+        if approved.is_some_and(|p| p.index() >= self.processes) {
+            return Err(Erc721Error::BadId);
+        }
+        let owner = self
+            .owner_of(token)
+            .ok_or(Erc721Error::UnknownToken(token))?;
+        if caller != owner && !self.is_approved_for_all(owner, caller) {
+            return Err(Erc721Error::NotAuthorized { caller, token });
+        }
+        match approved {
+            Some(p) => self.approved.insert(t, cell_index(p.index())),
+            None => self.approved.remove(&t),
+        };
+        Ok(())
+    }
+
+    /// `setApprovalForAll(operator, on)` by `caller`.
+    ///
+    /// # Errors
+    ///
+    /// [`Erc721Error::BadId`] or [`Erc721Error::SelfApproval`]. The
+    /// state is unchanged on error.
+    pub fn set_approval_for_all(
+        &mut self,
+        caller: ProcessId,
+        operator: ProcessId,
+        on: bool,
+    ) -> Result<(), Erc721Error> {
+        if caller.index() >= self.processes || operator.index() >= self.processes {
+            return Err(Erc721Error::BadId);
+        }
+        if operator == caller {
+            return Err(Erc721Error::SelfApproval);
+        }
+        self.set_operator(caller, operator, on);
+        Ok(())
+    }
+
+    /// The movers of `token`: owner, approved process, and the owner's
+    /// operators — the ERC721 analogue of `σ_q` for a single token.
+    /// Empty for an unminted token.
+    pub fn enabled_movers(&self, token: TokenId) -> BTreeSet<ProcessId> {
+        let Some(owner) = self.owner_of(token) else {
+            return BTreeSet::new();
+        };
+        let h = cell_index(owner.index());
+        let mut movers = BTreeSet::from([owner]);
+        movers.extend(self.get_approved(token));
+        movers.extend(
+            self.operators
+                .range((h, 0)..=(h, u32::MAX))
+                .map(|&(_, o)| ProcessId::new(o as usize)),
+        );
+        movers
+    }
+
+    /// The contract-wide synchronization level: `max_t |movers(t)|`
+    /// over minted tokens, 1 when none is minted.
+    pub fn sync_level(&self) -> usize {
+        self.owners
+            .keys()
+            .map(|&t| self.enabled_movers(TokenId::new(t as usize)).len())
+            .fold(1, usize::max)
+    }
 }
 
 /// The ERC721 object type over `Erc721State` — the sequential oracle
-/// the pipeline's commit log replays against. Transitions are total:
-/// out-of-range ids and failed preconditions return `FALSE` (mutators)
-/// or `None` (reads) with the state unchanged.
+/// the pipeline's commit log replays against. Each mutator runs the
+/// typed transition of the same name on [`Erc721State`] and answers
+/// `TRUE` for `Ok`, `FALSE` for `Err` (state unchanged); reads of
+/// unminted or out-of-range tokens answer `None`.
 #[derive(Clone, Debug)]
 pub struct Erc721Spec {
     initial: Erc721State,
@@ -358,70 +521,18 @@ impl ObjectType for Erc721Spec {
     }
 
     fn apply(&self, state: &mut Erc721State, process: ProcessId, op: &Erc721Op) -> Erc721Resp {
-        let in_range = |p: ProcessId| p.index() < state.processes;
         match *op {
             Erc721Op::Mint { to, token } => {
-                let Some(t) = token_key(token, state.token_span) else {
-                    return Erc721Resp::FALSE;
-                };
-                if !in_range(to) || !in_range(process) {
-                    return Erc721Resp::FALSE;
-                }
-                if state.owners.contains_key(&t) {
-                    return Erc721Resp::FALSE;
-                }
-                state.owners.insert(t, cell_index(to.index()));
-                Erc721Resp::TRUE
+                Erc721Resp::Bool(state.mint(process, to, token).is_ok())
             }
             Erc721Op::TransferFrom { from, to, token } => {
-                let Some(t) = token_key(token, state.token_span) else {
-                    return Erc721Resp::FALSE;
-                };
-                if !in_range(process) || !in_range(to) || !in_range(from) {
-                    return Erc721Resp::FALSE;
-                }
-                let Some(owner) = state.owner_of(token) else {
-                    return Erc721Resp::FALSE;
-                };
-                // The ERC721 check order the sequential token uses:
-                // claimed owner first, then authorization.
-                if owner != from || !state.may_manage(process, owner, t) {
-                    return Erc721Resp::FALSE;
-                }
-                state.owners.insert(t, cell_index(to.index()));
-                state.approved.remove(&t); // single-use approval cleared
-                Erc721Resp::TRUE
+                Erc721Resp::Bool(state.transfer_from(process, from, to, token).is_ok())
             }
             Erc721Op::Approve { approved, token } => {
-                let Some(t) = token_key(token, state.token_span) else {
-                    return Erc721Resp::FALSE;
-                };
-                if !in_range(process) || approved.is_some_and(|p| !in_range(p)) {
-                    return Erc721Resp::FALSE;
-                }
-                let Some(owner) = state.owner_of(token) else {
-                    return Erc721Resp::FALSE;
-                };
-                if process != owner && !state.is_approved_for_all(owner, process) {
-                    return Erc721Resp::FALSE;
-                }
-                match approved {
-                    Some(p) => state.approved.insert(t, cell_index(p.index())),
-                    None => state.approved.remove(&t),
-                };
-                Erc721Resp::TRUE
+                Erc721Resp::Bool(state.approve(process, approved, token).is_ok())
             }
             Erc721Op::SetApprovalForAll { operator, on } => {
-                if !in_range(process) || !in_range(operator) || operator == process {
-                    return Erc721Resp::FALSE;
-                }
-                let pair = (cell_index(process.index()), cell_index(operator.index()));
-                if on {
-                    state.operators.insert(pair);
-                } else {
-                    state.operators.remove(&pair);
-                }
-                Erc721Resp::TRUE
+                Erc721Resp::Bool(state.set_approval_for_all(process, operator, on).is_ok())
             }
             Erc721Op::OwnerOf { token } => Erc721Resp::Process(state.owner_of(token)),
             Erc721Op::GetApproved { token } => Erc721Resp::Process(state.get_approved(token)),
@@ -822,8 +933,10 @@ impl ConcurrentObject for ShardedErc721 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Codec;
     use proptest::collection::vec;
     use proptest::prelude::*;
+    use proptest::test_runner::{cases, rng_for_test};
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -1134,27 +1247,85 @@ mod tests {
     const SPAN: usize = 4;
 
     fn arb_op() -> impl Strategy<Value = Erc721Op> {
+        arb_op_in(N, SPAN)
+    }
+
+    /// Ops over processes `0..n` and token ids `0..span`.
+    fn arb_op_in(n: usize, span: usize) -> impl Strategy<Value = Erc721Op> {
         prop_oneof![
-            (0..N, 0..SPAN).prop_map(|(to, token)| Erc721Op::Mint {
+            (0..n, 0..span).prop_map(|(to, token)| Erc721Op::Mint {
                 to: p(to),
                 token: t(token)
             }),
-            (0..N, 0..N, 0..SPAN).prop_map(|(from, to, token)| Erc721Op::TransferFrom {
+            (0..n, 0..n, 0..span).prop_map(|(from, to, token)| Erc721Op::TransferFrom {
                 from: p(from),
                 to: p(to),
                 token: t(token),
             }),
-            (0..=N, 0..SPAN).prop_map(|(ap, token)| Erc721Op::Approve {
-                approved: (ap < N).then(|| p(ap)),
+            (0..=n, 0..span).prop_map(move |(ap, token)| Erc721Op::Approve {
+                approved: (ap < n).then(|| p(ap)),
                 token: t(token),
             }),
-            (0..N, 0..2usize).prop_map(|(op, on)| Erc721Op::SetApprovalForAll {
+            (0..n, 0..2usize).prop_map(|(op, on)| Erc721Op::SetApprovalForAll {
                 operator: p(op),
                 on: on == 1,
             }),
-            (0..SPAN).prop_map(|token| Erc721Op::OwnerOf { token: t(token) }),
-            (0..SPAN).prop_map(|token| Erc721Op::GetApproved { token: t(token) }),
+            (0..span).prop_map(|token| Erc721Op::OwnerOf { token: t(token) }),
+            (0..span).prop_map(|token| Erc721Op::GetApproved { token: t(token) }),
         ]
+    }
+
+    /// `op`'s typed transition on `q` by `caller`; `None` for a read.
+    fn typed(
+        q: &mut Erc721State,
+        caller: ProcessId,
+        op: &Erc721Op,
+    ) -> Option<Result<(), Erc721Error>> {
+        Some(match *op {
+            Erc721Op::Mint { to, token } => q.mint(caller, to, token),
+            Erc721Op::TransferFrom { from, to, token } => q.transfer_from(caller, from, to, token),
+            Erc721Op::Approve { approved, token } => q.approve(caller, approved, token),
+            Erc721Op::SetApprovalForAll { operator, on } => {
+                q.set_approval_for_all(caller, operator, on)
+            }
+            Erc721Op::OwnerOf { .. } | Erc721Op::GetApproved { .. } => return None,
+        })
+    }
+
+    /// Every refused typed transition leaves the state `==` to what it
+    /// was and its codec bytes unchanged. Scripts draw ids up to one past
+    /// each space, half the transfers come from the claimed owner, and
+    /// the run must reach every [`Erc721Error`] variant (the match below
+    /// names each), so the check cannot pass vacuously.
+    #[test]
+    fn typed_errors_leave_the_state_unchanged() {
+        let script = vec((0..=N, arb_op_in(N + 1, SPAN + 1), 0..2usize), 0..32);
+        let mut rng = rng_for_test("typed_errors_leave_the_state_unchanged");
+        let mut reached = [false; 6];
+        for _ in 0..cases() {
+            let mut q = Erc721State::minted_round_robin(N, SPAN, SPAN / 2);
+            for (caller, op, choice) in script.generate(&mut rng) {
+                let caller = match op {
+                    Erc721Op::TransferFrom { from, .. } if choice == 1 => from,
+                    _ => p(caller),
+                };
+                let (before, bytes) = (q.clone(), q.encode());
+                let Some(Err(err)) = typed(&mut q, caller, &op) else {
+                    continue;
+                };
+                reached[match err {
+                    Erc721Error::BadId => 0,
+                    Erc721Error::UnknownToken(_) => 1,
+                    Erc721Error::AlreadyMinted(_) => 2,
+                    Erc721Error::SelfApproval => 3,
+                    Erc721Error::NotAuthorized { .. } => 4,
+                    Erc721Error::WrongOwner { .. } => 5,
+                }] = true;
+                assert_eq!(q, before, "{err} changed the state ({op:?} by {caller})");
+                assert_eq!(q.encode(), bytes, "{err} changed the codec bytes");
+            }
+        }
+        assert_eq!(reached, [true; 6], "an error variant was never reached");
     }
 
     proptest! {

@@ -10,7 +10,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use tokensync_core::standards::erc1155::{Erc1155Token, TypeId};
+use tokensync_core::standards::erc1155::{Erc1155State, TypeId};
 use tokensync_core::standards::erc721::Erc721Consensus;
 use tokensync_core::standards::erc777::Erc777Consensus;
 use tokensync_experiments::Table;
@@ -116,13 +116,14 @@ fn main() {
     t.print("threaded stress of the adapter consensus objects");
 
     // --- ERC1155 census ---------------------------------------------------
-    let mut multi = Erc1155Token::deploy(4, ProcessId::new(0), &[10, 10]);
+    let mut multi = Erc1155State::deploy(4, ProcessId::new(0), &[10, 10]);
     multi
         .set_approval_for_all(ProcessId::new(0), ProcessId::new(1), true)
         .expect("ids in range");
     multi
         .set_approval_for_all(ProcessId::new(0), ProcessId::new(2), true)
         .expect("ids in range");
+    assert_eq!(multi.sync_level(), 3);
     println!(
         "\nERC1155: operator census upper-bounds the contract at level {} \
          (owner + 2 operators on a funded account); exact bounds remain open, \
@@ -138,6 +139,7 @@ fn main() {
             &[10, 10],
         )
         .expect("drain");
+    assert_eq!(multi.sync_level(), 1);
     println!(
         "after draining the account its operators go dormant: level {}.",
         multi.sync_level()

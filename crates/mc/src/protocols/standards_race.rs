@@ -1,12 +1,12 @@
 //! Section 6 adaptations as step machines: consensus races over ERC777
 //! and ERC721 objects, exhaustively model-checked.
 //!
-//! These reuse the *actual* sequential token implementations from
+//! These reuse the *actual* sequential token states from
 //! `tokensync-core::standards` as the explicit shared state, so the model
 //! checker exercises exactly the semantics the threaded constructions run
 //! on.
 
-use tokensync_core::standards::erc721::{Erc721Token, TokenId};
+use tokensync_core::standards::erc721::{race_sink, race_state, Erc721State, RACE_NFT, RACE_OWNER};
 use tokensync_core::standards::erc777::Erc777Token;
 use tokensync_spec::{AccountId, Amount, ProcessId};
 
@@ -114,12 +114,13 @@ impl Protocol for Erc777Race {
 
 /// The ERC721 consensus race (Section 6): the `k` movers of one NFT race
 /// `transferFrom`; ownership changes exactly once and `ownerOf` names the
-/// winner (the owner parks the NFT at a sink process, see the fidelity
-/// note in `core::standards::erc721`).
+/// winner (the owner parks the NFT at a sink process, see
+/// `core::standards::erc721::race_state`, which lays the race out for
+/// both this checker and `Erc721Consensus`).
 #[derive(Clone, Debug)]
 pub struct Erc721Race {
     k: usize,
-    initial: Erc721Token,
+    initial: Erc721State,
 }
 
 impl Erc721Race {
@@ -129,18 +130,15 @@ impl Erc721Race {
     ///
     /// Panics if `k == 0`.
     pub fn new(k: usize) -> Self {
-        assert!(k >= 1);
-        let owner = ProcessId::new(0);
-        let mut token = Erc721Token::mint_to(k + 1, owner, 1);
-        for i in 1..k {
-            token.set_approval_for_all(owner, ProcessId::new(i), true);
+        Self {
+            k,
+            initial: race_state(k),
         }
-        Self { k, initial: token }
     }
 }
 
 impl Protocol for Erc721Race {
-    type Shared = (Erc721Token, Vec<Option<u64>>);
+    type Shared = (Erc721State, Vec<Option<u64>>);
     type Local = u8;
 
     fn processes(&self) -> usize {
@@ -162,9 +160,7 @@ impl Protocol for Erc721Race {
     fn step(&self, shared: &mut Self::Shared, pc: &mut u8, p: ProcessId) -> Step {
         let (token, regs) = shared;
         let i = p.index();
-        let nft = TokenId::new(0);
-        let original = ProcessId::new(0);
-        let sink = ProcessId::new(self.k);
+        let sink = race_sink(self.k);
         match *pc {
             0 => {
                 regs[i] = Some(self.proposal(p));
@@ -172,15 +168,19 @@ impl Protocol for Erc721Race {
                 Step::Continue
             }
             1 => {
-                let target = if i == 0 { sink } else { p };
-                let _ = token.transfer_from(p, original, target, nft);
+                let target = if p == RACE_OWNER { sink } else { p };
+                let _ = token.transfer_from(p, RACE_OWNER, target, RACE_NFT);
                 *pc = 2;
                 Step::Continue
             }
             _ => {
-                let current = token.owner_of(nft).expect("the NFT exists");
+                let current = token.owner_of(RACE_NFT).expect("the NFT exists");
                 // After my own attempt the owner cannot still be p0.
-                let winner = if current == sink { 0 } else { current.index() };
+                let winner = if current == sink {
+                    RACE_OWNER.index()
+                } else {
+                    current.index()
+                };
                 Step::Decided(regs.get(winner).copied().flatten().unwrap_or(BOTTOM))
             }
         }
