@@ -77,6 +77,8 @@
 //! The operator-pair sets of ERC721 and ERC1155 (`setApprovalForAll`
 //! only) are small `BTreeSet`s: exact, but `O(log n)` per mark.
 
+use std::sync::OnceLock;
+
 use parking_lot::{Mutex, MutexGuard};
 
 /// One stripe's dirty slots under the mark/drain contract: bit `s` is
@@ -117,11 +119,16 @@ struct CacheLine<T>(T);
 ///
 /// Four stripes per core keeps the collision probability of two random
 /// concurrent operations low (≤ 1/4 per pair per core) without paying
-/// for a lock per slot.
+/// for a lock per slot. The cores are counted once per process: the
+/// probe reads cgroup and affinity state and costs more than building a
+/// small object.
 pub(crate) fn default_stripes(n: usize) -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    });
     let bound = n.clamp(1, 4 * cores);
     // Largest power of two ≤ bound (bound ≥ 1, so this is well-formed).
     1 << (usize::BITS - 1 - bound.leading_zeros())

@@ -1,23 +1,24 @@
 //! Response routing: the seam between the pipeline's commit stage and
-//! the per-connection write queues.
+//! the per-connection sessions.
 //!
 //! Every admitted request holds a **ticket** — an opaque `u64` the
 //! intake carries alongside the op (never persisted, never executed):
 //! the request's place in its connection's own sequence (high half) and
-//! the connection's number (low half). The connection keeps its admitted-but-unanswered
-//! requests in a window indexed by that sequence, so neither admitting
-//! a burst nor resolving a wave hashes anything. When the engine
-//! commits a wave, [`RouterSink`] receives the committed entries *with
-//! their tickets* ([`CommitSink::wave_committed_tagged`]), encodes each
-//! response straight into its connection's staging buffer, and hands
-//! every connection its buffer with a single push. An `Ok` ack therefore
-//! means exactly what a pipeline commit means; with durable acks enabled
-//! it additionally means the store's fsync watermark passed the entry.
+//! the connection's number (low half). The connection's [`Session`]
+//! keeps its admitted-but-unanswered requests in a window indexed by
+//! that sequence, so neither admitting a burst nor resolving a wave
+//! hashes anything. When the engine commits a wave, [`RouterSink`]
+//! receives the committed entries *with their tickets*
+//! ([`CommitSink::wave_committed_tagged`]), encodes each response
+//! straight into its session's staging buffer, and delivers every
+//! connection its buffer at once. An `Ok` ack therefore means exactly
+//! what a pipeline commit means; with durable acks enabled it
+//! additionally means the store's fsync watermark passed the entry.
 //!
 //! # Durable acks
 //!
 //! A durable ack waits for an fsync; the engine thread does not. At
-//! batch seal the sink *cuts* each connection's staging buffer — what
+//! batch seal the sink *cuts* each session's staging buffer — what
 //! lies before the cut is that batch's share, releasable once the
 //! watermark reaches the batch's last entry — queues the batch as
 //! **held**, and returns. The watermark
@@ -25,18 +26,26 @@
 //! at every later wave commit and seal, and, when the intake runs dry
 //! with something held, from the engine's idle hook
 //! ([`CommitSink::idle`]): every held batch it has passed is released in
-//! order, and all the batches one fsync covers leave as **one push per
-//! connection**. A reply therefore never reaches a socket before the
+//! order, and all the batches one fsync covers leave as **one delivery
+//! per connection**. A reply therefore never reaches a socket before the
 //! watermark covers its entry, and the engine commits batch N + 1 while
 //! batch N's fsync is in flight — which is what lets the store coalesce
 //! fsyncs at all. A batch held longer than
 //! [`ServerConfig::durable_wait`] degrades to ack-at-commit, alone; the
 //! engine drains everything held before it returns its run.
 //!
-//! The write queue is the slow-client firewall: pushes never block (the
-//! engine thread is the caller), and a queue at capacity closes the
-//! connection instead of growing — a client that stops reading is
-//! disconnected, not buffered without bound.
+//! # Lock layout
+//!
+//! One lock per connection: [`ConnState`] is a [`Session`] — window,
+//! staging buffers, cuts and bounded write buffer — behind one `Mutex`,
+//! plus the `Condvar` its writer parks on. The session does no I/O; a
+//! transition returns an [`Effect`] that `ConnState` carries out after
+//! unlocking. A delivery (a flush at commit, a release at the
+//! watermark) is thus one critical section: it moves the share to the
+//! write buffer, applies the slow-client bound — one frame past it
+//! aborts the connection, which is never buffered without bound —
+//! settles the window and closes a drained session. The connection
+//! table ([`Router`]) is the only other lock, taken before a session's.
 
 use std::collections::VecDeque;
 use std::net::{Shutdown, TcpStream};
@@ -51,282 +60,83 @@ use crate::obs::ServerObs;
 use crate::server::ServerConfig;
 use crate::wire::{encode_response_into, Status};
 
-#[derive(Default)]
-struct WriteQueue {
-    /// Encoded frames waiting for the writer thread, back to back.
-    buf: Vec<u8>,
-    /// Frames in `buf`: what the slow-client bound counts. The writer
-    /// holds at most one more buffer, itself taken from under the bound,
-    /// so a connection pins at most twice the bound; counting that one
-    /// too would disconnect a fast client, whose next burst can commit
-    /// before the writer thread is back from the `write` that delivered
-    /// the last.
-    queued: usize,
-    /// Set once the connection is closing: pushes are refused. A
-    /// drain-close lets queued frames flush; an abort-close clears them.
-    closed: bool,
-    /// The writer is waiting on `ready`; the push that finds it set
-    /// clears it and notifies, so a busy writer costs pushes no syscall.
-    parked: bool,
+/// What a [`Session`] transition asks of its connection, which carries
+/// it out after unlocking. Ordered, so two effects combine with `max`.
+#[must_use]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Effect {
+    Idle,
+    /// Wake the parked writer: it has frames, or its write side closed.
+    Wake,
+    /// The session aborted: wake the writer and shut the socket down,
+    /// failing a blocked `write` and ending a blocked `read`.
+    Shut,
 }
 
-/// Requests admitted to the pipeline but not yet answered, as a window
-/// over the connection's ticket sequence, plus the responses the commit
-/// stage has encoded and not yet pushed.
+/// One connection's protocol state, socket-free: the window of requests
+/// admitted but not yet answered, the responses the commit stage staged
+/// for them, and the bounded write buffer the writer thread drains. It
+/// does no I/O and reads no clock — transitions that need the time take
+/// it — and each returns the [`Effect`] its connection must carry out.
 #[derive(Default)]
-struct Pending {
+pub(crate) struct Session {
+    /// Low half of every ticket this session issues; never zero.
+    number: u32,
+    /// The slow-client bound, in frames.
+    cap: usize,
     /// `slots[i]` is sequence number `base + i`: the request id and
     /// admit time, `None` once resolved.
     base: u32,
     slots: VecDeque<Option<(u64, Instant)>>,
-    /// Registered and not yet answered. A reader that saw EOF keeps the
-    /// writer alive until this drains to zero.
+    /// Registered and not yet answered.
     outstanding: usize,
-    /// Set when the reader saw a clean EOF: the connection closes as
-    /// soon as `outstanding` reaches zero.
+    /// The reader saw EOF: the write side closes once `outstanding` is 0.
     draining: bool,
     /// Staged response frames, and the admit time of each.
     staged: Vec<u8>,
     staged_admitted: Vec<Instant>,
-    /// Durable-ack mode: where sealed batches end in the staging
-    /// buffers, oldest first. What lies past the last cut belongs to
-    /// the batch still committing.
-    cuts: VecDeque<Cut>,
+    /// Durable-ack mode: sealed batches' ends, oldest first, as `(covers,
+    /// bytes, frames)` — `staged[..bytes]` and `staged_admitted[..frames]`
+    /// answer entries below `covers`; the rest is still committing.
+    cuts: VecDeque<(u64, usize, usize)>,
+    /// Encoded frames waiting for the writer thread, back to back.
+    out: Vec<u8>,
+    /// Frames in `out`: what the slow-client bound counts. The writer
+    /// holds at most one more buffer, taken from under the bound, so a
+    /// connection pins at most twice the bound; counting that one would
+    /// cut off a fast client whose next burst beats the writer's `write`.
+    queued: usize,
+    /// Set once the write side is closing: frames are refused. A drain
+    /// lets `out` flush; an abort clears it.
+    closed: bool,
+    /// The writer waits for frames: the transition that gives it some
+    /// answers [`Effect::Wake`]; a busy writer costs no syscall.
+    parked: bool,
 }
 
-/// The end of one sealed batch's share of a connection's staging
-/// buffers: `staged[..bytes]` and `staged_admitted[..frames]` answer
-/// entries below `covers` (that batch's and every earlier one's).
-struct Cut {
-    covers: u64,
-    bytes: usize,
-    frames: usize,
-}
-
-/// Per-connection shared state: the bounded write queue its writer
-/// thread drains, and the pending window the drain-on-EOF lifecycle and
-/// the response router need.
-pub(crate) struct ConnState {
-    /// Used only to `shutdown` the socket (wakes blocked reads/writes on
-    /// both sides); reader and writer threads own their own clones.
-    stream: TcpStream,
-    /// Low half of every ticket this connection issues (never zero, so
-    /// `NO_TICKET` is never issued).
-    number: u32,
-    write_cap: usize,
-    obs: ServerObs,
-    queue: Mutex<WriteQueue>,
-    ready: Condvar,
-    pending: Mutex<Pending>,
-}
-
-impl ConnState {
-    /// State for a freshly accepted connection, entered in `router` under
-    /// the next number, from 1. Numbers are never reused, so a late
-    /// commit cannot answer a stranger.
-    pub(crate) fn attach(
-        router: &Router,
-        stream: TcpStream,
-        write_cap: usize,
-        obs: ServerObs,
-    ) -> Arc<Self> {
-        let mut conns = router.lock().unwrap();
-        obs.active.add(1);
-        let state = Arc::new(Self {
-            stream,
-            number: conns.len() as u32 + 1,
-            write_cap,
-            obs,
-            queue: Mutex::default(),
-            ready: Condvar::new(),
-            pending: Mutex::default(),
-        });
-        conns.push(Some(Arc::clone(&state)));
-        state
-    }
-
-    /// Empties this connection's slot in `router`, so the table stops
-    /// pinning its socket, staging buffers and pending window. The
-    /// writer thread calls this as it exits: the write queue is closed
-    /// by then, so a commit that still carries one of this connection's
-    /// tickets had nowhere to push its response anyway.
-    pub(crate) fn detach(&self, router: &Router) {
-        router.lock().unwrap()[self.number as usize - 1] = None;
-        self.obs.active.add(-1);
-    }
-
-    /// Queues `frames` encoded frames for the writer thread with one
-    /// lock and at most one wake-up. Never blocks. Returns `false` when
-    /// the queue is closed or would pass its bound (slow client) — and
-    /// then counts the overflow and abort-closes the connection.
-    pub(crate) fn push(&self, bytes: Vec<u8>, frames: usize) -> bool {
-        let mut q = self.queue.lock().unwrap();
-        if q.closed {
-            return false;
-        }
-        if q.queued + frames > self.write_cap {
-            drop(q);
-            self.obs.write_overflows.inc();
-            self.close_abort();
-            return false;
-        }
-        self.obs.write_pushes.inc();
-        q.queued += frames;
-        if q.buf.is_empty() {
-            q.buf = bytes;
-        } else {
-            q.buf.extend_from_slice(&bytes);
-        }
-        let wake = std::mem::take(&mut q.parked);
-        drop(q);
-        if wake {
-            self.ready.notify_one();
-        }
-        true
-    }
-
-    /// Abort-close: drop queued frames and shut the socket down now.
-    /// Wakes a writer blocked mid-`write_all` (the OS fails the send)
-    /// and a reader blocked in `read`.
-    pub(crate) fn close_abort(&self) {
-        let mut q = self.queue.lock().unwrap();
-        q.buf.clear();
-        q.closed = true;
-        drop(q);
-        self.ready.notify_all();
-        let _ = self.stream.shutdown(Shutdown::Both);
-    }
-
-    /// Drain-close: refuse new frames but let the writer flush what is
-    /// queued before it shuts the socket down.
-    pub(crate) fn close_drain(&self) {
-        self.queue.lock().unwrap().closed = true;
-        self.ready.notify_all();
-    }
-
-    /// Writer-thread fetch: everything queued since the last call, as
-    /// one buffer, or `None` once the queue is closed *and* empty.
-    pub(crate) fn next_write(&self) -> Option<Vec<u8>> {
-        let mut q = self.queue.lock().unwrap();
-        while q.buf.is_empty() {
-            if q.closed {
-                return None;
-            }
-            q.parked = true;
-            q = self.ready.wait(q).unwrap();
-        }
-        q.queued = 0;
-        Some(std::mem::take(&mut q.buf))
-    }
-
-    /// Opens pending slots for a burst of request ids, all admitted at
+impl Session {
+    /// Opens window slots for a burst of request ids, all admitted at
     /// `now`, and returns the first one's ticket; each next request's is
-    /// [`NEXT_TICKET`] further (wrapping). Must precede the intake
-    /// submit — the commit callback may fire before the submit returns.
-    pub(crate) fn register(&self, ids: impl Iterator<Item = u64>, now: Instant) -> u64 {
-        let mut p = self.pending.lock().unwrap();
-        let before = p.slots.len();
-        p.slots.extend(ids.map(|id| Some((id, now))));
-        p.outstanding += p.slots.len() - before;
-        let first = p.base.wrapping_add(before as u32);
+    /// [`NEXT_TICKET`] further (wrapping). Must precede the intake submit
+    /// — the commit callback may fire before the submit returns.
+    pub(crate) fn register(&mut self, ids: impl Iterator<Item = u64>, now: Instant) -> u64 {
+        let before = self.slots.len();
+        self.slots.extend(ids.map(|id| Some((id, now))));
+        self.outstanding += self.slots.len() - before;
+        let first = self.base.wrapping_add(before as u32);
         (u64::from(first) << 32) | u64::from(self.number)
     }
 
     /// Withdraws the last `n` registered requests: their submit was
     /// refused (Busy/Gone) and the reader answers them itself.
-    pub(crate) fn withdraw(&self, n: usize) {
-        let mut p = self.pending.lock().unwrap();
-        let keep = p.slots.len() - n;
-        p.slots.truncate(keep);
-        p.outstanding -= n;
+    pub(crate) fn withdraw(&mut self, n: usize) {
+        self.slots.truncate(self.slots.len() - n);
+        self.outstanding -= n;
     }
 
-    /// Ack at commit: pushes everything staged as one buffer.
-    fn flush(&self, now: Instant) {
-        let mut p = self.pending.lock().unwrap();
-        debug_assert!(p.cuts.is_empty(), "cut shares leave through `release`");
-        let bytes = std::mem::take(&mut p.staged);
-        let admitted = std::mem::take(&mut p.staged_admitted);
-        drop(p);
-        self.deliver(bytes, &admitted, now);
-    }
-
-    /// Batch seal in durable-ack mode: what was staged since the last
-    /// cut may leave once the watermark reaches `covers`.
-    fn cut(&self, covers: u64) {
-        let mut p = self.pending.lock().unwrap();
-        let (bytes, frames) = (p.staged.len(), p.staged_admitted.len());
-        p.cuts.push_back(Cut {
-            covers,
-            bytes,
-            frames,
-        });
-    }
-
-    /// The watermark reached `upto`: pushes the share of every batch it
-    /// covers as one buffer — nothing staged behind the last such cut.
-    /// A connection listed by several of the batches released together
-    /// is emptied by the first call; the rest find nothing.
-    fn release(&self, upto: u64, now: Instant) {
-        let mut p = self.pending.lock().unwrap();
-        let mut end = None;
-        while p.cuts.front().is_some_and(|cut| cut.covers <= upto) {
-            end = p.cuts.pop_front();
-        }
-        let Some(end) = end else {
-            return;
-        };
-        for cut in &mut p.cuts {
-            cut.bytes -= end.bytes;
-            cut.frames -= end.frames;
-        }
-        let later = p.staged.split_off(end.bytes);
-        let bytes = std::mem::replace(&mut p.staged, later);
-        let later = p.staged_admitted.split_off(end.frames);
-        let admitted = std::mem::replace(&mut p.staged_admitted, later);
-        drop(p);
-        self.deliver(bytes, &admitted, now);
-    }
-
-    /// Hands the writer one buffer of responses to requests admitted at
-    /// `admitted`: one wake-up, one `write`. A push refused by a closed
-    /// or overflowing write queue is not an error here — the connection
-    /// is gone; the commit stands.
-    fn deliver(&self, bytes: Vec<u8>, admitted: &[Instant], now: Instant) {
-        for then in admitted {
-            let waited = now.duration_since(*then).as_nanos();
-            self.obs.request_ns.record(waited as u64);
-        }
-        if !admitted.is_empty() && self.push(bytes, admitted.len()) {
-            self.obs.requests_ok.add(admitted.len() as u64);
-        }
-        // Only after the push: a drain-close refuses later frames.
-        self.settle(admitted.len());
-    }
-
-    /// Marks `n` admitted requests answered and completes a pending
-    /// drain-on-EOF.
-    fn settle(&self, n: usize) {
-        let mut p = self.pending.lock().unwrap();
-        p.outstanding -= n;
-        if p.outstanding == 0 && p.draining {
-            self.close_drain();
-        }
-    }
-
-    /// The reader saw a clean EOF: linger until every in-flight request
-    /// resolved, then the writer flushes and closes.
-    pub(crate) fn drain(&self) {
-        self.pending.lock().unwrap().draining = true;
-        self.settle(0);
-    }
-}
-
-impl Pending {
-    /// Commit-time resolution: stages the `Ok` response, its payload
-    /// written by `resp`, to the request behind sequence number `seq`.
-    /// Returns `true` when it is the first staged since the last flush
-    /// or cut.
+    /// Stages the `Ok` response, its payload written by `resp`, to the
+    /// request behind sequence number `seq`. Returns `true` when it is
+    /// the first staged since the last flush or cut.
     fn stage(&mut self, seq: u32, resp: impl FnOnce(&mut Vec<u8>)) -> bool {
         let at = seq.wrapping_sub(self.base) as usize;
         let Some((request_id, admitted)) = self.slots.get_mut(at).and_then(Option::take) else {
@@ -338,7 +148,217 @@ impl Pending {
         }
         encode_response_into(&mut self.staged, request_id, Status::Ok, resp);
         self.staged_admitted.push(admitted);
-        self.staged_admitted.len() - self.cuts.back().map_or(0, |cut| cut.frames) == 1
+        self.staged_admitted.len() - self.cuts.back().map_or(0, |cut| cut.2) == 1
+    }
+
+    /// Batch seal in durable-ack mode: what was staged since the last
+    /// cut may leave once the watermark reaches `covers`.
+    fn cut(&mut self, covers: u64) {
+        let end = (covers, self.staged.len(), self.staged_admitted.len());
+        self.cuts.push_back(end);
+    }
+
+    /// Ack at commit: delivers everything staged.
+    fn flush(&mut self, now: Instant, obs: &ServerObs) -> Effect {
+        debug_assert!(self.cuts.is_empty(), "cut shares leave through `release`");
+        self.deliver(self.staged.len(), self.staged_admitted.len(), now, obs)
+    }
+
+    /// The watermark reached `upto`: delivers the share of every batch it
+    /// covers at once. A session listed by several batches released
+    /// together is emptied by the first call; the rest find nothing.
+    fn release(&mut self, upto: u64, now: Instant, obs: &ServerObs) -> Effect {
+        let mut end = None;
+        while self.cuts.front().is_some_and(|cut| cut.0 <= upto) {
+            end = self.cuts.pop_front();
+        }
+        let Some((_, bytes, frames)) = end else {
+            return Effect::Idle;
+        };
+        for cut in &mut self.cuts {
+            cut.1 -= bytes;
+            cut.2 -= frames;
+        }
+        self.deliver(bytes, frames, now, obs)
+    }
+
+    /// Pushes the first `frames` staged responses (`bytes` of `staged`),
+    /// settles the window and closes a drained session. A refused push
+    /// is no error: the connection is gone; the commit stands.
+    fn deliver(&mut self, bytes: usize, frames: usize, now: Instant, obs: &ServerObs) -> Effect {
+        if frames == 0 {
+            return Effect::Idle;
+        }
+        for then in self.staged_admitted.drain(..frames) {
+            obs.request_ns
+                .record(now.duration_since(then).as_nanos() as u64);
+        }
+        let later = self.staged.split_off(bytes);
+        let share = std::mem::replace(&mut self.staged, later);
+        let pushed = self.push(share, frames, obs);
+        if !self.closed {
+            obs.requests_ok.add(frames as u64);
+        }
+        self.outstanding -= frames;
+        pushed.max(self.settle())
+    }
+
+    /// Queues `frames` encoded frames for the writer. Refused, quietly,
+    /// once the write side is closed; one frame past the bound is a slow
+    /// client — counted, and the session aborts.
+    pub(crate) fn push(&mut self, bytes: Vec<u8>, frames: usize, obs: &ServerObs) -> Effect {
+        if self.closed {
+            return Effect::Idle;
+        }
+        if self.queued + frames > self.cap {
+            obs.write_overflows.inc();
+            return self.abort();
+        }
+        obs.write_pushes.inc();
+        self.queued += frames;
+        if self.out.is_empty() {
+            self.out = bytes;
+        } else {
+            self.out.extend_from_slice(&bytes);
+        }
+        self.wake()
+    }
+
+    /// Writer-thread fetch: everything queued, as one buffer. `None` when
+    /// empty — and `parked`, unless the write side closed: writer done.
+    fn next_write(&mut self) -> Option<Vec<u8>> {
+        if self.out.is_empty() {
+            self.parked = !self.closed;
+            return None;
+        }
+        self.queued = 0;
+        Some(std::mem::take(&mut self.out))
+    }
+
+    /// The reader saw EOF: linger until every in-flight request is
+    /// answered, then close the write side.
+    pub(crate) fn drain(&mut self) -> Effect {
+        self.draining = true;
+        self.settle()
+    }
+
+    /// Closes a draining session whose last request has been answered.
+    fn settle(&mut self) -> Effect {
+        if self.outstanding == 0 && self.draining && !self.closed {
+            self.closed = true;
+            return self.wake();
+        }
+        Effect::Idle
+    }
+
+    /// Drops queued frames and refuses new ones.
+    fn abort(&mut self) -> Effect {
+        self.out.clear();
+        self.closed = true;
+        Effect::Shut
+    }
+
+    fn wake(&mut self) -> Effect {
+        if std::mem::take(&mut self.parked) {
+            Effect::Wake
+        } else {
+            Effect::Idle
+        }
+    }
+}
+
+/// A connection as its threads and the router share it: the [`Session`]
+/// behind the connection's one lock, the one condvar its writer parks
+/// on, and a socket handle for the effects that need one.
+pub(crate) struct ConnState {
+    session: Mutex<Session>,
+    ready: Condvar,
+    /// For `shutdown` only: the threads own their own clones. `None` for
+    /// the unit tests' socket-free sessions.
+    socket: Option<TcpStream>,
+    obs: ServerObs,
+}
+
+impl ConnState {
+    /// State for a freshly accepted connection, entered in `router` under
+    /// the next number, from 1. Numbers are never reused, so a late
+    /// commit cannot answer a stranger.
+    pub(crate) fn attach(
+        router: &Router,
+        socket: Option<TcpStream>,
+        cap: usize,
+        obs: ServerObs,
+    ) -> Arc<Self> {
+        let mut conns = router.lock().unwrap();
+        obs.active.add(1);
+        let number = conns.len() as u32 + 1;
+        let state = Arc::new(Self {
+            session: Mutex::new(Session {
+                number,
+                cap,
+                ..Session::default()
+            }),
+            ready: Condvar::new(),
+            socket,
+            obs,
+        });
+        conns.push(Some(Arc::clone(&state)));
+        state
+    }
+
+    /// Empties this connection's slot in `router`, unpinning its socket
+    /// and buffers. The writer calls this as it exits: its write side is
+    /// closed, so a late commit had nowhere to deliver anyway.
+    pub(crate) fn detach(&self, router: &Router) {
+        let number = self.lock().number;
+        router.lock().unwrap()[number as usize - 1] = None;
+        self.obs.active.add(-1);
+    }
+
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Session> {
+        self.session.lock().expect("a session holder panicked")
+    }
+
+    /// One session transition — one critical section — then its effect.
+    /// Returns whether the write side is still open.
+    pub(crate) fn run(&self, transition: impl FnOnce(&mut Session, &ServerObs) -> Effect) -> bool {
+        let mut session = self.lock();
+        let effect = transition(&mut session, &self.obs);
+        let open = !session.closed;
+        drop(session);
+        if effect >= Effect::Wake {
+            self.ready.notify_one();
+        }
+        if effect == Effect::Shut {
+            self.shutdown(Shutdown::Both);
+        }
+        open
+    }
+
+    /// Abort-close: drop queued frames and shut the socket down now.
+    pub(crate) fn close_abort(&self) {
+        self.run(|session, _| session.abort());
+    }
+
+    /// `Both` on abort; `Read` is how `finish` stops the readers — a
+    /// blocked `read` returns EOF, and the session drains.
+    pub(crate) fn shutdown(&self, how: Shutdown) {
+        if let Some(socket) = &self.socket {
+            let _ = socket.shutdown(how);
+        }
+    }
+
+    /// Writer-thread fetch: everything queued since the last call, as
+    /// one buffer, or `None` once the write side is closed *and* empty.
+    pub(crate) fn next_write(&self) -> Option<Vec<u8>> {
+        let mut session = self.lock();
+        loop {
+            let bytes = session.next_write();
+            if bytes.is_some() || !session.parked {
+                return bytes;
+            }
+            session = self.ready.wait(session).expect("a session holder panicked");
+        }
     }
 }
 
@@ -348,8 +368,8 @@ pub(crate) const NEXT_TICKET: u64 = 1 << 32;
 
 /// The one connection table: ticket → connection, by number − 1. Shared
 /// by the acceptor (attach), the engine thread (one lock per wave), each
-/// writer thread as it exits (detach) and `finish` (closes every write
-/// side). Slots are emptied, never removed — numbers are never reused —
+/// writer thread as it exits (detach) and `finish` (shuts every read
+/// half). Slots are emptied, never removed — numbers are never reused —
 /// and a ticket that resolves to an empty slot is skipped.
 pub(crate) type Router = Mutex<Vec<Option<Arc<ConnState>>>>;
 
@@ -410,35 +430,13 @@ impl<S> RouterSink<S> {
         self.inner
     }
 
-    /// Ack at commit: one push per connection the staged responses
-    /// answer.
-    fn flush(&mut self) {
-        let now = Instant::now();
-        self.staged.drain(..).for_each(|conn| conn.flush(now));
-    }
-
-    /// Batch seal in durable-ack mode: cuts the staged responses off as
-    /// this batch's and queues them for the watermark.
-    fn hold(&mut self) {
-        if self.staged.is_empty() {
-            return;
-        }
-        for conn in &self.staged {
-            conn.cut(self.staged_to);
-        }
-        self.held.push_back(Held {
-            covers: self.staged_to,
-            sealed: Instant::now(),
-            conns: std::mem::take(&mut self.staged),
-        });
-        self.obs.acks_held.set(self.held.len() as i64);
-    }
-
-    /// One look at the watermark — a single branch while nothing is
-    /// held (always, with acks at commit). Returns how long an idle
-    /// engine may wait before the next look, `None` once nothing is
-    /// held.
-    #[inline]
+    /// One look at the watermark: releases, oldest first, every held
+    /// batch it has reached — all of them as one delivery per connection.
+    /// A sink without a watermark covers everything (acks then mean
+    /// commit), and a batch held past `durable_wait` is released
+    /// uncovered, alone: a dead store degrades to ack-at-commit rather
+    /// than wedging replies. Returns how long an idle engine may wait
+    /// before the next look, `None` once nothing is held.
     fn release<T>(&mut self) -> Option<Duration>
     where
         T: ConcurrentObject + ?Sized,
@@ -447,20 +445,6 @@ impl<S> RouterSink<S> {
         if self.held.is_empty() {
             return None;
         }
-        self.release_held::<T>()
-    }
-
-    /// Releases, oldest first, every held batch the durable watermark
-    /// has reached — all of them as one push per connection. A sink
-    /// without a watermark covers everything (acks then mean commit),
-    /// and a batch held past `durable_wait` is released uncovered, alone:
-    /// a dead store degrades to ack-at-commit rather than wedging
-    /// replies.
-    fn release_held<T>(&mut self) -> Option<Duration>
-    where
-        T: ConcurrentObject + ?Sized,
-        S: CommitSink<T>,
-    {
         let (durable, now) = (self.inner.durable_seq(), Instant::now());
         let (mut upto, mut conns) = (None, Vec::new());
         while let Some(front) = self.held.front() {
@@ -475,7 +459,9 @@ impl<S> RouterSink<S> {
         }
         if let Some(upto) = upto {
             self.obs.acks_held.set(self.held.len() as i64);
-            conns.iter().for_each(|conn| conn.release(upto, now));
+            for conn in &conns {
+                conn.run(|session, obs| session.release(upto, now, obs));
+            }
         }
         (!self.held.is_empty()).then_some(WATERMARK_POLL)
     }
@@ -502,10 +488,10 @@ where
         self.release::<T>();
         debug_assert!(tickets.is_empty() || entries.len() == tickets.len());
         let conns = self.router.lock().unwrap();
-        // The connection the previous entry answered, its pending window
+        // The connection the previous entry answered, its session
         // locked: a shard drains as a run of one connection's tickets,
         // so the lock is taken once per run, not once per response.
-        let mut run: Option<(u32, &Arc<ConnState>, MutexGuard<'_, Pending>)> = None;
+        let mut run: Option<(u32, &Arc<ConnState>, MutexGuard<'_, Session>)> = None;
         for (entry, &ticket) in entries.iter().zip(tickets) {
             // The low half is the connection's number, the high half the
             // request's place in its window; `NO_TICKET` names nobody.
@@ -515,12 +501,12 @@ where
                 let conn = conns.get((number as usize).wrapping_sub(1));
                 run = conn
                     .and_then(Option::as_ref)
-                    .map(|conn| (number, conn, conn.pending.lock().unwrap()));
+                    .map(|conn| (number, conn, conn.lock()));
             }
-            let Some((_, conn, pending)) = &mut run else {
+            let Some((_, conn, session)) = &mut run else {
                 continue;
             };
-            if pending.stage((ticket >> 32) as u32, |body| entry.resp.encode_into(body)) {
+            if session.stage((ticket >> 32) as u32, |body| entry.resp.encode_into(body)) {
                 self.staged.push(Arc::clone(conn));
             }
             self.staged_to = self.staged_to.max(entry.seq + 1);
@@ -528,15 +514,28 @@ where
         drop(run);
         drop(conns);
         if !self.cfg.durable_acks {
-            self.flush();
+            // Ack at commit: one delivery per connection the wave answers.
+            let now = Instant::now();
+            for conn in self.staged.drain(..) {
+                conn.run(|session, obs| session.flush(now, obs));
+            }
         }
     }
 
     fn batch_sealed(&mut self, token: &T, batch: u64) {
         // Inner first: a group-commit store posts its fsync here.
         self.inner.batch_sealed(token, batch);
-        if self.cfg.durable_acks {
-            self.hold();
+        if self.cfg.durable_acks && !self.staged.is_empty() {
+            // Cut the staged responses off as this batch's, and hold them.
+            for conn in &self.staged {
+                conn.lock().cut(self.staged_to);
+            }
+            self.held.push_back(Held {
+                covers: self.staged_to,
+                sealed: Instant::now(),
+                conns: std::mem::take(&mut self.staged),
+            });
+            self.obs.acks_held.set(self.held.len() as i64);
         }
         self.release::<T>();
     }
@@ -553,7 +552,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
     use std::sync::atomic::{AtomicU64, Ordering};
     use tokensync_core::erc20::{Erc20Op, Erc20Resp, Erc20State};
     use tokensync_core::shared::ShardedErc20;
@@ -563,35 +561,44 @@ mod tests {
 
     use crate::wire::{decode_response, FrameDecoder};
 
-    /// The next connection of `router`, write bound 4 frames.
+    /// The next connection of `router`, socket-free, write bound 4
+    /// frames.
     fn attach(router: &Router, obs: &ServerObs) -> Arc<ConnState> {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        ConnState::attach(router, stream, 4, obs.clone())
+        ConnState::attach(router, None, 4, obs.clone())
     }
 
-    /// Connection number 1 of a fresh table, write bound 4 frames.
-    fn conn() -> (Arc<ConnState>, ServerObs) {
-        let obs = ServerObs::new(&Registry::new());
-        (attach(&Router::default(), &obs), obs)
+    /// Session number 1, write bound 4 frames, and its metrics.
+    fn session() -> (Session, ServerObs) {
+        let session = Session {
+            number: 1,
+            cap: 4,
+            ..Session::default()
+        };
+        (session, ServerObs::new(&Registry::new()))
+    }
+
+    /// Pushes `frames` one-byte frames; `true` while the write side
+    /// stays open.
+    fn push(session: &mut Session, frames: usize, obs: &ServerObs) -> bool {
+        let _ = session.push(vec![0; frames], frames, obs);
+        !session.closed
     }
 
     /// The sequence half of a ticket wraps without carrying into the
     /// connection number, and the window follows it across the wrap.
     #[test]
     fn ticket_sequence_wraps_within_its_half() {
-        let (conn, _obs) = conn();
-        conn.pending.lock().unwrap().base = u32::MAX;
-        let first = conn.register([7, 8].into_iter(), Instant::now());
+        let (mut s, _obs) = session();
+        s.base = u32::MAX;
+        let first = s.register([7, 8].into_iter(), Instant::now());
         assert_eq!(first, (u64::from(u32::MAX) << 32) | 1);
         let second = first.wrapping_add(NEXT_TICKET);
         assert_eq!(second, 1, "sequence 0 of connection 1");
-        let mut p = conn.pending.lock().unwrap();
-        assert!(p.stage((second >> 32) as u32, |_| {}));
-        assert_eq!((p.base, p.slots.len()), (u32::MAX, 2), "7 still pending");
-        p.stage((first >> 32) as u32, |_| {});
-        assert_eq!((p.base, p.slots.len()), (1, 0));
-        assert_eq!(p.staged_admitted.len(), 2);
+        assert!(s.stage((second >> 32) as u32, |_| {}));
+        assert_eq!((s.base, s.slots.len()), (u32::MAX, 2), "7 still pending");
+        assert!(!s.stage((first >> 32) as u32, |_| {}));
+        assert_eq!((s.base, s.slots.len()), (1, 0));
+        assert_eq!(s.staged_admitted.len(), 2);
     }
 
     /// The slow-client ceiling: the buffer a stalled writer took plus a
@@ -599,20 +606,50 @@ mod tests {
     /// frame more disconnects it, counted once.
     #[test]
     fn stalled_writer_plus_full_queue_is_the_ceiling() {
-        let (conn, obs) = conn();
+        let (mut s, obs) = session();
         // One byte stands for one frame.
-        assert!(conn.push(vec![0; 3], 3));
-        assert!(conn.push(vec![0; 1], 1), "the queue fills to its bound");
+        assert!(push(&mut s, 3, &obs));
+        assert!(push(&mut s, 1, &obs), "the queue fills to its bound");
         // The writer takes everything queued and stalls in its `write`.
-        assert_eq!(conn.next_write().map(|held| held.len()), Some(4));
-        assert!(conn.push(vec![0; 4], 4), "the bound counts the queue only");
+        assert_eq!(s.next_write().map(|held| held.len()), Some(4));
+        assert!(push(&mut s, 4, &obs), "the bound counts the queue only");
         assert_eq!(obs.write_overflows.get(), 0);
-        assert!(!conn.push(vec![0; 1], 1), "2 × bound + 1 frames");
+        assert_eq!(
+            s.push(vec![0], 1, &obs),
+            Effect::Shut,
+            "2 × bound + 1 frames"
+        );
         assert_eq!(obs.write_overflows.get(), 1);
         // The connection is gone: queued frames dropped, pushes refused.
-        assert!(!conn.push(vec![0; 1], 1));
+        assert_eq!(s.push(vec![0], 1, &obs), Effect::Idle);
         assert_eq!(obs.write_overflows.get(), 1);
-        assert_eq!(conn.next_write(), None);
+        assert_eq!(s.next_write(), None);
+        assert!(!s.parked, "a closed write side does not park the writer");
+    }
+
+    /// The delivery that answers the last outstanding request of a
+    /// draining session also closes its write side — one transition, one
+    /// wake-up for the parked writer, which then flushes and is done.
+    #[test]
+    fn last_delivery_of_a_draining_session_closes_it() {
+        let (mut s, obs) = session();
+        assert_eq!(s.next_write(), None);
+        assert!(s.parked, "the writer waits for frames");
+        let ticket = s.register([5, 6].into_iter(), Instant::now());
+        assert!(s.stage((ticket >> 32) as u32, |_| {}));
+        assert_eq!(s.drain(), Effect::Idle, "request 6 is still in flight");
+        assert_eq!(s.flush(Instant::now(), &obs), Effect::Wake);
+        assert!(!s.closed, "one request answered, one outstanding");
+        assert!(s.next_write().is_some());
+
+        assert_eq!(s.next_write(), None);
+        s.stage(((ticket >> 32) + 1) as u32, |_| {});
+        assert_eq!(s.flush(Instant::now(), &obs), Effect::Wake);
+        assert!(s.closed && s.outstanding == 0);
+        assert_eq!(obs.requests_ok.get(), 2, "the closing delivery is written");
+        assert!(s.next_write().is_some());
+        assert_eq!(s.next_write(), None);
+        assert!(!s.parked);
     }
 
     /// A sink whose durable watermark the test moves by hand.
@@ -676,7 +713,7 @@ mod tests {
             let now = Instant::now();
             let (mut entries, mut tickets) = (Vec::new(), Vec::new());
             for &(conn, id) in requests {
-                tickets.push(self.conns[conn].register([id].into_iter(), now));
+                tickets.push(self.conns[conn].lock().register([id].into_iter(), now));
                 entries.push(CommittedOp {
                     seq: self.next.0,
                     batch: self.next.1,
@@ -692,11 +729,11 @@ mod tests {
             self.next.0
         }
 
-        /// The request ids answered in connection `conn`'s write queue,
+        /// The request ids answered in connection `conn`'s write buffer,
         /// which is emptied.
         fn delivered(&self, conn: usize) -> Vec<u64> {
             let mut dec = FrameDecoder::new();
-            dec.feed(&std::mem::take(&mut *self.conns[conn].queue.lock().unwrap()).buf);
+            dec.feed(&self.conns[conn].lock().next_write().unwrap_or_default());
             let mut ids = Vec::new();
             while let Some(body) = dec.try_frame().expect("well-framed") {
                 let (id, reply) = decode_response::<Erc20Resp>(body).expect("well-formed");
@@ -786,7 +823,7 @@ mod tests {
     }
 
     /// A connection that closed while its replies were held: they are
-    /// dropped, its pending window still settles, the other
+    /// dropped, its window still settles, the other
     /// connection's replies are untouched.
     #[test]
     fn closed_connection_drops_its_held_replies_quietly() {
@@ -799,7 +836,7 @@ mod tests {
         assert_eq!(sink.idle(), None);
         assert_eq!((rig.delivered(0), rig.delivered(1)), (vec![], vec![2]));
         assert_eq!(rig.obs.requests_ok.get(), 1);
-        assert_eq!(rig.conns[0].pending.lock().unwrap().outstanding, 0);
+        assert_eq!(rig.conns[0].lock().outstanding, 0);
     }
 
     /// Spawns an engine over a durable-ack router and one connection.
@@ -818,7 +855,9 @@ mod tests {
     }
 
     fn submit(rig: &Rig, client: &tokensync_pipeline::IntakeClient<Erc20Op>, id: u64) {
-        let ticket = rig.conns[0].register([id].into_iter(), Instant::now());
+        let ticket = rig.conns[0]
+            .lock()
+            .register([id].into_iter(), Instant::now());
         client
             .submit_tagged(ProcessId::new(0), Erc20Op::TotalSupply, ticket)
             .expect("engine alive");

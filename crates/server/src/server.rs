@@ -4,9 +4,10 @@
 //!
 //! # Session lifecycle
 //!
-//! Each accepted connection gets two small-stack threads: a **reader**
+//! Each accepted connection gets two small-stack threads around one
+//! shared session (see [`crate::router`] for its lock): a **reader**
 //! (socket → [`FrameDecoder`] → decode → vet → admit) and a **writer**
-//! (bounded write queue → socket). The reader owns its own clone of the
+//! (bounded write buffer → socket). The reader owns its own clone of the
 //! intake handle, so every connection is pinned to an intake shard
 //! round-robin — one saturating connection fills *its* shard and starts
 //! seeing `Busy` while other connections' shards keep admitting (the
@@ -15,9 +16,16 @@
 //! Every hand-off costs one lock and at most one wake-up or syscall per
 //! **burst**, not per request: the reader admits everything one `read`
 //! returned with one [`IntakeClient::try_submit_burst`]; the commit
-//! stage pushes a wave's responses (with durable acks: those of every
+//! stage delivers a wave's responses (with durable acks: those of every
 //! batch one fsync covers) once per connection; the writer takes
 //! everything queued and issues one `write_all`.
+//!
+//! No acceptor or connection thread polls: the acceptor blocks in
+//! `accept`, the writer on its session's condvar, the reader in `read`
+//! ([`ServerConfig::read_grace`] is the timeout; on an idle connection
+//! it just reads again). [`ServerHandle::finish`] wakes the acceptor with
+//! one loopback connect, then shuts every read half: each blocked `read`
+//! returns EOF, and the session drains like any other.
 //!
 //! Admission control is the intake's bounded depth: the part of a burst
 //! its shard has no room for answers [`Status::Busy`] immediately
@@ -28,11 +36,11 @@
 //! slowloris and is dropped; a connection whose write queue would pass
 //! [`ServerConfig::write_queue_frames`] — filled by commits or by the
 //! reader's own rejections — has stopped reading responses and is
-//! dropped. A clean EOF with requests still in flight lingers just long
+//! dropped. An EOF with requests still in flight lingers just long
 //! enough for their commits to flush.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -82,13 +90,11 @@ pub struct ServerConfig {
     /// this — also disconnects: keep it above a client's in-flight
     /// window.
     pub write_queue_frames: usize,
-    /// Slowloris deadline: a frame left incomplete this long after its
-    /// last byte arrived drops the connection. An *idle* connection
-    /// (no partial frame pending) is never timed out.
+    /// Slowloris deadline, and the readers' read timeout: a frame left
+    /// incomplete this long after its last byte arrived drops the
+    /// connection. An *idle* connection (no partial frame pending) is
+    /// never timed out.
     pub read_grace: Duration,
-    /// Reader poll interval (read timeout): bounds shutdown and
-    /// slowloris-detection latency.
-    pub read_poll: Duration,
 }
 
 impl Default for ServerConfig {
@@ -99,7 +105,6 @@ impl Default for ServerConfig {
             durable_wait: Duration::from_secs(10),
             write_queue_frames: 1024,
             read_grace: Duration::from_secs(3),
-            read_poll: Duration::from_millis(50),
         }
     }
 }
@@ -114,7 +119,8 @@ pub struct Server;
 /// Handle on a spawned server: address, metrics, and the graceful stop.
 pub struct ServerHandle<T: ConcurrentObject, S> {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    /// Tells the acceptor to exit at its next wake-up.
+    stop: Arc<AtomicBool>,
     accept: JoinHandle<Vec<ConnThreads>>,
     router: Arc<Router>,
     client: IntakeClient<T::Op>,
@@ -146,7 +152,6 @@ impl Server {
     {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let obs = ServerObs::new(registry);
         let pipe_obs = PipelineObs::new(registry, cfg.pipeline.batch.intake_shards);
@@ -154,21 +159,19 @@ impl Server {
         let rsink = RouterSink::new(Arc::clone(&router), cfg, obs.clone(), sink);
         let (client, engine) = Pipeline::spawn_observed(token, cfg.pipeline, rsink, pipe_obs);
 
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(AtomicBool::new(false));
 
         let accept = {
-            let shutdown = Arc::clone(&shutdown);
-            let router = Arc::clone(&router);
-            let obs = obs.clone();
-            let client = client.clone();
+            let (stop, router) = (Arc::clone(&stop), Arc::clone(&router));
+            let (obs, client) = (obs.clone(), client.clone());
             std::thread::Builder::new()
                 .name("tokensync-accept".into())
-                .spawn(move || accept_loop::<T>(listener, shutdown, router, obs, client, cfg))?
+                .spawn(move || accept_loop::<T>(listener, &stop, &router, &obs, &client, cfg))?
         };
 
         Ok(ServerHandle {
             addr,
-            shutdown,
+            stop,
             accept,
             router,
             client,
@@ -190,33 +193,36 @@ impl<T: ConcurrentObject, S> ServerHandle<T, S> {
         &self.obs
     }
 
-    /// Graceful stop: stop accepting, stop the readers, drain the
-    /// engine (every admitted request resolves and its response
-    /// flushes), then close the sockets. Returns the engine run and the
-    /// durability sink.
+    /// Graceful stop: stop accepting, end every reader as if its client
+    /// had half-closed, drain the engine (every admitted request
+    /// resolves and its response flushes), then close the sockets.
+    /// Returns the engine run and the durability sink.
     ///
     /// # Panics
     ///
     /// Propagates a panic of the engine or a connection thread.
     pub fn finish(self) -> (PipelineRun<T::Op, T::Resp>, S) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.stop.store(true, Ordering::SeqCst);
+        // One loopback connection wakes the blocked `accept`; it is
+        // retried only while it fails and the acceptor still runs.
+        while !self.accept.is_finished() && TcpStream::connect(self.addr).is_err() {}
         let threads = self.accept.join().expect("accept thread panicked");
-        // Readers see the shutdown flag at their next poll tick and
-        // drop their intake clones; they must be joined *before* the
-        // engine, which drains only once every producer handle is gone.
+        // Each blocked `read` returns EOF: the reader drains its session
+        // and drops its intake clone — before the engine is joined, which
+        // drains only once every producer is gone.
+        for state in self.router.lock().unwrap().iter().flatten() {
+            state.shutdown(Shutdown::Read);
+        }
         let mut writers = Vec::with_capacity(threads.len());
         for (reader, writer) in threads {
             reader.join().expect("conn reader panicked");
             writers.push(writer);
         }
         drop(self.client);
-        // The engine commits everything admitted and resolves every
-        // ticket through the router, queueing the final responses.
+        // The engine answers every admitted request. Each session is
+        // draining or aborted, so its last delivery closes it, and its
+        // writer flushes and exits.
         let (run, rsink) = self.engine.finish();
-        // Flush and close the write sides.
-        for state in self.router.lock().unwrap().iter().flatten() {
-            state.close_drain();
-        }
         for writer in writers {
             writer.join().expect("conn writer panicked");
         }
@@ -229,27 +235,28 @@ impl<T: ConcurrentObject, S> ServerHandle<T, S> {
 /// every session ever served. A thread's panic propagates here exactly
 /// as it would have in `finish`.
 fn reap_finished(threads: &mut Vec<ConnThreads>) {
-    let mut i = 0;
-    while i < threads.len() {
-        if threads[i].0.is_finished() && threads[i].1.is_finished() {
-            let (reader, writer) = threads.swap_remove(i);
-            reader.join().expect("conn reader panicked");
-            writer.join().expect("conn writer panicked");
-        } else {
-            i += 1;
-        }
+    let finished = |pair: &mut ConnThreads| pair.0.is_finished() && pair.1.is_finished();
+    for (reader, writer) in threads.extract_if(.., finished) {
+        reader.join().expect("conn reader panicked");
+        writer.join().expect("conn writer panicked");
     }
 }
 
-/// Accepts until `shutdown`, reaping finished connections every tick;
+/// A connection thread: named, on a small stack.
+fn spawn_conn(name: &str, body: impl FnOnce() + Send + 'static) -> io::Result<JoinHandle<()>> {
+    let thread = std::thread::Builder::new().name(name.into());
+    thread.stack_size(256 * 1024).spawn(body)
+}
+
+/// Accepts until `stop`, reaping finished connections at every accept;
 /// returns the threads of the connections still live, for `finish` to
 /// join.
 fn accept_loop<T>(
     listener: TcpListener,
-    shutdown: Arc<AtomicBool>,
-    router: Arc<Router>,
-    obs: ServerObs,
-    client: IntakeClient<T::Op>,
+    stop: &AtomicBool,
+    router: &Arc<Router>,
+    obs: &ServerObs,
+    client: &IntakeClient<T::Op>,
     cfg: ServerConfig,
 ) -> Vec<ConnThreads>
 where
@@ -258,57 +265,45 @@ where
     T::Resp: Codec,
 {
     let mut threads = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
+    loop {
+        let accepted = listener.accept();
+        // `finish` raises `stop`, then connects to wake this `accept`.
+        if stop.load(Ordering::SeqCst) {
+            return threads;
+        }
         reap_finished(&mut threads);
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                obs.sessions.inc();
-                let _ = stream.set_nodelay(true);
-                let Ok(write_stream) = stream.try_clone() else {
-                    continue;
-                };
-                let Ok(shutdown_stream) = stream.try_clone() else {
-                    continue;
-                };
-                let state = ConnState::attach(
-                    &router,
-                    shutdown_stream,
-                    cfg.write_queue_frames,
-                    obs.clone(),
-                );
-                // Clone-per-connection pins each session to an intake
-                // shard round-robin — the fairness seam.
-                let intake = client.clone();
-                let reader = {
-                    let state = Arc::clone(&state);
-                    let obs = obs.clone();
-                    let shutdown = Arc::clone(&shutdown);
-                    std::thread::Builder::new()
-                        .name("tokensync-conn-r".into())
-                        .stack_size(256 * 1024)
-                        .spawn(move || {
-                            conn_reader::<T>(stream, state, intake, &obs, &cfg, shutdown);
-                        })
-                };
-                let writer = {
-                    let state = Arc::clone(&state);
-                    let router = Arc::clone(&router);
-                    std::thread::Builder::new()
-                        .name("tokensync-conn-w".into())
-                        .stack_size(256 * 1024)
-                        .spawn(move || conn_writer(write_stream, &state, &router))
-                };
-                if let (Ok(reader), Ok(writer)) = (reader, writer) {
-                    threads.push((reader, writer));
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+        let Ok((stream, _peer)) = accepted else {
+            // Out of descriptors, say: back off rather than spin.
+            std::thread::sleep(Duration::from_millis(1));
+            continue;
+        };
+        obs.sessions.inc();
+        let _ = stream.set_nodelay(true);
+        let (Ok(write_stream), Ok(socket)) = (stream.try_clone(), stream.try_clone()) else {
+            continue;
+        };
+        let state = ConnState::attach(router, Some(socket), cfg.write_queue_frames, obs.clone());
+        // Clone-per-connection pins each session to an intake shard
+        // round-robin — the fairness seam.
+        let intake = client.clone();
+        let reader = {
+            let (state, obs) = (Arc::clone(&state), obs.clone());
+            spawn_conn("tokensync-conn-r", move || {
+                conn_reader::<T>(stream, &state, &intake, &obs, cfg.read_grace);
+            })
+        };
+        let writer = {
+            let (state, router) = (Arc::clone(&state), Arc::clone(router));
+            spawn_conn("tokensync-conn-w", move || {
+                conn_writer(write_stream, &state, &router);
+            })
+        };
+        match (reader, writer) {
+            (Ok(reader), Ok(writer)) => threads.push((reader, writer)),
+            // A thread that did start sees the socket shut and exits.
+            _ => state.close_abort(),
         }
     }
-    threads
 }
 
 /// Writer thread: drains the bounded queue to the socket, everything
@@ -318,7 +313,7 @@ where
 fn conn_writer(mut stream: TcpStream, state: &ConnState, router: &Router) {
     loop {
         let Some(bytes) = state.next_write() else {
-            let _ = stream.shutdown(std::net::Shutdown::Write);
+            let _ = stream.shutdown(Shutdown::Write);
             break;
         };
         if stream.write_all(&bytes).is_err() {
@@ -330,63 +325,62 @@ fn conn_writer(mut stream: TcpStream, state: &ConnState, router: &Router) {
 }
 
 /// Reader thread: frames, decodes, vets, submits. Every exit path
-/// decides the connection's fate explicitly: fail closed (abort),
-/// drain-on-EOF, or global shutdown (writer flushed by `finish`).
+/// decides the connection's fate explicitly: fail closed (abort), or
+/// drain on EOF — the client's half-close, or `finish` shutting the
+/// read half.
 fn conn_reader<T>(
     mut stream: TcpStream,
-    state: Arc<ConnState>,
-    intake: IntakeClient<T::Op>,
+    state: &ConnState,
+    intake: &IntakeClient<T::Op>,
     obs: &ServerObs,
-    cfg: &ServerConfig,
-    shutdown: Arc<AtomicBool>,
+    read_grace: Duration,
 ) where
     T: WireStandard,
     T::Op: Codec,
 {
-    let _ = stream.set_read_timeout(Some(cfg.read_poll));
+    // Each `read` starts after the last byte arrived, so a timeout is
+    // `read_grace` of silence.
+    let _ = stream.set_read_timeout(Some(read_grace));
     let mut dec = FrameDecoder::new();
     let mut buf = [0u8; 8 * 1024];
     let mut burst = Vec::new();
-    let mut last_byte = Instant::now();
     loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match stream.read(&mut buf) {
+        let n = match stream.read(&mut buf) {
             Ok(0) => {
-                // Clean EOF: linger until every in-flight request
-                // resolved, then the writer flushes and closes.
-                state.drain();
+                // EOF: linger until every in-flight request resolved,
+                // then the writer flushes and closes.
+                state.run(|session, _| session.drain());
                 return;
             }
-            Ok(n) => {
-                last_byte = Instant::now();
-                dec.feed(&buf[..n]);
-                if !admit_burst::<T>(&mut dec, &mut burst, last_byte, &state, &intake, obs) {
-                    state.close_abort();
-                    return;
-                }
-            }
+            Ok(n) => n,
+            // Silence between frames is an idle client; a frame stuck
+            // mid-transfer is a slowloris.
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
             {
-                if dec.buffered() > 0 && last_byte.elapsed() >= cfg.read_grace {
-                    obs.slow_disconnects.inc();
-                    state.close_abort();
-                    return;
+                if dec.buffered() == 0 {
+                    continue;
                 }
+                obs.slow_disconnects.inc();
+                break;
             }
-            Err(_) => {
-                state.close_abort();
-                return;
-            }
+            Err(_) => break,
+        };
+        dec.feed(&buf[..n]);
+        if !admit_burst::<T>(&mut dec, &mut burst, Instant::now(), state, intake, obs) {
+            break;
         }
     }
+    state.close_abort();
 }
 
 /// Every complete frame `dec` holds — one read burst — through decode →
-/// vet → admit: one pending-window lock, one intake submit and one
-/// write-queue push (the rejections) for the lot. `burst` is scratch,
+/// vet → admit: one session lock to register and one intake submit for
+/// the lot, then — only if some were refused or rejected — one lock to
+/// withdraw them and one push of all the rejections. `burst` is scratch,
 /// empty between calls. Returns `false` when the connection must close:
 /// a framing violation, or a write side that is already gone.
 fn admit_burst<T>(
@@ -434,7 +428,9 @@ where
     if !burst.is_empty() {
         // Register before submit: the commit callback can fire (and must
         // find the slot) before the submit call even returns.
-        let first = state.register(burst.iter().map(|request| request.2), now);
+        let first = state
+            .lock()
+            .register(burst.iter().map(|request| request.2), now);
         let mut rest = burst.drain(..).enumerate();
         let mut tagged = rest
             .by_ref()
@@ -446,12 +442,14 @@ where
         let refused = rest
             .map(|(_, (_, _, request_id))| reject(request_id, status))
             .count();
-        state.withdraw(refused);
+        if refused > 0 {
+            state.lock().withdraw(refused);
+        }
         if status == Status::Busy {
             obs.busy.add(refused as u64);
         }
     }
-    (rejected == 0 || state.push(rejects, rejected)) && intact
+    (rejected == 0 || state.run(|session, obs| session.push(rejects, rejected, obs))) && intact
 }
 
 #[cfg(test)]

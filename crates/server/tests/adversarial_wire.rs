@@ -28,10 +28,10 @@ use tokensync_server::{Client, Reply, Server, ServerConfig, ServerHandle};
 use tokensync_spec::{AccountId, ProcessId};
 
 fn test_config() -> ServerConfig {
-    let mut cfg = ServerConfig::default();
-    cfg.read_grace = Duration::from_millis(400);
-    cfg.read_poll = Duration::from_millis(10);
-    cfg
+    ServerConfig {
+        read_grace: Duration::from_millis(400),
+        ..ServerConfig::default()
+    }
 }
 
 fn spawn_erc20() -> ServerHandle<ShardedErc20, ()> {

@@ -18,12 +18,6 @@ use tokensync_server::wire::{decode_response, encode_request, FrameDecoder, Wire
 use tokensync_server::{Client, Reply, Server, ServerConfig, ServerHandle};
 use tokensync_spec::{AccountId, ProcessId};
 
-fn base_config() -> ServerConfig {
-    let mut cfg = ServerConfig::default();
-    cfg.read_poll = Duration::from_millis(10);
-    cfg
-}
-
 fn spawn_with<S>(cfg: ServerConfig, sink: S) -> ServerHandle<ShardedErc20, S>
 where
     S: CommitSink<ShardedErc20> + Send + 'static,
@@ -41,8 +35,10 @@ where
 /// well-behaved client on the same server keeps getting answers.
 #[test]
 fn non_reading_client_is_disconnected_not_buffered() {
-    let mut cfg = base_config();
-    cfg.write_queue_frames = 64;
+    let cfg = ServerConfig {
+        write_queue_frames: 64,
+        ..ServerConfig::default()
+    };
     let handle = spawn_with(cfg, ());
     let addr = handle.addr();
 
@@ -104,8 +100,10 @@ fn non_reading_client_is_disconnected_not_buffered() {
 /// never timed out — only mid-frame stalls are hostile.
 #[test]
 fn slowloris_dropped_idle_connection_kept() {
-    let mut cfg = base_config();
-    cfg.read_grace = Duration::from_millis(200);
+    let cfg = ServerConfig {
+        read_grace: Duration::from_millis(200),
+        ..ServerConfig::default()
+    };
     let handle = spawn_with(cfg, ());
     let addr = handle.addr();
 
@@ -147,6 +145,47 @@ fn slowloris_dropped_idle_connection_kept() {
     handle.finish();
 }
 
+/// No reader polls: `finish` ends a reader blocked in `read` at once,
+/// idle or holding half a frame, however long the read grace — and
+/// every idle client then reads EOF.
+#[test]
+fn finish_does_not_wait_for_idle_readers() {
+    let cfg = ServerConfig {
+        read_grace: Duration::from_secs(60),
+        ..ServerConfig::default()
+    };
+    let handle = spawn_with(cfg, ());
+    let mut idle: Vec<TcpStream> = (0..8)
+        .map(|_| TcpStream::connect(handle.addr()).unwrap())
+        .collect();
+    let mut half = TcpStream::connect(handle.addr()).unwrap();
+    let frame = encode_request(
+        1,
+        ShardedErc20::STANDARD,
+        ProcessId::new(1),
+        &Erc20Op::TotalSupply,
+    );
+    half.write_all(&frame[..frame.len() / 2]).unwrap();
+    while handle.obs().sessions.get() < 9 {
+        std::thread::yield_now();
+    }
+
+    // On its own thread, so that a `finish` stuck behind a reader fails
+    // the test instead of hanging it.
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(handle.finish()).unwrap());
+    let waited = finished.recv_timeout(Duration::from_secs(5));
+    assert!(waited.is_ok(), "finish still waiting after 5 s");
+    for s in idle.iter_mut().chain([&mut half]) {
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut buf = [0u8; 64];
+        assert!(
+            matches!(s.read(&mut buf), Ok(0)),
+            "the server closed its side"
+        );
+    }
+}
+
 /// A sink whose first commit blocks until the test opens a gate: stalls
 /// the engine with work admitted, so intake shards fill deterministically.
 struct GateSink {
@@ -171,7 +210,7 @@ impl<T: ConcurrentObject + ?Sized> CommitSink<T> for GateSink {
 /// admitted and, once the engine resumes, everything committed.
 #[test]
 fn saturating_connection_does_not_starve_others() {
-    let mut cfg = base_config();
+    let mut cfg = ServerConfig::default();
     cfg.pipeline.batch.intake_shards = 2;
     cfg.pipeline.batch.queue_depth = 64; // 32 per shard
     cfg.pipeline.batch.max_ops = 8;
@@ -252,7 +291,7 @@ fn saturating_connection_does_not_starve_others() {
 /// one batch, and their responses one buffer.
 #[test]
 fn half_close_drains_pending_responses() {
-    let handle = spawn_with(base_config(), ());
+    let handle = spawn_with(ServerConfig::default(), ());
     let mut s = TcpStream::connect(handle.addr()).unwrap();
     s.set_nodelay(true).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
@@ -351,7 +390,7 @@ fn a_wave_is_one_push_per_connection() {
     const K: u64 = 50;
     let gate = Arc::new((Mutex::new(false), Condvar::new()));
     let handle = spawn_with(
-        base_config(),
+        ServerConfig::default(),
         GateSink {
             gate: Arc::clone(&gate),
         },
@@ -422,8 +461,10 @@ impl<T: ConcurrentObject + ?Sized> CommitSink<T> for ManualWatermark {
 #[test]
 fn batches_one_fsync_covers_are_one_push_per_connection() {
     const K: u64 = 50;
-    let mut cfg = base_config();
-    cfg.durable_acks = true;
+    let mut cfg = ServerConfig {
+        durable_acks: true,
+        ..ServerConfig::default()
+    };
     cfg.pipeline.batch.max_ops = 16;
     let sink = ManualWatermark::default();
     let handle = spawn_with(cfg, sink.clone());
@@ -464,7 +505,7 @@ fn batches_one_fsync_covers_are_one_push_per_connection() {
 /// full, by the `recv`s that follow it.
 #[test]
 fn pipelined_sends_are_all_answered() {
-    let handle = spawn_with(base_config(), ());
+    let handle = spawn_with(ServerConfig::default(), ());
     let mut client = Client::<ShardedErc20>::connect(handle.addr()).unwrap();
     client
         .set_read_timeout(Some(Duration::from_secs(30)))
@@ -491,7 +532,7 @@ fn pipelined_sends_are_all_answered() {
 /// ...and a client that only sends puts them on the wire with `flush`.
 #[test]
 fn flush_delivers_sends_without_a_recv() {
-    let handle = spawn_with(base_config(), ());
+    let handle = spawn_with(ServerConfig::default(), ());
     let mut client = Client::<ShardedErc20>::connect(handle.addr()).unwrap();
     for _ in 0..10 {
         client
@@ -519,7 +560,7 @@ fn closed_connections_release_their_table_slot() {
     // Where the OS lists them, count descriptors too: the table's
     // handle on the socket is the last one to go.
     let open_fds = || std::fs::read_dir("/proc/self/fd").map(Iterator::count).ok();
-    let handle = spawn_with(base_config(), ());
+    let handle = spawn_with(ServerConfig::default(), ());
     let fds_before = open_fds();
     let op = Erc20Op::BalanceOf {
         account: AccountId::new(3),

@@ -37,10 +37,10 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 fn server_config(durable_acks: bool) -> ServerConfig {
-    let mut cfg = ServerConfig::default();
-    cfg.read_poll = Duration::from_millis(10);
-    cfg.durable_acks = durable_acks;
-    cfg
+    ServerConfig {
+        durable_acks,
+        ..ServerConfig::default()
+    }
 }
 
 const ACCOUNTS: usize = 32;
