@@ -4,25 +4,37 @@
 //! what keeps a token from scaling: at a million accounts it needs
 //! terabytes before the first `approve`. Real allowance sets are tiny
 //! relative to `n` (an account authorizes a handful of spenders, not the
-//! whole world), so each row is stored as a sorted vector of
+//! whole world), so each row is stored as a sorted list of
 //! `(spender, amount)` pairs holding **only the positive entries**.
 //!
-//! Keeping zero entries out of the vector is a representation invariant,
-//! not just an optimization: it makes the encoding *canonical*, so the
-//! derived `PartialEq`/`Hash` on [`SpenderMap`] (and on
+//! Keeping zero entries out of the row is a representation invariant,
+//! not just an optimization: it makes the entry list *canonical*, so
+//! [`SpenderMap`]'s `PartialEq`/`Hash` (and the derived ones on
 //! [`Erc20State`](super::Erc20State)) coincide with mathematical equality
 //! of the allowance function — two states are `==` iff they agree on every
 //! `α(a, p)`.
+//!
+//! The commonest non-trivial row holds exactly one approval
+//! (`|σ_q(a)| = 2`), so a row of at most one entry is stored in place and
+//! only a second spender spills it to a heap vector: decoding, cloning
+//! and restoring such rows allocate nothing. Which form holds a row is
+//! invisible: equality, hashing, `Debug` and iteration all read the
+//! entry slice.
+
+use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use tokensync_spec::{Amount, ProcessId};
 
 /// One account's outstanding approvals: the support of `α(a, ·)` as a
-/// sorted vector of `(spender index, amount)` pairs with all amounts
+/// sorted list of `(spender index, amount)` pairs with all amounts
 /// positive.
 ///
 /// Reads are `O(log e)` (binary search) and iteration is `O(e)`, where `e`
 /// is the number of outstanding approvals on the account — independent of
-/// the total number of accounts `n`.
+/// the total number of accounts `n`. A row with at most one entry lives in
+/// place (no heap allocation); a row that has held two or more lives in a
+/// sorted vector, which keeps its capacity when entries are removed.
 ///
 /// # Example
 ///
@@ -42,17 +54,74 @@ use tokensync_spec::{Amount, ProcessId};
 ///     vec![(ProcessId::new(1), 5)]
 /// );
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
+#[derive(Default)]
 pub struct SpenderMap {
-    /// Sorted by spender index; every amount is `> 0`.
-    entries: Vec<(u32, Amount)>,
+    entries: Entries,
 }
+
+/// A row held in place (empty or one entry) or spilled to the heap
+/// (`Many`, sorted by spender index, any length once spilled); every
+/// amount is `> 0`.
+#[derive(Default)]
+enum Entries {
+    #[default]
+    Empty,
+    One((u32, Amount)),
+    Many(Vec<(u32, Amount)>),
+}
+
+// The per-stripe row vectors of the sharded token hold one `SpenderMap`
+// per account: the in-place form must not widen them.
+const _: () =
+    assert!(std::mem::size_of::<SpenderMap>() == std::mem::size_of::<Vec<(u32, Amount)>>());
 
 impl SpenderMap {
     /// An empty row: `α(a, p) = 0` for every `p`.
     pub const fn new() -> Self {
         Self {
-            entries: Vec::new(),
+            entries: Entries::Empty,
+        }
+    }
+
+    /// The entries, sorted by spender index, whichever form holds them.
+    fn as_slice(&self) -> &[(u32, Amount)] {
+        match &self.entries {
+            Entries::Empty => &[],
+            Entries::One(entry) => std::slice::from_ref(entry),
+            Entries::Many(entries) => entries,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [(u32, Amount)] {
+        match &mut self.entries {
+            Entries::Empty => &mut [],
+            Entries::One(entry) => std::slice::from_mut(entry),
+            Entries::Many(entries) => entries,
+        }
+    }
+
+    /// Inserts `entry` at sorted position `at`.
+    fn insert(&mut self, at: usize, entry: (u32, Amount)) {
+        match &mut self.entries {
+            Entries::Empty => self.entries = Entries::One(entry),
+            Entries::One(first) => {
+                // The second spender spills the row to the heap.
+                let mut entries = Vec::with_capacity(4);
+                entries.push(*first);
+                entries.insert(at, entry);
+                self.entries = Entries::Many(entries);
+            }
+            Entries::Many(entries) => entries.insert(at, entry),
+        }
+    }
+
+    /// Removes the entry at sorted position `at`.
+    fn remove(&mut self, at: usize) {
+        match &mut self.entries {
+            Entries::Many(entries) => {
+                entries.remove(at);
+            }
+            _ => self.entries = Entries::Empty,
         }
     }
 
@@ -63,8 +132,9 @@ impl SpenderMap {
         let Ok(key) = u32::try_from(spender) else {
             return 0;
         };
-        match self.entries.binary_search_by_key(&key, |e| e.0) {
-            Ok(i) => self.entries[i].1,
+        let entries = self.as_slice();
+        match entries.binary_search_by_key(&key, |e| e.0) {
+            Ok(i) => entries[i].1,
             Err(_) => 0,
         }
     }
@@ -79,17 +149,18 @@ impl SpenderMap {
     /// deployment this workspace models).
     pub fn set(&mut self, spender: usize, value: Amount) {
         let key = u32::try_from(spender).expect("spender index exceeds u32::MAX");
-        match self.entries.binary_search_by_key(&key, |e| e.0) {
+        let entries = self.as_mut_slice();
+        match entries.binary_search_by_key(&key, |e| e.0) {
             Ok(i) => {
                 if value == 0 {
-                    self.entries.remove(i);
+                    self.remove(i);
                 } else {
-                    self.entries[i].1 = value;
+                    entries[i].1 = value;
                 }
             }
             Err(i) => {
                 if value != 0 {
-                    self.entries.insert(i, (key, value));
+                    self.insert(i, (key, value));
                 }
             }
         }
@@ -108,12 +179,13 @@ impl SpenderMap {
             debug_assert!(false, "debit of an out-of-range spender");
             return;
         };
-        match self.entries.binary_search_by_key(&key, |e| e.0) {
+        let entries = self.as_mut_slice();
+        match entries.binary_search_by_key(&key, |e| e.0) {
             Ok(i) => {
-                debug_assert!(self.entries[i].1 >= value, "debit past the allowance");
-                self.entries[i].1 -= value;
-                if self.entries[i].1 == 0 {
-                    self.entries.remove(i);
+                debug_assert!(entries[i].1 >= value, "debit past the allowance");
+                entries[i].1 -= value;
+                if entries[i].1 == 0 {
+                    self.remove(i);
                 }
             }
             Err(_) => debug_assert!(false, "debit of an absent allowance"),
@@ -123,19 +195,54 @@ impl SpenderMap {
     /// Iterates the outstanding approvals `(p, α(a, p))` with `α(a, p) > 0`
     /// in increasing spender order.
     pub fn iter(&self) -> impl Iterator<Item = (ProcessId, Amount)> + '_ {
-        self.entries
+        self.as_slice()
             .iter()
             .map(|&(p, v)| (ProcessId::new(p as usize), v))
     }
 
     /// Number of outstanding (positive) approvals on the account.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.as_slice().len()
     }
 
     /// Whether the account has no outstanding approvals.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.as_slice().is_empty()
+    }
+}
+
+/// Clones into the smallest form: a row of at most one entry copies in
+/// place, whatever form the original is in.
+impl Clone for SpenderMap {
+    fn clone(&self) -> Self {
+        let entries = match *self.as_slice() {
+            [] => Entries::Empty,
+            [entry] => Entries::One(entry),
+            ref entries => Entries::Many(entries.to_vec()),
+        };
+        Self { entries }
+    }
+}
+
+impl PartialEq for SpenderMap {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for SpenderMap {}
+
+impl Hash for SpenderMap {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl fmt::Debug for SpenderMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SpenderMap")
+            .field("entries", &self.as_slice())
+            .finish()
     }
 }
 
@@ -197,6 +304,26 @@ mod tests {
         assert!(row.is_empty());
         row.debit(2, 0); // zero debit of an absent entry is a no-op
         assert!(row.is_empty());
+    }
+
+    #[test]
+    fn one_entry_rows_stay_in_place() {
+        let mut row = SpenderMap::new();
+        row.set(4, 9);
+        assert!(matches!(row.entries, Entries::One((4, 9))));
+        row.set(2, 1);
+        assert!(matches!(row.entries, Entries::Many(_)));
+        assert_eq!(
+            row.iter().map(|(p, _)| p.index()).collect::<Vec<_>>(),
+            [2, 4]
+        );
+        // Back to one entry: the vector keeps its capacity, and a clone
+        // takes the in-place form.
+        row.debit(2, 1);
+        assert!(matches!(row.entries, Entries::Many(_)));
+        assert!(matches!(row.clone().entries, Entries::One((4, 9))));
+        row.set(4, 0);
+        assert!(matches!(row.clone().entries, Entries::Empty));
     }
 
     #[test]

@@ -141,21 +141,26 @@ where
     T::State: StateCodec,
 {
     /// Initializes a fresh store in `dir` (created if missing): writes
-    /// the genesis snapshot at watermark 0 and an empty first segment.
+    /// the genesis snapshot at watermark 0 and an empty first segment,
+    /// and starts at that chain (mark 0, no delta links) without reading
+    /// the snapshot back.
     ///
     /// # Errors
     ///
     /// [`StoreError::AlreadyInitialized`] if `dir` already holds store
-    /// files; I/O errors otherwise.
+    /// files (full or delta snapshots, or log segments); I/O errors
+    /// otherwise.
     pub fn create(dir: &Path, genesis: &T::State, cfg: StoreConfig) -> Result<Self, StoreError> {
         std::fs::create_dir_all(dir)?;
         if !Kind::Full.files(dir)?.is_empty()
+            || !Kind::Delta.files(dir)?.is_empty()
             || !numbered_files(dir, SEG_PREFIX, SEG_SUFFIX)?.is_empty()
         {
             return Err(StoreError::AlreadyInitialized);
         }
+        clear_tmp(dir)?;
         write_snapshot(dir, 0, genesis)?;
-        Self::open(dir, cfg)
+        Self::start(dir, cfg, 0, 0)
     }
 
     /// Opens an existing store for appending: truncates any torn WAL
@@ -177,17 +182,23 @@ where
         // bookkeeping floor and the sequence floor the WAL may never
         // restart below.
         let chain = resolve_chain::<T>(dir)?;
+        Self::start(dir, cfg, chain.mark, chain.links)
+    }
+
+    /// Opens the WAL above the snapshot chain ending at `mark` (`links`
+    /// deltas above its full snapshot) and spawns the durability thread.
+    fn start(dir: &Path, cfg: StoreConfig, mark: u64, links: u64) -> Result<Self, StoreError> {
         let wal = Wal::open(
             dir,
             <T::State as StateCodec>::STANDARD,
             <T::State as StateCodec>::VERSION,
             cfg.segment_max_bytes,
-            chain.mark,
+            mark,
         )?;
         if let Some(seq) = wal.resumes_past_hole() {
             return Err(StoreError::Divergence { seq });
         }
-        let ops_since_snapshot = wal.next_seq().saturating_sub(chain.mark);
+        let ops_since_snapshot = wal.next_seq().saturating_sub(mark);
         let base = wal.next_seq();
         // Everything scanned at open sits on disk: the handle starts
         // with its whole history durable.
@@ -195,7 +206,7 @@ where
         let obs = StoreObs::disabled();
         let dur = durability::spawn::<T>(
             dir.to_path_buf(),
-            chain.mark,
+            mark,
             cfg.snapshots_kept,
             obs.clone(),
             Arc::clone(&shared),
@@ -204,12 +215,12 @@ where
             dir: dir.to_path_buf(),
             cfg,
             wal,
-            watermark: chain.mark,
+            watermark: mark,
             ops_since_snapshot,
-            links_since_full: chain.links,
+            links_since_full: links,
             // The token's tracking starts at `base`: a delta drained
             // from it cannot link to a chain top below that.
-            full_due: chain.mark < base,
+            full_due: mark < base,
             base,
             error: None,
             shared,

@@ -1,0 +1,159 @@
+//! Heap allocations as a regression gate on the recovery and create
+//! paths. Wall-clock medians move with the host; the number of `malloc`
+//! calls a code path makes does not, so these counts pin the work.
+//!
+//! A counting global allocator tallies allocations per thread; each
+//! check measures one call on the test's own thread at two sizes,
+//! `n = 10 000` and `n = 40 000` accounts, each account approving its
+//! right neighbour (the `recover_1m` genesis shape).
+
+mod common;
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use common::temp_dir;
+use tokensync_core::codec::{Codec, StateCodec};
+use tokensync_core::erc20::Erc20State;
+use tokensync_core::shared::ShardedErc20;
+use tokensync_core::standards::erc1155::{Erc1155State, ShardedErc1155, TypeId};
+use tokensync_spec::{AccountId, ProcessId};
+use tokensync_store::{Restorable, Store, StoreConfig};
+
+/// The system allocator, counting `alloc` and `realloc` calls made by
+/// the current thread.
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: the slot is gone while the thread tears down.
+    let _ = ALLOCS.try_with(|count| count.set(count.get() + 1));
+}
+
+// SAFETY: every call forwards unchanged to `System`; the counter is a
+// const-initialized thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `f` and returns its result with the allocations it made on this
+/// thread.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+const SIZES: [usize; 2] = [10_000, 40_000];
+
+/// `n` accounts of 10 tokens, each approving its right neighbour.
+fn one_approval_each(n: usize) -> Erc20State {
+    let mut state = Erc20State::from_balances(vec![10; n]);
+    for a in 0..n {
+        state.set_allowance(AccountId::new(a), ProcessId::new((a + 1) % n), 5);
+    }
+    state
+}
+
+#[test]
+fn decode_and_clone_do_not_allocate_per_one_approval_row() {
+    for n in SIZES {
+        let state = one_approval_each(n);
+        let bytes = state.encode();
+        let (decoded, decode_allocs) = counted(|| Erc20State::decode(&mut &bytes[..]).unwrap());
+        assert_eq!(decoded, state);
+        // Recovery clones the decoded state, whose approval index was
+        // bulk-built (a B-tree built by ascending inserts has more, half-
+        // full nodes).
+        let (cloned, clone_allocs) = counted(|| decoded.clone());
+        assert_eq!(cloned, state);
+        // What remains is the balance and row vectors plus the approval
+        // index's B-tree nodes.
+        assert!(
+            decode_allocs < n as u64 / 8,
+            "decode made {decode_allocs} allocations at n = {n}"
+        );
+        assert!(
+            clone_allocs < n as u64 / 8,
+            "clone made {clone_allocs} allocations at n = {n}"
+        );
+    }
+}
+
+/// `Store::create`'s calling-thread allocations at each size (the
+/// durability thread it spawns counts on its own thread).
+fn create_allocs<T>(genesis: impl Fn(usize) -> T::State) -> Vec<u64>
+where
+    T: Restorable,
+    T::Op: Codec,
+    T::Resp: Codec,
+    T::State: StateCodec,
+{
+    SIZES
+        .iter()
+        .map(|&n| {
+            let state = genesis(n);
+            let dir = temp_dir("alloc-create");
+            let (store, allocs) =
+                counted(|| Store::<T>::create(&dir, &state, StoreConfig::default()).unwrap());
+            store.close().unwrap();
+            std::fs::remove_dir_all(&dir).unwrap();
+            allocs
+        })
+        .collect()
+}
+
+/// `create` writes the genesis once and reads nothing back, so its
+/// allocations do not grow with the number of accounts (the encode
+/// buffer's doublings are the only size-dependent term).
+fn assert_flat(counts: &[u64], what: &str) {
+    let (small, large) = (counts[0], counts[1]);
+    assert!(
+        large <= small + 8 && large < 200,
+        "{what}: Store::create made {small} allocations at n = {} and {large} at n = {}",
+        SIZES[0],
+        SIZES[1]
+    );
+}
+
+#[test]
+fn create_allocations_do_not_grow_with_accounts_erc20() {
+    assert_flat(&create_allocs::<ShardedErc20>(one_approval_each), "ERC20");
+}
+
+#[test]
+fn create_allocations_do_not_grow_with_accounts_erc1155() {
+    let funded = |n: usize| {
+        let mut state = Erc1155State::deploy(n, ProcessId::new(0), &[0; 8]);
+        for t in 0..8 {
+            for a in 0..n {
+                state.set_balance(AccountId::new(a), TypeId::new(t), 100);
+            }
+        }
+        state
+    };
+    assert_flat(&create_allocs::<ShardedErc1155>(funded), "ERC1155");
+}

@@ -191,6 +191,39 @@ fn create_refuses_an_initialized_directory() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Delta links left in a directory without their full snapshot must
+/// not be folded onto a fresh genesis: `create` starts a chain at mark 0
+/// with no links, which only holds if no link exists.
+#[test]
+fn create_refuses_a_directory_with_stale_deltas() {
+    let src = temp_dir("stale-src");
+    let genesis = Erc20State::from_balances(vec![10; 4]);
+    let store_cfg = StoreConfig {
+        snapshot_every_ops: 2,
+        ..StoreConfig::default()
+    };
+    let token = ShardedErc20::from_state(genesis.clone());
+    let mut store: Store<ShardedErc20> = Store::create(&src, &genesis, store_cfg).unwrap();
+    let script: Vec<_> = (0..4)
+        .map(|_| (p(0), Erc20Op::Transfer { to: a(1), value: 1 }))
+        .collect();
+    run_script_with_sink(&token, &script, &cfg(2), &mut store);
+    store.close().unwrap();
+    let links = common::delta_links(&src);
+    assert_eq!(links.len(), 2);
+
+    let dir = temp_dir("stale-deltas");
+    for link in &links {
+        std::fs::copy(link, dir.join(link.file_name().unwrap())).unwrap();
+    }
+    assert!(matches!(
+        Store::<ShardedErc20>::create(&dir, &genesis, StoreConfig::default()),
+        Err(StoreError::AlreadyInitialized)
+    ));
+    std::fs::remove_dir_all(&src).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn open_refuses_an_uninitialized_directory() {
     let dir = temp_dir("empty-open");
