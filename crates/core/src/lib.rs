@@ -34,8 +34,8 @@
 //!   states) the durable store persists through.
 //! * [`standards`] — Section 6 extensions: ERC777 operators, ERC721
 //!   non-fungible tokens, ERC1155 multi-tokens, with their consensus
-//!   constructions (deduplicated over [`standards::race`]) and the
-//!   lock-striped, footprinted serving objects
+//!   constructions (decisive parts of the [`tokensync_spec::race`] step
+//!   machine) and the lock-striped, footprinted serving objects
 //!   ([`standards::erc721::ShardedErc721`],
 //!   [`standards::erc1155::ShardedErc1155`]) the generic pipeline
 //!   executes.

@@ -15,14 +15,15 @@
 //! formal [`Erc721Op`]/[`Erc721Resp`] alphabet with per-op footprints,
 //! the [`Erc721Spec`] oracle (the typed transitions, `Ok` as `TRUE`), and
 //! the lock-striped [`ShardedErc721`] the generic pipeline executes. The
-//! consensus race, [`Erc721Consensus`], runs on that same serving object
-//! from the layout [`race_state`] sets up.
+//! consensus race, [`NftRace`], is laid out by [`race_state`];
+//! [`Erc721Consensus`] fights it on that same serving object.
 
 use std::fmt;
 
+use tokensync_kat::Proposals;
+use tokensync_spec::race::{Race, Scan};
 use tokensync_spec::ProcessId;
 
-use super::race;
 use crate::shared::ConcurrentObject;
 
 mod object;
@@ -115,12 +116,6 @@ pub const fn race_sink(k: usize) -> ProcessId {
 /// [`RACE_NFT`] minted to [`RACE_OWNER`], every other mover its operator
 /// via `setApprovalForAll`, and [`race_sink`]`(k)` as one more process.
 ///
-/// Each mover fires one `transferFrom(RACE_OWNER, ·, RACE_NFT)`: the
-/// owner to the sink, every other mover to itself. Exactly one lands,
-/// because it moves `ownerOf` away from the owner and every later claim
-/// of `from = RACE_OWNER` fails; `ownerOf` then names the winner, the
-/// sink standing for the owner.
-///
 /// # Panics
 ///
 /// Panics if `k == 0`.
@@ -138,48 +133,66 @@ pub fn race_state(k: usize) -> Erc721State {
     state
 }
 
-/// The ERC721 decisive race on the serving object: the layout of
-/// [`race_state`], fired as [`Erc721Op::TransferFrom`] and read back
-/// through [`Erc721Op::OwnerOf`].
-struct NftRace {
-    token: ShardedErc721,
-    sink: ProcessId,
+/// The decisive part of the race [`race_state`] lays out, for the step
+/// machine of [`tokensync_spec::race`]. Each mover fires one
+/// `transferFrom(RACE_OWNER, ·, RACE_NFT)`: the owner to the sink, every
+/// other mover to itself. Exactly one lands, because it moves `ownerOf`
+/// away from the owner and every later claim of `from = RACE_OWNER`
+/// fails; one `ownerOf` read then names the winner, the sink standing
+/// for the owner.
+#[derive(Clone, Debug)]
+pub struct NftRace {
+    /// The number of movers, `p_0 .. p_{k-1}`.
+    pub k: usize,
 }
 
-impl race::DecisiveRace for NftRace {
-    fn fire(&self, mover: usize) {
-        let process = ProcessId::new(mover);
-        let to = if process == RACE_OWNER {
-            self.sink
+impl Race for NftRace {
+    type Op = Erc721Op;
+    type Resp = Erc721Resp;
+
+    fn movers(&self) -> usize {
+        self.k
+    }
+
+    fn fire(&self, i: usize) -> Erc721Op {
+        let mover = ProcessId::new(i);
+        let to = if mover == RACE_OWNER {
+            race_sink(self.k)
         } else {
-            process
+            mover
         };
-        let transfer = Erc721Op::TransferFrom {
+        Erc721Op::TransferFrom {
             from: RACE_OWNER,
             to,
             token: RACE_NFT,
-        };
-        self.token.apply(process, &transfer);
+        }
     }
 
-    fn winner(&self) -> Option<usize> {
-        match self
-            .token
-            .apply(RACE_OWNER, &Erc721Op::OwnerOf { token: RACE_NFT })
-        {
-            // The owner won by parking the NFT at the sink.
-            Erc721Resp::Process(Some(current)) if current == self.sink => Some(RACE_OWNER.index()),
+    fn scan(&self, j: usize) -> Scan<Erc721Op> {
+        if j == 0 {
+            Scan::Read(Erc721Op::OwnerOf { token: RACE_NFT })
+        } else {
+            Scan::End
+        }
+    }
+
+    fn judge(&self, _j: usize, resp: &Erc721Resp) -> Option<usize> {
+        match *resp {
+            Erc721Resp::Process(Some(current)) if current == race_sink(self.k) => {
+                Some(RACE_OWNER.index())
+            }
             Erc721Resp::Process(Some(current)) if current != RACE_OWNER => Some(current.index()),
             _ => None,
         }
     }
 }
 
-/// Wait-free consensus from one NFT (Section 6): an instance of the
-/// generic [`race::RaceConsensus`] choreography whose decisive transfer
-/// is a `transferFrom` race on a single `tokenId`.
+/// Wait-free consensus from one NFT (Section 6): the [`NftRace`] fought
+/// on the serving object, a [`ShardedErc721`] built from [`race_state`].
 pub struct Erc721Consensus<V> {
-    inner: race::RaceConsensus<V, NftRace>,
+    race: NftRace,
+    token: ShardedErc721,
+    proposals: Proposals<V>,
 }
 
 impl<V: Clone + Send + Sync> Erc721Consensus<V> {
@@ -191,15 +204,11 @@ impl<V: Clone + Send + Sync> Erc721Consensus<V> {
     /// Panics if `k == 0`.
     pub fn new(k: usize) -> Self {
         Self {
-            inner: race::RaceConsensus::new(
-                (0..k).map(ProcessId::new).collect(),
-                NftRace {
-                    // One NFT, so one token shard (what `from_state`
-                    // would pick, without probing the core count).
-                    token: ShardedErc721::with_shards(race_state(k), 1),
-                    sink: race_sink(k),
-                },
-            ),
+            // One NFT, so one token shard (what `from_state` would pick,
+            // without probing the core count).
+            token: ShardedErc721::with_shards(race_state(k), 1),
+            race: NftRace { k },
+            proposals: Proposals::new(k),
         }
     }
 
@@ -209,13 +218,16 @@ impl<V: Clone + Send + Sync> Erc721Consensus<V> {
     ///
     /// Panics if `process` is not a mover.
     pub fn propose(&self, process: ProcessId, value: V) -> V {
-        self.inner.propose(process, value)
+        self.proposals
+            .propose(&self.race, |p, op| self.token.apply(p, op), process, value)
+            .expect("after any fire the race exposes a winner")
     }
 
     /// The decided value: the proposal of the process that captured the
     /// NFT, or `None` if it has not moved yet.
     pub fn peek(&self) -> Option<V> {
-        self.inner.peek()
+        self.proposals
+            .peek(&self.race, |p, op| self.token.apply(p, op))
     }
 }
 
@@ -223,7 +235,6 @@ impl<V: Clone + Send + Sync> Erc721Consensus<V> {
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use std::sync::Arc;
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -316,20 +327,16 @@ mod tests {
     fn consensus_agreement_under_contention() {
         for k in [2usize, 4, 6] {
             for _ in 0..25 {
-                let c: Arc<Erc721Consensus<usize>> = Arc::new(Erc721Consensus::new(k));
-                let mut decisions = Vec::new();
-                crossbeam::scope(|s| {
+                let c: Erc721Consensus<usize> = Erc721Consensus::new(k);
+                let decisions: Vec<usize> = std::thread::scope(|s| {
                     let handles: Vec<_> = (0..k)
                         .map(|i| {
-                            let c = Arc::clone(&c);
-                            s.spawn(move |_| c.propose(p(i), i))
+                            let c = &c;
+                            s.spawn(move || c.propose(p(i), i))
                         })
                         .collect();
-                    for h in handles {
-                        decisions.push(h.join().unwrap());
-                    }
-                })
-                .unwrap();
+                    handles.into_iter().map(|h| h.join().unwrap()).collect()
+                });
                 let distinct: HashSet<_> = decisions.iter().copied().collect();
                 assert_eq!(distinct.len(), 1, "k={k}: {decisions:?}");
                 assert!(decisions[0] < k);

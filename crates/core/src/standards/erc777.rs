@@ -10,11 +10,11 @@
 use std::collections::BTreeSet;
 
 use parking_lot::Mutex;
-use tokensync_spec::{AccountId, Amount, ProcessId};
+use tokensync_kat::{AtOp, AtResp, Drain, Proposals};
+use tokensync_spec::race::Race;
+use tokensync_spec::{AccountId, Amount, ObjectType, ProcessId};
 
 use crate::error::TokenError;
-
-use super::race;
 
 /// A sequential ERC777 token: balances plus per-holder operator sets.
 ///
@@ -183,6 +183,18 @@ impl Erc777Token {
         Ok(())
     }
 
+    /// Applies `operatorSend` or `balanceOf`, written in the asset transfer
+    /// alphabet: an operator withdrawal has the signature of `k`-AT's
+    /// `transfer(from, to, value)`, with operators in place of owners.
+    pub fn apply(&mut self, caller: ProcessId, op: &AtOp) -> AtResp {
+        match *op {
+            AtOp::Transfer { from, to, value } => {
+                AtResp::Bool(self.operator_send(caller, from, to, value).is_ok())
+            }
+            AtOp::BalanceOf { account } => AtResp::Amount(self.balance_of(account)),
+        }
+    }
+
     /// The movers of `account`: `{owner} ∪ operators(account)` when the
     /// balance is positive, `{owner}` otherwise — the ERC777 analogue of
     /// `σ_q(a)` (equation (10)).
@@ -210,6 +222,34 @@ impl Erc777Token {
     }
 }
 
+/// ERC777 as an [`ObjectType`] over the asset transfer alphabet (see
+/// [`Erc777Token::apply`]), for the model checker.
+#[derive(Clone, Debug)]
+pub struct Erc777Spec {
+    initial: Erc777Token,
+}
+
+impl Erc777Spec {
+    /// Object type starting from `initial`.
+    pub fn new(initial: Erc777Token) -> Self {
+        Self { initial }
+    }
+}
+
+impl ObjectType for Erc777Spec {
+    type State = Erc777Token;
+    type Op = AtOp;
+    type Resp = AtResp;
+
+    fn initial_state(&self) -> Erc777Token {
+        self.initial.clone()
+    }
+
+    fn apply(&self, token: &mut Erc777Token, caller: ProcessId, op: &AtOp) -> AtResp {
+        token.apply(caller, op)
+    }
+}
+
 /// A coarse-grained linearizable ERC777 token for threaded use.
 #[derive(Debug)]
 pub struct SharedErc777 {
@@ -224,98 +264,46 @@ impl SharedErc777 {
         }
     }
 
-    /// `operatorSend` (see [`Erc777Token::operator_send`]).
-    ///
-    /// # Errors
-    ///
-    /// As the sequential method.
-    pub fn operator_send(
-        &self,
-        caller: ProcessId,
-        from: AccountId,
-        to: AccountId,
-        value: Amount,
-    ) -> Result<(), TokenError> {
-        self.inner.lock().operator_send(caller, from, to, value)
-    }
-
-    /// `balanceOf`.
-    pub fn balance_of(&self, account: AccountId) -> Amount {
-        self.inner.lock().balance_of(account)
-    }
-
-    /// Snapshot of the sequential token.
-    pub fn snapshot(&self) -> Erc777Token {
-        self.inner.lock().clone()
+    /// [`Erc777Token::apply`], atomically.
+    pub fn apply(&self, caller: ProcessId, op: &AtOp) -> AtResp {
+        self.inner.lock().apply(caller, op)
     }
 }
 
-/// The ERC777 decisive race: every mover races to `operatorSend` the
-/// **full balance** of the shared source account to its private
-/// destination; exactly one send succeeds, and the winner is the unique
-/// destination holding the balance.
-struct DrainRace {
-    token: SharedErc777,
-    source: AccountId,
-    destinations: Vec<AccountId>,
-    balance: Amount,
-}
-
-impl race::DecisiveRace for DrainRace {
-    fn fire(&self, mover: usize) {
-        let _ = self.token.operator_send(
-            ProcessId::new(mover),
-            self.source,
-            self.destinations[mover],
-            self.balance,
-        );
+/// The starting token of the Section 6 ERC777 [`Drain`] race: its
+/// balances, every mover an operator of the drained account `a_0`.
+pub fn race_token(race: &Drain) -> Erc777Token {
+    let mut token = Erc777Token::from_balances(race.balances());
+    for i in 0..race.movers() {
+        token
+            .authorize_operator(ProcessId::new(0), ProcessId::new(i))
+            .expect("ids in range");
     }
-
-    fn winner(&self) -> Option<usize> {
-        self.destinations
-            .iter()
-            .position(|d| self.token.balance_of(*d) == self.balance)
-    }
+    token
 }
 
 /// Wait-free consensus among the `k` movers of an ERC777 account — the
-/// Section 6 adaptation of Algorithm 1 as an instance of the generic
-/// [`race::RaceConsensus`] choreography whose decisive transfer is a
-/// full-balance `operatorSend` drain.
+/// Section 6 adaptation of Algorithm 1: the [`Drain`] race on
+/// [`race_token`], fired as full-balance `operatorSend`s.
 pub struct Erc777Consensus<V> {
-    inner: race::RaceConsensus<V, DrainRace>,
+    race: Drain,
+    token: SharedErc777,
+    proposals: Proposals<V>,
 }
 
 impl<V: Clone + Send + Sync> Erc777Consensus<V> {
-    /// Creates a fresh consensus instance for `k` movers: a dedicated
-    /// ERC777 token with source account `a_0` (balance `B`), movers
-    /// `p_0 .. p_{k-1}` all operators of `a_0`, and destination `a_{i+1}`
-    /// for mover `i`.
+    /// Creates a fresh consensus instance for movers `p_0 .. p_{k-1}` on
+    /// a dedicated [`race_token`] with `B = balance`.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0` or `balance == 0`.
     pub fn new(k: usize, balance: Amount) -> Self {
-        assert!(k > 0, "consensus requires at least one process");
-        assert!(balance > 0, "the source account needs positive balance");
-        let mut balances = vec![0; k + 1];
-        balances[0] = balance;
-        let mut token = Erc777Token::from_balances(balances);
-        for i in 0..k {
-            token
-                .authorize_operator(ProcessId::new(0), ProcessId::new(i))
-                .expect("ids in range");
-        }
+        let race = Drain::new(k, balance);
         Self {
-            inner: race::RaceConsensus::new(
-                (0..k).map(ProcessId::new).collect(),
-                DrainRace {
-                    token: SharedErc777::new(token),
-                    source: AccountId::new(0),
-                    destinations: (1..=k).map(AccountId::new).collect(),
-                    balance,
-                },
-            ),
+            token: SharedErc777::new(race_token(&race)),
+            proposals: Proposals::new(k),
+            race,
         }
     }
 
@@ -325,12 +313,15 @@ impl<V: Clone + Send + Sync> Erc777Consensus<V> {
     ///
     /// Panics if `process` is not a mover.
     pub fn propose(&self, process: ProcessId, value: V) -> V {
-        self.inner.propose(process, value)
+        self.proposals
+            .propose(&self.race, |p, op| self.token.apply(p, op), process, value)
+            .expect("after any fire the race exposes a winner")
     }
 
     /// The decided value, if any mover's full-balance send has landed.
     pub fn peek(&self) -> Option<V> {
-        self.inner.peek()
+        self.proposals
+            .peek(&self.race, |p, op| self.token.apply(p, op))
     }
 }
 
@@ -338,7 +329,6 @@ impl<V: Clone + Send + Sync> Erc777Consensus<V> {
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use std::sync::Arc;
 
     fn a(i: usize) -> AccountId {
         AccountId::new(i)
@@ -399,23 +389,25 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "p7 is not a participant")]
+    fn non_mover_rejected() {
+        Erc777Consensus::new(2, 5).propose(p(7), "x");
+    }
+
+    #[test]
     fn consensus_agreement_under_contention() {
         for k in [2usize, 4, 6] {
             for _ in 0..25 {
-                let c: Arc<Erc777Consensus<usize>> = Arc::new(Erc777Consensus::new(k, 5));
-                let mut decisions = Vec::new();
-                crossbeam::scope(|s| {
+                let c: Erc777Consensus<usize> = Erc777Consensus::new(k, 5);
+                let decisions: Vec<usize> = std::thread::scope(|s| {
                     let handles: Vec<_> = (0..k)
                         .map(|i| {
-                            let c = Arc::clone(&c);
-                            s.spawn(move |_| c.propose(p(i), i))
+                            let c = &c;
+                            s.spawn(move || c.propose(p(i), i))
                         })
                         .collect();
-                    for h in handles {
-                        decisions.push(h.join().unwrap());
-                    }
-                })
-                .unwrap();
+                    handles.into_iter().map(|h| h.join().unwrap()).collect()
+                });
                 let distinct: HashSet<_> = decisions.iter().copied().collect();
                 assert_eq!(distinct.len(), 1, "k={k}: {decisions:?}");
                 assert!(decisions[0] < k);

@@ -21,12 +21,12 @@
 //! * [`erc1363`] — payable tokens with receiver callbacks: the paper notes
 //!   their synchronization requirements are unbounded a priori; the module
 //!   demonstrates why (the callback embeds arbitrary shared objects).
-//! * [`race`] — the shared skeleton of the Section 6 consensus
-//!   constructions: publish a proposal, fire one decisive transfer, read
-//!   the winner off the token state.
+//!
+//! The consensus races ([`erc777::race_token`] with `tokensync_kat::Drain`,
+//! [`erc721::NftRace`]) are decisive parts of the one publish → fire →
+//! scan step machine in `tokensync_spec::race`.
 
 pub mod erc1155;
 pub mod erc1363;
 pub mod erc721;
 pub mod erc777;
-pub mod race;

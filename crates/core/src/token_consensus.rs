@@ -25,12 +25,17 @@
 //!
 //! Wait-freedom is immediate: one register write, one token operation and a
 //! bounded scan of `k − 1` allowances.
+//!
+//! The race is [`Algorithm1`], run on threads by [`TokenConsensus`] and
+//! on explicit states by the model checker (`tokensync-mc`).
 
 use tokensync_consensus::Consensus;
-use tokensync_registers::{Register, RegisterArray};
+use tokensync_kat::Proposals;
+use tokensync_spec::race::{Race, Scan};
 use tokensync_spec::{AccountId, ProcessId};
 
 use crate::analysis::{algorithm1_ready, SyncWitness};
+use crate::erc20::{Erc20Op, Erc20Resp};
 use crate::shared::ConcurrentToken;
 
 /// How spenders race and how winners are detected; see the module docs.
@@ -42,6 +47,83 @@ pub enum RaceMode {
     /// The paper's Algorithm 1 verbatim: transfer `A_i`, detect zero
     /// allowance. Requires `algorithm1_ready`.
     Verbatim,
+}
+
+/// The decisive part of Algorithm 1, for the step machine of
+/// [`tokensync_spec::race`]: mover `i` is the witness's `participants[i]`,
+/// the owner fires `transfer(destination, B)` and spender `i`
+/// `transferFrom(account, destination, ·)`. Scan position `j` reads
+/// spender `j + 1`'s allowance (lines 11–13); after the last, the owner
+/// won (line 14). The model checker also races witnesses that are not
+/// synchronization states (the Theorem 3 counterexamples).
+#[derive(Clone, Debug)]
+pub struct Algorithm1 {
+    /// The racing account, its balance, and the participants with their
+    /// allowances.
+    pub witness: SyncWitness,
+    /// Where the winning withdrawal goes.
+    pub destination: AccountId,
+    /// How spenders withdraw and how winners are detected.
+    pub mode: RaceMode,
+}
+
+impl Race for Algorithm1 {
+    type Op = Erc20Op;
+    type Resp = Erc20Resp;
+
+    fn movers(&self) -> usize {
+        self.witness.k()
+    }
+
+    fn process(&self, i: usize) -> ProcessId {
+        self.witness.participants[i]
+    }
+
+    fn fire(&self, i: usize) -> Erc20Op {
+        let (to, balance) = (self.destination, self.witness.balance);
+        if i == 0 {
+            return Erc20Op::Transfer { to, value: balance };
+        }
+        let granted = self.witness.allowances[i - 1];
+        let value = match self.mode {
+            RaceMode::Verbatim => granted,
+            RaceMode::Generalized => granted.min(balance),
+        };
+        Erc20Op::TransferFrom {
+            from: self.witness.account,
+            to,
+            value,
+        }
+    }
+
+    fn scan(&self, j: usize) -> Scan<Erc20Op> {
+        let account = self.witness.account;
+        if let Some(&spender) = self.witness.participants.get(j + 1) {
+            Scan::Read(Erc20Op::Allowance { account, spender })
+        } else if j + 1 == self.movers() {
+            Scan::Inferred {
+                winner: 0,
+                check: Erc20Op::BalanceOf { account },
+            }
+        } else {
+            Scan::End
+        }
+    }
+
+    fn judge(&self, j: usize, resp: &Erc20Resp) -> Option<usize> {
+        let Erc20Resp::Amount(current) = *resp else {
+            return None;
+        };
+        let Some(&initial) = self.witness.allowances.get(j) else {
+            // The owner's check: the balance moved.
+            return (current < self.witness.balance).then_some(0);
+        };
+        let won = match self.mode {
+            RaceMode::Verbatim => current == 0,
+            RaceMode::Generalized => current < initial,
+        };
+        won.then_some(j + 1)
+    }
 }
 
 /// A wait-free consensus object for the `k` enabled spenders of one token
@@ -78,10 +160,8 @@ pub enum RaceMode {
 /// ```
 pub struct TokenConsensus<T, V> {
     token: T,
-    witness: SyncWitness,
-    destination: AccountId,
-    registers: RegisterArray<Option<V>>,
-    mode: RaceMode,
+    race: Algorithm1,
+    proposals: Proposals<V>,
 }
 
 impl<T: ConcurrentToken, V: Clone + Send + Sync> TokenConsensus<T, V> {
@@ -91,7 +171,8 @@ impl<T: ConcurrentToken, V: Clone + Send + Sync> TokenConsensus<T, V> {
     ///
     /// Panics if the witness does not describe the token's current state
     /// (balance or allowances differ), or if `destination` equals the
-    /// witness account (the race must move tokens *out*).
+    /// witness account (the race must move tokens *out*) or is not an
+    /// account of the token.
     pub fn new(token: T, witness: SyncWitness, destination: AccountId) -> Self {
         Self::with_mode(token, witness, destination, RaceMode::Generalized)
     }
@@ -115,6 +196,11 @@ impl<T: ConcurrentToken, V: Clone + Send + Sync> TokenConsensus<T, V> {
             destination, witness.account,
             "destination must differ from the race account"
         );
+        assert!(
+            destination.index() < token.accounts(),
+            "destination {destination} out of range for a token of {} accounts",
+            token.accounts()
+        );
         assert_eq!(
             token.balance_of(witness.account),
             witness.balance,
@@ -133,24 +219,20 @@ impl<T: ConcurrentToken, V: Clone + Send + Sync> TokenConsensus<T, V> {
                 "verbatim Algorithm 1 requires allowances ≤ balance (see analysis::algorithm1_ready)"
             );
         }
-        let k = witness.k();
         Self {
             token,
-            witness,
-            destination,
-            registers: RegisterArray::new(k, None),
-            mode,
+            proposals: Proposals::new(witness.k()),
+            race: Algorithm1 {
+                witness,
+                destination,
+                mode,
+            },
         }
     }
 
     /// The synchronization level `k` of this object.
     pub fn k(&self) -> usize {
-        self.witness.k()
-    }
-
-    /// The participants, owner first.
-    pub fn participants(&self) -> &[ProcessId] {
-        &self.witness.participants
+        self.race.movers()
     }
 
     /// Proposes `value` on behalf of `process` (Algorithm 1's `propose`).
@@ -159,30 +241,8 @@ impl<T: ConcurrentToken, V: Clone + Send + Sync> TokenConsensus<T, V> {
     ///
     /// Panics if `process` is not one of the `k` participants.
     pub fn propose(&self, process: ProcessId, value: V) -> V {
-        let rank = self
-            .witness
-            .rank(process)
-            .unwrap_or_else(|| panic!("{process} is not a participant of this consensus object"));
-        // Line 7: publish the proposal.
-        self.registers.at(rank).write(Some(value));
-        // Lines 8–10: race on the token.
-        if rank == 0 {
-            // Owner: transfer the full balance.
-            let _ = self
-                .token
-                .transfer(process, self.destination, self.witness.balance);
-        } else {
-            let granted = self.witness.allowances[rank - 1];
-            let amount = match self.mode {
-                RaceMode::Verbatim => granted,
-                RaceMode::Generalized => granted.min(self.witness.balance),
-            };
-            let _ =
-                self.token
-                    .transfer_from(process, self.witness.account, self.destination, amount);
-        }
-        // Lines 11–14: find the winner and adopt its proposal.
-        self.read_decision()
+        self.proposals
+            .propose(&self.race, |p, op| self.token.apply(p, op), process, value)
             .expect("a completed race always exposes a winner")
     }
 
@@ -190,33 +250,8 @@ impl<T: ConcurrentToken, V: Clone + Send + Sync> TokenConsensus<T, V> {
     /// has completed yet (diagnostic, like
     /// [`peek`](tokensync_consensus::Consensus::peek)).
     pub fn read_decision(&self) -> Option<V> {
-        for j in 1..self.witness.k() {
-            let p_j = self.witness.participants[j];
-            let initial = self.witness.allowances[j - 1];
-            let current = self.token.allowance(self.witness.account, p_j);
-            let won = match self.mode {
-                RaceMode::Verbatim => current == 0,
-                RaceMode::Generalized => current < initial,
-            };
-            if won {
-                return Some(
-                    self.registers
-                        .at(j)
-                        .read()
-                        .expect("winner published its proposal before racing"),
-                );
-            }
-        }
-        // No spender won. If the balance moved, the owner won.
-        if self.token.balance_of(self.witness.account) < self.witness.balance {
-            return Some(
-                self.registers
-                    .at(0)
-                    .read()
-                    .expect("owner published its proposal before racing"),
-            );
-        }
-        None
+        self.proposals
+            .peek(&self.race, |p, op| self.token.apply(p, op))
     }
 
     /// Shared access to the underlying token (diagnostics/tests).
@@ -241,8 +276,8 @@ impl<T: ConcurrentToken, V: Clone + Send + Sync + std::fmt::Debug> std::fmt::Deb
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TokenConsensus")
             .field("k", &self.k())
-            .field("account", &self.witness.account)
-            .field("mode", &self.mode)
+            .field("account", &self.race.witness.account)
+            .field("mode", &self.race.mode)
             .field("decided", &self.read_decision())
             .finish()
     }
@@ -254,7 +289,6 @@ mod tests {
     use crate::erc20::Erc20State;
     use crate::shared::SharedErc20;
     use std::collections::HashSet;
-    use std::sync::Arc;
 
     fn a(i: usize) -> AccountId {
         AccountId::new(i)
@@ -275,6 +309,17 @@ mod tests {
         let w = SyncWitness::for_account(&q, a(0)).unwrap();
         assert_eq!(w.k(), k);
         (q, w)
+    }
+
+    /// Participants `p0 .. p(k-1)` propose their own index on `k` scoped
+    /// threads; returns the decisions.
+    fn propose_concurrently(c: &TokenConsensus<SharedErc20, usize>, k: usize) -> Vec<usize> {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..k)
+                .map(|i| s.spawn(move || c.propose(p(i), i)))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
     }
 
     #[test]
@@ -308,21 +353,9 @@ mod tests {
         for k in [2usize, 3, 5, 8] {
             for round in 0..20 {
                 let (q, w) = sk_state(k, k + 1, 64);
-                let c: Arc<TokenConsensus<SharedErc20, usize>> =
-                    Arc::new(TokenConsensus::new(SharedErc20::from_state(q), w, a(k)));
-                let mut decisions = Vec::new();
-                crossbeam::scope(|s| {
-                    let handles: Vec<_> = (0..k)
-                        .map(|i| {
-                            let c = Arc::clone(&c);
-                            s.spawn(move |_| c.propose(p(i), i))
-                        })
-                        .collect();
-                    for h in handles {
-                        decisions.push(h.join().unwrap());
-                    }
-                })
-                .unwrap();
+                let c: TokenConsensus<SharedErc20, usize> =
+                    TokenConsensus::new(SharedErc20::from_state(q), w, a(k));
+                let decisions = propose_concurrently(&c, k);
                 let distinct: HashSet<_> = decisions.iter().copied().collect();
                 assert_eq!(distinct.len(), 1, "k={k} round={round}: {decisions:?}");
                 assert!(decisions[0] < k);
@@ -358,25 +391,9 @@ mod tests {
     fn verbatim_mode_agrees_under_contention() {
         for _ in 0..30 {
             let (q, w) = sk_state(4, 5, 10);
-            let c: Arc<TokenConsensus<SharedErc20, usize>> = Arc::new(TokenConsensus::with_mode(
-                SharedErc20::from_state(q),
-                w,
-                a(4),
-                RaceMode::Verbatim,
-            ));
-            let mut decisions = Vec::new();
-            crossbeam::scope(|s| {
-                let handles: Vec<_> = (0..4)
-                    .map(|i| {
-                        let c = Arc::clone(&c);
-                        s.spawn(move |_| c.propose(p(i), i))
-                    })
-                    .collect();
-                for h in handles {
-                    decisions.push(h.join().unwrap());
-                }
-            })
-            .unwrap();
+            let c: TokenConsensus<SharedErc20, usize> =
+                TokenConsensus::with_mode(SharedErc20::from_state(q), w, a(4), RaceMode::Verbatim);
+            let decisions = propose_concurrently(&c, 4);
             assert_eq!(decisions.iter().collect::<HashSet<_>>().len(), 1);
         }
     }
@@ -394,6 +411,13 @@ mod tests {
     fn destination_must_not_be_race_account() {
         let (q, w) = sk_state(2, 4, 10);
         let _c: TokenConsensus<_, u8> = TokenConsensus::new(SharedErc20::from_state(q), w, a(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "destination a99 out of range")]
+    fn destination_must_be_a_token_account() {
+        let (q, w) = sk_state(3, 3, 10);
+        let _c: TokenConsensus<_, u8> = TokenConsensus::new(SharedErc20::from_state(q), w, a(99));
     }
 
     #[test]

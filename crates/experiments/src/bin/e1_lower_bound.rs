@@ -15,7 +15,7 @@ use tokensync_core::setup::sync_state_fixture;
 use tokensync_core::shared::SharedErc20;
 use tokensync_core::token_consensus::{RaceMode, TokenConsensus};
 use tokensync_experiments::Table;
-use tokensync_mc::protocols::{Mode, TokenRace};
+use tokensync_mc::protocols::TokenRace;
 use tokensync_mc::{Explorer, Outcome};
 use tokensync_spec::{AccountId, ProcessId};
 
@@ -33,8 +33,8 @@ fn main() {
     let mut t = Table::new(&["k", "mode", "configs", "transitions", "outcome"]);
     for k in 1..=4 {
         for (mode, name) in [
-            (Mode::Generalized, "generalized"),
-            (Mode::Verbatim, "verbatim"),
+            (RaceMode::Generalized, "generalized"),
+            (RaceMode::Verbatim, "verbatim"),
         ] {
             let protocol = TokenRace::in_sync_state_with_mode(k, mode);
             let report = Explorer::new(&protocol).run();

@@ -8,10 +8,11 @@
 //! * E2c: valency analysis — critical configurations of Algorithm 1 and
 //!   the nature of their decisive pending steps.
 
+use tokensync_core::token_consensus::RaceMode;
 use tokensync_experiments::Table;
 use tokensync_mc::commute::{analyze_states, op_menu};
 use tokensync_mc::enumerate::enumerate_states;
-use tokensync_mc::protocols::{Mode, TokenRace};
+use tokensync_mc::protocols::TokenRace;
 use tokensync_mc::valence;
 use tokensync_mc::{Explorer, Outcome, Violation};
 
@@ -50,15 +51,15 @@ fn main() {
     let scenarios: Vec<(&str, TokenRace)> = vec![
         (
             "k=2 state, 3 processes (verbatim)",
-            TokenRace::overreach(2, 1, Mode::Verbatim),
+            TokenRace::overreach(2, 1, RaceMode::Verbatim),
         ),
         (
             "k=2 state, 3 processes (generalized)",
-            TokenRace::overreach(2, 1, Mode::Generalized),
+            TokenRace::overreach(2, 1, RaceMode::Generalized),
         ),
         (
             "k=3 state, 4 processes",
-            TokenRace::overreach(3, 1, Mode::Generalized),
+            TokenRace::overreach(3, 1, RaceMode::Generalized),
         ),
         (
             "U violated (allowances 1+1 = balance 2)",

@@ -17,6 +17,9 @@
 //! * [`AtConsensus`] — wait-free consensus among the `k` owners of a shared
 //!   account (the `CN(k-AT) ≥ k` direction of Guerraoui et al.), mirroring
 //!   the race in the paper's Algorithm 1.
+//! * [`Drain`] — that race's decisive part for the step machine of
+//!   [`tokensync_spec::race`], and [`Proposals`] — the registers and
+//!   driver that run any such race on threads.
 //!
 //! # Example
 //!
@@ -45,7 +48,7 @@ mod owner_map;
 mod shared;
 mod spec;
 
-pub use consensus::AtConsensus;
+pub use consensus::{AtConsensus, Drain, Proposals};
 pub use owner_map::OwnerMap;
 pub use shared::{AtError, SharedAt};
 pub use spec::{AtOp, AtResp, AtSpec, AtState};

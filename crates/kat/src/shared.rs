@@ -6,6 +6,7 @@ use parking_lot::Mutex;
 use tokensync_spec::{AccountId, Amount, ProcessId};
 
 use crate::owner_map::OwnerMap;
+use crate::spec::{AtOp, AtResp};
 
 /// Errors returned by [`SharedAt`] operations; each corresponds to a `FALSE`
 /// response of Definition 1's `Δ`.
@@ -139,6 +140,17 @@ impl SharedAt {
         Ok(())
     }
 
+    /// Applies an operation of Definition 1's alphabet, answering like
+    /// [`AtSpec`](crate::AtSpec).
+    pub fn apply(&self, process: ProcessId, op: &AtOp) -> AtResp {
+        match *op {
+            AtOp::Transfer { from, to, value } => {
+                AtResp::Bool(self.transfer(process, from, to, value).is_ok())
+            }
+            AtOp::BalanceOf { account } => AtResp::Amount(self.balance_of(account)),
+        }
+    }
+
     /// `balanceOf(account)`. Unknown accounts read as 0.
     pub fn balance_of(&self, account: AccountId) -> Amount {
         self.balances
@@ -220,7 +232,6 @@ impl fmt::Debug for SharedAt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     fn a(i: usize) -> AccountId {
         AccountId::new(i)
@@ -271,11 +282,11 @@ mod tests {
         for i in 0..n {
             owners.add_owner(a(0), p(i));
         }
-        let at = Arc::new(SharedAt::new(owners, vec![1000, 10, 10, 10]));
-        crossbeam::scope(|s| {
+        let at = SharedAt::new(owners, vec![1000, 10, 10, 10]);
+        std::thread::scope(|s| {
             for i in 0..n {
-                let at = Arc::clone(&at);
-                s.spawn(move |_| {
+                let at = &at;
+                s.spawn(move || {
                     for round in 0..200 {
                         let to = a((round + i) % n);
                         let _ = at.transfer(p(i), a(0), to, 1);
@@ -283,8 +294,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(at.total(), 1030);
     }
 
@@ -300,22 +310,20 @@ mod tests {
                 owners.add_owner(a(0), p(i));
                 owners.add_owner(a(i + 1), p(i));
             }
-            let at = Arc::new(SharedAt::new(owners, vec![7, 0, 0, 0, 0]));
-            let mut successes = 0;
-            crossbeam::scope(|s| {
+            let at = SharedAt::new(owners, vec![7, 0, 0, 0, 0]);
+            let successes = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..n)
                     .map(|i| {
-                        let at = Arc::clone(&at);
-                        s.spawn(move |_| at.transfer(p(i), a(0), a(i + 1), 7).is_ok())
+                        let at = &at;
+                        s.spawn(move || at.transfer(p(i), a(0), a(i + 1), 7).is_ok())
                     })
                     .collect();
-                for h in handles {
-                    if h.join().unwrap() {
-                        successes += 1;
-                    }
-                }
-            })
-            .unwrap();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap())
+                    .filter(|&won| won)
+                    .count()
+            });
             assert_eq!(successes, 1);
             assert_eq!(at.balance_of(a(0)), 0);
         }

@@ -20,10 +20,11 @@
 //!   the heart of the Theorem 3 proof, checked state by state.
 //! * [`enumerate`] — small-universe state-space census of the partition
 //!   `{Q_k}` and the synchronization states `S_k`.
-//! * [`protocols`] — Algorithm 1 (both race modes) as a step machine, its
-//!   *overreach* variants (more processes than the state supports — the
-//!   Theorem 3 counterexamples), consensus from `k`-AT, and a doomed
-//!   register-only protocol.
+//! * [`protocols`] — Algorithm 1 (both race modes), its *overreach*
+//!   variants (more processes than the state supports — the Theorem 3
+//!   counterexamples), consensus from `k`-AT and the Section 6 races,
+//!   each the one `tokensync_spec::race` step machine the threaded
+//!   consensus objects run; and a doomed register-only protocol.
 //!
 //! # Example: exhaustively verifying Algorithm 1 for k = 3
 //!

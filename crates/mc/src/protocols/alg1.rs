@@ -1,25 +1,11 @@
 //! Algorithm 1 as a step machine for exhaustive checking.
 
-use tokensync_core::erc20::Erc20State;
-use tokensync_spec::{AccountId, Amount, ProcessId};
+use tokensync_core::analysis::SyncWitness;
+use tokensync_core::erc20::{Erc20Spec, Erc20State};
+use tokensync_core::token_consensus::{Algorithm1, RaceMode};
+use tokensync_spec::{AccountId, ProcessId};
 
-use crate::protocol::{Protocol, Step};
-
-/// Sentinel decided when a register is read before being written (`⊥`):
-/// the validity checker flags it because no process proposes it.
-pub const BOTTOM: u64 = u64::MAX;
-
-/// Race mode, mirroring
-/// [`tokensync_core::token_consensus::RaceMode`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Mode {
-    /// Spenders transfer their full allowance; winners detected by zero
-    /// allowance (the paper's pseudocode, verbatim).
-    Verbatim,
-    /// Spenders transfer `min(allowance, balance)`; winners detected by
-    /// allowance decrease.
-    Generalized,
-}
+use super::RaceProtocol;
 
 /// Algorithm 1 over an explicit token state.
 ///
@@ -27,17 +13,7 @@ pub enum Mode {
 /// The destination account is the extra account `a_m` (its owner takes no
 /// steps). One atomic step = one shared-object operation, matching the
 /// granularity of the paper's adversary.
-#[derive(Clone, Debug)]
-pub struct TokenRace {
-    participants: usize,
-    initial: Erc20State,
-    account: AccountId,
-    destination: AccountId,
-    balance: Amount,
-    /// `allowances[i]` is `A_{i+1}` of participant rank `i + 1`.
-    allowances: Vec<Amount>,
-    mode: Mode,
-}
+pub type TokenRace = RaceProtocol<Algorithm1, Erc20Spec>;
 
 impl TokenRace {
     /// Builds the race over an explicit state for `participants` processes
@@ -47,65 +23,57 @@ impl TokenRace {
     ///
     /// Panics if the state has fewer than `participants + 1` accounts (one
     /// extra account serves as the destination).
-    pub fn from_state(initial: Erc20State, participants: usize, mode: Mode) -> Self {
+    pub fn from_state(initial: Erc20State, participants: usize, mode: RaceMode) -> Self {
         assert!(
             initial.accounts() > participants,
             "need an extra account as destination"
         );
         let account = AccountId::new(0);
-        let destination = AccountId::new(participants);
-        let balance = initial.balance(account);
-        let allowances = (1..participants)
-            .map(|i| initial.allowance(account, ProcessId::new(i)))
-            .collect();
-        Self {
-            participants,
-            initial,
+        let witness = SyncWitness {
             account,
-            destination,
-            balance,
-            allowances,
-            mode,
+            participants: (0..participants).map(ProcessId::new).collect(),
+            balance: initial.balance(account),
+            allowances: (1..participants)
+                .map(|i| initial.allowance(account, ProcessId::new(i)))
+                .collect(),
+        };
+        Self {
+            race: Algorithm1 {
+                witness,
+                destination: AccountId::new(participants),
+                mode,
+            },
+            object: Erc20Spec::new(initial),
+            fire: |p| match p.index() {
+                0 => format!("{p}: transfer(a_dest, B) [owner race]"),
+                r => format!("{p}: transferFrom(a0, a_dest, A_{r}) [spender race]"),
+            },
+            read: |p, j| format!("{p}: read allowance(a0, p{})", j + 1),
         }
     }
 
     /// A genuine `k`-synchronization state: balance 2 on `a_0`, spenders
     /// with allowance 2 each (pairwise `2 + 2 > 2`, and `A_i ≤ B`), in
-    /// [`Mode::Generalized`]. Theorem 2 instance — the explorer verifies
-    /// it.
+    /// [`RaceMode::Generalized`]. Theorem 2 instance — the explorer
+    /// verifies it.
     pub fn in_sync_state(k: usize) -> Self {
-        Self::in_sync_state_with_mode(k, Mode::Generalized)
+        Self::in_sync_state_with_mode(k, RaceMode::Generalized)
     }
 
     /// As [`TokenRace::in_sync_state`] with an explicit mode (the verbatim
     /// algorithm is also correct here because `A_i ≤ B`).
-    pub fn in_sync_state_with_mode(k: usize, mode: Mode) -> Self {
+    pub fn in_sync_state_with_mode(k: usize, mode: RaceMode) -> Self {
         assert!(k >= 1);
-        let n = k + 1;
-        let mut balances = vec![0; n];
-        balances[0] = 2;
-        let mut q = Erc20State::from_balances(balances);
-        for i in 1..k {
-            q.set_allowance(AccountId::new(0), ProcessId::new(i), 2);
-        }
-        Self::from_state(q, k, mode)
+        Self::from_state(sync_state(k, k), k, mode)
     }
 
     /// Overreach: the state supports `k` spenders but `k + extra`
     /// processes run the (naively extended) algorithm — the extra
     /// participants have zero allowance. Theorem 3's boundary: the
     /// explorer finds agreement/validity violations.
-    pub fn overreach(k: usize, extra: usize, mode: Mode) -> Self {
+    pub fn overreach(k: usize, extra: usize, mode: RaceMode) -> Self {
         assert!(k >= 1 && extra >= 1);
-        let m = k + extra;
-        let n = m + 1;
-        let mut balances = vec![0; n];
-        balances[0] = 2;
-        let mut q = Erc20State::from_balances(balances);
-        for i in 1..k {
-            q.set_allowance(AccountId::new(0), ProcessId::new(i), 2);
-        }
-        Self::from_state(q, m, mode)
+        Self::from_state(sync_state(k, k + extra), k + extra, mode)
     }
 
     /// A `Q_3` state where predicate `U` fails: balance 2, two spenders
@@ -116,7 +84,7 @@ impl TokenRace {
         let mut q = Erc20State::from_balances(vec![2, 0, 0, 0]);
         q.set_allowance(AccountId::new(0), ProcessId::new(1), 1);
         q.set_allowance(AccountId::new(0), ProcessId::new(2), 1);
-        Self::from_state(q, 3, Mode::Generalized)
+        Self::from_state(q, 3, RaceMode::Generalized)
     }
 
     /// A literal `S_2` state (`U` holds: `|σ| = 2`, balance positive) whose
@@ -127,7 +95,7 @@ impl TokenRace {
     pub fn verbatim_oversized() -> Self {
         let mut q = Erc20State::from_balances(vec![1, 0, 0]);
         q.set_allowance(AccountId::new(0), ProcessId::new(1), 3);
-        Self::from_state(q, 2, Mode::Verbatim)
+        Self::from_state(q, 2, RaceMode::Verbatim)
     }
 
     /// Same state as [`TokenRace::verbatim_oversized`] but run in
@@ -135,118 +103,27 @@ impl TokenRace {
     pub fn generalized_oversized() -> Self {
         let mut q = Erc20State::from_balances(vec![1, 0, 0]);
         q.set_allowance(AccountId::new(0), ProcessId::new(1), 3);
-        Self::from_state(q, 2, Mode::Generalized)
-    }
-
-    fn rank(&self, p: ProcessId) -> usize {
-        debug_assert!(p.index() < self.participants);
-        p.index()
+        Self::from_state(q, 2, RaceMode::Generalized)
     }
 }
 
-/// Shared state: the token plus the proposal registers `R[0..m)`.
-pub type RaceShared = (Erc20State, Vec<Option<u64>>);
-
-impl Protocol for TokenRace {
-    type Shared = RaceShared;
-    type Local = u8;
-
-    fn processes(&self) -> usize {
-        self.participants
+/// Balance 2 on `a_0` and allowance 2 for spenders `p_1 .. p_{k-1}`, in
+/// a state of `m + 1` accounts (`m` participants and the destination).
+fn sync_state(k: usize, m: usize) -> Erc20State {
+    let mut balances = vec![0; m + 1];
+    balances[0] = 2;
+    let mut q = Erc20State::from_balances(balances);
+    for i in 1..k {
+        q.set_allowance(AccountId::new(0), ProcessId::new(i), 2);
     }
-
-    fn initial_shared(&self) -> RaceShared {
-        (self.initial.clone(), vec![None; self.participants])
-    }
-
-    fn initial_local(&self, _p: ProcessId) -> u8 {
-        0
-    }
-
-    fn proposal(&self, p: ProcessId) -> u64 {
-        p.index() as u64 + 1
-    }
-
-    fn step(&self, shared: &mut RaceShared, pc: &mut u8, p: ProcessId) -> Step {
-        let (state, regs) = shared;
-        let r = self.rank(p);
-        match *pc {
-            // Line 7: R[i].write(v).
-            0 => {
-                regs[r] = Some(self.proposal(p));
-                *pc = 1;
-                Step::Continue
-            }
-            // Lines 8–10: the race operation.
-            1 => {
-                if r == 0 {
-                    let _ = state.transfer(p, self.destination, self.balance);
-                } else {
-                    let granted = self.allowances[r - 1];
-                    let amount = match self.mode {
-                        Mode::Verbatim => granted,
-                        Mode::Generalized => granted.min(self.balance),
-                    };
-                    let _ = state.transfer_from(p, self.account, self.destination, amount);
-                }
-                *pc = 2;
-                Step::Continue
-            }
-            // Lines 11–13: scan allowances of p_1 .. p_{m-1}; line 14:
-            // fall through to R[0].
-            pc_val => {
-                let j = (pc_val - 2) as usize + 1;
-                if j < self.participants {
-                    let spender = ProcessId::new(j);
-                    let current = state.allowance(self.account, spender);
-                    let initial = self.allowances[j - 1];
-                    let won = match self.mode {
-                        Mode::Verbatim => current == 0,
-                        Mode::Generalized => current < initial,
-                    };
-                    if won {
-                        return Step::Decided(regs[j].unwrap_or(BOTTOM));
-                    }
-                    *pc = pc_val + 1;
-                    Step::Continue
-                } else {
-                    Step::Decided(regs[0].unwrap_or(BOTTOM))
-                }
-            }
-        }
-    }
-
-    fn describe_step(&self, _shared: &RaceShared, pc: &u8, p: ProcessId) -> String {
-        let r = p.index();
-        match *pc {
-            0 => format!("{p}: write R[{r}]"),
-            1 => {
-                if r == 0 {
-                    format!("{p}: transfer(a_dest, B) [owner race]")
-                } else {
-                    format!("{p}: transferFrom(a0, a_dest, A_{r}) [spender race]")
-                }
-            }
-            pc_val => {
-                let j = (pc_val - 2) as usize + 1;
-                if j < self.participants {
-                    format!("{p}: read allowance(a0, p{j})")
-                } else {
-                    format!("{p}: read R[0] and decide")
-                }
-            }
-        }
-    }
-
-    fn step_bound(&self) -> usize {
-        self.participants + 3
-    }
+    q
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::explorer::{Explorer, Outcome, Violation};
+    use crate::protocols::BOTTOM;
 
     #[test]
     fn sync_states_verified_exhaustively_generalized() {
@@ -264,7 +141,7 @@ mod tests {
     fn sync_states_verified_exhaustively_verbatim() {
         for k in 1..=3 {
             let report =
-                Explorer::new(&TokenRace::in_sync_state_with_mode(k, Mode::Verbatim)).run();
+                Explorer::new(&TokenRace::in_sync_state_with_mode(k, RaceMode::Verbatim)).run();
             assert!(
                 matches!(report.outcome, Outcome::Verified),
                 "k={k}: {:?}",
@@ -277,9 +154,9 @@ mod tests {
     fn overreach_violates() {
         // k = 2 spenders supported, 3 processes racing: some interleaving
         // breaks agreement or validity.
-        let report = Explorer::new(&TokenRace::overreach(2, 1, Mode::Verbatim)).run();
+        let report = Explorer::new(&TokenRace::overreach(2, 1, RaceMode::Verbatim)).run();
         assert!(report.violation().is_some(), "{:?}", report.outcome);
-        let report = Explorer::new(&TokenRace::overreach(2, 1, Mode::Generalized)).run();
+        let report = Explorer::new(&TokenRace::overreach(2, 1, RaceMode::Generalized)).run();
         assert!(report.violation().is_some(), "{:?}", report.outcome);
     }
 

@@ -1,21 +1,15 @@
 //! Consensus from a `k`-shared asset transfer account, model-checked.
 
-use tokensync_kat::{AtOp, AtSpec, OwnerMap};
-use tokensync_spec::{AccountId, Amount, ObjectType, ProcessId};
+use tokensync_kat::{AtSpec, Drain};
+use tokensync_spec::Amount;
 
-use crate::protocol::{Protocol, Step};
-use crate::protocols::alg1::BOTTOM;
+use super::RaceProtocol;
 
 /// The Guerraoui et al. lower-bound construction (`CN(k-AT) ≥ k`) as a step
 /// machine: the `k` owners of account `a_0` (balance `B`) race to drain it
 /// into per-process destination accounts `a_1 .. a_k`; the unique
 /// destination holding `B` names the winner.
-#[derive(Clone, Debug)]
-pub struct AtRace {
-    k: usize,
-    spec: AtSpec,
-    balance: Amount,
-}
+pub type AtRace = RaceProtocol<Drain, AtSpec>;
 
 impl AtRace {
     /// Creates the race for `k` owners with shared balance `balance`.
@@ -24,93 +18,13 @@ impl AtRace {
     ///
     /// Panics if `k == 0` or `balance == 0`.
     pub fn new(k: usize, balance: Amount) -> Self {
-        assert!(k >= 1 && balance > 0);
-        let mut owners = OwnerMap::new(k + 1);
-        for i in 0..k {
-            owners.add_owner(AccountId::new(0), ProcessId::new(i));
-            owners.add_owner(AccountId::new(i + 1), ProcessId::new(i));
-        }
-        let mut balances = vec![0; k + 1];
-        balances[0] = balance;
+        let race = Drain::new(k, balance);
         Self {
-            k,
-            spec: AtSpec::new(owners, balances),
-            balance,
+            object: AtSpec::new(race.owners(), race.balances()),
+            race,
+            fire: |p| format!("{p}: transfer(a0 → a{}, B)", p.index() + 1),
+            read: |p, j| format!("{p}: read balance(a{})", j + 1),
         }
-    }
-}
-
-/// Shared state: the AT balances plus the proposal registers.
-pub type AtShared = (Vec<Amount>, Vec<Option<u64>>);
-
-impl Protocol for AtRace {
-    type Shared = AtShared;
-    type Local = u8;
-
-    fn processes(&self) -> usize {
-        self.k
-    }
-
-    fn initial_shared(&self) -> AtShared {
-        (self.spec.initial_state(), vec![None; self.k])
-    }
-
-    fn initial_local(&self, _p: ProcessId) -> u8 {
-        0
-    }
-
-    fn proposal(&self, p: ProcessId) -> u64 {
-        p.index() as u64 + 1
-    }
-
-    fn step(&self, shared: &mut AtShared, pc: &mut u8, p: ProcessId) -> Step {
-        let (state, regs) = shared;
-        let i = p.index();
-        match *pc {
-            0 => {
-                regs[i] = Some(self.proposal(p));
-                *pc = 1;
-                Step::Continue
-            }
-            1 => {
-                let op = AtOp::Transfer {
-                    from: AccountId::new(0),
-                    to: AccountId::new(i + 1),
-                    value: self.balance,
-                };
-                let _ = self.spec.apply(state, p, &op);
-                *pc = 2;
-                Step::Continue
-            }
-            pc_val => {
-                let j = (pc_val - 2) as usize;
-                if j < self.k {
-                    if state[j + 1] == self.balance {
-                        return Step::Decided(regs[j].unwrap_or(BOTTOM));
-                    }
-                    *pc = pc_val + 1;
-                    Step::Continue
-                } else {
-                    // Unreachable for correct runs: the scan always finds
-                    // the winner because the scanner's own transfer attempt
-                    // precedes it. Decide ⊥ so any gap is caught as an
-                    // invalidity.
-                    Step::Decided(BOTTOM)
-                }
-            }
-        }
-    }
-
-    fn describe_step(&self, _shared: &AtShared, pc: &u8, p: ProcessId) -> String {
-        match *pc {
-            0 => format!("{p}: write R[{}]", p.index()),
-            1 => format!("{p}: transfer(a0 → a{}, B)", p.index() + 1),
-            pc_val => format!("{p}: read balance(a{})", (pc_val - 2) as usize + 1),
-        }
-    }
-
-    fn step_bound(&self) -> usize {
-        self.k + 3
     }
 }
 

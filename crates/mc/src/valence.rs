@@ -164,7 +164,8 @@ fn walk<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocols::{Mode, TokenRace};
+    use crate::protocols::TokenRace;
+    use tokensync_core::token_consensus::RaceMode;
 
     #[test]
     fn algorithm1_has_critical_configurations() {
@@ -206,7 +207,7 @@ mod tests {
 
     #[test]
     fn verbatim_mode_shows_same_structure() {
-        let protocol = TokenRace::in_sync_state_with_mode(2, Mode::Verbatim);
+        let protocol = TokenRace::in_sync_state_with_mode(2, RaceMode::Verbatim);
         let report = analyze(&protocol);
         assert!(!report.critical.is_empty());
     }

@@ -2,9 +2,10 @@
 
 use proptest::prelude::*;
 use tokensync_core::erc20::{Erc20Op, Erc20Spec, Erc20State};
+use tokensync_core::token_consensus::RaceMode;
 use tokensync_mc::commute::{classify_pair, explain_conflict, PairClass};
 use tokensync_mc::enumerate::enumerate_states;
-use tokensync_mc::protocols::{Mode, TokenRace};
+use tokensync_mc::protocols::TokenRace;
 use tokensync_mc::{Explorer, Outcome};
 use tokensync_spec::{AccountId, ProcessId};
 
@@ -109,7 +110,7 @@ fn explorer_agrees_with_u_predicate_on_enumerated_two_spender_states() {
             ProcessId::new(1),
             state.allowance(AccountId::new(0), ProcessId::new(1)),
         );
-        let protocol = TokenRace::from_state(embedded, 2, Mode::Generalized);
+        let protocol = TokenRace::from_state(embedded, 2, RaceMode::Generalized);
         match Explorer::new(&protocol).run().outcome {
             Outcome::Verified => verified += 1,
             _ => refuted += 1,

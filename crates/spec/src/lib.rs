@@ -16,6 +16,8 @@
 //!   against its sequential specification.
 //! * [`Recorder`] — a thread-safe trace recorder producing [`History`]
 //!   values from real multi-threaded runs.
+//! * [`race`] — the publish → fire → scan consensus race of Algorithm 1
+//!   and its adaptations, as one step machine over any environment.
 //!
 //! # Example
 //!
@@ -49,6 +51,7 @@ mod history;
 mod ids;
 pub mod linearizability;
 mod object;
+pub mod race;
 mod recorder;
 
 pub use history::{Event, History, OpId, OperationRecord};

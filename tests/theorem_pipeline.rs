@@ -9,8 +9,9 @@ use tokensync::core::analysis::{
     consensus_number_bounds, is_sync_state_for, partition_index, unique_transfers,
 };
 use tokensync::core::erc20::Erc20State;
+use tokensync::core::token_consensus::RaceMode;
 use tokensync::mc::enumerate::enumerate_states;
-use tokensync::mc::protocols::{Mode, TokenRace};
+use tokensync::mc::protocols::TokenRace;
 use tokensync::mc::{Explorer, Outcome};
 use tokensync::spec::{AccountId, ProcessId};
 
@@ -50,7 +51,7 @@ fn analysis_predicts_explorer_outcomes() {
         assert_eq!(u, expect_u, "U({balance}, {allowances:?})");
 
         let participants = allowances.len() + 1;
-        let protocol = TokenRace::from_state(state.clone(), participants, Mode::Generalized);
+        let protocol = TokenRace::from_state(state.clone(), participants, RaceMode::Generalized);
         let report = Explorer::new(&protocol).run();
         if expect_u {
             assert!(
@@ -85,7 +86,7 @@ fn exact_bound_states_sampled_from_enumeration_verify() {
         let mut embedded =
             Erc20State::from_balances(vec![state.balance(a(0)), state.balance(a(1)), 0]);
         embedded.set_allowance(a(0), p(1), state.allowance(a(0), p(1)));
-        let protocol = TokenRace::from_state(embedded, 2, Mode::Generalized);
+        let protocol = TokenRace::from_state(embedded, 2, RaceMode::Generalized);
         let report = Explorer::new(&protocol).run();
         assert!(
             matches!(report.outcome, Outcome::Verified),
@@ -122,7 +123,7 @@ fn preparing_sync_state_changes_explorer_verdict() {
     // the owner's approve (equation (12)), it verifies — the dynamic jump
     // the paper is about, observed end to end.
     let mut state = Erc20State::from_balances(vec![2, 0, 0]);
-    let before = TokenRace::from_state(state.clone(), 2, Mode::Generalized);
+    let before = TokenRace::from_state(state.clone(), 2, RaceMode::Generalized);
     assert!(
         Explorer::new(&before).run().violation().is_some(),
         "2-process race from a Q_1 state must fail"
@@ -130,7 +131,7 @@ fn preparing_sync_state_changes_explorer_verdict() {
 
     state.approve(p(0), p(1), 2).unwrap(); // the approve of equation (12)
     assert_eq!(partition_index(&state), 2);
-    let after = TokenRace::from_state(state, 2, Mode::Generalized);
+    let after = TokenRace::from_state(state, 2, RaceMode::Generalized);
     assert!(matches!(
         Explorer::new(&after).run().outcome,
         Outcome::Verified
