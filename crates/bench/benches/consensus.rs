@@ -20,13 +20,12 @@ use tokensync_kat::AtConsensus;
 use tokensync_spec::{AccountId, ProcessId};
 
 fn race<F: Fn(ProcessId) -> usize + Sync>(k: usize, propose: F) {
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for i in 0..k {
             let propose = &propose;
-            s.spawn(move |_| propose(ProcessId::new(i)));
+            s.spawn(move || propose(ProcessId::new(i)));
         }
-    })
-    .expect("proposer panicked");
+    });
 }
 
 fn bench_consensus(c: &mut Criterion) {

@@ -21,17 +21,16 @@ const N_ACCOUNTS: usize = 16;
 const OPS_PER_THREAD: usize = 256;
 
 fn run_threads<T: ConcurrentToken>(token: &Arc<T>, threads: usize) {
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..threads {
             let token = Arc::clone(token);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for (caller, op) in mixed_ops(N_ACCOUNTS, OPS_PER_THREAD, t as u64) {
                     token.apply(caller, &op);
                 }
             });
         }
-    })
-    .expect("worker panicked");
+    });
 }
 
 fn bench_token_ops(c: &mut Criterion) {
@@ -69,17 +68,16 @@ fn bench_token_ops(c: &mut Criterion) {
                 b.iter(|| {
                     let spec = Erc20Spec::new(funded_state(N_ACCOUNTS));
                     let obj = Arc::new(Universal::new(spec, threads.max(1)));
-                    crossbeam::scope(|s| {
+                    std::thread::scope(|s| {
                         for t in 0..threads {
                             let obj = Arc::clone(&obj);
-                            s.spawn(move |_| {
+                            s.spawn(move || {
                                 for (_, op) in mixed_ops(N_ACCOUNTS, OPS_PER_THREAD, t as u64) {
                                     obj.perform(tokensync_spec::ProcessId::new(t), op);
                                 }
                             });
                         }
-                    })
-                    .expect("worker panicked");
+                    });
                 });
             },
         );

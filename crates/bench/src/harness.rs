@@ -18,17 +18,16 @@ pub fn run_split<T: ConcurrentObject>(
     threads: usize,
 ) {
     let chunk = workload.len().div_ceil(threads.max(1)).max(1);
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for part in workload.chunks(chunk) {
             let token = Arc::clone(token);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for (caller, op) in part {
                     token.apply(*caller, op);
                 }
             });
         }
-    })
-    .expect("bench worker panicked");
+    });
 }
 
 #[cfg(test)]

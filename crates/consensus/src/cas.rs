@@ -106,18 +106,17 @@ mod tests {
             let n = 8;
             let c: Arc<CasConsensus<usize>> = Arc::new(CasConsensus::new(n));
             let mut decisions = Vec::new();
-            crossbeam::scope(|s| {
+            std::thread::scope(|s| {
                 let handles: Vec<_> = (0..n)
                     .map(|i| {
                         let c = Arc::clone(&c);
-                        s.spawn(move |_| c.propose(ProcessId::new(i), i))
+                        s.spawn(move || c.propose(ProcessId::new(i), i))
                     })
                     .collect();
                 for h in handles {
                     decisions.push(h.join().unwrap());
                 }
-            })
-            .unwrap();
+            });
             let distinct: HashSet<_> = decisions.iter().collect();
             assert_eq!(distinct.len(), 1, "disagreement: {decisions:?}");
             // Validity: the decision is one of the proposals 0..n.

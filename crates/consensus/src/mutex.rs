@@ -55,18 +55,17 @@ mod tests {
         use std::sync::Arc;
         let c: Arc<MutexConsensus<usize>> = Arc::new(MutexConsensus::new());
         let mut decisions = Vec::new();
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
                 .map(|i| {
                     let c = Arc::clone(&c);
-                    s.spawn(move |_| c.propose(ProcessId::new(i), i))
+                    s.spawn(move || c.propose(ProcessId::new(i), i))
                 })
                 .collect();
             for h in handles {
                 decisions.push(h.join().unwrap());
             }
-        })
-        .unwrap();
+        });
         assert_eq!(decisions.iter().collect::<HashSet<_>>().len(), 1);
     }
 }

@@ -181,7 +181,7 @@ where
 
     /// Returns a clone of the current replayed state (diagnostic; the value
     /// is immediately stale under concurrency).
-    pub fn state_snapshot(&self) -> T::State {
+    pub fn snapshot(&self) -> T::State {
         self.log.lock().state.clone()
     }
 
@@ -222,7 +222,7 @@ mod tests {
         for expect in 0..10 {
             assert_eq!(u.perform(ProcessId::new(0), ()), expect);
         }
-        assert_eq!(u.state_snapshot(), 10);
+        assert_eq!(u.snapshot(), 10);
         assert_eq!(u.log_len(), 10);
     }
 
@@ -232,11 +232,11 @@ mod tests {
         let per = 64;
         let u: Arc<Universal<Counter>> = Arc::new(Universal::new(Counter, n));
         let mut all: Vec<u64> = Vec::new();
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             let handles: Vec<_> = (0..n)
                 .map(|i| {
                     let u = Arc::clone(&u);
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         (0..per)
                             .map(|_| u.perform(ProcessId::new(i), ()))
                             .collect::<Vec<u64>>()
@@ -246,15 +246,14 @@ mod tests {
             for h in handles {
                 all.extend(h.join().unwrap());
             }
-        })
-        .unwrap();
+        });
         all.sort_unstable();
         let expect: Vec<u64> = (0..(n * per) as u64).collect();
         assert_eq!(
             all, expect,
             "each log position must be returned exactly once"
         );
-        assert_eq!(u.state_snapshot(), (n * per) as u64);
+        assert_eq!(u.snapshot(), (n * per) as u64);
     }
 
     #[test]

@@ -33,14 +33,14 @@ pub struct SyncPoint {
 ///
 /// ```
 /// use tokensync_core::analysis::SyncMonitor;
-/// use tokensync_core::erc20::Erc20Token;
+/// use tokensync_core::erc20::Erc20State;
 /// use tokensync_spec::{AccountId, ProcessId};
 ///
-/// let mut token = Erc20Token::deploy(3, ProcessId::new(0), 10);
+/// let mut token = Erc20State::with_deployer(3, ProcessId::new(0), 10);
 /// let mut monitor = SyncMonitor::new();
-/// monitor.observe(token.state());
+/// monitor.observe(&token);
 /// token.approve(ProcessId::new(0), ProcessId::new(1), 6)?;
-/// monitor.observe(token.state());
+/// monitor.observe(&token);
 /// assert_eq!(monitor.series().last().unwrap().bounds.upper, 2);
 /// assert_eq!(monitor.max_level_seen(), 2);
 /// # Ok::<(), tokensync_core::TokenError>(())

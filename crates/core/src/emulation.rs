@@ -506,7 +506,7 @@ mod tests {
             let got = t.apply(caller, &op);
             assert_eq!(got, expected, "step {step}: divergence on {op:?}");
         }
-        assert_eq!(t.state_snapshot(), oracle);
+        assert_eq!(t.snapshot(), oracle);
     }
 
     #[test]
@@ -548,10 +548,10 @@ mod tests {
             2,
             Erc20State::from_balances(vec![50, 50, 50, 50]),
         ));
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for i in 0..4 {
                 let t = Arc::clone(&t);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(i as u64 + 99);
                     for _ in 0..300 {
                         match rng.gen_range(0..3) {
@@ -575,9 +575,8 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
-        let final_state = t.state_snapshot();
+        });
+        let final_state = t.snapshot();
         assert_eq!(final_state.total_supply(), 200);
         assert!(within_restriction(&final_state, 2));
     }

@@ -12,17 +12,13 @@
 //!   `O` and `R`.
 //! * [`Erc20Spec`] — the full object type, pluggable into the
 //!   linearizability checker and the model checker.
-//! * [`Erc20Token`] — a sequential token with ERC20 metadata, mirroring the
-//!   contract a Solidity developer would deploy (Algorithm 3).
 
 mod ops;
 mod sparse;
 mod spec;
 mod state;
-mod token;
 
 pub use ops::{Erc20Op, Erc20Resp};
 pub use sparse::SpenderMap;
 pub use spec::Erc20Spec;
 pub use state::{Erc20Delta, Erc20State};
-pub use token::{Erc20Token, TokenMetadata};

@@ -199,6 +199,39 @@ mod tests {
     }
 
     #[test]
+    fn typed_and_formal_interfaces_agree() {
+        // The typed transitions of `Erc20State` and the formal `Δ` of
+        // `Erc20Spec` are one object: same responses, same states.
+        let spec = Erc20Spec::deployed(3, p(0), 10);
+        let mut typed = spec.initial_state();
+        let mut formal = spec.initial_state();
+
+        assert!(typed.transfer(p(0), a(1), 3).is_ok());
+        let r = spec.apply(&mut formal, p(0), &Erc20Op::Transfer { to: a(1), value: 3 });
+        assert_eq!(r, Erc20Resp::TRUE);
+
+        assert!(typed.approve(p(1), p(2), 5).is_ok());
+        let approve = Erc20Op::Approve {
+            spender: p(2),
+            value: 5,
+        };
+        assert_eq!(spec.apply(&mut formal, p(1), &approve), Erc20Resp::TRUE);
+
+        assert!(typed.transfer_from(p(2), a(1), a(2), 4).is_err());
+        let overdraw = Erc20Op::TransferFrom {
+            from: a(1),
+            to: a(2),
+            value: 4,
+        };
+        assert_eq!(spec.apply(&mut formal, p(2), &overdraw), Erc20Resp::FALSE);
+
+        assert_eq!(typed, formal);
+        assert_eq!(formal.allowance(a(1), p(2)), 5);
+        let r = spec.apply(&mut formal, p(0), &Erc20Op::BalanceOf { account: a(1) });
+        assert_eq!(r, Erc20Resp::Amount(typed.balance(a(1))));
+    }
+
+    #[test]
     fn total_supply_reported() {
         let spec = Erc20Spec::deployed(3, p(1), 42);
         let mut q = spec.initial_state();

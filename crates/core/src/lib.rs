@@ -10,8 +10,8 @@
 //! operations execute. This crate implements the whole story:
 //!
 //! * [`erc20`] — the token object: sequential specification
-//!   ([`Erc20Spec`]), convenience sequential token ([`Erc20Token`],
-//!   Algorithm 3 of the paper) with typed errors.
+//!   ([`Erc20Spec`]) over the state [`Erc20State`], whose transitions
+//!   are Algorithm 3 of the paper with typed errors.
 //! * [`shared`] — linearizable concurrent implementations
 //!   ([`CoarseErc20`], [`SharedErc20`], [`ShardedErc20`]) behind the
 //!   ERC20 [`ConcurrentToken`] interface, itself an instance of the
@@ -44,22 +44,22 @@
 //!
 //! ```
 //! use tokensync_core::analysis::{consensus_number_bounds, enabled_spenders};
-//! use tokensync_core::erc20::Erc20Token;
+//! use tokensync_core::erc20::Erc20State;
 //! use tokensync_spec::{AccountId, ProcessId};
 //!
 //! // Alice deploys a token with supply 10 (Example 1 of the paper).
 //! let alice = ProcessId::new(0);
 //! let bob = ProcessId::new(1);
 //! let charlie = ProcessId::new(2);
-//! let mut token = Erc20Token::deploy(3, alice, 10);
+//! let mut token = Erc20State::with_deployer(3, alice, 10);
 //!
 //! token.transfer(alice, AccountId::new(1), 3)?;   // Alice pays Bob 3
 //! token.approve(bob, charlie, 5)?;                 // Bob approves Charlie for 5
 //!
 //! // Bob's account now has two enabled spenders: consensus number ≥ 2.
-//! let sigma = enabled_spenders(token.state(), AccountId::new(1));
+//! let sigma = enabled_spenders(&token, AccountId::new(1));
 //! assert_eq!(sigma.len(), 2);
-//! let bounds = consensus_number_bounds(token.state());
+//! let bounds = consensus_number_bounds(&token);
 //! assert_eq!((bounds.lower, bounds.upper), (2, 2));
 //! # Ok::<(), tokensync_core::TokenError>(())
 //! ```
@@ -80,7 +80,7 @@ pub mod token_consensus;
 
 pub use analysis::{consensus_number_bounds, enabled_spenders, CnBounds, SyncMonitor};
 pub use emulation::RestrictedToken;
-pub use erc20::{Erc20Op, Erc20Resp, Erc20Spec, Erc20State, Erc20Token};
+pub use erc20::{Erc20Op, Erc20Resp, Erc20Spec, Erc20State};
 pub use error::TokenError;
 pub use setup::prepare_sync_state;
 pub use shared::{CoarseErc20, ConcurrentObject, ConcurrentToken, ShardedErc20, SharedErc20};

@@ -98,8 +98,7 @@ pub fn prepare_sync_state<T: ConcurrentToken>(
             .approve(owner, *spender, *allowance)
             .map_err(|_| SetupError::ApproveFailed { spender: *spender })?;
     }
-    SyncWitness::for_account(&token.state_snapshot(), account)
-        .ok_or(SetupError::NotUnique { account })
+    SyncWitness::for_account(&token.snapshot(), account).ok_or(SetupError::NotUnique { account })
 }
 
 /// Builds a fixture state in `S_k`: `n` accounts, balance `balance` on
@@ -138,7 +137,7 @@ pub fn current_sync_level(state: &Erc20State) -> usize {
 mod tests {
     use super::*;
     use crate::analysis::{consensus_number_bounds, unique_transfers};
-    use crate::shared::{CoarseErc20, SharedErc20};
+    use crate::shared::{CoarseErc20, ConcurrentObject, SharedErc20};
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -172,10 +171,7 @@ mod tests {
         let w = prepare_sync_state(&token, p(0), &spenders, &allowances).unwrap();
         assert_eq!(w.k(), 4);
         assert_eq!(w.balance, 20);
-        assert_eq!(
-            consensus_number_bounds(&token.state_snapshot()).exact(),
-            Some(4)
-        );
+        assert_eq!(consensus_number_bounds(&token.snapshot()).exact(), Some(4));
     }
 
     #[test]

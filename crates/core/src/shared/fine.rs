@@ -31,7 +31,7 @@ struct AccountCell {
 /// * `totalSupply` — **zero** cells: the supply is invariant under every
 ///   operation, so a constructor-cached atomic serves every read (debug
 ///   builds re-verify it against the full locked scan);
-/// * [`ConcurrentToken::state_snapshot`] — all cells, ascending.
+/// * [`ConcurrentObject::snapshot`] — all cells, ascending.
 ///
 /// Operations on disjoint account pairs proceed fully in parallel, which is
 /// precisely the parallelism opportunity the paper argues blockchains leave
@@ -310,9 +310,9 @@ mod tests {
         let t = SharedErc20::deploy(3, p(1), 9);
         t.approve(p(1), p(0), 4).unwrap();
         t.transfer(p(1), a(2), 2).unwrap();
-        let snap = t.state_snapshot();
+        let snap = t.snapshot();
         let t2 = SharedErc20::from_state(snap.clone());
-        assert_eq!(t2.state_snapshot(), snap);
+        assert_eq!(t2.snapshot(), snap);
     }
 
     #[test]
@@ -328,12 +328,12 @@ mod tests {
                 q
             }));
             let mut wins = 0;
-            crossbeam::scope(|s| {
+            std::thread::scope(|s| {
                 let handles: Vec<_> = [(1usize, 6u64), (2, 7)]
                     .into_iter()
                     .map(|(i, amount)| {
                         let t = Arc::clone(&t);
-                        s.spawn(move |_| t.transfer_from(p(i), a(0), a(i), amount).is_ok())
+                        s.spawn(move || t.transfer_from(p(i), a(0), a(i), amount).is_ok())
                     })
                     .collect();
                 for h in handles {
@@ -341,8 +341,7 @@ mod tests {
                         wins += 1;
                     }
                 }
-            })
-            .unwrap();
+            });
             assert_eq!(wins, 1);
         }
     }
@@ -356,19 +355,18 @@ mod tests {
             50;
             8
         ])));
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for i in 0..4 {
                 let t = Arc::clone(&t);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for j in 0..200 {
                         let _ = t.transfer(p(i), a((i + j) % 8), 1 + (j as u64 % 3));
                         assert_eq!(t.total_supply(), 400);
                     }
                 });
             }
-        })
-        .unwrap();
-        assert_eq!(t.state_snapshot().total_supply(), 400);
+        });
+        assert_eq!(t.snapshot().total_supply(), 400);
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub fn apply_erc20<T: ConcurrentToken + ?Sized>(
 
 /// A linearizable, concurrently accessible ERC20 token object.
 ///
-/// Mirrors [`Erc20Token`](crate::erc20::Erc20Token) with `&self` methods.
+/// Mirrors [`Erc20State`]'s transitions and reads with `&self` methods.
 /// The formal alphabet is fixed by the supertrait: a `ConcurrentToken`
 /// *is* a [`ConcurrentObject`] over
 /// [`Erc20Op`]/[`Erc20Resp`]/[`Erc20State`], which is what lets the
@@ -143,12 +143,6 @@ pub trait ConcurrentToken:
 
     /// `totalSupply()` — atomic with respect to transfers.
     fn total_supply(&self) -> Amount;
-
-    /// Legacy alias of [`ConcurrentObject::snapshot`], kept so existing
-    /// callers migrate incrementally; prefer `snapshot()`.
-    fn state_snapshot(&self) -> Erc20State {
-        self.snapshot()
-    }
 }
 
 impl<T: ConcurrentToken + ?Sized> ConcurrentToken for std::sync::Arc<T> {

@@ -13,8 +13,9 @@
 //!   million-account deployments, where a mutex per account and
 //!   all-account global reads stop scaling.
 //!
-//! All are differentially tested against the sequential
-//! [`Erc20Token`](crate::erc20::Erc20Token) and checked for
+//! All are differentially tested against the sequential specification
+//! ([`Erc20Spec`](crate::erc20::Erc20Spec) over
+//! [`Erc20State`](crate::erc20::Erc20State)) and checked for
 //! linearizability with recorded histories.
 
 mod coarse;
@@ -80,11 +81,11 @@ mod tests {
         let threads = 3;
         let ops_per_thread = 6; // 18 ops total: comfortably within checker range
         let recorder: Arc<Recorder<Erc20Op, Erc20Resp>> = Arc::new(Recorder::new());
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..threads {
                 let recorder = Arc::clone(&recorder);
                 let token = &token;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(seed + t as u64);
                     for _ in 0..ops_per_thread {
                         let op = random_op(&mut rng, token.accounts());
@@ -94,8 +95,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let history = Arc::try_unwrap(recorder).unwrap().into_history();
         let spec = Erc20Spec::new(initial);
         check_linearizable(&spec, &spec.initial_state(), &history)
@@ -163,9 +163,9 @@ mod tests {
                 "sharded diverged on {op:?}"
             );
         }
-        assert_eq!(coarse.state_snapshot(), oracle);
-        assert_eq!(fine.state_snapshot(), oracle);
-        assert_eq!(sharded.state_snapshot(), oracle);
+        assert_eq!(coarse.snapshot(), oracle);
+        assert_eq!(fine.snapshot(), oracle);
+        assert_eq!(sharded.snapshot(), oracle);
     }
 
     #[test]
@@ -173,10 +173,10 @@ mod tests {
         let token = Arc::new(SharedErc20::from_state(Erc20State::from_balances(vec![
             100, 100, 100, 100,
         ])));
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..4 {
                 let token = Arc::clone(&token);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(t as u64);
                     for _ in 0..500 {
                         let op = random_op(&mut rng, 4);
@@ -184,8 +184,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(token.total_supply(), 400);
     }
 }

@@ -46,7 +46,7 @@ struct Shard {
 /// * `approve`, `allowance`, `balanceOf` — one shard;
 /// * `totalSupply` — **zero** shards (cached atomic; supply is invariant
 ///   under every operation);
-/// * [`ConcurrentToken::state_snapshot`] — all shards; `O(4 × cores)`
+/// * [`ConcurrentObject::snapshot`] — all shards; `O(4 × cores)`
 ///   lock acquisitions instead of the `O(n)` of the per-account design.
 ///
 /// Linearizability is established empirically by the recorded-history
@@ -389,9 +389,9 @@ mod tests {
         let t = ShardedErc20::with_shards(Erc20State::with_deployer(5, p(1), 9), 2);
         t.approve(p(1), p(0), 4).unwrap();
         t.transfer(p(1), a(4), 2).unwrap();
-        let snap = t.state_snapshot();
+        let snap = t.snapshot();
         let t2 = ShardedErc20::with_shards(snap.clone(), 4);
-        assert_eq!(t2.state_snapshot(), snap);
+        assert_eq!(t2.snapshot(), snap);
         assert_eq!(snap.total_supply(), 9);
     }
 
@@ -505,12 +505,12 @@ mod tests {
                 2,
             ));
             let mut wins = 0;
-            crossbeam::scope(|s| {
+            std::thread::scope(|s| {
                 let handles: Vec<_> = [(1usize, 6u64), (2, 7)]
                     .into_iter()
                     .map(|(i, amount)| {
                         let t = Arc::clone(&t);
-                        s.spawn(move |_| t.transfer_from(p(i), a(0), a(i), amount).is_ok())
+                        s.spawn(move || t.transfer_from(p(i), a(0), a(i), amount).is_ok())
                     })
                     .collect();
                 for h in handles {
@@ -518,8 +518,7 @@ mod tests {
                         wins += 1;
                     }
                 }
-            })
-            .unwrap();
+            });
             assert_eq!(wins, 1);
         }
     }
@@ -530,26 +529,25 @@ mod tests {
             Erc20State::from_balances(vec![50; 8]),
             4,
         ));
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for i in 0..4 {
                 let t = Arc::clone(&t);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for j in 0..200 {
                         let _ = t.transfer(p(i), a((i + j) % 8), 1 + (j as u64 % 3));
                         assert_eq!(t.total_supply(), 400);
                     }
                 });
             }
-        })
-        .unwrap();
-        assert_eq!(t.state_snapshot().total_supply(), 400);
+        });
+        assert_eq!(t.snapshot().total_supply(), 400);
     }
 
     #[test]
     fn drain_delta_tracks_touched_rows_and_folds_onto_base() {
         let t = ShardedErc20::with_shards(Erc20State::with_deployer(8, p(0), 100), 4);
         assert!(t.drain_delta().is_empty(), "fresh object has no dirty rows");
-        let base = t.state_snapshot();
+        let base = t.snapshot();
         t.transfer(p(0), a(5), 10).unwrap();
         t.approve(p(3), p(1), 7).unwrap();
         t.transfer_from(p(1), a(3), a(6), 0).unwrap();
@@ -558,7 +556,7 @@ mod tests {
         assert_eq!(touched, vec![0, 3, 5, 6]);
         let mut folded = base;
         assert!(delta.apply_to(&mut folded));
-        assert_eq!(folded, t.state_snapshot());
+        assert_eq!(folded, t.snapshot());
         assert!(t.drain_delta().is_empty(), "drain clears the tracking bits");
     }
 

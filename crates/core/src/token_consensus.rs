@@ -215,7 +215,7 @@ impl<T: ConcurrentToken, V: Clone + Send + Sync> TokenConsensus<T, V> {
         }
         if mode == RaceMode::Verbatim {
             assert!(
-                algorithm1_ready(&token.state_snapshot(), witness.account),
+                algorithm1_ready(&token.snapshot(), witness.account),
                 "verbatim Algorithm 1 requires allowances ≤ balance (see analysis::algorithm1_ready)"
             );
         }

@@ -60,11 +60,11 @@ proptest! {
         }
         let token = ShardedErc20::with_shards(initial.clone(), 1 << shard_exp);
         let recorder: Arc<Recorder<Erc20Op, Erc20Resp>> = Arc::new(Recorder::new());
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for (t, script) in scripts.iter().enumerate() {
                 let recorder = Arc::clone(&recorder);
                 let token = &token;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let caller = ProcessId::new(t);
                     for op in script {
                         let id = recorder.invoke(caller, op.clone());
@@ -73,8 +73,7 @@ proptest! {
                     }
                 });
             }
-        })
-        .expect("worker panicked");
+        });
         let history = Arc::try_unwrap(recorder)
             .expect("all recorder handles dropped")
             .into_history();
@@ -96,18 +95,17 @@ proptest! {
             Erc20State::from_balances(balances),
             1 << shard_exp,
         ));
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for (t, script) in scripts.iter().enumerate() {
                 let token = Arc::clone(&token);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for op in script {
                         token.apply(ProcessId::new(t), op);
                     }
                 });
             }
-        })
-        .expect("worker panicked");
+        });
         prop_assert_eq!(token.total_supply(), supply);
-        prop_assert_eq!(token.state_snapshot().total_supply(), supply);
+        prop_assert_eq!(token.snapshot().total_supply(), supply);
     }
 }

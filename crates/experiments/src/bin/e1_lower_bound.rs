@@ -68,18 +68,17 @@ fn main() {
                     RaceMode::Generalized,
                 ));
             let mut decisions = Vec::new();
-            crossbeam::scope(|s| {
+            std::thread::scope(|s| {
                 let handles: Vec<_> = (0..k)
                     .map(|i| {
                         let c = Arc::clone(&consensus);
-                        s.spawn(move |_| c.propose(ProcessId::new(i), i))
+                        s.spawn(move || c.propose(ProcessId::new(i), i))
                     })
                     .collect();
                 for h in handles {
                     decisions.push(h.join().expect("proposer panicked"));
                 }
-            })
-            .expect("scope");
+            });
             let distinct: HashSet<_> = decisions.iter().copied().collect();
             if distinct.len() != 1 || decisions[0] >= k {
                 violations += 1;

@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tokensync_core::emulation::{within_restriction, RestrictedErc20Spec, RestrictedToken};
 use tokensync_core::erc20::{Erc20Op, Erc20State};
-use tokensync_core::shared::{ConcurrentObject, ConcurrentToken};
+use tokensync_core::shared::ConcurrentObject;
 use tokensync_experiments::Table;
 use tokensync_spec::{AccountId, ObjectType, ProcessId};
 
@@ -77,7 +77,7 @@ fn main() {
             max_spenders = max_spenders.max(tokensync_core::analysis::partition_index(&oracle));
         }
         assert_eq!(divergences, 0);
-        assert_eq!(token.state_snapshot(), oracle, "final states must agree");
+        assert_eq!(token.snapshot(), oracle, "final states must agree");
         t.row_owned(vec![
             k.to_string(),
             n.to_string(),

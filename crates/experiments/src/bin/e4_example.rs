@@ -6,12 +6,11 @@
 //! q0–q4 of the paper.
 
 use tokensync_core::analysis::consensus_number_bounds;
-use tokensync_core::erc20::Erc20Token;
+use tokensync_core::erc20::Erc20State;
 use tokensync_spec::{AccountId, ProcessId};
 
-fn show(token: &Erc20Token, label: &str) {
+fn show(state: &Erc20State, label: &str) {
     let a = |i: usize| AccountId::new(i);
-    let state = token.state();
     println!(
         "{label}: balances[aA,aB,aC] = [{}, {}, {}], allowances[aB][C] = {}, {}",
         state.balance(a(0)),
@@ -29,13 +28,13 @@ fn main() {
     let charlie = ProcessId::new(2);
     let (a_bob, a_alice, a_charlie) = (AccountId::new(1), AccountId::new(0), AccountId::new(2));
 
-    let mut token = Erc20Token::deploy(3, alice, 10);
+    let mut token = Erc20State::with_deployer(3, alice, 10);
     show(&token, "q0");
-    assert_eq!(token.balance_of(a_alice), 10);
+    assert_eq!(token.balance(a_alice), 10);
 
     token.transfer(alice, a_bob, 3).expect("q1 transfer");
     show(&token, "q1");
-    assert_eq!((token.balance_of(a_alice), token.balance_of(a_bob)), (7, 3));
+    assert_eq!((token.balance(a_alice), token.balance(a_bob)), (7, 3));
 
     token.approve(bob, charlie, 5).expect("q2 approve");
     show(&token, "q2");
@@ -45,14 +44,14 @@ fn main() {
         .transfer_from(charlie, a_bob, a_charlie, 5)
         .expect_err("q3 must fail: Bob's balance is 3 < 5");
     println!("q3: transferFrom(aB, aC, 5) → FALSE ({err}); state unchanged");
-    assert_eq!(token.balance_of(a_bob), 3);
+    assert_eq!(token.balance(a_bob), 3);
     assert_eq!(token.allowance(a_bob, charlie), 5);
 
     token
         .transfer_from(charlie, a_bob, a_alice, 1)
         .expect("q4 transferFrom");
     show(&token, "q4");
-    assert_eq!((token.balance_of(a_alice), token.balance_of(a_bob)), (8, 2));
+    assert_eq!((token.balance(a_alice), token.balance(a_bob)), (8, 2));
     assert_eq!(token.allowance(a_bob, charlie), 4);
 
     println!("\nresult: trace matches the paper exactly (q0 → q4).");

@@ -61,18 +61,17 @@ fn main() {
         for _ in 0..runs {
             let c: Arc<Erc777Consensus<usize>> = Arc::new(Erc777Consensus::new(k, 16));
             let mut decisions = Vec::new();
-            crossbeam::scope(|s| {
+            std::thread::scope(|s| {
                 let handles: Vec<_> = (0..k)
                     .map(|i| {
                         let c = Arc::clone(&c);
-                        s.spawn(move |_| c.propose(ProcessId::new(i), i))
+                        s.spawn(move || c.propose(ProcessId::new(i), i))
                     })
                     .collect();
                 for h in handles {
                     decisions.push(h.join().expect("proposer"));
                 }
-            })
-            .expect("scope");
+            });
             if decisions.iter().collect::<HashSet<_>>().len() != 1 || decisions[0] >= k {
                 violations += 1;
             }
@@ -89,18 +88,17 @@ fn main() {
         for _ in 0..runs {
             let c: Arc<Erc721Consensus<usize>> = Arc::new(Erc721Consensus::new(k));
             let mut decisions = Vec::new();
-            crossbeam::scope(|s| {
+            std::thread::scope(|s| {
                 let handles: Vec<_> = (0..k)
                     .map(|i| {
                         let c = Arc::clone(&c);
-                        s.spawn(move |_| c.propose(ProcessId::new(i), i))
+                        s.spawn(move || c.propose(ProcessId::new(i), i))
                     })
                     .collect();
                 for h in handles {
                     decisions.push(h.join().expect("proposer"));
                 }
-            })
-            .expect("scope");
+            });
             if decisions.iter().collect::<HashSet<_>>().len() != 1 || decisions[0] >= k {
                 violations += 1;
             }

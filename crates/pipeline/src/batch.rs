@@ -44,7 +44,7 @@
 //!
 //! [`try_submit_burst`](IntakeClient::try_submit_burst) is the
 //! primitive: one shard lock and at most one ring admit as much of a
-//! burst as fits. The single-op methods are bursts of one.
+//! burst as fits. The blocking single-op methods are bursts of one.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -221,39 +221,12 @@ impl<Op> IntakeClient<Op> {
             .map(|_| ())
     }
 
-    /// Non-blocking variant: `Ok(false)` when the shard is momentarily
-    /// full.
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineClosed`] if the engine stopped consuming.
-    pub fn try_submit(&self, caller: ProcessId, op: Op) -> Result<bool, PipelineClosed> {
-        self.try_submit_tagged(caller, op, NO_TICKET)
-    }
-
-    /// Non-blocking [`submit_tagged`](IntakeClient::submit_tagged):
-    /// `Ok(false)` when the shard is momentarily full — the
-    /// admission-control probe a front end turns into a `Busy` reply
-    /// instead of buffering without bound.
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineClosed`] if the engine stopped consuming.
-    pub fn try_submit_tagged(
-        &self,
-        caller: ProcessId,
-        op: Op,
-        ticket: u64,
-    ) -> Result<bool, PipelineClosed> {
-        self.try_submit_burst(&mut std::iter::once((caller, op, ticket)))
-            .map(|admitted| admitted == 1)
-    }
-
     /// Admits a burst of `(caller, op, ticket)` submissions under one
     /// shard lock and at most one doorbell ring, without blocking: takes
     /// from `ops`, in order, exactly as many as the shard has room for
     /// and returns that count. Whatever did not fit is still in `ops` —
-    /// a front end answers those `Busy`.
+    /// a front end answers those `Busy`. This is the one non-blocking
+    /// entry point; a single op is a burst of one.
     ///
     /// # Errors
     ///
@@ -628,7 +601,7 @@ mod tests {
         drop(batcher);
         assert_eq!(client.submit(ProcessId::new(0), op(0)), Err(PipelineClosed));
         assert_eq!(
-            client.try_submit(ProcessId::new(0), op(0)),
+            client.try_submit_burst(&mut std::iter::once((ProcessId::new(0), op(0), NO_TICKET))),
             Err(PipelineClosed)
         );
     }
@@ -656,14 +629,17 @@ mod tests {
             queue_depth: 2,
             intake_shards: 2,
         });
-        // Shard cap is 1: the second try_submit on the same handle must
-        // report full, not block or drop the op.
-        assert_eq!(client.try_submit(ProcessId::new(0), op(0)), Ok(true));
-        assert_eq!(client.try_submit(ProcessId::new(0), op(1)), Ok(false));
+        let one = |v: u64| {
+            client.try_submit_burst(&mut std::iter::once((ProcessId::new(0), op(v), NO_TICKET)))
+        };
+        // Shard cap is 1: the second non-blocking submit on the same
+        // handle must report full, not block or drop the op.
+        assert_eq!(one(0), Ok(1));
+        assert_eq!(one(1), Ok(0));
         assert_eq!(batcher.queued(), 1);
         let batch = batcher.next_batch().unwrap();
         assert_eq!(batch.ops.len(), 1);
-        assert_eq!(client.try_submit(ProcessId::new(0), op(2)), Ok(true));
+        assert_eq!(one(2), Ok(1));
         drop(client);
         assert_eq!(batcher.next_batch().unwrap().ops.len(), 1);
         assert!(batcher.next_batch().is_none());

@@ -611,7 +611,7 @@ impl Pipeline {
 mod tests {
     use super::*;
     use tokensync_core::erc20::{Erc20Op, Erc20Spec, Erc20State};
-    use tokensync_core::shared::{ConcurrentToken, ShardedErc20};
+    use tokensync_core::shared::ShardedErc20;
     use tokensync_spec::{check_linearizable, AccountId, ObjectType};
 
     fn p(i: usize) -> ProcessId {
@@ -652,7 +652,7 @@ mod tests {
         assert_eq!(run.stats.batches, 3);
         let spec = Erc20Spec::new(initial);
         let replayed = run.log.replay(&spec).expect("consistent responses");
-        assert_eq!(replayed, token.state_snapshot());
+        assert_eq!(replayed, token.snapshot());
         check_linearizable(&spec, &spec.initial_state(), &run.log.to_history())
             .expect("commit log linearizes");
     }
@@ -682,10 +682,10 @@ mod tests {
         let initial = Erc20State::from_balances(vec![100; 4]);
         let token = Arc::new(ShardedErc20::from_state(initial.clone()));
         let (client, handle) = Pipeline::spawn(Arc::clone(&token), small_cfg(8));
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..3usize {
                 let client = client.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..20 {
                         client
                             .submit(
@@ -699,8 +699,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .expect("producers panicked");
+        });
         drop(client);
         let run = handle.finish();
         assert_eq!(run.stats.ops, 60);
@@ -708,7 +707,7 @@ mod tests {
         // the replayed state is exactly the token's final state.
         let spec = Erc20Spec::new(initial);
         let replayed = run.log.replay(&spec).expect("consistent responses");
-        assert_eq!(replayed, token.state_snapshot());
+        assert_eq!(replayed, token.snapshot());
         assert_eq!(replayed.total_supply(), 400);
     }
 
@@ -747,6 +746,6 @@ mod tests {
             .log
             .replay(&Erc20Spec::new(initial))
             .expect("consistent responses");
-        assert_eq!(replayed, token.state_snapshot());
+        assert_eq!(replayed, token.snapshot());
     }
 }

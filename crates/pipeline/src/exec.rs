@@ -115,13 +115,17 @@ fn execute_fused<T: ConcurrentObject + ?Sized>(
     workers: usize,
 ) -> Vec<(usize, T::Resp)> {
     let barrier = Barrier::new(workers);
-    let parts = crossbeam::scope(|s| {
+    let parts = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|k| {
                 let barrier = &barrier;
-                s.spawn(move |_| {
+                s.spawn(move || {
+                    let mut rendezvous = Rendezvous {
+                        barrier,
+                        left: run.len() - 1,
+                    };
                     let mut out: Vec<(usize, T::Resp)> = Vec::new();
-                    for (i, wave) in run.iter().enumerate() {
+                    for wave in run {
                         let chunk = wave.len().div_ceil(workers);
                         let lo = (k * chunk).min(wave.len());
                         let hi = ((k + 1) * chunk).min(wave.len());
@@ -131,9 +135,7 @@ fn execute_fused<T: ConcurrentObject + ?Sized>(
                         }
                         // The fusion point: the barrier replaces the old
                         // spawn/join edge between consecutive waves.
-                        if i + 1 < run.len() {
-                            barrier.wait();
-                        }
+                        rendezvous.wait();
                     }
                     out
                 })
@@ -143,9 +145,35 @@ fn execute_fused<T: ConcurrentObject + ?Sized>(
             .into_iter()
             .map(|h| h.join().expect("wave worker panicked"))
             .collect::<Vec<_>>()
-    })
-    .expect("wave worker panicked");
+    });
     parts.into_iter().flatten().collect()
+}
+
+/// One worker's remaining wave-boundary rendezvous in a fused run.
+/// Dropping it makes every rendezvous not yet made, so a worker that
+/// unwinds mid-run still releases its siblings, and the scope can join
+/// them and re-raise the panic instead of hanging.
+struct Rendezvous<'a> {
+    barrier: &'a Barrier,
+    left: usize,
+}
+
+impl Rendezvous<'_> {
+    /// Waits at the next wave boundary; a no-op after the last wave.
+    fn wait(&mut self) {
+        if self.left > 0 {
+            self.left -= 1;
+            self.barrier.wait();
+        }
+    }
+}
+
+impl Drop for Rendezvous<'_> {
+    fn drop(&mut self) {
+        while self.left > 0 {
+            self.wait();
+        }
+    }
 }
 
 /// Executes a batch the scheduler's probe certified pairwise commuting,
@@ -175,11 +203,11 @@ pub fn execute_unordered<T: ConcurrentObject + ?Sized>(
         return ops.iter().map(|(c, op)| token.apply(*c, op)).collect();
     }
     let chunk = ops.len().div_ceil(workers);
-    let parts = crossbeam::scope(|s| {
+    let parts = std::thread::scope(|s| {
         let handles: Vec<_> = ops
             .chunks(chunk)
             .map(|part| {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     part.iter()
                         .map(|(c, op)| token.apply(*c, op))
                         .collect::<Vec<T::Resp>>()
@@ -190,8 +218,7 @@ pub fn execute_unordered<T: ConcurrentObject + ?Sized>(
             .into_iter()
             .map(|h| h.join().expect("bypass worker panicked"))
             .collect::<Vec<_>>()
-    })
-    .expect("bypass worker panicked");
+    });
     parts.into_iter().flatten().collect()
 }
 
@@ -200,7 +227,7 @@ mod tests {
     use super::*;
     use crate::schedule::{schedule, ScheduleConfig};
     use tokensync_core::erc20::{Erc20Op, Erc20Resp, Erc20State};
-    use tokensync_core::shared::{ConcurrentToken, ShardedErc20};
+    use tokensync_core::shared::ShardedErc20;
     use tokensync_core::standards::erc721::{
         Erc721Op, Erc721Resp, Erc721State, ShardedErc721, TokenId,
     };
@@ -226,7 +253,7 @@ mod tests {
                 min_ops_per_worker: min,
             },
         );
-        (responses, token.state_snapshot().total_supply())
+        (responses, token.snapshot().total_supply())
     }
 
     #[test]
@@ -329,7 +356,7 @@ mod tests {
             },
         );
         assert_eq!(inline, parallel);
-        assert_eq!(token.state_snapshot(), token2.state_snapshot());
+        assert_eq!(token.snapshot(), token2.snapshot());
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   commit log — in submission order, even when many producers race
 //!   under backpressure.
 //! * **Bounded memory**: the intake never buffers more than
-//!   `queue_depth` operations; a full shard makes `try_submit` report
-//!   full and `submit` block (and unblock once the engine drains).
+//!   `queue_depth` operations; a full shard makes `try_submit_burst`
+//!   admit nothing and `submit` block (and unblock once the engine drains).
 //! * **Shutdown**: a dropped batcher fails producers instead of
 //!   wedging them.
 
@@ -20,8 +20,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tokensync_core::erc20::{Erc20Op, Erc20Spec, Erc20State};
-use tokensync_core::shared::{ConcurrentToken, ShardedErc20};
-use tokensync_pipeline::{intake, BatchConfig, Pipeline, PipelineConfig};
+use tokensync_core::shared::{ConcurrentObject, ShardedErc20};
+use tokensync_pipeline::{intake, BatchConfig, Pipeline, PipelineConfig, NO_TICKET};
 use tokensync_spec::{AccountId, ProcessId};
 
 fn p(i: usize) -> ProcessId {
@@ -53,10 +53,10 @@ fn per_producer_fifo_survives_backpressure_stress() {
         ..PipelineConfig::default()
     };
     let (client, handle) = Pipeline::spawn(Arc::clone(&token), cfg);
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..P {
             let client = client.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..K {
                     // Sender = the producer's own account; value encodes
                     // the submission index.
@@ -72,8 +72,7 @@ fn per_producer_fifo_survives_backpressure_stress() {
                 }
             });
         }
-    })
-    .expect("producers panicked");
+    });
     drop(client);
     let run = handle.finish();
     assert_eq!(run.stats.ops as usize, P * K, "ops lost in the intake");
@@ -97,14 +96,15 @@ fn per_producer_fifo_survives_backpressure_stress() {
         .log
         .replay(&Erc20Spec::new(initial))
         .expect("responses consistent");
-    assert_eq!(replayed, token.state_snapshot());
+    assert_eq!(replayed, token.snapshot());
 }
 
 #[test]
 fn intake_buffering_is_bounded_by_queue_depth() {
     // Regression pin for the backpressure contract: with no consumer
     // draining, the intake accepts at most queue_depth operations in
-    // total — every extra try_submit reports full on every shard.
+    // total — every extra non-blocking submit admits nothing on any
+    // shard.
     let depth = 16;
     let shards = 4;
     let (client, batcher) = intake::<Erc20Op>(BatchConfig {
@@ -115,14 +115,12 @@ fn intake_buffering_is_bounded_by_queue_depth() {
     // One handle per shard (clones assign round-robin).
     let handles: Vec<_> = (0..shards - 1).map(|_| client.clone()).collect();
     let all: Vec<_> = std::iter::once(&client).chain(handles.iter()).collect();
+    let one = || std::iter::once((p(0), Erc20Op::TotalSupply, NO_TICKET));
     let mut accepted = 0usize;
-    for round in 0..depth {
+    for _ in 0..depth {
         for h in &all {
-            if h.try_submit(p(0), Erc20Op::TotalSupply).unwrap() {
-                accepted += 1;
-            }
+            accepted += h.try_submit_burst(&mut one()).unwrap();
         }
-        let _ = round;
     }
     assert_eq!(
         accepted, depth,
@@ -131,8 +129,8 @@ fn intake_buffering_is_bounded_by_queue_depth() {
     assert_eq!(batcher.queued(), depth);
     for h in &all {
         assert_eq!(
-            h.try_submit(p(0), Erc20Op::TotalSupply).unwrap(),
-            false,
+            h.try_submit_burst(&mut one()).unwrap(),
+            0,
             "every shard must report full at the bound"
         );
     }
@@ -208,10 +206,10 @@ fn interleaved_producers_still_linearize_through_the_engine() {
         ..PipelineConfig::default()
     };
     let (client, handle) = Pipeline::spawn(Arc::clone(&token), cfg);
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..P {
             let client = client.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..K {
                     let op = if i % 7 == 3 {
                         // Cross traffic into a shared hot account.
@@ -226,8 +224,7 @@ fn interleaved_producers_still_linearize_through_the_engine() {
                 }
             });
         }
-    })
-    .expect("producers panicked");
+    });
     drop(client);
     let run = handle.finish();
     assert_eq!(run.stats.ops as usize, P * K);
@@ -235,7 +232,7 @@ fn interleaved_producers_still_linearize_through_the_engine() {
         .log
         .replay(&Erc20Spec::new(initial))
         .expect("responses consistent");
-    assert_eq!(replayed, token.state_snapshot());
+    assert_eq!(replayed, token.snapshot());
     // Per-producer FIFO of the conflicting subsequence (all ops from one
     // producer touch its own balance cell, so order is preserved).
     for t in 0..P {

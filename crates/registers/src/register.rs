@@ -141,13 +141,12 @@ mod tests {
     #[test]
     fn concurrent_writes_leave_one_of_the_written_values() {
         let r = Arc::new(U64Register::new(0));
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for v in 1..=8u64 {
                 let r = Arc::clone(&r);
-                s.spawn(move |_| r.write(v));
+                s.spawn(move || r.write(v));
             }
-        })
-        .unwrap();
+        });
         let final_value = r.read();
         assert!((1..=8).contains(&final_value));
     }

@@ -62,11 +62,11 @@ mod tests {
             Arc::new((0..2).map(|_| StampedRegister::new(0)).collect());
         let stop = Arc::new(AtomicBool::new(false));
 
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             {
                 let regs = Arc::clone(&regs);
                 let stop = Arc::clone(&stop);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut v = 0;
                     while !stop.load(Ordering::Relaxed) {
                         v += 1;
@@ -85,7 +85,6 @@ mod tests {
                 );
             }
             stop.store(true, Ordering::Relaxed);
-        })
-        .unwrap();
+        });
     }
 }

@@ -76,17 +76,16 @@ mod tests {
     fn concurrent_writes_produce_distinct_stamps() {
         use std::sync::Arc;
         let r = Arc::new(StampedRegister::new(0u64));
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..4 {
                 let r = Arc::clone(&r);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for v in 0..16 {
                         r.write(v);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(r.read().stamp, 64);
     }
 }

@@ -495,10 +495,10 @@ fn spawned_engine_with_store_sink_is_durable() {
     let token = Arc::new(ShardedErc20::from_state(genesis.clone()));
     let store: Store<ShardedErc20> = Store::create(&dir, &genesis, StoreConfig::default()).unwrap();
     let (client, handle) = Pipeline::spawn_with_sink(Arc::clone(&token), cfg(8), store);
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..3usize {
             let client = client.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..20 {
                     client
                         .submit(
@@ -512,8 +512,7 @@ fn spawned_engine_with_store_sink_is_durable() {
                 }
             });
         }
-    })
-    .expect("producers");
+    });
     drop(client);
     let (run, store) = handle.finish();
     assert_eq!(run.stats.ops, 60);

@@ -14,7 +14,7 @@
 use tokensync::core::analysis::SyncMonitor;
 use tokensync::core::emulation::RestrictedToken;
 use tokensync::core::erc20::Erc20State;
-use tokensync::core::shared::ConcurrentToken;
+use tokensync::core::shared::{ConcurrentObject, ConcurrentToken};
 use tokensync::spec::{AccountId, ProcessId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -24,19 +24,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let initial = Erc20State::from_balances(vec![0, 100, 100, 100, 100]);
     let token = RestrictedToken::new(2, initial);
     let mut monitor = SyncMonitor::new();
-    monitor.observe(&token.state_snapshot());
+    monitor.observe(&token.snapshot());
 
     println!("traders escrow funds with the DEX via approve…");
     for trader in 1..n {
         token.approve(ProcessId::new(trader), dex, 40)?;
-        monitor.observe(&token.state_snapshot());
+        monitor.observe(&token.snapshot());
     }
 
     // A trade: the DEX settles 30 from trader 1 to trader 2 and 25 back.
     println!("DEX settles a matched order: t1 → t2 (30), t2 → t1 (25)");
     token.transfer_from(dex, AccountId::new(1), AccountId::new(2), 30)?;
     token.transfer_from(dex, AccountId::new(2), AccountId::new(1), 25)?;
-    monitor.observe(&token.state_snapshot());
+    monitor.observe(&token.snapshot());
 
     // The provisioning guarantee: a second spender on a trader's account
     // would exceed the provisioned level — the platform refuses rather
@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Traders can always revoke and leave.
     token.approve(ProcessId::new(3), dex, 0)?;
-    monitor.observe(&token.state_snapshot());
+    monitor.observe(&token.snapshot());
 
     println!("\nsynchronization trajectory (consensus-number upper bound per step):");
     for point in monitor.series() {

@@ -6,7 +6,7 @@
 //! ```
 
 use tokensync::core::analysis::{consensus_number_bounds, enabled_spenders, sync_level};
-use tokensync::core::erc20::Erc20Token;
+use tokensync::core::erc20::Erc20State;
 use tokensync::spec::{AccountId, ProcessId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -16,24 +16,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let charlie = ProcessId::new(2);
     let (a_alice, a_bob, a_charlie) = (AccountId::new(0), AccountId::new(1), AccountId::new(2));
 
-    let mut token = Erc20Token::deploy(3, alice, 10);
+    let mut token = Erc20State::with_deployer(3, alice, 10);
     println!(
         "deployed: {} holds the full supply of {}",
         a_alice,
         token.total_supply()
     );
-    println!(
-        "  synchronization: {}",
-        consensus_number_bounds(token.state())
-    );
+    println!("  synchronization: {}", consensus_number_bounds(&token));
 
     // Alice pays Bob 3 — plain payments don't change the level.
     token.transfer(alice, a_bob, 3)?;
     println!("\nAlice → Bob: 3 tokens");
-    println!(
-        "  synchronization: {}",
-        consensus_number_bounds(token.state())
-    );
+    println!("  synchronization: {}", consensus_number_bounds(&token));
 
     // Bob approves Charlie for 5: Bob's account now has two enabled
     // spenders, and the object got strictly stronger.
@@ -42,12 +36,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "  enabled spenders of {}: {:?}",
         a_bob,
-        enabled_spenders(token.state(), a_bob)
+        enabled_spenders(&token, a_bob)
     );
-    println!(
-        "  synchronization: {}",
-        consensus_number_bounds(token.state())
-    );
+    println!("  synchronization: {}", consensus_number_bounds(&token));
 
     // Charlie overdraws — FALSE, nothing changes (Example 1, q3).
     let err = token
@@ -60,14 +51,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Charlie moves 1 from Bob to Alice");
     println!(
         "  balances: [{}, {}, {}], Charlie's remaining allowance: {}",
-        token.balance_of(a_alice),
-        token.balance_of(a_bob),
-        token.balance_of(a_charlie),
+        token.balance(a_alice),
+        token.balance(a_bob),
+        token.balance(a_charlie),
         token.allowance(a_bob, charlie),
     );
 
     // Where could consensus be run right now, and among whom?
-    let (k, witness) = sync_level(token.state());
+    let (k, witness) = sync_level(&token);
     match witness {
         Some(w) => println!(
             "\nthe state is in S_{k}: account {} can decide consensus among {:?}",

@@ -38,11 +38,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let proposals = ["red", "green", "blue", "amber", "violet"];
     let mut decisions = Vec::new();
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         let handles: Vec<_> = (0..K)
             .map(|i| {
                 let consensus = Arc::clone(&consensus);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mine = proposals[i].to_string();
                     let decided = consensus.propose(ProcessId::new(i), mine.clone());
                     (i, mine, decided)
@@ -52,8 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for h in handles {
             decisions.push(h.join().expect("proposer"));
         }
-    })
-    .expect("scope");
+    });
 
     decisions.sort_by_key(|(i, _, _)| *i);
     for (i, mine, decided) in &decisions {

@@ -1,101 +1,8 @@
-//! Offline stand-in for the `crossbeam` crate.
+//! Empty placeholder package.
 //!
-//! The build environment has no registry access, so the workspace vendors
-//! the one entry point its members use: [`scope`], crossbeam's scoped
-//! threads, implemented over `std::thread::scope` (stable since Rust
-//! 1.63, which is why the real dependency is no longer needed).
-//!
-//! Matching crossbeam's contract:
-//!
-//! * `scope` returns `Err` (instead of unwinding) when a spawned thread
-//!   panics, so call sites keep their `.expect("…")` handling;
-//! * the closure passed to [`Scope::spawn`] receives a `&Scope` argument
-//!   (call sites write `|_|`), allowing nested spawns.
-
-#![deny(rustdoc::broken_intra_doc_links)]
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// Result of [`scope`]: `Err` carries the payload of a panicking thread.
-pub type ScopeResult<R> = std::thread::Result<R>;
-
-/// Run `f` with a [`Scope`] whose spawned threads are all joined before
-/// `scope` returns.
-pub fn scope<'env, F, R>(f: F) -> ScopeResult<R>
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-{
-    catch_unwind(AssertUnwindSafe(|| {
-        std::thread::scope(|s| f(&Scope { inner: s }))
-    }))
-}
-
-/// Handle for spawning threads that may borrow from the enclosing scope.
-#[derive(Clone, Copy)]
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawn a thread joined at scope exit. The closure receives this
-    /// scope again so it can spawn further threads.
-    pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-    where
-        F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-        T: Send + 'scope,
-    {
-        let scope = *self;
-        ScopedJoinHandle {
-            inner: self.inner.spawn(move || f(&scope)),
-        }
-    }
-}
-
-/// Handle to a spawned scoped thread.
-pub struct ScopedJoinHandle<'scope, T> {
-    inner: std::thread::ScopedJoinHandle<'scope, T>,
-}
-
-impl<T> ScopedJoinHandle<'_, T> {
-    /// Wait for the thread to finish; `Err` carries its panic payload.
-    pub fn join(self) -> std::thread::Result<T> {
-        self.inner.join()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn spawned_threads_see_borrows_and_join() {
-        let counter = AtomicUsize::new(0);
-        super::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|_| counter.fetch_add(1, Ordering::SeqCst));
-            }
-        })
-        .expect("no panics");
-        assert_eq!(counter.load(Ordering::SeqCst), 8);
-    }
-
-    #[test]
-    fn panic_becomes_err() {
-        let result = super::scope(|s| {
-            s.spawn(|_| panic!("boom"));
-        });
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn nested_spawn_through_closure_arg() {
-        let counter = AtomicUsize::new(0);
-        super::scope(|s| {
-            s.spawn(|s2| {
-                s2.spawn(|_| counter.fetch_add(1, Ordering::SeqCst));
-            });
-        })
-        .expect("no panics");
-        assert_eq!(counter.load(Ordering::SeqCst), 1);
-    }
-}
+//! The workspace runs its scoped threads on `std::thread::scope` and
+//! calls nothing here. The package stays, at version 0.8.4, only because
+//! the `stack` benchmark's `Cargo.lock` lists it as a dependency of
+//! `tokensync-pipeline` and `tokensync-store`, and that benchmark builds
+//! with `--locked`. The benchmark change of ROADMAP item 1 deletes this
+//! package together with those two edges.

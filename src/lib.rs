@@ -28,18 +28,18 @@
 //!
 //! ```
 //! use tokensync::core::analysis::consensus_number_bounds;
-//! use tokensync::core::erc20::Erc20Token;
+//! use tokensync::core::erc20::Erc20State;
 //! use tokensync::spec::{AccountId, ProcessId};
 //!
 //! let alice = ProcessId::new(0);
-//! let mut token = Erc20Token::deploy(3, alice, 10);
+//! let mut token = Erc20State::with_deployer(3, alice, 10);
 //!
 //! // Freshly deployed: consensus number 1, like a plain cryptocurrency.
-//! assert_eq!(consensus_number_bounds(token.state()).exact(), Some(1));
+//! assert_eq!(consensus_number_bounds(&token).exact(), Some(1));
 //!
 //! // One approve later the object is strictly stronger:
 //! token.approve(alice, ProcessId::new(1), 6)?;
-//! assert_eq!(consensus_number_bounds(token.state()).exact(), Some(2));
+//! assert_eq!(consensus_number_bounds(&token).exact(), Some(2));
 //! # Ok::<(), tokensync::core::TokenError>(())
 //! ```
 //!
@@ -209,15 +209,15 @@
 //!
 //! ```
 //! use tokensync::core::analysis::consensus_number_bounds;
-//! use tokensync::core::erc20::Erc20Token;
+//! use tokensync::core::erc20::Erc20State;
 //! use tokensync::spec::ProcessId;
 //!
 //! let alice = ProcessId::new(0);
-//! let mut token = Erc20Token::deploy(3, alice, 10);
+//! let mut token = Erc20State::with_deployer(3, alice, 10);
 //! token.approve(alice, ProcessId::new(1), 6)?;
-//! assert_eq!(consensus_number_bounds(token.state()).exact(), Some(2));
+//! assert_eq!(consensus_number_bounds(&token).exact(), Some(2));
 //! token.approve(alice, ProcessId::new(1), 0)?; // revoke
-//! assert_eq!(consensus_number_bounds(token.state()).exact(), Some(1));
+//! assert_eq!(consensus_number_bounds(&token).exact(), Some(1));
 //! # Ok::<(), tokensync::core::TokenError>(())
 //! ```
 //!

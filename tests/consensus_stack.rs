@@ -9,12 +9,12 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use tokensync::consensus::{CasConsensus, Consensus, Universal};
-use tokensync::core::erc20::{Erc20Op, Erc20Spec, Erc20Token};
+use tokensync::core::erc20::{Erc20Op, Erc20Spec};
 use tokensync::core::setup::{pairwise_exceeding_allowances, prepare_sync_state};
 use tokensync::core::shared::{ConcurrentToken, SharedErc20};
 use tokensync::core::token_consensus::TokenConsensus;
 use tokensync::kat::AtConsensus;
-use tokensync::spec::{AccountId, ProcessId};
+use tokensync::spec::{AccountId, ObjectType, ProcessId};
 
 fn p(i: usize) -> ProcessId {
     ProcessId::new(i)
@@ -30,18 +30,17 @@ where
     F: Fn(ProcessId, usize) -> usize + Sync,
 {
     let mut decisions = Vec::new();
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         let handles: Vec<_> = (0..k)
             .map(|i| {
                 let propose = &propose;
-                s.spawn(move |_| propose(p(i), i))
+                s.spawn(move || propose(p(i), i))
             })
             .collect();
         for h in handles {
             decisions.push(h.join().expect("proposer panicked"));
         }
-    })
-    .expect("scope");
+    });
     let distinct: HashSet<_> = decisions.iter().copied().collect();
     assert_eq!(distinct.len(), 1, "disagreement: {decisions:?}");
     assert!(decisions[0] < k, "invalid decision {}", decisions[0]);
@@ -104,8 +103,8 @@ fn universal_construction_hosts_the_token() {
     // universal construction behaves exactly like the sequential token.
     let n = 3;
     let spec = Erc20Spec::deployed(n, p(0), 30);
-    let universal = Arc::new(Universal::new(spec, n));
-    let mut oracle = Erc20Token::deploy(n, p(0), 30);
+    let mut oracle = spec.initial_state();
+    let universal = Arc::new(Universal::new(spec.clone(), n));
 
     let script: Vec<(ProcessId, Erc20Op)> = vec![
         (p(0), Erc20Op::Transfer { to: a(1), value: 9 }),
@@ -128,11 +127,11 @@ fn universal_construction_hosts_the_token() {
         (p(0), Erc20Op::TotalSupply),
     ];
     for (caller, op) in script {
-        let expected = oracle.apply(caller, &op);
+        let expected = spec.apply(&mut oracle, caller, &op);
         let got = universal.perform(caller, op);
         assert_eq!(got, expected);
     }
-    assert_eq!(universal.state_snapshot(), *oracle.state());
+    assert_eq!(universal.snapshot(), oracle);
 }
 
 #[test]
@@ -143,10 +142,10 @@ fn universal_token_is_consistent_under_contention() {
         4
     ]));
     let universal = Arc::new(Universal::new(spec, n));
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..n {
             let universal = Arc::clone(&universal);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..50 {
                     universal.perform(
                         p(t),
@@ -158,8 +157,7 @@ fn universal_token_is_consistent_under_contention() {
                 }
             });
         }
-    })
-    .expect("scope");
-    assert_eq!(universal.state_snapshot().total_supply(), 400);
+    });
+    assert_eq!(universal.snapshot().total_supply(), 400);
     assert_eq!(universal.log_len(), n * 50);
 }

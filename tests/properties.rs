@@ -7,7 +7,7 @@ use tokensync::core::analysis::{
 };
 use tokensync::core::emulation::{within_restriction, RestrictedErc20Spec, RestrictedToken};
 use tokensync::core::erc20::{Erc20Op, Erc20Spec, Erc20State};
-use tokensync::core::shared::{CoarseErc20, ConcurrentObject, ConcurrentToken, SharedErc20};
+use tokensync::core::shared::{CoarseErc20, ConcurrentObject, SharedErc20};
 use tokensync::spec::{check_linearizable, AccountId, History, ObjectType, ProcessId};
 
 const N: usize = 4;
@@ -127,8 +127,8 @@ proptest! {
             prop_assert_eq!(coarse.apply(caller, op), expected);
             prop_assert_eq!(fine.apply(caller, op), expected);
         }
-        prop_assert_eq!(coarse.state_snapshot(), oracle.clone());
-        prop_assert_eq!(fine.state_snapshot(), oracle);
+        prop_assert_eq!(coarse.snapshot(), oracle.clone());
+        prop_assert_eq!(fine.snapshot(), oracle);
     }
 
     /// Algorithm 2: the emulation tracks its sequential spec on any
@@ -145,7 +145,7 @@ proptest! {
             prop_assert_eq!(token.apply(caller, op), expected);
             prop_assert!(within_restriction(&oracle, k));
         }
-        prop_assert_eq!(token.state_snapshot(), oracle);
+        prop_assert_eq!(token.snapshot(), oracle);
     }
 
     /// The linearizability checker accepts every sequential history…

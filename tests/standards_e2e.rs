@@ -231,10 +231,10 @@ fn spawned_engine_serves_concurrent_nft_clients() {
         ..PipelineConfig::default()
     };
     let (client, handle) = Pipeline::spawn(Arc::clone(&nft), cfg);
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..4usize {
             let client = client.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..10 {
                     // Each client moves its own tokens (t, t+8, …, t+24
                     // round-robin) — mostly commuting, occasionally
@@ -254,8 +254,7 @@ fn spawned_engine_serves_concurrent_nft_clients() {
                 }
             });
         }
-    })
-    .expect("clients panicked");
+    });
     drop(client);
     let run = handle.finish();
     assert_eq!(run.stats.ops, 40);
