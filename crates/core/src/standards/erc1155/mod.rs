@@ -25,7 +25,10 @@ use tokensync_spec::{AccountId, Amount, ProcessId};
 
 mod object;
 
-pub use object::{Erc1155Delta, Erc1155Op, Erc1155Resp, Erc1155Spec, Erc1155State, ShardedErc1155};
+pub use object::{
+    per_type_sums_fit, Erc1155Delta, Erc1155Op, Erc1155Resp, Erc1155Spec, Erc1155State,
+    ShardedErc1155,
+};
 
 /// Identifier of a token *type* within an ERC1155 contract.
 #[derive(Copy, Clone, Eq, PartialEq, Ord, PartialOrd, Hash, Debug, Default)]

@@ -576,10 +576,31 @@ impl Required {
     }
 }
 
+/// Whether no type's amounts in `rows` sum past `u64::MAX`, by the
+/// per-type aggregation every transfer runs (`Required::of`). The
+/// object and the oracle answer FALSE on such rows at every state — no
+/// balance covers the sum — so a gate with no state (the server's wire
+/// check) refuses exactly these and lets every other batch through.
+/// Type ids need not be in range.
+pub fn per_type_sums_fit(rows: &[(TypeId, Amount)]) -> bool {
+    // On the stack for the handful of rows a batch carries, as in
+    // `Required::of`: the wire check runs once per decoded request.
+    let mut inline = [(TypeId::new(0), 0); INLINE_ROWS];
+    let mut spilled;
+    let buf = if rows.len() <= INLINE_ROWS {
+        inline[..rows.len()].copy_from_slice(rows);
+        &mut inline[..rows.len()]
+    } else {
+        spilled = rows.to_vec();
+        &mut spilled[..]
+    };
+    sum_per_type(buf).is_some()
+}
+
 /// Sorts `rows` by type and sums each run of one type into a single
 /// row, in place; returns how many rows remain at the front. `None` on
 /// `u64` overflow.
-fn sum_per_type(rows: &mut [(u32, Amount)]) -> Option<usize> {
+fn sum_per_type<K: Ord + Copy>(rows: &mut [(K, Amount)]) -> Option<usize> {
     rows.sort_unstable_by_key(|row| row.0);
     let mut len = 0;
     for i in 0..rows.len() {
@@ -1732,5 +1753,12 @@ mod tests {
             3 * INLINE_ROWS as Amount
         );
         assert!(Required::of(&rows(&[(0, u64::MAX), (1, 5), (0, 1)])).is_none());
+        // The stateless check agrees, on either side of the inline capacity.
+        assert!(!per_type_sums_fit(&rows(&[(0, u64::MAX), (1, 5), (0, 1)])));
+        assert!(per_type_sums_fit(&rows(&[(0, u64::MAX), (1, 5)])));
+        assert!(per_type_sums_fit(&rows(&many)));
+        let mut past = rows(&many);
+        past.push((t(4), u64::MAX));
+        assert!(!per_type_sums_fit(&past));
     }
 }

@@ -4,15 +4,15 @@
 //! Two entry points share one batch-processing core:
 //!
 //! * [`run_script`] — synchronous: chunk a pre-built operation stream
-//!   into batches and push each through the stages on the calling thread
-//!   (plus the wave worker pool). Deterministic, so the property suites
-//!   and benchmarks use it.
+//!   into batches and push each through the stages on the calling
+//!   thread. Deterministic, so the property suites and benchmarks use
+//!   it.
 //! * [`Pipeline::spawn`] — the serving shape: a background engine thread
 //!   pulls batches from the bounded intake queue
 //!   ([`IntakeClient::submit`] from any number of client threads),
-//!   executes them, and appends to the commit log; dropping every client
-//!   and calling [`PipelineHandle::finish`] drains the queue and returns
-//!   the [`PipelineRun`].
+//!   executes them itself, and appends to the commit log; dropping every
+//!   client and calling [`PipelineHandle::finish`] drains the queue and
+//!   returns the [`PipelineRun`].
 //!
 //! There is exactly **one** engine: the same schedule/execute/commit
 //! machinery serves an ERC20 [`ShardedErc20`], an ERC721
@@ -144,7 +144,7 @@ impl<T: ConcurrentObject + ?Sized, S: CommitSink<T> + ?Sized> CommitSink<T> for 
 /// Adaptive-bypass policy: when the engine's measured conflict density
 /// is low it *probes* each batch ([`Scheduler::batch_commutes`]) and, on
 /// a clean probe, routes the batch straight to the object — no wave
-/// construction, no per-wave barriers — committing in submission order.
+/// construction — committing in submission order.
 /// The probe runs **before** anything executes, so a failed check costs
 /// one prefix scan and the batch simply takes the full scheduled path
 /// from its intake buffer: no speculative effect ever needs undoing, and
@@ -183,7 +183,7 @@ pub struct PipelineConfig {
     pub batch: BatchConfig,
     /// Wave scheduling policy.
     pub schedule: ScheduleConfig,
-    /// Wave execution policy.
+    /// Execution settings: none (see [`ExecConfig`]).
     pub exec: ExecConfig,
     /// Adaptive-bypass policy.
     pub bypass: BypassConfig,
@@ -196,11 +196,14 @@ pub struct PipelineStats {
     pub batches: u64,
     /// Operations committed.
     pub ops: u64,
-    /// Ops executed in parallel waves.
+    /// Ops the schedule placed in commuting waves (every op of a
+    /// bypassed batch included), as opposed to the serial lane. All ops
+    /// execute on one thread; this counts commutativity found, not
+    /// threads used.
     pub parallel_ops: u64,
     /// Ops funneled through the serial lane.
     pub serial_ops: u64,
-    /// Parallel waves executed (across all batches). A bypassed batch
+    /// Commuting waves executed (across all batches). A bypassed batch
     /// counts as one wave — it *is* one all-commuting wave.
     pub waves: u64,
     /// Contention proxy summed over batches (see
@@ -228,7 +231,7 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
-    /// Mean ops per parallel wave over the whole run — the engine's
+    /// Mean ops per commuting wave over the whole run — the engine's
     /// measured wave parallelism. A fully commuting stream approaches the
     /// batch size; a fully conflicting stream approaches 1.
     pub fn wave_parallelism(&self) -> f64 {

@@ -14,16 +14,20 @@
 //! engine, generic over the
 //! [`ConcurrentObject`](tokensync_core::shared::ConcurrentObject) /
 //! [`FootprintedOp`](tokensync_core::analysis::FootprintedOp) trait
-//! pair, that executes operation streams with parallelism exactly where
-//! commutativity licenses it. One engine serves ERC20, ERC721 and
-//! ERC1155 — the standard is a type parameter, not a fork of the
-//! pipeline.
+//! pair, that reorders operation streams exactly where commutativity
+//! licenses it and keeps submission order wherever two operations
+//! conflict.
+//! One engine serves ERC20, ERC721 and ERC1155 — the standard is a type
+//! parameter, not a fork of the pipeline. One thread applies every op of
+//! an object (the thread model is stated once, in [`exec`]): the engine
+//! scales out by objects, not threads.
 //!
 //! ```text
 //!  ingest ──▶ analyze ──▶ schedule ──▶ execute ──▶ commit
-//!  (batch)   (footprints) (waves +    (worker     (replayable
-//!   bounded   per op       serial      pool per    linearization
-//!   queue,    [`Footprint`]) lane)     wave)       log)
+//!  (batch)   (footprints) (waves +    (engine     (replayable
+//!   bounded   per op       serial      thread, in  linearization
+//!   queue,    [`Footprint`]) lane)     commit      log)
+//!                                      order)
 //! ```
 //!
 //! * [`batch`] — bounded sharded intake with burst submits; a batch is
@@ -39,11 +43,11 @@
 //!   racing one source serialize, `approve`/`setApprovalForAll`
 //!   serialize against the cells they rewrite, and batch ops conflict
 //!   iff their cell sets intersect.
-//! * [`exec`] — waves run in parallel on a scoped worker pool over any
+//! * [`exec`] — the thread processing the batch applies it to any
 //!   [`ConcurrentObject`](tokensync_core::shared::ConcurrentObject)
-//!   (the sharded million-account/million-token objects in production);
-//!   commutativity makes the result deterministic despite the
-//!   parallelism.
+//!   (the sharded million-account/million-token objects in production)
+//!   in commit order: waves in order, then the serial lane, so execution
+//!   order is the commit log's order.
 //! * [`commit`] — the chosen linearization with recorded responses,
 //!   replayable against the standard's sequential
 //!   [`ObjectType`](tokensync_spec::ObjectType) oracle
@@ -71,7 +75,7 @@
 //! use tokensync_pipeline::{run_script, PipelineConfig};
 //! use tokensync_spec::{AccountId, ProcessId};
 //!
-//! // 8 owner-disjoint transfers: one wave, full parallelism.
+//! // 8 owner-disjoint transfers: one commuting wave.
 //! let initial = Erc20State::from_balances(vec![10; 16]);
 //! let token = ShardedErc20::from_state(initial.clone());
 //! let script: Vec<(ProcessId, Erc20Op)> = (0..8)
@@ -97,7 +101,7 @@
 //!
 //! let initial = Erc721State::minted_round_robin(8, 1000, 8);
 //! let nft = ShardedErc721::from_state(initial.clone());
-//! // Owner-disjoint NFT transfers: one wave, full parallelism.
+//! // Owner-disjoint NFT transfers: one commuting wave.
 //! let script: Vec<(ProcessId, Erc721Op)> = (0..8)
 //!     .map(|i| (ProcessId::new(i), Erc721Op::TransferFrom {
 //!         from: ProcessId::new(i),

@@ -46,7 +46,8 @@ use tokensync_spec::ProcessId;
 #[derive(Clone, Copy, Debug)]
 pub struct ScheduleConfig {
     /// Conflict chains longer than this spill into the serial lane
-    /// (waves are worth their barrier only while they stay wide).
+    /// (past it, each further wave would hold a handful of ops; the lane
+    /// keeps them in submission order without wave bookkeeping).
     pub max_parallel_waves: usize,
 }
 
@@ -58,13 +59,14 @@ impl Default for ScheduleConfig {
     }
 }
 
-/// The execution plan of one batch: conflict-free parallel waves plus the
+/// The execution plan of one batch: conflict-free commuting waves plus the
 /// deterministic serial lane. Indices refer to positions in the batch's
 /// op vector.
 #[derive(Clone, Debug, Default)]
 pub struct Schedule {
     /// Wave `w` holds pairwise non-conflicting ops; waves execute in
-    /// order, each with internal parallelism.
+    /// order, each in index order (any order within a wave would give
+    /// the same responses and state).
     pub waves: Vec<Vec<usize>>,
     /// Ops executed sequentially after all waves, in submission order.
     pub serial: Vec<usize>,
@@ -80,12 +82,12 @@ impl Schedule {
         self.waves.iter().map(Vec::len).sum::<usize>() + self.serial.len()
     }
 
-    /// Ops placed in parallel waves (not the serial lane).
+    /// Ops placed in commuting waves (not the serial lane).
     pub fn parallel_ops(&self) -> usize {
         self.waves.iter().map(Vec::len).sum()
     }
 
-    /// Mean ops per parallel wave — the batch's exploitable parallelism.
+    /// Mean ops per commuting wave — the batch's exploitable parallelism.
     /// Greater than 1 exactly when some wave holds concurrent work.
     pub fn wave_parallelism(&self) -> f64 {
         if self.waves.is_empty() {

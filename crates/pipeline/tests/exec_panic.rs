@@ -1,11 +1,10 @@
 //! A panicking object must surface its panic from [`execute`], not hang it.
 //!
-//! A fused run of waves rendezvous its workers on a barrier at every
-//! wave boundary. If one worker unwinds mid-run and skips its remaining
-//! rendezvous, its siblings wait at the barrier forever and `execute`
-//! never returns. The probe runs `execute` on its own thread and waits
-//! with a timeout, so a hang fails the test instead of stalling the
-//! suite.
+//! `execute` applies a multi-wave batch on the calling thread; a panic
+//! in one op must unwind out of it rather than leave the caller waiting
+//! on work that never finishes. The probe runs `execute` on its own
+//! thread and waits with a timeout, so a hang fails the test instead of
+//! stalling the suite.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc;
@@ -40,10 +39,9 @@ impl ConcurrentObject for Faulty {
 }
 
 #[test]
-fn worker_panic_in_fused_run_surfaces_instead_of_hanging() {
-    // Every source sends twice, so the schedule stacks two waves of 16;
-    // with 2 workers and 1 op per worker both are wide and fuse. The
-    // poisoned op sits in worker 0's chunk of the first wave.
+fn panicking_op_surfaces_from_execute() {
+    // Every source sends twice, so the schedule stacks two waves of 16.
+    // The poisoned op sits in the first wave.
     let round = |r: u64| {
         (0..16).map(move |i| {
             let value = if r == 0 && i == 3 { POISON } else { 1 };
@@ -59,10 +57,7 @@ fn worker_panic_in_fused_run_surfaces_instead_of_hanging() {
     let ops: Vec<(ProcessId, Erc20Op)> = round(0).chain(round(1)).collect();
     let plan = schedule(&ops, &ScheduleConfig::default());
     assert_eq!(plan.waves.len(), 2, "rounds must stack into two waves");
-    let cfg = ExecConfig {
-        workers: 2,
-        min_ops_per_worker: 1,
-    };
+    let cfg = ExecConfig::default();
     let token = Faulty(ShardedErc20::from_state(Erc20State::from_balances(vec![
         10;
         64
@@ -77,6 +72,6 @@ fn worker_panic_in_fused_run_surfaces_instead_of_hanging() {
     assert_eq!(
         outcome.recv_timeout(Duration::from_secs(10)),
         Ok(true),
-        "execute must re-raise the worker's panic within 10 s"
+        "execute must re-raise the op's panic within 10 s"
     );
 }

@@ -49,7 +49,9 @@
 use tokensync_core::codec::{Codec, CodecError, StateCodec};
 use tokensync_core::erc20::Erc20State;
 use tokensync_core::shared::{ConcurrentObject, ShardedErc20};
-use tokensync_core::standards::erc1155::{Erc1155Op, Erc1155State, ShardedErc1155};
+use tokensync_core::standards::erc1155::{
+    per_type_sums_fit, Erc1155Op, Erc1155State, ShardedErc1155,
+};
 use tokensync_core::standards::erc721::{Erc721State, ShardedErc721};
 use tokensync_spec::ProcessId;
 use tokensync_store::crc32;
@@ -362,8 +364,8 @@ pub trait WireStandard: ConcurrentObject {
     /// Server-side sanity bound on a decoded op, checked *before* the op
     /// enters the pipeline. The codec guarantees structural validity;
     /// `vet` rejects the residue of semantically poisonous values a
-    /// total decoder must still admit (e.g. batch rows whose amounts sum
-    /// past `u64::MAX`). Rejected ops answer
+    /// total decoder must still admit (e.g. batch rows whose amounts for
+    /// one type sum past `u64::MAX`). Rejected ops answer
     /// [`Status::BadRequest`] and never reach the engine or the WAL.
     fn vet(op: &Self::Op) -> bool {
         let _ = op;
@@ -382,16 +384,15 @@ impl WireStandard for ShardedErc721 {
 impl WireStandard for ShardedErc1155 {
     const STANDARD: u8 = <Erc1155State as StateCodec>::STANDARD;
 
-    /// Rejects batch transfers whose per-type amount aggregation would
-    /// overflow `u64` — the object's execution (and the sequential
-    /// oracle recovery replays through) sums rows before validating
-    /// balances, and a total decoder cannot rule the sum out.
+    /// Rejects batch transfers in which one type's amounts sum past
+    /// `u64::MAX`, by the aggregation the object and the oracle run
+    /// ([`per_type_sums_fit`]). No state covers that sum, so such an op
+    /// is malformed rather than merely unlucky, and a total decoder
+    /// cannot rule it out. Amounts of distinct types are never summed
+    /// together: the object serves those batches, and so does the gate.
     fn vet(op: &Erc1155Op) -> bool {
         match op {
-            Erc1155Op::BatchTransfer { entries, .. } => entries
-                .iter()
-                .try_fold(0u64, |acc, &(_, v)| acc.checked_add(v))
-                .is_some(),
+            Erc1155Op::BatchTransfer { entries, .. } => per_type_sums_fit(entries),
             _ => true,
         }
     }
@@ -483,13 +484,30 @@ mod tests {
 
     #[test]
     fn vet_rejects_1155_amount_overflow() {
-        use tokensync_core::standards::erc1155::TypeId;
+        use tokensync_core::standards::erc1155::{Erc1155Resp, TypeId};
         let poisoned = Erc1155Op::BatchTransfer {
+            from: AccountId::new(0),
+            to: AccountId::new(1),
+            entries: vec![(TypeId::new(0), u64::MAX), (TypeId::new(0), 2)],
+        };
+        assert!(!ShardedErc1155::vet(&poisoned));
+        // Two types never sum together: the object executes this batch,
+        // so the gate must let it through.
+        let two_types = Erc1155Op::BatchTransfer {
             from: AccountId::new(0),
             to: AccountId::new(1),
             entries: vec![(TypeId::new(0), u64::MAX), (TypeId::new(1), 1)],
         };
-        assert!(!ShardedErc1155::vet(&poisoned));
+        assert!(ShardedErc1155::vet(&two_types));
+        let token = ShardedErc1155::from_state(Erc1155State::deploy(
+            2,
+            ProcessId::new(0),
+            &[u64::MAX, u64::MAX],
+        ));
+        assert_eq!(
+            token.apply(ProcessId::new(0), &two_types),
+            Erc1155Resp::TRUE
+        );
         let fine = Erc1155Op::BatchTransfer {
             from: AccountId::new(0),
             to: AccountId::new(1),

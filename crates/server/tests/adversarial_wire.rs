@@ -418,10 +418,10 @@ fn wrong_standard_tag_rejected_per_standard() {
     h1155.finish();
 }
 
-/// The ERC1155 vet gate: a `BatchTransfer` whose row amounts overflow
-/// `u64` in aggregate is refused at the wire (`BadRequest`) — it must
-/// never reach the engine, where the unchecked aggregation would be a
-/// remote panic in debug builds.
+/// The ERC1155 vet gate: a `BatchTransfer` whose amounts for one type
+/// overflow `u64` is refused at the wire (`BadRequest`) — no state
+/// covers that sum, so it never reaches the engine or the WAL. Amounts
+/// of distinct types are not summed: such a batch is served.
 #[test]
 fn erc1155_overflow_batch_rejected_at_wire() {
     use tokensync_core::standards::erc1155::{Erc1155Resp, TypeId};
@@ -431,11 +431,22 @@ fn erc1155_overflow_batch_rejected_at_wire() {
     let hostile = Erc1155Op::BatchTransfer {
         from: AccountId::new(0),
         to: AccountId::new(1),
-        entries: vec![(TypeId::new(0), u64::MAX), (TypeId::new(1), 2)],
+        entries: vec![(TypeId::new(0), u64::MAX), (TypeId::new(0), 2)],
     };
     assert_eq!(
         c.call(ProcessId::new(0), &hostile).unwrap(),
         Reply::BadRequest
+    );
+    // Two types, each within `u64`: served, and refused by the object
+    // only for want of balance.
+    let two_types = Erc1155Op::BatchTransfer {
+        from: AccountId::new(0),
+        to: AccountId::new(1),
+        entries: vec![(TypeId::new(0), u64::MAX), (TypeId::new(1), 2)],
+    };
+    assert_eq!(
+        c.call(ProcessId::new(0), &two_types).unwrap(),
+        Reply::Ok(Erc1155Resp::FALSE)
     );
     // A sane batch on the same session still commits.
     let sane = Erc1155Op::BatchTransfer {

@@ -4,7 +4,7 @@
 //!
 //! The paper's consensus-number analysis determines *which* operations
 //! must serialize; the pipeline (`tokensync-pipeline`) exploits that to
-//! schedule commuting operations into parallel waves and commits a
+//! schedule commuting operations into waves and commits a
 //! replayable linearization log. But a linearization that lives only in
 //! memory dies with the process. This crate persists it, treating the
 //! token exactly as the concurrent-objects literature suggests: a

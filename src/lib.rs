@@ -45,8 +45,9 @@
 //!
 //! ## Serving examples
 //!
-//! The pipeline executes commuting operations in parallel waves
-//! (walkthrough: docs/pipeline.md in the repository):
+//! The pipeline schedules commuting operations into waves and applies
+//! them on one engine thread in commit order (walkthrough:
+//! docs/pipeline.md in the repository):
 //!
 //! ```
 //! use tokensync::core::erc20::{Erc20Op, Erc20Spec, Erc20State};

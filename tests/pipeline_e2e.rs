@@ -4,8 +4,8 @@
 //! Exercises the full composition the tentpole is about: operations flow
 //! through the bounded intake into batches, the footprint analyzer and
 //! wave scheduler split each batch by the paper's commutativity rules,
-//! waves execute in parallel over the sharded million-account token, and
-//! the commit log is a *checkable* linearization — replayable against
+//! waves execute in commit order over the sharded million-account token,
+//! and the commit log is a *checkable* linearization — replayable against
 //! the sequential spec and acceptable to the Wing–Gong–Lowe checker.
 
 use std::sync::Arc;
@@ -38,7 +38,7 @@ fn sequential(initial: &Erc20State, script: &[(ProcessId, Erc20Op)]) -> Erc20Sta
 #[test]
 fn owner_disjoint_traffic_executes_with_wave_parallelism() {
     // The acceptance criterion: an owner-disjoint transfer workload must
-    // split into concurrent conflict-free waves — measured parallelism
+    // split into wide conflict-free waves — measured wave parallelism
     // strictly above 1 (here: the whole batch in one wave).
     let n = 64;
     let initial = Erc20State::from_balances(vec![100; n]);
