@@ -10,8 +10,8 @@
 //! and mask, not division, because the stripe math sits on the hot path
 //! of every operation. Each stripe is one mutex padded to its own cache
 //! line, so neighbouring locks do not false-share under cross-core
-//! traffic. What a stripe *holds* (dense per-slot rows, a sparse map, a
-//! dirty set for incremental snapshots) is the owning object's business;
+//! traffic. What a stripe *holds* (dense per-slot rows, a dirty bitmap
+//! for incremental snapshots) is the owning object's business;
 //! the container only decides which lock guards which key. The
 //! arithmetic is [`Striping`]; [`Striped`] is that plus the locks.
 //!
@@ -31,8 +31,8 @@
 //!    operations read an operator row under their token lock;
 //!    `setApprovalForAll` takes its operator stripe alone).
 //!
-//! [`Striped::each`] holds one stripe at a time, so the ERC721 drain
-//! and the audits never stall more than the stripe they are reading.
+//! [`Striped::each`] holds one stripe at a time, so the audits never
+//! stall more than the stripe they are reading.
 //!
 //! # Mark/drain contract
 //!
@@ -44,7 +44,11 @@
 //!   slot's bit in the stripe's [`Marks`] (one OR-store, no allocation).
 //!   ERC1155 also flags the written `(type, balance)` cell inside the
 //!   slot's row, so the drain knows which cells of a marked row to
-//!   report; ERC20 reports the whole row;
+//!   report; ERC20 and ERC721 report the whole row. ERC721 is the one
+//!   object whose stripes grow after construction: a mint past a
+//!   stripe's last slot extends its table and, with
+//!   [`Marks::grow`], its bitmap, so stripes may differ by any number
+//!   of words;
 //! * **exact** — a bit is set at most once between drains, so the
 //!   tracking is one bit per slot whatever the traffic, even on an
 //!   object nobody ever drains (a volatile engine, a store with
@@ -69,13 +73,10 @@
 //!   types, 8 stripes — on a 2-vCPU Xeon VM; a store drains at its
 //!   batch seal, when nothing else runs).
 //!
-//! ERC721 keeps a key list instead: its tokens live in a sparse map
-//! over an unbounded `token_span`, where a bitmap has no bound. Its
-//! `NftCell` carries the flag, its stripes a `Vec` of keys, and its
-//! drain visits one stripe at a time ([`Striped::each`]) and sorts the
-//! rows once, so its delta is an atomic cut only at a quiescent seal.
 //! The operator-pair sets of ERC721 and ERC1155 (`setApprovalForAll`
-//! only) are small `BTreeSet`s: exact, but `O(log n)` per mark.
+//! only) are small `BTreeSet`s: exact, but `O(log n)` per mark. ERC721
+//! keeps them in a second container and drains them under the same
+//! cut, after the token stripes (the lock order above).
 
 use std::sync::OnceLock;
 
@@ -93,6 +94,14 @@ impl Marks {
     pub(crate) fn new(slots: usize) -> Self {
         Self {
             words: vec![0; slots.div_ceil(64)],
+        }
+    }
+
+    /// Extends the marks, clean, to cover at least `slots` slots.
+    pub(crate) fn grow(&mut self, slots: usize) {
+        let words = slots.div_ceil(64);
+        if words > self.words.len() {
+            self.words.resize(words, 0);
         }
     }
 
@@ -264,8 +273,9 @@ impl<T> Striped<T> {
     /// Bitmap word `w` of every stripe covers keys
     /// `64·w·S .. 64·(w+1)·S`, so taking word `w` of each stripe and
     /// walking the set bits of their union, stripes ascending within a
-    /// bit, yields the keys in order. Stripes may differ by one slot;
-    /// a stripe with fewer words reads as clean past its end.
+    /// bit, yields the keys in order. Stripes may differ in length by
+    /// any number of words (an ERC721 stripe grows on mint); a stripe
+    /// with fewer words reads as clean past its end.
     pub(crate) fn drain_marked(
         &self,
         marks: impl Fn(&mut T) -> &mut Marks,
@@ -295,7 +305,7 @@ impl<T> Striped<T> {
     }
 
     /// Visits every stripe in ascending order, **one lock at a time**
-    /// (the ERC721 drain, audits): serving continues on the other
+    /// (audits): serving continues on the other
     /// stripes, and the visit is an atomic cut only at a quiescent
     /// point.
     pub(crate) fn each(&self, mut visit: impl FnMut(usize, &mut T)) {
@@ -398,19 +408,62 @@ mod tests {
     }
 
     #[test]
+    fn marks_grow_adds_clean_words_and_keeps_the_set_bits() {
+        let mut marks = Marks::new(10);
+        marks.mark(3);
+        marks.grow(64);
+        assert_eq!(
+            marks.words.len(),
+            1,
+            "a bound inside the last word adds none"
+        );
+        marks.grow(200);
+        assert_eq!(marks.words.len(), 4);
+        assert_eq!(marks.count(), 1, "new words are clean, old bits kept");
+        marks.mark(199);
+        marks.grow(65);
+        assert_eq!(
+            (marks.words.len(), marks.count()),
+            (4, 2),
+            "grow never shrinks"
+        );
+        let mut empty = Marks::default();
+        empty.grow(1);
+        empty.mark(0);
+        assert_eq!(empty.count(), 1);
+    }
+
+    #[test]
     fn drain_marked_visits_each_marked_key_once_in_key_order() {
-        // Key counts that leave stripes one slot apart, some with a
-        // partial last word, some with a word more than their neighbour.
         for count in [1, 2, 4, 8] {
-            for n in [1, 5, 63, 64, 65, 129, 64 * count + 3, 517] {
-                let at = Striping::new(count);
-                let slots = |stripe: usize| (stripe..n).step_by(count).count();
-                let striped = Striped::new((0..count).map(|s| Marks::new(slots(s))).collect());
+            let at = Striping::new(count);
+            // Slots per stripe: key counts that leave stripes one slot
+            // apart, some with a partial last word, some with a word
+            // more than their neighbour; then ragged lengths many words
+            // apart, empty stripes among them, as minting leaves an
+            // ERC721 object.
+            let even = [1, 5, 63, 64, 65, 129, 64 * count + 3, 517]
+                .map(|n| (0..count).map(|s| (s..n).step_by(count).count()).collect());
+            let ragged = [0, 1, 9].map(|seed| {
+                (0..count)
+                    .map(|s| (s * 5 + seed) % 7 * 150 + s % 2)
+                    .collect::<Vec<usize>>()
+            });
+            for lens in even.into_iter().chain(ragged) {
+                let striped = Striped::new(lens.iter().map(|_| Marks::default()).collect());
+                for (stripe, &len) in lens.iter().enumerate() {
+                    striped.lock(stripe).grow(len);
+                }
+                let total: usize = lens.iter().sum();
                 let mut expected = std::collections::BTreeSet::new();
-                let mut x = n as u64;
-                for _ in 0..n / 2 + 1 {
+                let mut x = total as u64;
+                for _ in 0..total / 2 + 1 {
                     x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                    let key = (x >> 33) as usize % n;
+                    let stripe = (x >> 33) as usize % count;
+                    if lens[stripe] == 0 {
+                        continue;
+                    }
+                    let key = at.key_at(stripe, (x >> 40) as usize % lens[stripe]);
                     striped.lock(key).mark(at.slot_of(key));
                     expected.insert(key);
                 }
@@ -426,12 +479,12 @@ mod tests {
                         visited.push(key);
                     },
                 );
-                assert!(guards.iter().all(|marks| marks.count() == 0), "{count}×{n}");
+                assert!(guards.iter().all(|marks| marks.count() == 0), "{lens:?}");
                 drop(guards);
                 assert_eq!(
                     visited,
                     expected.into_iter().collect::<Vec<_>>(),
-                    "{count}×{n}"
+                    "{lens:?}"
                 );
                 striped.drain_marked(|marks| marks, |key, _, _| panic!("{key} drained twice"));
             }

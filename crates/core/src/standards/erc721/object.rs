@@ -22,14 +22,14 @@
 //!   [`Cell::Operator`]`(op)` — the op serializes against its operator's
 //!   column, never against unrelated approvals.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use parking_lot::MutexGuard;
 use tokensync_spec::{ObjectType, ProcessId};
 
 use crate::analysis::cell_index;
 use crate::analysis::{Access, Cell, Footprint, FootprintedOp};
-use crate::shared::striped::{default_stripes, Striped, Striping};
+use crate::shared::striped::{default_stripes, Marks, Striped, Striping};
 use crate::shared::ConcurrentObject;
 
 use super::{Erc721Error, TokenId};
@@ -602,18 +602,17 @@ impl Erc721Delta {
     }
 }
 
-/// One minted token's mutable cell — the line every token operation
-/// already holds, so the dirty flag of the mark/drain contract
-/// (`shared/striped.rs`) rides in it. Packed (no `Option`) so the flag
-/// adds nothing to the 12 bytes a cell took without it.
-#[derive(Clone, Copy, Debug)]
+/// One token slot of a stripe's dense table: the token's owner and
+/// single-use approval, or an unminted hole. Packed (no `Option`) so a
+/// slot stays 12 bytes.
+#[derive(Clone, Copy, Debug, Default)]
 struct NftCell {
     owner: u32,
     /// The single-use approval; meaningful iff `has_approved`.
     approved: u32,
     has_approved: bool,
-    /// Listed in the shard's `dirty` since the last drain.
-    dirty: bool,
+    /// Whether the slot holds a token; an unminted slot reads as absent.
+    minted: bool,
 }
 
 impl NftCell {
@@ -622,7 +621,7 @@ impl NftCell {
             owner,
             approved: approved.unwrap_or(0),
             has_approved: approved.is_some(),
-            dirty: false,
+            minted: true,
         }
     }
 
@@ -631,31 +630,34 @@ impl NftCell {
     }
 }
 
-/// One token shard: its minted cells plus the list of token ids mutated
-/// since the last [`ShardedErc721::drain_delta`], under the mark/drain
-/// contract of `shared/striped.rs`.
-#[derive(Clone, Debug, Default)]
+/// One token stripe: a dense table indexed by
+/// [`Striping::slot_of`], one past its highest minted slot long, plus
+/// the stripe's dirty bitmap under the mark/drain contract of
+/// `shared/striped.rs`.
+#[derive(Debug, Default)]
 struct TokenShard {
-    cells: HashMap<u32, NftCell>,
-    dirty: Vec<u32>,
+    cells: Vec<NftCell>,
+    marks: Marks,
 }
 
 impl TokenShard {
-    /// Mark side of the contract: overwrites the cell of `token`
-    /// (minting it if absent). The first write since the last drain
-    /// lists the token.
+    /// The minted token at `slot`, if any.
     #[inline]
-    fn write(&mut self, token: u32, owner: u32, approved: Option<u32>) {
-        let fresh = NftCell::new(owner, approved);
-        let cell = self.cells.entry(token).or_insert(fresh);
-        let listed = cell.dirty;
-        *cell = NftCell {
-            dirty: true,
-            ..fresh
-        };
-        if !listed {
-            self.dirty.push(token);
+    fn minted(&self, slot: usize) -> Option<NftCell> {
+        self.cells.get(slot).copied().filter(|cell| cell.minted)
+    }
+
+    /// Mark side of the contract: overwrites the token at `slot`
+    /// (minting it if absent) and marks the slot. A mint past the end
+    /// of the table grows the table and the marks to cover it.
+    #[inline]
+    fn write(&mut self, slot: usize, owner: u32, approved: Option<u32>) {
+        if slot >= self.cells.len() {
+            self.cells.resize(slot + 1, NftCell::default());
+            self.marks.grow(slot + 1);
         }
+        self.cells[slot] = NftCell::new(owner, approved);
+        self.marks.mark(slot);
     }
 }
 
@@ -670,9 +672,13 @@ struct OpStripe {
 /// An ERC721 contract lock-striped by **token id**, scaling to ~1M
 /// token ids.
 ///
-/// Tokens are striped over `min(span, 4 × cores)` shards, each a sparse
-/// hash map over its minted ids, so the unminted tail of the id space
-/// costs nothing. Operator rows are striped separately, by holder — two
+/// Tokens are striped over `min(span, 4 × cores)` shards, each a dense
+/// table indexed by the token's slot, so every token operation is one
+/// bounds-checked index under its stripe lock. A stripe's table reaches
+/// one past its highest minted slot and grows when a mint lands beyond
+/// it: memory is 12 B per id up to the highest minted id, the unminted
+/// tail above it costs nothing, and an unminted hole below it costs its
+/// 12 B. Operator rows are striped separately, by holder — two
 /// containers, always acquired token shard first (striping scheme and
 /// lock order: `shared/striped.rs`).
 ///
@@ -682,11 +688,10 @@ struct OpStripe {
 /// [`check_linearizable`](tokensync_spec::check_linearizable).
 ///
 /// Incremental snapshots follow the mark/drain contract of
-/// `shared/striped.rs`: a token cell carries a dirty flag, the first
-/// write since the last drain pushes the token id onto its shard's
-/// list, and [`drain_delta`](ShardedErc721::drain_delta) walks the
-/// lists — `O(1)` per write, one list entry per distinct token written,
-/// drained or not.
+/// `shared/striped.rs`, as ERC20 and ERC1155 do: a write sets its
+/// slot's bit in its stripe's bitmap, and
+/// [`drain_delta`](ShardedErc721::drain_delta) walks the bitmaps in
+/// token order — `O(1)` per write, one bit per slot, drained or not.
 ///
 /// # Example
 ///
@@ -730,12 +735,29 @@ impl ShardedErc721 {
     /// Panics if `shards` is zero or not a power of two.
     pub fn with_shards(state: Erc721State, shards: usize) -> Self {
         let by_token = Striping::new(shards);
-        let mut tokens = vec![TokenShard::default(); shards];
+        // Stripe `s` holds keys `s, s + S, …`, so at most
+        // `(top − s) / S + 1` of them up to the highest minted id `top`.
+        let top = state.owners.last_key_value().map(|(&t, _)| t as usize);
+        let mut tokens: Vec<TokenShard> = (0..shards)
+            .map(|s| TokenShard {
+                cells: Vec::with_capacity(
+                    top.and_then(|top| top.checked_sub(s))
+                        .map_or(0, |below| by_token.slot_of(below) + 1),
+                ),
+                marks: Marks::default(),
+            })
+            .collect();
+        // Ascending tokens reach ascending slots of each stripe, so each
+        // table only ever extends, up to its highest minted slot.
         for (&t, &owner) in &state.owners {
             let approved = state.approved.get(&t).copied();
-            tokens[by_token.stripe_of(t as usize)]
-                .cells
-                .insert(t, NftCell::new(owner, approved));
+            let t = t as usize;
+            let cells = &mut tokens[by_token.stripe_of(t)].cells;
+            cells.resize(by_token.slot_of(t), NftCell::default());
+            cells.push(NftCell::new(owner, approved));
+        }
+        for shard in &mut tokens {
+            shard.marks = Marks::new(shard.cells.len());
         }
         let op_stripes = default_stripes(state.processes);
         let by_holder = Striping::new(op_stripes);
@@ -758,8 +780,11 @@ impl ShardedErc721 {
         self.processes
     }
 
-    fn token_shard(&self, token: u32) -> MutexGuard<'_, TokenShard> {
-        self.tokens.lock(token as usize)
+    /// Locks the stripe of `token`; returns it with the token's slot.
+    #[inline]
+    fn token_slot(&self, token: u32) -> (MutexGuard<'_, TokenShard>, usize) {
+        let token = token as usize;
+        (self.tokens.lock(token), self.tokens.at().slot_of(token))
     }
 
     /// Whether `(holder, operator)` is enabled — acquires the holder's
@@ -778,31 +803,43 @@ impl ShardedErc721 {
 
     /// Drains the copy-on-write tracking: the current cell of every
     /// token and the current membership of every operator pair touched
-    /// since the previous drain, clearing the flags, list and sets.
+    /// since the previous drain, clearing the marks and sets.
     ///
-    /// Each shard/stripe is visited under its own lock — serving
-    /// continues elsewhere throughout. At a quiescent point the drained
-    /// rows together with the previous snapshot reconstruct `snapshot()`
-    /// exactly.
+    /// The drain holds every token stripe, then — token stripes before
+    /// operator stripes, the object's lock order — every operator stripe
+    /// at once, so the delta is an atomic cut even while other threads
+    /// serve (they wait on their stripe for the length of the drain).
+    /// It visits the marked tokens in ascending order, so the token rows
+    /// come out sorted.
     pub fn drain_delta(&self) -> Erc721Delta {
         let mut tokens = Vec::new();
-        self.tokens.each(|_, shard| {
-            for t in shard.dirty.drain(..) {
-                // Tokens are never unminted: a listed cell is there.
-                let cell = shard.cells.get_mut(&t).expect("a listed cell is kept");
-                cell.dirty = false;
-                tokens.push((t, cell.owner, cell.approved()));
-            }
-        });
+        let token_guards = self.tokens.drain_marked(
+            |shard| &mut shard.marks,
+            |token, shard, slot| {
+                // Tokens are never unminted: a marked slot is minted.
+                let cell = shard.cells[slot];
+                tokens.push((cell_index(token), cell.owner, cell.approved()));
+            },
+        );
         let mut operators = Vec::new();
-        self.operators.each(|_, stripe| {
+        for stripe in &mut self.operators.lock_all() {
             for pair in std::mem::take(&mut stripe.dirty) {
                 operators.push((pair.0, pair.1, stripe.pairs.contains(&pair)));
             }
-        });
-        tokens.sort_unstable_by_key(|&(t, _, _)| t);
+        }
+        drop(token_guards);
         operators.sort_unstable_by_key(|&(h, o, _)| (h, o));
         Erc721Delta { tokens, operators }
+    }
+
+    /// The length of each token stripe's table, in stripe order.
+    #[cfg(test)]
+    fn table_lens(&self) -> Vec<usize> {
+        self.tokens
+            .lock_all()
+            .iter()
+            .map(|shard| shard.cells.len())
+            .collect()
     }
 }
 
@@ -820,11 +857,11 @@ impl ConcurrentObject for ShardedErc721 {
                 if !self.in_range(to) || !self.in_range(process) {
                     return Erc721Resp::FALSE;
                 }
-                let mut shard = self.token_shard(t);
-                if shard.cells.contains_key(&t) {
+                let (mut shard, slot) = self.token_slot(t);
+                if shard.minted(slot).is_some() {
                     return Erc721Resp::FALSE;
                 }
-                shard.write(t, cell_index(to.index()), None);
+                shard.write(slot, cell_index(to.index()), None);
                 Erc721Resp::TRUE
             }
             Erc721Op::TransferFrom { from, to, token } => {
@@ -834,8 +871,8 @@ impl ConcurrentObject for ShardedErc721 {
                 if !self.in_range(process) || !self.in_range(to) || !self.in_range(from) {
                     return Erc721Resp::FALSE;
                 }
-                let mut shard = self.token_shard(t);
-                let Some(&cell) = shard.cells.get(&t) else {
+                let (mut shard, slot) = self.token_slot(t);
+                let Some(cell) = shard.minted(slot) else {
                     return Erc721Resp::FALSE;
                 };
                 if cell.owner != cell_index(from.index()) {
@@ -849,7 +886,7 @@ impl ConcurrentObject for ShardedErc721 {
                     return Erc721Resp::FALSE;
                 }
                 // Single-use approval cleared with the move.
-                shard.write(t, cell_index(to.index()), None);
+                shard.write(slot, cell_index(to.index()), None);
                 Erc721Resp::TRUE
             }
             Erc721Op::Approve { approved, token } => {
@@ -859,15 +896,15 @@ impl ConcurrentObject for ShardedErc721 {
                 if !self.in_range(process) || approved.is_some_and(|p| !self.in_range(p)) {
                     return Erc721Resp::FALSE;
                 }
-                let mut shard = self.token_shard(t);
-                let Some(&cell) = shard.cells.get(&t) else {
+                let (mut shard, slot) = self.token_slot(t);
+                let Some(cell) = shard.minted(slot) else {
                     return Erc721Resp::FALSE;
                 };
                 let caller = cell_index(process.index());
                 if cell.owner != caller && !self.operator_enabled(cell.owner, caller) {
                     return Erc721Resp::FALSE;
                 }
-                shard.write(t, cell.owner, approved.map(|p| cell_index(p.index())));
+                shard.write(slot, cell.owner, approved.map(|p| cell_index(p.index())));
                 Erc721Resp::TRUE
             }
             Erc721Op::SetApprovalForAll { operator, on } => {
@@ -888,22 +925,18 @@ impl ConcurrentObject for ShardedErc721 {
                 let Some(t) = token_key(token, self.token_span) else {
                     return Erc721Resp::Process(None);
                 };
-                Erc721Resp::Process(
-                    self.token_shard(t)
-                        .cells
-                        .get(&t)
-                        .map(|c| ProcessId::new(c.owner as usize)),
-                )
+                let (shard, slot) = self.token_slot(t);
+                Erc721Resp::Process(shard.minted(slot).map(|c| ProcessId::new(c.owner as usize)))
             }
             Erc721Op::GetApproved { token } => {
                 let Some(t) = token_key(token, self.token_span) else {
                     return Erc721Resp::Process(None);
                 };
+                let (shard, slot) = self.token_slot(t);
                 Erc721Resp::Process(
-                    self.token_shard(t)
-                        .cells
-                        .get(&t)
-                        .and_then(NftCell::approved)
+                    shard
+                        .minted(slot)
+                        .and_then(|c| c.approved())
                         .map(|p| ProcessId::new(p as usize)),
                 )
             }
@@ -914,9 +947,14 @@ impl ConcurrentObject for ShardedErc721 {
         // Token shards before operator stripes, as everywhere.
         let token_guards = self.tokens.lock_all();
         let operator_guards = self.operators.lock_all();
+        let at = self.tokens.at();
         let mut state = Erc721State::new(self.processes, self.token_span);
-        for shard in &token_guards {
-            for (&t, cell) in shard.cells.iter() {
+        for (stripe, shard) in token_guards.iter().enumerate() {
+            for (slot, cell) in shard.cells.iter().enumerate() {
+                if !cell.minted {
+                    continue;
+                }
+                let t = cell_index(at.key_at(stripe, slot));
                 state.owners.insert(t, cell.owner);
                 if let Some(a) = cell.approved() {
                     state.approved.insert(t, a);
@@ -991,6 +1029,61 @@ mod tests {
             nft.drain_delta().is_empty(),
             "drain clears the tracking sets"
         );
+    }
+
+    #[test]
+    fn tables_reach_one_past_the_highest_minted_slot() {
+        // A million-id span with 8 tokens minted: at most one cell per
+        // token plus one hole per stripe, whatever the stripe count.
+        let nft = ShardedErc721::from_state(Erc721State::minted_round_robin(4, 1 << 20, 8));
+        let lens = nft.table_lens();
+        assert!(lens.iter().sum::<usize>() <= 8 + lens.len(), "{lens:?}");
+    }
+
+    #[test]
+    fn a_mint_past_the_table_grows_only_its_stripe() {
+        const SPAN: usize = 1 << 12;
+        let nft = ShardedErc721::with_shards(Erc721State::minted_round_robin(4, SPAN, 8), 4);
+        let before = nft.table_lens();
+        assert_eq!(before, [2; 4]);
+        let moved = Erc721Op::TransferFrom {
+            from: p(1),
+            to: p(2),
+            token: t(1),
+        };
+        assert_eq!(nft.apply(p(1), &moved), Erc721Resp::TRUE);
+        let minted = Erc721Op::Mint {
+            to: p(3),
+            token: t(SPAN - 1),
+        };
+        assert_eq!(nft.apply(p(0), &minted), Erc721Resp::TRUE);
+        assert_eq!(nft.table_lens(), [2, 2, 2, SPAN / 4]);
+        // The grown stripe's bitmap is many words longer than the
+        // others; the drain still reports in token order.
+        assert_eq!(
+            nft.drain_delta().tokens,
+            [(1, 2, None), (SPAN as u32 - 1, 3, None)]
+        );
+        assert_eq!(nft.snapshot().owner_of(t(SPAN - 1)), Some(p(3)));
+        assert_eq!(nft.apply(p(0), &minted), Erc721Resp::FALSE);
+    }
+
+    #[test]
+    fn a_mint_below_the_top_grows_nothing() {
+        let mut genesis = Erc721State::new(4, 1 << 10);
+        genesis.put_token(t(100), p(0), None); // stripe 0, slot 25
+        let nft = ShardedErc721::with_shards(genesis, 4);
+        let before = nft.table_lens();
+        assert_eq!(before, [26, 0, 0, 0]);
+        for (to, token) in [(1, 4), (2, 0)] {
+            let mint = Erc721Op::Mint {
+                to: p(to),
+                token: t(token),
+            };
+            assert_eq!(nft.apply(p(0), &mint), Erc721Resp::TRUE);
+        }
+        assert_eq!(nft.table_lens(), before);
+        assert_eq!(nft.drain_delta().tokens, [(0, 2, None), (4, 1, None)]);
     }
 
     #[test]
@@ -1387,9 +1480,11 @@ mod tests {
             let drained = ShardedErc721::with_shards(genesis.clone(), 1 << shards_log);
             let undrained = ShardedErc721::with_shards(genesis.clone(), 1 << shards_log);
             let listed = |nft: &ShardedErc721| {
-                let mut tokens = 0;
-                nft.tokens.each(|_, shard| tokens += shard.dirty.len());
-                tokens
+                nft.tokens
+                    .lock_all()
+                    .iter()
+                    .map(|shard| shard.marks.count())
+                    .sum::<usize>()
             };
             // Tokens and `(holder, operator)` pairs written since the
             // last drain; every token ever written.

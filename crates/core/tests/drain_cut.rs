@@ -7,13 +7,18 @@
 //! hold more or less than the supply. Every running fold must conserve
 //! each type's supply (for ERC20, the total supply), and once the
 //! threads have joined a final drain must bring the fold to
-//! `snapshot()`.
+//! `snapshot()`. ERC721 has no supply to conserve, so its writers move
+//! two tokens of different stripes in a fixed order and the fold must
+//! never show the second move without the first.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use tokensync_core::erc20::Erc20State;
 use tokensync_core::shared::{ConcurrentObject, ConcurrentToken, ShardedErc20};
 use tokensync_core::standards::erc1155::{Erc1155Op, Erc1155State, ShardedErc1155, TypeId};
+use tokensync_core::standards::erc721::{
+    Erc721Op, Erc721Resp, Erc721State, ShardedErc721, TokenId,
+};
 use tokensync_spec::{AccountId, ProcessId};
 
 const ACCOUNTS: usize = 256;
@@ -118,4 +123,51 @@ fn erc1155_drains_under_traffic_conserve_every_supply() {
     );
     assert!(multi.drain_delta().apply_to(&mut folded));
     assert_eq!(folded, multi.snapshot());
+}
+
+#[test]
+fn erc721_drains_under_traffic_never_split_a_writer_s_pair() {
+    // Owners cycle through 251 processes, so a token's owner encodes how
+    // many times it moved (mod 251). Writer `w` moves token `4w`
+    // (stripe 0), then token `4w + 3` (stripe 3), to the same next
+    // owner: in any cut the second token is level with the first or one
+    // step behind it, never ahead.
+    const PROCESSES: usize = 251;
+    const MOVES: usize = 200_000;
+    let pair = |w: usize| (TokenId::new(4 * w), TokenId::new(4 * w + 3));
+    let mut genesis = Erc721State::new(PROCESSES, 4 * THREADS);
+    for w in 0..THREADS {
+        let (first, second) = pair(w);
+        genesis.put_token(first, ProcessId::new(0), None);
+        genesis.put_token(second, ProcessId::new(0), None);
+    }
+    let nft = ShardedErc721::with_shards(genesis.clone(), STRIPES);
+    let mut folded = genesis;
+    drain_while_serving(
+        |w| {
+            let (first, second) = pair(w);
+            for step in 0..MOVES {
+                let from = ProcessId::new(step % PROCESSES);
+                let to = ProcessId::new((step + 1) % PROCESSES);
+                for token in [first, second] {
+                    let op = Erc721Op::TransferFrom { from, to, token };
+                    assert_eq!(nft.apply(from, &op), Erc721Resp::TRUE);
+                }
+            }
+        },
+        || {
+            assert!(nft.drain_delta().apply_to(&mut folded));
+            for w in 0..THREADS {
+                let (first, second) = pair(w);
+                let owner = |token| folded.owner_of(token).expect("minted").index();
+                let (a, b) = (owner(first), owner(second));
+                assert!(
+                    a == b || a == (b + 1) % PROCESSES,
+                    "a drain showed writer {w}'s second move ahead of its first ({a}, {b})"
+                );
+            }
+        },
+    );
+    assert!(nft.drain_delta().apply_to(&mut folded));
+    assert_eq!(folded, nft.snapshot());
 }

@@ -51,10 +51,9 @@ pub trait Restorable: ConcurrentObject<State: Default> + Sized + 'static {
     fn spec(initial: Self::State) -> Self::Spec;
 
     /// Takes the rows touched since the last drain (or since
-    /// construction), clearing the tracking. ERC20 and ERC1155 hold
-    /// every shard lock for the length of the drain, so their delta is
-    /// an atomic cut even under concurrent serving; ERC721 holds one
-    /// shard lock at a time, a cut only at a quiescent point.
+    /// construction), clearing the tracking. Every standard holds all
+    /// of its stripe locks for the length of the drain, so the delta is
+    /// an atomic cut even under concurrent serving.
     fn drain_delta(&self) -> Self::Delta;
 
     /// Folds `delta` onto `state` (which must be the state the delta's
