@@ -42,13 +42,13 @@
 //!
 //! * **mark** — under the stripe lock the write already holds, set the
 //!   slot's bit in the stripe's [`Marks`] (one OR-store, no allocation).
-//!   ERC1155 also flags the written `(type, balance)` cell inside the
-//!   slot's row, so the drain knows which cells of a marked row to
-//!   report; ERC20 and ERC721 report the whole row. ERC721 is the one
-//!   object whose stripes grow after construction: a mint past a
-//!   stripe's last slot extends its table and, with
-//!   [`Marks::grow`], its bitmap, so stripes may differ by any number
-//!   of words;
+//!   ERC1155 also sets the written `(account, type)` cell's bit in a
+//!   second `Marks` indexed like its balance matrix, so the drain knows
+//!   which cells of a marked row to report; ERC20 and ERC721 report the
+//!   whole row. ERC721 is the one object whose stripes grow after
+//!   construction: a mint past a stripe's last slot extends its table
+//!   and, with [`Marks::grow`], its bitmap, so stripes may differ by any
+//!   number of words;
 //! * **exact** — a bit is set at most once between drains, so the
 //!   tracking is one bit per slot whatever the traffic, even on an
 //!   object nobody ever drains (a volatile engine, a store with
@@ -57,9 +57,8 @@
 //!   walks the bitmaps' words side by side and visits every marked slot
 //!   once, clearing its bit, in ascending *key* order
 //!   (`key = slot << log2(S) | stripe`). The object reads each visited
-//!   row's current value and clears its cell flags. A cell the object
-//!   would otherwise drop (an ERC1155 balance debited to zero) stays,
-//!   reading as absent, until the drain has reported it;
+//!   row's current value; ERC1155 test-and-clears the row's cell bits
+//!   ([`Marks::take`]) and reports those cells, zeros included;
 //! * **order** — the walk's: a drain emits its rows already in key
 //!   order (ERC1155 in `(type, account)` order by filling one
 //!   account-ordered bucket per type), with no key list and no sort,
@@ -69,9 +68,9 @@
 //!   serve: every operation lands wholly before the drain or wholly in
 //!   the next delta. The price is that a library caller who drains
 //!   while serving pauses every stripe for the length of the drain
-//!   (≈ 5 ms for a 184 K-row ERC1155 delta — 100 K accounts × 8
-//!   types, 8 stripes — on a 2-vCPU Xeon VM; a store drains at its
-//!   batch seal, when nothing else runs).
+//!   (≈ 6–7 ms for the 155 K-row ERC1155 delta of 40 K batch
+//!   transfers over 100 K accounts × 8 types, 8 stripes, on a 2-vCPU
+//!   Xeon VM; a store drains at its batch seal, when nothing else runs).
 //!
 //! The operator-pair sets of ERC721 and ERC1155 (`setApprovalForAll`
 //! only) are small `BTreeSet`s: exact, but `O(log n)` per mark. ERC721
@@ -109,6 +108,15 @@ impl Marks {
     #[inline]
     pub(crate) fn mark(&mut self, slot: usize) {
         self.words[slot >> 6] |= 1 << (slot & 63);
+    }
+
+    /// Whether `slot` is marked, clearing its bit (test-and-clear).
+    #[inline]
+    pub(crate) fn take(&mut self, slot: usize) -> bool {
+        let (word, bit) = (&mut self.words[slot >> 6], 1 << (slot & 63));
+        let marked = *word & bit != 0;
+        *word &= !bit;
+        marked
     }
 
     /// How many slots are marked.
@@ -431,6 +439,20 @@ mod tests {
         empty.grow(1);
         empty.mark(0);
         assert_eq!(empty.count(), 1);
+    }
+
+    #[test]
+    fn marks_take_clears_only_the_bit_it_reports() {
+        let mut marks = Marks::new(130);
+        for slot in [0, 63, 64, 129] {
+            marks.mark(slot);
+        }
+        assert!(!marks.take(1), "a clean bit reads clean");
+        assert!(marks.take(64));
+        assert!(!marks.take(64), "a taken bit is clear");
+        assert_eq!(marks.count(), 3, "its neighbours keep theirs");
+        assert!([0, 63, 129].into_iter().all(|slot| marks.take(slot)));
+        assert_eq!(marks.count(), 0);
     }
 
     #[test]

@@ -740,103 +740,58 @@ impl Erc1155Delta {
     }
 }
 
-/// One `(type, balance)` cell of an account's row — the line a transfer
-/// already holds, so the flag saying which cells of a marked row the
-/// drain reports (mark/drain contract, `shared/striped.rs`) rides in it.
-#[derive(Clone, Copy, Debug)]
-struct TypedCell {
-    type_id: u32,
-    /// Written since the last drain.
-    dirty: bool,
-    value: Amount,
-}
-
-/// One account's typed balances, sorted by type id. A cell is present
-/// iff its balance is positive **or it is dirty**: a cell debited to
-/// zero stays until the drain has reported `(type, account, 0)`, and
-/// reads as absent meanwhile ([`get`](Self::get) returns 0,
-/// [`iter`](Self::iter) skips it).
-#[derive(Debug, Default)]
-struct TypedRow {
-    cells: Vec<TypedCell>,
-}
-
-impl TypedRow {
-    fn find(&self, type_id: u32) -> Result<usize, usize> {
-        self.cells.binary_search_by_key(&type_id, |c| c.type_id)
-    }
-
-    /// The balance of `type_id`; absent types read as 0.
-    fn get(&self, type_id: usize) -> Amount {
-        // Not `as u32`: a wrapping cast would alias out-of-range type
-        // ids onto small ones, and reads carry no range check.
-        u32::try_from(type_id)
-            .ok()
-            .and_then(|t| self.find(t).ok())
-            .map_or(0, |i| self.cells[i].value)
-    }
-
-    /// The positive balances `(type, amount)` in increasing type order.
-    fn iter(&self) -> impl Iterator<Item = (u32, Amount)> + '_ {
-        self.cells
-            .iter()
-            .filter(|c| c.value > 0)
-            .map(|c| (c.type_id, c.value))
-    }
-
-    /// The cell of `type_id`, entered empty and clean if absent.
-    fn cell_mut(&mut self, type_id: u32) -> &mut TypedCell {
-        let at = self.find(type_id).unwrap_or_else(|at| {
-            let cell = TypedCell {
-                type_id,
-                dirty: false,
-                value: 0,
-            };
-            self.cells.insert(at, cell);
-            at
-        });
-        &mut self.cells[at]
-    }
-
-    /// Drain side of the contract: reports every flagged cell's
-    /// `(type, current balance)` in type order, clears the flags and
-    /// drops the cells left empty, in one pass over the row.
-    fn drain_flagged(&mut self, mut report: impl FnMut(u32, Amount)) {
-        self.cells.retain_mut(|cell| {
-            if cell.dirty {
-                cell.dirty = false;
-                report(cell.type_id, cell.value);
-            }
-            cell.value > 0
-        });
-    }
-}
-
-/// The accounts striped onto one lock: per-slot sparse typed balances
-/// and the slot's operator set, plus what changed since the last
-/// [`ShardedErc1155::drain_delta`] — the slots with a written balance
-/// cell as marks under the mark/drain contract of `shared/striped.rs`,
-/// the `(slot, operator)` pairs as a set (`setApprovalForAll` only).
-#[derive(Debug, Default)]
+/// The accounts striped onto one lock: a dense row-major matrix of
+/// `slots × types` balances — `(slot, type)` at `slot * types + type` —
+/// and each slot's operator set, plus what changed since the last
+/// [`ShardedErc1155::drain_delta`] under the mark/drain contract of
+/// `shared/striped.rs`: the slots with a written balance cell, the
+/// written cells themselves (a second bitmap indexed like the matrix),
+/// and the `(slot, operator)` pairs as a set (`setApprovalForAll` only).
+#[derive(Debug)]
 struct Shard1155 {
-    balances: Vec<TypedRow>,
+    types: usize,
+    balances: Vec<Amount>,
     operators: Vec<BTreeSet<u32>>,
     dirty_rows: Marks,
+    dirty_cells: Marks,
     dirty_ops: BTreeSet<(u32, u32)>,
 }
 
 impl Shard1155 {
+    /// A clean stripe of `slots` accounts, every balance zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots × types` cells pass the address space.
+    fn new(slots: usize, types: usize) -> Self {
+        let cells = slots
+            .checked_mul(types)
+            .expect("accounts × types exceeds the address space");
+        Self {
+            types,
+            balances: vec![0; cells],
+            operators: (0..slots).map(|_| BTreeSet::new()).collect(),
+            dirty_rows: Marks::new(slots),
+            dirty_cells: Marks::new(cells),
+            dirty_ops: BTreeSet::new(),
+        }
+    }
+
+    /// The balances of `slot`, indexed by type: the slice ends at the
+    /// last type, so an id past it reads nothing of the next slot.
+    #[inline]
+    fn row(&self, slot: usize) -> &[Amount] {
+        &self.balances[slot * self.types..][..self.types]
+    }
+
     /// Mark side of the contract: the balance of `(slot, type_id)`, for
-    /// writing. The first write since the last drain flags the cell and
-    /// marks its row.
+    /// writing, with its cell and its row marked. `type_id` is in range.
     #[inline]
     fn balance_mut(&mut self, slot: usize, type_id: u32) -> &mut Amount {
-        let cell = self.balances[slot].cell_mut(type_id);
-        if !cell.dirty {
-            cell.dirty = true;
-            self.dirty_rows.mark(slot);
-        }
-        &mut cell.value
+        let cell = slot * self.types + type_id as usize;
+        self.dirty_cells.mark(cell);
+        self.dirty_rows.mark(slot);
+        &mut self.balances[cell]
     }
 }
 
@@ -852,14 +807,22 @@ impl Shard1155 {
 /// locks **nothing**: supplies are invariant under every operation, so
 /// the constructor-cached values serve every read.
 ///
+/// Each shard holds its accounts' balances as one dense row-major
+/// `accounts × types` matrix, so a debit, a credit and a read are each
+/// one index. The op alphabet has
+/// no mint and no burn, so both spaces are fixed at deploy and the
+/// matrix never grows. **Memory:** 8 B per `(account, type)` pair,
+/// funded or not, plus 1 bit per pair and 1 bit per account of dirty
+/// tracking — 6.4 MB at 100 K accounts × 8 types; a wide type space over
+/// many accounts pays for every pair.
+///
 /// Incremental snapshots follow the mark/drain contract of
-/// `shared/striped.rs`: a `(type, account)` balance cell carries a
-/// dirty flag, the first debit or credit since the last drain sets it
-/// and marks the account's slot in the shard's bitmap, and
-/// [`drain_delta`](ShardedErc1155::drain_delta) walks the bitmaps —
-/// `O(1)` per touched cell, one bit per account of tracking, drained or
-/// not. A cell debited to zero is kept (reading as absent) until the
-/// drain has reported it as `(type, account, 0)`.
+/// `shared/striped.rs`: a debit or credit sets its cell's bit in the
+/// shard's cell bitmap and its account's bit in the row bitmap, and
+/// [`drain_delta`](ShardedErc1155::drain_delta) walks the row bitmaps
+/// and reports each marked row's marked cells — `O(1)` per touched
+/// cell, tracking of fixed size whether drained or not. A cell debited
+/// to zero is reported as `(type, account, 0)`.
 ///
 /// # Example
 ///
@@ -904,27 +867,14 @@ impl ShardedErc1155 {
     /// Panics if `shards` is zero or not a power of two.
     pub fn with_shards(state: Erc1155State, shards: usize) -> Self {
         let at = Striping::new(shards);
-        let n = state.accounts();
+        let (n, types) = (state.accounts(), state.types());
+        // Stripe `s` holds keys `s, s + S, …` below `n`.
         let mut built: Vec<Shard1155> = (0..shards)
-            .map(|_| Shard1155 {
-                balances: Vec::with_capacity(n / shards + 1),
-                operators: Vec::with_capacity(n / shards + 1),
-                ..Shard1155::default()
-            })
+            .map(|s| Shard1155::new(n.saturating_sub(s).div_ceil(shards), types))
             .collect();
-        for i in 0..n {
-            let shard = &mut built[at.stripe_of(i)];
-            shard.balances.push(TypedRow::default());
-            shard.operators.push(BTreeSet::new());
-        }
-        for shard in &mut built {
-            shard.dirty_rows = Marks::new(shard.balances.len());
-        }
         for (&(t, a), &v) in &state.balances {
             let a = a as usize;
-            built[at.stripe_of(a)].balances[at.slot_of(a)]
-                .cell_mut(t)
-                .value = v;
+            built[at.stripe_of(a)].balances[at.slot_of(a) * types + t as usize] = v;
         }
         for &(h, o) in &state.operators {
             let h = h as usize;
@@ -950,16 +900,17 @@ impl ShardedErc1155 {
     }
 
     /// Recomputes every type's supply from the live balances (one pass
-    /// over all shards, `O(n + entries)`), for auditing the cached
+    /// over all shards, `O(accounts × types)`), for auditing the cached
     /// [`total_supply`](ShardedErc1155::total_supply) values — the
     /// conservation check the benchmarks assert after every run. A
     /// divergence means a transfer lost or minted tokens.
     pub fn audit_supplies(&self) -> Vec<Amount> {
         let mut sums = vec![0; self.types];
         self.shards.each(|_, shard| {
-            for row in &shard.balances {
-                for (t, v) in row.iter() {
-                    sums[t as usize] += v;
+            // One operator set per slot.
+            for slot in 0..shard.operators.len() {
+                for (sum, &v) in sums.iter_mut().zip(shard.row(slot)) {
+                    *sum += v;
                 }
             }
         });
@@ -969,21 +920,27 @@ impl ShardedErc1155 {
     /// Drains the copy-on-write tracking: the current value of every
     /// `(type, account)` balance cell and the current membership of
     /// every operator pair touched since the previous drain, clearing
-    /// the flags, marks and sets.
+    /// the marks and sets.
     ///
     /// The drain holds every shard lock at once, so the delta is an
     /// atomic cut even while other threads serve (they wait on their
     /// shard for the length of the drain). It visits each marked account
-    /// once, in ascending order, and files each flagged cell into its
-    /// type's bucket: every bucket is in account order, so the buckets
-    /// concatenate into `(type, account)` order with no sort.
+    /// once, in ascending order, test-and-clears its cells' bits in type
+    /// order and files each marked cell into its type's bucket: every
+    /// bucket is in account order, so the buckets concatenate into
+    /// `(type, account)` order with no sort.
     pub fn drain_delta(&self) -> Erc1155Delta {
-        let mut by_type: Vec<Vec<(u32, Amount)>> = vec![Vec::new(); self.types];
+        let types = self.types;
+        let mut by_type: Vec<Vec<(u32, Amount)>> = vec![Vec::new(); types];
         let mut guards = self.shards.drain_marked(
             |shard| &mut shard.dirty_rows,
             |account, shard, slot| {
-                shard.balances[slot]
-                    .drain_flagged(|t, v| by_type[t as usize].push((cell_index(account), v)));
+                let first = slot * types;
+                for (t, bucket) in by_type.iter_mut().enumerate() {
+                    if shard.dirty_cells.take(first + t) {
+                        bucket.push((cell_index(account), shard.balances[first + t]));
+                    }
+                }
             },
         );
         let at = self.shards.at();
@@ -1032,10 +989,8 @@ impl ShardedErc1155 {
         let (src, dst) = pair.split();
         let authorized =
             caller == from.owner() || src.operators[fi].contains(&cell_index(caller.index()));
-        let covered = required
-            .rows()
-            .iter()
-            .all(|&(t, v)| src.balances[fi].get(t as usize) >= v);
+        let row = src.row(fi);
+        let covered = required.rows().iter().all(|&(t, v)| row[t as usize] >= v);
         if !authorized || !covered {
             return false;
         }
@@ -1095,7 +1050,8 @@ impl ConcurrentObject for ShardedErc1155 {
                 }
                 let slot = self.shards.at().slot_of(account.index());
                 let shard = self.shards.lock(account.index());
-                Erc1155Resp::Amount(shard.balances[slot].get(type_id.index()))
+                let row = shard.row(slot);
+                Erc1155Resp::Amount(row.get(type_id.index()).copied().unwrap_or(0))
             }
             Erc1155Op::TotalSupply { type_id } => Erc1155Resp::Amount(self.total_supply(type_id)),
         }
@@ -1110,8 +1066,10 @@ impl ConcurrentObject for ShardedErc1155 {
         let mut operators = Vec::new();
         for a in 0..self.accounts {
             let (shard, slot) = (&guards[at.stripe_of(a)], at.slot_of(a));
-            for (t, v) in shard.balances[slot].iter() {
-                by_type[t as usize].push((cell_index(a), v));
+            for (bucket, &v) in by_type.iter_mut().zip(shard.row(slot)) {
+                if v > 0 {
+                    bucket.push((cell_index(a), v));
+                }
             }
             operators.extend(shard.operators[slot].iter().map(|&o| (cell_index(a), o)));
         }
@@ -1423,6 +1381,54 @@ mod tests {
         assert_eq!(q, spec.initial_state(), "huge ids must not mutate state");
     }
 
+    /// Over one stripe, account 0's row ends where account 1's begins:
+    /// type `KINDS` of account 0 sits where type 0 of account 1 does.
+    /// Every op naming that type must still answer as the spec does and
+    /// move nothing.
+    #[test]
+    fn a_type_one_past_the_last_never_aliases_the_next_row() {
+        const KINDS: usize = 2;
+        let mut initial = Erc1155State::deploy(3, p(0), &[0; KINDS]);
+        initial.set_balance(a(0), t(1), 5);
+        initial.set_balance(a(1), t(0), 7);
+        let spec = Erc1155Spec::new(initial.clone());
+        let multi = ShardedErc1155::with_shards(initial, 1);
+        let past = t(KINDS);
+        let ops = [
+            (
+                Erc1155Op::BalanceOf {
+                    account: a(0),
+                    type_id: past,
+                },
+                Erc1155Resp::Amount(0),
+            ),
+            (
+                Erc1155Op::Transfer {
+                    from: a(0),
+                    to: a(2),
+                    type_id: past,
+                    value: 1,
+                },
+                Erc1155Resp::FALSE,
+            ),
+            (
+                Erc1155Op::BatchTransfer {
+                    from: a(0),
+                    to: a(2),
+                    entries: vec![(t(1), 1), (past, 1)],
+                },
+                Erc1155Resp::FALSE,
+            ),
+        ];
+        let mut q = spec.initial_state();
+        for (op, want) in &ops {
+            assert_eq!(spec.apply(&mut q, p(0), op), *want, "{op:?}");
+            assert_eq!(multi.apply(p(0), op), *want, "{op:?}");
+        }
+        assert_eq!(multi.snapshot(), spec.initial_state(), "nothing moved");
+        assert!(multi.drain_delta().is_empty(), "nothing was written");
+    }
+
     #[test]
     fn batch_conflicts_iff_cell_sets_intersect() {
         let batch = |from: usize, to: usize, types: &[usize]| Erc1155Op::BatchTransfer {
@@ -1604,7 +1610,7 @@ mod tests {
         /// fall, each drain reports exactly the cells a reference set
         /// of mutated keys names — same rows, same order — the deltas
         /// fold onto genesis to the live snapshot, and an object nobody
-        /// drains marks each distinct account and flags each distinct
+        /// drains marks each distinct account and each distinct
         /// cell once.
         #[test]
         fn drains_report_exactly_the_mutated_cells(
@@ -1619,13 +1625,12 @@ mod tests {
             let mut oracle = spec.initial_state();
             let drained = ShardedErc1155::with_shards(genesis.clone(), 1 << shards_log);
             let undrained = ShardedErc1155::with_shards(genesis.clone(), 1 << shards_log);
-            // `(marked accounts, flagged cells)` across the shards.
+            // `(marked accounts, marked cells)` across the shards.
             let marked = |m: &ShardedErc1155| {
                 let (mut rows, mut cells) = (0, 0);
                 m.shards.each(|_, shard| {
                     rows += shard.dirty_rows.count();
-                    let flags = shard.balances.iter().flat_map(|row| &row.cells);
-                    cells += flags.filter(|cell| cell.dirty).count();
+                    cells += shard.dirty_cells.count();
                 });
                 (rows, cells)
             };
@@ -1670,7 +1675,7 @@ mod tests {
                 prop_assert_eq!(
                     marked(&undrained),
                     (accounts.len(), ever.len()),
-                    "one mark per distinct account, one flag per distinct cell"
+                    "one mark per distinct account, one per distinct cell"
                 );
                 if choice < 3 {
                     continue;
@@ -1693,15 +1698,15 @@ mod tests {
                 prop_assert_eq!(&delta, &expected);
                 prop_assert!(delta.apply_to(&mut folded));
                 prop_assert_eq!(&folded, &drained.snapshot());
-                prop_assert_eq!(marked(&drained), (0, 0), "a drain clears marks and flags");
+                prop_assert_eq!(marked(&drained), (0, 0), "a drain clears row and cell marks");
             }
             prop_assert_eq!(folded, oracle);
             prop_assert_eq!(undrained.snapshot(), drained.snapshot());
         }
 
         /// The bulk-built `snapshot()` is the spec's state after every
-        /// step of a random script: cells debited to zero read as
-        /// absent whether or not a drain has dropped them yet, operator
+        /// step of a random script: cells debited to zero are absent
+        /// whether or not a drain has reported them yet, operator
         /// pairs toggled off are gone, and the type-major maps come out
         /// the same from every striping.
         #[test]

@@ -407,6 +407,9 @@ pub struct Wal {
     /// Where the log resumes past a hole above the open floor, if it
     /// does: the records `[floor, resume)` are gone.
     resumes_past_hole: Option<u64>,
+    /// The record [`Wal::append`] encodes, kept between appends so a
+    /// batch reuses the capacity earlier batches grew.
+    frame: Vec<u8>,
     /// Recorder seam (disabled by default): append/fsync latency and
     /// byte/record/segment counters.
     obs: StoreObs,
@@ -492,6 +495,7 @@ impl Wal {
             epoch,
             pins: SegmentPins::default(),
             resumes_past_hole,
+            frame: Vec::new(),
             obs: StoreObs::disabled(),
         })
     }
@@ -621,26 +625,28 @@ impl Wal {
         }
         // The frame prefix (length, CRC) is patched in once the payload
         // behind it is encoded.
-        let mut frame = vec![0u8; FRAME_LEN];
+        let frame = &mut self.frame;
+        frame.clear();
+        frame.resize(FRAME_LEN, 0);
         frame.reserve(21 + entries.len() * 16);
         let record = RecordHead {
             batch: head.batch,
             first_seq: base + head.seq,
             count: entries.len() as u32,
         };
-        record.encode_into(&mut frame);
+        record.encode_into(frame);
         for (k, entry) in entries.iter().enumerate() {
             debug_assert_eq!(entry.seq, head.seq + k as u64, "entries not contiguous");
             let caller =
                 u32::try_from(entry.caller.index()).expect("caller exceeds the u32 key space");
-            caller.encode_into(&mut frame);
-            entry.op.encode_into(&mut frame);
-            entry.resp.encode_into(&mut frame);
+            caller.encode_into(frame);
+            entry.op.encode_into(frame);
+            entry.resp.encode_into(frame);
         }
         let (prefix, payload) = frame.split_at_mut(FRAME_LEN);
         prefix[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
         prefix[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-        self.file.write_all(&frame)?;
+        self.file.write_all(frame)?;
         self.segment_bytes += frame.len() as u64;
         self.next_seq += entries.len() as u64;
         self.obs.record_append(started, frame.len());

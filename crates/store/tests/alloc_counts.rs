@@ -144,16 +144,39 @@ fn create_allocations_do_not_grow_with_accounts_erc20() {
     assert_flat(&create_allocs::<ShardedErc20>(one_approval_each), "ERC20");
 }
 
+/// `n` accounts holding 100 of each of 8 token types.
+fn funded_1155(n: usize) -> Erc1155State {
+    let mut state = Erc1155State::deploy(n, ProcessId::new(0), &[0; 8]);
+    for t in 0..8 {
+        for a in 0..n {
+            state.set_balance(AccountId::new(a), TypeId::new(t), 100);
+        }
+    }
+    state
+}
+
 #[test]
 fn create_allocations_do_not_grow_with_accounts_erc1155() {
-    let funded = |n: usize| {
-        let mut state = Erc1155State::deploy(n, ProcessId::new(0), &[0; 8]);
-        for t in 0..8 {
-            for a in 0..n {
-                state.set_balance(AccountId::new(a), TypeId::new(t), 100);
-            }
-        }
-        state
-    };
-    assert_flat(&create_allocs::<ShardedErc1155>(funded), "ERC1155");
+    assert_flat(&create_allocs::<ShardedErc1155>(funded_1155), "ERC1155");
+}
+
+/// Restoring the live object from a recovered state fills each stripe's
+/// balance matrix, operator rows and dirty bitmaps with one allocation
+/// apiece: the count follows the stripe count, not the accounts.
+#[test]
+fn restore_allocations_do_not_grow_with_accounts_erc1155() {
+    let counts: Vec<u64> = SIZES
+        .iter()
+        .map(|&n| {
+            let state = funded_1155(n);
+            counted(|| <ShardedErc1155 as Restorable>::restore(state)).1
+        })
+        .collect();
+    let (small, large) = (counts[0], counts[1]);
+    assert!(
+        large <= small && small < SIZES[0] as u64 / 4,
+        "restore made {small} allocations at n = {} and {large} at n = {}",
+        SIZES[0],
+        SIZES[1]
+    );
 }
