@@ -1,13 +1,13 @@
 //! **B7 — account-count scaling of the concurrent token implementations.**
 //!
 //! Sweeps the number of accounts under a Zipfian (hot-account) workload
-//! and compares the three lock architectures: one global lock
-//! (`CoarseErc20`), one lock per account (`SharedErc20`) and `min(n, 4 ×
-//! cores)` lock stripes (`ShardedErc20`). Expected shape: coarse flat and
-//! slow under threads (every op serializes), fine and sharded close at
-//! small n, sharded ahead at large n where per-account locking pays a
-//! mutex per account and `totalSupply`-style global reads pay `O(n)` lock
-//! acquisitions.
+//! and compares the two lock architectures: one lock per account
+//! (`SharedErc20`) and one lock over the whole object (`ShardedErc20`,
+//! the object the serving path runs, where one engine thread applies
+//! every op). Per-account locks let threads on disjoint accounts proceed
+//! in parallel but pay a mutex per account; one lock serializes every op
+//! and costs one uncontended acquisition when a single thread applies
+//! them.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -16,7 +16,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use tokensync_bench::harness::run_split;
 use tokensync_bench::workloads::{funded_state, zipf_ops};
 use tokensync_core::erc20::Erc20Op;
-use tokensync_core::shared::{CoarseErc20, ConcurrentToken, ShardedErc20, SharedErc20};
+use tokensync_core::shared::{ConcurrentToken, ShardedErc20, SharedErc20};
 use tokensync_spec::ProcessId;
 
 const OPS: usize = 2048;
@@ -37,12 +37,6 @@ fn bench_scale(c: &mut Criterion) {
         let initial = funded_state(n);
         let workload = zipf_ops(n, OPS, 7, THETA);
         group.throughput(Throughput::Elements(OPS as u64));
-        group.bench_with_input(BenchmarkId::new("coarse", n), &n, |b, _| {
-            b.iter(|| {
-                let token = Arc::new(CoarseErc20::from_state(initial.clone()));
-                run_threads(&token, &workload);
-            });
-        });
         group.bench_with_input(BenchmarkId::new("fine", n), &n, |b, _| {
             b.iter(|| {
                 let token = Arc::new(SharedErc20::from_state(initial.clone()));

@@ -1,7 +1,7 @@
 //! **B1 — token implementation throughput.**
 //!
 //! Compares the three ways to host a linearizable ERC20 object: one global
-//! lock (`CoarseErc20`), per-account locks (`SharedErc20`), and the
+//! lock (`ShardedErc20`), per-account locks (`SharedErc20`), and the
 //! consensus-backed universal construction (`Universal<Erc20Spec>` — the
 //! "run everything through consensus" blockchain baseline). Expected
 //! shape: fine-grained ≥ coarse ≫ universal, with the gap widening as
@@ -15,7 +15,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use tokensync_bench::workloads::{funded_state, mixed_ops};
 use tokensync_consensus::Universal;
 use tokensync_core::erc20::Erc20Spec;
-use tokensync_core::shared::{CoarseErc20, ConcurrentObject, ConcurrentToken, SharedErc20};
+use tokensync_core::shared::{ConcurrentObject, ConcurrentToken, ShardedErc20, SharedErc20};
 
 const N_ACCOUNTS: usize = 16;
 const OPS_PER_THREAD: usize = 256;
@@ -46,7 +46,7 @@ fn bench_token_ops(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 b.iter(|| {
-                    let token = Arc::new(CoarseErc20::from_state(funded_state(N_ACCOUNTS)));
+                    let token = Arc::new(ShardedErc20::from_state(funded_state(N_ACCOUNTS)));
                     run_threads(&token, threads);
                 });
             },

@@ -157,11 +157,15 @@ where
         self.announce.at(i).write(Some(mine.clone()));
 
         loop {
+            // Read the log's length before looking for this operation in
+            // it: every slot below `index` is then integrated, so a helper
+            // that decided the operation there is seen here, and the
+            // operation is never proposed again at a later slot.
+            let index = self.log.lock().entries.len();
             if let Some(pos) = self.already_applied(my_key) {
                 self.announce.at(i).write(None);
                 return self.integrate(pos, mine);
             }
-            let index = self.log.lock().entries.len();
             // Helping rule: give priority to the process whose turn this
             // position is, if it has a pending announced operation.
             let preferred = self.announce.at(index % self.n).read();

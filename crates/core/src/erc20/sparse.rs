@@ -70,8 +70,8 @@ enum Entries {
     Many(Vec<(u32, Amount)>),
 }
 
-// The per-stripe row vectors of the sharded token hold one `SpenderMap`
-// per account: the in-place form must not widen them.
+// The state's row vector holds one `SpenderMap` per account: the
+// in-place form must not widen it.
 const _: () =
     assert!(std::mem::size_of::<SpenderMap>() == std::mem::size_of::<Vec<(u32, Amount)>>());
 

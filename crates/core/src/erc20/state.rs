@@ -122,13 +122,6 @@ impl Erc20State {
         }
     }
 
-    /// Takes the state apart into its balances, its allowance rows and
-    /// its supply, so a live object can own the rows without copying
-    /// them.
-    pub(crate) fn into_rows(self) -> (Vec<Amount>, Vec<SpenderMap>, Amount) {
-        (self.balances, self.allowances, self.supply)
-    }
-
     /// Number of accounts `n = |A| = |Π|`.
     pub fn accounts(&self) -> usize {
         self.balances.len()
@@ -383,7 +376,7 @@ impl Erc20State {
 
 /// An incremental copy-on-write snapshot of an ERC20 object: the full
 /// current `(balance, allowance row)` of every account touched since the
-/// previous snapshot watermark, drained from the live sharded object by
+/// previous snapshot watermark, drained from the live served object by
 /// [`ShardedErc20::drain_delta`](crate::shared::ShardedErc20::drain_delta)
 /// and folded back onto a base [`Erc20State`] at recovery time.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

@@ -13,7 +13,7 @@
 //!   ([`Erc20Spec`]) over the state [`Erc20State`], whose transitions
 //!   are Algorithm 3 of the paper with typed errors.
 //! * [`shared`] — linearizable concurrent implementations
-//!   ([`CoarseErc20`], [`SharedErc20`], [`ShardedErc20`]) behind the
+//!   ([`SharedErc20`], [`ShardedErc20`]) behind the
 //!   ERC20 [`ConcurrentToken`] interface, itself an instance of the
 //!   standard-generic [`ConcurrentObject`] trait (footprinted ops +
 //!   oracle snapshots) the batched pipeline serves.
@@ -35,7 +35,7 @@
 //! * [`standards`] — Section 6 extensions: ERC777 operators, ERC721
 //!   non-fungible tokens, ERC1155 multi-tokens, with their consensus
 //!   constructions (decisive parts of the [`tokensync_spec::race`] step
-//!   machine) and the lock-striped, footprinted serving objects
+//!   machine) and the footprinted serving objects, each behind one lock
 //!   ([`standards::erc721::ShardedErc721`],
 //!   [`standards::erc1155::ShardedErc1155`]) the generic pipeline
 //!   executes.
@@ -83,5 +83,5 @@ pub use emulation::RestrictedToken;
 pub use erc20::{Erc20Op, Erc20Resp, Erc20Spec, Erc20State};
 pub use error::TokenError;
 pub use setup::prepare_sync_state;
-pub use shared::{CoarseErc20, ConcurrentObject, ConcurrentToken, ShardedErc20, SharedErc20};
+pub use shared::{ConcurrentObject, ConcurrentToken, ShardedErc20, SharedErc20};
 pub use token_consensus::TokenConsensus;

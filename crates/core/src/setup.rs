@@ -137,7 +137,7 @@ pub fn current_sync_level(state: &Erc20State) -> usize {
 mod tests {
     use super::*;
     use crate::analysis::{consensus_number_bounds, unique_transfers};
-    use crate::shared::{CoarseErc20, ConcurrentObject, SharedErc20};
+    use crate::shared::{ConcurrentObject, ShardedErc20, SharedErc20};
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -176,14 +176,14 @@ mod tests {
 
     #[test]
     fn prepare_rejects_empty_account() {
-        let token = CoarseErc20::deploy(3, p(0), 5);
+        let token = ShardedErc20::deploy(3, p(0), 5);
         let err = prepare_sync_state(&token, p(1), &[p(2)], &[3]).unwrap_err();
         assert_eq!(err, SetupError::EmptyAccount { account: a(1) });
     }
 
     #[test]
     fn prepare_rejects_non_unique_allowances() {
-        let token = CoarseErc20::deploy(4, p(0), 10);
+        let token = ShardedErc20::deploy(4, p(0), 10);
         // 3 + 4 ≤ 10: two spenders could both win.
         let err = prepare_sync_state(&token, p(0), &[p(1), p(2)], &[3, 4]).unwrap_err();
         assert_eq!(err, SetupError::NotUnique { account: a(0) });
@@ -191,7 +191,7 @@ mod tests {
 
     #[test]
     fn prepare_rejects_unknown_spender() {
-        let token = CoarseErc20::deploy(2, p(0), 10);
+        let token = ShardedErc20::deploy(2, p(0), 10);
         let err = prepare_sync_state(&token, p(0), &[p(7)], &[6]).unwrap_err();
         assert_eq!(err, SetupError::ApproveFailed { spender: p(7) });
     }

@@ -17,7 +17,7 @@
 //! concurrent object: the footprinted [`Erc1155Op`]/[`Erc1155Resp`]
 //! alphabet (batch ops union their `(type, account)` cells), the
 //! [`Erc1155Spec`] oracle (the typed transitions, `Ok` as `TRUE`), and
-//! the lock-striped [`ShardedErc1155`] the generic pipeline executes.
+//! the one-lock [`ShardedErc1155`] the generic pipeline executes.
 
 use std::fmt;
 

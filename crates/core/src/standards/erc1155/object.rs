@@ -1,7 +1,7 @@
 //! The ERC1155 object as a formal, footprinted, concurrently servable
 //! standard: op/response alphabets (including **atomic batches**), a
 //! sparse sequential state and [`ObjectType`] spec, per-op
-//! [`Footprint`]s, and the lock-striped [`ShardedErc1155`].
+//! [`Footprint`]s, and the one-lock [`ShardedErc1155`].
 //!
 //! The paper observes that ERC1155 plausibly inherits ERC20's
 //! synchronization requirements but that exact bounds "would need an
@@ -25,11 +25,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use parking_lot::Mutex;
 use tokensync_spec::{AccountId, Amount, ObjectType, ProcessId};
 
 use crate::analysis::cell_index;
 use crate::analysis::{Access, Cell, Footprint, FootprintedOp};
-use crate::shared::striped::{default_stripes, Marks, Striped, Striping};
+use crate::shared::marks::Marks;
 use crate::shared::ConcurrentObject;
 
 use super::{Erc1155Error, TypeId};
@@ -740,89 +741,67 @@ impl Erc1155Delta {
     }
 }
 
-/// The accounts striped onto one lock: a dense row-major matrix of
-/// `slots × types` balances — `(slot, type)` at `slot * types + type` —
-/// and each slot's operator set, plus what changed since the last
-/// [`ShardedErc1155::drain_delta`] under the mark/drain contract of
-/// `shared/striped.rs`: the slots with a written balance cell, the
-/// written cells themselves (a second bitmap indexed like the matrix),
-/// and the `(slot, operator)` pairs as a set (`setApprovalForAll` only).
+/// What the one lock of a [`ShardedErc1155`] guards: a dense row-major
+/// matrix of `accounts × types` balances — `(account, type)` at
+/// `account * types + type` — and the enabled operator pairs beside it,
+/// plus what changed since the last [`ShardedErc1155::drain_delta`]
+/// under the mark/drain contract of `shared/marks.rs`: the accounts
+/// with a written balance cell, the written cells themselves (a second
+/// bitmap indexed like the matrix), and the toggled `(holder, operator)`
+/// pairs as an ordered set (`setApprovalForAll` only).
 #[derive(Debug)]
-struct Shard1155 {
+struct Table {
     types: usize,
     balances: Vec<Amount>,
-    operators: Vec<BTreeSet<u32>>,
+    operators: BTreeSet<(u32, u32)>,
     dirty_rows: Marks,
     dirty_cells: Marks,
     dirty_ops: BTreeSet<(u32, u32)>,
 }
 
-impl Shard1155 {
-    /// A clean stripe of `slots` accounts, every balance zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots × types` cells pass the address space.
-    fn new(slots: usize, types: usize) -> Self {
-        let cells = slots
-            .checked_mul(types)
-            .expect("accounts × types exceeds the address space");
-        Self {
-            types,
-            balances: vec![0; cells],
-            operators: (0..slots).map(|_| BTreeSet::new()).collect(),
-            dirty_rows: Marks::new(slots),
-            dirty_cells: Marks::new(cells),
-            dirty_ops: BTreeSet::new(),
-        }
+impl Table {
+    /// The balances of `account`, indexed by type: the slice ends at the
+    /// last type, so an id past it reads nothing of the next row.
+    #[inline]
+    fn row(&self, account: usize) -> &[Amount] {
+        &self.balances[account * self.types..][..self.types]
     }
 
-    /// The balances of `slot`, indexed by type: the slice ends at the
-    /// last type, so an id past it reads nothing of the next slot.
+    /// Mark side of the contract: the balance of `(account, type_id)`,
+    /// for writing, with its cell and its row marked. `type_id` is in
+    /// range.
     #[inline]
-    fn row(&self, slot: usize) -> &[Amount] {
-        &self.balances[slot * self.types..][..self.types]
-    }
-
-    /// Mark side of the contract: the balance of `(slot, type_id)`, for
-    /// writing, with its cell and its row marked. `type_id` is in range.
-    #[inline]
-    fn balance_mut(&mut self, slot: usize, type_id: u32) -> &mut Amount {
-        let cell = slot * self.types + type_id as usize;
+    fn balance_mut(&mut self, account: usize, type_id: u32) -> &mut Amount {
+        let cell = account * self.types + type_id as usize;
         self.dirty_cells.mark(cell);
-        self.dirty_rows.mark(slot);
+        self.dirty_rows.mark(account);
         &mut self.balances[cell]
     }
 }
 
-/// An ERC1155 contract lock-striped by **account**, scaling to ~1M
-/// accounts × many types.
+/// An ERC1155 contract behind one lock, scaling to ~1M accounts × many
+/// types.
 ///
-/// Accounts are striped over `min(n, 4 × cores)` shards (striping
-/// scheme and lock order: `shared/striped.rs`). An account's operator
-/// set lives in the *same* shard cell as its balances, so a transfer's
-/// authorization check, validation and debit are all under the source
-/// shard's lock — one critical section, no cross-structure ordering
-/// concerns. Transfers lock at most two shards; per-type `totalSupply`
-/// locks **nothing**: supplies are invariant under every operation, so
-/// the constructor-cached values serve every read.
+/// The balances are one dense row-major `accounts × types` matrix, so a
+/// debit, a credit and a read are each one index, and the operator pairs
+/// sit beside it under the same lock: a transfer's authorization check,
+/// validation, debit and credit are one critical section. Per-type
+/// `totalSupply` takes **no** lock: supplies are invariant under every
+/// operation, so the constructor-cached values serve every read.
 ///
-/// Each shard holds its accounts' balances as one dense row-major
-/// `accounts × types` matrix, so a debit, a credit and a read are each
-/// one index. The op alphabet has
-/// no mint and no burn, so both spaces are fixed at deploy and the
-/// matrix never grows. **Memory:** 8 B per `(account, type)` pair,
-/// funded or not, plus 1 bit per pair and 1 bit per account of dirty
-/// tracking — 6.4 MB at 100 K accounts × 8 types; a wide type space over
-/// many accounts pays for every pair.
+/// The op alphabet has no mint and no burn, so both spaces are fixed at
+/// deploy and the matrix never grows. **Memory:** 8 B per
+/// `(account, type)` pair, funded or not, plus 1 bit per pair and 1 bit
+/// per account of dirty tracking — 6.4 MB at 100 K accounts × 8 types; a
+/// wide type space over many accounts pays for every pair.
 ///
 /// Incremental snapshots follow the mark/drain contract of
-/// `shared/striped.rs`: a debit or credit sets its cell's bit in the
-/// shard's cell bitmap and its account's bit in the row bitmap, and
-/// [`drain_delta`](ShardedErc1155::drain_delta) walks the row bitmaps
-/// and reports each marked row's marked cells — `O(1)` per touched
-/// cell, tracking of fixed size whether drained or not. A cell debited
-/// to zero is reported as `(type, account, 0)`.
+/// `shared/marks.rs`: a debit or credit sets its cell's bit in the cell
+/// bitmap and its account's bit in the row bitmap, and
+/// [`drain_delta`](ShardedErc1155::drain_delta) walks the row bitmap and
+/// reports each marked row's marked cells — `O(1)` per touched cell,
+/// tracking of fixed size whether drained or not. A cell debited to
+/// zero is reported as `(type, account, 0)`.
 ///
 /// # Example
 ///
@@ -844,7 +823,7 @@ impl Shard1155 {
 /// ```
 #[derive(Debug)]
 pub struct ShardedErc1155 {
-    shards: Striped<Shard1155>,
+    table: Mutex<Table>,
     accounts: usize,
     types: usize,
     /// Constructor-cached per-type totals; constant because every
@@ -853,38 +832,33 @@ pub struct ShardedErc1155 {
 }
 
 impl ShardedErc1155 {
-    /// Builds from a sequential state over the default stripe count.
-    pub fn from_state(state: Erc1155State) -> Self {
-        let shards = default_stripes(state.accounts());
-        Self::with_shards(state, shards)
-    }
-
-    /// Builds over an explicit number of shards (tests exercise
-    /// degenerate stripings).
+    /// Builds from a sequential state: one walk of the positive entries
+    /// fills the zeroed matrix; the operator pairs and supplies move in.
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero or not a power of two.
-    pub fn with_shards(state: Erc1155State, shards: usize) -> Self {
-        let at = Striping::new(shards);
-        let (n, types) = (state.accounts(), state.types());
-        // Stripe `s` holds keys `s, s + S, …` below `n`.
-        let mut built: Vec<Shard1155> = (0..shards)
-            .map(|s| Shard1155::new(n.saturating_sub(s).div_ceil(shards), types))
-            .collect();
+    /// Panics if `accounts × types` cells pass the address space.
+    pub fn from_state(state: Erc1155State) -> Self {
+        let (accounts, types) = (state.accounts(), state.types());
+        let cells = accounts
+            .checked_mul(types)
+            .expect("accounts × types exceeds the address space");
+        let mut balances = vec![0; cells];
         for (&(t, a), &v) in &state.balances {
-            let a = a as usize;
-            built[at.stripe_of(a)].balances[at.slot_of(a) * types + t as usize] = v;
-        }
-        for &(h, o) in &state.operators {
-            let h = h as usize;
-            built[at.stripe_of(h)].operators[at.slot_of(h)].insert(o);
+            balances[a as usize * types + t as usize] = v;
         }
         Self {
-            shards: Striped::new(built),
-            accounts: n,
-            types: state.types(),
-            supplies: state.supplies.clone(),
+            table: Mutex::new(Table {
+                types,
+                balances,
+                operators: state.operators,
+                dirty_rows: Marks::new(accounts),
+                dirty_cells: Marks::new(cells),
+                dirty_ops: BTreeSet::new(),
+            }),
+            accounts,
+            types,
+            supplies: state.supplies,
         }
     }
 
@@ -900,20 +874,18 @@ impl ShardedErc1155 {
     }
 
     /// Recomputes every type's supply from the live balances (one pass
-    /// over all shards, `O(accounts × types)`), for auditing the cached
+    /// over the matrix, `O(accounts × types)`), for auditing the cached
     /// [`total_supply`](ShardedErc1155::total_supply) values — the
     /// conservation check the benchmarks assert after every run. A
     /// divergence means a transfer lost or minted tokens.
     pub fn audit_supplies(&self) -> Vec<Amount> {
+        let table = self.table.lock();
         let mut sums = vec![0; self.types];
-        self.shards.each(|_, shard| {
-            // One operator set per slot.
-            for slot in 0..shard.operators.len() {
-                for (sum, &v) in sums.iter_mut().zip(shard.row(slot)) {
-                    *sum += v;
-                }
+        for account in 0..self.accounts {
+            for (sum, &v) in sums.iter_mut().zip(table.row(account)) {
+                *sum += v;
             }
-        });
+        }
         sums
     }
 
@@ -922,37 +894,36 @@ impl ShardedErc1155 {
     /// every operator pair touched since the previous drain, clearing
     /// the marks and sets.
     ///
-    /// The drain holds every shard lock at once, so the delta is an
-    /// atomic cut even while other threads serve (they wait on their
-    /// shard for the length of the drain). It visits each marked account
-    /// once, in ascending order, test-and-clears its cells' bits in type
-    /// order and files each marked cell into its type's bucket: every
-    /// bucket is in account order, so the buckets concatenate into
-    /// `(type, account)` order with no sort.
+    /// The drain holds the lock, so the delta is an atomic cut. It
+    /// visits each marked account once, in ascending order,
+    /// test-and-clears its cells' bits in type order and files each
+    /// marked cell into its type's bucket: every bucket is in account
+    /// order, so the buckets concatenate into `(type, account)` order
+    /// with no sort. The toggled pairs come out of their ordered set.
     pub fn drain_delta(&self) -> Erc1155Delta {
-        let types = self.types;
-        let mut by_type: Vec<Vec<(u32, Amount)>> = vec![Vec::new(); types];
-        let mut guards = self.shards.drain_marked(
-            |shard| &mut shard.dirty_rows,
-            |account, shard, slot| {
-                let first = slot * types;
-                for (t, bucket) in by_type.iter_mut().enumerate() {
-                    if shard.dirty_cells.take(first + t) {
-                        bucket.push((cell_index(account), shard.balances[first + t]));
-                    }
+        let mut table = self.table.lock();
+        let Table {
+            types,
+            balances,
+            operators,
+            dirty_rows,
+            dirty_cells,
+            dirty_ops,
+        } = &mut *table;
+        let mut by_type: Vec<Vec<(u32, Amount)>> = vec![Vec::new(); *types];
+        dirty_rows.drain(|account| {
+            let first = account * *types;
+            for (t, bucket) in by_type.iter_mut().enumerate() {
+                if dirty_cells.take(first + t) {
+                    bucket.push((cell_index(account), balances[first + t]));
                 }
-            },
-        );
-        let at = self.shards.at();
-        let mut operators = Vec::new();
-        for (shard_idx, shard) in guards.iter_mut().enumerate() {
-            for (slot, o) in std::mem::take(&mut shard.dirty_ops) {
-                let enabled = shard.operators[slot as usize].contains(&o);
-                operators.push((cell_index(at.key_at(shard_idx, slot as usize)), o, enabled));
             }
-        }
-        drop(guards);
-        operators.sort_unstable_by_key(|&(h, o, _)| (h, o));
+        });
+        let operators = std::mem::take(dirty_ops)
+            .into_iter()
+            .map(|pair| (pair.0, pair.1, operators.contains(&pair)))
+            .collect();
+        drop(table);
         let mut balances = Vec::with_capacity(by_type.iter().map(Vec::len).sum());
         for (t, cells) in by_type.into_iter().enumerate() {
             let t = cell_index(t);
@@ -964,8 +935,8 @@ impl ShardedErc1155 {
         }
     }
 
-    /// Validates and applies `rows` under the proper shard locks —
-    /// all-or-nothing, one linearization point.
+    /// Validates and applies `rows` under the lock — all-or-nothing,
+    /// one linearization point.
     fn transfer(
         &self,
         caller: ProcessId,
@@ -983,25 +954,24 @@ impl ShardedErc1155 {
         let Some(required) = Required::of(rows) else {
             return false;
         };
-        let at = self.shards.at();
-        let (fi, ti) = (at.slot_of(from.index()), at.slot_of(to.index()));
-        let mut pair = self.shards.lock_pair(from.index(), to.index());
-        let (src, dst) = pair.split();
-        let authorized =
-            caller == from.owner() || src.operators[fi].contains(&cell_index(caller.index()));
-        let row = src.row(fi);
+        let (fi, ti) = (from.index(), to.index());
+        let mut table = self.table.lock();
+        let authorized = caller == from.owner()
+            || table
+                .operators
+                .contains(&(cell_index(fi), cell_index(caller.index())));
+        let row = table.row(fi);
         let covered = required.rows().iter().all(|&(t, v)| row[t as usize] >= v);
         if !authorized || !covered {
             return false;
         }
         for &(t, v) in required.rows() {
-            *src.balance_mut(fi, t) -= v;
+            *table.balance_mut(fi, t) -= v;
         }
-        // One shard covers from == to as well: debit then credit of the
-        // same slot is a validated net no-op — the ERC1155 semantics.
-        let dst = dst.unwrap_or(src);
+        // from == to as well: debit then credit of the same row is a
+        // validated net no-op — the ERC1155 semantics.
         for &(t, v) in required.rows() {
-            *dst.balance_mut(ti, t) += v;
+            *table.balance_mut(ti, t) += v;
         }
         true
     }
@@ -1032,25 +1002,22 @@ impl ConcurrentObject for ShardedErc1155 {
                 {
                     return Erc1155Resp::FALSE;
                 }
-                let mut shard = self.shards.lock(process.index());
-                let slot = self.shards.at().slot_of(process.index());
+                let pair = (cell_index(process.index()), cell_index(operator.index()));
+                let mut table = self.table.lock();
                 if on {
-                    shard.operators[slot].insert(cell_index(operator.index()));
+                    table.operators.insert(pair);
                 } else {
-                    shard.operators[slot].remove(&cell_index(operator.index()));
+                    table.operators.remove(&pair);
                 }
-                shard
-                    .dirty_ops
-                    .insert((slot as u32, cell_index(operator.index())));
+                table.dirty_ops.insert(pair);
                 Erc1155Resp::TRUE
             }
             Erc1155Op::BalanceOf { account, type_id } => {
                 if account.index() >= self.accounts {
                     return Erc1155Resp::Amount(0);
                 }
-                let slot = self.shards.at().slot_of(account.index());
-                let shard = self.shards.lock(account.index());
-                let row = shard.row(slot);
+                let table = self.table.lock();
+                let row = table.row(account.index());
                 Erc1155Resp::Amount(row.get(type_id.index()).copied().unwrap_or(0))
             }
             Erc1155Op::TotalSupply { type_id } => Erc1155Resp::Amount(self.total_supply(type_id)),
@@ -1058,22 +1025,20 @@ impl ConcurrentObject for ShardedErc1155 {
     }
 
     /// One account-major walk fills a bucket per type, each already in
-    /// account order, so the type-major maps are bulk-built from sorted
+    /// account order, so the type-major map is bulk-built from sorted
     /// input instead of inserted key by key.
     fn snapshot(&self) -> Erc1155State {
-        let (at, guards) = (self.shards.at(), self.shards.lock_all());
+        let table = self.table.lock();
         let mut by_type: Vec<Vec<(u32, Amount)>> = vec![Vec::new(); self.types];
-        let mut operators = Vec::new();
         for a in 0..self.accounts {
-            let (shard, slot) = (&guards[at.stripe_of(a)], at.slot_of(a));
-            for (bucket, &v) in by_type.iter_mut().zip(shard.row(slot)) {
+            for (bucket, &v) in by_type.iter_mut().zip(table.row(a)) {
                 if v > 0 {
                     bucket.push((cell_index(a), v));
                 }
             }
-            operators.extend(shard.operators[slot].iter().map(|&o| (cell_index(a), o)));
         }
-        drop(guards);
+        let operators = table.operators.clone();
+        drop(table);
         let balances = by_type.into_iter().enumerate().flat_map(|(t, cells)| {
             let t = cell_index(t);
             cells.into_iter().map(move |(a, v)| ((t, a), v))
@@ -1081,7 +1046,7 @@ impl ConcurrentObject for ShardedErc1155 {
         Erc1155State {
             accounts: self.accounts,
             balances: balances.collect(),
-            operators: operators.into_iter().collect(),
+            operators,
             supplies: self.supplies.clone(),
         }
     }
@@ -1107,7 +1072,7 @@ mod tests {
 
     #[test]
     fn drain_delta_tracks_touched_cells_and_folds_onto_base() {
-        let m = ShardedErc1155::with_shards(Erc1155State::deploy(8, p(0), &[10, 5]), 4);
+        let m = ShardedErc1155::from_state(Erc1155State::deploy(8, p(0), &[10, 5]));
         assert!(m.drain_delta().is_empty(), "fresh object has no dirty rows");
         let base = m.snapshot();
         m.apply(
@@ -1152,7 +1117,7 @@ mod tests {
     #[test]
     fn delta_fold_tolerates_a_credit_listed_before_its_debit() {
         let supply = u64::MAX - 1;
-        let m = ShardedErc1155::with_shards(Erc1155State::deploy(2, p(1), &[supply]), 2);
+        let m = ShardedErc1155::from_state(Erc1155State::deploy(2, p(1), &[supply]));
         let mut folded = m.snapshot();
         m.apply(
             p(1),
@@ -1291,30 +1256,24 @@ mod tests {
                 },
             ),
         ];
-        for shards in [1, 2, 4] {
-            let multi = ShardedErc1155::with_shards(initial.clone(), shards);
-            let mut oracle = spec.initial_state();
-            for (caller, op) in &script {
-                let expected = spec.apply(&mut oracle, *caller, op);
-                assert_eq!(
-                    ConcurrentObject::apply(&multi, *caller, op),
-                    expected,
-                    "sharded diverged on {op:?} (shards={shards})"
-                );
-            }
+        let multi = ShardedErc1155::from_state(initial);
+        let mut oracle = spec.initial_state();
+        for (caller, op) in &script {
+            let expected = spec.apply(&mut oracle, *caller, op);
             assert_eq!(
-                multi.snapshot(),
-                oracle,
-                "snapshot diverged (shards={shards})"
+                ConcurrentObject::apply(&multi, *caller, op),
+                expected,
+                "sharded diverged on {op:?}"
             );
         }
+        assert_eq!(multi.snapshot(), oracle, "snapshot diverged");
     }
 
     #[test]
     fn audit_supplies_recounts_the_cache_from_live_balances() {
         let mut initial = Erc1155State::deploy(4, p(0), &[12, 7]);
         initial.set_operator(a(0), p(2), true);
-        let multi = ShardedErc1155::with_shards(initial, 2);
+        let multi = ShardedErc1155::from_state(initial);
         multi.apply(
             p(0),
             &Erc1155Op::BatchTransfer {
@@ -1381,7 +1340,7 @@ mod tests {
         assert_eq!(q, spec.initial_state(), "huge ids must not mutate state");
     }
 
-    /// Over one stripe, account 0's row ends where account 1's begins:
+    /// Account 0's row ends where account 1's begins:
     /// type `KINDS` of account 0 sits where type 0 of account 1 does.
     /// Every op naming that type must still answer as the spec does and
     /// move nothing.
@@ -1392,7 +1351,7 @@ mod tests {
         initial.set_balance(a(0), t(1), 5);
         initial.set_balance(a(1), t(0), 7);
         let spec = Erc1155Spec::new(initial.clone());
-        let multi = ShardedErc1155::with_shards(initial, 1);
+        let multi = ShardedErc1155::from_state(initial);
         let past = t(KINDS);
         let ops = [
             (
@@ -1615,7 +1574,6 @@ mod tests {
         #[test]
         fn drains_report_exactly_the_mutated_cells(
             steps in vec((0..N, arb_op(), 0..4usize), 0..48),
-            shards_log in 0..3usize,
         ) {
             let mut genesis = Erc1155State::deploy(N, p(0), &[0; TYPES]);
             for (acct, ty) in (0..N).flat_map(|acct| (0..TYPES).map(move |ty| (acct, ty))) {
@@ -1623,16 +1581,12 @@ mod tests {
             }
             let spec = Erc1155Spec::new(genesis.clone());
             let mut oracle = spec.initial_state();
-            let drained = ShardedErc1155::with_shards(genesis.clone(), 1 << shards_log);
-            let undrained = ShardedErc1155::with_shards(genesis.clone(), 1 << shards_log);
-            // `(marked accounts, marked cells)` across the shards.
+            let drained = ShardedErc1155::from_state(genesis.clone());
+            let undrained = ShardedErc1155::from_state(genesis.clone());
+            // `(marked accounts, marked cells)`.
             let marked = |m: &ShardedErc1155| {
-                let (mut rows, mut cells) = (0, 0);
-                m.shards.each(|_, shard| {
-                    rows += shard.dirty_rows.count();
-                    cells += shard.dirty_cells.count();
-                });
-                (rows, cells)
+                let table = m.table.lock();
+                (table.dirty_rows.count(), table.dirty_cells.count())
             };
             // `(type, account)` cells and `(holder, operator)` pairs
             // written since the last drain; every cell ever written.
@@ -1707,12 +1661,11 @@ mod tests {
         /// The bulk-built `snapshot()` is the spec's state after every
         /// step of a random script: cells debited to zero are absent
         /// whether or not a drain has reported them yet, operator
-        /// pairs toggled off are gone, and the type-major maps come out
-        /// the same from every striping.
+        /// pairs toggled off are gone, and the type-major map comes out
+        /// in the spec's order.
         #[test]
         fn snapshot_equals_the_spec_fold(
             steps in vec((0..N, arb_op(), 0..4usize), 0..48),
-            shards_log in 0..3usize,
         ) {
             let mut genesis = Erc1155State::deploy(N, p(0), &[0; TYPES]);
             for (acct, ty) in (0..N).flat_map(|acct| (0..TYPES).map(move |ty| (acct, ty))) {
@@ -1721,7 +1674,7 @@ mod tests {
             genesis.set_operator(a(1), p(2), true);
             let spec = Erc1155Spec::new(genesis.clone());
             let mut oracle = spec.initial_state();
-            let m = ShardedErc1155::with_shards(genesis, 1 << shards_log);
+            let m = ShardedErc1155::from_state(genesis);
             prop_assert_eq!(&m.snapshot(), &oracle);
             for (caller, op, choice) in steps {
                 // Half the transfers come from the holder, so they land.

@@ -14,7 +14,7 @@
 //! submodule also makes the standard a *servable* concurrent object: the
 //! formal [`Erc721Op`]/[`Erc721Resp`] alphabet with per-op footprints,
 //! the [`Erc721Spec`] oracle (the typed transitions, `Ok` as `TRUE`), and
-//! the lock-striped [`ShardedErc721`] the generic pipeline executes. The
+//! the one-lock [`ShardedErc721`] the generic pipeline executes. The
 //! consensus race, [`NftRace`], is laid out by [`race_state`];
 //! [`Erc721Consensus`] fights it on that same serving object.
 
@@ -204,9 +204,7 @@ impl<V: Clone + Send + Sync> Erc721Consensus<V> {
     /// Panics if `k == 0`.
     pub fn new(k: usize) -> Self {
         Self {
-            // One NFT, so one token shard (what `from_state` would pick,
-            // without probing the core count).
-            token: ShardedErc721::with_shards(race_state(k), 1),
+            token: ShardedErc721::from_state(race_state(k)),
             race: NftRace { k },
             proposals: Proposals::new(k),
         }

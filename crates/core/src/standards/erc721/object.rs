@@ -1,6 +1,6 @@
 //! The ERC721 object as a formal, footprinted, concurrently servable
 //! standard: op/response alphabets, a sparse sequential state and
-//! [`ObjectType`] spec, per-op [`Footprint`]s, and the lock-striped
+//! [`ObjectType`] spec, per-op [`Footprint`]s, and the one-lock
 //! [`ShardedErc721`] scaling to ~1M token ids.
 //!
 //! Section 6 of the paper transfers the σ_q analysis to ERC721: a
@@ -24,12 +24,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use parking_lot::MutexGuard;
+use parking_lot::Mutex;
 use tokensync_spec::{ObjectType, ProcessId};
 
 use crate::analysis::cell_index;
 use crate::analysis::{Access, Cell, Footprint, FootprintedOp};
-use crate::shared::striped::{default_stripes, Marks, Striped, Striping};
+use crate::shared::marks::Marks;
 use crate::shared::ConcurrentObject;
 
 use super::{Erc721Error, TokenId};
@@ -602,16 +602,16 @@ impl Erc721Delta {
     }
 }
 
-/// One token slot of a stripe's dense table: the token's owner and
+/// One token's cell of the dense table: the token's owner and
 /// single-use approval, or an unminted hole. Packed (no `Option`) so a
-/// slot stays 12 bytes.
+/// cell stays 12 bytes.
 #[derive(Clone, Copy, Debug, Default)]
 struct NftCell {
     owner: u32,
     /// The single-use approval; meaningful iff `has_approved`.
     approved: u32,
     has_approved: bool,
-    /// Whether the slot holds a token; an unminted slot reads as absent.
+    /// Whether the cell holds a token; an unminted cell reads as absent.
     minted: bool,
 }
 
@@ -630,57 +630,52 @@ impl NftCell {
     }
 }
 
-/// One token stripe: a dense table indexed by
-/// [`Striping::slot_of`], one past its highest minted slot long, plus
-/// the stripe's dirty bitmap under the mark/drain contract of
-/// `shared/striped.rs`.
-#[derive(Debug, Default)]
-struct TokenShard {
+/// What the one lock of a [`ShardedErc721`] guards: the dense token
+/// table, indexed by token id and one past the highest minted id long,
+/// the enabled operator pairs beside it, and what changed since the last
+/// drain under the mark/drain contract of `shared/marks.rs`.
+#[derive(Debug)]
+struct Table {
     cells: Vec<NftCell>,
     marks: Marks,
+    operators: BTreeSet<(u32, u32)>,
+    /// The `(holder, operator)` pairs toggled since the last drain.
+    dirty_ops: BTreeSet<(u32, u32)>,
 }
 
-impl TokenShard {
-    /// The minted token at `slot`, if any.
+impl Table {
+    /// The minted token `t`, if any.
     #[inline]
-    fn minted(&self, slot: usize) -> Option<NftCell> {
-        self.cells.get(slot).copied().filter(|cell| cell.minted)
+    fn minted(&self, t: u32) -> Option<NftCell> {
+        self.cells
+            .get(t as usize)
+            .copied()
+            .filter(|cell| cell.minted)
     }
 
-    /// Mark side of the contract: overwrites the token at `slot`
-    /// (minting it if absent) and marks the slot. A mint past the end
-    /// of the table grows the table and the marks to cover it.
+    /// Mark side of the contract: overwrites token `t` (minting it if
+    /// absent) and marks it. A mint past the end of the table grows the
+    /// table and the marks to cover it.
     #[inline]
-    fn write(&mut self, slot: usize, owner: u32, approved: Option<u32>) {
-        if slot >= self.cells.len() {
-            self.cells.resize(slot + 1, NftCell::default());
-            self.marks.grow(slot + 1);
+    fn write(&mut self, t: u32, owner: u32, approved: Option<u32>) {
+        let t = t as usize;
+        if t >= self.cells.len() {
+            self.cells.resize(t + 1, NftCell::default());
+            self.marks.grow(t + 1);
         }
-        self.cells[slot] = NftCell::new(owner, approved);
-        self.marks.mark(slot);
+        self.cells[t] = NftCell::new(owner, approved);
+        self.marks.mark(t);
     }
 }
 
-/// One operator stripe: its enabled pairs plus the dirty set of pairs
-/// toggled since the last drain.
-#[derive(Clone, Debug, Default)]
-struct OpStripe {
-    pairs: BTreeSet<(u32, u32)>,
-    dirty: BTreeSet<(u32, u32)>,
-}
-
-/// An ERC721 contract lock-striped by **token id**, scaling to ~1M
-/// token ids.
+/// An ERC721 contract behind one lock, scaling to ~1M token ids.
 ///
-/// Tokens are striped over `min(span, 4 × cores)` shards, each a dense
-/// table indexed by the token's slot, so every token operation is one
-/// bounds-checked index under its stripe lock. A stripe's table reaches
-/// one past its highest minted slot and grows when a mint lands beyond
-/// it: memory is 12 B per id up to the highest minted id, the unminted
-/// tail above it costs nothing, and an unminted hole below it costs its
-/// 12 B. Operator rows are striped separately, by holder — two
-/// containers, always acquired token shard first (striping scheme and
-/// lock order: `shared/striped.rs`).
+/// Tokens live in one dense table indexed by token id, so every token
+/// operation is one bounds-checked index. The table reaches one past the
+/// highest minted id and grows when a mint lands beyond it: memory is
+/// 12 B per id up to the highest minted id, the unminted tail above it
+/// costs nothing, and an unminted hole below it costs its 12 B. The
+/// enabled operator pairs sit beside the table under the same lock.
 ///
 /// Linearizability is established empirically by the per-standard
 /// pipeline proptests
@@ -688,10 +683,10 @@ struct OpStripe {
 /// [`check_linearizable`](tokensync_spec::check_linearizable).
 ///
 /// Incremental snapshots follow the mark/drain contract of
-/// `shared/striped.rs`, as ERC20 and ERC1155 do: a write sets its
-/// slot's bit in its stripe's bitmap, and
-/// [`drain_delta`](ShardedErc721::drain_delta) walks the bitmaps in
-/// token order — `O(1)` per write, one bit per slot, drained or not.
+/// `shared/marks.rs`, as ERC20 and ERC1155 do: a write sets its token's
+/// bit in the table's bitmap, and
+/// [`drain_delta`](ShardedErc721::drain_delta) walks the bitmap in
+/// token order — `O(1)` per write, one bit per id, drained or not.
 ///
 /// # Example
 ///
@@ -711,65 +706,32 @@ struct OpStripe {
 /// ```
 #[derive(Debug)]
 pub struct ShardedErc721 {
-    /// Keyed by token id.
-    tokens: Striped<TokenShard>,
-    /// Keyed by holder.
-    operators: Striped<OpStripe>,
+    table: Mutex<Table>,
     processes: usize,
     token_span: usize,
 }
 
 impl ShardedErc721 {
-    /// Builds from a sequential state over the default stripe count
-    /// (`min(span, 4 × cores)` rounded down to a power of two).
+    /// Builds from a sequential state: one walk of the minted tokens
+    /// fills the table; the operator pairs move in.
     pub fn from_state(state: Erc721State) -> Self {
-        let shards = default_stripes(state.token_span);
-        Self::with_shards(state, shards)
-    }
-
-    /// Builds over an explicit number of token shards (tests exercise
-    /// degenerate stripings).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or not a power of two.
-    pub fn with_shards(state: Erc721State, shards: usize) -> Self {
-        let by_token = Striping::new(shards);
-        // Stripe `s` holds keys `s, s + S, …`, so at most
-        // `(top − s) / S + 1` of them up to the highest minted id `top`.
-        let top = state.owners.last_key_value().map(|(&t, _)| t as usize);
-        let mut tokens: Vec<TokenShard> = (0..shards)
-            .map(|s| TokenShard {
-                cells: Vec::with_capacity(
-                    top.and_then(|top| top.checked_sub(s))
-                        .map_or(0, |below| by_token.slot_of(below) + 1),
-                ),
-                marks: Marks::default(),
-            })
-            .collect();
-        // Ascending tokens reach ascending slots of each stripe, so each
-        // table only ever extends, up to its highest minted slot.
+        let top = state
+            .owners
+            .last_key_value()
+            .map_or(0, |(&t, _)| t as usize + 1);
+        // Ascending tokens only ever extend the table: one write a cell.
+        let mut cells = Vec::with_capacity(top);
         for (&t, &owner) in &state.owners {
-            let approved = state.approved.get(&t).copied();
-            let t = t as usize;
-            let cells = &mut tokens[by_token.stripe_of(t)].cells;
-            cells.resize(by_token.slot_of(t), NftCell::default());
-            cells.push(NftCell::new(owner, approved));
-        }
-        for shard in &mut tokens {
-            shard.marks = Marks::new(shard.cells.len());
-        }
-        let op_stripes = default_stripes(state.processes);
-        let by_holder = Striping::new(op_stripes);
-        let mut operators = vec![OpStripe::default(); op_stripes];
-        for &(h, o) in &state.operators {
-            operators[by_holder.stripe_of(h as usize)]
-                .pairs
-                .insert((h, o));
+            cells.resize(t as usize, NftCell::default());
+            cells.push(NftCell::new(owner, state.approved.get(&t).copied()));
         }
         Self {
-            tokens: Striped::new(tokens),
-            operators: Striped::new(operators),
+            table: Mutex::new(Table {
+                cells,
+                marks: Marks::new(top),
+                operators: state.operators,
+                dirty_ops: BTreeSet::new(),
+            }),
             processes: state.processes,
             token_span: state.token_span,
         }
@@ -780,23 +742,6 @@ impl ShardedErc721 {
         self.processes
     }
 
-    /// Locks the stripe of `token`; returns it with the token's slot.
-    #[inline]
-    fn token_slot(&self, token: u32) -> (MutexGuard<'_, TokenShard>, usize) {
-        let token = token as usize;
-        (self.tokens.lock(token), self.tokens.at().slot_of(token))
-    }
-
-    /// Whether `(holder, operator)` is enabled — acquires the holder's
-    /// operator stripe (callers must already hold no operator stripe and
-    /// may hold token shards: the global token-before-operator order).
-    fn operator_enabled(&self, holder: u32, operator: u32) -> bool {
-        self.operators
-            .lock(holder as usize)
-            .pairs
-            .contains(&(holder, operator))
-    }
-
     fn in_range(&self, p: ProcessId) -> bool {
         p.index() < self.processes
     }
@@ -805,41 +750,34 @@ impl ShardedErc721 {
     /// token and the current membership of every operator pair touched
     /// since the previous drain, clearing the marks and sets.
     ///
-    /// The drain holds every token stripe, then — token stripes before
-    /// operator stripes, the object's lock order — every operator stripe
-    /// at once, so the delta is an atomic cut even while other threads
-    /// serve (they wait on their stripe for the length of the drain).
-    /// It visits the marked tokens in ascending order, so the token rows
-    /// come out sorted.
+    /// The drain holds the lock, so the delta is an atomic cut. It
+    /// walks the marked tokens and the toggled pairs in ascending order,
+    /// so both lists come out sorted.
     pub fn drain_delta(&self) -> Erc721Delta {
+        let mut table = self.table.lock();
+        let Table {
+            cells,
+            marks,
+            operators,
+            dirty_ops,
+        } = &mut *table;
         let mut tokens = Vec::new();
-        let token_guards = self.tokens.drain_marked(
-            |shard| &mut shard.marks,
-            |token, shard, slot| {
-                // Tokens are never unminted: a marked slot is minted.
-                let cell = shard.cells[slot];
-                tokens.push((cell_index(token), cell.owner, cell.approved()));
-            },
-        );
-        let mut operators = Vec::new();
-        for stripe in &mut self.operators.lock_all() {
-            for pair in std::mem::take(&mut stripe.dirty) {
-                operators.push((pair.0, pair.1, stripe.pairs.contains(&pair)));
-            }
-        }
-        drop(token_guards);
-        operators.sort_unstable_by_key(|&(h, o, _)| (h, o));
+        marks.drain(|t| {
+            // Tokens are never unminted: a marked cell is minted.
+            let cell = cells[t];
+            tokens.push((cell_index(t), cell.owner, cell.approved()));
+        });
+        let operators = std::mem::take(dirty_ops)
+            .into_iter()
+            .map(|pair| (pair.0, pair.1, operators.contains(&pair)))
+            .collect();
         Erc721Delta { tokens, operators }
     }
 
-    /// The length of each token stripe's table, in stripe order.
+    /// The length of the token table.
     #[cfg(test)]
-    fn table_lens(&self) -> Vec<usize> {
-        self.tokens
-            .lock_all()
-            .iter()
-            .map(|shard| shard.cells.len())
-            .collect()
+    fn table_len(&self) -> usize {
+        self.table.lock().cells.len()
     }
 }
 
@@ -849,19 +787,17 @@ impl ConcurrentObject for ShardedErc721 {
     type State = Erc721State;
 
     fn apply(&self, process: ProcessId, op: &Erc721Op) -> Erc721Resp {
+        let caller = cell_index(process.index());
+        let mut table = self.table.lock();
         match *op {
             Erc721Op::Mint { to, token } => {
                 let Some(t) = token_key(token, self.token_span) else {
                     return Erc721Resp::FALSE;
                 };
-                if !self.in_range(to) || !self.in_range(process) {
+                if !self.in_range(to) || !self.in_range(process) || table.minted(t).is_some() {
                     return Erc721Resp::FALSE;
                 }
-                let (mut shard, slot) = self.token_slot(t);
-                if shard.minted(slot).is_some() {
-                    return Erc721Resp::FALSE;
-                }
-                shard.write(slot, cell_index(to.index()), None);
+                table.write(t, cell_index(to.index()), None);
                 Erc721Resp::TRUE
             }
             Erc721Op::TransferFrom { from, to, token } => {
@@ -871,22 +807,20 @@ impl ConcurrentObject for ShardedErc721 {
                 if !self.in_range(process) || !self.in_range(to) || !self.in_range(from) {
                     return Erc721Resp::FALSE;
                 }
-                let (mut shard, slot) = self.token_slot(t);
-                let Some(cell) = shard.minted(slot) else {
+                let Some(cell) = table.minted(t) else {
                     return Erc721Resp::FALSE;
                 };
                 if cell.owner != cell_index(from.index()) {
                     return Erc721Resp::FALSE;
                 }
-                let caller = cell_index(process.index());
                 let authorized = cell.owner == caller
                     || cell.approved() == Some(caller)
-                    || self.operator_enabled(cell.owner, caller);
+                    || table.operators.contains(&(cell.owner, caller));
                 if !authorized {
                     return Erc721Resp::FALSE;
                 }
                 // Single-use approval cleared with the move.
-                shard.write(slot, cell_index(to.index()), None);
+                table.write(t, cell_index(to.index()), None);
                 Erc721Resp::TRUE
             }
             Erc721Op::Approve { approved, token } => {
@@ -896,75 +830,63 @@ impl ConcurrentObject for ShardedErc721 {
                 if !self.in_range(process) || approved.is_some_and(|p| !self.in_range(p)) {
                     return Erc721Resp::FALSE;
                 }
-                let (mut shard, slot) = self.token_slot(t);
-                let Some(cell) = shard.minted(slot) else {
+                let Some(cell) = table.minted(t) else {
                     return Erc721Resp::FALSE;
                 };
-                let caller = cell_index(process.index());
-                if cell.owner != caller && !self.operator_enabled(cell.owner, caller) {
+                if cell.owner != caller && !table.operators.contains(&(cell.owner, caller)) {
                     return Erc721Resp::FALSE;
                 }
-                shard.write(slot, cell.owner, approved.map(|p| cell_index(p.index())));
+                table.write(t, cell.owner, approved.map(|p| cell_index(p.index())));
                 Erc721Resp::TRUE
             }
             Erc721Op::SetApprovalForAll { operator, on } => {
                 if !self.in_range(process) || !self.in_range(operator) || operator == process {
                     return Erc721Resp::FALSE;
                 }
-                let pair = (cell_index(process.index()), cell_index(operator.index()));
-                let mut stripe = self.operators.lock(pair.0 as usize);
+                let pair = (caller, cell_index(operator.index()));
                 if on {
-                    stripe.pairs.insert(pair);
+                    table.operators.insert(pair);
                 } else {
-                    stripe.pairs.remove(&pair);
+                    table.operators.remove(&pair);
                 }
-                stripe.dirty.insert(pair);
+                table.dirty_ops.insert(pair);
                 Erc721Resp::TRUE
             }
-            Erc721Op::OwnerOf { token } => {
-                let Some(t) = token_key(token, self.token_span) else {
-                    return Erc721Resp::Process(None);
-                };
-                let (shard, slot) = self.token_slot(t);
-                Erc721Resp::Process(shard.minted(slot).map(|c| ProcessId::new(c.owner as usize)))
-            }
-            Erc721Op::GetApproved { token } => {
-                let Some(t) = token_key(token, self.token_span) else {
-                    return Erc721Resp::Process(None);
-                };
-                let (shard, slot) = self.token_slot(t);
-                Erc721Resp::Process(
-                    shard
-                        .minted(slot)
-                        .and_then(|c| c.approved())
-                        .map(|p| ProcessId::new(p as usize)),
-                )
-            }
+            Erc721Op::OwnerOf { token } => Erc721Resp::Process(
+                token_key(token, self.token_span)
+                    .and_then(|t| table.minted(t))
+                    .map(|c| ProcessId::new(c.owner as usize)),
+            ),
+            Erc721Op::GetApproved { token } => Erc721Resp::Process(
+                token_key(token, self.token_span)
+                    .and_then(|t| table.minted(t))
+                    .and_then(|c| c.approved())
+                    .map(|p| ProcessId::new(p as usize)),
+            ),
         }
     }
 
+    /// One ascending walk of the table, so the maps are bulk-built from
+    /// sorted input instead of inserted key by key.
     fn snapshot(&self) -> Erc721State {
-        // Token shards before operator stripes, as everywhere.
-        let token_guards = self.tokens.lock_all();
-        let operator_guards = self.operators.lock_all();
-        let at = self.tokens.at();
-        let mut state = Erc721State::new(self.processes, self.token_span);
-        for (stripe, shard) in token_guards.iter().enumerate() {
-            for (slot, cell) in shard.cells.iter().enumerate() {
-                if !cell.minted {
-                    continue;
-                }
-                let t = cell_index(at.key_at(stripe, slot));
-                state.owners.insert(t, cell.owner);
-                if let Some(a) = cell.approved() {
-                    state.approved.insert(t, a);
-                }
-            }
+        let table = self.table.lock();
+        let minted = || {
+            table
+                .cells
+                .iter()
+                .enumerate()
+                .filter(|(_, cell)| cell.minted)
+                .map(|(t, cell)| (cell_index(t), cell))
+        };
+        Erc721State {
+            processes: self.processes,
+            token_span: self.token_span,
+            owners: minted().map(|(t, cell)| (t, cell.owner)).collect(),
+            approved: minted()
+                .filter_map(|(t, cell)| Some((t, cell.approved()?)))
+                .collect(),
+            operators: table.operators.clone(),
         }
-        for stripe in &operator_guards {
-            state.operators.extend(stripe.pairs.iter().copied());
-        }
-        state
     }
 }
 
@@ -985,7 +907,7 @@ mod tests {
 
     #[test]
     fn drain_delta_tracks_touched_cells_and_folds_onto_base() {
-        let nft = ShardedErc721::with_shards(Erc721State::minted_round_robin(4, 64, 8), 4);
+        let nft = ShardedErc721::from_state(Erc721State::minted_round_robin(4, 64, 8));
         assert!(
             nft.drain_delta().is_empty(),
             "fresh object has no dirty rows"
@@ -1033,19 +955,16 @@ mod tests {
 
     #[test]
     fn tables_reach_one_past_the_highest_minted_slot() {
-        // A million-id span with 8 tokens minted: at most one cell per
-        // token plus one hole per stripe, whatever the stripe count.
+        // A million-id span with 8 tokens minted: one cell per token.
         let nft = ShardedErc721::from_state(Erc721State::minted_round_robin(4, 1 << 20, 8));
-        let lens = nft.table_lens();
-        assert!(lens.iter().sum::<usize>() <= 8 + lens.len(), "{lens:?}");
+        assert_eq!(nft.table_len(), 8);
     }
 
     #[test]
-    fn a_mint_past_the_table_grows_only_its_stripe() {
+    fn a_mint_past_the_table_grows_the_table_and_its_marks() {
         const SPAN: usize = 1 << 12;
-        let nft = ShardedErc721::with_shards(Erc721State::minted_round_robin(4, SPAN, 8), 4);
-        let before = nft.table_lens();
-        assert_eq!(before, [2; 4]);
+        let nft = ShardedErc721::from_state(Erc721State::minted_round_robin(4, SPAN, 8));
+        assert_eq!(nft.table_len(), 8);
         let moved = Erc721Op::TransferFrom {
             from: p(1),
             to: p(2),
@@ -1057,9 +976,9 @@ mod tests {
             token: t(SPAN - 1),
         };
         assert_eq!(nft.apply(p(0), &minted), Erc721Resp::TRUE);
-        assert_eq!(nft.table_lens(), [2, 2, 2, SPAN / 4]);
-        // The grown stripe's bitmap is many words longer than the
-        // others; the drain still reports in token order.
+        assert_eq!(nft.table_len(), SPAN);
+        // The bitmap grew many words past its first one; the drain
+        // still reports in token order.
         assert_eq!(
             nft.drain_delta().tokens,
             [(1, 2, None), (SPAN as u32 - 1, 3, None)]
@@ -1071,10 +990,9 @@ mod tests {
     #[test]
     fn a_mint_below_the_top_grows_nothing() {
         let mut genesis = Erc721State::new(4, 1 << 10);
-        genesis.put_token(t(100), p(0), None); // stripe 0, slot 25
-        let nft = ShardedErc721::with_shards(genesis, 4);
-        let before = nft.table_lens();
-        assert_eq!(before, [26, 0, 0, 0]);
+        genesis.put_token(t(100), p(0), None);
+        let nft = ShardedErc721::from_state(genesis);
+        assert_eq!(nft.table_len(), 101);
         for (to, token) in [(1, 4), (2, 0)] {
             let mint = Erc721Op::Mint {
                 to: p(to),
@@ -1082,7 +1000,7 @@ mod tests {
             };
             assert_eq!(nft.apply(p(0), &mint), Erc721Resp::TRUE);
         }
-        assert_eq!(nft.table_lens(), before);
+        assert_eq!(nft.table_len(), 101);
         assert_eq!(nft.drain_delta().tokens, [(0, 2, None), (4, 1, None)]);
     }
 
@@ -1169,94 +1087,88 @@ mod tests {
     fn sharded_matches_spec_on_scripts() {
         let initial = Erc721State::minted_round_robin(4, 64, 12);
         let spec = Erc721Spec::new(initial.clone());
-        for shards in [1, 2, 8] {
-            let nft = ShardedErc721::with_shards(initial.clone(), shards);
-            let mut oracle = spec.initial_state();
-            let script: Vec<(ProcessId, Erc721Op)> = vec![
-                (
-                    p(1),
-                    Erc721Op::SetApprovalForAll {
-                        operator: p(3),
-                        on: true,
-                    },
-                ),
-                (
-                    p(3),
-                    Erc721Op::TransferFrom {
-                        from: p(1),
-                        to: p(0),
-                        token: t(5),
-                    },
-                ),
-                (
-                    p(0),
-                    Erc721Op::Approve {
-                        approved: Some(p(2)),
-                        token: t(0),
-                    },
-                ),
-                (
-                    p(2),
-                    Erc721Op::TransferFrom {
-                        from: p(0),
-                        to: p(2),
-                        token: t(0),
-                    },
-                ),
-                (
-                    p(2),
-                    Erc721Op::Mint {
-                        to: p(2),
-                        token: t(40),
-                    },
-                ),
-                (
-                    p(2),
-                    Erc721Op::Mint {
-                        to: p(2),
-                        token: t(40),
-                    },
-                ),
-                (p(0), Erc721Op::OwnerOf { token: t(5) }),
-                (p(0), Erc721Op::GetApproved { token: t(0) }),
-                (
-                    p(3),
-                    Erc721Op::TransferFrom {
-                        from: p(1),
-                        to: p(3),
-                        token: t(9),
-                    },
-                ),
-                (
-                    p(1),
-                    Erc721Op::SetApprovalForAll {
-                        operator: p(3),
-                        on: false,
-                    },
-                ),
-                (
-                    p(3),
-                    Erc721Op::TransferFrom {
-                        from: p(1),
-                        to: p(3),
-                        token: t(1),
-                    },
-                ),
-            ];
-            for (caller, op) in &script {
-                let expected = spec.apply(&mut oracle, *caller, op);
-                assert_eq!(
-                    ConcurrentObject::apply(&nft, *caller, op),
-                    expected,
-                    "sharded diverged on {op:?} (shards={shards})"
-                );
-            }
+        let nft = ShardedErc721::from_state(initial.clone());
+        let mut oracle = spec.initial_state();
+        let script: Vec<(ProcessId, Erc721Op)> = vec![
+            (
+                p(1),
+                Erc721Op::SetApprovalForAll {
+                    operator: p(3),
+                    on: true,
+                },
+            ),
+            (
+                p(3),
+                Erc721Op::TransferFrom {
+                    from: p(1),
+                    to: p(0),
+                    token: t(5),
+                },
+            ),
+            (
+                p(0),
+                Erc721Op::Approve {
+                    approved: Some(p(2)),
+                    token: t(0),
+                },
+            ),
+            (
+                p(2),
+                Erc721Op::TransferFrom {
+                    from: p(0),
+                    to: p(2),
+                    token: t(0),
+                },
+            ),
+            (
+                p(2),
+                Erc721Op::Mint {
+                    to: p(2),
+                    token: t(40),
+                },
+            ),
+            (
+                p(2),
+                Erc721Op::Mint {
+                    to: p(2),
+                    token: t(40),
+                },
+            ),
+            (p(0), Erc721Op::OwnerOf { token: t(5) }),
+            (p(0), Erc721Op::GetApproved { token: t(0) }),
+            (
+                p(3),
+                Erc721Op::TransferFrom {
+                    from: p(1),
+                    to: p(3),
+                    token: t(9),
+                },
+            ),
+            (
+                p(1),
+                Erc721Op::SetApprovalForAll {
+                    operator: p(3),
+                    on: false,
+                },
+            ),
+            (
+                p(3),
+                Erc721Op::TransferFrom {
+                    from: p(1),
+                    to: p(3),
+                    token: t(1),
+                },
+            ),
+        ];
+        for (caller, op) in &script {
+            let expected = spec.apply(&mut oracle, *caller, op);
             assert_eq!(
-                nft.snapshot(),
-                oracle,
-                "snapshot diverged (shards={shards})"
+                ConcurrentObject::apply(&nft, *caller, op),
+                expected,
+                "sharded diverged on {op:?}"
             );
         }
+        assert_eq!(nft.snapshot(), oracle, "snapshot diverged");
     }
 
     #[test]
@@ -1472,20 +1384,13 @@ mod tests {
         #[test]
         fn drains_report_exactly_the_mutated_cells(
             steps in vec((0..N, arb_op(), 0..4usize), 0..48),
-            shards_log in 0..3usize,
         ) {
             let genesis = Erc721State::minted_round_robin(N, SPAN, SPAN / 2);
             let spec = Erc721Spec::new(genesis.clone());
             let mut oracle = spec.initial_state();
-            let drained = ShardedErc721::with_shards(genesis.clone(), 1 << shards_log);
-            let undrained = ShardedErc721::with_shards(genesis.clone(), 1 << shards_log);
-            let listed = |nft: &ShardedErc721| {
-                nft.tokens
-                    .lock_all()
-                    .iter()
-                    .map(|shard| shard.marks.count())
-                    .sum::<usize>()
-            };
+            let drained = ShardedErc721::from_state(genesis.clone());
+            let undrained = ShardedErc721::from_state(genesis.clone());
+            let listed = |nft: &ShardedErc721| nft.table.lock().marks.count();
             // Tokens and `(holder, operator)` pairs written since the
             // last drain; every token ever written.
             let mut tokens = BTreeSet::new();

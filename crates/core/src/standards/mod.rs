@@ -10,13 +10,13 @@
 //!   individually; the race is per-`tokenId` and the winner is read off
 //!   `ownerOf` (the paper's suggested adaptation). Also home of the
 //!   footprinted [`erc721::Erc721Op`] alphabet, the sequential
-//!   [`erc721::Erc721Spec`] oracle, and the lock-striped
+//!   [`erc721::Erc721Spec`] oracle, and the one-lock
 //!   [`erc721::ShardedErc721`] the generic pipeline serves.
 //! * [`erc1155`] — multi-token contracts: per-account operators moving any
 //!   of several token types, including atomic batches whose footprints are
 //!   the **union** of their per-type cells. The paper leaves the exact
 //!   requirements open; we implement the object, the per-account census
-//!   that upper-bounds its synchronization power, and the lock-striped
+//!   that upper-bounds its synchronization power, and the one-lock
 //!   [`erc1155::ShardedErc1155`] serving path.
 //! * [`erc1363`] — payable tokens with receiver callbacks: the paper notes
 //!   their synchronization requirements are unbounded a priori; the module

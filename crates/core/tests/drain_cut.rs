@@ -1,15 +1,15 @@
 //! Drains taken while other threads serve are atomic cuts.
 //!
-//! Threads serve transfers between accounts of different stripes while
-//! the test thread drains over and over. A drain that read the stripes
-//! one at a time could catch a transfer's debit and miss its credit (or
-//! the reverse), and the running fold of genesis plus deltas would then
-//! hold more or less than the supply. Every running fold must conserve
+//! Threads serve transfers between distinct accounts while the test
+//! thread drains over and over. A drain that read the rows without
+//! holding the object's lock could catch a transfer's debit and miss its
+//! credit (or the reverse), and the running fold of genesis plus deltas
+//! would then hold more or less than the supply. Every running fold must conserve
 //! each type's supply (for ERC20, the total supply), and once the
 //! threads have joined a final drain must bring the fold to
 //! `snapshot()`. ERC721 has no supply to conserve, so its writers move
-//! two tokens of different stripes in a fixed order and the fold must
-//! never show the second move without the first.
+//! two tokens in a fixed order and the fold must never show the second
+//! move without the first.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -22,12 +22,13 @@ use tokensync_core::standards::erc721::{
 use tokensync_spec::{AccountId, ProcessId};
 
 const ACCOUNTS: usize = 256;
-const STRIPES: usize = 4;
+/// The furthest `to` lies past `from`.
+const MAX_HOP: usize = 3;
 const THREADS: usize = 3;
 const OPS: usize = 20_000;
 
 /// A deterministic per-thread stream of `(from, to, value)` with `from`
-/// and `to` in different stripes.
+/// and `to` distinct.
 fn transfers(seed: u64) -> impl Iterator<Item = (usize, usize, u64)> {
     let mut x = seed;
     std::iter::repeat_with(move || {
@@ -35,7 +36,7 @@ fn transfers(seed: u64) -> impl Iterator<Item = (usize, usize, u64)> {
             .wrapping_mul(6_364_136_223_846_793_005)
             .wrapping_add(1_442_695_040_888_963_407);
         let from = (x >> 33) as usize % ACCOUNTS;
-        let hop = 1 + (x >> 20) as usize % (STRIPES - 1);
+        let hop = 1 + (x >> 20) as usize % MAX_HOP;
         let to = (from + hop) % ACCOUNTS;
         (from, to, 1 + (x >> 8) % 5)
     })
@@ -63,7 +64,7 @@ fn drain_while_serving(serve: impl Fn(usize) + Sync, mut drain: impl FnMut()) {
 fn erc20_drains_under_traffic_conserve_the_supply() {
     let genesis = Erc20State::from_balances(vec![1_000; ACCOUNTS]);
     let supply = genesis.total_supply();
-    let token = ShardedErc20::with_shards(genesis.clone(), STRIPES);
+    let token = ShardedErc20::from_state(genesis.clone());
     let mut folded = genesis;
     drain_while_serving(
         |thread| {
@@ -92,7 +93,7 @@ fn erc1155_drains_under_traffic_conserve_every_supply() {
     let supplies: Vec<u64> = (0..TYPES)
         .map(|t| genesis.total_supply(TypeId::new(t)))
         .collect();
-    let multi = ShardedErc1155::with_shards(genesis.clone(), STRIPES);
+    let multi = ShardedErc1155::from_state(genesis.clone());
     let mut folded = genesis;
     drain_while_serving(
         |thread| {
@@ -128,10 +129,9 @@ fn erc1155_drains_under_traffic_conserve_every_supply() {
 #[test]
 fn erc721_drains_under_traffic_never_split_a_writer_s_pair() {
     // Owners cycle through 251 processes, so a token's owner encodes how
-    // many times it moved (mod 251). Writer `w` moves token `4w`
-    // (stripe 0), then token `4w + 3` (stripe 3), to the same next
-    // owner: in any cut the second token is level with the first or one
-    // step behind it, never ahead.
+    // many times it moved (mod 251). Writer `w` moves token `4w`, then
+    // token `4w + 3`, to the same next owner: in any cut the second
+    // token is level with the first or one step behind it, never ahead.
     const PROCESSES: usize = 251;
     const MOVES: usize = 200_000;
     let pair = |w: usize| (TokenId::new(4 * w), TokenId::new(4 * w + 3));
@@ -141,7 +141,7 @@ fn erc721_drains_under_traffic_never_split_a_writer_s_pair() {
         genesis.put_token(first, ProcessId::new(0), None);
         genesis.put_token(second, ProcessId::new(0), None);
     }
-    let nft = ShardedErc721::with_shards(genesis.clone(), STRIPES);
+    let nft = ShardedErc721::from_state(genesis.clone());
     let mut folded = genesis;
     drain_while_serving(
         |w| {

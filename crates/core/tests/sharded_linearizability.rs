@@ -3,9 +3,8 @@
 //!
 //! Mirrors the recorded-history stress tests in `shared::tests`, but lets
 //! proptest drive the degrees of freedom the fixed-seed tests pin down:
-//! the initial state (balances and outstanding approvals), the stripe
-//! count (1 — coarse-degenerate — through more shards than accounts), and
-//! the per-thread operation scripts. Every recorded concurrent history
+//! the initial state (balances and outstanding approvals) and the
+//! per-thread operation scripts. Every recorded concurrent history
 //! must linearize against the sequential `Erc20Spec` (`Erc1155Spec`)
 //! from the same initial state.
 
@@ -105,19 +104,18 @@ fn record<T: ConcurrentObject>(object: &T, scripts: &[Vec<T::Op>]) -> History<T:
 
 proptest! {
     /// Concurrent histories recorded against a sharded token linearize,
-    /// for arbitrary initial states and stripe counts.
+    /// for arbitrary initial states.
     #[test]
     fn sharded_histories_linearize(
         balances in vec(0u64..10, N),
         approvals in vec((0..N, 0..N, 1u64..6), 0..5),
-        shard_exp in 0u32..4, // 1, 2, 4 or 8 shards over 4 accounts
         scripts in vec(vec(arb_op(), 1..7), 2..4),
     ) {
         let mut initial = Erc20State::from_balances(balances);
         for &(a, p, v) in &approvals {
             initial.set_allowance(AccountId::new(a), ProcessId::new(p), v);
         }
-        let token = ShardedErc20::with_shards(initial.clone(), 1 << shard_exp);
+        let token = ShardedErc20::from_state(initial.clone());
         let history = record(&token, &scripts);
         let spec = Erc20Spec::new(initial);
         let result = check_linearizable(&spec, &spec.initial_state(), &history);
@@ -125,14 +123,13 @@ proptest! {
     }
 
     /// The same for ERC1155 over `N` accounts × `TYPES` types: random
-    /// balances (zeros included) and operator pairs, 1–8 stripes, 2–3
+    /// balances (zeros included) and operator pairs, 2–3
     /// threads of 1–6 ops. The live balances must still sum to every
     /// type's supply afterwards.
     #[test]
     fn sharded_1155_histories_linearize(
         balances in vec(vec(0u64..4, TYPES), N),
         operators in vec((0..N, 0..N), 0..4),
-        shard_exp in 0u32..4,
         scripts in vec(vec(arb_1155_op(), 1..7), 2..4),
     ) {
         let mut initial = Erc1155State::deploy(N, ProcessId::new(0), &[0; TYPES]);
@@ -144,7 +141,7 @@ proptest! {
         for &(h, o) in operators.iter().filter(|(h, o)| h != o) {
             initial.set_operator(AccountId::new(h), ProcessId::new(o), true);
         }
-        let multi = ShardedErc1155::with_shards(initial.clone(), 1 << shard_exp);
+        let multi = ShardedErc1155::from_state(initial.clone());
         let history = record(&multi, &scripts);
         let supplies: Vec<_> = (0..TYPES).map(|t| initial.total_supply(TypeId::new(t))).collect();
         let spec = Erc1155Spec::new(initial);
@@ -158,14 +155,10 @@ proptest! {
     #[test]
     fn sharded_conserves_supply(
         balances in vec(0u64..50, N),
-        shard_exp in 0u32..4,
         scripts in vec(vec(arb_op(), 1..40), 2..5),
     ) {
         let supply: u64 = balances.iter().sum();
-        let token = Arc::new(ShardedErc20::with_shards(
-            Erc20State::from_balances(balances),
-            1 << shard_exp,
-        ));
+        let token = Arc::new(ShardedErc20::from_state(Erc20State::from_balances(balances)));
         std::thread::scope(|s| {
             for (t, script) in scripts.iter().enumerate() {
                 let token = Arc::clone(&token);

@@ -8,10 +8,10 @@
 //! per batch and no op waits on another thread: the paper's
 //! owner-disjoint operations have consensus number 1, so the regime the
 //! scheduler certifies needs no coordination at all. An engine scales out
-//! by objects, not threads. The object's stripe locks stay because a
-//! [`ConcurrentObject`] is still shared with other threads — snapshots,
-//! the tests and the consensus races — and they cost an uncontended
-//! acquire here.
+//! by objects, not threads, and each served object sits behind one lock:
+//! a [`ConcurrentObject`] is still shared with other threads —
+//! snapshots, the tests and the consensus races — and here that lock
+//! costs one uncontended acquire per op.
 //!
 //! **The order.** [`execute`] applies in [`Schedule::commit_order`]:
 //! waves in order, each in index order, then the serial lane. Execution

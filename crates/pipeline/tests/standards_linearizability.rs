@@ -146,7 +146,7 @@ fn arb_1155_op() -> impl Strategy<Value = Erc1155Op> {
 proptest! {
     /// ERC721 marketplace soup — mints, owner and operator transfers,
     /// approvals, reads — linearizes and matches the sequential replay
-    /// at several batch sizes and stripings.
+    /// at several batch sizes.
     #[test]
     fn erc721_scripts_linearize_and_match_sequential(
         premint in 0..SPAN,
@@ -154,7 +154,6 @@ proptest! {
         callers in vec(0..N, 1..32),
         ops in vec(arb_721_op(), 1..32),
         batch in 1usize..12,
-        shards in 0..3usize,
     ) {
         let mut initial = Erc721State::minted_round_robin(N, SPAN, premint);
         for &(h, o) in &operators {
@@ -165,7 +164,7 @@ proptest! {
             .zip(&ops)
             .map(|(&c, op)| (p(c), op.clone()))
             .collect();
-        let nft = ShardedErc721::with_shards(initial.clone(), 1 << shards);
+        let nft = ShardedErc721::from_state(initial.clone());
         let spec = Erc721Spec::new(initial);
         check_pipeline(&nft, &spec, &script, batch);
     }
@@ -179,7 +178,6 @@ proptest! {
         callers in vec(0..N, 1..32),
         ops in vec(arb_1155_op(), 1..32),
         batch in 1usize..12,
-        shards in 0..3usize,
     ) {
         let mut initial = Erc1155State::deploy(N, p(0), &[0; TYPES]);
         for &(ty, acct, v) in &balances {
@@ -194,7 +192,7 @@ proptest! {
             .zip(&ops)
             .map(|(&c, op)| (p(c), op.clone()))
             .collect();
-        let multi = ShardedErc1155::with_shards(initial.clone(), 1 << shards);
+        let multi = ShardedErc1155::from_state(initial.clone());
         let spec = Erc1155Spec::new(initial);
         check_pipeline(&multi, &spec, &script, batch);
     }
@@ -226,7 +224,7 @@ proptest! {
                 )
             })
             .collect();
-        let nft = ShardedErc721::with_shards(initial.clone(), 2);
+        let nft = ShardedErc721::from_state(initial.clone());
         let spec = Erc721Spec::new(initial);
         check_pipeline(&nft, &spec, &script, batch);
     }

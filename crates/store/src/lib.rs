@@ -20,8 +20,8 @@
 //! [`Store::durable_seq`] watermark (acknowledge-at-commit,
 //! durable-at-fsync; [`Store::wait_durable`]/[`Store::flush`] close the
 //! window). Periodic snapshots drain only the **rows touched** since
-//! the last drain ([`Restorable::drain_delta`] — a walk of per-shard
-//! dirty bitmaps at the batch seal, no full-state encode) and the
+//! the last drain ([`Restorable::drain_delta`] — a walk of the object's
+//! dirty bitmap at the batch seal, no full-state encode) and the
 //! thread publishes them as a chained
 //! `snap-<mark>.delta` series; every `compact_every`-th trigger instead
 //! posts a full snapshot cut from the live object at that seal.

@@ -51,9 +51,9 @@ pub trait Restorable: ConcurrentObject<State: Default> + Sized + 'static {
     fn spec(initial: Self::State) -> Self::Spec;
 
     /// Takes the rows touched since the last drain (or since
-    /// construction), clearing the tracking. Every standard holds all
-    /// of its stripe locks for the length of the drain, so the delta is
-    /// an atomic cut even under concurrent serving.
+    /// construction), clearing the tracking. Every standard holds its
+    /// one lock for the length of the drain, so the delta is an atomic
+    /// cut even under concurrent serving.
     fn drain_delta(&self) -> Self::Delta;
 
     /// Folds `delta` onto `state` (which must be the state the delta's

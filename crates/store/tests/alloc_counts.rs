@@ -17,6 +17,7 @@ use tokensync_core::codec::{Codec, StateCodec};
 use tokensync_core::erc20::Erc20State;
 use tokensync_core::shared::ShardedErc20;
 use tokensync_core::standards::erc1155::{Erc1155State, ShardedErc1155, TypeId};
+use tokensync_core::standards::erc721::{Erc721State, ShardedErc721, TokenId};
 use tokensync_spec::{AccountId, ProcessId};
 use tokensync_store::{Restorable, Store, StoreConfig};
 
@@ -160,23 +161,58 @@ fn create_allocations_do_not_grow_with_accounts_erc1155() {
     assert_flat(&create_allocs::<ShardedErc1155>(funded_1155), "ERC1155");
 }
 
-/// Restoring the live object from a recovered state fills each stripe's
-/// balance matrix, operator rows and dirty bitmaps with one allocation
-/// apiece: the count follows the stripe count, not the accounts.
-#[test]
-fn restore_allocations_do_not_grow_with_accounts_erc1155() {
-    let counts: Vec<u64> = SIZES
+/// Runs `restore` on the genesis of each size and returns the
+/// allocations each call made.
+fn restore_allocs<T: Restorable>(genesis: impl Fn(usize) -> T::State) -> Vec<u64> {
+    SIZES
         .iter()
         .map(|&n| {
-            let state = funded_1155(n);
-            counted(|| <ShardedErc1155 as Restorable>::restore(state)).1
+            let state = genesis(n);
+            counted(|| T::restore(state)).1
         })
-        .collect();
+        .collect()
+}
+
+/// The live object takes the recovered state and adds its dirty
+/// bitmaps (and, for the dense standards, its table) with one allocation
+/// apiece: the count is a small constant, not a function of the accounts.
+fn assert_restore_flat(counts: &[u64], what: &str) {
     let (small, large) = (counts[0], counts[1]);
     assert!(
-        large <= small && small < SIZES[0] as u64 / 4,
-        "restore made {small} allocations at n = {} and {large} at n = {}",
+        large <= small && small <= 8,
+        "{what}: restore made {small} allocations at n = {} and {large} at n = {}",
         SIZES[0],
         SIZES[1]
     );
+}
+
+/// ERC20 moves the state in whole: no row is copied.
+#[test]
+fn restore_allocations_do_not_grow_with_accounts_erc20() {
+    assert_restore_flat(&restore_allocs::<ShardedErc20>(one_approval_each), "ERC20");
+}
+
+/// `n` tokens minted round-robin over 64 processes, every other one
+/// approved to its owner's right neighbour.
+fn minted_721(n: usize) -> Erc721State {
+    let mut state = Erc721State::minted_round_robin(64, n, n);
+    for t in (0..n).step_by(2) {
+        let owner = ProcessId::new(t % 64);
+        state.put_token(TokenId::new(t), owner, Some(ProcessId::new((t + 1) % 64)));
+    }
+    state
+}
+
+/// ERC721 fills one table from the minted tokens and moves the
+/// operator pairs in.
+#[test]
+fn restore_allocations_do_not_grow_with_accounts_erc721() {
+    assert_restore_flat(&restore_allocs::<ShardedErc721>(minted_721), "ERC721");
+}
+
+/// ERC1155 fills one balance matrix and moves the operator pairs and
+/// supplies in.
+#[test]
+fn restore_allocations_do_not_grow_with_accounts_erc1155() {
+    assert_restore_flat(&restore_allocs::<ShardedErc1155>(funded_1155), "ERC1155");
 }

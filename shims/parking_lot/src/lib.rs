@@ -7,50 +7,37 @@
 //! the lock, which matches what the concurrent-token implementations in
 //! `tokensync-core` assume.
 //!
-//! Like the real `parking_lot`, [`Mutex`] is *not* a wrapper over
-//! `std::sync::Mutex`: it is a word-sized test-and-test-and-set lock with
-//! an inline uncontended fast path (one `compare_exchange` to lock, one
-//! store to unlock), a short bounded spin for the
-//! released-a-few-cycles-ago case, and an OS yield once spinning stops
-//! paying. Critical sections in this workspace are a few nanoseconds (a
-//! balance update, an allowance-row edit), so the fast path is the whole
-//! story and the heavyweight futex/poison machinery of `std` is
-//! measurable overhead — the shim exists to keep lock cost out of the
-//! benchmark signal, exactly like its upstream.
+//! Both locks are thin layers over their `std::sync` counterparts that
+//! swallow poison ([`PoisonError::into_inner`]). A served object takes
+//! one uncontended lock per operation on the one thread that applies
+//! its ops, where `std`'s futex mutex is one compare-exchange to lock
+//! and one swap to unlock.
 
 #![deny(rustdoc::broken_intra_doc_links)]
+#![forbid(unsafe_code)]
 
-use std::cell::UnsafeCell;
 use std::fmt;
-use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::PoisonError;
+use std::sync::{PoisonError, TryLockError};
 
 /// A mutual-exclusion lock with `parking_lot`'s non-poisoning `lock()`.
 pub struct Mutex<T: ?Sized> {
-    locked: AtomicBool,
-    value: UnsafeCell<T>,
+    inner: std::sync::Mutex<T>,
 }
-
-// Safety: the lock protocol guarantees at most one `MutexGuard` exists at
-// a time, so handing `&mut T` across threads is exclusive; `T: Send` is
-// required exactly as for `std::sync::Mutex`.
-unsafe impl<T: ?Sized + Send> Send for Mutex<T> {}
-unsafe impl<T: ?Sized + Send> Sync for Mutex<T> {}
 
 impl<T> Mutex<T> {
     /// Create a new mutex guarding `value`.
     pub const fn new(value: T) -> Self {
         Mutex {
-            locked: AtomicBool::new(false),
-            value: UnsafeCell::new(value),
+            inner: std::sync::Mutex::new(value),
         }
     }
 
     /// Consume the mutex and return the guarded value.
     pub fn into_inner(self) -> T {
-        self.value.into_inner()
+        self.inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -58,66 +45,24 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking until it is available.
     #[inline]
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        if self
-            .locked
-            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            self.lock_contended();
-        }
         MutexGuard {
-            lock: self,
-            _not_auto_send_sync: PhantomData,
-        }
-    }
-
-    /// The slow path: spin briefly on a relaxed read (test-and-test-and-
-    /// set keeps the cache line shared while the lock is held), then
-    /// yield to the scheduler — on an oversubscribed core the holder
-    /// cannot progress until we do.
-    #[cold]
-    fn lock_contended(&self) {
-        let mut spins = 0u32;
-        loop {
-            if !self.locked.load(Ordering::Relaxed)
-                && self
-                    .locked
-                    .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            {
-                return;
-            }
-            spins += 1;
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
+            inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
         }
     }
 
     /// Acquire the lock if it is free, without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        // NOT `then_some`: its argument is built eagerly, and a guard
-        // constructed on the failure path would unlock the mutex (for the
-        // thread that actually holds it) when dropped.
-        if self
-            .locked
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            Some(MutexGuard {
-                lock: self,
-                _not_auto_send_sync: PhantomData,
-            })
-        } else {
-            None
-        }
+        let inner = match self.inner.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        Some(MutexGuard { inner })
     }
 
     /// Mutable access without locking (requires exclusive ownership).
     pub fn get_mut(&mut self) -> &mut T {
-        self.value.get_mut()
+        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -136,46 +81,24 @@ impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
     }
 }
 
-/// RAII guard returned by [`Mutex::lock`].
+/// RAII guard returned by [`Mutex::lock`]: the lock is released on drop,
+/// unwinds included.
 pub struct MutexGuard<'a, T: ?Sized> {
-    lock: &'a Mutex<T>,
-    /// Suppresses the auto `Send`/`Sync` impls (the raw-pointer marker is
-    /// neither): without this, `&Mutex<T>` being `Sync` for every
-    /// `T: Send` would leak an auto-`Sync` guard over non-`Sync` payloads
-    /// like `Cell`, letting safe code alias them across threads. The
-    /// explicit impl below restores `Sync` exactly when `T: Sync`,
-    /// matching `std` and real `parking_lot`.
-    _not_auto_send_sync: PhantomData<*const ()>,
-}
-
-// Safety: a shared guard only hands out `&T`, which is safe to share
-// across threads precisely when `T: Sync`.
-unsafe impl<T: ?Sized + Sync> Sync for MutexGuard<'_, T> {}
-
-impl<T: ?Sized> Drop for MutexGuard<'_, T> {
-    #[inline]
-    fn drop(&mut self) {
-        // Release on drop — including unwinds: a panicking critical
-        // section frees the lock (parking_lot semantics, no poisoning).
-        self.lock.locked.store(false, Ordering::Release);
-    }
+    inner: std::sync::MutexGuard<'a, T>,
 }
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     #[inline]
     fn deref(&self) -> &T {
-        // Safety: constructing a guard requires winning the lock, so
-        // access is exclusive until `drop`.
-        unsafe { &*self.lock.value.get() }
+        &self.inner
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     #[inline]
     fn deref_mut(&mut self) -> &mut T {
-        // Safety: as for `deref`.
-        unsafe { &mut *self.lock.value.get() }
+        &mut self.inner
     }
 }
 
@@ -186,10 +109,6 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
 }
 
 /// A reader-writer lock with `parking_lot`'s non-poisoning accessors.
-///
-/// Reader-writer state is not on any benchmark's hot path, so this one
-/// stays a thin layer over `std::sync::RwLock` (poison swallowed via
-/// [`PoisonError::into_inner`]).
 pub struct RwLock<T: ?Sized> {
     inner: std::sync::RwLock<T>,
 }

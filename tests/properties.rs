@@ -7,7 +7,7 @@ use tokensync::core::analysis::{
 };
 use tokensync::core::emulation::{within_restriction, RestrictedErc20Spec, RestrictedToken};
 use tokensync::core::erc20::{Erc20Op, Erc20Spec, Erc20State};
-use tokensync::core::shared::{CoarseErc20, ConcurrentObject, SharedErc20};
+use tokensync::core::shared::{ConcurrentObject, ShardedErc20, SharedErc20};
 use tokensync::spec::{check_linearizable, AccountId, History, ObjectType, ProcessId};
 
 const N: usize = 4;
@@ -118,16 +118,16 @@ proptest! {
     fn concurrent_tokens_match_spec_sequentially(script in arb_script()) {
         let initial = Erc20State::from_balances(vec![25; N]);
         let spec = Erc20Spec::new(initial.clone());
-        let coarse = CoarseErc20::from_state(initial.clone());
+        let sharded = ShardedErc20::from_state(initial.clone());
         let fine = SharedErc20::from_state(initial);
         let mut oracle = spec.initial_state();
         for (caller, op) in &script {
             let caller = ProcessId::new(*caller);
             let expected = spec.apply(&mut oracle, caller, op);
-            prop_assert_eq!(coarse.apply(caller, op), expected);
+            prop_assert_eq!(sharded.apply(caller, op), expected);
             prop_assert_eq!(fine.apply(caller, op), expected);
         }
-        prop_assert_eq!(coarse.snapshot(), oracle.clone());
+        prop_assert_eq!(sharded.snapshot(), oracle.clone());
         prop_assert_eq!(fine.snapshot(), oracle);
     }
 

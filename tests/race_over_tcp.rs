@@ -26,28 +26,33 @@ use tokensync::store::{recover, Store, StoreConfig};
 
 /// Participants per race.
 const K: usize = 4;
-/// Races per ack mode.
-const ROUNDS: usize = 100;
+/// Races per ack mode: `RACE_ROUNDS` from the environment, 100 by
+/// default (CI's deep job raises it).
+fn rounds() -> usize {
+    std::env::var("RACE_ROUNDS").map_or(100, |rounds| {
+        rounds.parse().expect("RACE_ROUNDS is a number of races")
+    })
+}
 /// Balance of each race account; every spender's allowance is `B/2 + 1`.
 const B: u64 = 64;
 
 /// One `S_K` block of `K + 1` accounts per round: `a_{r(K+1)}` holds `B`,
 /// its `K - 1` spenders may each withdraw `B/2 + 1`, and the block's last
 /// account is the destination. Rounds alternate the two race modes.
-fn races() -> (Erc20State, Vec<Algorithm1>) {
+fn races(rounds: usize) -> (Erc20State, Vec<Algorithm1>) {
     let block = K + 1;
-    let mut balances = vec![0; ROUNDS * block];
-    for r in 0..ROUNDS {
+    let mut balances = vec![0; rounds * block];
+    for r in 0..rounds {
         balances[r * block] = B;
     }
     let mut genesis = Erc20State::from_balances(balances);
-    for r in 0..ROUNDS {
+    for r in 0..rounds {
         for i in 1..K {
             let spender = ProcessId::new(r * block + i);
             genesis.set_allowance(AccountId::new(r * block), spender, B / 2 + 1);
         }
     }
-    let races = (0..ROUNDS)
+    let races = (0..rounds)
         .map(|r| {
             let witness = SyncWitness::for_account(&genesis, AccountId::new(r * block))
                 .expect("each block is a synchronization state");
@@ -79,7 +84,8 @@ fn race_over_tcp(durable_acks: bool) {
         std::process::id()
     ));
     let _ = fs::remove_dir_all(&dir);
-    let (genesis, races) = races();
+    let rounds = rounds();
+    let (genesis, races) = races(rounds);
     let token = Arc::new(ShardedErc20::from_state(genesis.clone()));
     let store: Store<ShardedErc20> = Store::create(&dir, &genesis, StoreConfig::default()).unwrap();
     let cfg = ServerConfig {
@@ -89,7 +95,7 @@ fn race_over_tcp(durable_acks: bool) {
     let handle = Server::spawn(Arc::clone(&token), store, cfg, &Registry::new()).unwrap();
     let addr = handle.addr();
 
-    let proposals: Vec<Proposals<usize>> = (0..ROUNDS).map(|_| Proposals::new(K)).collect();
+    let proposals: Vec<Proposals<usize>> = (0..rounds).map(|_| Proposals::new(K)).collect();
     let start = Barrier::new(K);
     let began = Instant::now();
     // decisions[i][r]: what mover i decided in round r.
@@ -102,7 +108,7 @@ fn race_over_tcp(durable_acks: bool) {
                     client
                         .set_read_timeout(Some(Duration::from_secs(30)))
                         .unwrap();
-                    (0..ROUNDS)
+                    (0..rounds)
                         .map(|r| {
                             start.wait();
                             let apply = |p: ProcessId, op: &Erc20Op| call(&mut client, p, op);
@@ -119,6 +125,7 @@ fn race_over_tcp(durable_acks: bool) {
     });
     let elapsed = began.elapsed();
 
+    let state = token.snapshot();
     for (r, race) in races.iter().enumerate() {
         let decided: Vec<usize> = decisions.iter().map(|d| d[r]).collect();
         assert!(
@@ -133,17 +140,14 @@ fn race_over_tcp(durable_acks: bool) {
         );
         let winner = decided[0] - r * K;
         let source = race.witness.account;
-        assert!(
-            token.snapshot().balance(source) < B,
-            "round {r}: no withdrawal"
-        );
+        assert!(state.balance(source) < B, "round {r}: no withdrawal");
         if winner > 0 {
             let spender = race.witness.participants[winner];
-            assert!(token.snapshot().allowance(source, spender) < B / 2 + 1);
+            assert!(state.allowance(source, spender) < B / 2 + 1);
         }
     }
     println!(
-        "durable_acks={durable_acks}: {ROUNDS} races of {K} clients over TCP agreed in {elapsed:?}"
+        "durable_acks={durable_acks}: {rounds} races of {K} clients over TCP agreed in {elapsed:?}"
     );
 
     let (_run, store) = handle.finish();
