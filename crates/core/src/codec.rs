@@ -12,7 +12,7 @@
 //! Design rules:
 //!
 //! * **Canonical** — the encoders walk the canonical public views of the
-//!   states (positive sparse entries only, sorted), so
+//!   states (positive entries only, sorted), so
 //!   encode → decode → encode is byte-identical and decode → `Eq`
 //!   coincides with mathematical state equality.
 //! * **Total decoding** — [`Codec::decode`] never panics on hostile
@@ -28,6 +28,7 @@ use tokensync_spec::{AccountId, Amount, ProcessId};
 use crate::erc20::{Erc20Delta, Erc20Op, Erc20Resp, Erc20State, SpenderMap};
 use crate::standards::erc1155::{Erc1155Delta, Erc1155Op, Erc1155Resp, Erc1155State, TypeId};
 use crate::standards::erc721::{Erc721Delta, Erc721Op, Erc721Resp, Erc721State, TokenId};
+use crate::standards::MAX_DENSE_CELLS;
 
 /// Why a decode failed. The store layer wraps this into its record /
 /// snapshot errors; nothing in the codec panics on bad input.
@@ -156,8 +157,8 @@ impl Codec for bool {
 }
 
 /// An id-space size or an id, encoded as `u32` — the same key width
-/// every sparse state layout uses internally (guarded there by
-/// constructor asserts).
+/// every state layout uses internally (guarded there by constructor
+/// asserts).
 struct Id(usize);
 
 impl Codec for Id {
@@ -330,22 +331,19 @@ fn get_rows<K: PartialOrd, T>(
     })
 }
 
-/// The `(holder, operator)` table of the ERC721 and ERC1155 states:
-/// both ids below `bound`, each pair handed to `enable`.
+/// The `(holder, operator)` table of the ERC721 and ERC1155 states,
+/// both ids below `bound`.
 fn get_operator_pairs(
     input: &mut &[u8],
     bound: usize,
-    mut enable: impl FnMut(ProcessId, ProcessId),
-) -> Result<(), CodecError> {
+) -> Result<Vec<(ProcessId, ProcessId)>, CodecError> {
     get_rows(input, |input| {
-        let (holder, operator): (ProcessId, ProcessId) = Codec::decode(input)?;
-        if holder.index() >= bound || operator.index() >= bound {
+        let pair: (ProcessId, ProcessId) = Codec::decode(input)?;
+        if pair.0.index() >= bound || pair.1.index() >= bound {
             return Err(CodecError::Invalid("operator pair out of range"));
         }
-        enable(holder, operator);
-        Ok(((holder, operator), ()))
-    })?;
-    Ok(())
+        Ok((pair, pair))
+    })
 }
 
 // ── ERC20 ──────────────────────────────────────────────────────────────
@@ -574,24 +572,32 @@ impl Codec for Erc721State {
         put_rows(out, self.operator_pairs(), Codec::encode_into);
     }
 
+    /// Reads and checks every row before building the table, so only a
+    /// whole valid state within [`MAX_DENSE_CELLS`] allocates its table.
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
         let (Id(processes), Id(token_span)) = Codec::decode(input)?;
-        let mut state = Erc721State::new(processes, token_span);
-        get_rows(input, |input| {
-            let (token, owner, approved): (TokenId, ProcessId, Option<ProcessId>) =
-                Codec::decode(input)?;
+        if token_span > MAX_DENSE_CELLS {
+            return Err(CodecError::Invalid("token span exceeds MAX_DENSE_CELLS"));
+        }
+        let tokens = get_rows(input, |input| {
+            let row: (TokenId, ProcessId, Option<ProcessId>) = Codec::decode(input)?;
+            let (token, owner, approved) = row;
             if token.index() >= token_span || owner.index() >= processes {
                 return Err(CodecError::Invalid("minted token out of range"));
             }
             if approved.is_some_and(|p| p.index() >= processes) {
                 return Err(CodecError::Invalid("approved process out of range"));
             }
+            Ok((token, row))
+        })?;
+        let pairs = get_operator_pairs(input, processes)?;
+        let mut state = Erc721State::new(processes, token_span);
+        for (token, owner, approved) in tokens {
             state.put_token(token, owner, approved);
-            Ok((token, ()))
-        })?;
-        get_operator_pairs(input, processes, |holder, operator| {
+        }
+        for (holder, operator) in pairs {
             state.set_operator(holder, operator, true);
-        })?;
+        }
         Ok(state)
     }
 }
@@ -695,6 +701,9 @@ impl Codec for Erc1155State {
         put_rows(out, self.operator_pairs(), Codec::encode_into);
     }
 
+    /// Reads and checks every row before building the matrix, so only a
+    /// whole valid state within [`MAX_DENSE_CELLS`] allocates its
+    /// `accounts × types` balances.
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
         let Id(accounts) = Id::decode(input)?;
         if accounts == 0 {
@@ -702,36 +711,42 @@ impl Codec for Erc1155State {
         }
         let supplies: Vec<Amount> = get_list(input, Codec::decode)?;
         let types = supplies.len();
-        // Deploy parks every supply at account 0, then redistribute: the
-        // cached per-type supplies are rebuilt by `set_balance`, so the
-        // final cache equals the sum of the decoded entries — validated
-        // against the declared supplies below.
-        let deployer = ProcessId::new(0);
-        let mut state = Erc1155State::deploy(accounts, deployer, &supplies);
-        for t in 0..types {
-            state.set_balance(deployer.own_account(), TypeId::new(t), 0);
+        if accounts
+            .checked_mul(types)
+            .is_none_or(|cells| cells > MAX_DENSE_CELLS)
+        {
+            return Err(CodecError::Invalid(
+                "accounts × types exceeds MAX_DENSE_CELLS",
+            ));
         }
-        get_rows(input, |input| {
-            let (type_id, account, value): (TypeId, AccountId, Amount) = Codec::decode(input)?;
+        // Each type's entries must sum to its declared supply.
+        let mut sums: Vec<Amount> = vec![0; types];
+        let entries = get_rows(input, |input| {
+            let row: (TypeId, AccountId, Amount) = Codec::decode(input)?;
+            let (type_id, account, value) = row;
             if type_id.index() >= types || account.index() >= accounts {
                 return Err(CodecError::Invalid("balance entry out of range"));
             }
             if value == 0 {
                 return Err(CodecError::Invalid("zero balance entry not canonical"));
             }
-            if !state.try_set_balance(account, type_id, value) {
-                return Err(CodecError::Invalid("per-type supply exceeds u64"));
-            }
-            Ok(((type_id, account), ()))
+            let sum = &mut sums[type_id.index()];
+            *sum = sum
+                .checked_add(value)
+                .ok_or(CodecError::Invalid("per-type supply exceeds u64"))?;
+            Ok(((type_id, account), row))
         })?;
-        for (t, &declared) in supplies.iter().enumerate() {
-            if state.total_supply(TypeId::new(t)) != declared {
-                return Err(CodecError::Invalid("per-type supply mismatch"));
-            }
+        if sums != supplies {
+            return Err(CodecError::Invalid("per-type supply mismatch"));
         }
-        get_operator_pairs(input, accounts, |holder, operator| {
+        let pairs = get_operator_pairs(input, accounts)?;
+        let mut state = Erc1155State::deploy(accounts, ProcessId::new(0), &vec![0; types]);
+        for (type_id, account, value) in entries {
+            state.set_balance(account, type_id, value);
+        }
+        for (holder, operator) in pairs {
             state.set_operator(holder.own_account(), operator, true);
-        })?;
+        }
         Ok(state)
     }
 }

@@ -9,7 +9,8 @@
 //! the exact characterization as future work (the §6 rows of
 //! `docs/paper-map.md`; `e8_standards` prints the census).
 //!
-//! The standard has one sequential state, [`Erc1155State`]: its typed
+//! The standard has one representation, the dense sequential state
+//! [`Erc1155State`]: an `accounts × types` balance matrix. Its typed
 //! transitions (`safe_transfer_from`, `safe_batch_transfer_from`,
 //! `set_approval_for_all`) and `balance_of_batch` return
 //! [`Erc1155Error`], and its `enabled_movers`/`sync_level` give the
@@ -17,7 +18,8 @@
 //! concurrent object: the footprinted [`Erc1155Op`]/[`Erc1155Resp`]
 //! alphabet (batch ops union their `(type, account)` cells), the
 //! [`Erc1155Spec`] oracle (the typed transitions, `Ok` as `TRUE`), and
-//! the one-lock [`ShardedErc1155`] the generic pipeline executes.
+//! the one-lock [`ShardedErc1155`] the generic pipeline executes — the
+//! same state behind a lock, plus its dirty tracking.
 
 use std::fmt;
 

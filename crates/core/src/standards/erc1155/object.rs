@@ -1,6 +1,6 @@
 //! The ERC1155 object as a formal, footprinted, concurrently servable
 //! standard: op/response alphabets (including **atomic batches**), a
-//! sparse sequential state and [`ObjectType`] spec, per-op
+//! dense sequential state and [`ObjectType`] spec, per-op
 //! [`Footprint`]s, and the one-lock [`ShardedErc1155`].
 //!
 //! The paper observes that ERC1155 plausibly inherits ERC20's
@@ -17,13 +17,13 @@
 //!   ([`Cell::Operator`]), and any transfer whose caller may be a
 //!   non-owner reads that column;
 //! * per-type `totalSupply` is invariant under every transfer
-//!   (constructor-cached in [`ShardedErc1155`]) and has an **empty**
+//!   (cached in [`Erc1155State`] and [`ShardedErc1155`]) and has an **empty**
 //!   footprint.
 //!
 //! Soundness — footprint-disjoint pairs commute at every state — is
 //! property-tested below against [`Erc1155Spec`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use parking_lot::Mutex;
 use tokensync_spec::{AccountId, Amount, ObjectType, ProcessId};
@@ -32,6 +32,7 @@ use crate::analysis::cell_index;
 use crate::analysis::{Access, Cell, Footprint, FootprintedOp};
 use crate::shared::marks::Marks;
 use crate::shared::ConcurrentObject;
+use crate::standards::MAX_DENSE_CELLS;
 
 use super::{Erc1155Error, TypeId};
 
@@ -141,11 +142,18 @@ impl FootprintedOp for Erc1155Op {
     }
 }
 
-/// The sequential ERC1155 state: sparse `(type, account) → balance`
-/// entries (positive only — the canonical encoding that makes derived
-/// `Eq`/`Hash` mathematical equality) plus operator pairs and the
-/// cached, transfer-invariant per-type supplies. A typed transition
-/// that returns an [`Erc1155Error`] leaves the state unchanged.
+/// The sequential ERC1155 state: one dense row-major `accounts × types`
+/// balance matrix — `(account, type)` at `account * types + type` — plus
+/// the enabled operator pairs and the cached, transfer-invariant
+/// per-type supplies. A debit, a credit and a read are each one index.
+/// The op alphabet has no mint and no burn, so the deploy fixes the
+/// matrix's shape and derived `Eq`/`Hash` coincide with mathematical
+/// state equality. A typed transition that returns an [`Erc1155Error`]
+/// leaves the state unchanged.
+///
+/// **Memory:** 8 B per `(account, type)` pair, funded or not — 6.4 MB at
+/// 100 K accounts × 8 types; a wide type space over many accounts pays
+/// for every pair. `accounts × types` may not pass [`MAX_DENSE_CELLS`].
 ///
 /// `Default` is the empty state: no accounts, no token types.
 ///
@@ -170,11 +178,10 @@ impl FootprintedOp for Erc1155Op {
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Erc1155State {
     accounts: usize,
-    /// Positive balances only: `(type, account) → amount`.
-    balances: BTreeMap<(u32, u32), Amount>,
+    balances: Vec<Amount>,
     /// Enabled operator pairs `(holder, operator)`.
     operators: BTreeSet<(u32, u32)>,
-    /// Cached `Σ_a balances[(t, a)]` per type; invariant under every
+    /// Cached `Σ_a balance(a, t)` per type; invariant under every
     /// operation (no mint/burn in the op alphabet).
     supplies: Vec<Amount>,
 }
@@ -185,26 +192,22 @@ impl Erc1155State {
     ///
     /// # Panics
     ///
-    /// Panics if `deployer.index() >= n`, or if the account or type
-    /// space exceeds the `u32` key range (ids are stored as `u32`
-    /// keys; in-range ids then always convert exactly, where the
-    /// footprint layer's `cell_index` saturates).
+    /// Panics if `deployer.index() >= n`, if the account space exceeds
+    /// the `u32` key range, or if `n × supplies.len()` passes
+    /// [`MAX_DENSE_CELLS`].
     pub fn deploy(n: usize, deployer: ProcessId, supplies: &[Amount]) -> Self {
         assert!(deployer.index() < n, "deployer out of range");
         assert!(
             n as u128 <= u32::MAX as u128 + 1,
             "account space exceeds the u32 key range"
         );
-        assert!(
-            supplies.len() as u128 <= u32::MAX as u128 + 1,
-            "type space exceeds the u32 key range"
-        );
-        let mut balances = BTreeMap::new();
-        for (t, &s) in supplies.iter().enumerate() {
-            if s > 0 {
-                balances.insert((cell_index(t), cell_index(deployer.index())), s);
-            }
-        }
+        let types = supplies.len();
+        let cells = n
+            .checked_mul(types)
+            .filter(|&cells| cells <= MAX_DENSE_CELLS)
+            .expect("accounts × types exceeds MAX_DENSE_CELLS");
+        let mut balances = vec![0; cells];
+        balances[deployer.index() * types..][..types].copy_from_slice(supplies);
         Self {
             accounts: n,
             balances,
@@ -223,15 +226,24 @@ impl Erc1155State {
         self.supplies.len()
     }
 
+    /// The matrix index of `(account, type_id)`, if both are in range.
+    #[inline]
+    fn cell(&self, account: AccountId, type_id: TypeId) -> Option<usize> {
+        (account.index() < self.accounts && type_id.index() < self.types())
+            .then(|| account.index() * self.types() + type_id.index())
+    }
+
+    /// The balances of in-range `account`, indexed by type: the slice
+    /// ends at the last type, so an id past it reads nothing of the next
+    /// row.
+    #[inline]
+    fn row(&self, account: usize) -> &[Amount] {
+        &self.balances[account * self.types()..][..self.types()]
+    }
+
     /// `balanceOf(account, id)`; out-of-range pairs read as 0.
     pub fn balance_of(&self, account: AccountId, type_id: TypeId) -> Amount {
-        match (
-            u32::try_from(type_id.index()),
-            u32::try_from(account.index()),
-        ) {
-            (Ok(t), Ok(a)) => self.balances.get(&(t, a)).copied().unwrap_or(0),
-            _ => 0,
-        }
+        self.cell(account, type_id).map_or(0, |c| self.balances[c])
     }
 
     /// Per-type total supply (invariant under transfers); out-of-range
@@ -243,10 +255,8 @@ impl Erc1155State {
         };
         debug_assert_eq!(
             supply,
-            self.balances
-                .iter()
-                .filter(|((t, _), _)| *t as usize == type_id.index())
-                .map(|(_, v)| v)
+            (0..self.accounts)
+                .map(|a| self.row(a)[type_id.index()])
                 .sum::<Amount>(),
             "per-type supply cache diverged from the scan"
         );
@@ -274,57 +284,30 @@ impl Erc1155State {
     /// Panics if either index is out of range, or if the type's supply
     /// would pass `u64::MAX`.
     pub fn set_balance(&mut self, account: AccountId, type_id: TypeId, value: Amount) {
-        assert!(
-            self.try_set_balance(account, type_id, value),
-            "per-type supply exceeds u64::MAX"
-        );
-    }
-
-    /// [`set_balance`](Self::set_balance) for values from outside the
-    /// program (the state decoder): `false`, with nothing changed, if
-    /// the type's supply would pass `u64::MAX`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub(crate) fn try_set_balance(
-        &mut self,
-        account: AccountId,
-        type_id: TypeId,
-        value: Amount,
-    ) -> bool {
-        assert!(account.index() < self.accounts && type_id.index() < self.types());
-        let key = (cell_index(type_id.index()), cell_index(account.index()));
-        let old = self.replace_cell(key, value);
+        let cell = self
+            .cell(account, type_id)
+            .expect("balance cell out of range");
         let supply = &mut self.supplies[type_id.index()];
-        match (*supply - old).checked_add(value) {
-            Some(replaced) => *supply = replaced,
-            None => {
-                self.replace_cell(key, old);
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Overwrites one balance cell (zero empties it) and returns what it
-    /// held; the caller keeps the supply cache in step.
-    fn replace_cell(&mut self, key: (u32, u32), value: Amount) -> Amount {
-        let old = if value == 0 {
-            self.balances.remove(&key)
-        } else {
-            self.balances.insert(key, value)
-        };
-        old.unwrap_or(0)
+        *supply = (*supply - self.balances[cell])
+            .checked_add(value)
+            .expect("per-type supply exceeds u64::MAX");
+        self.balances[cell] = value;
     }
 
     /// The positive balance entries `((type, account) → amount)` in
     /// increasing `(type, account)` order — the canonical walk the state
-    /// codec serializes.
+    /// codec serializes: one strided pass down the matrix per type.
     pub fn balance_entries(&self) -> impl Iterator<Item = (TypeId, AccountId, Amount)> + '_ {
-        self.balances
-            .iter()
-            .map(|(&(t, a), &v)| (TypeId::new(t as usize), AccountId::new(a as usize), v))
+        let types = self.types();
+        (0..types).flat_map(move |t| {
+            self.balances
+                .iter()
+                .skip(t)
+                .step_by(types)
+                .enumerate()
+                .filter(|&(_, &v)| v > 0)
+                .map(move |(a, &v)| (TypeId::new(t), AccountId::new(a), v))
+        })
     }
 
     /// The enabled `(holder, operator)` pairs in increasing order.
@@ -341,7 +324,13 @@ impl Erc1155State {
     /// Panics if either id is out of range.
     pub fn set_operator(&mut self, holder: AccountId, operator: ProcessId, on: bool) {
         assert!(holder.index() < self.accounts && operator.index() < self.accounts);
-        let pair = (cell_index(holder.index()), cell_index(operator.index()));
+        self.toggle(
+            (cell_index(holder.index()), cell_index(operator.index())),
+            on,
+        );
+    }
+
+    fn toggle(&mut self, pair: (u32, u32), on: bool) {
         if on {
             self.operators.insert(pair);
         } else {
@@ -435,16 +424,15 @@ impl Erc1155State {
     /// The operator census of `account`: `{owner} ∪ operators(account)` if
     /// the account holds any tokens of any type, `{owner}` otherwise — the
     /// conservative ERC1155 analogue of `σ_q(a)`, upper-bounding the
-    /// contract's synchronization needs per account. `O(types)` lookups.
+    /// contract's synchronization needs per account. `O(types)` reads.
     pub fn enabled_movers(&self, account: AccountId) -> BTreeSet<ProcessId> {
         let mut movers = BTreeSet::from([account.owner()]);
-        let Ok(a) = u32::try_from(account.index()) else {
-            return movers;
-        };
-        if (0..self.types()).any(|t| self.balances.contains_key(&(cell_index(t), a))) {
+        let a = account.index();
+        if a < self.accounts && self.row(a).iter().any(|&v| v > 0) {
+            let h = cell_index(a);
             movers.extend(
                 self.operators
-                    .range((a, 0)..=(a, u32::MAX))
+                    .range((h, 0)..=(h, u32::MAX))
                     .map(|&(_, o)| ProcessId::new(o as usize)),
             );
         }
@@ -484,48 +472,62 @@ impl Erc1155State {
         if rows.iter().any(|(t, _)| t.index() >= self.types()) {
             return Err(Erc1155Error::BadId);
         }
-        let Some(required) = Required::of(rows) else {
-            return Err(self.overflow(from, rows));
-        };
-        let f = cell_index(from.index());
-        for &(t, v) in required.rows() {
-            let balance = self.balances.get(&(t, f)).copied().unwrap_or(0);
+        // A sum past `u64::MAX` is an overdraft no balance covers.
+        let required = Required::of(rows).map_err(|type_id| Erc1155Error::InsufficientBalance {
+            type_id,
+            balance: self.balance_of(from, type_id),
+            required: Amount::MAX,
+        })?;
+        let source = self.row(from.index());
+        for &(type_id, v) in required.rows() {
+            let balance = source[type_id.index()];
             if balance < v {
                 return Err(Erc1155Error::InsufficientBalance {
-                    type_id: TypeId::new(t as usize),
+                    type_id,
                     balance,
                     required: v,
                 });
             }
         }
-        let d = cell_index(to.index());
-        for &(t, v) in required.rows() {
-            let src = self.balances.get_mut(&(t, f)).expect("validated above");
-            *src -= v;
-            if *src == 0 {
-                self.balances.remove(&(t, f));
-            }
-            *self.balances.entry((t, d)).or_insert(0) += v;
+        let (f, d) = (from.index() * self.types(), to.index() * self.types());
+        for &(type_id, v) in required.rows() {
+            self.balances[f + type_id.index()] -= v;
+        }
+        // from == to as well: debit then credit of the same row is a
+        // validated net no-op — the ERC1155 semantics.
+        for &(type_id, v) in required.rows() {
+            self.balances[d + type_id.index()] += v;
         }
         Ok(())
     }
 
-    /// The refusal of rows [`Required::of`] cannot sum: the first type
-    /// whose amounts pass `u64::MAX`, which no balance covers.
-    fn overflow(&self, from: AccountId, rows: &[(TypeId, Amount)]) -> Erc1155Error {
-        let mut sums = BTreeMap::<TypeId, Amount>::new();
-        for &(type_id, v) in rows {
-            let sum = sums.entry(type_id).or_default();
-            let Some(next) = sum.checked_add(v) else {
-                return Erc1155Error::InsufficientBalance {
-                    type_id,
-                    balance: self.balance_of(from, type_id),
-                    required: Amount::MAX,
-                };
-            };
-            *sum = next;
-        }
-        unreachable!("Required::of refuses only a sum past u64::MAX")
+    /// `op` by `caller`: a mutator runs the typed transition — a batch's
+    /// rows as they stand, so no `LengthMismatch` arises — and answers
+    /// `TRUE` iff it lands; a read out of range answers `0`.
+    fn apply_op(&mut self, caller: ProcessId, op: &Erc1155Op) -> Erc1155Resp {
+        let landed = match *op {
+            Erc1155Op::Transfer {
+                from,
+                to,
+                type_id,
+                value,
+            } => self.transfer(caller, from, to, &[(type_id, value)]),
+            Erc1155Op::BatchTransfer {
+                from,
+                to,
+                ref entries,
+            } => self.transfer(caller, from, to, entries),
+            Erc1155Op::SetApprovalForAll { operator, on } => {
+                self.set_approval_for_all(caller, operator, on)
+            }
+            Erc1155Op::BalanceOf { account, type_id } => {
+                return Erc1155Resp::Amount(self.balance_of(account, type_id))
+            }
+            Erc1155Op::TotalSupply { type_id } => {
+                return Erc1155Resp::Amount(self.total_supply(type_id))
+            }
+        };
+        Erc1155Resp::Bool(landed.is_ok())
     }
 }
 
@@ -539,37 +541,34 @@ const INLINE_ROWS: usize = 8;
 /// nothing).
 enum Required {
     /// Up to [`INLINE_ROWS`] rows, on the stack; the length in use.
-    Inline([(u32, Amount); INLINE_ROWS], usize),
-    Spilled(Vec<(u32, Amount)>),
+    Inline([(TypeId, Amount); INLINE_ROWS], usize),
+    Spilled(Vec<(TypeId, Amount)>),
 }
 
 impl Required {
-    /// Aggregates `rows`, whose type ids the caller has range-checked.
-    /// `None` if one type's amounts sum past `u64::MAX`: no balance
-    /// covers that.
-    fn of(rows: &[(TypeId, Amount)]) -> Option<Self> {
-        let moving = rows
-            .iter()
-            .filter(|row| row.1 > 0)
-            .map(|&(t, v)| (cell_index(t.index()), v));
+    /// Aggregates `rows`, whose type ids need not be in range. Refuses
+    /// with the lowest type whose amounts sum past `u64::MAX`: no
+    /// balance covers that.
+    fn of(rows: &[(TypeId, Amount)]) -> Result<Self, TypeId> {
+        let moving = rows.iter().copied().filter(|row| row.1 > 0);
         if rows.len() <= INLINE_ROWS {
-            let mut buf = [(0, 0); INLINE_ROWS];
+            let mut buf = [(TypeId::new(0), 0); INLINE_ROWS];
             let mut len = 0;
             for row in moving {
                 buf[len] = row;
                 len += 1;
             }
             let len = sum_per_type(&mut buf[..len])?;
-            Some(Required::Inline(buf, len))
+            Ok(Required::Inline(buf, len))
         } else {
-            let mut spill: Vec<(u32, Amount)> = moving.collect();
+            let mut spill: Vec<_> = moving.collect();
             let len = sum_per_type(&mut spill)?;
             spill.truncate(len);
-            Some(Required::Spilled(spill))
+            Ok(Required::Spilled(spill))
         }
     }
 
-    fn rows(&self) -> &[(u32, Amount)] {
+    fn rows(&self) -> &[(TypeId, Amount)] {
         match self {
             Required::Inline(buf, len) => &buf[..*len],
             Required::Spilled(rows) => rows,
@@ -578,42 +577,31 @@ impl Required {
 }
 
 /// Whether no type's amounts in `rows` sum past `u64::MAX`, by the
-/// per-type aggregation every transfer runs (`Required::of`). The
-/// object and the oracle answer FALSE on such rows at every state — no
-/// balance covers the sum — so a gate with no state (the server's wire
-/// check) refuses exactly these and lets every other batch through.
-/// Type ids need not be in range.
+/// per-type aggregation every transfer runs. The object and the oracle
+/// answer FALSE on such rows at every state — no balance covers the
+/// sum — so a gate with no state (the server's wire check) refuses
+/// exactly these and lets every other batch through. Type ids need not
+/// be in range.
 pub fn per_type_sums_fit(rows: &[(TypeId, Amount)]) -> bool {
-    // On the stack for the handful of rows a batch carries, as in
-    // `Required::of`: the wire check runs once per decoded request.
-    let mut inline = [(TypeId::new(0), 0); INLINE_ROWS];
-    let mut spilled;
-    let buf = if rows.len() <= INLINE_ROWS {
-        inline[..rows.len()].copy_from_slice(rows);
-        &mut inline[..rows.len()]
-    } else {
-        spilled = rows.to_vec();
-        &mut spilled[..]
-    };
-    sum_per_type(buf).is_some()
+    Required::of(rows).is_ok()
 }
 
 /// Sorts `rows` by type and sums each run of one type into a single
-/// row, in place; returns how many rows remain at the front. `None` on
-/// `u64` overflow.
-fn sum_per_type<K: Ord + Copy>(rows: &mut [(K, Amount)]) -> Option<usize> {
+/// row, in place; returns how many rows remain at the front, or the
+/// first type whose sum passes `u64::MAX`.
+fn sum_per_type(rows: &mut [(TypeId, Amount)]) -> Result<usize, TypeId> {
     rows.sort_unstable_by_key(|row| row.0);
     let mut len = 0;
     for i in 0..rows.len() {
         let (t, v) = rows[i];
         if len > 0 && rows[len - 1].0 == t {
-            rows[len - 1].1 = rows[len - 1].1.checked_add(v)?;
+            rows[len - 1].1 = rows[len - 1].1.checked_add(v).ok_or(t)?;
         } else {
             rows[len] = (t, v);
             len += 1;
         }
     }
-    Some(len)
+    Ok(len)
 }
 
 /// The ERC1155 object type over [`Erc1155State`] — the sequential
@@ -643,30 +631,7 @@ impl ObjectType for Erc1155Spec {
     }
 
     fn apply(&self, state: &mut Erc1155State, process: ProcessId, op: &Erc1155Op) -> Erc1155Resp {
-        match *op {
-            Erc1155Op::Transfer {
-                from,
-                to,
-                type_id,
-                value,
-            } => Erc1155Resp::Bool(
-                state
-                    .safe_transfer_from(process, from, to, type_id, value)
-                    .is_ok(),
-            ),
-            Erc1155Op::BatchTransfer {
-                from,
-                to,
-                ref entries,
-            } => Erc1155Resp::Bool(state.transfer(process, from, to, entries).is_ok()),
-            Erc1155Op::SetApprovalForAll { operator, on } => {
-                Erc1155Resp::Bool(state.set_approval_for_all(process, operator, on).is_ok())
-            }
-            Erc1155Op::BalanceOf { account, type_id } => {
-                Erc1155Resp::Amount(state.balance_of(account, type_id))
-            }
-            Erc1155Op::TotalSupply { type_id } => Erc1155Resp::Amount(state.total_supply(type_id)),
-        }
+        state.apply_op(process, op)
     }
 }
 
@@ -677,9 +642,9 @@ impl ObjectType for Erc1155Spec {
 /// onto a base [`Erc1155State`] at recovery time.
 ///
 /// The delta carries no supplies row: the op alphabet has no mint/burn,
-/// so folding full-row balance cells through the supply-adjusting
-/// replacement leaves every cached per-type supply exactly where the
-/// base had it.
+/// so folding full-row balance cells while keeping each type's supply
+/// in step leaves every cached per-type supply exactly where the base
+/// had it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Erc1155Delta {
     /// `(type, account, amount)` — current values (zero means the cell
@@ -719,81 +684,85 @@ impl Erc1155Delta {
         // (a credit listed before the debit that funds it): fold each
         // type's run of rows in 128 bits and range-check where it ends.
         for run in self.balances.chunk_by(|x, y| x.0 == y.0) {
-            let t = run[0].0;
-            let mut supply = u128::from(state.supplies[t as usize]);
+            let t = run[0].0 as usize;
+            let mut supply = u128::from(state.supplies[t]);
             for &(_, a, v) in run {
-                let old = state.replace_cell((t, a), v);
+                let old = std::mem::replace(&mut state.balances[a as usize * types + t], v);
                 supply = supply - u128::from(old) + u128::from(v);
             }
             let Ok(supply) = Amount::try_from(supply) else {
                 return false;
             };
-            state.supplies[t as usize] = supply;
+            state.supplies[t] = supply;
         }
         for &(h, o, on) in &self.operators {
-            if on {
-                state.operators.insert((h, o));
-            } else {
-                state.operators.remove(&(h, o));
-            }
+            state.toggle((h, o), on);
         }
         true
     }
 }
 
-/// What the one lock of a [`ShardedErc1155`] guards: a dense row-major
-/// matrix of `accounts × types` balances — `(account, type)` at
-/// `account * types + type` — and the enabled operator pairs beside it,
-/// plus what changed since the last [`ShardedErc1155::drain_delta`]
-/// under the mark/drain contract of `shared/marks.rs`: the accounts
-/// with a written balance cell, the written cells themselves (a second
-/// bitmap indexed like the matrix), and the toggled `(holder, operator)`
-/// pairs as an ordered set (`setApprovalForAll` only).
+/// What the one lock of a [`ShardedErc1155`] guards: the state, and
+/// what changed since the last [`ShardedErc1155::drain_delta`] under the
+/// mark/drain contract of `shared/marks.rs` — the accounts with a
+/// written balance cell, the written cells themselves (a second bitmap
+/// indexed like the matrix), and the toggled `(holder, operator)` pairs
+/// as an ordered set (`setApprovalForAll` only).
 #[derive(Debug)]
-struct Table {
-    types: usize,
-    balances: Vec<Amount>,
-    operators: BTreeSet<(u32, u32)>,
+struct Served {
+    state: Erc1155State,
     dirty_rows: Marks,
     dirty_cells: Marks,
     dirty_ops: BTreeSet<(u32, u32)>,
 }
 
-impl Table {
-    /// The balances of `account`, indexed by type: the slice ends at the
-    /// last type, so an id past it reads nothing of the next row.
-    #[inline]
-    fn row(&self, account: usize) -> &[Amount] {
-        &self.balances[account * self.types..][..self.types]
-    }
-
-    /// Mark side of the contract: the balance of `(account, type_id)`,
-    /// for writing, with its cell and its row marked. `type_id` is in
-    /// range.
-    #[inline]
-    fn balance_mut(&mut self, account: usize, type_id: u32) -> &mut Amount {
-        let cell = account * self.types + type_id as usize;
-        self.dirty_cells.mark(cell);
-        self.dirty_rows.mark(account);
-        &mut self.balances[cell]
+impl Served {
+    /// Mark side of the contract: the cells `op` by `caller` wrote,
+    /// once it has landed.
+    fn mark(&mut self, caller: ProcessId, op: &Erc1155Op) {
+        let (from, to, rows) = match *op {
+            Erc1155Op::Transfer {
+                from,
+                to,
+                type_id,
+                value,
+            } => (from, to, &[(type_id, value)][..]),
+            Erc1155Op::BatchTransfer {
+                from,
+                to,
+                ref entries,
+            } => (from, to, &entries[..]),
+            Erc1155Op::SetApprovalForAll { operator, .. } => {
+                let pair = (cell_index(caller.index()), cell_index(operator.index()));
+                self.dirty_ops.insert(pair);
+                return;
+            }
+            Erc1155Op::BalanceOf { .. } | Erc1155Op::TotalSupply { .. } => return,
+        };
+        let types = self.state.types();
+        // A zero row moves nothing and writes no cell.
+        for &(t, _) in rows.iter().filter(|row| row.1 > 0) {
+            for account in [from.index(), to.index()] {
+                self.dirty_cells.mark(account * types + t.index());
+                self.dirty_rows.mark(account);
+            }
+        }
     }
 }
 
 /// An ERC1155 contract behind one lock, scaling to ~1M accounts × many
 /// types.
 ///
-/// The balances are one dense row-major `accounts × types` matrix, so a
-/// debit, a credit and a read are each one index, and the operator pairs
-/// sit beside it under the same lock: a transfer's authorization check,
-/// validation, debit and credit are one critical section. Per-type
+/// Every operation runs the [`Erc1155State`] transition under the lock,
+/// so a transfer's authorization check, validation, debit and credit
+/// are one critical section; a mutation that lands then marks what it
+/// wrote. `from_state` moves the state in, and
+/// [`ConcurrentObject::snapshot`] is a clone of it. Per-type
 /// `totalSupply` takes **no** lock: supplies are invariant under every
-/// operation, so the constructor-cached values serve every read.
-///
-/// The op alphabet has no mint and no burn, so both spaces are fixed at
-/// deploy and the matrix never grows. **Memory:** 8 B per
-/// `(account, type)` pair, funded or not, plus 1 bit per pair and 1 bit
-/// per account of dirty tracking — 6.4 MB at 100 K accounts × 8 types; a
-/// wide type space over many accounts pays for every pair.
+/// operation, so a copy taken at construction serves every read.
+/// **Memory:** the state's (8 B per `(account, type)` pair, at most
+/// 8 B × [`MAX_DENSE_CELLS`]), plus 1 bit per pair and 1 bit per
+/// account of dirty tracking.
 ///
 /// Incremental snapshots follow the mark/drain contract of
 /// `shared/marks.rs`: a debit or credit sets its cell's bit in the cell
@@ -823,42 +792,26 @@ impl Table {
 /// ```
 #[derive(Debug)]
 pub struct ShardedErc1155 {
-    table: Mutex<Table>,
+    served: Mutex<Served>,
     accounts: usize,
-    types: usize,
-    /// Constructor-cached per-type totals; constant because every
-    /// operation conserves each type's supply.
+    /// The per-type totals, constant because every operation conserves
+    /// each type's supply.
     supplies: Vec<Amount>,
 }
 
 impl ShardedErc1155 {
-    /// Builds from a sequential state: one walk of the positive entries
-    /// fills the zeroed matrix; the operator pairs and supplies move in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `accounts × types` cells pass the address space.
+    /// Wraps a sequential state. The state moves in; only the per-type
+    /// supplies are copied, for lock-free reads.
     pub fn from_state(state: Erc1155State) -> Self {
-        let (accounts, types) = (state.accounts(), state.types());
-        let cells = accounts
-            .checked_mul(types)
-            .expect("accounts × types exceeds the address space");
-        let mut balances = vec![0; cells];
-        for (&(t, a), &v) in &state.balances {
-            balances[a as usize * types + t as usize] = v;
-        }
         Self {
-            table: Mutex::new(Table {
-                types,
-                balances,
-                operators: state.operators,
-                dirty_rows: Marks::new(accounts),
-                dirty_cells: Marks::new(cells),
+            accounts: state.accounts,
+            supplies: state.supplies.clone(),
+            served: Mutex::new(Served {
+                dirty_rows: Marks::new(state.accounts),
+                dirty_cells: Marks::new(state.balances.len()),
                 dirty_ops: BTreeSet::new(),
+                state,
             }),
-            accounts,
-            types,
-            supplies: state.supplies,
         }
     }
 
@@ -868,7 +821,7 @@ impl ShardedErc1155 {
     }
 
     /// Per-type total supply — lock-free: invariant under every
-    /// operation, cached at construction.
+    /// operation, copied at construction.
     pub fn total_supply(&self, type_id: TypeId) -> Amount {
         self.supplies.get(type_id.index()).copied().unwrap_or(0)
     }
@@ -879,10 +832,11 @@ impl ShardedErc1155 {
     /// conservation check the benchmarks assert after every run. A
     /// divergence means a transfer lost or minted tokens.
     pub fn audit_supplies(&self) -> Vec<Amount> {
-        let table = self.table.lock();
-        let mut sums = vec![0; self.types];
-        for account in 0..self.accounts {
-            for (sum, &v) in sums.iter_mut().zip(table.row(account)) {
+        let served = self.served.lock();
+        let state = &served.state;
+        let mut sums = vec![0; state.types()];
+        for account in 0..state.accounts {
+            for (sum, &v) in sums.iter_mut().zip(state.row(account)) {
                 *sum += v;
             }
         }
@@ -901,29 +855,28 @@ impl ShardedErc1155 {
     /// order, so the buckets concatenate into `(type, account)` order
     /// with no sort. The toggled pairs come out of their ordered set.
     pub fn drain_delta(&self) -> Erc1155Delta {
-        let mut table = self.table.lock();
-        let Table {
-            types,
-            balances,
-            operators,
+        let mut served = self.served.lock();
+        let Served {
+            state,
             dirty_rows,
             dirty_cells,
             dirty_ops,
-        } = &mut *table;
-        let mut by_type: Vec<Vec<(u32, Amount)>> = vec![Vec::new(); *types];
+        } = &mut *served;
+        let types = state.types();
+        let mut by_type: Vec<Vec<(u32, Amount)>> = vec![Vec::new(); types];
         dirty_rows.drain(|account| {
-            let first = account * *types;
+            let first = account * types;
             for (t, bucket) in by_type.iter_mut().enumerate() {
                 if dirty_cells.take(first + t) {
-                    bucket.push((cell_index(account), balances[first + t]));
+                    bucket.push((cell_index(account), state.balances[first + t]));
                 }
             }
         });
         let operators = std::mem::take(dirty_ops)
             .into_iter()
-            .map(|pair| (pair.0, pair.1, operators.contains(&pair)))
+            .map(|pair| (pair.0, pair.1, state.operators.contains(&pair)))
             .collect();
-        drop(table);
+        drop(served);
         let mut balances = Vec::with_capacity(by_type.iter().map(Vec::len).sum());
         for (t, cells) in by_type.into_iter().enumerate() {
             let t = cell_index(t);
@@ -934,47 +887,6 @@ impl ShardedErc1155 {
             operators,
         }
     }
-
-    /// Validates and applies `rows` under the lock — all-or-nothing,
-    /// one linearization point.
-    fn transfer(
-        &self,
-        caller: ProcessId,
-        from: AccountId,
-        to: AccountId,
-        rows: &[(TypeId, Amount)],
-    ) -> bool {
-        if from.index() >= self.accounts
-            || to.index() >= self.accounts
-            || caller.index() >= self.accounts
-            || rows.iter().any(|(t, _)| t.index() >= self.types)
-        {
-            return false;
-        }
-        let Some(required) = Required::of(rows) else {
-            return false;
-        };
-        let (fi, ti) = (from.index(), to.index());
-        let mut table = self.table.lock();
-        let authorized = caller == from.owner()
-            || table
-                .operators
-                .contains(&(cell_index(fi), cell_index(caller.index())));
-        let row = table.row(fi);
-        let covered = required.rows().iter().all(|&(t, v)| row[t as usize] >= v);
-        if !authorized || !covered {
-            return false;
-        }
-        for &(t, v) in required.rows() {
-            *table.balance_mut(fi, t) -= v;
-        }
-        // from == to as well: debit then credit of the same row is a
-        // validated net no-op — the ERC1155 semantics.
-        for &(t, v) in required.rows() {
-            *table.balance_mut(ti, t) += v;
-        }
-        true
-    }
 }
 
 impl ConcurrentObject for ShardedErc1155 {
@@ -983,72 +895,19 @@ impl ConcurrentObject for ShardedErc1155 {
     type State = Erc1155State;
 
     fn apply(&self, process: ProcessId, op: &Erc1155Op) -> Erc1155Resp {
-        match *op {
-            Erc1155Op::Transfer {
-                from,
-                to,
-                type_id,
-                value,
-            } => Erc1155Resp::Bool(self.transfer(process, from, to, &[(type_id, value)])),
-            Erc1155Op::BatchTransfer {
-                from,
-                to,
-                ref entries,
-            } => Erc1155Resp::Bool(self.transfer(process, from, to, entries)),
-            Erc1155Op::SetApprovalForAll { operator, on } => {
-                if process.index() >= self.accounts
-                    || operator.index() >= self.accounts
-                    || operator == process
-                {
-                    return Erc1155Resp::FALSE;
-                }
-                let pair = (cell_index(process.index()), cell_index(operator.index()));
-                let mut table = self.table.lock();
-                if on {
-                    table.operators.insert(pair);
-                } else {
-                    table.operators.remove(&pair);
-                }
-                table.dirty_ops.insert(pair);
-                Erc1155Resp::TRUE
-            }
-            Erc1155Op::BalanceOf { account, type_id } => {
-                if account.index() >= self.accounts {
-                    return Erc1155Resp::Amount(0);
-                }
-                let table = self.table.lock();
-                let row = table.row(account.index());
-                Erc1155Resp::Amount(row.get(type_id.index()).copied().unwrap_or(0))
-            }
-            Erc1155Op::TotalSupply { type_id } => Erc1155Resp::Amount(self.total_supply(type_id)),
+        if let Erc1155Op::TotalSupply { type_id } = *op {
+            return Erc1155Resp::Amount(self.total_supply(type_id));
         }
+        let mut served = self.served.lock();
+        let resp = served.state.apply_op(process, op);
+        if resp == Erc1155Resp::TRUE {
+            served.mark(process, op);
+        }
+        resp
     }
 
-    /// One account-major walk fills a bucket per type, each already in
-    /// account order, so the type-major map is bulk-built from sorted
-    /// input instead of inserted key by key.
     fn snapshot(&self) -> Erc1155State {
-        let table = self.table.lock();
-        let mut by_type: Vec<Vec<(u32, Amount)>> = vec![Vec::new(); self.types];
-        for a in 0..self.accounts {
-            for (bucket, &v) in by_type.iter_mut().zip(table.row(a)) {
-                if v > 0 {
-                    bucket.push((cell_index(a), v));
-                }
-            }
-        }
-        let operators = table.operators.clone();
-        drop(table);
-        let balances = by_type.into_iter().enumerate().flat_map(|(t, cells)| {
-            let t = cell_index(t);
-            cells.into_iter().map(move |(a, v)| ((t, a), v))
-        });
-        Erc1155State {
-            accounts: self.accounts,
-            balances: balances.collect(),
-            operators,
-            supplies: self.supplies.clone(),
-        }
+        self.served.lock().state.clone()
     }
 }
 
@@ -1585,8 +1444,8 @@ mod tests {
             let undrained = ShardedErc1155::from_state(genesis.clone());
             // `(marked accounts, marked cells)`.
             let marked = |m: &ShardedErc1155| {
-                let table = m.table.lock();
-                (table.dirty_rows.count(), table.dirty_cells.count())
+                let served = m.served.lock();
+                (served.dirty_rows.count(), served.dirty_cells.count())
             };
             // `(type, account)` cells and `(holder, operator)` pairs
             // written since the last drain; every cell ever written.
@@ -1658,11 +1517,10 @@ mod tests {
             prop_assert_eq!(undrained.snapshot(), drained.snapshot());
         }
 
-        /// The bulk-built `snapshot()` is the spec's state after every
-        /// step of a random script: cells debited to zero are absent
-        /// whether or not a drain has reported them yet, operator
-        /// pairs toggled off are gone, and the type-major map comes out
-        /// in the spec's order.
+        /// `snapshot()` is the spec's state after every step of a
+        /// random script, drains or not: cells debited to zero read as
+        /// zero whether or not a drain has reported them yet, and
+        /// operator pairs toggled off are gone.
         #[test]
         fn snapshot_equals_the_spec_fold(
             steps in vec((0..N, arb_op(), 0..4usize), 0..48),
@@ -1698,19 +1556,22 @@ mod tests {
             rows.iter().map(|&(ty, v)| (t(ty), v)).collect()
         };
         let required = Required::of(&rows(&[(2, 6), (0, 1), (2, 4), (1, 0)])).unwrap();
-        assert_eq!(required.rows(), [(0, 1), (2, 10)]);
+        assert_eq!(required.rows(), rows(&[(0, 1), (2, 10)]));
         // Past the inline capacity the same answer comes off the heap.
         let many: Vec<(usize, Amount)> = (0..3 * INLINE_ROWS).map(|i| (i % 5, 1)).collect();
         let required = Required::of(&rows(&many)).unwrap();
         assert!(matches!(required, Required::Spilled(_)));
         let per_type = (3 * INLINE_ROWS / 5) as Amount;
-        assert!(required.rows().iter().map(|row| row.0).eq(0..5));
+        assert!(required.rows().iter().map(|row| row.0.index()).eq(0..5));
         assert!(required.rows().iter().all(|row| row.1 >= per_type));
         assert_eq!(
             required.rows().iter().map(|row| row.1).sum::<Amount>(),
             3 * INLINE_ROWS as Amount
         );
-        assert!(Required::of(&rows(&[(0, u64::MAX), (1, 5), (0, 1)])).is_none());
+        assert!(Required::of(&rows(&[(0, u64::MAX), (1, 5), (0, 1)])).is_err_and(|x| x == t(0)));
+        // The lowest type whose sum overflows, whatever the row order.
+        let both = rows(&[(3, u64::MAX), (1, u64::MAX), (3, 1), (1, 1)]);
+        assert!(Required::of(&both).is_err_and(|x| x == t(1)));
         // The stateless check agrees, on either side of the inline capacity.
         assert!(!per_type_sums_fit(&rows(&[(0, u64::MAX), (1, 5), (0, 1)])));
         assert!(per_type_sums_fit(&rows(&[(0, u64::MAX), (1, 5)])));

@@ -7,14 +7,16 @@
 //! `transferFrom` on a single `tokenId` and the winner is read off
 //! `ownerOf`.
 //!
-//! The standard has one sequential state, [`Erc721State`]: its typed
-//! transitions (`mint`, `transfer_from`, `approve`,
+//! The standard has one representation, the dense sequential state
+//! [`Erc721State`]: a table of token cells indexed by token id. Its
+//! typed transitions (`mint`, `transfer_from`, `approve`,
 //! `set_approval_for_all`) return [`Erc721Error`], and its
 //! `enabled_movers`/`sync_level` give the per-token census. The `object`
 //! submodule also makes the standard a *servable* concurrent object: the
 //! formal [`Erc721Op`]/[`Erc721Resp`] alphabet with per-op footprints,
 //! the [`Erc721Spec`] oracle (the typed transitions, `Ok` as `TRUE`), and
-//! the one-lock [`ShardedErc721`] the generic pipeline executes. The
+//! the one-lock [`ShardedErc721`] the generic pipeline executes — the
+//! same state behind a lock, plus its dirty tracking. The
 //! consensus race, [`NftRace`], is laid out by [`race_state`];
 //! [`Erc721Consensus`] fights it on that same serving object.
 

@@ -1,5 +1,5 @@
 //! The ERC721 object as a formal, footprinted, concurrently servable
-//! standard: op/response alphabets, a sparse sequential state and
+//! standard: op/response alphabets, a dense sequential state and
 //! [`ObjectType`] spec, per-op [`Footprint`]s, and the one-lock
 //! [`ShardedErc721`] scaling to ~1M token ids.
 //!
@@ -22,7 +22,7 @@
 //!   [`Cell::Operator`]`(op)` — the op serializes against its operator's
 //!   column, never against unrelated approvals.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use parking_lot::Mutex;
 use tokensync_spec::{ObjectType, ProcessId};
@@ -31,24 +31,9 @@ use crate::analysis::cell_index;
 use crate::analysis::{Access, Cell, Footprint, FootprintedOp};
 use crate::shared::marks::Marks;
 use crate::shared::ConcurrentObject;
+use crate::standards::MAX_DENSE_CELLS;
 
 use super::{Erc721Error, TokenId};
-
-/// Capacity guard shared by the constructors: ids are stored as `u32`
-/// keys, so the id spaces must fit (a bound no real deployment meets).
-fn assert_u32_space(what: &str, n: usize) {
-    assert!(
-        n as u128 <= u32::MAX as u128 + 1,
-        "{what} space exceeds the u32 key range"
-    );
-}
-
-/// The storage key of `token` if it lies inside the id space — the one
-/// conversion state code may use (in-range ids always fit `u32`, per the
-/// constructor guard, so this is exact where `cell_index` saturates).
-fn token_key(token: TokenId, span: usize) -> Option<u32> {
-    (token.index() < span).then(|| cell_index(token.index()))
-}
 
 /// Operations `O` of the ERC721 object (the subset with cell-granular
 /// footprints; `balanceOf` — a whole-contract scan — is served off
@@ -147,13 +132,28 @@ impl FootprintedOp for Erc721Op {
     }
 }
 
-/// The sequential ERC721 state: sparse maps over minted tokens only, so
-/// a contract spanning a million token ids costs memory proportional to
-/// what has actually been minted and approved. Entries are canonical
-/// (no tombstones), so derived `Eq`/`Hash` coincide with mathematical
-/// state equality — the linearizability checker and the model checker
-/// both rely on that. A typed transition that returns an
-/// [`Erc721Error`] leaves the state unchanged.
+/// One token's cell: `(owner, single-use approval)` once minted, `None`
+/// for an unminted hole. The approval's tag is the hole's niche, so a
+/// cell stays 12 bytes, and equal tokens are equal cells.
+type NftCell = Option<(u32, Option<u32>)>;
+
+const _: () = assert!(std::mem::size_of::<NftCell>() == 12);
+
+/// The sequential ERC721 state: one dense table of token cells, indexed
+/// by token id and one past the highest minted id long, plus the enabled
+/// `(holder, operator)` pairs. Every token operation is one
+/// bounds-checked index. Tokens are never burned, so the minted set
+/// fixes the table's length, and holes and absent approvals are zeroed
+/// cells: derived `Eq`/`Hash` coincide with mathematical state equality
+/// — the linearizability checker and the model checker both rely on
+/// that. A typed transition that returns an [`Erc721Error`] leaves the
+/// state unchanged.
+///
+/// **Memory:** 12 B per id up to the highest minted id; the unminted
+/// tail above it costs nothing, and a hole below it costs its 12 B. A
+/// mint anywhere in the span may grow the table to that id, so the span
+/// is the deploy's memory promise, 12 B × `token_span`, and may not pass
+/// [`MAX_DENSE_CELLS`].
 ///
 /// `Default` is the empty state, `Erc721State::new(0, 0)`.
 ///
@@ -176,30 +176,33 @@ pub struct Erc721State {
     processes: usize,
     /// Capacity of the token-id space; mint beyond it fails.
     token_span: usize,
-    /// Minted tokens: `tokenId → owner`.
-    owners: BTreeMap<u32, u32>,
-    /// Outstanding single-use approvals: `tokenId → approved` (minted
-    /// tokens only, `Some` entries only).
-    approved: BTreeMap<u32, u32>,
+    cells: Vec<NftCell>,
     /// Enabled operator pairs `(holder, operator)`.
     operators: BTreeSet<(u32, u32)>,
 }
 
 impl Erc721State {
     /// The all-unminted state over `processes` processes and a token-id
-    /// space of `token_span` ids.
+    /// space of `token_span` ids. Allocates nothing: the table grows
+    /// with the mints.
     ///
     /// # Panics
     ///
-    /// Panics if either space exceeds the `u32` key range.
+    /// Panics if the process space exceeds the `u32` key range or the
+    /// span passes [`MAX_DENSE_CELLS`].
     pub fn new(processes: usize, token_span: usize) -> Self {
-        assert_u32_space("process", processes);
-        assert_u32_space("token-id", token_span);
+        assert!(
+            processes as u128 <= u32::MAX as u128 + 1,
+            "process space exceeds the u32 key range"
+        );
+        assert!(
+            token_span <= MAX_DENSE_CELLS,
+            "token-id span exceeds MAX_DENSE_CELLS"
+        );
         Self {
             processes,
             token_span,
-            owners: BTreeMap::new(),
-            approved: BTreeMap::new(),
+            cells: Vec::new(),
             operators: BTreeSet::new(),
         }
     }
@@ -210,16 +213,15 @@ impl Erc721State {
     ///
     /// # Panics
     ///
-    /// Panics if `tokens > token_span` or `processes == 0`.
+    /// Panics if `tokens > token_span` or `processes == 0`, and as
+    /// [`new`](Self::new) does.
     pub fn minted_round_robin(processes: usize, token_span: usize, tokens: usize) -> Self {
         assert!(processes > 0, "need at least one process");
         assert!(tokens <= token_span, "cannot pre-mint past the id space");
         let mut state = Self::new(processes, token_span);
-        for t in 0..tokens {
-            state
-                .owners
-                .insert(cell_index(t), cell_index(t % processes));
-        }
+        state.cells = (0..tokens)
+            .map(|t| Some((cell_index(t % processes), None)))
+            .collect();
         state
     }
 
@@ -233,25 +235,35 @@ impl Erc721State {
         self.token_span
     }
 
-    /// Number of minted tokens.
+    /// Number of minted tokens — a scan of the table.
     pub fn minted(&self) -> usize {
-        self.owners.len()
+        self.cells.iter().flatten().count()
+    }
+
+    /// The cell of `token` if it is minted.
+    #[inline]
+    fn cell(&self, token: TokenId) -> NftCell {
+        self.cells.get(token.index()).copied().flatten()
+    }
+
+    /// Overwrites token `t`'s cell, growing the table to cover it.
+    fn write(&mut self, t: usize, owner: u32, approved: Option<u32>) {
+        if t >= self.cells.len() {
+            self.cells.resize(t + 1, None);
+        }
+        self.cells[t] = Some((owner, approved));
     }
 
     /// `ownerOf(token)`.
     pub fn owner_of(&self, token: TokenId) -> Option<ProcessId> {
-        u32::try_from(token.index())
-            .ok()
-            .and_then(|t| self.owners.get(&t))
-            .map(|&o| ProcessId::new(o as usize))
+        self.cell(token)
+            .map(|(owner, _)| ProcessId::new(owner as usize))
     }
 
     /// `getApproved(token)`.
     pub fn get_approved(&self, token: TokenId) -> Option<ProcessId> {
-        u32::try_from(token.index())
-            .ok()
-            .and_then(|t| self.approved.get(&t))
-            .map(|&p| ProcessId::new(p as usize))
+        let (_, approved) = self.cell(token)?;
+        approved.map(|p| ProcessId::new(p as usize))
     }
 
     /// `isApprovedForAll(holder, operator)`.
@@ -265,13 +277,12 @@ impl Erc721State {
         }
     }
 
-    /// `balanceOf(holder)` — a scan over minted tokens (oracle-side
-    /// only; deliberately not in the pipeline op alphabet).
+    /// `balanceOf(holder)` — a scan of the table (oracle-side only;
+    /// deliberately not in the pipeline op alphabet).
     pub fn balance_of(&self, holder: ProcessId) -> usize {
-        let Ok(h) = u32::try_from(holder.index()) else {
-            return 0;
-        };
-        self.owners.values().filter(|&&o| o == h).count()
+        self.minted_tokens()
+            .filter(|&(_, owner, _)| owner == holder)
+            .count()
     }
 
     /// The minted tokens in increasing id order, each with its owner and
@@ -280,12 +291,10 @@ impl Erc721State {
     pub fn minted_tokens(
         &self,
     ) -> impl Iterator<Item = (TokenId, ProcessId, Option<ProcessId>)> + '_ {
-        self.owners.iter().map(|(&t, &owner)| {
-            (
-                TokenId::new(t as usize),
-                ProcessId::new(owner as usize),
-                self.approved.get(&t).map(|&p| ProcessId::new(p as usize)),
-            )
+        let process = |p: u32| ProcessId::new(p as usize);
+        self.cells.iter().enumerate().filter_map(move |(t, cell)| {
+            let (owner, approved) = (*cell)?;
+            Some((TokenId::new(t), process(owner), approved.map(process)))
         })
     }
 
@@ -305,17 +314,12 @@ impl Erc721State {
     pub fn put_token(&mut self, token: TokenId, owner: ProcessId, approved: Option<ProcessId>) {
         assert!(token.index() < self.token_span, "token out of range");
         assert!(owner.index() < self.processes, "owner out of range");
-        let t = cell_index(token.index());
-        self.owners.insert(t, cell_index(owner.index()));
-        match approved {
-            Some(p) => {
-                assert!(p.index() < self.processes, "approved out of range");
-                self.approved.insert(t, cell_index(p.index()));
-            }
-            None => {
-                self.approved.remove(&t);
-            }
-        }
+        assert!(
+            approved.is_none_or(|p| p.index() < self.processes),
+            "approved out of range"
+        );
+        let approved = approved.map(|p| cell_index(p.index()));
+        self.write(token.index(), cell_index(owner.index()), approved);
     }
 
     /// Enables `(holder, operator)` directly — test-fixture aid.
@@ -325,7 +329,13 @@ impl Erc721State {
     /// Panics if either id is out of range.
     pub fn set_operator(&mut self, holder: ProcessId, operator: ProcessId, on: bool) {
         assert!(holder.index() < self.processes && operator.index() < self.processes);
-        let pair = (cell_index(holder.index()), cell_index(operator.index()));
+        self.toggle(
+            (cell_index(holder.index()), cell_index(operator.index())),
+            on,
+        );
+    }
+
+    fn toggle(&mut self, pair: (u32, u32), on: bool) {
         if on {
             self.operators.insert(pair);
         } else {
@@ -333,26 +343,13 @@ impl Erc721State {
         }
     }
 
-    /// Whether `token`, `owner` and `approved` are all inside the state's
-    /// id spaces (delta-apply pre-validation).
-    fn token_row_in_range(&self, token: u32, owner: u32, approved: Option<u32>) -> bool {
-        (token as usize) < self.token_span
-            && (owner as usize) < self.processes
-            && approved.map_or(true, |a| (a as usize) < self.processes)
-    }
-
-    fn may_manage(&self, caller: ProcessId, owner: ProcessId, token: u32) -> bool {
-        caller == owner
-            || self.approved.get(&token) == Some(&cell_index(caller.index()))
-            || self.is_approved_for_all(owner, caller)
-    }
-
-    /// The storage key of `token` if it and every one of `processes`
-    /// lie inside the id spaces — the check each transition makes first.
-    fn key_in_range(&self, token: TokenId, processes: &[ProcessId]) -> Result<u32, Erc721Error> {
-        match token_key(token, self.token_span) {
-            Some(t) if processes.iter().all(|p| p.index() < self.processes) => Ok(t),
-            _ => Err(Erc721Error::BadId),
+    /// The index of `token` if it and every one of `processes` lie
+    /// inside the id spaces — the check each transition makes first.
+    fn key_in_range(&self, token: TokenId, processes: &[ProcessId]) -> Result<usize, Erc721Error> {
+        if token.index() < self.token_span && processes.iter().all(|p| p.index() < self.processes) {
+            Ok(token.index())
+        } else {
+            Err(Erc721Error::BadId)
         }
     }
 
@@ -370,10 +367,10 @@ impl Erc721State {
         token: TokenId,
     ) -> Result<(), Erc721Error> {
         let t = self.key_in_range(token, &[caller, to])?;
-        if self.owners.contains_key(&t) {
+        if self.cell(token).is_some() {
             return Err(Erc721Error::AlreadyMinted(token));
         }
-        self.owners.insert(t, cell_index(to.index()));
+        self.write(t, cell_index(to.index()), None);
         Ok(())
     }
 
@@ -397,20 +394,20 @@ impl Erc721State {
         token: TokenId,
     ) -> Result<(), Erc721Error> {
         let t = self.key_in_range(token, &[caller, from, to])?;
-        let owner = self
-            .owner_of(token)
-            .ok_or(Erc721Error::UnknownToken(token))?;
+        let (holder, approved) = self.cell(token).ok_or(Erc721Error::UnknownToken(token))?;
+        let owner = ProcessId::new(holder as usize);
         if owner != from {
             return Err(Erc721Error::WrongOwner {
                 claimed: from,
                 actual: owner,
             });
         }
-        if !self.may_manage(caller, owner, t) {
+        let c = cell_index(caller.index());
+        if caller != owner && approved != Some(c) && !self.operators.contains(&(holder, c)) {
             return Err(Erc721Error::NotAuthorized { caller, token });
         }
-        self.owners.insert(t, cell_index(to.index()));
-        self.approved.remove(&t);
+        // Single-use approval cleared with the move.
+        self.write(t, cell_index(to.index()), None);
         Ok(())
     }
 
@@ -431,16 +428,12 @@ impl Erc721State {
         if approved.is_some_and(|p| p.index() >= self.processes) {
             return Err(Erc721Error::BadId);
         }
-        let owner = self
-            .owner_of(token)
-            .ok_or(Erc721Error::UnknownToken(token))?;
+        let (holder, _) = self.cell(token).ok_or(Erc721Error::UnknownToken(token))?;
+        let owner = ProcessId::new(holder as usize);
         if caller != owner && !self.is_approved_for_all(owner, caller) {
             return Err(Erc721Error::NotAuthorized { caller, token });
         }
-        match approved {
-            Some(p) => self.approved.insert(t, cell_index(p.index())),
-            None => self.approved.remove(&t),
-        };
+        self.write(t, holder, approved.map(|p| cell_index(p.index())));
         Ok(())
     }
 
@@ -466,6 +459,27 @@ impl Erc721State {
         Ok(())
     }
 
+    /// `op` by `caller`: a mutator runs the typed transition of the same
+    /// name and answers `TRUE` iff it lands; a read of an unminted or
+    /// out-of-range token answers `None`.
+    fn apply_op(&mut self, caller: ProcessId, op: &Erc721Op) -> Erc721Resp {
+        let landed = match *op {
+            Erc721Op::Mint { to, token } => self.mint(caller, to, token),
+            Erc721Op::TransferFrom { from, to, token } => {
+                self.transfer_from(caller, from, to, token)
+            }
+            Erc721Op::Approve { approved, token } => self.approve(caller, approved, token),
+            Erc721Op::SetApprovalForAll { operator, on } => {
+                self.set_approval_for_all(caller, operator, on)
+            }
+            Erc721Op::OwnerOf { token } => return Erc721Resp::Process(self.owner_of(token)),
+            Erc721Op::GetApproved { token } => {
+                return Erc721Resp::Process(self.get_approved(token))
+            }
+        };
+        Erc721Resp::Bool(landed.is_ok())
+    }
+
     /// The movers of `token`: owner, approved process, and the owner's
     /// operators — the ERC721 analogue of `σ_q` for a single token.
     /// Empty for an unminted token.
@@ -487,9 +501,8 @@ impl Erc721State {
     /// The contract-wide synchronization level: `max_t |movers(t)|`
     /// over minted tokens, 1 when none is minted.
     pub fn sync_level(&self) -> usize {
-        self.owners
-            .keys()
-            .map(|&t| self.enabled_movers(TokenId::new(t as usize)).len())
+        self.minted_tokens()
+            .map(|(t, _, _)| self.enabled_movers(t).len())
             .fold(1, usize::max)
     }
 }
@@ -521,22 +534,7 @@ impl ObjectType for Erc721Spec {
     }
 
     fn apply(&self, state: &mut Erc721State, process: ProcessId, op: &Erc721Op) -> Erc721Resp {
-        match *op {
-            Erc721Op::Mint { to, token } => {
-                Erc721Resp::Bool(state.mint(process, to, token).is_ok())
-            }
-            Erc721Op::TransferFrom { from, to, token } => {
-                Erc721Resp::Bool(state.transfer_from(process, from, to, token).is_ok())
-            }
-            Erc721Op::Approve { approved, token } => {
-                Erc721Resp::Bool(state.approve(process, approved, token).is_ok())
-            }
-            Erc721Op::SetApprovalForAll { operator, on } => {
-                Erc721Resp::Bool(state.set_approval_for_all(process, operator, on).is_ok())
-            }
-            Erc721Op::OwnerOf { token } => Erc721Resp::Process(state.owner_of(token)),
-            Erc721Op::GetApproved { token } => Erc721Resp::Process(state.get_approved(token)),
-        }
+        state.apply_op(process, op)
     }
 }
 
@@ -568,114 +566,45 @@ impl Erc721Delta {
     /// producer never emits such a row, so `false` means a corrupt or
     /// foreign delta file.
     pub fn apply_to(&self, state: &mut Erc721State) -> bool {
-        let procs = state.processes;
-        if self
-            .tokens
+        let process = |p: u32| (p as usize) < state.processes;
+        if self.tokens.iter().any(|&(t, owner, approved)| {
+            t as usize >= state.token_span || !process(owner) || !approved.is_none_or(process)
+        }) || self
+            .operators
             .iter()
-            .any(|&(t, o, a)| !state.token_row_in_range(t, o, a))
-            || self
-                .operators
-                .iter()
-                .any(|&(h, o, _)| (h as usize) >= procs || (o as usize) >= procs)
+            .any(|&(h, o, _)| !process(h) || !process(o))
         {
             return false;
         }
         for &(t, owner, approved) in &self.tokens {
-            state.owners.insert(t, owner);
-            match approved {
-                Some(a) => {
-                    state.approved.insert(t, a);
-                }
-                None => {
-                    state.approved.remove(&t);
-                }
-            }
+            state.write(t as usize, owner, approved);
         }
         for &(h, o, on) in &self.operators {
-            if on {
-                state.operators.insert((h, o));
-            } else {
-                state.operators.remove(&(h, o));
-            }
+            state.toggle((h, o), on);
         }
         true
     }
 }
 
-/// One token's cell of the dense table: the token's owner and
-/// single-use approval, or an unminted hole. Packed (no `Option`) so a
-/// cell stays 12 bytes.
-#[derive(Clone, Copy, Debug, Default)]
-struct NftCell {
-    owner: u32,
-    /// The single-use approval; meaningful iff `has_approved`.
-    approved: u32,
-    has_approved: bool,
-    /// Whether the cell holds a token; an unminted cell reads as absent.
-    minted: bool,
-}
-
-impl NftCell {
-    fn new(owner: u32, approved: Option<u32>) -> Self {
-        Self {
-            owner,
-            approved: approved.unwrap_or(0),
-            has_approved: approved.is_some(),
-            minted: true,
-        }
-    }
-
-    fn approved(&self) -> Option<u32> {
-        self.has_approved.then_some(self.approved)
-    }
-}
-
-/// What the one lock of a [`ShardedErc721`] guards: the dense token
-/// table, indexed by token id and one past the highest minted id long,
-/// the enabled operator pairs beside it, and what changed since the last
-/// drain under the mark/drain contract of `shared/marks.rs`.
+/// What the one lock of a [`ShardedErc721`] guards: the state, and what
+/// changed since the last drain under the mark/drain contract of
+/// `shared/marks.rs` — one bit per token cell, and the toggled
+/// `(holder, operator)` pairs.
 #[derive(Debug)]
-struct Table {
-    cells: Vec<NftCell>,
+struct Served {
+    state: Erc721State,
     marks: Marks,
-    operators: BTreeSet<(u32, u32)>,
-    /// The `(holder, operator)` pairs toggled since the last drain.
     dirty_ops: BTreeSet<(u32, u32)>,
-}
-
-impl Table {
-    /// The minted token `t`, if any.
-    #[inline]
-    fn minted(&self, t: u32) -> Option<NftCell> {
-        self.cells
-            .get(t as usize)
-            .copied()
-            .filter(|cell| cell.minted)
-    }
-
-    /// Mark side of the contract: overwrites token `t` (minting it if
-    /// absent) and marks it. A mint past the end of the table grows the
-    /// table and the marks to cover it.
-    #[inline]
-    fn write(&mut self, t: u32, owner: u32, approved: Option<u32>) {
-        let t = t as usize;
-        if t >= self.cells.len() {
-            self.cells.resize(t + 1, NftCell::default());
-            self.marks.grow(t + 1);
-        }
-        self.cells[t] = NftCell::new(owner, approved);
-        self.marks.mark(t);
-    }
 }
 
 /// An ERC721 contract behind one lock, scaling to ~1M token ids.
 ///
-/// Tokens live in one dense table indexed by token id, so every token
-/// operation is one bounds-checked index. The table reaches one past the
-/// highest minted id and grows when a mint lands beyond it: memory is
-/// 12 B per id up to the highest minted id, the unminted tail above it
-/// costs nothing, and an unminted hole below it costs its 12 B. The
-/// enabled operator pairs sit beside the table under the same lock.
+/// Every operation runs the [`Erc721State`] transition of the same name
+/// under the lock; a mutation that lands then marks its token, or its
+/// operator pair. `from_state` moves the state in, and
+/// [`ConcurrentObject::snapshot`] is a clone of it. **Memory:** the
+/// state's (12 B per id up to the highest minted one, at most
+/// 12 B × `token_span`), plus one bit per table cell of dirty tracking.
 ///
 /// Linearizability is established empirically by the per-standard
 /// pipeline proptests
@@ -684,7 +613,7 @@ impl Table {
 ///
 /// Incremental snapshots follow the mark/drain contract of
 /// `shared/marks.rs`, as ERC20 and ERC1155 do: a write sets its token's
-/// bit in the table's bitmap, and
+/// bit (a mint past the end of the table grows the bitmap with it), and
 /// [`drain_delta`](ShardedErc721::drain_delta) walks the bitmap in
 /// token order — `O(1)` per write, one bit per id, drained or not.
 ///
@@ -706,44 +635,26 @@ impl Table {
 /// ```
 #[derive(Debug)]
 pub struct ShardedErc721 {
-    table: Mutex<Table>,
+    served: Mutex<Served>,
     processes: usize,
-    token_span: usize,
 }
 
 impl ShardedErc721 {
-    /// Builds from a sequential state: one walk of the minted tokens
-    /// fills the table; the operator pairs move in.
+    /// Wraps a sequential state. The state moves in: nothing is copied.
     pub fn from_state(state: Erc721State) -> Self {
-        let top = state
-            .owners
-            .last_key_value()
-            .map_or(0, |(&t, _)| t as usize + 1);
-        // Ascending tokens only ever extend the table: one write a cell.
-        let mut cells = Vec::with_capacity(top);
-        for (&t, &owner) in &state.owners {
-            cells.resize(t as usize, NftCell::default());
-            cells.push(NftCell::new(owner, state.approved.get(&t).copied()));
-        }
         Self {
-            table: Mutex::new(Table {
-                cells,
-                marks: Marks::new(top),
-                operators: state.operators,
-                dirty_ops: BTreeSet::new(),
-            }),
             processes: state.processes,
-            token_span: state.token_span,
+            served: Mutex::new(Served {
+                marks: Marks::new(state.cells.len()),
+                dirty_ops: BTreeSet::new(),
+                state,
+            }),
         }
     }
 
     /// Number of processes.
     pub fn processes(&self) -> usize {
         self.processes
-    }
-
-    fn in_range(&self, p: ProcessId) -> bool {
-        p.index() < self.processes
     }
 
     /// Drains the copy-on-write tracking: the current cell of every
@@ -754,30 +665,22 @@ impl ShardedErc721 {
     /// walks the marked tokens and the toggled pairs in ascending order,
     /// so both lists come out sorted.
     pub fn drain_delta(&self) -> Erc721Delta {
-        let mut table = self.table.lock();
-        let Table {
-            cells,
+        let mut served = self.served.lock();
+        let Served {
+            state,
             marks,
-            operators,
             dirty_ops,
-        } = &mut *table;
+        } = &mut *served;
         let mut tokens = Vec::new();
         marks.drain(|t| {
-            // Tokens are never unminted: a marked cell is minted.
-            let cell = cells[t];
-            tokens.push((cell_index(t), cell.owner, cell.approved()));
+            let (owner, approved) = state.cells[t].expect("tokens are never unminted");
+            tokens.push((cell_index(t), owner, approved));
         });
         let operators = std::mem::take(dirty_ops)
             .into_iter()
-            .map(|pair| (pair.0, pair.1, operators.contains(&pair)))
+            .map(|pair| (pair.0, pair.1, state.operators.contains(&pair)))
             .collect();
         Erc721Delta { tokens, operators }
-    }
-
-    /// The length of the token table.
-    #[cfg(test)]
-    fn table_len(&self) -> usize {
-        self.table.lock().cells.len()
     }
 }
 
@@ -787,106 +690,29 @@ impl ConcurrentObject for ShardedErc721 {
     type State = Erc721State;
 
     fn apply(&self, process: ProcessId, op: &Erc721Op) -> Erc721Resp {
-        let caller = cell_index(process.index());
-        let mut table = self.table.lock();
-        match *op {
-            Erc721Op::Mint { to, token } => {
-                let Some(t) = token_key(token, self.token_span) else {
-                    return Erc721Resp::FALSE;
-                };
-                if !self.in_range(to) || !self.in_range(process) || table.minted(t).is_some() {
-                    return Erc721Resp::FALSE;
+        let mut served = self.served.lock();
+        let resp = served.state.apply_op(process, op);
+        if resp == Erc721Resp::TRUE {
+            match *op {
+                Erc721Op::Mint { token, .. }
+                | Erc721Op::TransferFrom { token, .. }
+                | Erc721Op::Approve { token, .. } => {
+                    // A mint past the end grew the table; the marks follow.
+                    served.marks.grow(token.index() + 1);
+                    served.marks.mark(token.index());
                 }
-                table.write(t, cell_index(to.index()), None);
-                Erc721Resp::TRUE
+                Erc721Op::SetApprovalForAll { operator, .. } => {
+                    let pair = (cell_index(process.index()), cell_index(operator.index()));
+                    served.dirty_ops.insert(pair);
+                }
+                Erc721Op::OwnerOf { .. } | Erc721Op::GetApproved { .. } => {}
             }
-            Erc721Op::TransferFrom { from, to, token } => {
-                let Some(t) = token_key(token, self.token_span) else {
-                    return Erc721Resp::FALSE;
-                };
-                if !self.in_range(process) || !self.in_range(to) || !self.in_range(from) {
-                    return Erc721Resp::FALSE;
-                }
-                let Some(cell) = table.minted(t) else {
-                    return Erc721Resp::FALSE;
-                };
-                if cell.owner != cell_index(from.index()) {
-                    return Erc721Resp::FALSE;
-                }
-                let authorized = cell.owner == caller
-                    || cell.approved() == Some(caller)
-                    || table.operators.contains(&(cell.owner, caller));
-                if !authorized {
-                    return Erc721Resp::FALSE;
-                }
-                // Single-use approval cleared with the move.
-                table.write(t, cell_index(to.index()), None);
-                Erc721Resp::TRUE
-            }
-            Erc721Op::Approve { approved, token } => {
-                let Some(t) = token_key(token, self.token_span) else {
-                    return Erc721Resp::FALSE;
-                };
-                if !self.in_range(process) || approved.is_some_and(|p| !self.in_range(p)) {
-                    return Erc721Resp::FALSE;
-                }
-                let Some(cell) = table.minted(t) else {
-                    return Erc721Resp::FALSE;
-                };
-                if cell.owner != caller && !table.operators.contains(&(cell.owner, caller)) {
-                    return Erc721Resp::FALSE;
-                }
-                table.write(t, cell.owner, approved.map(|p| cell_index(p.index())));
-                Erc721Resp::TRUE
-            }
-            Erc721Op::SetApprovalForAll { operator, on } => {
-                if !self.in_range(process) || !self.in_range(operator) || operator == process {
-                    return Erc721Resp::FALSE;
-                }
-                let pair = (caller, cell_index(operator.index()));
-                if on {
-                    table.operators.insert(pair);
-                } else {
-                    table.operators.remove(&pair);
-                }
-                table.dirty_ops.insert(pair);
-                Erc721Resp::TRUE
-            }
-            Erc721Op::OwnerOf { token } => Erc721Resp::Process(
-                token_key(token, self.token_span)
-                    .and_then(|t| table.minted(t))
-                    .map(|c| ProcessId::new(c.owner as usize)),
-            ),
-            Erc721Op::GetApproved { token } => Erc721Resp::Process(
-                token_key(token, self.token_span)
-                    .and_then(|t| table.minted(t))
-                    .and_then(|c| c.approved())
-                    .map(|p| ProcessId::new(p as usize)),
-            ),
         }
+        resp
     }
 
-    /// One ascending walk of the table, so the maps are bulk-built from
-    /// sorted input instead of inserted key by key.
     fn snapshot(&self) -> Erc721State {
-        let table = self.table.lock();
-        let minted = || {
-            table
-                .cells
-                .iter()
-                .enumerate()
-                .filter(|(_, cell)| cell.minted)
-                .map(|(t, cell)| (cell_index(t), cell))
-        };
-        Erc721State {
-            processes: self.processes,
-            token_span: self.token_span,
-            owners: minted().map(|(t, cell)| (t, cell.owner)).collect(),
-            approved: minted()
-                .filter_map(|(t, cell)| Some((t, cell.approved()?)))
-                .collect(),
-            operators: table.operators.clone(),
-        }
+        self.served.lock().state.clone()
     }
 }
 
@@ -903,6 +729,11 @@ mod tests {
     }
     fn t(i: usize) -> TokenId {
         TokenId::new(i)
+    }
+
+    /// The length of the object's token table.
+    fn table_len(nft: &ShardedErc721) -> usize {
+        nft.served.lock().state.cells.len()
     }
 
     #[test]
@@ -957,14 +788,14 @@ mod tests {
     fn tables_reach_one_past_the_highest_minted_slot() {
         // A million-id span with 8 tokens minted: one cell per token.
         let nft = ShardedErc721::from_state(Erc721State::minted_round_robin(4, 1 << 20, 8));
-        assert_eq!(nft.table_len(), 8);
+        assert_eq!(table_len(&nft), 8);
     }
 
     #[test]
     fn a_mint_past_the_table_grows_the_table_and_its_marks() {
         const SPAN: usize = 1 << 12;
         let nft = ShardedErc721::from_state(Erc721State::minted_round_robin(4, SPAN, 8));
-        assert_eq!(nft.table_len(), 8);
+        assert_eq!(table_len(&nft), 8);
         let moved = Erc721Op::TransferFrom {
             from: p(1),
             to: p(2),
@@ -976,7 +807,7 @@ mod tests {
             token: t(SPAN - 1),
         };
         assert_eq!(nft.apply(p(0), &minted), Erc721Resp::TRUE);
-        assert_eq!(nft.table_len(), SPAN);
+        assert_eq!(table_len(&nft), SPAN);
         // The bitmap grew many words past its first one; the drain
         // still reports in token order.
         assert_eq!(
@@ -992,7 +823,7 @@ mod tests {
         let mut genesis = Erc721State::new(4, 1 << 10);
         genesis.put_token(t(100), p(0), None);
         let nft = ShardedErc721::from_state(genesis);
-        assert_eq!(nft.table_len(), 101);
+        assert_eq!(table_len(&nft), 101);
         for (to, token) in [(1, 4), (2, 0)] {
             let mint = Erc721Op::Mint {
                 to: p(to),
@@ -1000,7 +831,7 @@ mod tests {
             };
             assert_eq!(nft.apply(p(0), &mint), Erc721Resp::TRUE);
         }
-        assert_eq!(nft.table_len(), 101);
+        assert_eq!(table_len(&nft), 101);
         assert_eq!(nft.drain_delta().tokens, [(0, 2, None), (4, 1, None)]);
     }
 
@@ -1352,15 +1183,15 @@ mod tests {
             prop_assume!(!o1.footprint(c1).conflicts_with(&o2.footprint(c2)));
             let mut q = Erc721State::new(N, SPAN);
             for &(token, owner) in &minted {
-                q.owners.insert(token as u32, owner as u32);
+                q.put_token(t(token), p(owner), None);
             }
             for &(token, ap) in &approvals {
-                if q.owners.contains_key(&(token as u32)) {
-                    q.approved.insert(token as u32, ap as u32);
+                if let Some(owner) = q.owner_of(t(token)) {
+                    q.put_token(t(token), owner, Some(p(ap)));
                 }
             }
             for &(h, o) in &operators {
-                q.operators.insert((h as u32, o as u32));
+                q.set_operator(p(h), p(o), true);
             }
             let spec = Erc721Spec::new(Erc721State::new(N, SPAN));
             let mut qa = q.clone();
@@ -1390,7 +1221,7 @@ mod tests {
             let mut oracle = spec.initial_state();
             let drained = ShardedErc721::from_state(genesis.clone());
             let undrained = ShardedErc721::from_state(genesis.clone());
-            let listed = |nft: &ShardedErc721| nft.table.lock().marks.count();
+            let listed = |nft: &ShardedErc721| nft.served.lock().marks.count();
             // Tokens and `(holder, operator)` pairs written since the
             // last drain; every token ever written.
             let mut tokens = BTreeSet::new();

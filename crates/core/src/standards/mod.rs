@@ -30,3 +30,13 @@ pub mod erc1155;
 pub mod erc1363;
 pub mod erc721;
 pub mod erc777;
+
+/// The most cells a dense state may declare: ERC721's token-id span, or
+/// ERC1155's `accounts × types` balance matrix. A dense state's memory
+/// is set by what it declares, not by what it holds, so this is the one
+/// bound on what a deploy, a decoded snapshot or a replicated state can
+/// make the process allocate: 16 Mi cells, 192 MiB of ERC721 token
+/// cells or 128 MiB of ERC1155 balances. The constructors panic past
+/// it; the state decoders refuse it with a
+/// [`CodecError`](crate::codec::CodecError).
+pub const MAX_DENSE_CELLS: usize = 1 << 24;

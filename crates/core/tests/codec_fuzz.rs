@@ -9,20 +9,29 @@
 //!   value reproduces exactly the consumed prefix (encode → decode →
 //!   encode is byte-identical), so a decoded value can never alias two
 //!   different byte strings.
+//! * **Restorable** — every state that decodes builds its served object,
+//!   as recovery does with it: a decoder that let a state declare more
+//!   than `MAX_DENSE_CELLS` would abort the process here.
 
 use proptest::prelude::*;
 use tokensync_core::codec::{Codec, CodecError};
 use tokensync_core::erc20::{Erc20Delta, Erc20Op, Erc20Resp, Erc20State};
-use tokensync_core::standards::erc1155::{Erc1155Delta, Erc1155Op, Erc1155Resp, Erc1155State};
-use tokensync_core::standards::erc721::{Erc721Delta, Erc721Op, Erc721Resp, Erc721State};
+use tokensync_core::shared::ShardedErc20;
+use tokensync_core::standards::erc1155::{
+    Erc1155Delta, Erc1155Op, Erc1155Resp, Erc1155State, ShardedErc1155,
+};
+use tokensync_core::standards::erc721::{
+    Erc721Delta, Erc721Op, Erc721Resp, Erc721State, ShardedErc721,
+};
 
 /// Drives one codec over one byte string: decode must not panic; a
 /// successful decode must re-encode to exactly the bytes it consumed and
-/// that re-encoding must decode back to an equal value.
-fn assert_codec_total<C: Codec + PartialEq + std::fmt::Debug>(bytes: &[u8]) {
+/// that re-encoding must decode back to an equal value, which is
+/// returned.
+fn assert_codec_total<C: Codec + PartialEq + std::fmt::Debug>(bytes: &[u8]) -> Option<C> {
     let mut input = bytes;
     let Ok(value) = C::decode(&mut input) else {
-        return; // a typed error is a pass — only a panic would fail
+        return None; // a typed error is a pass — only a panic would fail
     };
     let consumed = &bytes[..bytes.len() - input.len()];
     let reencoded = value.encode();
@@ -34,21 +43,33 @@ fn assert_codec_total<C: Codec + PartialEq + std::fmt::Debug>(bytes: &[u8]) {
     let redecoded = C::decode(&mut again).expect("re-encoding must decode");
     assert!(again.is_empty(), "re-decode left trailing bytes");
     assert_eq!(redecoded, value);
+    Some(value)
+}
+
+/// A state codec as [`assert_codec_total`] drives it, then what recovery
+/// does with a decoded state: `restore` builds the served object.
+fn assert_state_total<S: Codec + PartialEq + std::fmt::Debug, T>(
+    bytes: &[u8],
+    restore: impl FnOnce(S) -> T,
+) {
+    if let Some(state) = assert_codec_total::<S>(bytes) {
+        drop(restore(state));
+    }
 }
 
 /// All twelve persisted codecs over the same byte string.
 fn assert_all_codecs_total(bytes: &[u8]) {
     assert_codec_total::<Erc20Op>(bytes);
     assert_codec_total::<Erc20Resp>(bytes);
-    assert_codec_total::<Erc20State>(bytes);
+    assert_state_total::<Erc20State, _>(bytes, ShardedErc20::from_state);
     assert_codec_total::<Erc20Delta>(bytes);
     assert_codec_total::<Erc721Op>(bytes);
     assert_codec_total::<Erc721Resp>(bytes);
-    assert_codec_total::<Erc721State>(bytes);
+    assert_state_total::<Erc721State, _>(bytes, ShardedErc721::from_state);
     assert_codec_total::<Erc721Delta>(bytes);
     assert_codec_total::<Erc1155Op>(bytes);
     assert_codec_total::<Erc1155Resp>(bytes);
-    assert_codec_total::<Erc1155State>(bytes);
+    assert_state_total::<Erc1155State, _>(bytes, ShardedErc1155::from_state);
     assert_codec_total::<Erc1155Delta>(bytes);
 }
 

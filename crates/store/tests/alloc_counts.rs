@@ -1,5 +1,5 @@
-//! Heap allocations as a regression gate on the recovery and create
-//! paths. Wall-clock medians move with the host; the number of `malloc`
+//! Heap allocations as a regression gate on the recovery, create and
+//! snapshot paths. Wall-clock medians move with the host; the number of `malloc`
 //! calls a code path makes does not, so these counts pin the work.
 //!
 //! A counting global allocator tallies allocations per thread; each
@@ -173,13 +173,14 @@ fn restore_allocs<T: Restorable>(genesis: impl Fn(usize) -> T::State) -> Vec<u64
         .collect()
 }
 
-/// The live object takes the recovered state and adds its dirty
-/// bitmaps (and, for the dense standards, its table) with one allocation
-/// apiece: the count is a small constant, not a function of the accounts.
+/// Every live object moves the recovered state in and adds only its
+/// dirty bitmaps, one allocation apiece (ERC1155 also copies its
+/// per-type supplies, for lock-free reads): the same count at every
+/// size, and at most three.
 fn assert_restore_flat(counts: &[u64], what: &str) {
     let (small, large) = (counts[0], counts[1]);
     assert!(
-        large <= small && small <= 8,
+        large == small && small <= 3,
         "{what}: restore made {small} allocations at n = {} and {large} at n = {}",
         SIZES[0],
         SIZES[1]
@@ -203,16 +204,49 @@ fn minted_721(n: usize) -> Erc721State {
     state
 }
 
-/// ERC721 fills one table from the minted tokens and moves the
-/// operator pairs in.
+/// ERC721 moves its token table and operator pairs in.
 #[test]
 fn restore_allocations_do_not_grow_with_accounts_erc721() {
     assert_restore_flat(&restore_allocs::<ShardedErc721>(minted_721), "ERC721");
 }
 
-/// ERC1155 fills one balance matrix and moves the operator pairs and
-/// supplies in.
+/// ERC1155 moves its balance matrix, operator pairs and supplies in.
 #[test]
 fn restore_allocations_do_not_grow_with_accounts_erc1155() {
     assert_restore_flat(&restore_allocs::<ShardedErc1155>(funded_1155), "ERC1155");
+}
+
+/// `snapshot()`'s allocations on an object restored from the genesis of
+/// each size.
+fn snapshot_allocs<T: Restorable>(genesis: impl Fn(usize) -> T::State) -> Vec<u64> {
+    SIZES
+        .iter()
+        .map(|&n| {
+            let object = T::restore(genesis(n));
+            counted(|| object.snapshot()).1
+        })
+        .collect()
+}
+
+/// A dense standard's snapshot is a clone of its state: one allocation
+/// per table (ERC721's token cells; ERC1155's balance matrix and
+/// supplies), whatever the size, and nothing buffered on the way.
+fn assert_snapshot_flat(counts: &[u64], what: &str) {
+    let (small, large) = (counts[0], counts[1]);
+    assert!(
+        large == small && small <= 2,
+        "{what}: snapshot made {small} allocations at n = {} and {large} at n = {}",
+        SIZES[0],
+        SIZES[1]
+    );
+}
+
+#[test]
+fn snapshot_allocations_do_not_grow_with_accounts_erc721() {
+    assert_snapshot_flat(&snapshot_allocs::<ShardedErc721>(minted_721), "ERC721");
+}
+
+#[test]
+fn snapshot_allocations_do_not_grow_with_accounts_erc1155() {
+    assert_snapshot_flat(&snapshot_allocs::<ShardedErc1155>(funded_1155), "ERC1155");
 }

@@ -1,19 +1,25 @@
 //! Readers that face bytes from outside the process — a shipped frame,
-//! a corrupt segment tail — fail closed: an error or "nothing yet",
-//! never a panic and never an allocation sized by an unchecked length.
+//! a corrupt segment tail, a foreign snapshot — fail closed: an error or
+//! "nothing yet", never a panic and never an allocation sized by an
+//! unchecked length or an unchecked declaration.
 
 mod common;
 
 use std::io::Write;
+use std::marker::PhantomData;
 
 use common::{temp_dir, wal_segments};
-use tokensync_core::codec::StateCodec;
+use tokensync_core::codec::{Codec, CodecError, StateCodec};
 use tokensync_core::erc20::{Erc20Op, Erc20Resp, Erc20State};
 use tokensync_core::shared::ShardedErc20;
+use tokensync_core::standards::erc1155::{Erc1155State, ShardedErc1155, TypeId};
+use tokensync_core::standards::erc721::{Erc721State, ShardedErc721, TokenId};
 use tokensync_pipeline::{run_script_with_sink, BatchConfig, CommittedOp, PipelineConfig};
 use tokensync_spec::{AccountId, ProcessId};
 use tokensync_store::wal::Wal;
-use tokensync_store::{decode_commits, Store, StoreConfig, StoreError};
+use tokensync_store::{
+    decode_commits, install_snapshot, recover, Restorable, Store, StoreConfig, StoreError,
+};
 
 fn transfers(count: usize) -> Vec<(ProcessId, Erc20Op)> {
     (0..count)
@@ -120,4 +126,112 @@ fn open_over_a_log_hole_diverges_where_the_log_resumes() {
         Err(StoreError::Divergence { seq: 20 })
     ));
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A state body of `S`'s standard, encoded field by field with the
+/// product's codecs: how a test writes a snapshot that no in-process
+/// state can hold. Write-only.
+struct Declared<S>(Vec<u8>, PhantomData<S>);
+
+impl<S> Codec for Declared<S> {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.0);
+    }
+
+    fn decode(_: &mut &[u8]) -> Result<Self, CodecError> {
+        Err(CodecError::Invalid("a declared body is write-only"))
+    }
+}
+
+impl<S: StateCodec> StateCodec for Declared<S> {
+    const STANDARD: u8 = S::STANDARD;
+    const VERSION: u8 = S::VERSION;
+}
+
+/// Publishes `body` as the only snapshot of a fresh store directory and
+/// recovers `T` from it.
+fn recover_declared<T>(name: &str, body: Vec<u8>) -> Result<T::State, StoreError>
+where
+    T: Restorable,
+    T::Op: Codec,
+    T::Resp: Codec,
+    T::State: StateCodec,
+{
+    let dir = temp_dir(name);
+    install_snapshot(&dir, 0, &Declared::<T::State>(body, PhantomData)).unwrap();
+    let recovered = recover::<T>(&dir).map(|r| r.object.snapshot());
+    std::fs::remove_dir_all(&dir).unwrap();
+    recovered
+}
+
+/// An ERC721 body: `processes`, the span, one token minted to `p0` at
+/// `token`, no approval, no operator pairs.
+fn one_token_721(span: u32, token: u32) -> Vec<u8> {
+    let mut body = (4u32, span, 1u32).encode();
+    let row = (
+        TokenId::new(token as usize),
+        ProcessId::new(0),
+        None::<ProcessId>,
+    );
+    row.encode_into(&mut body);
+    0u32.encode_into(&mut body);
+    body
+}
+
+/// Span `u32::MAX` with one token at `u32::MAX − 1`: 25 bytes that a
+/// dense table would answer with ≈ 51 GB. Decode refuses the span, so
+/// recovery finds no usable snapshot instead of aborting the process.
+#[test]
+fn an_erc721_snapshot_declaring_span_u32_max_fails_recovery_cleanly() {
+    let body = one_token_721(u32::MAX, u32::MAX - 1);
+    assert_eq!(body.len(), 25);
+    assert_eq!(
+        Erc721State::decode(&mut &body[..]),
+        Err(CodecError::Invalid("token span exceeds MAX_DENSE_CELLS"))
+    );
+    assert!(matches!(
+        recover_declared::<ShardedErc721>("declared-721", body),
+        Err(StoreError::NoSnapshot)
+    ));
+    // The same bytes with a span inside the ceiling recover.
+    let state =
+        recover_declared::<ShardedErc721>("declared-721-ok", one_token_721(64, 63)).unwrap();
+    assert_eq!(state.owner_of(TokenId::new(63)), Some(ProcessId::new(0)));
+}
+
+/// An ERC1155 body as `deploy(accounts, p0, &[1; types])` encodes it.
+fn deployed_1155(accounts: u32, types: u32) -> Vec<u8> {
+    let mut body = accounts.encode();
+    types.encode_into(&mut body);
+    for _ in 0..types {
+        1u64.encode_into(&mut body);
+    }
+    types.encode_into(&mut body);
+    for t in 0..types {
+        (TypeId::new(t as usize), AccountId::new(0), 1u64).encode_into(&mut body);
+    }
+    0u32.encode_into(&mut body);
+    body
+}
+
+/// `deploy(u32::MAX, _, &[1; 64])`: 1 552 bytes that a dense matrix
+/// would answer with ≈ 2.2 TB. Decode refuses `accounts × types`, so
+/// recovery finds no usable snapshot instead of aborting the process.
+#[test]
+fn an_erc1155_snapshot_declaring_u32_max_accounts_fails_recovery_cleanly() {
+    let body = deployed_1155(u32::MAX, 64);
+    assert_eq!(body.len(), 1552);
+    assert_eq!(
+        Erc1155State::decode(&mut &body[..]),
+        Err(CodecError::Invalid(
+            "accounts × types exceeds MAX_DENSE_CELLS"
+        ))
+    );
+    assert!(matches!(
+        recover_declared::<ShardedErc1155>("declared-1155", body),
+        Err(StoreError::NoSnapshot)
+    ));
+    let state =
+        recover_declared::<ShardedErc1155>("declared-1155-ok", deployed_1155(8, 64)).unwrap();
+    assert_eq!(state, Erc1155State::deploy(8, ProcessId::new(0), &[1; 64]));
 }
