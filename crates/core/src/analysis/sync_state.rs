@@ -142,7 +142,7 @@ impl SyncWitness {
 /// needs no witness).
 ///
 /// Candidates with `k ≥ 2` all carry outstanding approvals, so the search
-/// runs over the sparse approval support in `O(outstanding approvals)`.
+/// runs over the approval support in `O(n / 64 + outstanding approvals)`.
 /// Accounts without approvals yield at most a `k = 1` witness (`σ_q(a) =
 /// {ω(a)}` whenever `β(a) > 0`), of which only the lowest-id one can win
 /// the tie-break — it is scanned for only when no stronger witness exists.

@@ -25,7 +25,7 @@
 
 use tokensync_spec::{AccountId, Amount, ProcessId};
 
-use crate::erc20::{Erc20Delta, Erc20Op, Erc20Resp, Erc20State, SpenderMap};
+use crate::erc20::{AccountBits, Erc20Delta, Erc20Op, Erc20Resp, Erc20State, SpenderMap};
 use crate::standards::erc1155::{Erc1155Delta, Erc1155Op, Erc1155Resp, Erc1155State, TypeId};
 use crate::standards::erc721::{Erc721Delta, Erc721Op, Erc721Resp, Erc721State, TokenId};
 use crate::standards::MAX_DENSE_CELLS;
@@ -463,9 +463,9 @@ impl Codec for Erc20State {
         })?;
         let n = balances.len();
         let mut allowances = vec![SpenderMap::new(); n];
-        // Strictly increasing by `get_rows`, and one per non-empty row:
-        // exactly the approval index, in order.
-        let with_approvals = get_rows(input, |input| {
+        // One bit per non-empty row: exactly the approval support.
+        let mut with_approvals = AccountBits::new(n);
+        get_rows(input, |input| {
             let account = u32::decode(input)?;
             let slot = allowances
                 .get_mut(account as usize)
@@ -475,7 +475,8 @@ impl Codec for Erc20State {
                 return Err(CodecError::Invalid("empty allowance row not canonical"));
             }
             *slot = row;
-            Ok((account, account))
+            with_approvals.set(account as usize, true);
+            Ok((account, ()))
         })?;
         Ok(Erc20State::from_rows(
             balances,

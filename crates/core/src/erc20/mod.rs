@@ -21,4 +21,5 @@ mod state;
 pub use ops::{Erc20Op, Erc20Resp};
 pub use sparse::SpenderMap;
 pub use spec::Erc20Spec;
+pub(crate) use state::AccountBits;
 pub use state::{Erc20Delta, Erc20State};

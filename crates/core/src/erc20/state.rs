@@ -1,6 +1,6 @@
 //! The ERC20 state `q = (β, α)` and its transition logic.
 
-use std::collections::BTreeSet;
+use std::fmt;
 
 use tokensync_spec::{AccountId, Amount, ProcessId};
 
@@ -19,6 +19,12 @@ use super::sparse::SpenderMap;
 /// instead of the `O(n²)` of a dense matrix. A million-account token with a
 /// few approvals per account fits in tens of megabytes; the dense matrix
 /// would need eight terabytes.
+///
+/// Which rows are non-empty is kept beside them as one bit per account
+/// (`n / 8` bytes: 125 KB at a million accounts), so enumerating the
+/// approval-bearing accounts reads `n / 64` words instead of `n` rows,
+/// and decoding or cloning it is one allocation whatever the number of
+/// approvals.
 ///
 /// The total supply `Σ_a β(a)` is cached and maintained incrementally by
 /// the mutators (it is invariant under every object operation), so
@@ -48,13 +54,12 @@ pub struct Erc20State {
     balances: Vec<Amount>,
     /// `allowances[a]` is the sparse row `α(a, ·)`.
     allowances: Vec<SpenderMap>,
-    /// Indices of the accounts whose row is non-empty — the support of
-    /// `α` by account, maintained on every emptiness transition so the
-    /// analysis layer can enumerate approval-bearing accounts in
-    /// `O(outstanding approvals)` instead of scanning all `n` rows.
-    /// Derived data, but canonical (a function of `allowances`), so the
-    /// derived `Eq`/`Hash` stay exact.
-    approval_index: BTreeSet<u32>,
+    /// The accounts whose row is non-empty — the support of `α` by
+    /// account, flipped on every emptiness transition so the analysis
+    /// layer can enumerate approval-bearing accounts without reading all
+    /// `n` rows. Derived data, but canonical (a function of
+    /// `allowances`), so the derived `Eq`/`Hash` stay exact.
+    with_approvals: AccountBits,
     /// Cached `Σ_a β(a)`; maintained by every mutator.
     supply: Amount,
 }
@@ -65,7 +70,7 @@ impl Erc20State {
         Self {
             balances: vec![0; n],
             allowances: vec![SpenderMap::new(); n],
-            approval_index: BTreeSet::new(),
+            with_approvals: AccountBits::new(n),
             supply: 0,
         }
     }
@@ -91,33 +96,33 @@ impl Erc20State {
         Self {
             balances,
             allowances: vec![SpenderMap::new(); n],
-            approval_index: BTreeSet::new(),
+            with_approvals: AccountBits::new(n),
             supply,
         }
     }
 
     /// Assembles a state from rows that are already canonical: `supply`
     /// is `Σ balances`, every row of `allowances` is a valid
-    /// [`SpenderMap`], and `with_approvals` lists exactly the indices of
-    /// the non-empty rows, strictly increasing — so the approval index is
-    /// bulk-built instead of inserted row by row. Decoders that have
-    /// checked all of this use it.
+    /// [`SpenderMap`], and `with_approvals` over `balances.len()`
+    /// accounts holds exactly the non-empty rows — so the support is set
+    /// bit by bit as a decoder reads the rows instead of found by a scan.
+    /// Decoders that have checked all of this use it.
     pub(crate) fn from_rows(
         balances: Vec<Amount>,
         allowances: Vec<SpenderMap>,
-        with_approvals: Vec<u32>,
+        with_approvals: AccountBits,
         supply: Amount,
     ) -> Self {
         debug_assert_eq!(balances.len(), allowances.len());
-        debug_assert!(with_approvals.windows(2).all(|w| w[0] < w[1]));
-        debug_assert_eq!(
-            with_approvals.len(),
-            allowances.iter().filter(|row| !row.is_empty()).count()
-        );
+        let non_empty = allowances
+            .iter()
+            .enumerate()
+            .filter(|(_, row)| !row.is_empty());
+        debug_assert!(with_approvals.iter().eq(non_empty.map(|(a, _)| a)));
         Self {
             balances,
             allowances,
-            approval_index: with_approvals.into_iter().collect(),
+            with_approvals,
             supply,
         }
     }
@@ -174,19 +179,19 @@ impl Erc20State {
     /// The accounts with at least one outstanding approval, in increasing
     /// order — the only accounts whose enabled-spender set can exceed
     /// `{ω(a)}`. Iterating these instead of all of `A` is what makes the
-    /// partition/sync-level analysis `O(outstanding approvals)`.
+    /// partition/sync-level analysis `O(n / 64 + outstanding approvals)`:
+    /// the walk reads the support bitmap a word of 64 accounts at a time
+    /// and touches only the rows it names.
     pub fn accounts_with_approvals(&self) -> impl Iterator<Item = AccountId> + '_ {
-        self.approval_index
-            .iter()
-            .map(|&i| AccountId::new(i as usize))
+        self.with_approvals.iter().map(AccountId::new)
     }
 
     /// Total number of outstanding approvals `E = |{(a, p) : α(a, p) > 0}|`
     /// across all accounts.
     pub fn outstanding_approvals(&self) -> usize {
-        self.approval_index
+        self.with_approvals
             .iter()
-            .map(|&i| self.allowances[i as usize].len())
+            .map(|a| self.allowances[a].len())
             .sum()
     }
 
@@ -225,23 +230,14 @@ impl Erc20State {
             spender.index() < self.balances.len(),
             "spender {spender} out of range"
         );
-        let row = &mut self.allowances[account.index()];
-        let was_empty = row.is_empty();
-        row.set(spender.index(), value);
-        if row.is_empty() != was_empty {
-            self.index_transition(account.index());
-        }
+        self.set_row_entry(account.index(), spender.index(), value);
     }
 
-    /// Re-syncs `approval_index` for `account` after its row crossed an
-    /// emptiness boundary.
-    fn index_transition(&mut self, account: usize) {
-        let key = u32::try_from(account).expect("account index exceeds u32::MAX");
-        if self.allowances[account].is_empty() {
-            self.approval_index.remove(&key);
-        } else {
-            self.approval_index.insert(key);
-        }
+    /// `α(account, spender) := value`, keeping the support exact.
+    fn set_row_entry(&mut self, account: usize, spender: usize, value: Amount) {
+        let row = &mut self.allowances[account];
+        row.set(spender, value);
+        self.with_approvals.set(account, !row.is_empty());
     }
 
     fn check_account(&self, account: AccountId) -> Result<(), TokenError> {
@@ -332,7 +328,7 @@ impl Erc20State {
         let row = &mut self.allowances[from.index()];
         row.debit(caller.index(), value);
         if row.is_empty() {
-            self.index_transition(from.index());
+            self.with_approvals.set(from.index(), false);
         }
         self.balances[from.index()] -= value;
         self.balances[to.index()] += value;
@@ -354,23 +350,67 @@ impl Erc20State {
     ) -> Result<(), TokenError> {
         self.check_process(caller)?;
         self.check_process(spender)?;
-        let row = &mut self.allowances[caller.index()];
-        let was_empty = row.is_empty();
-        row.set(spender.index(), value);
-        if row.is_empty() != was_empty {
-            self.index_transition(caller.index());
-        }
+        self.set_row_entry(caller.index(), spender.index(), value);
         Ok(())
     }
 
     /// Overwrites one account's full row — balance plus allowance row —
     /// with current values (the delta-snapshot apply path). Keeps the
-    /// supply cache and approval index exact.
+    /// supply cache and the approval support exact.
     fn replace_account_row(&mut self, account: usize, balance: Amount, row: SpenderMap) {
         self.supply = self.supply - self.balances[account] + balance;
         self.balances[account] = balance;
+        self.with_approvals.set(account, !row.is_empty());
         self.allowances[account] = row;
-        self.index_transition(account);
+    }
+}
+
+/// A set of accounts `0..n` as one bit per account, `n.div_ceil(64)`
+/// words. Bits at or past `n` stay clear, so the words are a function of
+/// the set and its bound and the derived `Eq`/`Hash` are exact.
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
+pub(crate) struct AccountBits {
+    words: Vec<u64>,
+}
+
+impl AccountBits {
+    /// The empty set over accounts `0..n`.
+    pub(crate) fn new(n: usize) -> Self {
+        Self {
+            words: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    /// Puts `account` in the set or takes it out.
+    #[inline]
+    pub(crate) fn set(&mut self, account: usize, member: bool) {
+        let (word, bit) = (&mut self.words[account >> 6], 1 << (account & 63));
+        if member {
+            *word |= bit;
+        } else {
+            *word &= !bit;
+        }
+    }
+
+    /// The members, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let bit = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    w << 6 | bit
+                })
+            })
+        })
+    }
+}
+
+/// Prints the members, as the ordered set it stands for.
+impl fmt::Debug for AccountBits {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 

@@ -14,6 +14,7 @@
 //! and verifies every recorded response, and [`CommitLog::to_history`]
 //! exposes it to the workspace's Wing–Gong–Lowe checker.
 
+use std::borrow::Borrow;
 use std::fmt::Debug;
 
 use tokensync_spec::{History, ObjectType, ProcessId};
@@ -61,14 +62,22 @@ impl<Resp: Debug> std::fmt::Display for ReplayDivergence<Resp> {
 impl<Resp: Debug> std::error::Error for ReplayDivergence<Resp> {}
 
 /// The one verified sequential replay: applies `entries` to `state`
-/// through `spec`, checking every recorded response. The first mismatch
-/// is returned as a [`ReplayDivergence`] (its op already applied).
-pub fn replay_verified<S: ObjectType>(
+/// through `spec` in order, checking every recorded response. The first
+/// mismatch is returned as a [`ReplayDivergence`] (its op already
+/// applied, nothing after it taken). Entries are taken one at a time,
+/// by reference or by value, so a caller decoding them from bytes
+/// replays each as it is decoded and never holds the whole run.
+pub fn replay_verified<S, E>(
     spec: &S,
     state: &mut S::State,
-    entries: &[CommittedOp<S::Op, S::Resp>],
-) -> Result<(), ReplayDivergence<S::Resp>> {
+    entries: impl IntoIterator<Item = E>,
+) -> Result<(), ReplayDivergence<S::Resp>>
+where
+    S: ObjectType,
+    E: Borrow<CommittedOp<S::Op, S::Resp>>,
+{
     for entry in entries {
+        let entry = entry.borrow();
         let expected = spec.apply(state, entry.caller, &entry.op);
         if expected != entry.resp {
             return Err(ReplayDivergence {

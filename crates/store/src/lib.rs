@@ -26,7 +26,8 @@
 //! `snap-<mark>.delta` series; every `compact_every`-th trigger instead
 //! posts a full snapshot cut from the live object at that seal.
 //! Recovery replays the surviving log suffix on one core through the
-//! sequential oracle, checking every recorded response, and
+//! sequential oracle, one record's entries at a time as the log scan
+//! decodes them, checking every recorded response, and
 //! then moves the replayed state into the live object. On a
 //! million-entry log that replay ran about five times faster than a
 //! footprint-parallel one (docs/persistence.md has the phase costs).

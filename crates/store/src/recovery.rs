@@ -3,12 +3,14 @@
 //!
 //! Recovery resolves the newest valid **snapshot chain** — a full
 //! snapshot plus any incremental deltas published on top of it — then
-//! replays the surviving log suffix onto the chain state through the
+//! streams the surviving log suffix onto the chain state through the
 //! standard's sequential oracle, checking every recorded response
 //! ([`replay_verified`]), and finally moves that state into the live
 //! sharded object ([`Restorable::restore`]). One path, one core: on a
 //! million-entry log the oracle replay ran about five times faster than
-//! the footprint-parallel replay it replaced (docs/persistence.md has
+//! the footprint-parallel replay it replaced. The suffix is never held
+//! whole: each CRC-valid record's entries are decoded and replayed one
+//! at a time as the scan reaches the record (docs/persistence.md has
 //! the phase costs).
 
 use std::path::Path;
@@ -24,7 +26,7 @@ use tokensync_spec::ObjectType;
 
 use crate::error::StoreError;
 use crate::snapshot::{latest_snapshot, read_snapshot, Kind};
-use crate::wal::{read_entries, ScanStop};
+use crate::wal::{decode_entries, scan_log, ScanStop};
 
 /// A servable object that can be rebuilt from its oracle state — the
 /// recovery-side counterpart of [`ConcurrentObject::snapshot`]. The
@@ -212,8 +214,9 @@ pub struct Recovered<T: ConcurrentObject> {
 
 /// Recovers the store in `dir`: resolves the newest valid snapshot
 /// chain, replays the surviving log suffix onto it through the
-/// sequential oracle — verifying every recorded response on the way —
-/// and moves the replayed state into the live sharded object.
+/// sequential oracle — decoding each record's entries as the log scan
+/// reaches it and verifying every recorded response on the way — and
+/// moves the replayed state into the live sharded object.
 ///
 /// The recovered history is always a *prefix* of the committed history:
 /// record framing is CRC-checked and sequence numbers are gap-free, so
@@ -222,13 +225,16 @@ pub struct Recovered<T: ConcurrentObject> {
 ///
 /// # Errors
 ///
+/// The first fault in log order, since each entry is replayed before
+/// the next is decoded:
 /// [`StoreError::NoSnapshot`] for an uninitialized directory,
-/// [`StoreError::WrongStandard`] for a directory of another standard or
+/// [`StoreError::WrongStandard`] for a segment of another standard or
 /// codec version, [`StoreError::Divergence`] at the first logged
 /// response that disagrees with the oracle replay (snapshot/log
 /// mismatch — the store is untrustworthy), [`StoreError::Codec`] for
-/// CRC-valid but undecodable records (encoder/decoder skew), and I/O
-/// errors.
+/// a CRC-valid but undecodable entry (encoder/decoder skew), and I/O
+/// errors. A divergent entry followed by an undecodable one is a
+/// `Divergence`.
 pub fn recover<T>(dir: &Path) -> Result<Recovered<T>, StoreError>
 where
     T: Restorable,
@@ -245,13 +251,32 @@ where
     let snapshot_load = load_started.elapsed();
 
     let replay_started = Instant::now();
-    let (live, scan) = read_entries::<T::Op, T::Resp>(
+    let spec = oracle::<T>();
+    let mut next = mark;
+    let scan = scan_log::<StoreError>(
         dir,
         <T::State as StateCodec>::STANDARD,
         <T::State as StateCodec>::VERSION,
-        mark,
+        |head, bytes| {
+            // Records wholly below the mark (already folded into the
+            // chain) or past a gap are frame-checked by the scan but never
+            // decoded; the record straddling the mark replays only its
+            // suffix.
+            if head.first_seq > next || next >= head.end_seq() {
+                return Ok(());
+            }
+            let (from, mut fault) = (next, None);
+            let entries = decode_entries::<T::Op, T::Resp>(head, bytes)
+                .map_while(|entry| entry.map_err(|e| fault = Some(e)).ok())
+                .filter(|entry| entry.seq >= from);
+            replay_verified(&spec, &mut state, entries)?;
+            if let Some(e) = fault {
+                return Err(StoreError::Codec(e));
+            }
+            next = head.end_seq();
+            Ok(())
+        },
     )?;
-    replay_verified(&oracle::<T>(), &mut state, &live)?;
     let object = T::restore(state.clone());
     let replay = replay_started.elapsed();
 
@@ -260,8 +285,8 @@ where
         state,
         snapshot_watermark: mark,
         delta_links: links,
-        replayed: live.len() as u64,
-        next_seq: mark + live.len() as u64,
+        replayed: next - mark,
+        next_seq: next,
         log_stop: scan.stop,
         epoch: scan.epoch,
         snapshot_load,

@@ -28,11 +28,11 @@
 //! frame whose length, checksum, or sequence continuity fails, and
 //! deletes any segments past the failure (data after a bad frame is
 //! unreachable — sequence numbers are gap-free, so nothing beyond it
-//! could ever be replayed). The same scan backs the recovery-side
-//! reader, which decodes the surviving prefix.
+//! could ever be replayed). The same scan backs recovery, which decodes
+//! and replays the surviving prefix one record at a time.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use tokensync_core::codec::{Codec, CodecError};
@@ -229,6 +229,85 @@ fn walk_frames<E>(
     Ok((offset as u64, next_seq, offset == bytes.len()))
 }
 
+/// Bytes a log scan reads from a segment file at a time.
+const SCAN_CHUNK: usize = 256 << 10;
+
+/// A segment file read front to back through one buffer of about
+/// [`SCAN_CHUNK`] bytes (or one frame, if a frame is longer): a scan
+/// holds that much of the log at a time, not whole segments.
+struct SegmentReader {
+    file: File,
+    /// Bytes of the file not read yet, by its length at open.
+    unread: u64,
+    buf: Vec<u8>,
+    /// Bytes at the front of `buf` already consumed.
+    pos: usize,
+}
+
+impl SegmentReader {
+    /// Opens the segment at `path` and reads its first chunk.
+    fn open(path: &Path) -> Result<Self, StoreError> {
+        let file = File::open(path)?;
+        let unread = file.metadata()?.len();
+        let mut reader = Self {
+            file,
+            unread,
+            buf: Vec::new(),
+            pos: 0,
+        };
+        reader.fill(SCAN_CHUNK)?;
+        Ok(reader)
+    }
+
+    /// The bytes read and not consumed yet.
+    fn buffered(&self) -> &[u8] {
+        &self.buf[self.pos..]
+    }
+
+    fn consume(&mut self, bytes: usize) {
+        self.pos += bytes;
+    }
+
+    /// Reads until `want` bytes are buffered or the file ends.
+    fn fill(&mut self, want: usize) -> Result<(), StoreError> {
+        self.buf.drain(..self.pos);
+        self.pos = 0;
+        let more = (want.saturating_sub(self.buf.len()) as u64).min(self.unread);
+        self.buf.reserve_exact(more as usize);
+        let read = (&mut self.file).take(more).read_to_end(&mut self.buf)? as u64;
+        // A file that ends early has nothing more to give.
+        self.unread = if read < more { 0 } else { self.unread - read };
+        Ok(())
+    }
+
+    /// [`walk_frames`] over the rest of the file, with offsets counted
+    /// from the reader's position when called. Reads on while the frame
+    /// at the front is incomplete and the file still holds its declared
+    /// length, so a hostile length prefix never sizes a buffer past the
+    /// file.
+    fn walk<E: From<StoreError>>(
+        &mut self,
+        mut next_seq: u64,
+        mut sink: impl FnMut(RecordHead, &[u8]) -> Result<(), E>,
+    ) -> Result<(u64, u64, bool), E> {
+        let mut offset = 0;
+        loop {
+            let (valid, seq, clean) = walk_frames(self.buffered(), next_seq, &mut sink)?;
+            (offset, next_seq) = (offset + valid, seq);
+            self.consume(valid as usize);
+            let rest = self.buffered();
+            let frame_len = rest.get(..4).map_or(FRAME_LEN, |len| {
+                FRAME_LEN + u32::from_le_bytes(len.try_into().expect("four bytes")) as usize
+            });
+            let readable = rest.len() as u64 + self.unread;
+            if self.unread == 0 || rest.len() >= frame_len || readable < frame_len as u64 {
+                return Ok((offset, next_seq, clean && self.unread == 0));
+            }
+            self.fill(frame_len.max(SCAN_CHUNK))?;
+        }
+    }
+}
+
 /// Result of re-scanning the segment chain at open/recovery time.
 pub(crate) struct LogScan {
     /// First sequence number past the surviving log.
@@ -270,16 +349,18 @@ pub(crate) fn scan_log<E: From<StoreError>>(
     };
     let segs = numbered_files(dir, SEG_PREFIX, SEG_SUFFIX)?;
     for (i, (first, path)) in segs.into_iter().enumerate() {
-        let bytes = fs::read(&path).map_err(StoreError::Io)?;
+        let mut segment = SegmentReader::open(&path)?;
         // Epochs only ever increase along the chain: a segment stamped
         // with an *older* epoch after a newer one is a stale primary's
         // leftover and ends the usable chain, exactly like a backward
         // sequence overlap — and so does an unreadable header.
-        let parsed = SegmentHeader::parse(&bytes).ok().filter(|(header, _)| {
-            header.first_seq == first
-                && (i == 0 || (first >= scan.next_seq && header.epoch >= scan.epoch))
-        });
-        let Some((header, frames)) = parsed else {
+        let parsed = SegmentHeader::parse(segment.buffered())
+            .ok()
+            .filter(|(header, _)| {
+                header.first_seq == first
+                    && (i == 0 || (first >= scan.next_seq && header.epoch >= scan.epoch))
+            });
+        let Some((header, _)) = parsed else {
             scan.stop = Some(ScanStop {
                 segment_first_seq: first,
                 offset: 0,
@@ -288,7 +369,8 @@ pub(crate) fn scan_log<E: From<StoreError>>(
         };
         header.check(standard, version)?;
         scan.epoch = header.epoch;
-        let (valid_end, next_seq, clean) = walk_frames(frames, first, &mut sink)?;
+        segment.consume(SEG_HEADER_LEN as usize);
+        let (valid_end, next_seq, clean) = segment.walk(first, &mut sink)?;
         let end = SEG_HEADER_LEN + valid_end;
         scan.next_seq = next_seq;
         scan.tail = Some((first, path, end));
@@ -304,9 +386,8 @@ pub(crate) fn scan_log<E: From<StoreError>>(
 }
 
 /// Decodes the committed-operation entries of one record payload — the
-/// shared decode path of recovery and of a replication follower
-/// unpacking a shipped frame. Total: short or foreign bytes are an
-/// error, never a panic.
+/// decode path of a replication follower unpacking a shipped frame.
+/// Total: short or foreign bytes are an error, never a panic.
 ///
 /// # Errors
 ///
@@ -315,70 +396,40 @@ pub fn decode_commits<Op: Codec, Resp: Codec>(
     payload: &[u8],
 ) -> Result<Vec<CommittedOp<Op, Resp>>, CodecError> {
     let (head, entries) = RecordHead::parse(payload)?;
-    let mut out = Vec::new();
-    decode_entries(head, entries, &mut out)?;
-    Ok(out)
+    decode_entries(head, entries).collect()
 }
 
-/// Decodes the `head.count` entries behind a record head into `out`.
-fn decode_entries<Op: Codec, Resp: Codec>(
+/// The one entry decoder: the `head.count` entries behind a record
+/// head, each decoded when the iterator reaches it, so recovery
+/// replays an entry before it decodes the next. A short or malformed
+/// entry, or bytes left past the last one, is yielded as the error it
+/// is and ends the run.
+pub(crate) fn decode_entries<Op: Codec, Resp: Codec>(
     head: RecordHead,
     mut input: &[u8],
-    out: &mut Vec<CommittedOp<Op, Resp>>,
-) -> Result<(), CodecError> {
-    for seq in head.first_seq..head.end_seq() {
-        let caller = u32::decode(&mut input)? as usize;
-        let op = Op::decode(&mut input)?;
-        let resp = Resp::decode(&mut input)?;
-        out.push(CommittedOp {
-            seq,
-            batch: head.batch,
-            caller: ProcessId::new(caller),
-            op,
-            resp,
-        });
-    }
-    if !input.is_empty() {
-        return Err(CodecError::Invalid("record has trailing bytes"));
-    }
-    Ok(())
-}
-
-/// Reads the replayable suffix of the log from `min_seq` on: the
-/// gap-free run of committed operations starting exactly at `min_seq`
-/// whose record framing, checksum and sequence continuity are intact,
-/// in commit order. A gap ends the run, and records wholly below
-/// `min_seq` (already folded into the caller's snapshot) or past a gap
-/// are frame-validated by the scan but never decoded — at the default
-/// GC policy roughly a snapshot-interval of records sits below the
-/// newest watermark, and decoding it just to throw it away would double
-/// recovery's decode work.
-///
-/// # Errors
-///
-/// I/O errors; [`StoreError::WrongStandard`] for a foreign directory;
-/// [`StoreError::Codec`] when a CRC-*valid* record fails to decode —
-/// that is encoder/decoder skew, not disk damage, and deserves a loud
-/// failure rather than silent truncation.
-pub(crate) fn read_entries<Op: Codec, Resp: Codec>(
-    dir: &Path,
-    standard: u8,
-    version: u8,
-    min_seq: u64,
-) -> Result<(Vec<CommittedOp<Op, Resp>>, LogScan), StoreError> {
-    let mut out = Vec::new();
-    let mut next = min_seq;
-    let scan = scan_log::<StoreError>(dir, standard, version, |head, entries| {
-        if head.first_seq <= next && next < head.end_seq() {
-            decode_entries(head, entries, &mut out)?;
-            next = head.end_seq();
+) -> impl Iterator<Item = Result<CommittedOp<Op, Resp>, CodecError>> + '_ {
+    let mut seqs = head.first_seq..head.end_seq();
+    let mut failed = false;
+    std::iter::from_fn(move || {
+        if failed {
+            return None;
         }
-        Ok(())
-    })?;
-    // The record straddling `min_seq` contributes only its suffix.
-    let folded = out.partition_point(|e| e.seq < min_seq);
-    out.drain(..folded);
-    Ok((out, scan))
+        let entry = match seqs.next() {
+            Some(seq) => {
+                <(u32, Op, Resp)>::decode(&mut input).map(|(caller, op, resp)| CommittedOp {
+                    seq,
+                    batch: head.batch,
+                    caller: ProcessId::new(caller as usize),
+                    op,
+                    resp,
+                })
+            }
+            None if input.is_empty() => return None,
+            None => Err(CodecError::Invalid("record has trailing bytes")),
+        };
+        failed = entry.is_err();
+        Some(entry)
+    })
 }
 
 /// Shared registry of segments pinned by live [`WalCursor`]s (keyed by

@@ -5,21 +5,25 @@
 //! A counting global allocator tallies allocations per thread; each
 //! check measures one call on the test's own thread at two sizes,
 //! `n = 10 000` and `n = 40 000` accounts, each account approving its
-//! right neighbour (the `recover_1m` genesis shape).
+//! right neighbour (the `recover_1m` genesis shape) — or, for a whole
+//! recovery, at two lengths of the log it replays.
 
 mod common;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::path::PathBuf;
 
 use common::temp_dir;
 use tokensync_core::codec::{Codec, StateCodec};
-use tokensync_core::erc20::Erc20State;
+use tokensync_core::erc20::{Erc20Op, Erc20Resp, Erc20State};
 use tokensync_core::shared::ShardedErc20;
 use tokensync_core::standards::erc1155::{Erc1155State, ShardedErc1155, TypeId};
 use tokensync_core::standards::erc721::{Erc721State, ShardedErc721, TokenId};
+use tokensync_pipeline::CommittedOp;
 use tokensync_spec::{AccountId, ProcessId};
-use tokensync_store::{Restorable, Store, StoreConfig};
+use tokensync_store::wal::Wal;
+use tokensync_store::{recover, Restorable, Store, StoreConfig};
 
 /// The system allocator, counting `alloc` and `realloc` calls made by
 /// the current thread.
@@ -81,25 +85,29 @@ fn one_approval_each(n: usize) -> Erc20State {
 
 #[test]
 fn decode_and_clone_do_not_allocate_per_one_approval_row() {
+    let (mut decodes, mut clones) = (Vec::new(), Vec::new());
     for n in SIZES {
         let state = one_approval_each(n);
         let bytes = state.encode();
         let (decoded, decode_allocs) = counted(|| Erc20State::decode(&mut &bytes[..]).unwrap());
         assert_eq!(decoded, state);
-        // Recovery clones the decoded state, whose approval index was
-        // bulk-built (a B-tree built by ascending inserts has more, half-
-        // full nodes).
+        // Recovery clones the decoded state to fill `Recovered::state`.
         let (cloned, clone_allocs) = counted(|| decoded.clone());
         assert_eq!(cloned, state);
-        // What remains is the balance and row vectors plus the approval
-        // index's B-tree nodes.
+        decodes.push(decode_allocs);
+        clones.push(clone_allocs);
+    }
+    // One allocation per table — balances, allowance rows (a
+    // one-approval row is held in place) and the approval bitmap —
+    // whatever the number of accounts.
+    for (what, counts) in [("decode", decodes), ("clone", clones)] {
         assert!(
-            decode_allocs < n as u64 / 8,
-            "decode made {decode_allocs} allocations at n = {n}"
-        );
-        assert!(
-            clone_allocs < n as u64 / 8,
-            "clone made {clone_allocs} allocations at n = {n}"
+            counts[0] == counts[1] && counts[0] <= 3,
+            "{what} made {} allocations at n = {} and {} at n = {}",
+            counts[0],
+            SIZES[0],
+            counts[1],
+            SIZES[1]
         );
     }
 }
@@ -228,25 +236,97 @@ fn snapshot_allocs<T: Restorable>(genesis: impl Fn(usize) -> T::State) -> Vec<u6
         .collect()
 }
 
-/// A dense standard's snapshot is a clone of its state: one allocation
-/// per table (ERC721's token cells; ERC1155's balance matrix and
-/// supplies), whatever the size, and nothing buffered on the way.
-fn assert_snapshot_flat(counts: &[u64], what: &str) {
+/// A snapshot is a clone of the state: one allocation per table, at
+/// most `tables`, whatever the size, and nothing buffered on the way.
+fn assert_snapshot_flat(counts: &[u64], tables: u64, what: &str) {
     let (small, large) = (counts[0], counts[1]);
     assert!(
-        large == small && small <= 2,
+        large == small && small <= tables,
         "{what}: snapshot made {small} allocations at n = {} and {large} at n = {}",
         SIZES[0],
         SIZES[1]
     );
 }
 
+/// ERC20's balances, allowance rows and approval bitmap.
 #[test]
-fn snapshot_allocations_do_not_grow_with_accounts_erc721() {
-    assert_snapshot_flat(&snapshot_allocs::<ShardedErc721>(minted_721), "ERC721");
+fn snapshot_allocations_do_not_grow_with_accounts_erc20() {
+    let counts = snapshot_allocs::<ShardedErc20>(one_approval_each);
+    assert_snapshot_flat(&counts, 3, "ERC20");
 }
 
+/// ERC721's token cells.
+#[test]
+fn snapshot_allocations_do_not_grow_with_accounts_erc721() {
+    assert_snapshot_flat(&snapshot_allocs::<ShardedErc721>(minted_721), 2, "ERC721");
+}
+
+/// ERC1155's balance matrix and supplies.
 #[test]
 fn snapshot_allocations_do_not_grow_with_accounts_erc1155() {
-    assert_snapshot_flat(&snapshot_allocs::<ShardedErc1155>(funded_1155), "ERC1155");
+    assert_snapshot_flat(
+        &snapshot_allocs::<ShardedErc1155>(funded_1155),
+        2,
+        "ERC1155",
+    );
+}
+
+/// Log lengths of the recovery gate, in 500-entry records: ≈ 380 KB
+/// and ≈ 1.5 MB, both past one 256 KiB read of the log scan.
+const LOG_LENGTHS: [u64; 2] = [20_000, 80_000];
+
+/// A store over 1 000 funded accounts whose log holds `len` transfers
+/// in one segment, each account paying its right neighbour one token.
+fn transfer_log(len: u64) -> PathBuf {
+    const ACCOUNTS: usize = 1_000;
+    let dir = temp_dir("alloc-recover");
+    let genesis = Erc20State::from_balances(vec![1_000_000; ACCOUNTS]);
+    Store::<ShardedErc20>::create(&dir, &genesis, StoreConfig::default())
+        .unwrap()
+        .close()
+        .unwrap();
+    let log: Vec<CommittedOp<Erc20Op, Erc20Resp>> = (0..len)
+        .map(|seq| {
+            let from = seq as usize % ACCOUNTS;
+            CommittedOp {
+                seq,
+                batch: seq / 500,
+                caller: ProcessId::new(from),
+                op: Erc20Op::Transfer {
+                    to: AccountId::new((from + 1) % ACCOUNTS),
+                    value: 1,
+                },
+                resp: Erc20Resp::Bool(true),
+            }
+        })
+        .collect();
+    let (standard, version) = (Erc20State::STANDARD, Erc20State::VERSION);
+    let mut wal = Wal::open(&dir, standard, version, u64::MAX, 0).unwrap();
+    for record in log.chunks(500) {
+        wal.append(0, record).unwrap();
+    }
+    wal.sync().unwrap();
+    dir
+}
+
+/// Recovery decodes and replays each entry as the log scan reaches it,
+/// so a log four times longer costs it no allocation more: the segment
+/// is read once, and nothing holds the suffix.
+#[test]
+fn recover_allocations_do_not_grow_with_log_length() {
+    let counts: Vec<u64> = LOG_LENGTHS
+        .iter()
+        .map(|&len| {
+            let dir = transfer_log(len);
+            let (recovered, allocs) = counted(|| recover::<ShardedErc20>(&dir).unwrap());
+            assert_eq!(recovered.replayed, len);
+            std::fs::remove_dir_all(&dir).unwrap();
+            allocs
+        })
+        .collect();
+    assert_eq!(
+        counts[0], counts[1],
+        "recover made {} allocations over {} entries and {} over {}",
+        counts[0], LOG_LENGTHS[0], counts[1], LOG_LENGTHS[1]
+    );
 }

@@ -28,6 +28,7 @@ use tokensync_pipeline::{
     run_script_with_sink, BatchConfig, CommittedOp, PipelineConfig, ScheduleConfig,
 };
 use tokensync_spec::{AccountId, ObjectType, ProcessId};
+use tokensync_store::wal::Wal;
 use tokensync_store::{recover, Restorable, Store, StoreConfig};
 
 fn p(i: usize) -> ProcessId {
@@ -331,6 +332,88 @@ proptest! {
         let next_seq = assert_prefix_recovery::<ShardedErc20>(&dir, &genesis, &full_log);
         prop_assert_eq!(next_seq as usize, full_log.len(),
             "an intact WAL must cover whatever the broken chain cannot");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+}
+
+/// A log of about 1.1 MB, four times the scan's 256 KiB read, in
+/// records of 1 to 20 000 entries (the largest ≈ 380 KB, longer than
+/// one read), crashed at offsets that fall on and around read
+/// boundaries, inside the longest record and at the very end: each
+/// recovery is the prefix of whole records before the crash, and
+/// reopening the log resumes exactly there.
+#[test]
+fn a_log_longer_than_one_read_recovers_at_every_crash_point() {
+    const RECORDS: [usize; 9] = [1, 7, 500, 3_000, 20_000, 2, 9_000, 13_000, 11_000];
+    let genesis = Erc20State::from_balances(vec![1_000_000; 64]);
+    let spec = ShardedErc20::spec(genesis.clone());
+    let mut state = genesis.clone();
+    let mut log = Vec::new();
+    for seq in 0..RECORDS.iter().sum::<usize>() as u64 {
+        let caller = p(seq as usize % 64);
+        let op = Erc20Op::Transfer {
+            to: a((seq as usize * 7 + 1) % 64),
+            value: seq % 3,
+        };
+        let resp = spec.apply(&mut state, caller, &op);
+        log.push(CommittedOp {
+            seq,
+            batch: seq,
+            caller,
+            op,
+            resp,
+        });
+    }
+    // Writes the log, one record per `RECORDS` entry, and returns the
+    // stream offset at which each record ends.
+    let write = |dir: &std::path::Path| -> Vec<u64> {
+        Store::<ShardedErc20>::create(dir, &genesis, StoreConfig::default())
+            .expect("create store")
+            .close()
+            .expect("close store");
+        let (standard, version) = (Erc20State::STANDARD, Erc20State::VERSION);
+        let mut wal = Wal::open(dir, standard, version, u64::MAX, 0).expect("open the log");
+        let mut rest = &log[..];
+        let ends = RECORDS
+            .iter()
+            .map(|&count| {
+                let (record, tail) = rest.split_at(count);
+                wal.append(0, record).expect("append");
+                rest = tail;
+                wal.disk_bytes().expect("log size")
+            })
+            .collect();
+        wal.sync().expect("sync");
+        ends
+    };
+    let probe = temp_dir("erc20-long-log");
+    let ends = write(&probe);
+    std::fs::remove_dir_all(&probe).expect("cleanup");
+    let total = *ends.last().expect("records");
+    assert!(total > 4 * 256 * 1024, "the log spans several reads");
+
+    let mut crashes = vec![total, total - 1, ends[3] + 1, ends[4] - 1, ends[4]];
+    for k in 1..=4u64 {
+        crashes.extend([k * 256 * 1024 - 1, k * 256 * 1024, k * 256 * 1024 + 1]);
+    }
+    for crash in crashes {
+        let dir = temp_dir("erc20-long-log");
+        write(&dir);
+        crash_wal_at(&dir, crash);
+        let whole = ends.iter().take_while(|&&end| end <= crash).count();
+        let expected: usize = RECORDS[..whole].iter().sum();
+        let recovered = assert_prefix_recovery::<ShardedErc20>(&dir, &genesis, &log);
+        assert_eq!(recovered, expected as u64, "crash at {crash}");
+        let (standard, version) = (Erc20State::STANDARD, Erc20State::VERSION);
+        let wal = Wal::open(&dir, standard, version, u64::MAX, 0).expect("reopen the log");
+        assert_eq!(wal.next_seq(), expected as u64, "crash at {crash}");
+        let resume = if whole == 0 {
+            tokensync_store::wal::SEG_HEADER_LEN
+        } else {
+            ends[whole - 1]
+        };
+        assert_eq!(wal.disk_bytes().unwrap(), resume, "crash at {crash}");
+        drop(wal);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }

@@ -128,6 +128,74 @@ fn open_over_a_log_hole_diverges_where_the_log_resumes() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// An operation whose bytes no ERC20 decoder accepts: how a test writes
+/// a CRC-valid record that does not decode. Write-only.
+struct Undecodable;
+
+impl Codec for Undecodable {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.push(0xFF);
+    }
+
+    fn decode(_: &mut &[u8]) -> Result<Self, CodecError> {
+        Err(CodecError::Invalid("an undecodable op is write-only"))
+    }
+}
+
+/// Recovery replays each entry before it decodes the next, so it
+/// reports the first fault in log order: a wrong response at seq 2
+/// ahead of a CRC-valid but undecodable record at seq 4 is a
+/// `Divergence` there, and the same record behind a log that replays
+/// cleanly is a `Codec` error.
+#[test]
+fn recover_reports_the_first_fault_in_log_order() {
+    for wrong_at in [Some(2), None] {
+        let dir = temp_dir("first-fault");
+        let genesis = Erc20State::from_balances(vec![100; 4]);
+        Store::<ShardedErc20>::create(&dir, &genesis, StoreConfig::default())
+            .unwrap()
+            .close()
+            .unwrap();
+        let (standard, version) = (Erc20State::STANDARD, Erc20State::VERSION);
+        let mut wal = Wal::open(&dir, standard, version, u64::MAX, 0).unwrap();
+        let reads: Vec<CommittedOp<Erc20Op, Erc20Resp>> = (0..4)
+            .map(|seq| CommittedOp {
+                seq,
+                batch: 0,
+                caller: ProcessId::new(0),
+                op: Erc20Op::BalanceOf {
+                    account: AccountId::new(0),
+                },
+                resp: Erc20Resp::Amount(if Some(seq) == wrong_at { 99 } else { 100 }),
+            })
+            .collect();
+        wal.append(0, &reads).unwrap();
+        let skew = CommittedOp {
+            seq: 4,
+            batch: 1,
+            caller: ProcessId::new(0),
+            op: Undecodable,
+            resp: Erc20Resp::Bool(true),
+        };
+        wal.append(0, &[skew]).unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+
+        let recovered = recover::<ShardedErc20>(&dir);
+        match wrong_at {
+            Some(seq) => assert!(
+                matches!(recovered, Err(StoreError::Divergence { seq: s }) if s == seq),
+                "{recovered:?}"
+            ),
+            None => assert!(
+                matches!(recovered, Err(StoreError::Codec(_))),
+                "{recovered:?}"
+            ),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 /// A state body of `S`'s standard, encoded field by field with the
 /// product's codecs: how a test writes a snapshot that no in-process
 /// state can hold. Write-only.
