@@ -15,7 +15,6 @@ use std::sync::{Arc, Mutex};
 #[allow(missing_docs)] // variant names are the documentation
 pub enum Stage {
     IntakeWait,
-    BypassProbe,
     Schedule,
     Execute,
     Commit,
@@ -31,7 +30,6 @@ impl Stage {
     pub fn label(self) -> &'static str {
         match self {
             Stage::IntakeWait => "intake_wait",
-            Stage::BypassProbe => "bypass_probe",
             Stage::Schedule => "schedule",
             Stage::Execute => "execute",
             Stage::Commit => "commit",

@@ -1,12 +1,11 @@
 //! The commit log: the linearization order the pipeline chose, as a
 //! replayable artifact — generic over the served standard.
 //!
-//! Every batch appends its operations in [`Schedule::commit_order`] —
-//! waves in order, then the serial lane — together with the responses the
-//! concurrent execution actually produced. Because ops sharing a wave
-//! commute (the scheduler's invariant) and conflicting ops never overtake
-//! each other, this sequential order *is* a linearization of the
-//! concurrent execution: [`CommitLog::replay`] re-runs it against any
+//! Every batch appends its operations in submission order
+//! ([`CommitLog::append_sequential`]) together with the responses the
+//! execution actually produced. One thread applied them in that order,
+//! so this sequential order *is* a linearization of the execution:
+//! [`CommitLog::replay`] re-runs it against any
 //! sequential [`ObjectType`] oracle over the same alphabet
 //! ([`Erc20Spec`](tokensync_core::erc20::Erc20Spec),
 //! [`Erc721Spec`](tokensync_core::standards::erc721::Erc721Spec),
@@ -112,9 +111,10 @@ impl<Op: Clone + Debug, Resp: Clone + PartialEq + Debug> CommitLog<Op, Resp> {
 
     /// Appends one executed batch: `ops` and `responses` are indexed the
     /// same way; `schedule.commit_order()` decides the linearization.
-    /// Returns the index of the first entry appended (the batch occupies
-    /// `entries()[returned..]`), so durability sinks can address exactly
-    /// the commits this call produced.
+    /// Returns the index of the first entry appended, like
+    /// [`append_sequential`](CommitLog::append_sequential). The engine
+    /// no longer calls this; it stays only because the frozen `stack`
+    /// benchmark times it, and ROADMAP item 1(g) deletes it.
     pub fn append_batch(
         &mut self,
         batch: u64,
@@ -139,12 +139,11 @@ impl<Op: Clone + Debug, Resp: Clone + PartialEq + Debug> CommitLog<Op, Resp> {
         start
     }
 
-    /// Appends one executed batch in plain submission order — the
-    /// adaptive-bypass commit path, for batches certified pairwise
-    /// commuting (so submission order *is* a linearization of whatever
-    /// interleaving the uncoordinated execution took). Returns the index
-    /// of the first entry appended, like
-    /// [`append_batch`](CommitLog::append_batch).
+    /// Appends one batch, executed in submission order, in that same
+    /// order — the engine's one commit path. Returns the index of the
+    /// first entry appended (the batch occupies `entries()[returned..]`),
+    /// so durability sinks can address exactly the commits this call
+    /// produced.
     pub fn append_sequential(
         &mut self,
         batch: u64,

@@ -14,10 +14,12 @@
 //!   client and calling [`PipelineHandle::finish`] drains the queue and
 //!   returns the [`PipelineRun`].
 //!
-//! There is exactly **one** engine: the same schedule/execute/commit
-//! machinery serves an ERC20 [`ShardedErc20`], an ERC721
-//! [`ShardedErc721`] or an ERC1155 [`ShardedErc1155`] — the standard is
-//! a type parameter, not a copy of the pipeline.
+//! There is exactly **one** engine and one apply path: every batch is
+//! applied and committed in submission order, and the wave schedule
+//! only monitors its conflicts. The same machinery serves an ERC20
+//! [`ShardedErc20`], an ERC721 [`ShardedErc721`] or an ERC1155
+//! [`ShardedErc1155`] — the standard is a type parameter, not a copy of
+//! the pipeline.
 //!
 //! [`ShardedErc20`]: tokensync_core::shared::ShardedErc20
 //! [`ShardedErc721`]: tokensync_core::standards::erc721::ShardedErc721
@@ -33,7 +35,7 @@ use tokensync_spec::ProcessId;
 
 use crate::batch::{intake, BatchConfig, Batcher, IntakeClient};
 use crate::commit::{CommitLog, CommittedOp};
-use crate::exec::{execute, execute_unordered, ExecConfig};
+use crate::exec::{execute_unordered, ExecConfig};
 use crate::obs::PipelineObs;
 use crate::schedule::{Schedule, ScheduleConfig, Scheduler};
 
@@ -45,15 +47,15 @@ use crate::schedule::{Schedule, ScheduleConfig, Scheduler};
 /// `Store` implements this trait to stream the commit log into a
 /// write-ahead log with snapshots.
 pub trait CommitSink<T: ConcurrentObject + ?Sized> {
-    /// One committed record: a whole batch in commit order (waves in
-    /// order, then the serial lane). `entries` is the contiguous slice
-    /// of the commit log the batch appended.
+    /// One committed record: a whole batch in submission order.
+    /// `entries` is the contiguous slice of the commit log the batch
+    /// appended.
     fn wave_committed(&mut self, token: &T, entries: &[CommittedOp<T::Op, T::Resp>]);
 
     /// [`wave_committed`](CommitSink::wave_committed) plus the routing
     /// tickets the producers attached via
     /// [`IntakeClient::submit_tagged`]: `tickets` parallels `entries`
-    /// (same permutation into commit order), or is empty when the batch
+    /// (both in submission order), or is empty when the batch
     /// carried no tickets (the synchronous [`run_script`] paths). A
     /// response-routing sink overrides this to resolve per-request
     /// futures at commit; every other sink keeps the default,
@@ -141,28 +143,18 @@ impl<T: ConcurrentObject + ?Sized, S: CommitSink<T> + ?Sized> CommitSink<T> for 
     }
 }
 
-/// Adaptive-bypass policy: when the engine's measured conflict density
-/// is low it *probes* each batch ([`Scheduler::batch_commutes`]) and, on
-/// a clean probe, routes the batch straight to the object — no wave
-/// construction — committing in submission order.
-/// The probe runs **before** anything executes, so a failed check costs
-/// one prefix scan and the batch simply takes the full scheduled path
-/// from its intake buffer: no speculative effect ever needs undoing, and
-/// no response is emitted twice.
-///
-/// [`Scheduler::batch_commutes`]: crate::schedule::Scheduler::batch_commutes
+/// The retired adaptive-bypass policy: inert. Every batch is applied in
+/// submission order and its schedule only monitors conflicts, so there
+/// is nothing left to switch or gate; no field is read by the engine.
+/// The type stays only because the frozen `stack` benchmark reads its
+/// three fields, and ROADMAP item 1(g) deletes it.
 #[derive(Clone, Copy, Debug)]
 pub struct BypassConfig {
-    /// Master switch; `false` forces every batch through the scheduler.
+    /// Inert.
     pub enabled: bool,
-    /// The engine probes a batch only while its conflict-density EWMA is
-    /// at or below this threshold — once traffic turns contended the
-    /// probe's prefix scans stop being paid at all, and the bypass
-    /// re-engages only after the density decays back down.
+    /// Inert.
     pub max_density: f64,
-    /// EWMA smoothing factor in `(0, 1]`: weight of the newest batch's
-    /// measured density (conflict hits per op on the scheduled path, 0
-    /// on a bypassed batch).
+    /// Inert.
     pub alpha: f64,
 }
 
@@ -181,43 +173,44 @@ impl Default for BypassConfig {
 pub struct PipelineConfig {
     /// Intake batching policy.
     pub batch: BatchConfig,
-    /// Wave scheduling policy.
+    /// Policy of the conflict monitor's wave schedule.
     pub schedule: ScheduleConfig,
     /// Execution settings: none (see [`ExecConfig`]).
     pub exec: ExecConfig,
-    /// Adaptive-bypass policy.
+    /// Inert (see [`BypassConfig`]).
     pub bypass: BypassConfig,
 }
 
-/// Aggregate counters over every batch an engine processed.
+/// Aggregate counters over every batch an engine processed. Every
+/// batch is applied and committed in submission order; the wave and
+/// bypass counters are the conflict monitor's reading of each batch
+/// (its [`Schedule`]), not a record of how the batch ran.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PipelineStats {
     /// Batches cut and executed.
     pub batches: u64,
     /// Operations committed.
     pub ops: u64,
-    /// Ops the schedule placed in commuting waves (every op of a
-    /// bypassed batch included), as opposed to the serial lane. All ops
-    /// execute on one thread; this counts commutativity found, not
-    /// threads used.
+    /// Ops the monitor placed in commuting waves, as opposed to the
+    /// serial lane. All ops execute on one thread; this counts
+    /// commutativity found, not threads used.
     pub parallel_ops: u64,
-    /// Ops funneled through the serial lane.
+    /// Ops the monitor placed in the serial lane.
     pub serial_ops: u64,
-    /// Commuting waves executed (across all batches). A bypassed batch
-    /// counts as one wave — it *is* one all-commuting wave.
+    /// Commuting waves the monitor found (across all batches). A
+    /// pairwise-commuting batch is one wave.
     pub waves: u64,
     /// Contention proxy summed over batches (see
     /// [`Schedule::conflicts`]).
     pub conflicts: u64,
-    /// Batches the adaptive bypass routed around the scheduler (probe
-    /// certified all-commuting; executed unordered, committed in
-    /// submission order).
+    /// Batches the monitor found pairwise commuting: one wave and an
+    /// empty serial lane, so no op of the batch had to follow another.
     pub bypassed_batches: u64,
-    /// Operations committed through the bypass path.
+    /// Operations of those batches.
     pub bypassed_ops: u64,
-    /// Probes that found a conflict: the batch was mispredicted as
-    /// low-conflict and fell back to the full scheduled path (from its
-    /// intake buffer — nothing had executed yet).
+    /// Always 0: nothing is speculated, so nothing aborts. The field
+    /// stays only because the frozen `stack` benchmark sums it, and
+    /// ROADMAP item 1(g) deletes it.
     pub bypass_aborts: u64,
     /// `CommitSink::wave_committed` records emitted: one per non-empty
     /// batch.
@@ -249,7 +242,7 @@ impl PipelineStats {
         self.serial_ops as f64 / self.ops as f64
     }
 
-    /// Fraction of batches the bypass carried.
+    /// Fraction of batches the monitor found pairwise commuting.
     pub fn bypass_rate(&self) -> f64 {
         if self.batches == 0 {
             return 0.0;
@@ -257,22 +250,22 @@ impl PipelineStats {
         self.bypassed_batches as f64 / self.batches as f64
     }
 
-    fn absorb(&mut self, s: &Schedule) {
+    /// Counts one batch's plan; returns whether the batch pairwise
+    /// commutes (one wave, empty serial lane).
+    fn absorb(&mut self, s: &Schedule) -> bool {
+        let ops = s.ops() as u64;
         self.batches += 1;
-        self.ops += s.ops() as u64;
+        self.ops += ops;
         self.parallel_ops += s.parallel_ops() as u64;
         self.serial_ops += s.serial.len() as u64;
         self.waves += s.waves.len() as u64;
         self.conflicts += s.conflicts as u64;
-    }
-
-    fn absorb_bypass(&mut self, ops: usize) {
-        self.batches += 1;
-        self.ops += ops as u64;
-        self.parallel_ops += ops as u64;
-        self.waves += 1;
-        self.bypassed_batches += 1;
-        self.bypassed_ops += ops as u64;
+        let commutes = s.waves.len() == 1 && s.serial.is_empty();
+        if commutes {
+            self.bypassed_batches += 1;
+            self.bypassed_ops += ops;
+        }
+        commutes
     }
 }
 
@@ -295,42 +288,17 @@ impl<Op, Resp> Default for PipelineRun<Op, Resp> {
     }
 }
 
-/// The engine's retained per-loop state: the reusable scheduling context
-/// (registries + footprint buffer — the reason analyze/schedule allocate
-/// nothing per op) and the conflict-density EWMA the adaptive bypass
-/// steers by. One per serving loop; batches of one loop always flow
-/// through the same core, so the predictor sees the full traffic
-/// history.
-struct EngineCore {
-    scheduler: Scheduler,
-    /// EWMA of measured conflict density (conflict hits per op), in
-    /// `[0, 1]`. Starts at 0 — optimistic, so the first batch of a
-    /// stream is probed and a conflicting stream pays exactly one
-    /// aborted probe before the bypass disengages.
-    density: f64,
-}
-
-impl EngineCore {
-    fn new() -> Self {
-        Self {
-            scheduler: Scheduler::new(),
-            density: 0.0,
-        }
-    }
-
-    fn observe(&mut self, alpha: f64, batch_density: f64) {
-        self.density = (1.0 - alpha) * self.density + alpha * batch_density.clamp(0.0, 1.0);
-    }
-}
-
-/// One batch through analyze → (bypass | schedule → execute) → commit,
-/// streaming each committed record (and the batch seal) into `sink`.
-/// `obs` is the recorder seam: disabled, each instrumentation point is
-/// one inlined branch. `tickets` parallels `ops` in submission order
-/// (empty when the batch carries none); the sink sees it permuted into
-/// the same commit order as the entries it receives.
+/// One batch through the stages, streaming its committed record (and
+/// the batch seal) into `sink`. The batch is applied and committed in
+/// submission order: on one thread that order is trivially a
+/// linearization, with itself as the witness. `scheduler` is the
+/// conflict monitor: its plan reorders nothing and only feeds the
+/// statistics. It runs before the apply, so the stage spans keep
+/// [`Stage`]'s causal order. `obs` is the recorder seam: disabled, each
+/// instrumentation point is one inlined branch. `tickets` parallels
+/// `ops` (empty when the batch carries none) and so the entries.
 fn process_batch<T: ConcurrentObject + ?Sized, K: CommitSink<T>>(
-    core: &mut EngineCore,
+    scheduler: &mut Scheduler,
     token: &T,
     seq: u64,
     ops: &[(ProcessId, T::Op)],
@@ -341,58 +309,17 @@ fn process_batch<T: ConcurrentObject + ?Sized, K: CommitSink<T>>(
     obs: &PipelineObs,
 ) {
     let mut clock = obs.batch_clock(seq);
-    // Speculation gate: probe only while measured density is low, and
-    // execute unordered only on a *certified* all-commuting batch. The
-    // certification precedes every effect, so the fallback below re-runs
-    // the identical buffered ops with nothing to roll back.
-    if cfg.bypass.enabled && core.density <= cfg.bypass.max_density && !ops.is_empty() {
-        if core.scheduler.batch_commutes(ops) {
-            clock.lap(Stage::BypassProbe);
-            obs.bypass_engaged();
-            let responses = execute_unordered(token, ops, &cfg.exec);
-            clock.lap(Stage::Execute);
-            run.stats.absorb_bypass(ops.len());
-            core.observe(cfg.bypass.alpha, 0.0);
-            let start = run.log.append_sequential(seq, ops, &responses);
-            run.stats.commit_records += 1;
-            clock.lap(Stage::Commit);
-            // The bypass commits in submission order, so the tickets
-            // already align with the appended entries.
-            sink.wave_committed_tagged(token, &run.log.entries()[start..], tickets);
-            sink.batch_sealed(token, seq);
-            clock.lap(Stage::Seal);
-            clock.finish(ops.len());
-            return;
-        }
-        // Misprediction caught before execution: fall through to the
-        // scheduled path on the same buffered batch.
-        run.stats.bypass_aborts += 1;
-        clock.lap(Stage::BypassProbe);
-        obs.bypass_aborted();
+    let plan = scheduler.schedule(ops, &cfg.schedule);
+    if run.stats.absorb(&plan) {
+        obs.bypass_engaged();
     }
-    let plan = core.scheduler.schedule(ops, &cfg.schedule);
     clock.lap(Stage::Schedule);
-    let responses = execute(token, ops, &plan, &cfg.exec);
+    let responses = execute_unordered(token, ops, &cfg.exec);
     clock.lap(Stage::Execute);
-    run.stats.absorb(&plan);
-    core.observe(
-        cfg.bypass.alpha,
-        plan.conflicts as f64 / ops.len().max(1) as f64,
-    );
-    let start = run.log.append_batch(seq, ops, &responses, &plan);
+    let start = run.log.append_sequential(seq, ops, &responses);
     clock.lap(Stage::Commit);
-    // The appended slice is waves in order, then the serial lane, and
-    // reaches the sink as one record for the whole batch. The tickets
-    // follow the entries through the same permutation so `tagged[i]`
-    // still names `committed[i]`'s producer.
-    let committed = &run.log.entries()[start..];
-    let tagged: Vec<u64> = if tickets.is_empty() {
-        Vec::new()
-    } else {
-        plan.commit_order().map(|idx| tickets[idx]).collect()
-    };
-    if !committed.is_empty() {
-        sink.wave_committed_tagged(token, committed, &tagged);
+    if !ops.is_empty() {
+        sink.wave_committed_tagged(token, &run.log.entries()[start..], tickets);
         run.stats.commit_records += 1;
     }
     sink.batch_sealed(token, seq);
@@ -451,12 +378,12 @@ pub fn run_script_observed<T: ConcurrentObject + ?Sized, K: CommitSink<T>>(
     sink: &mut K,
     obs: &PipelineObs,
 ) -> PipelineRun<T::Op, T::Resp> {
-    let mut core = EngineCore::new();
+    let mut scheduler = Scheduler::new();
     let mut run = PipelineRun::default();
     let size = cfg.batch.max_ops.max(1);
     for (seq, ops) in script.chunks(size).enumerate() {
         process_batch(
-            &mut core,
+            &mut scheduler,
             token,
             seq as u64,
             ops,
@@ -521,7 +448,7 @@ fn engine_loop<T: ConcurrentObject, K: CommitSink<T>>(
     sink: &mut K,
     obs: &PipelineObs,
 ) -> PipelineRun<T::Op, T::Resp> {
-    let mut core = EngineCore::new();
+    let mut scheduler = Scheduler::new();
     let mut run = PipelineRun::default();
     loop {
         // The wait for a batch is itself a stage: it is the intake
@@ -533,7 +460,7 @@ fn engine_loop<T: ConcurrentObject, K: CommitSink<T>>(
         obs.record_stage(batch.seq, Stage::IntakeWait, waiting_since);
         obs.sample_queue_depths(|i| batcher.shard_depth(i));
         process_batch(
-            &mut core,
+            &mut scheduler,
             token,
             batch.seq,
             &batch.ops,

@@ -1,5 +1,5 @@
-//! Batch execution: one thread applies a batch's schedule to any
-//! [`ConcurrentObject`].
+//! Batch execution: one thread applies a batch, in submission order, to
+//! any [`ConcurrentObject`].
 //!
 //! **The thread model.** Every op of a batch is applied by the thread
 //! that processes the batch — the engine thread under
@@ -13,17 +13,15 @@
 //! snapshots, the tests and the consensus races — and here that lock
 //! costs one uncontended acquire per op.
 //!
-//! **The order.** [`execute`] applies in [`Schedule::commit_order`]:
-//! waves in order, each in index order, then the serial lane. Execution
-//! order is therefore exactly the commit log's order, and every response
-//! is the one the log's sequential replay recomputes. The executor is
-//! standard-agnostic: it drives `T::apply` for whatever op alphabet the
-//! object serves.
-//!
-//! **Bypass execution.** [`execute_unordered`] is the adaptive-bypass
-//! path: for a batch the scheduler's probe has certified pairwise
-//! commuting, it applies the ops in submission order with no schedule at
-//! all — the order the bypass commits.
+//! **The order.** [`execute_unordered`] applies a batch in submission
+//! order, conflicting or not, and the engine commits it in that order.
+//! One thread applying ops one after another is trivially linearizable,
+//! with the submission order as the witness, so execution order is the
+//! commit log's order and every response is the one the log's
+//! sequential replay recomputes. The wave schedule adds no concurrency
+//! on one thread; the engine keeps it only as a conflict monitor. The
+//! executor is standard-agnostic: it drives `T::apply` for whatever op
+//! alphabet the object serves.
 //!
 //! [`Pipeline::spawn`]: crate::engine::Pipeline::spawn
 //! [`run_script`]: crate::engine::run_script
@@ -43,7 +41,9 @@ pub struct ExecConfig {}
 
 /// Executes `schedule` over `ops` against `token` on the calling thread,
 /// in [`Schedule::commit_order`]; returns the responses indexed like
-/// `ops`.
+/// `ops`. The engine no longer calls this (it applies in submission
+/// order, [`execute_unordered`]); it stays only because the frozen
+/// `stack` benchmark times it, and ROADMAP item 1(g) deletes it.
 ///
 /// # Panics
 ///
@@ -68,15 +68,9 @@ pub fn execute<T: ConcurrentObject + ?Sized>(
         .collect()
 }
 
-/// Executes a batch the scheduler's probe certified pairwise commuting,
-/// with no schedule: the ops apply on the calling thread in submission
-/// order, which is the order the bypass commits. Because every pair
-/// commutes, any other order would produce the same responses and state.
-///
-/// This is the adaptive-bypass path; the engine only reaches it behind
-/// [`Scheduler::batch_commutes`].
-///
-/// [`Scheduler::batch_commutes`]: crate::schedule::Scheduler::batch_commutes
+/// Executes a batch with no schedule: the ops apply on the calling
+/// thread in submission order, the order the engine commits. This is the
+/// engine's one apply path, for every batch.
 ///
 /// # Panics
 ///

@@ -10,24 +10,25 @@
 //! workspace *proves* that — the σ_q analysis
 //! (`tokensync-core::analysis`), the mechanized conflict catalog
 //! (`tokensync-mc::commute`), the §7 dynamic protocol
-//! (`tokensync-net::dynamic`). This crate *exploits* it: a five-stage
+//! (`tokensync-net::dynamic`). This crate *serves* it: a five-stage
 //! engine, generic over the
 //! [`ConcurrentObject`](tokensync_core::shared::ConcurrentObject) /
 //! [`FootprintedOp`](tokensync_core::analysis::FootprintedOp) trait
-//! pair, that reorders operation streams exactly where commutativity
-//! licenses it and keeps submission order wherever two operations
-//! conflict.
+//! pair. One thread applies every op of an object, as the contract's one
+//! sequential owner (the thread model is stated once, in [`exec`]), so
+//! each batch is applied and committed in submission order, which is
+//! trivially a linearization. The footprint analysis runs beside it as
+//! a conflict monitor: it measures how much of each batch commuted and
+//! reorders nothing. The engine scales out by objects, not threads.
 //! One engine serves ERC20, ERC721 and ERC1155 — the standard is a type
-//! parameter, not a fork of the pipeline. One thread applies every op of
-//! an object (the thread model is stated once, in [`exec`]): the engine
-//! scales out by objects, not threads.
+//! parameter, not a fork of the pipeline.
 //!
 //! ```text
-//!  ingest ──▶ analyze ──▶ schedule ──▶ execute ──▶ commit
+//!  ingest ──▶ analyze ──▶ monitor ──▶ execute ──▶ commit
 //!  (batch)   (footprints) (waves +    (engine     (replayable
 //!   bounded   per op       serial      thread, in  linearization
-//!   queue,    [`Footprint`]) lane)     commit      log)
-//!                                      order)
+//!   queue,    [`Footprint`]) lane:     submission  log)
+//!                          counted)    order)
 //! ```
 //!
 //! * [`batch`] — bounded sharded intake with burst submits; a batch is
@@ -35,7 +36,8 @@
 //!   Generic over the op alphabet.
 //! * [`schedule`] — greedy graph coloring of the batch's conflict graph
 //!   into pairwise-commuting **waves**, with heavily contended ops
-//!   funneled through a deterministic **serial lane**. Conflicts come
+//!   funneled through a deterministic **serial lane**; the engine reads
+//!   the plan as its conflict monitor. Conflicts come
 //!   from the state-independent cell footprints
 //!   ([`tokensync_core::analysis::Footprint`]), the executable form of
 //!   the σ_q/commutativity rules: owner-disjoint transfers commute (ERC20
@@ -46,8 +48,7 @@
 //! * [`exec`] — the thread processing the batch applies it to any
 //!   [`ConcurrentObject`](tokensync_core::shared::ConcurrentObject)
 //!   (the sharded million-account/million-token objects in production)
-//!   in commit order: waves in order, then the serial lane, so execution
-//!   order is the commit log's order.
+//!   in submission order, which is the commit log's order.
 //! * [`commit`] — the chosen linearization with recorded responses,
 //!   replayable against the standard's sequential
 //!   [`ObjectType`](tokensync_spec::ObjectType) oracle
@@ -59,7 +60,7 @@
 //! * [`engine`] — the assembled [`Pipeline`]: a synchronous
 //!   [`run_script`] for benchmarks/tests and a spawned serving loop.
 //! * [`obs`] — the recorder seam: [`PipelineObs`] threads per-stage
-//!   latency histograms, queue-depth gauges, bypass counters and
+//!   latency histograms, queue-depth gauges, the commuting-batch count and
 //!   sampled span traces (`tokensync-obs`) through the engine; the
 //!   disabled default costs one inlined branch per instrumentation
 //!   point.
@@ -75,7 +76,7 @@
 //! use tokensync_pipeline::{run_script, PipelineConfig};
 //! use tokensync_spec::{AccountId, ProcessId};
 //!
-//! // 8 owner-disjoint transfers: one commuting wave.
+//! // 8 owner-disjoint transfers: the monitor finds one commuting wave.
 //! let initial = Erc20State::from_balances(vec![10; 16]);
 //! let token = ShardedErc20::from_state(initial.clone());
 //! let script: Vec<(ProcessId, Erc20Op)> = (0..8)

@@ -6,9 +6,10 @@
 //! no atomics, no allocation. Enabled it records, per batch:
 //!
 //! * a per-stage latency histogram (`tokensync_pipeline_stage_ns`,
-//!   labelled `stage=intake_wait|bypass_probe|schedule|execute|commit|seal`),
+//!   labelled `stage=intake_wait|schedule|execute|commit|seal`),
 //! * the whole-batch latency (`tokensync_pipeline_batch_ns`),
-//! * batch/op/bypass counters and a queue-depth gauge per intake shard,
+//! * batch/op counters, the count of batches the conflict monitor found
+//!   pairwise commuting, and a queue-depth gauge per intake shard,
 //! * and, for one batch in [`sample_every`](PipelineObs::with_sampling),
 //!   the full lifecycle as causally-linked [`SpanEvent`]s in a bounded
 //!   [`SpanRing`] — the "why was this batch slow" dump.
@@ -19,9 +20,8 @@ use std::time::Instant;
 use tokensync_obs::{Counter, Gauge, Histogram, Registry, SpanEvent, SpanRing, Stage};
 
 /// The engine stages timed by [`BatchClock::lap`], in causal order.
-const STAGES: [Stage; 6] = [
+const STAGES: [Stage; 5] = [
     Stage::IntakeWait,
-    Stage::BypassProbe,
     Stage::Schedule,
     Stage::Execute,
     Stage::Commit,
@@ -41,7 +41,6 @@ struct Inner {
     batches: Counter,
     ops: Counter,
     bypass_engaged: Counter,
-    bypass_aborts: Counter,
     stage_ns: [Histogram; STAGES.len()],
     batch_ns: Histogram,
     queue_depth: Vec<Gauge>,
@@ -98,12 +97,7 @@ impl PipelineObs {
                 bypass_engaged: registry.counter(
                     "tokensync_pipeline_bypass_engaged_total",
                     &[],
-                    "Batches the adaptive bypass routed around the scheduler.",
-                ),
-                bypass_aborts: registry.counter(
-                    "tokensync_pipeline_bypass_aborts_total",
-                    &[],
-                    "Bypass probes that found a conflict and fell back.",
+                    "Batches the conflict monitor found pairwise commuting.",
                 ),
                 stage_ns,
                 batch_ns: registry.histogram(
@@ -130,7 +124,6 @@ impl PipelineObs {
                     batches: arc.batches.clone(),
                     ops: arc.ops.clone(),
                     bypass_engaged: arc.bypass_engaged.clone(),
-                    bypass_aborts: arc.bypass_aborts.clone(),
                     stage_ns: arc.stage_ns.clone(),
                     batch_ns: arc.batch_ns.clone(),
                     queue_depth: arc.queue_depth.clone(),
@@ -232,19 +225,11 @@ impl PipelineObs {
         }
     }
 
-    /// Counts a bypass-engaged batch.
+    /// Counts a batch the conflict monitor found pairwise commuting.
     #[inline]
     pub(crate) fn bypass_engaged(&self) {
         if let Some(obs) = self.inner.as_deref() {
             obs.bypass_engaged.inc();
-        }
-    }
-
-    /// Counts an aborted bypass probe.
-    #[inline]
-    pub(crate) fn bypass_aborted(&self) {
-        if let Some(obs) = self.inner.as_deref() {
-            obs.bypass_aborts.inc();
         }
     }
 }

@@ -17,11 +17,16 @@
 //! owns an open-addressing table keyed by interned, pre-hashed
 //! [`CellKey`]s (no SipHash, no per-lookup variant comparison) whose
 //! slots are invalidated by bumping a generation stamp — clearing between
-//! batches is `O(1)` and scheduling allocates nothing in steady state.
-//! The same machinery answers the adaptive-bypass question in
-//! [`Scheduler::batch_commutes`]: a single early-exiting scan that
-//! certifies a batch pairwise-commuting *before* any operation executes,
-//! which is what licenses the engine to skip wave construction entirely.
+//! batches is `O(1)` and the registry allocates nothing in steady state.
+//!
+//! **The engine runs the schedule as a conflict monitor.** One thread
+//! applies every batch in submission order, so waves add no
+//! concurrency; the plan reorders nothing and only states how much of
+//! the batch commuted (the [`PipelineStats`] wave, serial and bypass
+//! counters). [`Scheduler::batch_commutes`] reads the same plan: a
+//! batch pairwise commutes iff every op lands in wave 0.
+//!
+//! [`PipelineStats`]: crate::engine::PipelineStats
 //!
 //! The mode pairs consulted mirror [`Access::commutes_with`] exactly —
 //! an update conflicts with every earlier access of its cell, a credit
@@ -59,7 +64,7 @@ impl Default for ScheduleConfig {
     }
 }
 
-/// The execution plan of one batch: conflict-free commuting waves plus the
+/// The conflict plan of one batch: conflict-free commuting waves plus the
 /// deterministic serial lane. Indices refer to positions in the batch's
 /// op vector.
 #[derive(Clone, Debug, Default)]
@@ -96,8 +101,13 @@ impl Schedule {
         self.parallel_ops() as f64 / self.waves.len() as f64
     }
 
-    /// The linearization order this schedule commits: waves in order
-    /// (each internally in submission order), then the serial lane.
+    /// The linearization order this plan stands for: waves in order
+    /// (each internally in submission order), then the serial lane. The
+    /// engine commits in submission order instead; this stays for
+    /// [`execute`](crate::exec::execute) and
+    /// [`append_batch`](crate::commit::CommitLog::append_batch), which
+    /// only the frozen `stack` benchmark calls, and ROADMAP item 1(g)
+    /// deletes it.
     pub fn commit_order(&self) -> impl Iterator<Item = usize> + '_ {
         self.waves
             .iter()
@@ -130,11 +140,6 @@ impl Default for CellWaves {
     }
 }
 
-/// Access-mode bitflags for the bypass probe's registry.
-const M_UPDATE: u8 = 1;
-const M_CREDIT: u8 = 2;
-const M_READ: u8 = 4;
-
 /// An open-addressing hash table keyed by pre-hashed [`CellKey`]s, with
 /// generation-stamped slots: [`reset`](CellTable::reset) invalidates
 /// every entry in `O(1)` by bumping the generation, so the table's
@@ -143,21 +148,21 @@ const M_READ: u8 = 4;
 /// hash is the bucket index, so a lookup costs one multiply-free probe
 /// chain and no hashing.
 #[derive(Debug)]
-struct CellTable<V> {
-    slots: Vec<CellSlot<V>>,
+struct CellTable {
+    slots: Vec<CellSlot>,
     mask: usize,
     gen: u32,
     live: usize,
 }
 
 #[derive(Clone, Copy, Debug)]
-struct CellSlot<V> {
+struct CellSlot {
     key: u128,
     gen: u32,
-    value: V,
+    value: CellWaves,
 }
 
-impl<V: Copy + Default> CellTable<V> {
+impl CellTable {
     fn new() -> Self {
         // 2048 slots cover a default 1024-op batch of ≤1-cell footprints
         // without growing; wider footprints double a few times early and
@@ -172,7 +177,7 @@ impl<V: Copy + Default> CellTable<V> {
                 CellSlot {
                     key: 0,
                     gen: 0,
-                    value: V::default(),
+                    value: CellWaves::default(),
                 };
                 n
             ],
@@ -197,41 +202,32 @@ impl<V: Copy + Default> CellTable<V> {
         }
     }
 
-    /// Current value under `key`, if this generation inserted one.
-    fn get(&self, key: CellKey) -> Option<V> {
-        let mut i = key.hash() as usize & self.mask;
-        loop {
-            let slot = &self.slots[i];
-            if slot.gen != self.gen {
-                return None;
-            }
-            if slot.key == key.packed() {
-                return Some(slot.value);
-            }
-            i = (i + 1) & self.mask;
+    /// Makes room for `more` new entries, so the next `more`
+    /// [`slot`](CellTable::slot) calls move no slot.
+    fn reserve(&mut self, more: usize) {
+        while (self.live + more) * 2 > self.slots.len() {
+            self.grow();
         }
     }
 
-    /// The slot for `key`, inserting `V::default()` if absent.
-    fn entry(&mut self, key: CellKey) -> &mut V {
-        if (self.live + 1) * 2 > self.slots.len() {
-            self.grow();
-        }
+    /// The index of `key`'s slot, inserting an empty entry if absent:
+    /// one probe chain serves both the lookup and the registration.
+    /// Call [`reserve`](CellTable::reserve) first.
+    fn slot(&mut self, key: CellKey) -> usize {
         let mut i = key.hash() as usize & self.mask;
         loop {
-            let slot = &self.slots[i];
+            let slot = &mut self.slots[i];
             if slot.gen != self.gen {
                 self.live += 1;
-                let slot = &mut self.slots[i];
                 *slot = CellSlot {
                     key: key.packed(),
                     gen: self.gen,
-                    value: V::default(),
+                    value: CellWaves::default(),
                 };
-                return &mut slot.value;
+                return i;
             }
             if slot.key == key.packed() {
-                return &mut self.slots[i].value;
+                return i;
             }
             i = (i + 1) & self.mask;
         }
@@ -239,7 +235,7 @@ impl<V: Copy + Default> CellTable<V> {
 
     /// Doubles the slot array, re-inserting this generation's entries.
     fn grow(&mut self) {
-        let live: Vec<CellSlot<V>> = self
+        let live: Vec<CellSlot> = self
             .slots
             .iter()
             .filter(|s| s.gen == self.gen)
@@ -250,7 +246,7 @@ impl<V: Copy + Default> CellTable<V> {
             CellSlot {
                 key: 0,
                 gen: 0,
-                value: V::default(),
+                value: CellWaves::default(),
             };
             n
         ];
@@ -281,15 +277,16 @@ fn rehash(packed: u128) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A reusable scheduling context: owns the per-cell registry, the probe
-/// registry, and the footprint buffer, so batch after batch schedules
-/// with zero steady-state allocation. The engine keeps one per serving
-/// loop; [`schedule`] wraps a throwaway one for one-shot callers.
+/// A reusable scheduling context: owns the per-cell registry and the
+/// footprint and slot buffers, so batch after batch schedules without
+/// growing any of them. The engine keeps one per serving loop;
+/// [`schedule`] wraps a throwaway one for one-shot callers.
 #[derive(Debug)]
 pub struct Scheduler {
-    cells: CellTable<CellWaves>,
-    modes: CellTable<u8>,
+    cells: CellTable,
     fp: Footprint,
+    /// The registry slot of each of the current op's footprint cells.
+    at: Vec<usize>,
 }
 
 impl Default for Scheduler {
@@ -299,12 +296,12 @@ impl Default for Scheduler {
 }
 
 impl Scheduler {
-    /// A scheduler with freshly allocated (empty) registries.
+    /// A scheduler with a freshly allocated (empty) registry.
     pub fn new() -> Self {
         Self {
             cells: CellTable::new(),
-            modes: CellTable::new(),
             fp: Footprint::new(),
+            at: Vec::new(),
         }
     }
 
@@ -324,13 +321,17 @@ impl Scheduler {
         for (idx, (caller, op)) in ops.iter().enumerate() {
             self.fp.clear();
             op.footprint_into(*caller, &mut self.fp);
+            self.cells.reserve(self.fp.len());
+            self.at.clear();
             // Highest wave of any earlier conflicting op (NONE if none).
+            // This op's own cells register only below, so a cell it
+            // charges twice is no conflict.
             let mut floor = NONE;
             let mut hits = 0usize;
             for (cell, access) in self.fp.iter() {
-                let Some(w) = self.cells.get(cell.key()) else {
-                    continue;
-                };
+                let at = self.cells.slot(cell.key());
+                self.at.push(at);
+                let w = self.cells.slots[at].value;
                 let mut bump = |wave: u32| {
                     if wave != NONE {
                         hits += 1;
@@ -363,6 +364,10 @@ impl Scheduler {
             let wave = floor.wrapping_add(1).min(serial_wave);
             if wave < serial_wave {
                 let wave = wave as usize;
+                if out.waves.is_empty() {
+                    // Wave 0 takes every op of a commuting batch.
+                    out.waves.push(Vec::with_capacity(ops.len()));
+                }
                 if out.waves.len() <= wave {
                     out.waves.resize(wave + 1, Vec::new());
                 }
@@ -371,8 +376,8 @@ impl Scheduler {
                 out.serial.push(idx);
             }
             // Register this op's own accesses at its assigned wave.
-            for (cell, access) in self.fp.iter() {
-                let entry = self.cells.entry(cell.key());
+            for ((_, access), &at) in self.fp.iter().zip(&self.at) {
+                let entry = &mut self.cells.slots[at].value;
                 let slot = match access {
                     Access::Update => &mut entry.update,
                     Access::Credit => &mut entry.credit,
@@ -386,54 +391,14 @@ impl Scheduler {
         out
     }
 
-    /// The adaptive-bypass probe: whether [`Scheduler::commuting_prefix`]
-    /// spans all of `ops`, certifying — *before anything executes* — that
-    /// uncoordinated execution linearizes in submission order.
+    /// Whether `ops` pairwise commute (no cell touched by two ops in
+    /// non-commuting modes), read off one [`schedule`](Self::schedule):
+    /// every op in wave 0 and an empty serial lane. Intra-op repeats
+    /// (one op charging a cell twice, e.g. an ERC1155 batch naming a
+    /// type twice) are not conflicts.
     pub fn batch_commutes<Op: FootprintedOp>(&mut self, ops: &[(ProcessId, Op)]) -> bool {
-        self.commuting_prefix(ops.iter().map(|(caller, op)| (*caller, op))) == ops.len()
-    }
-
-    /// Length of the longest prefix of `ops` that pairwise commutes (no
-    /// cell touched by two ops in non-commuting modes) — the one probe
-    /// behind the engine's bypass.
-    /// Stops at the first conflict, so conflicting regimes pay only a
-    /// prefix scan. Intra-op repeats (one op charging a cell twice, e.g.
-    /// an ERC1155 batch naming a type twice) are not conflicts, like in
-    /// the scheduler proper.
-    pub fn commuting_prefix<'a, Op: FootprintedOp + 'a>(
-        &mut self,
-        ops: impl IntoIterator<Item = (ProcessId, &'a Op)>,
-    ) -> usize {
-        self.modes.reset();
-        let mut len = 0;
-        for (caller, op) in ops {
-            self.fp.clear();
-            op.footprint_into(caller, &mut self.fp);
-            // Pass 1: check against *earlier ops'* accesses only (this
-            // op's own cells are not yet registered).
-            for (cell, access) in self.fp.iter() {
-                let seen = self.modes.get(cell.key()).unwrap_or(0);
-                let clash = match access {
-                    Access::Update => seen != 0,
-                    Access::Credit => seen & (M_UPDATE | M_READ) != 0,
-                    Access::Read => seen & (M_UPDATE | M_CREDIT) != 0,
-                };
-                if clash {
-                    return len;
-                }
-            }
-            // Pass 2: register this op's accesses.
-            for (cell, access) in self.fp.iter() {
-                let mode = match access {
-                    Access::Update => M_UPDATE,
-                    Access::Credit => M_CREDIT,
-                    Access::Read => M_READ,
-                };
-                *self.modes.entry(cell.key()) |= mode;
-            }
-            len += 1;
-        }
-        len
+        let plan = self.schedule(ops, &ScheduleConfig::default());
+        plan.waves.len() <= 1 && plan.serial.is_empty()
     }
 }
 

@@ -1,22 +1,21 @@
-//! Adversarial scheduling tests for the adaptive bypass.
+//! Adversarial batches for the one apply path and its conflict monitor.
 //!
-//! The bypass speculates: while the conflict-density EWMA is low, each
-//! batch is *probed* ([`Scheduler::batch_commutes`]) and, if certified
-//! pairwise-commuting, executed unordered against the object with no
-//! wave machinery at all. These tests feed the engine batches built to
-//! *defeat* that prediction — a disjoint prefix that looks exactly like
-//! the traffic that engages the bypass, followed by a conflicting tail —
-//! and demand that:
+//! The engine applies and commits every batch in submission order and
+//! runs the wave schedule beside it as a monitor, which counts a batch
+//! as commuting (`bypassed_batches`) iff the plan is one wave with an
+//! empty serial lane. These tests feed the engine the batches that once
+//! trapped a speculating bypass — a disjoint prefix that looks exactly
+//! like commuting traffic, followed by a conflicting tail — and demand
+//! that:
 //!
-//! 1. the check always catches the divergence **before** anything
-//!    executes (the batch falls back to the scheduled path; the final
-//!    state and every per-op response match the sequential oracle);
+//! 1. every batch commits exactly like the sequential oracle: the
+//!    committed `(caller, op, resp)` sequence is the script with the
+//!    oracle's responses, and the final state is the oracle's;
 //! 2. no response is ever emitted twice: the durability sink sees every
 //!    commit sequence number exactly once, gap-free;
-//! 3. both paths are actually exercised (`bypassed_batches >= 1` and
-//!    `bypass_aborts >= 1`), for ERC20, ERC721 and ERC1155 alike.
-//!
-//! [`Scheduler::batch_commutes`]: tokensync_pipeline::Scheduler::batch_commutes
+//! 3. the monitor tells the two batches apart: the disjoint one counts
+//!    as commuting, the trapped one does not, for ERC20, ERC721 and
+//!    ERC1155 alike.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -60,9 +59,9 @@ impl<T: ConcurrentObject + ?Sized> CommitSink<T> for RecordingSink {
     }
 }
 
-/// Runs `script` with the bypass enabled and verifies the full contract:
-/// emission uniqueness, replay consistency, linearizability, final state
-/// and per-op responses against the submission-order sequential oracle.
+/// Runs `script` and verifies the full contract: emission uniqueness,
+/// replay consistency, linearizability, final state and per-op
+/// responses against the submission-order sequential oracle.
 fn run_trapped<T, S>(
     object: &T,
     spec: &S,
@@ -111,51 +110,38 @@ where
     }
     assert_eq!(committed, sequential, "state diverged from oracle");
 
-    // Per-op responses: commit entries permute only within a batch, so
-    // match each entry back to its submission index by (caller, op) with
-    // a per-batch multiset scan and compare against the oracle response
-    // at that index. (Identical (caller, op) pairs are interchangeable:
-    // they conflict on the same cells, so the scheduler never reorders
-    // them relative to each other.)
-    let mut cursor = 0usize;
-    for start in (0..script.len()).step_by(batch) {
-        let len = batch.min(script.len() - start);
-        let mut used = vec![false; len];
-        for entry in &run.log.entries()[cursor..cursor + len] {
-            let local = (0..len)
-                .find(|&i| {
-                    !used[i]
-                        && script[start + i].0 == entry.caller
-                        && script[start + i].1 == entry.op
-                })
-                .expect("committed op present in its batch");
-            used[local] = true;
-            assert_eq!(
-                entry.resp,
-                seq_resps[start + local],
-                "op {} response diverged from the oracle",
-                start + local
-            );
-        }
-        cursor += len;
+    // Per-op: the log is the script, in submission order, each entry
+    // carrying the oracle's response at its position.
+    assert_eq!(run.log.len(), script.len());
+    for (i, (entry, (caller, op))) in run.log.entries().iter().zip(script).enumerate() {
+        assert_eq!(
+            (entry.caller, &entry.op),
+            (*caller, op),
+            "op {i} left its place"
+        );
+        assert_eq!(
+            entry.resp, seq_resps[i],
+            "op {i} response diverged from the oracle"
+        );
     }
+    assert_eq!(
+        run.stats.bypass_aborts, 0,
+        "nothing speculates, nothing aborts"
+    );
     run.stats
 }
 
-/// Asserts the trap actually sprung both ways: the disjoint batch rode
-/// the bypass, the mispredicted batch was caught by the probe.
+/// Asserts the monitor told the trap apart: batch 0 (disjoint) counts as
+/// commuting, batch 1 (disjoint prefix, conflicting tail) does not.
 fn assert_trap_sprung(stats: &PipelineStats) {
-    assert!(
-        stats.bypassed_batches >= 1,
-        "disjoint batch must engage the bypass, stats: {stats:?}"
-    );
-    assert!(
-        stats.bypass_aborts >= 1,
-        "conflicting tail must abort the probe, stats: {stats:?}"
+    assert_eq!(
+        (stats.batches, stats.bypassed_batches),
+        (2, 1),
+        "only the disjoint batch commutes, stats: {stats:?}"
     );
     assert!(
         stats.serial_ops + stats.conflicts > 0,
-        "fallback must have taken the scheduled path, stats: {stats:?}"
+        "the monitor must see the tail's conflicts, stats: {stats:?}"
     );
 }
 
@@ -167,7 +153,7 @@ fn erc20_mispredicted_batch_falls_back_to_the_oracle_order() {
     let initial = Erc20State::from_balances(vec![100; n]);
     let token = ShardedErc20::from_state(initial.clone());
     let mut script: Vec<(ProcessId, Erc20Op)> = Vec::new();
-    // Batch 0: fully owner-disjoint — the bypass bait.
+    // Batch 0: fully owner-disjoint — commuting.
     for i in 0..BATCH {
         script.push((
             p(i),
@@ -211,7 +197,7 @@ fn erc721_mispredicted_batch_falls_back_to_the_oracle_order() {
     }
     let nft = ShardedErc721::from_state(initial.clone());
     let mut script: Vec<(ProcessId, Erc721Op)> = Vec::new();
-    // Batch 0: owner-disjoint token moves — bypassed.
+    // Batch 0: owner-disjoint token moves — commuting.
     for i in 0..BATCH {
         script.push((
             p(i),
@@ -223,7 +209,7 @@ fn erc721_mispredicted_batch_falls_back_to_the_oracle_order() {
         ));
     }
     // Batch 1: disjoint prefix, then everyone claims token 0 — the §6
-    // race the probe must catch.
+    // race the monitor must see.
     for i in 0..BATCH / 2 {
         script.push((
             p(16 + i),
@@ -263,7 +249,7 @@ fn erc1155_mispredicted_batch_falls_back_to_the_oracle_order() {
     }
     let multi = ShardedErc1155::from_state(initial.clone());
     let mut script: Vec<(ProcessId, Erc1155Op)> = Vec::new();
-    // Batch 0: pairwise cell-disjoint batch transfers — bypassed.
+    // Batch 0: pairwise cell-disjoint batch transfers — commuting.
     for i in 0..BATCH {
         script.push((
             p(i),
@@ -301,10 +287,9 @@ fn erc1155_mispredicted_batch_falls_back_to_the_oracle_order() {
 }
 
 #[test]
-fn bypass_disengages_under_sustained_contention_and_recovers() {
-    // Adversarial traffic shape: contended burst, then disjoint calm.
-    // The EWMA must stop probing during the burst (at most a couple of
-    // aborts) and re-engage once the density decays.
+fn calm_batches_after_a_burst_count_as_commuting() {
+    // A contended burst, then disjoint calm: the monitor reads each
+    // batch on its own, so every calm batch counts as commuting at once.
     let n = 64;
     let mut initial = Erc20State::from_balances(vec![1000; n]);
     for sp in 1..8 {
@@ -323,9 +308,8 @@ fn bypass_disengages_under_sustained_contention_and_recovers() {
             },
         ));
     }
-    // 32 batches of disjoint calm: enough for the EWMA to decay back
-    // under the threshold and re-engage the bypass.
-    for b in 0..32 {
+    // 32 batches of disjoint calm.
+    for _ in 0..32 {
         for i in 0..BATCH {
             script.push((
                 p(i),
@@ -335,55 +319,14 @@ fn bypass_disengages_under_sustained_contention_and_recovers() {
                 },
             ));
         }
-        let _ = b;
     }
     let stats = run_trapped(&token, &Erc20Spec::new(initial), &script, BATCH);
-    assert!(
-        stats.bypass_aborts <= 2,
-        "EWMA must disengage probing under sustained contention, stats: {stats:?}"
-    );
-    assert!(
-        stats.bypassed_batches >= 1,
-        "bypass must re-engage after the density decays, stats: {stats:?}"
-    );
-}
-
-#[test]
-fn disabled_bypass_never_engages() {
-    let n = 32;
-    let initial = Erc20State::from_balances(vec![100; n]);
-    let token = ShardedErc20::from_state(initial.clone());
-    let script: Vec<(ProcessId, Erc20Op)> = (0..BATCH)
-        .map(|i| {
-            (
-                p(i),
-                Erc20Op::Transfer {
-                    to: a(16 + i),
-                    value: 1,
-                },
-            )
-        })
-        .collect();
-    let mut cfg = PipelineConfig {
-        batch: BatchConfig {
-            max_ops: BATCH,
-            ..BatchConfig::default()
-        },
-        ..PipelineConfig::default()
-    };
-    cfg.bypass.enabled = false;
-    let mut sink = RecordingSink::default();
-    let run = run_script_with_sink(&token, &script, &cfg, &mut sink);
-    assert_eq!(run.stats.bypassed_batches, 0);
-    assert_eq!(run.stats.bypass_aborts, 0);
-    assert_eq!(run.stats.ops as usize, BATCH);
-    run.log
-        .replay(&Erc20Spec::new(initial))
-        .expect("scheduled path replays");
+    assert_eq!(stats.bypassed_batches, 32, "stats: {stats:?}");
 }
 
 /// One adversarial ERC20 op mix: mostly-disjoint transfers with bursts
-/// of hot-row contention, so random scripts flip the bypass on and off.
+/// of hot-row contention, so random scripts mix commuting and
+/// contended batches.
 fn arb_trap_op() -> impl Strategy<Value = (usize, Erc20Op)> {
     // Disjoint moves dominate (repeated arms stand in for weights, which
     // the vendored proptest does not support), so random scripts have
@@ -423,7 +366,7 @@ fn arb_trap_op() -> impl Strategy<Value = (usize, Erc20Op)> {
 }
 
 proptest! {
-    /// Random adversarial mixes: whatever the bypass decides per batch,
+    /// Random adversarial mixes: whatever the monitor reads per batch,
     /// the commit log must replay, linearize, match the oracle per-op,
     /// and the sink must see every commit exactly once.
     #[test]

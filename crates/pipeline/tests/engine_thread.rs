@@ -1,11 +1,12 @@
-//! One applying thread, in commit order.
+//! One applying thread, in commit order, which is submission order.
 //!
 //! The thread that processes a batch applies every op of it — the caller
 //! under `run_script`, the engine thread under `Pipeline::spawn*` — in
-//! the order the commit log records. A recording object logs the thread
-//! and the op of every `apply`; the tests compare that record with the
-//! commit log on the bypass path, on a scheduled batch with wide waves
-//! and a serial lane, and on a spawned engine.
+//! the order the commit log records, and that is the order the ops were
+//! submitted. A recording object logs the thread and the op of every
+//! `apply`; the tests compare that record with the commit log and the
+//! script on commuting batches, on a batch whose conflict plan has wide
+//! waves and a serial lane, and on a spawned engine.
 
 use std::sync::{Arc, Mutex};
 use std::thread::{self, ThreadId};
@@ -70,13 +71,17 @@ fn logged_ops(log: &CommitLog<Erc20Op, Erc20Resp>) -> Vec<Erc20Op> {
     log.entries().iter().map(|e| e.op.clone()).collect()
 }
 
+fn script_ops(script: &[(ProcessId, Erc20Op)]) -> Vec<Erc20Op> {
+    script.iter().map(|(_, op)| op.clone()).collect()
+}
+
 #[test]
 fn bypassed_batches_apply_on_the_caller_in_commit_order() {
-    // 4 096 owner-disjoint transfers: every batch certifies commuting.
+    // 4 096 owner-disjoint transfers: every batch commutes.
     let script: Vec<_> = (0..4096).map(|i| transfer(i, 4096 + i)).collect();
     let object = Recording::new(8192);
     let run = run_script(&object, &script, &PipelineConfig::default());
-    assert_eq!(run.stats.bypassed_ops, 4096, "every batch must bypass");
+    assert_eq!(run.stats.bypassed_ops, 4096, "every batch must commute");
 
     let (threads, ops) = object.record();
     let caller = thread::current().id();
@@ -85,6 +90,7 @@ fn bypassed_batches_apply_on_the_caller_in_commit_order() {
         "an op left the caller"
     );
     assert_eq!(ops, logged_ops(&run.log), "execution order is commit order");
+    assert_eq!(ops, script_ops(&script), "commit order is submission order");
 }
 
 #[test]
@@ -111,7 +117,7 @@ fn scheduled_batches_apply_on_the_caller_in_commit_order() {
     };
     let run = run_script(&object, &script, &cfg);
     assert_eq!(run.stats.batches, 1);
-    assert_eq!(run.stats.bypassed_ops, 0, "the batch must be scheduled");
+    assert_eq!(run.stats.bypassed_ops, 0, "the monitor must see conflicts");
     assert!(run.stats.serial_ops > 0);
 
     let (threads, ops) = object.record();
@@ -121,6 +127,7 @@ fn scheduled_batches_apply_on_the_caller_in_commit_order() {
         "an op left the caller"
     );
     assert_eq!(ops, logged_ops(&run.log), "execution order is commit order");
+    assert_eq!(ops, script_ops(&script), "commit order is submission order");
 }
 
 #[test]

@@ -63,10 +63,6 @@ fn counters_agree_with_pipeline_stats() {
         snap.counter("tokensync_pipeline_bypass_engaged_total"),
         run.stats.bypassed_batches
     );
-    assert_eq!(
-        snap.counter("tokensync_pipeline_bypass_aborts_total"),
-        run.stats.bypass_aborts
-    );
 
     // One whole-batch latency sample per batch.
     let batch_ns = obs.batch_latency().expect("enabled recorder");
@@ -104,16 +100,11 @@ fn sampled_batches_leave_causally_ordered_spans() {
     assert_eq!(ring.batches().len() as u64, run.stats.batches);
     for batch in ring.batches() {
         let trace = ring.trace(batch);
-        // Disjoint traffic rides the bypass: probe → execute → commit → seal.
+        // Every batch takes the one path: monitor → execute → commit → seal.
         let stages: Vec<Stage> = trace.iter().map(|e| e.stage).collect();
         assert_eq!(
             stages,
-            vec![
-                Stage::BypassProbe,
-                Stage::Execute,
-                Stage::Commit,
-                Stage::Seal
-            ],
+            vec![Stage::Schedule, Stage::Execute, Stage::Commit, Stage::Seal],
             "batch {batch}"
         );
         // Causally linked: each stage starts where the previous ended.
@@ -121,7 +112,7 @@ fn sampled_batches_leave_causally_ordered_spans() {
             assert!(pair[0].start_ns + pair[0].dur_ns <= pair[1].start_ns + 1);
         }
         let dump = ring.render_trace(batch);
-        assert!(dump.contains("bypass_probe"));
+        assert!(dump.contains("schedule"));
     }
 }
 

@@ -1,35 +1,40 @@
 //! Accounting identities of [`PipelineStats`] and the shape of the
-//! stream that crosses the [`CommitSink`] seam, on both execution
-//! routes (bypass and scheduled) for all three standards.
+//! stream that crosses the [`CommitSink`] seam, on commuting and
+//! contended batches of all three standards.
 //!
 //! The invariants:
 //!
-//! * `ops == parallel_ops + serial_ops` — every committed op took
-//!   exactly one of the two execution routes;
+//! * `ops == parallel_ops + serial_ops` — the conflict monitor places
+//!   every op in exactly one of its waves or its serial lane;
 //! * `bypassed_ops <= parallel_ops` and
-//!   `bypassed_batches <= batches` — the bypass path is a subset of
-//!   the parallel route;
+//!   `bypassed_batches <= batches` — a commuting batch is one wave;
+//!   `bypassed_batches` counts exactly the batches with no conflicting
+//!   pair, by the brute-force pairwise relation;
 //! * every non-empty batch crosses the seam as exactly one
 //!   `wave_committed_tagged` record followed by exactly one
 //!   `batch_sealed`, so `commit_records == batches == seals`; a record
 //!   spans its whole batch;
 //! * entries are contiguous in `seq` across records and carry their
-//!   batch number; tickets, when the producer attached any, are
-//!   permuted into commit order together with their entries;
-//! * with the bypass disabled, every bypass counter is zero;
-//! * the committed result is identical with the bypass on and off.
+//!   batch number; tickets, when the producer attached any, arrive in
+//!   submission order together with their entries;
+//! * the committed `(caller, op)` sequence is the script.
 
 use std::sync::Arc;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use tokensync_core::analysis::footprints_conflict;
 use tokensync_core::erc20::{Erc20Op, Erc20Spec, Erc20State};
 use tokensync_core::shared::{ConcurrentObject, ShardedErc20};
-use tokensync_core::standards::erc1155::{Erc1155Op, Erc1155State, ShardedErc1155, TypeId};
-use tokensync_core::standards::erc721::{Erc721Op, Erc721State, ShardedErc721, TokenId};
+use tokensync_core::standards::erc1155::{
+    Erc1155Op, Erc1155Spec, Erc1155State, ShardedErc1155, TypeId,
+};
+use tokensync_core::standards::erc721::{
+    Erc721Op, Erc721Spec, Erc721State, ShardedErc721, TokenId,
+};
 use tokensync_pipeline::{
-    run_script_with_sink, BatchConfig, BypassConfig, CommitSink, CommittedOp, Pipeline,
-    PipelineConfig, PipelineRun, PipelineStats, ScheduleConfig,
+    run_script_with_sink, BatchConfig, CommitSink, CommittedOp, Pipeline, PipelineConfig,
+    PipelineRun, PipelineStats, ScheduleConfig,
 };
 use tokensync_spec::{AccountId, ObjectType, ProcessId};
 
@@ -81,37 +86,31 @@ impl<T: ConcurrentObject + ?Sized> CommitSink<T> for SeamSink<T::Op, T::Resp> {
     }
 }
 
-fn cfg(max_ops: usize, bypass: bool) -> PipelineConfig {
+fn cfg(max_ops: usize) -> PipelineConfig {
     PipelineConfig {
         batch: BatchConfig {
             max_ops,
             ..BatchConfig::default()
-        },
-        bypass: BypassConfig {
-            enabled: bypass,
-            ..BypassConfig::default()
         },
         ..PipelineConfig::default()
     }
 }
 
 /// Checks the seam invariants of one run over `script` and returns the
-/// record lengths and whether any record's tickets left submission
-/// order. A ticket, where present, is the op's script position plus one.
+/// record lengths. A ticket, where present, is the op's script position
+/// plus one.
 fn check_seam<Op, Resp>(
     case: &str,
     script: &[(ProcessId, Op)],
     calls: &[SeamCall<Op, Resp>],
     stats: &PipelineStats,
-) -> (Vec<usize>, bool)
+) -> Vec<usize>
 where
     Op: PartialEq + std::fmt::Debug,
     Resp: std::fmt::Debug,
 {
     let mut next_seq = 0u64;
     let mut record_lens = Vec::new();
-    let mut ticket_seen = vec![false; script.len()];
-    let mut reordered = false;
     for (batch, pair) in calls.chunks(2).enumerate() {
         let [SeamCall::Record { entries, tickets }, SeamCall::Seal(sealed)] = pair else {
             panic!("{case}: batch {batch} is not one record then one seal: {pair:?}");
@@ -121,23 +120,23 @@ where
         for entry in entries {
             assert_eq!(entry.seq, next_seq, "{case}: seq gap or repeat");
             assert_eq!(entry.batch, *sealed, "{case}: entry in a foreign record");
+            let at = entry.seq as usize;
+            assert_eq!(
+                (script[at].0, &script[at].1),
+                (entry.caller, &entry.op),
+                "{case}: entry {at} left submission order"
+            );
             next_seq += 1;
         }
         if !tickets.is_empty() {
             assert_eq!(tickets.len(), entries.len(), "{case}: tickets parallel");
             for (entry, &ticket) in entries.iter().zip(tickets) {
-                let at = ticket as usize - 1;
                 assert_eq!(
-                    (script[at].0, &script[at].1),
-                    (entry.caller, &entry.op),
-                    "{case}: ticket {ticket} rode with another producer's entry"
-                );
-                assert!(
-                    !std::mem::replace(&mut ticket_seen[at], true),
-                    "{case}: ticket {ticket} delivered twice"
+                    ticket,
+                    entry.seq + 1,
+                    "{case}: ticket {ticket} out of submission order"
                 );
             }
-            reordered |= tickets.windows(2).any(|w| w[0] > w[1]);
         }
         record_lens.push(entries.len());
     }
@@ -149,7 +148,7 @@ where
     let records = record_lens.len() as u64;
     assert_eq!(records, stats.commit_records, "{case}: records");
     assert_eq!(records, stats.batches, "{case}: one record per batch");
-    (record_lens, reordered)
+    record_lens
 }
 
 /// `script` through the synchronous entry point: batches are the
@@ -165,7 +164,7 @@ where
 {
     let mut sink = SeamSink::default();
     let run = run_script_with_sink(token, script, cfg, &mut sink);
-    let (record_lens, _) = check_seam(case, script, &sink.calls, &run.stats);
+    let record_lens = check_seam(case, script, &sink.calls, &run.stats);
     let chunk_lens: Vec<usize> = script.chunks(cfg.batch.max_ops).map(<[_]>::len).collect();
     assert_eq!(record_lens, chunk_lens, "{case}: a record spans its batch");
     run
@@ -180,12 +179,11 @@ fn run_spawned<T: ConcurrentObject + 'static>(
     token: T,
     script: &[(ProcessId, T::Op)],
     max_ops: usize,
-    bypass: bool,
-) -> (PipelineStats, bool)
+) -> PipelineStats
 where
     T::Op: PartialEq,
 {
-    let mut cfg = cfg(max_ops, bypass);
+    let mut cfg = cfg(max_ops);
     cfg.batch.intake_shards = 1;
     cfg.batch.queue_depth = script.len();
     let (client, handle) = Pipeline::spawn_with_sink(Arc::new(token), cfg, SeamSink::default());
@@ -197,40 +195,29 @@ where
     assert_eq!(admitted, script.len(), "{case}: burst fits the intake");
     drop(client);
     let (run, sink) = handle.finish();
-    let (_, reordered) = check_seam(case, script, &sink.calls, &run.stats);
-    (run.stats, reordered)
+    check_seam(case, script, &sink.calls, &run.stats);
+    run.stats
 }
 
-/// Both entry points on the route `bypass` selects: a pairwise-disjoint
-/// script with the bypass on certifies every batch; with it off every
-/// batch is scheduled.
+/// Both entry points on `script`: a pairwise-disjoint script
+/// (`commutes`) counts every batch as commuting, a paired one none.
 fn check_route<T, Build>(
     name: &str,
     build: Build,
     script: &[(ProcessId, T::Op)],
     max_ops: usize,
-    bypass: bool,
+    commutes: bool,
 ) where
     T: ConcurrentObject + 'static,
     T::Op: PartialEq,
     Build: Fn() -> T,
 {
-    let case = format!("{name} bypass={bypass}");
-    let sync = run_sync(
-        &format!("{case} sync"),
-        &build(),
-        script,
-        &cfg(max_ops, bypass),
-    )
-    .stats;
-    let (spawned, reordered) =
-        run_spawned(&format!("{case} spawned"), build(), script, max_ops, bypass);
+    let case = format!("{name} commutes={commutes}");
+    let sync = run_sync(&format!("{case} sync"), &build(), script, &cfg(max_ops)).stats;
+    let spawned = run_spawned(&format!("{case} spawned"), build(), script, max_ops);
     for stats in [sync, spawned] {
-        let on_bypass = if bypass { stats.batches } else { 0 };
-        assert_eq!(stats.bypassed_batches, on_bypass, "{case}: wrong route");
-    }
-    if !bypass {
-        assert!(reordered, "{case}: the schedule never permuted a batch");
+        let commuting = if commutes { stats.batches } else { 0 };
+        assert_eq!(stats.bypassed_batches, commuting, "{case}: monitor");
     }
 }
 
@@ -290,42 +277,40 @@ fn hotrow_script(n: usize) -> (Erc20State, Vec<(ProcessId, Erc20Op)>) {
 }
 
 fn check_matrix(name: &str, state: &Erc20State, script: &[(ProcessId, Erc20Op)], max_ops: usize) {
-    let expected_batches = script.len().div_ceil(max_ops) as u64;
-    let mut final_states = Vec::new();
-    for bypass in [false, true] {
-        let case = format!("{name} bypass={bypass}");
-        let token = ShardedErc20::from_state(state.clone());
-        let s = run_sync(&case, &token, script, &cfg(max_ops, bypass)).stats;
-
-        // Route partition.
-        assert_eq!(s.ops, script.len() as u64, "{case}: ops");
-        assert_eq!(s.ops, s.parallel_ops + s.serial_ops, "{case}: partition");
-        assert_eq!(s.batches, expected_batches, "{case}: batches");
-
-        // Bypass is a subset of the parallel route.
-        assert!(
-            s.bypassed_ops <= s.parallel_ops,
-            "{case}: bypass ⊆ parallel"
-        );
-        assert!(s.bypassed_batches <= s.batches, "{case}: bypass batches");
-        if !bypass {
-            assert_eq!(
-                (s.bypassed_batches, s.bypassed_ops, s.bypass_aborts),
-                (0, 0, 0),
-                "{case}: bypass off must count nothing"
-            );
-        }
-
-        final_states.push((case, token.snapshot()));
-    }
-    // Same input, same committed state, regardless of config.
-    let (first_case, first) = &final_states[0];
-    for (case, st) in &final_states[1..] {
-        assert_eq!(st, first, "{case} diverged from {first_case}");
-    }
-    // And the whole thing replays against the sequential oracle.
     let token = ShardedErc20::from_state(state.clone());
-    let run = run_script_with_sink(&token, script, &cfg(max_ops, true), &mut ());
+    let run = run_sync(name, &token, script, &cfg(max_ops));
+    let s = run.stats;
+
+    // Monitor partition.
+    assert_eq!(s.ops, script.len() as u64, "{name}: ops");
+    assert_eq!(s.ops, s.parallel_ops + s.serial_ops, "{name}: partition");
+    assert_eq!(
+        s.batches,
+        script.len().div_ceil(max_ops) as u64,
+        "{name}: batches"
+    );
+
+    // A commuting batch is one wave of the parallel route.
+    assert!(
+        s.bypassed_ops <= s.parallel_ops,
+        "{name}: commuting ⊆ parallel"
+    );
+    assert!(s.bypassed_batches <= s.batches, "{name}: commuting batches");
+    assert_eq!(s.bypass_aborts, 0, "{name}: nothing speculates");
+
+    // The committed (caller, op) sequence is the script…
+    let committed: Vec<_> = run
+        .log
+        .entries()
+        .iter()
+        .map(|e| (e.caller, &e.op))
+        .collect();
+    let submitted: Vec<_> = script.iter().map(|(c, op)| (*c, op)).collect();
+    assert_eq!(
+        committed, submitted,
+        "{name}: commit order is submission order"
+    );
+    // …and replays against the sequential oracle.
     let replayed = run
         .log
         .replay(&Erc20Spec::new(state.clone()))
@@ -366,9 +351,10 @@ fn single_op_batches_identities() {
 
 // The per-standard scripts below come in two shapes over 16 owners.
 // *Disjoint*: op `i` has its own source and its own sink, so the whole
-// script commutes pairwise and any batch of it bypasses. *Paired*: ops
-// `2j` and `2j + 1` race one source, so the schedule lifts every odd op
-// into a later wave — commit order leaves submission order.
+// script commutes pairwise and the monitor counts every batch of it as
+// commuting. *Paired*: ops `2j` and `2j + 1` race one source, so the
+// monitor lifts every odd op into a later wave and counts no batch —
+// both still commit in submission order.
 
 const OWNERS: usize = 16;
 
@@ -445,51 +431,169 @@ fn erc1155_batches_cross_the_seam_as_one_record_then_one_seal() {
     check_route("erc1155", build, &paired, 12, false);
 }
 
+/// One random script through the synchronous engine: it commits in
+/// submission order and replays to the sequential state, and the monitor
+/// counts as commuting exactly the batches with no conflicting pair.
+fn check_random<T, S>(name: &str, token: &T, spec: &S, script: &[(ProcessId, T::Op)], batch: usize)
+where
+    T: ConcurrentObject,
+    T::Op: PartialEq,
+    S: ObjectType<Op = T::Op, Resp = T::Resp, State = T::State>,
+    T::State: PartialEq + std::fmt::Debug,
+{
+    let mut cfg = cfg(batch);
+    cfg.schedule = ScheduleConfig {
+        max_parallel_waves: 3,
+    };
+    let run = run_sync(name, token, script, &cfg);
+    let replayed = run.log.replay(spec).expect("replays");
+    let mut sequential = spec.initial_state();
+    for (caller, op) in script {
+        spec.apply(&mut sequential, *caller, op);
+    }
+    assert_eq!(replayed, sequential, "{name}: oracle");
+    let s = run.stats;
+    assert_eq!(s.ops, s.parallel_ops + s.serial_ops, "{name}: partition");
+    let commuting = script
+        .chunks(batch)
+        .filter(|ops| {
+            (0..ops.len()).all(|x| {
+                (x + 1..ops.len())
+                    .all(|y| !footprints_conflict((ops[x].0, &ops[x].1), (ops[y].0, &ops[y].1)))
+            })
+        })
+        .count();
+    assert_eq!(
+        s.bypassed_batches, commuting as u64,
+        "{name}: the monitor disagrees with the pairwise relation"
+    );
+}
+
+fn arb_erc20() -> impl Strategy<Value = (ProcessId, Erc20Op)> {
+    prop_oneof![
+        (0..12usize, 0..12usize, 0u64..4).prop_map(|(c, to, v)| (
+            p(c),
+            Erc20Op::Transfer {
+                to: a(to),
+                value: v
+            }
+        )),
+        (0..12usize, 0..12usize, 0..12usize, 0u64..4).prop_map(|(c, from, to, v)| (
+            p(c),
+            Erc20Op::TransferFrom {
+                from: a(from),
+                to: a(to),
+                value: v,
+            }
+        )),
+        (0..12usize, 0..12usize, 0u64..6).prop_map(|(c, sp, v)| (
+            p(c),
+            Erc20Op::Approve {
+                spender: p(sp),
+                value: v
+            }
+        )),
+    ]
+}
+
+fn arb_erc721() -> impl Strategy<Value = (ProcessId, Erc721Op)> {
+    prop_oneof![
+        (0..8usize, 0..8usize, 0..8usize).prop_map(|(c, from, token)| (
+            p(c),
+            Erc721Op::TransferFrom {
+                from: p(from),
+                to: p((from + 1) % 8),
+                token: TokenId::new(token),
+            }
+        )),
+        (0..8usize, 0..8usize).prop_map(|(c, token)| (
+            p(c),
+            Erc721Op::Approve {
+                approved: Some(p((c + 1) % 8)),
+                token: TokenId::new(token),
+            }
+        )),
+        (0..8usize, 0..8usize).prop_map(|(c, operator)| (
+            p(c),
+            Erc721Op::SetApprovalForAll {
+                operator: p(operator),
+                on: true,
+            }
+        )),
+        (0..8usize, 0..8usize).prop_map(|(c, token)| (
+            p(c),
+            Erc721Op::OwnerOf {
+                token: TokenId::new(token)
+            }
+        )),
+    ]
+}
+
+fn arb_erc1155() -> impl Strategy<Value = (ProcessId, Erc1155Op)> {
+    prop_oneof![
+        (0..8usize, 0..8usize, vec(0..3usize, 1..4)).prop_map(|(c, to, types)| (
+            p(c),
+            Erc1155Op::BatchTransfer {
+                from: a(c),
+                to: a(to),
+                entries: types.into_iter().map(|t| (TypeId::new(t), 1)).collect(),
+            }
+        )),
+        (0..8usize, 0..8usize, 0..8usize, 0..3usize).prop_map(|(c, from, to, t)| (
+            p(c),
+            Erc1155Op::Transfer {
+                from: a(from),
+                to: a(to),
+                type_id: TypeId::new(t),
+                value: 1,
+            }
+        )),
+        (0..8usize, 0..8usize).prop_map(|(c, operator)| (
+            p(c),
+            Erc1155Op::SetApprovalForAll {
+                operator: p(operator),
+                on: true,
+            }
+        )),
+        (0..8usize, 0..8usize, 0..3usize).prop_map(|(c, account, t)| (
+            p(c),
+            Erc1155Op::BalanceOf {
+                account: a(account),
+                type_id: TypeId::new(t),
+            }
+        )),
+    ]
+}
+
 proptest! {
-    /// Random mixed ERC20 scripts, random batch sizes, bypass on and
-    /// off: whatever the schedule does inside a batch, the batch
-    /// crosses the seam as one whole record, and the committed log
-    /// replays to the submission-order sequential state.
+    /// Random scripts of all three standards, random batch sizes:
+    /// whatever the monitor reads inside a batch, the batch crosses the
+    /// seam as one whole record in submission order, the committed log
+    /// replays to the sequential state, and the monitor's commuting
+    /// batches are exactly the batches with no conflicting pair.
     #[test]
     fn random_scripts_commit_one_record_per_batch(
         balances in vec(0u64..10, 12),
-        ops in vec(
-            prop_oneof![
-                (0..12usize, 0..12usize, 0u64..4).prop_map(|(c, to, v)| (
-                    c,
-                    Erc20Op::Transfer { to: AccountId::new(to), value: v }
-                )),
-                (0..12usize, 0..12usize, 0..12usize, 0u64..4).prop_map(|(c, from, to, v)| (
-                    c,
-                    Erc20Op::TransferFrom {
-                        from: AccountId::new(from),
-                        to: AccountId::new(to),
-                        value: v,
-                    }
-                )),
-                (0..12usize, 0..12usize, 0u64..6).prop_map(|(c, sp, v)| (
-                    c,
-                    Erc20Op::Approve { spender: ProcessId::new(sp), value: v }
-                )),
-            ],
-            1..60,
-        ),
+        erc20 in vec(arb_erc20(), 1..60),
+        erc721 in vec(arb_erc721(), 1..60),
+        erc1155 in vec(arb_erc1155(), 1..60),
         batch in 1usize..14,
-        bypass_bit in 0usize..2,
     ) {
         let initial = Erc20State::from_balances(balances);
-        let script: Vec<(ProcessId, Erc20Op)> =
-            ops.into_iter().map(|(c, op)| (p(c), op)).collect();
         let token = ShardedErc20::from_state(initial.clone());
-        let mut cfg = cfg(batch, bypass_bit == 1);
-        cfg.schedule = ScheduleConfig { max_parallel_waves: 3 };
-        let run = run_sync("random", &token, &script, &cfg);
-        let spec = Erc20Spec::new(initial);
-        let replayed = run.log.replay(&spec).expect("replays");
-        let mut sequential = spec.initial_state();
-        for (caller, op) in &script {
-            spec.apply(&mut sequential, *caller, op);
+        check_random("erc20", &token, &Erc20Spec::new(initial), &erc20, batch);
+
+        let initial = Erc721State::minted_round_robin(8, 8, 8);
+        let nft = ShardedErc721::from_state(initial.clone());
+        check_random("erc721", &nft, &Erc721Spec::new(initial), &erc721, batch);
+
+        let mut initial = Erc1155State::deploy(8, p(0), &[0, 0, 0]);
+        for i in 0..8 {
+            for t in 0..3 {
+                initial.set_balance(a(i), TypeId::new(t), 2);
+            }
         }
-        assert_eq!(replayed, sequential);
+        let multi = ShardedErc1155::from_state(initial.clone());
+        check_random("erc1155", &multi, &Erc1155Spec::new(initial), &erc1155, batch);
     }
 }

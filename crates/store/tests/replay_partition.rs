@@ -1,12 +1,16 @@
-//! The commutativity probe and verified recovery on one log.
+//! The commutativity reading and verified recovery on one log.
 //!
-//! `Scheduler::commuting_prefix` is the serving path's bypass probe.
-//! These properties pin it against the brute-force pairwise relation
-//! on random logs of all three standards: every run pairwise commuting,
-//! every run maximal, and `batch_commutes` exactly "the prefix spans
-//! the batch". Recovery replays the log suffix sequentially through the
-//! oracle, and a wrong logged response deep in a long contended log
-//! fails it at exactly that response's sequence number.
+//! `Scheduler::batch_commutes` reads the engine's conflict monitor: a
+//! batch commutes iff its schedule puts every op in wave 0 with an empty
+//! serial lane. These properties pin it against the brute-force pairwise
+//! relation on random logs of all three standards: on every prefix of a
+//! log, `batch_commutes` holds exactly when no pair of the prefix
+//! conflicts. (The maximal-run property — each probe run ends at an op
+//! conflicting with it — went with `commuting_prefix`, which nothing
+//! cuts runs with any more.) Recovery replays the log suffix
+//! sequentially through the oracle, and a wrong logged response deep in
+//! a long contended log fails it at exactly that response's sequence
+//! number.
 
 mod common;
 
@@ -33,32 +37,19 @@ fn a(i: usize) -> AccountId {
     AccountId::new(i)
 }
 
-/// Cuts `ops` into runs the way recovery does and checks each one
-/// against the pairwise relation.
-fn assert_probe_runs<Op: FootprintedOp + std::fmt::Debug>(ops: &[(ProcessId, Op)]) {
+/// Checks `batch_commutes` on every prefix of `ops` against the
+/// pairwise relation, on one retained scheduler.
+fn assert_commutes_exactly<Op: FootprintedOp + std::fmt::Debug>(ops: &[(ProcessId, Op)]) {
     let conflict =
         |x: &(ProcessId, Op), y: &(ProcessId, Op)| footprints_conflict((x.0, &x.1), (y.0, &y.1));
     let mut probe = Scheduler::new();
-    let whole = probe.commuting_prefix(ops.iter().map(|(c, op)| (*c, op)));
-    assert_eq!(probe.batch_commutes(ops), whole == ops.len());
-    let mut start = 0;
-    while start < ops.len() {
-        let rest = &ops[start..];
-        let len = probe.commuting_prefix(rest.iter().map(|(c, op)| (*c, op)));
-        assert!(len >= 1, "a run always takes at least one op");
-        let run = &rest[..len];
-        for (i, x) in run.iter().enumerate() {
-            for y in &run[i + 1..] {
-                assert!(!conflict(x, y), "conflicting {x:?} and {y:?} share a run");
-            }
-        }
-        if let Some(next) = rest.get(len) {
-            assert!(
-                run.iter().any(|x| conflict(x, next)),
-                "run ending before {next:?} is not maximal"
-            );
-        }
-        start += len;
+    for end in 0..=ops.len() {
+        let prefix = &ops[..end];
+        let clean = prefix
+            .iter()
+            .enumerate()
+            .all(|(i, x)| prefix[i + 1..].iter().all(|y| !conflict(x, y)));
+        assert_eq!(probe.batch_commutes(prefix), clean, "on {prefix:?}");
     }
 }
 
@@ -172,18 +163,18 @@ fn arb_erc1155() -> impl Strategy<Value = (ProcessId, Erc1155Op)> {
 
 proptest! {
     #[test]
-    fn erc20_probe_runs_are_maximal_commuting_runs(ops in vec(arb_erc20(), 0..40)) {
-        assert_probe_runs(&ops);
+    fn erc20_batch_commutes_iff_no_pair_conflicts(ops in vec(arb_erc20(), 0..40)) {
+        assert_commutes_exactly(&ops);
     }
 
     #[test]
-    fn erc721_probe_runs_are_maximal_commuting_runs(ops in vec(arb_erc721(), 0..40)) {
-        assert_probe_runs(&ops);
+    fn erc721_batch_commutes_iff_no_pair_conflicts(ops in vec(arb_erc721(), 0..40)) {
+        assert_commutes_exactly(&ops);
     }
 
     #[test]
-    fn erc1155_probe_runs_are_maximal_commuting_runs(ops in vec(arb_erc1155(), 0..40)) {
-        assert_probe_runs(&ops);
+    fn erc1155_batch_commutes_iff_no_pair_conflicts(ops in vec(arb_erc1155(), 0..40)) {
+        assert_commutes_exactly(&ops);
     }
 }
 
@@ -199,12 +190,9 @@ fn duplicate_type_ids_in_one_batch_are_not_a_conflict() {
             },
         )
     };
-    let ops = vec![dup(0), dup(1), dup(0)];
-    assert_eq!(
-        Scheduler::new().commuting_prefix(ops.iter().map(|(c, op)| (*c, op))),
-        2
-    );
-    assert_probe_runs(&ops);
+    let mut probe = Scheduler::new();
+    assert!(probe.batch_commutes(&[dup(0), dup(1)]));
+    assert!(!probe.batch_commutes(&[dup(0), dup(1), dup(0)]));
 }
 
 /// A contended ERC20 log of `len` entries over the accounts of

@@ -45,8 +45,8 @@
 //!
 //! ## Serving examples
 //!
-//! The pipeline schedules commuting operations into waves and applies
-//! them on one engine thread in commit order (walkthrough:
+//! The pipeline applies every batch on one engine thread in submission
+//! order and monitors which operations commute (walkthrough:
 //! docs/pipeline.md in the repository):
 //!
 //! ```
