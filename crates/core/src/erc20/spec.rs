@@ -64,22 +64,7 @@ impl ObjectType for Erc20Spec {
     }
 
     fn apply(&self, state: &mut Erc20State, process: ProcessId, op: &Erc20Op) -> Erc20Resp {
-        match *op {
-            Erc20Op::Transfer { to, value } => {
-                Erc20Resp::Bool(state.transfer(process, to, value).is_ok())
-            }
-            Erc20Op::TransferFrom { from, to, value } => {
-                Erc20Resp::Bool(state.transfer_from(process, from, to, value).is_ok())
-            }
-            Erc20Op::Approve { spender, value } => {
-                Erc20Resp::Bool(state.approve(process, spender, value).is_ok())
-            }
-            Erc20Op::BalanceOf { account } => Erc20Resp::Amount(state.balance(account)),
-            Erc20Op::Allowance { account, spender } => {
-                Erc20Resp::Amount(state.allowance(account, spender))
-            }
-            Erc20Op::TotalSupply => Erc20Resp::Amount(state.total_supply()),
-        }
+        state.apply_op(process, op)
     }
 }
 

@@ -6,6 +6,7 @@ use tokensync_spec::{AccountId, Amount, ProcessId};
 
 use crate::error::TokenError;
 
+use super::ops::{Erc20Op, Erc20Resp};
 use super::sparse::SpenderMap;
 
 /// The state of an ERC20 token object: the balance map
@@ -352,6 +353,25 @@ impl Erc20State {
         self.check_process(spender)?;
         self.set_row_entry(caller.index(), spender.index(), value);
         Ok(())
+    }
+
+    /// `op` by `caller`: a mutator runs the typed transition of the same
+    /// name and answers `TRUE` iff it lands; a read answers its amount,
+    /// `0` out of range.
+    pub(crate) fn apply_op(&mut self, caller: ProcessId, op: &Erc20Op) -> Erc20Resp {
+        let landed = match *op {
+            Erc20Op::Transfer { to, value } => self.transfer(caller, to, value),
+            Erc20Op::TransferFrom { from, to, value } => {
+                self.transfer_from(caller, from, to, value)
+            }
+            Erc20Op::Approve { spender, value } => self.approve(caller, spender, value),
+            Erc20Op::BalanceOf { account } => return Erc20Resp::Amount(self.balance(account)),
+            Erc20Op::Allowance { account, spender } => {
+                return Erc20Resp::Amount(self.allowance(account, spender))
+            }
+            Erc20Op::TotalSupply => return Erc20Resp::Amount(self.total_supply()),
+        };
+        Erc20Resp::Bool(landed.is_ok())
     }
 
     /// Overwrites one account's full row — balance plus allowance row —

@@ -38,7 +38,8 @@
 //!   machine) and the footprinted serving objects, each behind one lock
 //!   ([`standards::erc721::ShardedErc721`],
 //!   [`standards::erc1155::ShardedErc1155`]) the generic pipeline
-//!   executes.
+//!   executes. All three served objects, `ShardedErc20` included, are
+//!   one generic type, [`shared::Served`].
 //!
 //! # Quickstart
 //!

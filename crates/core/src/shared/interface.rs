@@ -6,7 +6,8 @@
 //!   pipeline serves: a linearizable shared object whose operations carry
 //!   state footprints ([`FootprintedOp`]) and whose state can be
 //!   snapshotted into a sequential oracle type. ERC20, ERC721 and
-//!   ERC1155 objects all implement it.
+//!   ERC1155 objects all implement it, the served ones through the one
+//!   generic [`Served`](super::Served).
 //! * [`ConcurrentToken`] — the ERC20-specific convenience subtrait with
 //!   the named methods (`transfer`, `approve`, …) the paper's
 //!   constructions call directly. Every `ConcurrentToken` is a
@@ -46,6 +47,14 @@ pub trait ConcurrentObject: Send + Sync {
     /// Applies a formal operation, returning the formal response.
     fn apply(&self, process: ProcessId, op: &Self::Op) -> Self::Resp;
 
+    /// Applies `ops` in order and returns their responses in order, as
+    /// one [`apply`](Self::apply) per op would. The default is that
+    /// loop; a [`Served`](super::Served) object takes its lock once for
+    /// the whole batch.
+    fn apply_batch(&self, ops: &[(ProcessId, Self::Op)]) -> Vec<Self::Resp> {
+        ops.iter().map(|(c, op)| self.apply(*c, op)).collect()
+    }
+
     /// An atomic snapshot of the full state.
     fn snapshot(&self) -> Self::State;
 }
@@ -57,6 +66,9 @@ impl<T: ConcurrentObject + ?Sized> ConcurrentObject for std::sync::Arc<T> {
 
     fn apply(&self, process: ProcessId, op: &Self::Op) -> Self::Resp {
         (**self).apply(process, op)
+    }
+    fn apply_batch(&self, ops: &[(ProcessId, Self::Op)]) -> Vec<Self::Resp> {
+        (**self).apply_batch(ops)
     }
     fn snapshot(&self) -> Self::State {
         (**self).snapshot()
@@ -143,39 +155,4 @@ pub trait ConcurrentToken:
 
     /// `totalSupply()` — atomic with respect to transfers.
     fn total_supply(&self) -> Amount;
-}
-
-impl<T: ConcurrentToken + ?Sized> ConcurrentToken for std::sync::Arc<T> {
-    fn accounts(&self) -> usize {
-        (**self).accounts()
-    }
-    fn transfer(&self, caller: ProcessId, to: AccountId, value: Amount) -> Result<(), TokenError> {
-        (**self).transfer(caller, to, value)
-    }
-    fn transfer_from(
-        &self,
-        caller: ProcessId,
-        from: AccountId,
-        to: AccountId,
-        value: Amount,
-    ) -> Result<(), TokenError> {
-        (**self).transfer_from(caller, from, to, value)
-    }
-    fn approve(
-        &self,
-        caller: ProcessId,
-        spender: ProcessId,
-        value: Amount,
-    ) -> Result<(), TokenError> {
-        (**self).approve(caller, spender, value)
-    }
-    fn balance_of(&self, account: AccountId) -> Amount {
-        (**self).balance_of(account)
-    }
-    fn allowance(&self, account: AccountId, spender: ProcessId) -> Amount {
-        (**self).allowance(account, spender)
-    }
-    fn total_supply(&self) -> Amount {
-        (**self).total_supply()
-    }
 }

@@ -1,45 +1,6 @@
-//! The dirty bitmap under every served object's incremental snapshots
-//! ([`ShardedErc20`](super::ShardedErc20),
-//! [`ShardedErc721`](crate::standards::erc721::ShardedErc721),
-//! [`ShardedErc1155`](crate::standards::erc1155::ShardedErc1155)).
-//!
-//! # Mark/drain contract
-//!
-//! Incremental snapshots need the set of rows written since the last
-//! `drain_delta`. Every object keeps it the same way, so that a mark
-//! costs the operation nothing it can feel:
-//!
-//! * **mark** — under the object's one lock, which the write already
-//!   holds, set the written key's bit in the object's [`Marks`] (one
-//!   OR-store, no allocation). ERC1155 also sets the written
-//!   `(account, type)` cell's bit in a second `Marks` indexed like its
-//!   balance matrix, so the drain knows which cells of a marked row to
-//!   report; ERC20 and ERC721 report the whole row. ERC721 is the one
-//!   object whose table grows after construction: a mint past the end
-//!   of its table extends the table and, with [`Marks::grow`], its
-//!   bitmap;
-//! * **exact** — a bit is set at most once between drains, so the
-//!   tracking is one bit per key whatever the traffic, even on an
-//!   object nobody ever drains (a volatile engine, a store with
-//!   snapshots off), and a drain needs no de-duplication;
-//! * **drain** — [`Marks::drain`] walks the bitmap's words in order and
-//!   visits every marked key once, clearing its bit, in ascending key
-//!   order. The object reads each visited row's current value; ERC1155
-//!   test-and-clears the row's cell bits ([`Marks::take`]) and reports
-//!   those cells, zeros included;
-//! * **order** — the walk's: a drain emits its rows already in key
-//!   order (ERC1155 in `(type, account)` order by filling one
-//!   account-ordered bucket per type), with no key list and no sort,
-//!   so a delta's bytes depend only on which cells were written;
-//! * **cut** — the drain holds the one lock, so a delta is a
-//!   linearizable read of the whole object even while other threads
-//!   serve: every operation lands wholly before the drain or wholly in
-//!   the next delta. A store drains at its batch seal, on the engine
-//!   thread that applies every op, so nothing waits on it there.
-//!
-//! The operator pairs of ERC721 and ERC1155 (`setApprovalForAll` only)
-//! are marked in a `BTreeSet` beside the table instead: exact and
-//! ordered, so the drain walks it with no sort, at `O(log n)` per mark.
+//! The dirty bitmap under every served object's incremental snapshots.
+//! The mark/drain contract it serves is stated once, in
+//! [`shared::served`](super::served).
 
 /// Dirty keys under the mark/drain contract: bit `k` is set iff key `k`
 /// was written since the last drain.

@@ -1,15 +1,19 @@
-//! Linearizable concurrent implementations of the ERC20 token object.
+//! Linearizable concurrent implementations of the token objects.
 //!
 //! The paper's model assumes processes access the token as a linearizable
-//! shared object. Two implementations are provided behind the
+//! shared object. Two ERC20 implementations are provided behind the
 //! [`ConcurrentToken`] interface:
 //!
-//! * [`ShardedErc20`] — one lock over the whole state, with incremental
-//!   snapshots; the object the serving path runs. That path has one
-//!   writer per object (one engine thread applies every op, the store
-//!   drains at the batch seal on the same thread, and each replica
-//!   applies to its own object), so it scales out by objects, not by
-//!   locks inside one object.
+//! * [`ShardedErc20`] — the generic [`Served`] object over ERC20: one
+//!   lock over the whole state, with incremental snapshots; the object
+//!   the serving path runs. [`Served`] is also the ERC721 and ERC1155
+//!   serving object, so the lock, the marks and the drain are written
+//!   once for all three standards (the mark/drain contract is in
+//!   `served`'s module doc). That path has one writer per object (one
+//!   engine thread applies every batch, the store drains at the batch
+//!   seal on the same thread, and each replica applies to its own
+//!   object), so it scales out by objects, not by locks inside one
+//!   object.
 //! * [`SharedErc20`] — per-account locks acquired in ascending index order;
 //!   disjoint accounts proceed in parallel. This is the implementation the
 //!   consensus constructions run on.
@@ -22,11 +26,13 @@
 mod fine;
 mod interface;
 pub(crate) mod marks;
+mod served;
 mod sharded;
 
 pub use fine::SharedErc20;
 pub use interface::{apply_erc20, ConcurrentObject, ConcurrentToken};
-pub use sharded::ShardedErc20;
+pub use served::{Served, Tracked};
+pub use sharded::{Erc20Tracked, ShardedErc20};
 
 #[cfg(test)]
 mod tests {

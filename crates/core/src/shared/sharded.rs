@@ -1,40 +1,90 @@
-//! The served ERC20 object: one lock over an [`Erc20State`], plus the
-//! dirty bitmap incremental snapshots drain.
-//!
-//! The serving path has one writer per object: one engine thread applies
-//! every op of a served object, the store drains at the batch seal on
-//! that same thread, and each replica applies to its own object. So the
-//! object scales out by objects, not by locks inside one object, and an
-//! operation is the sequential state's own transition under one
-//! uncontended lock. Library callers that share the object across
-//! threads still get a linearizable object: every operation is one
-//! critical section over the whole state.
+//! The served ERC20 object: [`Served`] over an [`Erc20State`] and the
+//! dirty bitmap its incremental snapshots drain.
 
-use parking_lot::Mutex;
 use tokensync_spec::{AccountId, Amount, ProcessId};
 
-use crate::erc20::{Erc20Delta, Erc20Op, Erc20Resp, Erc20State};
+use crate::erc20::{Erc20Delta, Erc20Op, Erc20Resp, Erc20Spec, Erc20State};
 use crate::error::TokenError;
 
-use super::interface::{apply_erc20, ConcurrentObject, ConcurrentToken};
+use super::interface::ConcurrentToken;
 use super::marks::Marks;
+use super::served::{Served, Tracked};
 
-/// What the one lock guards: the state and the accounts written since
-/// the last [`ShardedErc20::drain_delta`].
+/// What the one lock of a [`ShardedErc20`] guards: the state and the
+/// accounts written since the last [`Served::drain_delta`], one bit per
+/// account whatever the traffic.
 #[derive(Debug)]
-struct Served {
+pub struct Erc20Tracked {
     state: Erc20State,
     dirty: Marks,
+}
+
+impl Tracked for Erc20Tracked {
+    type Op = Erc20Op;
+    type Resp = Erc20Resp;
+    type State = Erc20State;
+    type Delta = Erc20Delta;
+    type Spec = Erc20Spec;
+
+    const LANDED: Erc20Resp = Erc20Resp::TRUE;
+
+    fn track(state: Erc20State) -> Self {
+        Self {
+            dirty: Marks::new(state.accounts()),
+            state,
+        }
+    }
+
+    fn state(&self) -> &Erc20State {
+        &self.state
+    }
+    fn transition(&mut self, caller: ProcessId, op: &Erc20Op) -> Erc20Resp {
+        self.state.apply_op(caller, op)
+    }
+
+    /// A transfer marks its two accounts, an approval its caller's.
+    fn mark(&mut self, caller: ProcessId, op: &Erc20Op) {
+        let rows = match *op {
+            Erc20Op::Transfer { to, .. } => [caller.index(), to.index()],
+            Erc20Op::TransferFrom { from, to, .. } => [from.index(), to.index()],
+            Erc20Op::Approve { .. } => [caller.index(); 2],
+            Erc20Op::BalanceOf { .. } | Erc20Op::Allowance { .. } | Erc20Op::TotalSupply => return,
+        };
+        for row in rows {
+            self.dirty.mark(row);
+        }
+    }
+
+    /// The full current `(balance, allowance row)` of every marked
+    /// account, in ascending account order.
+    fn drain(&mut self) -> Erc20Delta {
+        let Self { state, dirty } = self;
+        let mut rows = Vec::new();
+        dirty.drain(|account| {
+            let id = AccountId::new(account);
+            rows.push((
+                account as u32,
+                state.balance(id),
+                state.approval_row(id).clone(),
+            ));
+        });
+        Erc20Delta { rows }
+    }
+
+    fn spec(initial: Erc20State) -> Erc20Spec {
+        Erc20Spec::new(initial)
+    }
+    fn fold(state: &mut Erc20State, delta: &Erc20Delta) -> bool {
+        delta.apply_to(state)
+    }
 }
 
 /// An ERC20 token behind one lock, with incremental snapshots.
 ///
 /// Every operation runs the [`Erc20State`] transition of the same name
-/// under the lock; a mutation that lands then marks its rows in a
-/// bitmap over accounts (the mark/drain contract of `shared/marks.rs`),
-/// and [`drain_delta`](ShardedErc20::drain_delta) walks and clears that
-/// bitmap — one bit per account of tracking, whatever the traffic.
-/// [`ConcurrentObject::snapshot`] is a clone of the state, and
+/// under the lock; a mutation that lands then marks its accounts (the
+/// mark/drain contract of [`Served`]), and
+/// [`drain_delta`](Served::drain_delta) walks and clears that bitmap.
 /// `totalSupply` reads the state's cached supply.
 ///
 /// Linearizability is established empirically by the recorded-history
@@ -54,11 +104,7 @@ struct Served {
 /// assert_eq!(token.total_supply(), 1_000_000);
 /// # Ok::<(), tokensync_core::TokenError>(())
 /// ```
-#[derive(Debug)]
-pub struct ShardedErc20 {
-    served: Mutex<Served>,
-    accounts: usize,
-}
+pub type ShardedErc20 = Served<Erc20Tracked>;
 
 impl ShardedErc20 {
     /// Deploys a fresh token (deployer holds the whole supply).
@@ -70,78 +116,28 @@ impl ShardedErc20 {
         Self::from_state(Erc20State::with_deployer(n, deployer, total_supply))
     }
 
-    /// Wraps an arbitrary starting state (the paper's `T_q`). The state
-    /// moves in: nothing is copied.
-    pub fn from_state(state: Erc20State) -> Self {
-        let accounts = state.accounts();
-        Self {
-            served: Mutex::new(Served {
-                dirty: Marks::new(accounts),
-                state,
-            }),
-            accounts,
-        }
-    }
-
-    /// Drains the copy-on-write dirty set: the full current
-    /// `(balance, allowance row)` of every account touched since the
-    /// previous drain, clearing the tracking bits.
-    ///
-    /// The drain holds the lock and visits the marked accounts in
-    /// ascending order, so the rows come out sorted and form an atomic
-    /// cut: the previous snapshot plus the rows is the state at one
-    /// linearization point.
-    pub fn drain_delta(&self) -> Erc20Delta {
-        let mut served = self.served.lock();
-        let Served { state, dirty } = &mut *served;
-        let mut rows = Vec::new();
-        dirty.drain(|account| {
-            let id = AccountId::new(account);
-            rows.push((
-                account as u32,
-                state.balance(id),
-                state.approval_row(id).clone(),
-            ));
-        });
-        Erc20Delta { rows }
-    }
-
-    /// Runs `transition` on the state and, if it lands, marks `rows`.
+    /// Runs a typed `transition` under the lock and, if it lands, marks
+    /// what `op`, the same call as a formal op, wrote.
     fn write(
         &self,
-        rows: [usize; 2],
+        caller: ProcessId,
+        op: Erc20Op,
         transition: impl FnOnce(&mut Erc20State) -> Result<(), TokenError>,
     ) -> Result<(), TokenError> {
-        let mut served = self.served.lock();
-        transition(&mut served.state)?;
-        for row in rows {
-            served.dirty.mark(row);
-        }
+        let mut tracked = self.lock();
+        transition(&mut tracked.state)?;
+        tracked.mark(caller, &op);
         Ok(())
-    }
-}
-
-impl ConcurrentObject for ShardedErc20 {
-    type Op = Erc20Op;
-    type Resp = Erc20Resp;
-    type State = Erc20State;
-
-    fn apply(&self, process: ProcessId, op: &Erc20Op) -> Erc20Resp {
-        apply_erc20(self, process, op)
-    }
-
-    fn snapshot(&self) -> Erc20State {
-        self.served.lock().state.clone()
     }
 }
 
 impl ConcurrentToken for ShardedErc20 {
     fn accounts(&self) -> usize {
-        self.accounts
+        self.lock().state.accounts()
     }
 
     fn transfer(&self, caller: ProcessId, to: AccountId, value: Amount) -> Result<(), TokenError> {
-        self.write([caller.index(), to.index()], |state| {
+        self.write(caller, Erc20Op::Transfer { to, value }, |state| {
             state.transfer(caller, to, value)
         })
     }
@@ -153,7 +149,8 @@ impl ConcurrentToken for ShardedErc20 {
         to: AccountId,
         value: Amount,
     ) -> Result<(), TokenError> {
-        self.write([from.index(), to.index()], |state| {
+        let op = Erc20Op::TransferFrom { from, to, value };
+        self.write(caller, op, |state| {
             state.transfer_from(caller, from, to, value)
         })
     }
@@ -164,21 +161,21 @@ impl ConcurrentToken for ShardedErc20 {
         spender: ProcessId,
         value: Amount,
     ) -> Result<(), TokenError> {
-        self.write([caller.index(); 2], |state| {
+        self.write(caller, Erc20Op::Approve { spender, value }, |state| {
             state.approve(caller, spender, value)
         })
     }
 
     fn balance_of(&self, account: AccountId) -> Amount {
-        self.served.lock().state.balance(account)
+        self.lock().state.balance(account)
     }
 
     fn allowance(&self, account: AccountId, spender: ProcessId) -> Amount {
-        self.served.lock().state.allowance(account, spender)
+        self.lock().state.allowance(account, spender)
     }
 
     fn total_supply(&self) -> Amount {
-        self.served.lock().state.total_supply()
+        self.lock().state.total_supply()
     }
 }
 
@@ -186,6 +183,7 @@ impl ConcurrentToken for ShardedErc20 {
 mod tests {
     use super::*;
     use crate::erc20::SpenderMap;
+    use crate::shared::ConcurrentObject;
     use std::sync::Arc;
 
     fn a(i: usize) -> AccountId {

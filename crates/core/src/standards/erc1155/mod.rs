@@ -29,7 +29,7 @@ mod object;
 
 pub use object::{
     per_type_sums_fit, Erc1155Delta, Erc1155Op, Erc1155Resp, Erc1155Spec, Erc1155State,
-    ShardedErc1155,
+    Erc1155Tracked, ShardedErc1155,
 };
 
 /// Identifier of a token *type* within an ERC1155 contract.

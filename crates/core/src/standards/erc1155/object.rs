@@ -17,21 +17,19 @@
 //!   ([`Cell::Operator`]), and any transfer whose caller may be a
 //!   non-owner reads that column;
 //! * per-type `totalSupply` is invariant under every transfer
-//!   (cached in [`Erc1155State`] and [`ShardedErc1155`]) and has an **empty**
-//!   footprint.
+//!   (cached in [`Erc1155State`]) and has an **empty** footprint.
 //!
 //! Soundness — footprint-disjoint pairs commute at every state — is
 //! property-tested below against [`Erc1155Spec`].
 
 use std::collections::BTreeSet;
 
-use parking_lot::Mutex;
 use tokensync_spec::{AccountId, Amount, ObjectType, ProcessId};
 
 use crate::analysis::cell_index;
 use crate::analysis::{Access, Cell, Footprint, FootprintedOp};
 use crate::shared::marks::Marks;
-use crate::shared::ConcurrentObject;
+use crate::shared::{Served, Tracked};
 use crate::standards::MAX_DENSE_CELLS;
 
 use super::{Erc1155Error, TypeId};
@@ -703,22 +701,44 @@ impl Erc1155Delta {
 }
 
 /// What the one lock of a [`ShardedErc1155`] guards: the state, and
-/// what changed since the last [`ShardedErc1155::drain_delta`] under the
-/// mark/drain contract of `shared/marks.rs` — the accounts with a
-/// written balance cell, the written cells themselves (a second bitmap
-/// indexed like the matrix), and the toggled `(holder, operator)` pairs
-/// as an ordered set (`setApprovalForAll` only).
+/// what changed since the last drain under the mark/drain contract of
+/// [`Served`] — the accounts with a written balance cell, the written
+/// cells themselves (a second bitmap indexed like the matrix), and the
+/// toggled `(holder, operator)` pairs as an ordered set
+/// (`setApprovalForAll` only).
 #[derive(Debug)]
-struct Served {
+pub struct Erc1155Tracked {
     state: Erc1155State,
     dirty_rows: Marks,
     dirty_cells: Marks,
     dirty_ops: BTreeSet<(u32, u32)>,
 }
 
-impl Served {
-    /// Mark side of the contract: the cells `op` by `caller` wrote,
-    /// once it has landed.
+impl Tracked for Erc1155Tracked {
+    type Op = Erc1155Op;
+    type Resp = Erc1155Resp;
+    type State = Erc1155State;
+    type Delta = Erc1155Delta;
+    type Spec = Erc1155Spec;
+
+    const LANDED: Erc1155Resp = Erc1155Resp::TRUE;
+
+    fn track(state: Erc1155State) -> Self {
+        Self {
+            dirty_rows: Marks::new(state.accounts),
+            dirty_cells: Marks::new(state.balances.len()),
+            dirty_ops: BTreeSet::new(),
+            state,
+        }
+    }
+
+    fn state(&self) -> &Erc1155State {
+        &self.state
+    }
+    fn transition(&mut self, caller: ProcessId, op: &Erc1155Op) -> Erc1155Resp {
+        self.state.apply_op(caller, op)
+    }
+
     fn mark(&mut self, caller: ProcessId, op: &Erc1155Op) {
         let (from, to, rows) = match *op {
             Erc1155Op::Transfer {
@@ -748,29 +768,64 @@ impl Served {
             }
         }
     }
+
+    /// The current value of every marked `(type, account)` cell, filed
+    /// into one account-ordered bucket per type so the buckets
+    /// concatenate into `(type, account)` order, and the current
+    /// membership of every toggled operator pair.
+    fn drain(&mut self) -> Erc1155Delta {
+        let Self {
+            state,
+            dirty_rows,
+            dirty_cells,
+            dirty_ops,
+        } = self;
+        let types = state.types();
+        let mut by_type: Vec<Vec<(u32, Amount)>> = vec![Vec::new(); types];
+        dirty_rows.drain(|account| {
+            let first = account * types;
+            for (t, bucket) in by_type.iter_mut().enumerate() {
+                if dirty_cells.take(first + t) {
+                    bucket.push((cell_index(account), state.balances[first + t]));
+                }
+            }
+        });
+        let operators = std::mem::take(dirty_ops)
+            .into_iter()
+            .map(|pair| (pair.0, pair.1, state.operators.contains(&pair)))
+            .collect();
+        let mut balances = Vec::with_capacity(by_type.iter().map(Vec::len).sum());
+        for (t, cells) in by_type.into_iter().enumerate() {
+            let t = cell_index(t);
+            balances.extend(cells.into_iter().map(|(a, v)| (t, a, v)));
+        }
+        Erc1155Delta {
+            balances,
+            operators,
+        }
+    }
+
+    fn spec(initial: Erc1155State) -> Erc1155Spec {
+        Erc1155Spec::new(initial)
+    }
+    fn fold(state: &mut Erc1155State, delta: &Erc1155Delta) -> bool {
+        delta.apply_to(state)
+    }
 }
 
 /// An ERC1155 contract behind one lock, scaling to ~1M accounts × many
-/// types.
+/// types: the generic [`Served`] object over [`Erc1155Tracked`].
 ///
 /// Every operation runs the [`Erc1155State`] transition under the lock,
 /// so a transfer's authorization check, validation, debit and credit
-/// are one critical section; a mutation that lands then marks what it
-/// wrote. `from_state` moves the state in, and
-/// [`ConcurrentObject::snapshot`] is a clone of it. Per-type
-/// `totalSupply` takes **no** lock: supplies are invariant under every
-/// operation, so a copy taken at construction serves every read.
-/// **Memory:** the state's (8 B per `(account, type)` pair, at most
-/// 8 B × [`MAX_DENSE_CELLS`]), plus 1 bit per pair and 1 bit per
-/// account of dirty tracking.
-///
-/// Incremental snapshots follow the mark/drain contract of
-/// `shared/marks.rs`: a debit or credit sets its cell's bit in the cell
-/// bitmap and its account's bit in the row bitmap, and
-/// [`drain_delta`](ShardedErc1155::drain_delta) walks the row bitmap and
-/// reports each marked row's marked cells — `O(1)` per touched cell,
-/// tracking of fixed size whether drained or not. A cell debited to
-/// zero is reported as `(type, account, 0)`.
+/// are one critical section; a mutation that lands then sets each
+/// written cell's bit in the cell bitmap and its account's bit in the
+/// row bitmap, and [`drain_delta`](Served::drain_delta) reports each
+/// marked row's marked cells — `O(1)` per touched cell, tracking of
+/// fixed size whether drained or not. A cell debited to zero is
+/// reported as `(type, account, 0)`. **Memory:** the state's (8 B per
+/// `(account, type)` pair, at most 8 B × [`MAX_DENSE_CELLS`]), plus
+/// 1 bit per pair and 1 bit per account of dirty tracking.
 ///
 /// # Example
 ///
@@ -788,42 +843,15 @@ impl Served {
 /// });
 /// assert_eq!(resp, Erc1155Resp::TRUE);
 /// assert_eq!(multi.snapshot().balance_of(AccountId::new(1), TypeId::new(1)), 4);
-/// assert_eq!(multi.total_supply(TypeId::new(0)), 10); // lock-free read
+/// assert_eq!(multi.total_supply(TypeId::new(0)), 10);
 /// ```
-#[derive(Debug)]
-pub struct ShardedErc1155 {
-    served: Mutex<Served>,
-    accounts: usize,
-    /// The per-type totals, constant because every operation conserves
-    /// each type's supply.
-    supplies: Vec<Amount>,
-}
+pub type ShardedErc1155 = Served<Erc1155Tracked>;
 
 impl ShardedErc1155 {
-    /// Wraps a sequential state. The state moves in; only the per-type
-    /// supplies are copied, for lock-free reads.
-    pub fn from_state(state: Erc1155State) -> Self {
-        Self {
-            accounts: state.accounts,
-            supplies: state.supplies.clone(),
-            served: Mutex::new(Served {
-                dirty_rows: Marks::new(state.accounts),
-                dirty_cells: Marks::new(state.balances.len()),
-                dirty_ops: BTreeSet::new(),
-                state,
-            }),
-        }
-    }
-
-    /// Number of accounts.
-    pub fn accounts(&self) -> usize {
-        self.accounts
-    }
-
-    /// Per-type total supply — lock-free: invariant under every
-    /// operation, copied at construction.
+    /// Per-type total supply, read from the state's cache (invariant
+    /// under every operation); out-of-range types read as 0.
     pub fn total_supply(&self, type_id: TypeId) -> Amount {
-        self.supplies.get(type_id.index()).copied().unwrap_or(0)
+        self.lock().state.total_supply(type_id)
     }
 
     /// Recomputes every type's supply from the live balances (one pass
@@ -832,8 +860,8 @@ impl ShardedErc1155 {
     /// conservation check the benchmarks assert after every run. A
     /// divergence means a transfer lost or minted tokens.
     pub fn audit_supplies(&self) -> Vec<Amount> {
-        let served = self.served.lock();
-        let state = &served.state;
+        let tracked = self.lock();
+        let state = &tracked.state;
         let mut sums = vec![0; state.types()];
         for account in 0..state.accounts {
             for (sum, &v) in sums.iter_mut().zip(state.row(account)) {
@@ -842,79 +870,13 @@ impl ShardedErc1155 {
         }
         sums
     }
-
-    /// Drains the copy-on-write tracking: the current value of every
-    /// `(type, account)` balance cell and the current membership of
-    /// every operator pair touched since the previous drain, clearing
-    /// the marks and sets.
-    ///
-    /// The drain holds the lock, so the delta is an atomic cut. It
-    /// visits each marked account once, in ascending order,
-    /// test-and-clears its cells' bits in type order and files each
-    /// marked cell into its type's bucket: every bucket is in account
-    /// order, so the buckets concatenate into `(type, account)` order
-    /// with no sort. The toggled pairs come out of their ordered set.
-    pub fn drain_delta(&self) -> Erc1155Delta {
-        let mut served = self.served.lock();
-        let Served {
-            state,
-            dirty_rows,
-            dirty_cells,
-            dirty_ops,
-        } = &mut *served;
-        let types = state.types();
-        let mut by_type: Vec<Vec<(u32, Amount)>> = vec![Vec::new(); types];
-        dirty_rows.drain(|account| {
-            let first = account * types;
-            for (t, bucket) in by_type.iter_mut().enumerate() {
-                if dirty_cells.take(first + t) {
-                    bucket.push((cell_index(account), state.balances[first + t]));
-                }
-            }
-        });
-        let operators = std::mem::take(dirty_ops)
-            .into_iter()
-            .map(|pair| (pair.0, pair.1, state.operators.contains(&pair)))
-            .collect();
-        drop(served);
-        let mut balances = Vec::with_capacity(by_type.iter().map(Vec::len).sum());
-        for (t, cells) in by_type.into_iter().enumerate() {
-            let t = cell_index(t);
-            balances.extend(cells.into_iter().map(|(a, v)| (t, a, v)));
-        }
-        Erc1155Delta {
-            balances,
-            operators,
-        }
-    }
-}
-
-impl ConcurrentObject for ShardedErc1155 {
-    type Op = Erc1155Op;
-    type Resp = Erc1155Resp;
-    type State = Erc1155State;
-
-    fn apply(&self, process: ProcessId, op: &Erc1155Op) -> Erc1155Resp {
-        if let Erc1155Op::TotalSupply { type_id } = *op {
-            return Erc1155Resp::Amount(self.total_supply(type_id));
-        }
-        let mut served = self.served.lock();
-        let resp = served.state.apply_op(process, op);
-        if resp == Erc1155Resp::TRUE {
-            served.mark(process, op);
-        }
-        resp
-    }
-
-    fn snapshot(&self) -> Erc1155State {
-        self.served.lock().state.clone()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codec::Codec;
+    use crate::shared::ConcurrentObject;
     use proptest::collection::vec;
     use proptest::prelude::*;
     use proptest::test_runner::{cases, rng_for_test};
@@ -1444,7 +1406,7 @@ mod tests {
             let undrained = ShardedErc1155::from_state(genesis.clone());
             // `(marked accounts, marked cells)`.
             let marked = |m: &ShardedErc1155| {
-                let served = m.served.lock();
+                let served = m.lock();
                 (served.dirty_rows.count(), served.dirty_cells.count())
             };
             // `(type, account)` cells and `(holder, operator)` pairs

@@ -30,7 +30,9 @@ use crate::shared::ConcurrentObject;
 
 mod object;
 
-pub use object::{Erc721Delta, Erc721Op, Erc721Resp, Erc721Spec, Erc721State, ShardedErc721};
+pub use object::{
+    Erc721Delta, Erc721Op, Erc721Resp, Erc721Spec, Erc721State, Erc721Tracked, ShardedErc721,
+};
 
 /// Identifier of a non-fungible token.
 #[derive(Copy, Clone, Eq, PartialEq, Ord, PartialOrd, Hash, Debug, Default)]

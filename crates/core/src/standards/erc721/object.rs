@@ -24,13 +24,12 @@
 
 use std::collections::BTreeSet;
 
-use parking_lot::Mutex;
 use tokensync_spec::{ObjectType, ProcessId};
 
 use crate::analysis::cell_index;
 use crate::analysis::{Access, Cell, Footprint, FootprintedOp};
 use crate::shared::marks::Marks;
-use crate::shared::ConcurrentObject;
+use crate::shared::{Served, Tracked};
 use crate::standards::MAX_DENSE_CELLS;
 
 use super::{Erc721Error, TokenId};
@@ -588,34 +587,101 @@ impl Erc721Delta {
 
 /// What the one lock of a [`ShardedErc721`] guards: the state, and what
 /// changed since the last drain under the mark/drain contract of
-/// `shared/marks.rs` — one bit per token cell, and the toggled
+/// [`Served`] — one bit per token cell, and the toggled
 /// `(holder, operator)` pairs.
 #[derive(Debug)]
-struct Served {
+pub struct Erc721Tracked {
     state: Erc721State,
     marks: Marks,
     dirty_ops: BTreeSet<(u32, u32)>,
 }
 
-/// An ERC721 contract behind one lock, scaling to ~1M token ids.
+impl Tracked for Erc721Tracked {
+    type Op = Erc721Op;
+    type Resp = Erc721Resp;
+    type State = Erc721State;
+    type Delta = Erc721Delta;
+    type Spec = Erc721Spec;
+
+    const LANDED: Erc721Resp = Erc721Resp::TRUE;
+
+    fn track(state: Erc721State) -> Self {
+        Self {
+            marks: Marks::new(state.cells.len()),
+            dirty_ops: BTreeSet::new(),
+            state,
+        }
+    }
+
+    fn state(&self) -> &Erc721State {
+        &self.state
+    }
+    fn transition(&mut self, caller: ProcessId, op: &Erc721Op) -> Erc721Resp {
+        self.state.apply_op(caller, op)
+    }
+
+    fn mark(&mut self, caller: ProcessId, op: &Erc721Op) {
+        match *op {
+            Erc721Op::Mint { token, .. }
+            | Erc721Op::TransferFrom { token, .. }
+            | Erc721Op::Approve { token, .. } => {
+                // A mint past the end grew the table; the marks follow.
+                self.marks.grow(token.index() + 1);
+                self.marks.mark(token.index());
+            }
+            Erc721Op::SetApprovalForAll { operator, .. } => {
+                let pair = (cell_index(caller.index()), cell_index(operator.index()));
+                self.dirty_ops.insert(pair);
+            }
+            Erc721Op::OwnerOf { .. } | Erc721Op::GetApproved { .. } => {}
+        }
+    }
+
+    /// The current cell of every marked token and the current
+    /// membership of every toggled operator pair, both in ascending
+    /// order.
+    fn drain(&mut self) -> Erc721Delta {
+        let Self {
+            state,
+            marks,
+            dirty_ops,
+        } = self;
+        let mut tokens = Vec::new();
+        marks.drain(|t| {
+            let (owner, approved) = state.cells[t].expect("tokens are never unminted");
+            tokens.push((cell_index(t), owner, approved));
+        });
+        let operators = std::mem::take(dirty_ops)
+            .into_iter()
+            .map(|pair| (pair.0, pair.1, state.operators.contains(&pair)))
+            .collect();
+        Erc721Delta { tokens, operators }
+    }
+
+    fn spec(initial: Erc721State) -> Erc721Spec {
+        Erc721Spec::new(initial)
+    }
+    fn fold(state: &mut Erc721State, delta: &Erc721Delta) -> bool {
+        delta.apply_to(state)
+    }
+}
+
+/// An ERC721 contract behind one lock, scaling to ~1M token ids: the
+/// generic [`Served`] object over [`Erc721Tracked`].
 ///
 /// Every operation runs the [`Erc721State`] transition of the same name
-/// under the lock; a mutation that lands then marks its token, or its
-/// operator pair. `from_state` moves the state in, and
-/// [`ConcurrentObject::snapshot`] is a clone of it. **Memory:** the
-/// state's (12 B per id up to the highest minted one, at most
-/// 12 B × `token_span`), plus one bit per table cell of dirty tracking.
+/// under the lock; a mutation that lands then marks its token (a mint
+/// past the end of the table grows the bitmap with it), or its operator
+/// pair, and [`drain_delta`](Served::drain_delta) walks the bitmap in
+/// token order — `O(1)` per write, one bit per id, drained or not.
+/// **Memory:** the state's (12 B per id up to the highest minted one, at
+/// most 12 B × `token_span`), plus one bit per table cell of dirty
+/// tracking.
 ///
 /// Linearizability is established empirically by the per-standard
 /// pipeline proptests
 /// (`tokensync-pipeline/tests/standards_linearizability.rs`) through
 /// [`check_linearizable`](tokensync_spec::check_linearizable).
-///
-/// Incremental snapshots follow the mark/drain contract of
-/// `shared/marks.rs`, as ERC20 and ERC1155 do: a write sets its token's
-/// bit (a mint past the end of the table grows the bitmap with it), and
-/// [`drain_delta`](ShardedErc721::drain_delta) walks the bitmap in
-/// token order — `O(1)` per write, one bit per id, drained or not.
 ///
 /// # Example
 ///
@@ -633,93 +699,13 @@ struct Served {
 /// assert_eq!(resp, Erc721Resp::TRUE);
 /// assert_eq!(nft.snapshot().owner_of(TokenId::new(1)), Some(ProcessId::new(2)));
 /// ```
-#[derive(Debug)]
-pub struct ShardedErc721 {
-    served: Mutex<Served>,
-    processes: usize,
-}
-
-impl ShardedErc721 {
-    /// Wraps a sequential state. The state moves in: nothing is copied.
-    pub fn from_state(state: Erc721State) -> Self {
-        Self {
-            processes: state.processes,
-            served: Mutex::new(Served {
-                marks: Marks::new(state.cells.len()),
-                dirty_ops: BTreeSet::new(),
-                state,
-            }),
-        }
-    }
-
-    /// Number of processes.
-    pub fn processes(&self) -> usize {
-        self.processes
-    }
-
-    /// Drains the copy-on-write tracking: the current cell of every
-    /// token and the current membership of every operator pair touched
-    /// since the previous drain, clearing the marks and sets.
-    ///
-    /// The drain holds the lock, so the delta is an atomic cut. It
-    /// walks the marked tokens and the toggled pairs in ascending order,
-    /// so both lists come out sorted.
-    pub fn drain_delta(&self) -> Erc721Delta {
-        let mut served = self.served.lock();
-        let Served {
-            state,
-            marks,
-            dirty_ops,
-        } = &mut *served;
-        let mut tokens = Vec::new();
-        marks.drain(|t| {
-            let (owner, approved) = state.cells[t].expect("tokens are never unminted");
-            tokens.push((cell_index(t), owner, approved));
-        });
-        let operators = std::mem::take(dirty_ops)
-            .into_iter()
-            .map(|pair| (pair.0, pair.1, state.operators.contains(&pair)))
-            .collect();
-        Erc721Delta { tokens, operators }
-    }
-}
-
-impl ConcurrentObject for ShardedErc721 {
-    type Op = Erc721Op;
-    type Resp = Erc721Resp;
-    type State = Erc721State;
-
-    fn apply(&self, process: ProcessId, op: &Erc721Op) -> Erc721Resp {
-        let mut served = self.served.lock();
-        let resp = served.state.apply_op(process, op);
-        if resp == Erc721Resp::TRUE {
-            match *op {
-                Erc721Op::Mint { token, .. }
-                | Erc721Op::TransferFrom { token, .. }
-                | Erc721Op::Approve { token, .. } => {
-                    // A mint past the end grew the table; the marks follow.
-                    served.marks.grow(token.index() + 1);
-                    served.marks.mark(token.index());
-                }
-                Erc721Op::SetApprovalForAll { operator, .. } => {
-                    let pair = (cell_index(process.index()), cell_index(operator.index()));
-                    served.dirty_ops.insert(pair);
-                }
-                Erc721Op::OwnerOf { .. } | Erc721Op::GetApproved { .. } => {}
-            }
-        }
-        resp
-    }
-
-    fn snapshot(&self) -> Erc721State {
-        self.served.lock().state.clone()
-    }
-}
+pub type ShardedErc721 = Served<Erc721Tracked>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codec::Codec;
+    use crate::shared::ConcurrentObject;
     use proptest::collection::vec;
     use proptest::prelude::*;
     use proptest::test_runner::{cases, rng_for_test};
@@ -733,7 +719,7 @@ mod tests {
 
     /// The length of the object's token table.
     fn table_len(nft: &ShardedErc721) -> usize {
-        nft.served.lock().state.cells.len()
+        nft.lock().state.cells.len()
     }
 
     #[test]
@@ -1221,7 +1207,7 @@ mod tests {
             let mut oracle = spec.initial_state();
             let drained = ShardedErc721::from_state(genesis.clone());
             let undrained = ShardedErc721::from_state(genesis.clone());
-            let listed = |nft: &ShardedErc721| nft.served.lock().marks.count();
+            let listed = |nft: &ShardedErc721| nft.lock().marks.count();
             // Tokens and `(holder, operator)` pairs written since the
             // last drain; every token ever written.
             let mut tokens = BTreeSet::new();

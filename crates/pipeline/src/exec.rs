@@ -11,7 +11,8 @@
 //! by objects, not threads, and each served object sits behind one lock:
 //! a [`ConcurrentObject`] is still shared with other threads —
 //! snapshots, the tests and the consensus races — and here that lock
-//! costs one uncontended acquire per op.
+//! costs one uncontended acquire per batch
+//! ([`ConcurrentObject::apply_batch`]).
 //!
 //! **The order.** [`execute_unordered`] applies a batch in submission
 //! order, conflicting or not, and the engine commits it in that order.
@@ -20,8 +21,8 @@
 //! commit log's order and every response is the one the log's
 //! sequential replay recomputes. The wave schedule adds no concurrency
 //! on one thread; the engine keeps it only as a conflict monitor. The
-//! executor is standard-agnostic: it drives `T::apply` for whatever op
-//! alphabet the object serves.
+//! executor is standard-agnostic: it drives `T::apply_batch` for
+//! whatever op alphabet the object serves.
 //!
 //! [`Pipeline::spawn`]: crate::engine::Pipeline::spawn
 //! [`run_script`]: crate::engine::run_script
@@ -68,20 +69,20 @@ pub fn execute<T: ConcurrentObject + ?Sized>(
         .collect()
 }
 
-/// Executes a batch with no schedule: the ops apply on the calling
-/// thread in submission order, the order the engine commits. This is the
-/// engine's one apply path, for every batch.
+/// Executes a batch with no schedule, in one `T::apply_batch`: the ops
+/// apply on the calling thread in submission order, the order the engine
+/// commits. This is the engine's one apply path, for every batch.
 ///
 /// # Panics
 ///
-/// Propagates a panic of `T::apply` (a panicking object is a bug, not a
-/// recoverable condition).
+/// Propagates a panic of `T::apply_batch` (a panicking object is a bug,
+/// not a recoverable condition).
 pub fn execute_unordered<T: ConcurrentObject + ?Sized>(
     token: &T,
     ops: &[(ProcessId, T::Op)],
     _cfg: &ExecConfig,
 ) -> Vec<T::Resp> {
-    ops.iter().map(|(c, op)| token.apply(*c, op)).collect()
+    token.apply_batch(ops)
 }
 
 #[cfg(test)]

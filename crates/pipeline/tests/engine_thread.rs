@@ -4,9 +4,10 @@
 //! under `run_script`, the engine thread under `Pipeline::spawn*` — in
 //! the order the commit log records, and that is the order the ops were
 //! submitted. A recording object logs the thread and the op of every
-//! `apply`; the tests compare that record with the commit log and the
-//! script on commuting batches, on a batch whose conflict plan has wide
-//! waves and a serial lane, and on a spawned engine.
+//! `apply`, and the size of every `apply_batch`; the tests compare that
+//! record with the commit log and the script on commuting batches, on a
+//! batch whose conflict plan has wide waves and a serial lane, and on a
+//! spawned engine, which hands each batch to the object in one call.
 
 use std::sync::{Arc, Mutex};
 use std::thread::{self, ThreadId};
@@ -19,10 +20,12 @@ use tokensync_pipeline::{
 };
 use tokensync_spec::{AccountId, ProcessId};
 
-/// An ERC20 object that records `(thread, op)` for every `apply`.
+/// An ERC20 object that records `(thread, op)` for every op it
+/// applies, and the length of every `apply_batch`.
 struct Recording {
     token: ShardedErc20,
     applied: Mutex<Vec<(ThreadId, Erc20Op)>>,
+    batches: Mutex<Vec<usize>>,
 }
 
 impl Recording {
@@ -30,6 +33,7 @@ impl Recording {
         Self {
             token: ShardedErc20::from_state(Erc20State::from_balances(vec![100; accounts])),
             applied: Mutex::new(Vec::new()),
+            batches: Mutex::new(Vec::new()),
         }
     }
 
@@ -51,6 +55,15 @@ impl ConcurrentObject for Recording {
             .unwrap()
             .push((thread::current().id(), op.clone()));
         resp
+    }
+    /// Records the batch, then applies it in one call: for a served
+    /// object, one acquisition of its lock.
+    fn apply_batch(&self, ops: &[(ProcessId, Erc20Op)]) -> Vec<Erc20Resp> {
+        self.batches.lock().unwrap().push(ops.len());
+        let me = thread::current().id();
+        let mut applied = self.applied.lock().unwrap();
+        applied.extend(ops.iter().map(|(_, op)| (me, op.clone())));
+        self.token.apply_batch(ops)
     }
     fn snapshot(&self) -> Erc20State {
         self.token.snapshot()
@@ -151,4 +164,37 @@ fn spawned_engine_applies_every_op_on_its_own_thread() {
         "ops applied on two threads"
     );
     assert_ne!(engine, thread::current().id(), "the caller applied an op");
+}
+
+#[test]
+fn spawned_engine_applies_each_batch_in_one_call() {
+    let object = Arc::new(Recording::new(8192));
+    let cfg = PipelineConfig {
+        batch: BatchConfig {
+            max_ops: 256,
+            ..BatchConfig::default()
+        },
+        ..PipelineConfig::default()
+    };
+    let (client, handle) = Pipeline::spawn_with_sink(Arc::clone(&object), cfg, ());
+    for i in 0..4096 {
+        let (caller, op) = transfer(i % 64, 4096 + i);
+        client.submit(caller, op).expect("engine alive");
+    }
+    drop(client);
+    let (run, ()) = handle.finish();
+
+    // The `Arc` forwards `apply_batch`: each batch of the log arrived
+    // in one call, and no op was applied outside one.
+    let logged: Vec<usize> = run
+        .log
+        .entries()
+        .chunk_by(|x, y| x.batch == y.batch)
+        .map(<[_]>::len)
+        .collect();
+    let calls: Vec<usize> = object.batches.lock().unwrap().clone();
+    assert!(logged.len() > 1, "the run must cut several batches");
+    assert_eq!(calls, logged, "one apply_batch per batch");
+    let (_, ops) = object.record();
+    assert_eq!(ops, logged_ops(&run.log), "no op applied outside a batch");
 }

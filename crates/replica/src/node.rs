@@ -670,8 +670,9 @@ where
             return;
         }
         // Exact continuation: decode for replay, append the raw bytes
-        // (CRC + continuity re-validated there), replay through the
-        // live object verifying every recorded response, fsync, ack.
+        // (CRC + continuity re-validated there), replay the frame through
+        // the live object in one batch verifying every recorded
+        // response, fsync, ack.
         let payload = frame.get(FRAME_LEN..).unwrap_or_default();
         let Ok(entries) = decode_commits::<T::Op, T::Resp>(payload) else {
             return; // short or undecodable payload: no ack, sender retries
@@ -679,13 +680,13 @@ where
         if f.wal.append_frames(&frame).is_err() {
             return; // invalid frame bytes: no ack
         }
-        for entry in &entries {
-            let resp = f.object.apply(entry.caller, &entry.op);
-            assert!(
-                resp == entry.resp,
-                "replicated replay diverged at seq {}",
-                entry.seq
-            );
+        let (ops, logged): (Vec<_>, Vec<_>) = entries
+            .into_iter()
+            .map(|e| ((e.caller, e.op), (e.seq, e.resp)))
+            .unzip();
+        let resps = f.object.apply_batch(&ops);
+        for (resp, (seq, logged)) in resps.iter().zip(&logged) {
+            assert!(resp == logged, "replicated replay diverged at seq {seq}");
         }
         f.wal.sync().expect("follower fsync before ack");
         f.next_seq = first_seq + u64::from(count);

@@ -23,7 +23,10 @@
 //!
 //! Errors park in the shared slot (the store surfaces them on its next
 //! call) and the thread keeps draining its queue so shutdown never
-//! hangs.
+//! hangs. The first error also latches: the durable watermark never
+//! moves again and no further `sync_data` runs. After a failed `fsync`
+//! Linux may drop the dirty pages it could not write, so a later
+//! `fsync` that succeeds proves nothing about the range that failed.
 
 use std::fs::File;
 use std::path::PathBuf;
@@ -75,6 +78,9 @@ pub(crate) struct DurShared {
     /// Crash-simulation switch: queued work is dropped, durability
     /// freezes where it is.
     kill: AtomicBool,
+    /// Latched by the first background error, and never cleared:
+    /// durability freezes where it is, as on a kill.
+    failed: AtomicBool,
     /// First background error, parked for the store handle.
     err: Mutex<Option<StoreError>>,
     /// Signals durable-watermark advances and parked errors.
@@ -87,6 +93,7 @@ impl DurShared {
             durable: AtomicU64::new(durable),
             gc_floor: AtomicU64::new(0),
             kill: AtomicBool::new(false),
+            failed: AtomicBool::new(false),
             err: Mutex::new(None),
             cv: Condvar::new(),
         }
@@ -102,12 +109,16 @@ impl DurShared {
         self.gc_floor.load(Ordering::Acquire)
     }
 
-    /// Raises the durable watermark (monotone) and wakes waiters.
+    /// Raises the durable watermark (monotone) and wakes waiters; once
+    /// an error has latched, the watermark stays where it is.
     pub(crate) fn advance(&self, to: u64) {
-        self.durable.fetch_max(to, Ordering::AcqRel);
-        // Lock-then-notify so a waiter between its check and its wait
-        // cannot miss the advance.
-        drop(self.err.lock().expect("durability slot poisoned"));
+        // Under the slot's lock, so no advance lands after a latch, and
+        // a waiter between its check and its wait cannot miss it.
+        let slot = self.err.lock().expect("durability slot poisoned");
+        if !self.failed() {
+            self.durable.fetch_max(to, Ordering::AcqRel);
+        }
+        drop(slot);
         self.cv.notify_all();
     }
 
@@ -119,37 +130,43 @@ impl DurShared {
         self.kill.load(Ordering::Acquire)
     }
 
+    /// Whether a background error has latched.
+    fn failed(&self) -> bool {
+        self.failed.load(Ordering::Acquire)
+    }
+
     pub(crate) fn kill(&self) {
         self.kill.store(true, Ordering::Release);
         drop(self.err.lock().expect("durability slot poisoned"));
         self.cv.notify_all();
     }
 
-    /// Parks `e` (first error wins) and wakes waiters.
+    /// Latches the failure, parks `e` (first error wins) and wakes
+    /// waiters.
     fn park(&self, e: StoreError) {
         let mut slot = self.err.lock().expect("durability slot poisoned");
-        if slot.is_none() {
+        if !self.failed.swap(true, Ordering::AcqRel) {
             *slot = Some(e);
         }
         drop(slot);
         self.cv.notify_all();
     }
 
-    /// Moves the parked error out, if any.
+    /// Moves the parked error out, if any. The latch stays set.
     pub(crate) fn take_error(&self) -> Option<StoreError> {
         self.err.lock().expect("durability slot poisoned").take()
     }
 
     /// Blocks until the durable watermark reaches `seq`. `Err` means
-    /// the thread parked an error (or was killed) — the caller polls
-    /// [`DurShared::take_error`] for the cause.
+    /// an error latched (or the thread was killed) first — the caller
+    /// polls [`DurShared::take_error`] for the cause.
     pub(crate) fn wait_durable(&self, seq: u64) -> Result<(), ()> {
         let mut slot = self.err.lock().expect("durability slot poisoned");
         loop {
             if self.durable.load(Ordering::Acquire) >= seq {
                 return Ok(());
             }
-            if slot.is_some() || self.killed() {
+            if self.failed() || self.killed() {
                 return Err(());
             }
             slot = self.cv.wait(slot).expect("durability slot poisoned");
@@ -272,7 +289,7 @@ impl Worker {
     }
 
     fn do_sync(&mut self, target: u64, file: &File) {
-        if self.shared.killed() || self.shared.durable() >= target {
+        if self.shared.killed() || self.shared.failed() || self.shared.durable() >= target {
             return;
         }
         let started = self.obs.clock();
@@ -324,5 +341,85 @@ impl Worker {
         self.shared.advance(watermark);
         self.obs.record_durable(self.shared.durable());
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::fs::OpenOptions;
+    use std::path::PathBuf;
+
+    use tokensync_core::erc20::Erc20State;
+    use tokensync_core::shared::ShardedErc20;
+
+    use super::*;
+    use crate::{Store, StoreConfig};
+
+    fn temp_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "tokensync-durability-{name}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        dir
+    }
+
+    /// `fdatasync` on `/dev/null` fails (`EINVAL` on Linux).
+    fn failing_file() -> File {
+        OpenOptions::new()
+            .write(true)
+            .open("/dev/null")
+            .expect("open /dev/null")
+    }
+
+    /// A sync that fails, then one that would succeed: the watermark
+    /// stays below the failed target, and the latch outlives the error
+    /// being taken.
+    #[test]
+    fn a_failed_fsync_freezes_the_watermark() {
+        let dir = temp_dir("freeze");
+        let shared = Arc::new(DurShared::new(0));
+        let dur =
+            spawn::<ShardedErc20>(dir.clone(), 0, 1, StoreObs::disabled(), Arc::clone(&shared));
+        let post = |msg| dur.tx.send(msg).expect("durability thread alive");
+        post(DurMsg::Sync {
+            target: 5,
+            file: failing_file(),
+        });
+        assert!(shared.wait_durable(5).is_err(), "the failed sync latches");
+        let file = File::create(dir.join("tail")).expect("create a real file");
+        post(DurMsg::Sync { target: 10, file });
+        post(DurMsg::Shutdown);
+        dur.handle.join().expect("durability thread exits");
+        assert!(shared.durable() < 5, "durable at {}", shared.durable());
+        assert!(shared.take_error().is_some());
+        shared.advance(10);
+        assert_eq!(shared.durable(), 0, "no advance after the latch");
+        assert!(
+            shared.wait_durable(1).is_err(),
+            "the latch outlives the error"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A store whose background fsync failed reports the failure on
+    /// every flush, not only on the first.
+    #[test]
+    fn flush_reports_a_failed_fsync_every_time() {
+        let dir = temp_dir("flush");
+        let genesis = Erc20State::from_balances(vec![1; 4]);
+        let mut store: Store<ShardedErc20> =
+            Store::create(&dir, &genesis, StoreConfig::default()).unwrap();
+        store.post(DurMsg::Sync {
+            target: 1,
+            file: failing_file(),
+        });
+        assert!(store.wait_durable(1).is_err());
+        assert!(store.flush().is_err(), "first flush");
+        assert!(store.flush().is_err(), "second flush");
+        assert!(store.error().is_some());
+        assert!(store.close().is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

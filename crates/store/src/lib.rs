@@ -38,7 +38,10 @@
 //! serves [`ShardedErc20`](tokensync_core::shared::ShardedErc20),
 //! [`ShardedErc721`](tokensync_core::standards::erc721::ShardedErc721)
 //! and
-//! [`ShardedErc1155`](tokensync_core::standards::erc1155::ShardedErc1155):
+//! [`ShardedErc1155`](tokensync_core::standards::erc1155::ShardedErc1155),
+//! the three instantiations of
+//! [`Served`](tokensync_core::shared::Served), through one generic
+//! [`Restorable`] impl:
 //!
 //! * [`wal`] — segment files of length-prefixed, CRC32-framed records;
 //!   one record per committed batch; torn tails truncated on open.

@@ -17,10 +17,7 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use tokensync_core::codec::{Codec, StateCodec};
-use tokensync_core::erc20::{Erc20Delta, Erc20Spec};
-use tokensync_core::shared::{ConcurrentObject, ShardedErc20};
-use tokensync_core::standards::erc1155::{Erc1155Delta, Erc1155Spec, ShardedErc1155};
-use tokensync_core::standards::erc721::{Erc721Delta, Erc721Spec, ShardedErc721};
+use tokensync_core::shared::{ConcurrentObject, Served, Tracked};
 use tokensync_pipeline::commit::replay_verified;
 use tokensync_spec::ObjectType;
 
@@ -42,8 +39,9 @@ pub trait Restorable: ConcurrentObject<State: Default> + Sized + 'static {
 
     /// The row-level change set of this standard: everything touched
     /// since the last [`Restorable::drain_delta`], foldable onto the
-    /// state the tracking started from.
-    type Delta: Codec + Send + 'static;
+    /// state the tracking started from. Its `Default` is the empty
+    /// delta, which carries no rows.
+    type Delta: Codec + Default + PartialEq + Send + 'static;
 
     /// Builds the live object holding exactly `state`.
     fn restore(state: Self::State) -> Self;
@@ -63,9 +61,6 @@ pub trait Restorable: ConcurrentObject<State: Default> + Sized + 'static {
     /// untouched — when the delta names rows outside the state's
     /// dimensions, i.e. the chain link is inconsistent.
     fn apply_delta(state: &mut Self::State, delta: &Self::Delta) -> bool;
-
-    /// Whether `delta` carries no rows.
-    fn delta_is_empty(delta: &Self::Delta) -> bool;
 }
 
 /// The oracle every verified replay of the store runs through. Replay
@@ -75,63 +70,24 @@ pub(crate) fn oracle<T: Restorable>() -> T::Spec {
     T::spec(T::State::default())
 }
 
-impl Restorable for ShardedErc20 {
-    type Spec = Erc20Spec;
-    type Delta = Erc20Delta;
-    fn restore(state: Self::State) -> Self {
-        ShardedErc20::from_state(state)
+/// Every served object, through its standard's [`Tracked`] pieces.
+impl<S> Restorable for Served<S>
+where
+    S: Tracked<State: Default, Delta: Codec + Default + PartialEq + Send>,
+{
+    type Spec = S::Spec;
+    type Delta = S::Delta;
+    fn restore(state: S::State) -> Self {
+        Served::from_state(state)
     }
-    fn spec(initial: Self::State) -> Erc20Spec {
-        Erc20Spec::new(initial)
+    fn spec(initial: S::State) -> S::Spec {
+        S::spec(initial)
     }
-    fn drain_delta(&self) -> Erc20Delta {
+    fn drain_delta(&self) -> S::Delta {
         self.drain_delta()
     }
-    fn apply_delta(state: &mut Self::State, delta: &Erc20Delta) -> bool {
-        delta.apply_to(state)
-    }
-    fn delta_is_empty(delta: &Erc20Delta) -> bool {
-        delta.is_empty()
-    }
-}
-
-impl Restorable for ShardedErc721 {
-    type Spec = Erc721Spec;
-    type Delta = Erc721Delta;
-    fn restore(state: Self::State) -> Self {
-        ShardedErc721::from_state(state)
-    }
-    fn spec(initial: Self::State) -> Erc721Spec {
-        Erc721Spec::new(initial)
-    }
-    fn drain_delta(&self) -> Erc721Delta {
-        self.drain_delta()
-    }
-    fn apply_delta(state: &mut Self::State, delta: &Erc721Delta) -> bool {
-        delta.apply_to(state)
-    }
-    fn delta_is_empty(delta: &Erc721Delta) -> bool {
-        delta.is_empty()
-    }
-}
-
-impl Restorable for ShardedErc1155 {
-    type Spec = Erc1155Spec;
-    type Delta = Erc1155Delta;
-    fn restore(state: Self::State) -> Self {
-        ShardedErc1155::from_state(state)
-    }
-    fn spec(initial: Self::State) -> Erc1155Spec {
-        Erc1155Spec::new(initial)
-    }
-    fn drain_delta(&self) -> Erc1155Delta {
-        self.drain_delta()
-    }
-    fn apply_delta(state: &mut Self::State, delta: &Erc1155Delta) -> bool {
-        delta.apply_to(state)
-    }
-    fn delta_is_empty(delta: &Erc1155Delta) -> bool {
-        delta.is_empty()
+    fn apply_delta(state: &mut S::State, delta: &S::Delta) -> bool {
+        S::fold(state, delta)
     }
 }
 

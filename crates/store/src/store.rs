@@ -302,12 +302,18 @@ where
     ///
     /// # Errors
     ///
-    /// The first parked write error; thread failures as
+    /// The first parked write error, on this and every later flush
+    /// (the error stays latched); thread failures as
     /// [`Store::wait_durable`].
     pub fn flush(&mut self) -> Result<(), StoreError> {
         self.poll_thread_error();
-        if let Some(e) = self.error.take() {
-            return Err(e);
+        if let Some(e) = &self.error {
+            // `io::Error` is not `Clone`: report a copy, keep the latch.
+            let again = match e {
+                StoreError::Io(io) => std::io::Error::new(io.kind(), io.to_string()),
+                other => std::io::Error::other(other.to_string()),
+            };
+            return Err(StoreError::Io(again));
         }
         let target = self.wal.next_seq();
         if self.shared.durable() >= target {
@@ -446,7 +452,7 @@ where
     }
 
     /// Posts to the durability thread; a dead thread parks an error.
-    fn post(&mut self, msg: DurMsg<T>) {
+    pub(crate) fn post(&mut self, msg: DurMsg<T>) {
         let alive = match &self.dur {
             Some(d) => d.tx.send(msg).is_ok(),
             None => false,
@@ -521,9 +527,9 @@ where
             let started = self.obs.clock();
             let watermark = self.wal.next_seq();
             let delta = token.drain_delta();
+            let touched = delta != T::Delta::default();
             if self.full_due
-                || (!T::delta_is_empty(&delta)
-                    && self.links_since_full + 1 >= self.cfg.compact_every.max(1))
+                || (touched && self.links_since_full + 1 >= self.cfg.compact_every.max(1))
             {
                 // Compaction: the token is quiescent at a seal, so its
                 // snapshot is the state at `watermark`; the drain above
@@ -536,7 +542,7 @@ where
                 });
                 self.links_since_full = 0;
                 self.full_due = false;
-            } else if !T::delta_is_empty(&delta) {
+            } else if touched {
                 self.post(DurMsg::Delta { watermark, delta });
                 self.links_since_full += 1;
             }

@@ -182,9 +182,8 @@ fn restore_allocs<T: Restorable>(genesis: impl Fn(usize) -> T::State) -> Vec<u64
 }
 
 /// Every live object moves the recovered state in and adds only its
-/// dirty bitmaps, one allocation apiece (ERC1155 also copies its
-/// per-type supplies, for lock-free reads): the same count at every
-/// size, and at most three.
+/// dirty bitmaps, one allocation apiece: the same count at every size,
+/// and at most three.
 fn assert_restore_flat(counts: &[u64], what: &str) {
     let (small, large) = (counts[0], counts[1]);
     assert!(

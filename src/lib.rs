@@ -109,7 +109,7 @@
 //! });
 //! assert_eq!(resp, Erc1155Resp::TRUE);
 //! assert_eq!(multi.snapshot().balance_of(AccountId::new(1), TypeId::new(1)), 4);
-//! assert_eq!(multi.total_supply(TypeId::new(0)), 10); // lock-free: supply is Δ-invariant
+//! assert_eq!(multi.total_supply(TypeId::new(0)), 10); // supply is Δ-invariant
 //! ```
 //!
 //! The conflict relation the scheduler uses is the paper's
