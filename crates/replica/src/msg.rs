@@ -13,29 +13,27 @@ pub enum AckMode {
     /// in the background). A primary loss can lose acked-but-unshipped
     /// waves — at most a suffix, never a gap.
     Async,
-    /// Durable once a quorum of the cluster (the primary plus
+    /// Durable once a majority of the cluster (the primary plus
     /// acknowledged followers) holds it fsynced. Surviving any single
     /// machine loss, a quorum-durable wave is never lost by failover.
     #[default]
     Quorum,
 }
 
+/// Maximum unacknowledged [`Append`](crate::ReplicaMsg::Append)
+/// messages in flight per follower.
+pub(crate) const WINDOW: usize = 8;
+/// Base retransmission timeout in simulator ticks; it doubles per
+/// retry, up to [`MAX_BACKOFF`].
+pub(crate) const RETRY_AFTER: u64 = 64;
+/// Backoff ceiling in simulator ticks.
+pub(crate) const MAX_BACKOFF: u64 = 1 << 12;
+
 /// Replication tuning.
 #[derive(Clone, Copy, Debug)]
 pub struct ReplicaConfig {
     /// The durability-claim policy.
     pub ack_mode: AckMode,
-    /// Cluster quorum size counting the primary itself; `0` means a
-    /// majority of the cluster (`n/2 + 1`).
-    pub quorum: usize,
-    /// Maximum unacknowledged [`Append`](crate::ReplicaMsg::Append)
-    /// messages in flight per follower.
-    pub window: usize,
-    /// Base retransmission timeout in simulator ticks (doubles per
-    /// retry, up to [`ReplicaConfig::max_backoff`]).
-    pub retry_after: u64,
-    /// Backoff ceiling in ticks.
-    pub max_backoff: u64,
     /// Consecutive unanswered retransmissions before a follower is
     /// marked down (it revives on its next `Hello`/`Ack`). Bounds the
     /// pump loop, so a dead follower degrades service instead of
@@ -51,10 +49,6 @@ impl Default for ReplicaConfig {
     fn default() -> Self {
         Self {
             ack_mode: AckMode::Quorum,
-            quorum: 0,
-            window: 8,
-            retry_after: 64,
-            max_backoff: 1 << 12,
             max_retries: 10,
             store: StoreConfig::default(),
             pipeline: PipelineConfig::default(),

@@ -29,7 +29,7 @@ use tokensync_store::{
     decode_commits, install_snapshot, recover, Restorable, Store, StoreError, WalCursor,
 };
 
-use crate::msg::{AckMode, ReplicaConfig, ReplicaMsg};
+use crate::msg::{AckMode, ReplicaConfig, ReplicaMsg, MAX_BACKOFF, RETRY_AFTER, WINDOW};
 
 /// Replication-health counters of a primary's reign (reset on
 /// promotion — they describe the current epoch's leadership, the
@@ -172,7 +172,7 @@ where
                 epoch: 0,
                 epoch_start_seq: 0,
                 sealed_seq: 0,
-                peers: (0..n).map(|_| Peer::idle(cfg.retry_after)).collect(),
+                peers: (0..n).map(|_| Peer::idle(RETRY_AFTER)).collect(),
                 pump_armed: false,
                 stats: ReplicationStats::default(),
             }),
@@ -303,7 +303,7 @@ where
 
     /// The highest position this primary **claims durable** under its
     /// [`AckMode`]: with `Async` the locally sealed position, with
-    /// `Quorum` the largest sealed position a quorum of the cluster
+    /// `Quorum` the largest sealed position a majority of the cluster
     /// (counting the primary) has fsynced. On a follower: its own
     /// durable position.
     pub fn durable_seq(&self) -> u64 {
@@ -311,11 +311,7 @@ where
             Role::Primary(p) => match self.cfg.ack_mode {
                 AckMode::Async => p.sealed_seq,
                 AckMode::Quorum => {
-                    let q = if self.cfg.quorum > 0 {
-                        self.cfg.quorum
-                    } else {
-                        self.n / 2 + 1
-                    };
+                    let q = self.n / 2 + 1;
                     if q <= 1 {
                         return p.sealed_seq;
                     }
@@ -385,9 +381,7 @@ where
             epoch_start_seq: start,
             // Everything on the promoted log is locally durable.
             sealed_seq: start,
-            peers: (0..self.n)
-                .map(|_| Peer::idle(self.cfg.retry_after))
-                .collect(),
+            peers: (0..self.n).map(|_| Peer::idle(RETRY_AFTER)).collect(),
             pump_armed: false,
             stats: ReplicationStats::default(),
             store,
@@ -462,7 +456,6 @@ where
             self.demote_and_hello(ctx);
             return;
         }
-        let cfg = self.cfg;
         let now = ctx.time();
         let me = self.id;
         let Role::Primary(p) = &mut self.role else {
@@ -474,18 +467,18 @@ where
         // has a divergent suffix: wipe it with a snapshot.
         let prev_acked = p.peers[from].acked;
         let peer = &mut p.peers[from];
-        *peer = Peer::idle(cfg.retry_after);
+        *peer = Peer::idle(RETRY_AFTER);
         peer.active = true;
         if epoch == p.epoch || next_seq <= p.epoch_start_seq {
             // Both positions are fsynced truths about the peer's log, so
             // the max keeps the durability claim monotone even if an old
             // duplicated Hello arrives late.
             peer.acked = prev_acked.max(next_seq);
-            p.stream_to(&cfg, from, now, ctx);
+            p.stream_to(from, now, ctx);
         } else {
-            p.ship_snapshot(&cfg, from, now, ctx);
+            p.ship_snapshot(from, now, ctx);
         }
-        p.arm_pump(&cfg, me, ctx);
+        p.arm_pump(me, ctx);
     }
 
     fn on_ack(&mut self, from: usize, epoch: u64, next_seq: u64, ctx: &mut Context<ReplicaMsg>) {
@@ -502,7 +495,6 @@ where
             self.on_hello(from, epoch, next_seq, ctx);
             return;
         }
-        let cfg = self.cfg;
         let now = ctx.time();
         let me = self.id;
         let Role::Primary(p) = &mut self.role else {
@@ -520,11 +512,11 @@ where
                 peer.inflight.pop_front();
             }
             peer.retries = 0;
-            peer.backoff = cfg.retry_after;
+            peer.backoff = RETRY_AFTER;
             peer.sent_at = now;
         }
-        p.stream_to(&cfg, from, now, ctx);
-        p.arm_pump(&cfg, me, ctx);
+        p.stream_to(from, now, ctx);
+        p.arm_pump(me, ctx);
     }
 
     fn on_pump(&mut self, ctx: &mut Context<ReplicaMsg>) {
@@ -554,7 +546,7 @@ where
                     p.stats.down_marks += 1;
                     continue;
                 }
-                peer.backoff = (peer.backoff * 2).min(cfg.max_backoff);
+                peer.backoff = (peer.backoff * 2).min(MAX_BACKOFF);
                 peer.sent_at = now;
                 p.stats.reinvites += 1;
                 ctx.send(
@@ -583,23 +575,23 @@ where
                     p.stats.down_marks += 1;
                     continue;
                 }
-                peer.backoff = (peer.backoff * 2).min(cfg.max_backoff);
+                peer.backoff = (peer.backoff * 2).min(MAX_BACKOFF);
                 peer.sent_at = now;
                 p.stats.retransmissions += 1;
                 let resend_snapshot = peer.snapshot_pending.is_some();
                 if resend_snapshot {
-                    p.ship_snapshot(&cfg, dst, now, ctx);
+                    p.ship_snapshot(dst, now, ctx);
                 } else {
                     // Go-back-N: rewind to the cumulative ack.
                     p.peers[dst].cursor = None;
                     p.peers[dst].inflight.clear();
-                    p.stream_to(&cfg, dst, now, ctx);
+                    p.stream_to(dst, now, ctx);
                 }
             } else {
-                p.stream_to(&cfg, dst, now, ctx);
+                p.stream_to(dst, now, ctx);
             }
         }
-        p.arm_pump(&cfg, me, ctx);
+        p.arm_pump(me, ctx);
     }
 
     fn on_fenced(&mut self, _from: usize, epoch: u64, ctx: &mut Context<ReplicaMsg>) {
@@ -826,13 +818,7 @@ where
     /// Streams records to `dst` from its cumulative ack, up to the
     /// in-flight window; falls back to snapshot shipping when the
     /// peer's position fell out of log retention.
-    fn stream_to(
-        &mut self,
-        cfg: &ReplicaConfig,
-        dst: usize,
-        now: u64,
-        ctx: &mut Context<ReplicaMsg>,
-    ) {
+    fn stream_to(&mut self, dst: usize, now: u64, ctx: &mut Context<ReplicaMsg>) {
         {
             let peer = &self.peers[dst];
             if !peer.active || peer.down || peer.snapshot_pending.is_some() {
@@ -846,7 +832,7 @@ where
                 Err(StoreError::OutOfRetention { .. }) => {
                     // GC outran this follower: re-base it from a snapshot
                     // instead of a log suffix we no longer hold.
-                    self.ship_snapshot(cfg, dst, now, ctx);
+                    self.ship_snapshot(dst, now, ctx);
                     return;
                 }
                 Err(e) => panic!("primary cursor open failed: {e}"),
@@ -863,7 +849,7 @@ where
         else {
             return;
         };
-        while inflight.len() < cfg.window {
+        while inflight.len() < WINDOW {
             match cursor.next_record() {
                 Ok(Some(record)) => {
                     if inflight.is_empty() {
@@ -890,13 +876,7 @@ where
     /// `dst` — graceful degradation for a follower that is too far
     /// behind (out of retention) or whose log diverged across a
     /// failover. The primary keeps serving throughout.
-    fn ship_snapshot(
-        &mut self,
-        _cfg: &ReplicaConfig,
-        dst: usize,
-        now: u64,
-        ctx: &mut Context<ReplicaMsg>,
-    ) {
+    fn ship_snapshot(&mut self, dst: usize, now: u64, ctx: &mut Context<ReplicaMsg>) {
         self.stats.snapshot_ships += 1;
         let state = self.object.snapshot();
         self.store
@@ -921,7 +901,7 @@ where
 
     /// Keeps exactly one retransmission timer in flight while any peer
     /// has outstanding unacknowledged work.
-    fn arm_pump(&mut self, cfg: &ReplicaConfig, me: usize, ctx: &mut Context<ReplicaMsg>) {
+    fn arm_pump(&mut self, me: usize, ctx: &mut Context<ReplicaMsg>) {
         if self.pump_armed {
             return;
         }
@@ -935,7 +915,7 @@ where
             .any(|(i, p)| i != me && !p.down && (!p.active || p.outstanding()))
         {
             self.pump_armed = true;
-            ctx.send_after(cfg.retry_after, ReplicaMsg::Pump);
+            ctx.send_after(RETRY_AFTER, ReplicaMsg::Pump);
         }
     }
 }

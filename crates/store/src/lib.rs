@@ -55,9 +55,11 @@
 //!
 //! Each on-disk format has exactly one reader and one writer: one
 //! segment-header type, one record-head parser and one frame check
-//! (length · CRC · head, then sequence continuity) shared by the open-time
-//! scan, [`Wal::append_frames`](wal::Wal::append_frames) and the
-//! tailing [`WalCursor`]; one envelope for full and delta snapshots;
+//! (length · CRC · head, then sequence continuity), shared by
+//! [`Wal::append_frames`](wal::Wal::append_frames) and the one segment
+//! reader that both the open-time scan and the tailing [`WalCursor`]
+//! read the log through, with its one header check and its one bound on
+//! a frame's length prefix; one envelope for full and delta snapshots;
 //! one lister of numbered files. Every verified replay — [`recover`]
 //! and [`CommitLog::replay`](tokensync_pipeline::CommitLog::replay) — is
 //! [`replay_verified`](tokensync_pipeline::commit::replay_verified).

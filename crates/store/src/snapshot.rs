@@ -118,7 +118,7 @@ pub(crate) fn publish<B: Codec>(
         &tmp_path,
         dir.join(numbered_name(PREFIX, watermark, kind.suffix())),
     )?;
-    sync_dir(dir);
+    sync_dir(dir)?;
     Ok(())
 }
 
@@ -231,7 +231,7 @@ pub(crate) fn prune_chain(dir: &Path, keep: usize) -> Result<u64, StoreError> {
         fs::remove_file(path)?;
     }
     if !doomed.is_empty() {
-        sync_dir(dir);
+        sync_dir(dir)?;
     }
     Ok(floor)
 }

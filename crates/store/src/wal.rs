@@ -19,9 +19,10 @@
 //!
 //! Each format has one parser: `SegmentHeader` reads and writes the
 //! header, `RecordHead` the payload head, and one frame check (length ·
-//! CRC · head, then `RecordHead::continues`) serves the open-time scan,
-//! [`Wal::append_frames`] and the tailing
-//! [`WalCursor`](crate::cursor::WalCursor) alike.
+//! CRC · head, then `RecordHead::continues`) serves
+//! [`Wal::append_frames`] and `SegmentReader`, the one reader of segment
+//! files, through which the open-time scan and the tailing
+//! [`WalCursor`](crate::cursor::WalCursor) alike read the log.
 //!
 //! **Torn-tail rule:** a crash can leave the last record half-written.
 //! [`Wal::open`] re-scans the segments, truncates the tail at the first
@@ -32,7 +33,7 @@
 //! and replays the surviving prefix one record at a time.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use tokensync_core::codec::{Codec, CodecError};
@@ -87,12 +88,10 @@ pub(crate) fn numbered_files(
     Ok(files)
 }
 
-/// Best-effort directory fsync so created/renamed/removed files survive
-/// a power cut (a no-op error on filesystems that refuse dir handles).
-pub(crate) fn sync_dir(dir: &Path) {
-    if let Ok(handle) = File::open(dir) {
-        let _ = handle.sync_all();
-    }
+/// Fsyncs the directory itself, so files created, renamed or removed in
+/// it survive a power cut.
+pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
 }
 
 /// A segment file's fixed header.
@@ -209,54 +208,73 @@ pub struct ScanStop {
     pub offset: u64,
 }
 
-/// Walks the frames of `bytes` from `next_seq` on, handing every valid
-/// record to `sink`; returns the byte offset of the first invalid frame
-/// (or the end), the sequence number past the last valid record, and
-/// whether the walk consumed every byte.
-fn walk_frames<E>(
-    bytes: &[u8],
-    mut next_seq: u64,
-    mut sink: impl FnMut(RecordHead, &[u8]) -> Result<(), E>,
-) -> Result<(u64, u64, bool), E> {
-    let mut offset = 0;
-    while let Some((head, entries, len)) =
-        check_frame(&bytes[offset..]).filter(|(head, ..)| head.continues(next_seq))
-    {
-        sink(head, entries)?;
-        next_seq = head.end_seq();
-        offset += len;
-    }
-    Ok((offset as u64, next_seq, offset == bytes.len()))
-}
+/// A frame [`SegmentReader::next_frame`] yields: its record head, its
+/// entry bytes and the whole frame.
+type Frame<'a> = (RecordHead, &'a [u8], &'a [u8]);
 
-/// Bytes a log scan reads from a segment file at a time.
+/// Bytes a segment reader reads from its file at a time.
 const SCAN_CHUNK: usize = 256 << 10;
 
-/// A segment file read front to back through one buffer of about
-/// [`SCAN_CHUNK`] bytes (or one frame, if a frame is longer): a scan
-/// holds that much of the log at a time, not whole segments.
-struct SegmentReader {
+/// The one reader of segment bytes, behind the log scan and the tailing
+/// [`WalCursor`](crate::cursor::WalCursor) alike: a segment file read
+/// front to back through one buffer of about [`SCAN_CHUNK`] bytes (or
+/// one frame, if a frame is longer), so a reader holds that much of the
+/// log at a time, not whole segments. Segments only grow under a
+/// reader, so it reads on into bytes the writer appends after it opened.
+pub(crate) struct SegmentReader {
     file: File,
-    /// Bytes of the file not read yet, by its length at open.
-    unread: u64,
+    /// Length of the file when last measured.
+    len: u64,
+    /// Bytes read from the file so far.
+    read: u64,
     buf: Vec<u8>,
     /// Bytes at the front of `buf` already consumed.
     pos: usize,
 }
 
+impl std::fmt::Debug for SegmentReader {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SegmentReader")
+            .field("offset", &self.offset())
+            .field("len", &self.len)
+            .finish_non_exhaustive()
+    }
+}
+
 impl SegmentReader {
-    /// Opens the segment at `path` and reads its first chunk.
-    fn open(path: &Path) -> Result<Self, StoreError> {
+    /// Opens the segment at `path`, whose file name says it starts at
+    /// `first`, and makes the one header check: the magic, the standard
+    /// and codec version, and `first_seq` against the file name. Returns
+    /// the reader, positioned at the first frame, and the header.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Codec`] for a header that does not parse or names
+    /// another `first_seq`; [`StoreError::WrongStandard`] for one of
+    /// another standard or codec version.
+    pub(crate) fn open(
+        path: &Path,
+        first: u64,
+        standard: u8,
+        version: u8,
+    ) -> Result<(Self, SegmentHeader), StoreError> {
         let file = File::open(path)?;
-        let unread = file.metadata()?.len();
+        let len = file.metadata()?.len();
         let mut reader = Self {
             file,
-            unread,
+            len,
+            read: 0,
             buf: Vec::new(),
             pos: 0,
         };
         reader.fill(SCAN_CHUNK)?;
-        Ok(reader)
+        let (header, _) = SegmentHeader::parse(reader.buffered())?;
+        if header.first_seq != first {
+            return Err(CodecError::Invalid("segment header disagrees with its file name").into());
+        }
+        header.check(standard, version)?;
+        reader.pos = SEG_HEADER_LEN as usize;
+        Ok((reader, header))
     }
 
     /// The bytes read and not consumed yet.
@@ -264,44 +282,68 @@ impl SegmentReader {
         &self.buf[self.pos..]
     }
 
-    fn consume(&mut self, bytes: usize) {
-        self.pos += bytes;
+    /// Byte offset in the file of the first byte not consumed.
+    pub(crate) fn offset(&self) -> u64 {
+        self.read - self.buffered().len() as u64
     }
 
-    /// Reads until `want` bytes are buffered or the file ends.
+    /// Whether every byte of the file, as last measured, is consumed.
+    pub(crate) fn at_end(&self) -> bool {
+        self.buffered().is_empty() && self.read >= self.len
+    }
+
+    /// Whether the file holds `bytes` more past those read, measuring it
+    /// again when its last known length falls short.
+    fn holds(&mut self, bytes: u64) -> Result<bool, StoreError> {
+        let end = self.read.saturating_add(bytes);
+        if end > self.len {
+            self.len = self.file.metadata()?.len();
+        }
+        Ok(end <= self.len)
+    }
+
+    /// Reads until `want` bytes are buffered or the file, as last
+    /// measured, ends.
     fn fill(&mut self, want: usize) -> Result<(), StoreError> {
         self.buf.drain(..self.pos);
         self.pos = 0;
-        let more = (want.saturating_sub(self.buf.len()) as u64).min(self.unread);
+        let more =
+            (want.saturating_sub(self.buf.len()) as u64).min(self.len.saturating_sub(self.read));
         self.buf.reserve_exact(more as usize);
         let read = (&mut self.file).take(more).read_to_end(&mut self.buf)? as u64;
+        self.read += read;
         // A file that ends early has nothing more to give.
-        self.unread = if read < more { 0 } else { self.unread - read };
+        if read < more {
+            self.len = self.read;
+        }
         Ok(())
     }
 
-    /// [`walk_frames`] over the rest of the file, with offsets counted
-    /// from the reader's position when called. Reads on while the frame
-    /// at the front is incomplete and the file still holds its declared
+    /// Consumes and returns the next frame if the segment holds it
+    /// whole, it passes [`check_frame`] and it continues the log at
+    /// `next_seq` ([`RecordHead::continues`]). Reads on while the frame
+    /// at the front is incomplete and the file holds its declared
     /// length, so a hostile length prefix never sizes a buffer past the
-    /// file.
-    fn walk<E: From<StoreError>>(
-        &mut self,
-        mut next_seq: u64,
-        mut sink: impl FnMut(RecordHead, &[u8]) -> Result<(), E>,
-    ) -> Result<(u64, u64, bool), E> {
-        let mut offset = 0;
+    /// file. `None` consumes nothing: an incomplete frame may still be
+    /// completed by the writer, and a later call reads on.
+    pub(crate) fn next_frame(&mut self, next_seq: u64) -> Result<Option<Frame<'_>>, StoreError> {
         loop {
-            let (valid, seq, clean) = walk_frames(self.buffered(), next_seq, &mut sink)?;
-            (offset, next_seq) = (offset + valid, seq);
-            self.consume(valid as usize);
             let rest = self.buffered();
+            let checked = check_frame(rest).map(|(head, entries, len)| (head, entries.len(), len));
+            if let Some((head, entries, len)) = checked {
+                if !head.continues(next_seq) {
+                    return Ok(None);
+                }
+                self.pos += len;
+                let frame = &self.buf[self.pos - len..self.pos];
+                return Ok(Some((head, &frame[len - entries..], frame)));
+            }
             let frame_len = rest.get(..4).map_or(FRAME_LEN, |len| {
                 FRAME_LEN + u32::from_le_bytes(len.try_into().expect("four bytes")) as usize
             });
-            let readable = rest.len() as u64 + self.unread;
-            if self.unread == 0 || rest.len() >= frame_len || readable < frame_len as u64 {
-                return Ok((offset, next_seq, clean && self.unread == 0));
+            let missing = frame_len.saturating_sub(rest.len());
+            if missing == 0 || !self.holds(missing as u64)? {
+                return Ok(None);
             }
             self.fill(frame_len.max(SCAN_CHUNK))?;
         }
@@ -349,32 +391,33 @@ pub(crate) fn scan_log<E: From<StoreError>>(
     };
     let segs = numbered_files(dir, SEG_PREFIX, SEG_SUFFIX)?;
     for (i, (first, path)) in segs.into_iter().enumerate() {
-        let mut segment = SegmentReader::open(&path)?;
         // Epochs only ever increase along the chain: a segment stamped
         // with an *older* epoch after a newer one is a stale primary's
         // leftover and ends the usable chain, exactly like a backward
         // sequence overlap — and so does an unreadable header.
-        let parsed = SegmentHeader::parse(segment.buffered())
-            .ok()
-            .filter(|(header, _)| {
-                header.first_seq == first
-                    && (i == 0 || (first >= scan.next_seq && header.epoch >= scan.epoch))
-            });
-        let Some((header, _)) = parsed else {
+        let opened = match SegmentReader::open(&path, first, standard, version) {
+            Err(StoreError::Codec(_)) => None,
+            opened => Some(opened?),
+        };
+        let Some((mut segment, header)) = opened
+            .filter(|(_, header)| i == 0 || (first >= scan.next_seq && header.epoch >= scan.epoch))
+        else {
             scan.stop = Some(ScanStop {
                 segment_first_seq: first,
                 offset: 0,
             });
             return Ok(scan);
         };
-        header.check(standard, version)?;
         scan.epoch = header.epoch;
-        segment.consume(SEG_HEADER_LEN as usize);
-        let (valid_end, next_seq, clean) = segment.walk(first, &mut sink)?;
-        let end = SEG_HEADER_LEN + valid_end;
+        let mut next_seq = first;
+        while let Some((head, entries, _)) = segment.next_frame(next_seq)? {
+            sink(head, entries)?;
+            next_seq = head.end_seq();
+        }
+        let end = segment.offset();
         scan.next_seq = next_seq;
         scan.tail = Some((first, path, end));
-        if !clean {
+        if !segment.at_end() {
             scan.stop = Some(ScanStop {
                 segment_first_seq: first,
                 offset: end,
@@ -533,7 +576,7 @@ impl Wal {
         };
         let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
         file.seek(SeekFrom::Start(valid_end))?;
-        sync_dir(dir);
+        sync_dir(dir)?;
         Ok(Self {
             dir: dir.to_path_buf(),
             standard,
@@ -571,7 +614,7 @@ impl Wal {
             .open(&path)?;
         file.write_all(&header.encode())?;
         file.sync_data()?;
-        sync_dir(dir);
+        sync_dir(dir)?;
         Ok(path)
     }
 
@@ -740,12 +783,13 @@ impl Wal {
     /// [`StoreError::Codec`] when the bytes do not parse as a clean,
     /// contiguous frame run (a partially valid run is rejected whole).
     pub fn append_frames(&mut self, bytes: &[u8]) -> Result<u64, StoreError> {
-        let mut frames = 0u64;
-        let (_, end_seq, clean) = walk_frames::<StoreError>(bytes, self.next_seq, |_, _| {
-            frames += 1;
-            Ok(())
-        })?;
-        if !clean {
+        let (mut offset, mut end_seq, mut frames) = (0, self.next_seq, 0u64);
+        while let Some((head, _, len)) =
+            check_frame(&bytes[offset..]).filter(|(head, ..)| head.continues(end_seq))
+        {
+            (offset, end_seq, frames) = (offset + len, head.end_seq(), frames + 1);
+        }
+        if offset != bytes.len() {
             return Err(StoreError::Codec(CodecError::Invalid(
                 "shipped frames are not a clean continuation of the log",
             )));
@@ -798,7 +842,7 @@ impl Wal {
                 fs::remove_file(path)?;
             }
         }
-        sync_dir(&self.dir);
+        sync_dir(&self.dir)?;
         Ok(())
     }
 
@@ -810,5 +854,19 @@ impl Wal {
             total += fs::metadata(path)?.len();
         }
         Ok(total)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sync_dir_reports_a_removed_directory() {
+        let dir = std::env::temp_dir().join(format!("tokensync-sync-dir-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        sync_dir(&dir).expect("sync a live directory");
+        fs::remove_dir(&dir).unwrap();
+        assert!(sync_dir(&dir).is_err());
     }
 }

@@ -329,3 +329,46 @@ fn recover_allocations_do_not_grow_with_log_length() {
         counts[0], LOG_LENGTHS[0], counts[1], LOG_LENGTHS[1]
     );
 }
+
+/// Records in front of the cursor gate's target, one entry each, all in
+/// one segment.
+const SKIPPED: [u64; 2] = [100, 1_000];
+
+/// Opening a cursor deep in a segment walks the buffered frames in front
+/// of its position without copying them, so ten times more frames to
+/// skip cost it no allocation more.
+#[test]
+fn cursor_open_allocations_do_not_grow_with_frames_skipped() {
+    let counts: Vec<u64> = SKIPPED
+        .iter()
+        .map(|&skipped| {
+            let dir = temp_dir("alloc-cursor");
+            let (standard, version) = (Erc20State::STANDARD, Erc20State::VERSION);
+            let mut wal = Wal::open(&dir, standard, version, u64::MAX, 0).unwrap();
+            for seq in 0..=skipped {
+                let entry: CommittedOp<Erc20Op, Erc20Resp> = CommittedOp {
+                    seq,
+                    batch: seq,
+                    caller: ProcessId::new(0),
+                    op: Erc20Op::Transfer {
+                        to: AccountId::new(1),
+                        value: 1,
+                    },
+                    resp: Erc20Resp::Bool(true),
+                };
+                wal.append(0, &[entry]).unwrap();
+            }
+            let (mut cursor, allocs) = counted(|| wal.cursor(skipped).unwrap());
+            let last = cursor.next_record().unwrap().expect("the last record");
+            assert_eq!((last.first_seq, last.count), (skipped, 1));
+            drop(cursor);
+            std::fs::remove_dir_all(&dir).unwrap();
+            allocs
+        })
+        .collect();
+    assert_eq!(
+        counts[0], counts[1],
+        "opening a cursor made {} allocations past {} frames and {} past {}",
+        counts[0], SKIPPED[0], counts[1], SKIPPED[1]
+    );
+}

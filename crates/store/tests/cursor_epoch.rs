@@ -5,14 +5,18 @@
 
 mod common;
 
+use std::io::Write;
+
 use common::{temp_dir, wal_segments};
 use tokensync_core::codec::StateCodec;
 use tokensync_core::erc20::{Erc20Op, Erc20Resp, Erc20State};
 use tokensync_core::shared::{ConcurrentObject, ShardedErc20};
-use tokensync_pipeline::{run_script_with_sink, BatchConfig, PipelineConfig};
+use tokensync_pipeline::{run_script_with_sink, BatchConfig, CommittedOp, PipelineConfig};
 use tokensync_spec::{AccountId, ProcessId};
-use tokensync_store::wal::Wal;
-use tokensync_store::{install_snapshot, recover, Store, StoreConfig, StoreError, WalRecord};
+use tokensync_store::wal::{Wal, FRAME_LEN};
+use tokensync_store::{
+    decode_commits, install_snapshot, recover, Store, StoreConfig, StoreError, WalRecord,
+};
 
 fn p(i: usize) -> ProcessId {
     ProcessId::new(i)
@@ -76,7 +80,7 @@ fn cursor_yields_the_whole_log_in_order_across_segment_rolls() {
     for record in &records {
         assert_eq!(record.first_seq, expect);
         expect += u64::from(record.count);
-        ops.extend(record.decode::<Erc20Op, Erc20Resp>().unwrap());
+        ops.extend(decode_commits::<Erc20Op, Erc20Resp>(&record.frame[FRAME_LEN..]).unwrap());
     }
     assert_eq!(expect, 200);
     assert_eq!(ops.len(), 200);
@@ -291,4 +295,59 @@ fn shipped_frames_replay_byte_identically_on_a_follower() {
     store.close().unwrap();
     std::fs::remove_dir_all(&primary).unwrap();
     std::fs::remove_dir_all(&follower).unwrap();
+}
+
+/// One committed transfer at `seq`, in a batch of its own.
+fn transfer_at(seq: u64) -> CommittedOp<Erc20Op, Erc20Resp> {
+    CommittedOp {
+        seq,
+        batch: seq,
+        caller: p(0),
+        op: Erc20Op::Transfer {
+            to: AccountId::new(1),
+            value: 1,
+        },
+        resp: Erc20Resp::Bool(true),
+    }
+}
+
+#[test]
+fn a_frame_appended_in_two_writes_is_yielded_only_once_whole() {
+    let (standard, version) = (Erc20State::STANDARD, Erc20State::VERSION);
+    let open = |dir| Wal::open(dir, standard, version, u64::MAX, 0).unwrap();
+    // The frames to append: records 4..8 of a log that holds them.
+    let source = temp_dir("two-writes-source");
+    let mut wal = open(&source);
+    for seq in 0..8 {
+        wal.append(0, &[transfer_at(seq)]).unwrap();
+    }
+    let frames = drain(&mut wal.cursor(4).unwrap());
+    assert_eq!(frames.len(), 4);
+
+    let dir = temp_dir("two-writes");
+    let mut wal = open(&dir);
+    for seq in 0..4 {
+        wal.append(0, &[transfer_at(seq)]).unwrap();
+    }
+    let mut cursor = wal.cursor(4).unwrap();
+    assert!(cursor.next_record().unwrap().is_none());
+    let segment = wal_segments(&dir).pop().expect("a segment");
+    let mut file = std::fs::OpenOptions::new()
+        .append(true)
+        .open(segment)
+        .unwrap();
+    // Split inside the length prefix, at its end, at the end of the
+    // frame prefix, and one byte short of the whole frame.
+    for (record, split) in frames.iter().zip([1, 4, 8, usize::MAX]) {
+        let split = split.min(record.frame.len() - 1);
+        file.write_all(&record.frame[..split]).unwrap();
+        assert!(cursor.next_record().unwrap().is_none(), "split at {split}");
+        file.write_all(&record.frame[split..]).unwrap();
+        assert_eq!(cursor.next_record().unwrap().as_ref(), Some(record));
+    }
+    assert!(cursor.next_record().unwrap().is_none());
+    assert_eq!(cursor.next_seq(), 8);
+    drop(cursor);
+    std::fs::remove_dir_all(&source).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
