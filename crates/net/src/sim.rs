@@ -29,9 +29,18 @@ pub enum DelayPolicy {
     },
 }
 
+impl DelayPolicy {
+    /// The default policy's maximum delay in ticks: the longest a
+    /// message takes on a fault-free default network.
+    pub const DEFAULT_MAX: u64 = 16;
+}
+
 impl Default for DelayPolicy {
     fn default() -> Self {
-        DelayPolicy::Uniform { min: 1, max: 16 }
+        DelayPolicy::Uniform {
+            min: 1,
+            max: Self::DEFAULT_MAX,
+        }
     }
 }
 

@@ -140,13 +140,20 @@ impl Default for CellWaves {
     }
 }
 
+/// Footprint cells per op the registry reserves for up front: a
+/// transfer's two balances. The bound does not scale with any one op's
+/// width, so a wide op cannot inflate a kept table for good.
+const CELLS_PER_OP: usize = 2;
+
 /// An open-addressing hash table keyed by pre-hashed [`CellKey`]s, with
 /// generation-stamped slots: [`reset`](CellTable::reset) invalidates
 /// every entry in `O(1)` by bumping the generation, so the table's
 /// allocation is reused across batches. Linear probing over a
 /// power-of-two slot array kept at most half full; the pre-computed key
 /// hash is the bucket index, so a lookup costs one multiply-free probe
-/// chain and no hashing.
+/// chain and no hashing. It starts empty and is sized to the batch
+/// before its first insert, so a fresh table scheduling narrow ops
+/// grows by allocation alone.
 #[derive(Debug)]
 struct CellTable {
     slots: Vec<CellSlot>,
@@ -163,25 +170,12 @@ struct CellSlot {
 }
 
 impl CellTable {
+    /// An empty table: no slots until the first
+    /// [`reserve`](CellTable::reserve).
     fn new() -> Self {
-        // 2048 slots cover a default 1024-op batch of ≤1-cell footprints
-        // without growing; wider footprints double a few times early and
-        // then stay put.
-        Self::with_slots(2048)
-    }
-
-    fn with_slots(slots: usize) -> Self {
-        let n = slots.next_power_of_two();
         Self {
-            slots: vec![
-                CellSlot {
-                    key: 0,
-                    gen: 0,
-                    value: CellWaves::default(),
-                };
-                n
-            ],
-            mask: n - 1,
+            slots: Vec::new(),
+            mask: 0,
             gen: 1,
             live: 0,
         }
@@ -205,8 +199,9 @@ impl CellTable {
     /// Makes room for `more` new entries, so the next `more`
     /// [`slot`](CellTable::slot) calls move no slot.
     fn reserve(&mut self, more: usize) {
-        while (self.live + more) * 2 > self.slots.len() {
-            self.grow();
+        let want = (self.live + more) * 2;
+        if want > self.slots.len() {
+            self.grow(want.next_power_of_two());
         }
     }
 
@@ -233,15 +228,18 @@ impl CellTable {
         }
     }
 
-    /// Doubles the slot array, re-inserting this generation's entries.
-    fn grow(&mut self) {
-        let live: Vec<CellSlot> = self
-            .slots
-            .iter()
-            .filter(|s| s.gen == self.gen)
-            .copied()
-            .collect();
-        let n = self.slots.len() * 2;
+    /// Replaces the slot array with `n` (a power of two) fresh slots,
+    /// re-inserting this generation's entries.
+    fn grow(&mut self, n: usize) {
+        let live: Vec<CellSlot> = if self.live == 0 {
+            Vec::new()
+        } else {
+            self.slots
+                .iter()
+                .filter(|s| s.gen == self.gen)
+                .copied()
+                .collect()
+        };
         self.slots = vec![
             CellSlot {
                 key: 0,
@@ -317,6 +315,10 @@ impl Scheduler {
     ) -> Schedule {
         let serial_wave = u32::try_from(cfg.max_parallel_waves.max(1)).unwrap_or(NONE - 1);
         self.cells.reset();
+        // Size the table to the batch up front: growing mid-batch
+        // re-inserts every entry so far, a fresh table more than once.
+        // Wider ops grow it per op below.
+        self.cells.reserve(ops.len() * CELLS_PER_OP);
         let mut out = Schedule::default();
         for (idx, (caller, op)) in ops.iter().enumerate() {
             self.fp.clear();
@@ -629,13 +631,14 @@ mod tests {
     fn reused_scheduler_matches_fresh_schedules() {
         // The generation-stamped registry must not leak state across
         // batches: a retained Scheduler and a throwaway one agree on a
-        // sequence of batches (including a table-growth-forcing one).
+        // sequence of batches (including one that grows the table
+        // mid-batch: three cells per op outrun the up-front size).
         let mut retained = Scheduler::new();
         let cfg = ScheduleConfig {
             max_parallel_waves: 3,
         };
         let batches: Vec<Vec<(ProcessId, Erc20Op)>> = vec![
-            (0..2048).map(|i| transfer(i, 4096 + i, 1)).collect(), // grows the table
+            (0..2048).map(|i| spend(i, 4096 + i, 8192 + i)).collect(),
             (1..9).map(|i| spend(i, 0, i)).collect(),
             (0..8).map(|i| transfer(i, 8 + i, 1)).collect(),
         ];
@@ -651,6 +654,20 @@ mod tests {
                 Scheduler::new().batch_commutes(ops)
             );
         }
+    }
+
+    #[test]
+    fn a_fresh_scheduler_sizes_its_table_to_the_batch() {
+        // A default 1024-op transfer batch on a fresh scheduler: the
+        // table is allocated once, up front, and never grows (so no
+        // entry is re-inserted).
+        let ops: Vec<_> = (0..1024).map(|i| transfer(i, 2048 + i, 1)).collect();
+        let mut scheduler = Scheduler::new();
+        let s = scheduler.schedule(&ops, &ScheduleConfig::default());
+        assert_eq!(s.waves[0].len(), 1024);
+        assert_eq!(scheduler.cells.live, 2048, "both cells of every op");
+        // The up-front size: any later growth would have doubled it.
+        assert_eq!(scheduler.cells.slots.len(), 2 * 1024 * CELLS_PER_OP);
     }
 
     #[test]

@@ -108,9 +108,7 @@ where
     /// any scheduled faults all play out).
     pub fn pump(&mut self) {
         let started = self.spans.as_ref().map(|_| Instant::now());
-        if !self.net.is_crashed(self.primary) {
-            self.net.post(self.primary, self.primary, ReplicaMsg::Pump);
-        }
+        self.kick();
         self.net.run_to_quiescence();
         if let (Some((ring, epoch)), Some(started)) = (&self.spans, started) {
             let ns = |d: std::time::Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
@@ -121,6 +119,20 @@ where
                 dur_ns: ns(started.elapsed()),
             });
         }
+    }
+
+    /// Kicks the primary's pump without running the network: with
+    /// [`Cluster::step`], a replication round one delivery at a time.
+    pub fn kick(&mut self) {
+        if !self.net.is_crashed(self.primary) {
+            self.net.post(self.primary, self.primary, ReplicaMsg::Pump);
+        }
+    }
+
+    /// Delivers one message (applying every scheduled fault due before
+    /// it); `false` once the network is quiescent.
+    pub fn step(&mut self) -> bool {
+        self.net.run(1) == 1
     }
 
     /// Crashes `node` (primary or follower): it stops sending and
@@ -135,8 +147,9 @@ where
     }
 
     /// Deterministic failover: crashes the primary if still up, promotes
-    /// the live follower with the **longest durable log** (lowest id on
-    /// ties) into a fresh epoch, announces the reign, and drains the
+    /// the live follower with the **longest log** (lowest id on ties;
+    /// the promotion makes all of it durable) into a fresh epoch,
+    /// announces the reign, and drains the
     /// resulting adoption/catch-up traffic. Returns the winner's id.
     ///
     /// # Panics

@@ -1,5 +1,6 @@
 //! The replication wire alphabet and tuning knobs.
 
+use tokensync_net::DelayPolicy;
 use tokensync_pipeline::PipelineConfig;
 use tokensync_store::StoreConfig;
 
@@ -28,6 +29,19 @@ pub(crate) const WINDOW: usize = 8;
 pub(crate) const RETRY_AFTER: u64 = 64;
 /// Backoff ceiling in simulator ticks.
 pub(crate) const MAX_BACKOFF: u64 = 1 << 12;
+/// Ticks a follower waits after an append before it blocks on its
+/// posted fsync and acknowledges: its group-commit window. Longer than
+/// the default delay policy's maximum ([`DelayPolicy::DEFAULT_MAX`],
+/// 16 ticks), so a round's appends reach every follower before any of
+/// them blocks and the fsyncs of the primary and all followers run at
+/// once; short enough that the append, the window and the ack
+/// (16 + 24 + 16 ticks) land inside [`RETRY_AFTER`], so a fault-free
+/// round retransmits nothing.
+pub(crate) const ACK_AFTER: u64 = 24;
+const _: () = {
+    let delay = DelayPolicy::DEFAULT_MAX;
+    assert!(ACK_AFTER > delay && delay + ACK_AFTER + delay < RETRY_AFTER);
+};
 
 /// Replication tuning.
 #[derive(Clone, Copy, Debug)]
@@ -74,7 +88,8 @@ pub enum ReplicaMsg {
         frame: Vec<u8>,
     },
     /// Cumulative acknowledgement: the sender has durably (fsynced)
-    /// appended every operation below `next_seq`.
+    /// appended every operation below `next_seq` — a follower sends it
+    /// only once its store's durable watermark covers `next_seq`.
     Ack {
         /// The acknowledging node's current epoch.
         epoch: u64,
@@ -121,4 +136,8 @@ pub enum ReplicaMsg {
     },
     /// Self-addressed retransmission timer of the primary.
     Pump,
+    /// Self-addressed group-commit timer of a follower, armed by its
+    /// first unacknowledged append: wait for the posted fsyncs, then
+    /// send the cumulative `Ack` of the durable position.
+    Flush,
 }

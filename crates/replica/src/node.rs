@@ -7,15 +7,26 @@
 //! The protocol in one paragraph: every WAL segment is stamped with an
 //! *epoch* (a fencing token that only grows). The primary streams
 //! records per follower with a bounded in-flight window; followers send
-//! cumulative `Ack`s after an fsync; timeouts trigger go-back-N
-//! retransmission with exponential backoff, and a follower that stops
-//! answering is marked down (service degrades, never wedges). A
-//! follower whose position fell out of log retention — or whose log
-//! diverged across a failover — is wiped and re-based from a shipped
-//! snapshot, then caught up from the log suffix. Any message stamped
-//! with a stale epoch is answered `Fenced`, and a fenced primary
-//! demotes itself; [`Wal::set_epoch`] makes adoption durable *before*
-//! anything of the new reign is acknowledged.
+//! cumulative `Ack`s of their fsynced position; timeouts trigger
+//! go-back-N retransmission with exponential backoff, and a follower
+//! that stops answering is marked down (service degrades, never
+//! wedges). A follower whose position fell out of log retention — or
+//! whose log diverged across a failover — is wiped and re-based from a
+//! shipped snapshot, then caught up from the log suffix. Any message
+//! stamped with a stale epoch is answered `Fenced`, and a fenced
+//! primary demotes itself; [`Store::set_epoch`] makes adoption durable
+//! *before* anything of the new reign is acknowledged.
+//!
+//! Every node owns its log through a [`Store`], so every fsync runs on
+//! the store's durability thread. A follower validates, appends and
+//! replays a shipped record, posts its fsync and acknowledges
+//! [`ACK_AFTER`](crate::msg) ticks later what its durable watermark
+//! covers — appends landing inside that window share one fsync. Under
+//! [`AckMode::Quorum`] the primary never waits in `serve`: its batch
+//! seals posted the local fsync, and an incoming `Ack` waits for it
+//! only before the claim moves. The primary's and both followers'
+//! fsyncs of a round thus overlap, and a round waits on one of them
+//! instead of three in a row.
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -24,12 +35,12 @@ use tokensync_core::codec::{Codec, StateCodec};
 use tokensync_net::{Context, Node};
 use tokensync_pipeline::{run_script_with_sink, PipelineRun};
 use tokensync_spec::ProcessId;
-use tokensync_store::wal::{Wal, FRAME_LEN};
+use tokensync_store::wal::FRAME_LEN;
 use tokensync_store::{
     decode_commits, install_snapshot, recover, Restorable, Store, StoreError, WalCursor,
 };
 
-use crate::msg::{AckMode, ReplicaConfig, ReplicaMsg, MAX_BACKOFF, RETRY_AFTER, WINDOW};
+use crate::msg::{AckMode, ReplicaConfig, ReplicaMsg, ACK_AFTER, MAX_BACKOFF, RETRY_AFTER, WINDOW};
 
 /// Replication-health counters of a primary's reign (reset on
 /// promotion — they describe the current epoch's leadership, the
@@ -102,7 +113,9 @@ struct Primary<T: Restorable> {
     /// Log position at which this epoch began — the fencing boundary:
     /// an old-epoch log longer than this has a divergent suffix.
     epoch_start_seq: u64,
-    /// Highest locally sealed (batch-synced) position.
+    /// Highest position both locally fsynced and claimed: under `Async`
+    /// every served run's, under `Quorum` only what a quorum of peers
+    /// acknowledged too.
     sealed_seq: u64,
     peers: Vec<Peer>,
     /// Whether a self-addressed Pump timer is already in flight.
@@ -111,12 +124,58 @@ struct Primary<T: Restorable> {
     stats: ReplicationStats,
 }
 
-struct Follower<T> {
-    wal: Wal,
+struct Follower<T: Restorable> {
+    /// The log, its epoch and its durable watermark.
+    store: Store<T>,
     object: T,
-    epoch: u64,
-    next_seq: u64,
     leader: Option<usize>,
+    /// Whether a [`ReplicaMsg::Flush`] timer is in flight.
+    flush_armed: bool,
+}
+
+impl<T> Follower<T>
+where
+    T: Restorable,
+    T::Op: Codec,
+    T::Resp: Codec,
+    T::State: StateCodec,
+{
+    fn new(store: Store<T>, object: T, leader: Option<usize>) -> Self {
+        Self {
+            store,
+            object,
+            leader,
+            flush_armed: false,
+        }
+    }
+
+    fn epoch(&self) -> u64 {
+        self.store.epoch()
+    }
+
+    /// The cumulative acknowledgement of everything appended, once it
+    /// is durable (the flush mostly waits on fsyncs the appends already
+    /// posted); `None` if the store latched a failure — no ack ever
+    /// covers a record past it. Waiting first keeps the message, and so
+    /// a seeded run's trace, independent of when an fsync lands.
+    fn ack(&mut self) -> Option<ReplicaMsg> {
+        self.store.flush().ok()?;
+        Some(ReplicaMsg::Ack {
+            epoch: self.epoch(),
+            next_seq: self.store.next_seq(),
+        })
+    }
+
+    /// An introduction. The primary counts its position as fsynced, so
+    /// every appended record is made durable first; a store whose fsync
+    /// failed introduces itself at its frozen watermark.
+    fn hello(&mut self) -> ReplicaMsg {
+        let _ = self.store.flush();
+        ReplicaMsg::Hello {
+            epoch: self.epoch(),
+            next_seq: self.store.durable_seq(),
+        }
+    }
 }
 
 enum Role<T: Restorable> {
@@ -185,33 +244,20 @@ where
     ///
     /// # Errors
     ///
-    /// I/O errors initializing the directory.
+    /// As [`Store::create`].
     pub fn create_follower(
         dir: &Path,
         genesis: &T::State,
         cfg: ReplicaConfig,
         n: usize,
     ) -> Result<Self, StoreError> {
-        install_snapshot(dir, 0, genesis)?;
-        let wal = Wal::open(
-            dir,
-            <T::State as StateCodec>::STANDARD,
-            <T::State as StateCodec>::VERSION,
-            cfg.store.segment_max_bytes,
-            0,
-        )?;
+        let store = Store::create(dir, genesis, cfg.store)?;
         Ok(Self {
             dir: dir.to_path_buf(),
             cfg,
             n,
             id: usize::MAX,
-            role: Role::Follower(Follower {
-                wal,
-                object: T::restore(genesis.clone()),
-                epoch: 0,
-                next_seq: 0,
-                leader: None,
-            }),
+            role: Role::Follower(Follower::new(store, T::restore(genesis.clone()), None)),
         })
     }
 
@@ -229,16 +275,28 @@ where
     pub fn epoch(&self) -> u64 {
         match &self.role {
             Role::Primary(p) => p.epoch,
-            Role::Follower(f) => f.epoch,
+            Role::Follower(f) => f.epoch(),
             Role::Rebooting => unreachable!("transient role observed"),
         }
     }
 
-    /// First sequence number this node does not hold durably.
+    /// First sequence number this node's log does not hold. On a
+    /// follower the durable watermark trails it while an fsync is
+    /// pending; a promotion makes the whole log durable.
     pub fn next_seq(&self) -> u64 {
+        self.store().next_seq()
+    }
+
+    /// This node's own durable watermark, primary or follower: every
+    /// operation below it is fsynced on this node's disk.
+    pub fn local_durable_seq(&self) -> u64 {
+        self.store().durable_seq()
+    }
+
+    fn store(&self) -> &Store<T> {
         match &self.role {
-            Role::Primary(p) => p.store.next_seq(),
-            Role::Follower(f) => f.next_seq,
+            Role::Primary(p) => &p.store,
+            Role::Follower(f) => &f.store,
             Role::Rebooting => unreachable!("transient role observed"),
         }
     }
@@ -303,29 +361,21 @@ where
 
     /// The highest position this primary **claims durable** under its
     /// [`AckMode`]: with `Async` the locally sealed position, with
-    /// `Quorum` the largest sealed position a majority of the cluster
-    /// (counting the primary) has fsynced. On a follower: its own
-    /// durable position.
+    /// `Quorum` the largest position a majority of the cluster
+    /// (counting the primary) has fsynced. On a follower: its store's
+    /// durable watermark, as [`ReplicaNode::local_durable_seq`].
     pub fn durable_seq(&self) -> u64 {
         match &self.role {
-            Role::Primary(p) => match self.cfg.ack_mode {
-                AckMode::Async => p.sealed_seq,
-                AckMode::Quorum => {
-                    let q = self.n / 2 + 1;
-                    if q <= 1 {
-                        return p.sealed_seq;
-                    }
-                    let mut acked: Vec<u64> = (0..self.n)
-                        .filter(|&i| i != self.id)
-                        .map(|i| p.peers[i].acked)
-                        .collect();
-                    acked.sort_unstable_by(|a, b| b.cmp(a));
-                    p.sealed_seq.min(acked.get(q - 2).copied().unwrap_or(0))
-                }
-            },
-            Role::Follower(f) => f.next_seq,
-            Role::Rebooting => unreachable!("transient role observed"),
+            Role::Primary(p) if self.claims_locally() => p.sealed_seq,
+            Role::Primary(p) => p.sealed_seq.min(p.quorum_acked(self.id, self.n)),
+            _ => self.local_durable_seq(),
         }
+    }
+
+    /// Whether the primary's own fsync is its whole durability claim:
+    /// under `Async`, or in a cluster of one.
+    fn claims_locally(&self) -> bool {
+        self.cfg.ack_mode == AckMode::Async || self.n <= 1
     }
 
     /// Serves a script through the pipeline into the durable store —
@@ -338,19 +388,24 @@ where
     /// Panics when called on a follower, or if the store's write path
     /// failed (the commit-sink interface parks errors).
     pub fn serve(&mut self, script: &[(ProcessId, T::Op)]) -> PipelineRun<T::Op, T::Resp> {
+        let claims_locally = self.claims_locally();
         let Role::Primary(p) = &mut self.role else {
             panic!("serve() on a non-primary replica");
         };
         let run = run_script_with_sink(&p.object, script, &self.cfg.pipeline, &mut p.store);
-        // The primary's durability claim is the store's own watermark
-        // now: under pipelined group commit the run's final batch may
-        // still be in the background fsync queue, so drain it before
-        // claiming — replication acks must never outrun local
-        // durability.
-        if let Err(e) = p.store.flush() {
+        if let Some(e) = p.store.error() {
             panic!("primary store write path failed: {e}");
         }
-        p.sealed_seq = p.sealed_seq.max(p.store.durable_seq());
+        // Every batch seal posted its fsync. Where the local fsync is
+        // the claim itself, wait for it here; under a quorum it runs
+        // while the followers work, and `on_ack` waits for it only
+        // before the claim moves past it.
+        if claims_locally {
+            if let Err(e) = p.store.flush() {
+                panic!("primary store write path failed: {e}");
+            }
+            p.sealed_seq = p.sealed_seq.max(p.store.durable_seq());
+        }
         run
     }
 
@@ -368,9 +423,12 @@ where
         let Role::Follower(f) = role else {
             panic!("promote() on a non-follower replica");
         };
-        let Follower { wal, object, .. } = f;
-        drop(wal); // release the append handle before reopening as a store
-        let mut store = Store::open(&self.dir, self.cfg.store).expect("reopen store on promotion");
+        let Follower {
+            mut store, object, ..
+        } = f;
+        // Everything on the promoted log is made locally durable before
+        // the fence, so the epoch starts at a durable position.
+        store.flush().expect("make the promoted log durable");
         store
             .set_epoch(epoch)
             .expect("fence the log at the new epoch");
@@ -379,7 +437,6 @@ where
             object,
             epoch,
             epoch_start_seq: start,
-            // Everything on the promoted log is locally durable.
             sealed_seq: start,
             peers: (0..self.n).map(|_| Peer::idle(RETRY_AFTER)).collect(),
             pump_armed: false,
@@ -405,33 +462,18 @@ where
     fn reload_as_follower(&mut self) {
         self.role = Role::Rebooting; // drop open handles first
         let rec = recover::<T>(&self.dir).expect("recover replica from disk");
-        let wal = Wal::open(
-            &self.dir,
-            <T::State as StateCodec>::STANDARD,
-            <T::State as StateCodec>::VERSION,
-            self.cfg.store.segment_max_bytes,
-            rec.snapshot_watermark,
-        )
-        .expect("reopen wal after recovery");
-        debug_assert_eq!(wal.next_seq(), rec.next_seq, "recovery/wal position skew");
-        self.role = Role::Follower(Follower {
-            next_seq: wal.next_seq(),
-            wal,
-            object: rec.object,
-            epoch: rec.epoch,
-            leader: None,
-        });
+        let store = Store::open(&self.dir, self.cfg.store).expect("reopen store after recovery");
+        debug_assert_eq!(store.next_seq(), rec.next_seq, "recovery/wal position skew");
+        debug_assert_eq!(store.epoch(), rec.epoch, "recovery/wal epoch skew");
+        self.role = Role::Follower(Follower::new(store, rec.object, None));
     }
 
     /// Introduces this follower to every other node.
-    fn say_hello(&self, ctx: &mut Context<ReplicaMsg>) {
-        let Role::Follower(f) = &self.role else {
+    fn say_hello(&mut self, ctx: &mut Context<ReplicaMsg>) {
+        let Role::Follower(f) = &mut self.role else {
             return;
         };
-        let msg = ReplicaMsg::Hello {
-            epoch: f.epoch,
-            next_seq: f.next_seq,
-        };
+        let msg = f.hello();
         for dst in 0..ctx.n() {
             if dst != ctx.me() {
                 ctx.send(dst, msg.clone());
@@ -456,8 +498,8 @@ where
             self.demote_and_hello(ctx);
             return;
         }
-        let now = ctx.time();
-        let me = self.id;
+        let (now, me, n) = (ctx.time(), self.id, self.n);
+        let quorum = !self.claims_locally();
         let Role::Primary(p) = &mut self.role else {
             unreachable!();
         };
@@ -478,6 +520,9 @@ where
         } else {
             p.ship_snapshot(from, now, ctx);
         }
+        if quorum {
+            p.seal_quorum(me, n);
+        }
         p.arm_pump(me, ctx);
     }
 
@@ -495,8 +540,8 @@ where
             self.on_hello(from, epoch, next_seq, ctx);
             return;
         }
-        let now = ctx.time();
-        let me = self.id;
+        let (now, me, n) = (ctx.time(), self.id, self.n);
+        let quorum = !self.claims_locally();
         let Role::Primary(p) = &mut self.role else {
             unreachable!();
         };
@@ -514,6 +559,9 @@ where
             peer.retries = 0;
             peer.backoff = RETRY_AFTER;
             peer.sent_at = now;
+        }
+        if quorum {
+            p.seal_quorum(me, n);
         }
         p.stream_to(from, now, ctx);
         p.arm_pump(me, ctx);
@@ -607,7 +655,6 @@ where
         from: usize,
         epoch: u64,
         first_seq: u64,
-        count: u32,
         frame: Vec<u8>,
         ctx: &mut Context<ReplicaMsg>,
     ) {
@@ -623,54 +670,44 @@ where
         let Role::Follower(f) = &mut self.role else {
             unreachable!();
         };
-        if epoch < f.epoch {
-            ctx.send(from, ReplicaMsg::Fenced { epoch: f.epoch });
+        if epoch < f.epoch() {
+            ctx.send(from, ReplicaMsg::Fenced { epoch: f.epoch() });
             return;
         }
-        if epoch > f.epoch {
-            if first_seq <= f.next_seq {
+        if epoch > f.epoch() {
+            if first_seq <= f.store.next_seq() {
                 // The new reign's log covers ours: our log is a prefix
                 // of committed history, adoption is safe. Fence durably
                 // before acknowledging anything of the new reign.
-                f.wal.set_epoch(epoch).expect("adopt epoch");
-                f.epoch = epoch;
+                f.store.set_epoch(epoch).expect("adopt epoch");
             } else {
                 // Cannot prove our log is a prefix; ask to be re-based
                 // instead of guessing.
-                ctx.send(
-                    from,
-                    ReplicaMsg::Hello {
-                        epoch: f.epoch,
-                        next_seq: f.next_seq,
-                    },
-                );
+                ctx.send(from, f.hello());
                 return;
             }
         }
         f.leader = Some(from);
-        if first_seq != f.next_seq {
+        if first_seq != f.store.next_seq() {
             // Duplicate (behind us) or gap (ahead of us): either way,
             // re-ack our cumulative position; the primary rewinds to it
             // on timeout (go-back-N) or drops the duplicate range.
-            ctx.send(
-                from,
-                ReplicaMsg::Ack {
-                    epoch: f.epoch,
-                    next_seq: f.next_seq,
-                },
-            );
+            if let Some(ack) = f.ack() {
+                ctx.send(from, ack);
+            }
             return;
         }
         // Exact continuation: decode for replay, append the raw bytes
-        // (CRC + continuity re-validated there), replay the frame through
-        // the live object in one batch verifying every recorded
-        // response, fsync, ack.
+        // (CRC + continuity re-validated there; the append posts its
+        // fsync), replay the frame through the live object in one batch
+        // verifying every recorded response. The ack waits for the
+        // fsync, after the group-commit window.
         let payload = frame.get(FRAME_LEN..).unwrap_or_default();
         let Ok(entries) = decode_commits::<T::Op, T::Resp>(payload) else {
             return; // short or undecodable payload: no ack, sender retries
         };
-        if f.wal.append_frames(&frame).is_err() {
-            return; // invalid frame bytes: no ack
+        if f.store.append_frames(&frame).is_err() {
+            return; // invalid frame bytes or a failed write: no ack
         }
         let (ops, logged): (Vec<_>, Vec<_>) = entries
             .into_iter()
@@ -680,15 +717,24 @@ where
         for (resp, (seq, logged)) in resps.iter().zip(&logged) {
             assert!(resp == logged, "replicated replay diverged at seq {seq}");
         }
-        f.wal.sync().expect("follower fsync before ack");
-        f.next_seq = first_seq + u64::from(count);
-        ctx.send(
-            from,
-            ReplicaMsg::Ack {
-                epoch: f.epoch,
-                next_seq: f.next_seq,
-            },
-        );
+        if !f.flush_armed {
+            f.flush_armed = true;
+            ctx.send_after(ACK_AFTER, ReplicaMsg::Flush);
+        }
+    }
+
+    /// The group-commit window closed: wait for the fsyncs the window's
+    /// appends posted (coalesced by the store's durability thread, and
+    /// running since the first of them), then ack what they made
+    /// durable.
+    fn on_flush(&mut self, ctx: &mut Context<ReplicaMsg>) {
+        let Role::Follower(f) = &mut self.role else {
+            return; // promoted since: the promotion made the log durable
+        };
+        f.flush_armed = false;
+        if let (Some(leader), Some(ack)) = (f.leader, f.ack()) {
+            ctx.send(leader, ack);
+        }
     }
 
     fn on_snapshot(
@@ -708,23 +754,19 @@ where
             return;
         }
         {
-            let Role::Follower(f) = &self.role else {
+            let Role::Follower(f) = &mut self.role else {
                 unreachable!();
             };
-            if epoch < f.epoch {
-                ctx.send(from, ReplicaMsg::Fenced { epoch: f.epoch });
+            if epoch < f.epoch() {
+                ctx.send(from, ReplicaMsg::Fenced { epoch: f.epoch() });
                 return;
             }
-            if epoch == f.epoch && watermark <= f.next_seq {
+            if epoch == f.epoch() && watermark <= f.store.next_seq() {
                 // Stale duplicate: our same-epoch log already covers the
                 // watermark; installing would discard progress.
-                ctx.send(
-                    from,
-                    ReplicaMsg::Ack {
-                        epoch: f.epoch,
-                        next_seq: f.next_seq,
-                    },
-                );
+                if let Some(ack) = f.ack() {
+                    ctx.send(from, ack);
+                }
                 return;
             }
         }
@@ -741,22 +783,11 @@ where
         self.role = Role::Rebooting; // close handles before the wipe
         std::fs::remove_dir_all(&self.dir).expect("wipe replica directory");
         install_snapshot(&self.dir, watermark, &decoded).expect("install shipped snapshot");
-        let mut wal = Wal::open(
-            &self.dir,
-            <T::State as StateCodec>::STANDARD,
-            <T::State as StateCodec>::VERSION,
-            self.cfg.store.segment_max_bytes,
-            watermark,
-        )
-        .expect("open wal at the shipped watermark");
-        wal.set_epoch(epoch).expect("fence the re-based log");
-        self.role = Role::Follower(Follower {
-            wal,
-            object: T::restore(decoded),
-            epoch,
-            next_seq: watermark,
-            leader: Some(from),
-        });
+        let mut store =
+            Store::open(&self.dir, self.cfg.store).expect("open store at the shipped watermark");
+        store.set_epoch(epoch).expect("fence the re-based log");
+        // The installed snapshot is durable: the store opens with its
+        // watermark as the durable position.
         ctx.send(
             from,
             ReplicaMsg::Ack {
@@ -764,6 +795,7 @@ where
                 next_seq: watermark,
             },
         );
+        self.role = Role::Follower(Follower::new(store, T::restore(decoded), Some(from)));
     }
 
     fn on_announce(
@@ -784,27 +816,20 @@ where
         let Role::Follower(f) = &mut self.role else {
             unreachable!();
         };
-        if epoch < f.epoch {
-            ctx.send(from, ReplicaMsg::Fenced { epoch: f.epoch });
+        if epoch < f.epoch() {
+            ctx.send(from, ReplicaMsg::Fenced { epoch: f.epoch() });
             return;
         }
-        if epoch > f.epoch && f.next_seq <= start_seq {
+        if epoch > f.epoch() && f.store.next_seq() <= start_seq {
             // Our log is a prefix of the new reign: adopt it durably. (A
             // longer log keeps its old epoch; the Hello below carries it
             // and the new primary snapshot-ships us.)
-            f.wal.set_epoch(epoch).expect("adopt announced epoch");
-            f.epoch = epoch;
+            f.store.set_epoch(epoch).expect("adopt announced epoch");
         }
-        if epoch == f.epoch {
+        if epoch == f.epoch() {
             f.leader = Some(from);
         }
-        ctx.send(
-            from,
-            ReplicaMsg::Hello {
-                epoch: f.epoch,
-                next_seq: f.next_seq,
-            },
-        );
+        ctx.send(from, f.hello());
     }
 }
 
@@ -815,6 +840,30 @@ where
     T::Resp: Codec,
     T::State: StateCodec,
 {
+    /// The largest position a majority of the `n`-node cluster holds
+    /// fsynced, counting this primary (`me`) as holding everything.
+    fn quorum_acked(&self, me: usize, n: usize) -> u64 {
+        let mut acked: Vec<u64> = (0..n)
+            .filter(|&i| i != me)
+            .map(|i| self.peers[i].acked)
+            .collect();
+        acked.sort_unstable_by(|a, b| b.cmp(a));
+        acked.get((n / 2).saturating_sub(1)).copied().unwrap_or(0)
+    }
+
+    /// Moves the Quorum claim up to what a quorum of peers acknowledged,
+    /// once the local store holds it fsynced too. The local fsync was
+    /// posted at the batch seal and ran while the followers worked, so
+    /// this wait rarely blocks; a latched fsync failure freezes the
+    /// claim. Only for a `Quorum` primary with peers: where the claim
+    /// is local, `serve` seals it.
+    fn seal_quorum(&mut self, me: usize, n: usize) {
+        let candidate = self.quorum_acked(me, n).min(self.store.next_seq());
+        if candidate > self.sealed_seq && self.store.wait_durable(candidate).is_ok() {
+            self.sealed_seq = candidate;
+        }
+    }
+
     /// Streams records to `dst` from its cumulative ack, up to the
     /// in-flight window; falls back to snapshot shipping when the
     /// peer's position fell out of log retention.
@@ -937,12 +986,13 @@ where
     fn on_message(&mut self, from: usize, msg: ReplicaMsg, ctx: &mut Context<ReplicaMsg>) {
         match msg {
             ReplicaMsg::Pump => self.on_pump(ctx),
+            ReplicaMsg::Flush => self.on_flush(ctx),
             ReplicaMsg::Append {
                 epoch,
                 first_seq,
-                count,
                 frame,
-            } => self.on_append(from, epoch, first_seq, count, frame, ctx),
+                ..
+            } => self.on_append(from, epoch, first_seq, frame, ctx),
             ReplicaMsg::Ack { epoch, next_seq } => self.on_ack(from, epoch, next_seq, ctx),
             ReplicaMsg::Snapshot {
                 epoch,
@@ -962,5 +1012,64 @@ where
     fn on_restart(&mut self, ctx: &mut Context<ReplicaMsg>) {
         self.reload_as_follower();
         self.say_hello(ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use tokensync_core::erc20::{Erc20Op, Erc20State};
+    use tokensync_core::shared::ShardedErc20;
+    use tokensync_net::SimNet;
+    use tokensync_spec::AccountId;
+
+    use super::*;
+
+    fn transfers(count: usize) -> Vec<(ProcessId, Erc20Op)> {
+        (0..count)
+            .map(|i| {
+                let to = AccountId::new((i + 1) % 4);
+                (ProcessId::new(i % 4), Erc20Op::Transfer { to, value: 1 })
+            })
+            .collect()
+    }
+
+    /// A follower whose store latched a durability failure (here the
+    /// simulated crash of its durability thread) acks nothing past the
+    /// watermark it froze at, and the Quorum claim of a two-node
+    /// cluster, which needs that follower, stops there too.
+    #[test]
+    fn a_latched_follower_store_stops_its_acks() {
+        let base =
+            std::env::temp_dir().join(format!("tokensync-replica-latch-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let cfg = ReplicaConfig::default();
+        let genesis = Erc20State::from_balances(vec![100; 4]);
+        let nodes = vec![
+            ReplicaNode::<ShardedErc20>::create_primary(&base.join("node-0"), &genesis, cfg, 2)
+                .unwrap(),
+            ReplicaNode::<ShardedErc20>::create_follower(&base.join("node-1"), &genesis, cfg, 2)
+                .unwrap(),
+        ];
+        let mut net = SimNet::new(nodes, 3);
+        net.run_to_quiescence();
+        let round = |net: &mut SimNet<ReplicaNode<ShardedErc20>>| {
+            net.node_mut(0).serve(&transfers(8));
+            net.post(0, 0, ReplicaMsg::Pump);
+            net.run_to_quiescence();
+        };
+        round(&mut net);
+        assert_eq!(net.node(0).durable_seq(), 8);
+
+        let Role::Follower(f) = &mut net.node_mut(1).role else {
+            unreachable!("node 1 follows");
+        };
+        f.store.abandon();
+        round(&mut net);
+        assert_eq!(net.node(1).local_durable_seq(), 8, "the watermark froze");
+        assert_eq!(net.node(0).peer_acked(1), Some(8), "no ack past it");
+        assert_eq!(net.node(0).durable_seq(), 8, "the claim stops there");
+        assert_eq!(net.node(0).next_seq(), 16);
+        drop(net);
+        std::fs::remove_dir_all(&base).unwrap();
     }
 }

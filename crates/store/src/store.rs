@@ -306,22 +306,45 @@ where
     /// (the error stays latched); thread failures as
     /// [`Store::wait_durable`].
     pub fn flush(&mut self) -> Result<(), StoreError> {
-        self.poll_thread_error();
-        if let Some(e) = &self.error {
-            // `io::Error` is not `Clone`: report a copy, keep the latch.
-            let again = match e {
-                StoreError::Io(io) => std::io::Error::new(io.kind(), io.to_string()),
-                other => std::io::Error::other(other.to_string()),
-            };
-            return Err(StoreError::Io(again));
+        self.latched()?;
+        self.post_sync()?;
+        self.wait_durable(self.wal.next_seq())
+    }
+
+    /// Appends pre-framed records shipped by a replication primary (see
+    /// [`Wal::append_frames`](crate::wal::Wal::append_frames)) and posts
+    /// the same sync a batch seal posts: the durability thread makes
+    /// them durable, coalesced with any sync still queued, and
+    /// [`Store::wait_durable`] blocks on it. A follower appends through
+    /// here and acknowledges only what the watermark covers.
+    ///
+    /// Returns the sequence number past the appended records.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Codec`] when the bytes are not a clean
+    /// continuation of the log (nothing is written, the store stays
+    /// usable); the first parked write error, on this and every later
+    /// call, as [`Store::flush`].
+    pub fn append_frames(&mut self, bytes: &[u8]) -> Result<u64, StoreError> {
+        self.latched()?;
+        let start = self.wal.next_seq();
+        let appended = match self.wal.append_frames(bytes) {
+            // A run that is not a clean continuation wrote nothing.
+            Err(e @ StoreError::Codec(_)) => return Err(e),
+            appended => appended,
+        };
+        match appended.and_then(|end| self.post_sync().map(|()| end)) {
+            Ok(end) => {
+                self.ops_since_snapshot += end - start;
+                // As a log suffix above the chain found at an open: the
+                // next snapshot trigger (once promoted) posts a full one.
+                self.full_due |= end > start;
+                Ok(end)
+            }
+            // A failed write may leave part of the run behind: latch.
+            Err(e) => Err(self.park(e)),
         }
-        let target = self.wal.next_seq();
-        if self.shared.durable() >= target {
-            return Ok(());
-        }
-        let file = self.wal.tail_handle()?;
-        self.post(DurMsg::Sync { target, file });
-        self.wait_durable(target)
     }
 
     /// The first write-path error, if the store is poisoned. Writes
@@ -451,6 +474,32 @@ where
         Ok(())
     }
 
+    /// A copy of the parked write error, if the store is poisoned (the
+    /// latch stays set).
+    fn latched(&mut self) -> Result<(), StoreError> {
+        self.poll_thread_error();
+        self.error.as_ref().map_or(Ok(()), |e| Err(copy_error(e)))
+    }
+
+    /// Parks a write-path error (the first one wins) and returns a copy
+    /// for the caller.
+    fn park(&mut self, e: StoreError) -> StoreError {
+        let copy = copy_error(&e);
+        self.error.get_or_insert(e);
+        copy
+    }
+
+    /// Posts a sync covering everything appended so far, unless the
+    /// watermark is already there.
+    fn post_sync(&mut self) -> Result<(), StoreError> {
+        let target = self.wal.next_seq();
+        if self.shared.durable() < target {
+            let file = self.wal.tail_handle()?;
+            self.post(DurMsg::Sync { target, file });
+        }
+        Ok(())
+    }
+
     /// Posts to the durability thread; a dead thread parks an error.
     pub(crate) fn post(&mut self, msg: DurMsg<T>) {
         let alive = match &self.dur {
@@ -514,11 +563,7 @@ where
     fn try_seal(&mut self, token: &T, batch: u64) -> Result<(), StoreError> {
         // Pipelined group commit: post the sync, keep serving. The
         // thread coalesces a backlog into one fsync.
-        let target = self.wal.next_seq();
-        if self.shared.durable() < target {
-            let file = self.wal.tail_handle()?;
-            self.post(DurMsg::Sync { target, file });
-        }
+        self.post_sync()?;
         if self.cfg.snapshot_every_ops > 0 && self.ops_since_snapshot >= self.cfg.snapshot_every_ops
         {
             // Drain the rows touched since the last drain — no
@@ -557,6 +602,15 @@ where
         self.apply_gc_floor()?;
         Ok(())
     }
+}
+
+/// A copy of a parked error: `io::Error` is not `Clone`, and the
+/// original stays latched in the store.
+fn copy_error(e: &StoreError) -> StoreError {
+    StoreError::Io(match e {
+        StoreError::Io(io) => std::io::Error::new(io.kind(), io.to_string()),
+        other => std::io::Error::other(other.to_string()),
+    })
 }
 
 impl<T: Restorable> Store<T> {

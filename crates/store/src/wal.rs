@@ -758,11 +758,10 @@ impl Wal {
     }
 
     /// Forces everything appended so far onto stable storage. Batch
-    /// seals sync through the store's durability thread; this is the
-    /// inline form for callers that must not proceed before the bytes
-    /// are down — a snapshot publish (log before the snapshot that
-    /// supersedes it), a store close, a replication follower before it
-    /// acks.
+    /// seals and replicated appends sync through the store's durability
+    /// thread; this is the inline form for callers that must not proceed
+    /// before the bytes are down — a snapshot publish (log before the
+    /// snapshot that supersedes it), a store close.
     pub fn sync(&mut self) -> Result<(), StoreError> {
         let started = self.obs.clock();
         self.file.sync_data()?;

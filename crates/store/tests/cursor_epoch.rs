@@ -297,6 +297,48 @@ fn shipped_frames_replay_byte_identically_on_a_follower() {
     std::fs::remove_dir_all(&follower).unwrap();
 }
 
+/// A follower's store: shipped frames are appended and their fsync
+/// posted, so the watermark reaches the appended position without a
+/// flush; a run that is not a clean continuation is refused without
+/// poisoning the store.
+#[test]
+fn store_append_frames_posts_the_sync() {
+    let primary = temp_dir("store-ship-primary");
+    let follower = temp_dir("store-ship-follower");
+    let genesis = Erc20State::from_balances(vec![100; 8]);
+    let token = ShardedErc20::from_state(genesis.clone());
+    let mut store: Store<ShardedErc20> =
+        Store::create(&primary, &genesis, StoreConfig::default()).unwrap();
+    run_script_with_sink(&token, &transfers(8, 48), &cfg(16), &mut store);
+    let records = drain(&mut store.cursor(0).unwrap());
+    assert_eq!(records.len(), 3);
+
+    let mut replica: Store<ShardedErc20> =
+        Store::create(&follower, &genesis, StoreConfig::default()).unwrap();
+    assert_eq!(replica.append_frames(&records[0].frame).unwrap(), 16);
+    assert!(matches!(
+        replica.append_frames(&records[2].frame),
+        Err(StoreError::Codec(_))
+    ));
+    for record in &records[1..] {
+        replica.append_frames(&record.frame).unwrap();
+    }
+    assert_eq!(replica.next_seq(), 48);
+    replica.wait_durable(48).unwrap();
+    assert!(replica.error().is_none(), "a refused run poisons nothing");
+    replica.close().unwrap();
+    assert_eq!(
+        recover::<ShardedErc20>(&follower)
+            .unwrap()
+            .object
+            .snapshot(),
+        token.snapshot()
+    );
+    store.close().unwrap();
+    std::fs::remove_dir_all(&primary).unwrap();
+    std::fs::remove_dir_all(&follower).unwrap();
+}
+
 /// One committed transfer at `seq`, in a batch of its own.
 fn transfer_at(seq: u64) -> CommittedOp<Erc20Op, Erc20Resp> {
     CommittedOp {
