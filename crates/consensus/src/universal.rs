@@ -35,6 +35,9 @@ impl<Op> Entry<Op> {
     }
 }
 
+/// The consensus instance deciding one log position.
+type Slot<Op> = std::sync::Arc<CasConsensus<Entry<Op>>>;
+
 /// Decided log prefix together with the replayed object state.
 #[derive(Debug)]
 struct LogState<T: ObjectType> {
@@ -75,7 +78,7 @@ pub struct Universal<T: ObjectType> {
     /// Per-process operation counters (distinguish re-invocations).
     seqs: Vec<AtomicU64>,
     /// One consensus instance per log position, created on demand.
-    slots: Mutex<Vec<std::sync::Arc<CasConsensus<Entry<T::Op>>>>>,
+    slots: Mutex<Vec<Slot<T::Op>>>,
     /// Cache of the decided prefix and replayed state. The cache is *not*
     /// the synchronization mechanism (the consensus instances are); it only
     /// avoids replaying the log from scratch on every operation.
@@ -105,7 +108,7 @@ where
         }
     }
 
-    fn slot(&self, index: usize) -> std::sync::Arc<CasConsensus<Entry<T::Op>>> {
+    fn slot(&self, index: usize) -> Slot<T::Op> {
         let mut slots = self.slots.lock();
         while slots.len() <= index {
             slots.push(std::sync::Arc::new(CasConsensus::new(self.n)));

@@ -152,12 +152,12 @@ pub fn sync_level(state: &Erc20State) -> (usize, Option<SyncWitness>) {
         .accounts_with_approvals()
         .filter_map(|a| SyncWitness::for_account(state, a))
         .max_by_key(key);
-    if best.as_ref().map_or(true, |w| w.k() == 1) {
+    if best.as_ref().is_none_or(|w| w.k() == 1) {
         let plain = (0..state.accounts())
             .map(AccountId::new)
             .find(|&a| state.approval_count(a) == 0 && state.balance(a) > 0);
         if let Some(w) = plain.and_then(|a| SyncWitness::for_account(state, a)) {
-            if best.as_ref().map_or(true, |b| key(&w) > key(b)) {
+            if best.as_ref().is_none_or(|b| key(&w) > key(b)) {
                 best = Some(w);
             }
         }

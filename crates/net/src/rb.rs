@@ -123,7 +123,7 @@ impl<T: Clone + Eq + Hash + Debug> Bracha<T> {
 
     /// Counts matching votes for the (unique, majority) payload of `id` in
     /// `map`; returns the payload with the highest count.
-    fn leading<'a>(map: Option<&'a BTreeMap<usize, T>>) -> Option<(&'a T, usize)> {
+    fn leading(map: Option<&BTreeMap<usize, T>>) -> Option<(&T, usize)> {
         let map = map?;
         let mut counts: Vec<(&T, usize)> = Vec::new();
         for payload in map.values() {

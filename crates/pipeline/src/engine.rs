@@ -16,7 +16,11 @@
 //!
 //! There is exactly **one** engine and one apply path: every batch is
 //! applied and committed in submission order, and the wave schedule
-//! only monitors its conflicts. The same machinery serves an ERC20
+//! only monitors its conflicts. The monitor samples: it reads one batch
+//! in 16, those whose `seq` is a multiple of 16, so always a run's
+//! first batch and the only batch of a one-batch run. The other batches
+//! skip the schedule, and [`PipelineStats`]' rates are weighted by ops
+//! over the monitored batches. The same machinery serves an ERC20
 //! [`ShardedErc20`], an ERC721 [`ShardedErc721`] or an ERC1155
 //! [`ShardedErc1155`] — the standard is a type parameter, not a copy of
 //! the pipeline.
@@ -181,30 +185,36 @@ pub struct PipelineConfig {
     pub bypass: BypassConfig,
 }
 
-/// Aggregate counters over every batch an engine processed. Every
-/// batch is applied and committed in submission order; the wave and
-/// bypass counters are the conflict monitor's reading of each batch
-/// (its [`Schedule`]), not a record of how the batch ran.
+/// Aggregate counters of one engine run. `batches`, `ops` and
+/// `commit_records` count every batch. The monitor fields
+/// (`parallel_ops`, `serial_ops`, `waves`, `conflicts`,
+/// `bypassed_batches`, `bypassed_ops`) count only the batches the
+/// conflict monitor read: one in 16, starting with the run's first, so a
+/// one-batch run is always monitored. They are the monitor's reading of
+/// each such batch (its [`Schedule`]), not a record of how the batch
+/// ran: every batch is applied and committed in submission order.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PipelineStats {
     /// Batches cut and executed.
     pub batches: u64,
     /// Operations committed.
     pub ops: u64,
-    /// Ops the monitor placed in commuting waves, as opposed to the
-    /// serial lane. All ops execute on one thread; this counts
-    /// commutativity found, not threads used.
+    /// Ops of monitored batches the monitor placed in commuting waves,
+    /// as opposed to the serial lane. All ops execute on one thread;
+    /// this counts commutativity found, not threads used. With
+    /// [`serial_ops`](Self::serial_ops) it partitions the monitored ops.
     pub parallel_ops: u64,
-    /// Ops the monitor placed in the serial lane.
+    /// Ops of monitored batches the monitor placed in the serial lane.
     pub serial_ops: u64,
-    /// Commuting waves the monitor found (across all batches). A
-    /// pairwise-commuting batch is one wave.
+    /// Commuting waves the monitor found across the monitored batches.
+    /// A pairwise-commuting batch is one wave.
     pub waves: u64,
-    /// Contention proxy summed over batches (see
+    /// Contention proxy summed over the monitored batches (see
     /// [`Schedule::conflicts`]).
     pub conflicts: u64,
-    /// Batches the monitor found pairwise commuting: one wave and an
-    /// empty serial lane, so no op of the batch had to follow another.
+    /// Monitored batches the monitor found pairwise commuting: one wave
+    /// and an empty serial lane, so no op of the batch had to follow
+    /// another.
     pub bypassed_batches: u64,
     /// Operations of those batches.
     pub bypassed_ops: u64,
@@ -224,9 +234,9 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
-    /// Mean ops per commuting wave over the whole run — the engine's
-    /// measured wave parallelism. A fully commuting stream approaches the
-    /// batch size; a fully conflicting stream approaches 1.
+    /// Mean ops per commuting wave over the monitored batches — the
+    /// engine's measured wave parallelism. A fully commuting stream
+    /// approaches the batch size; a fully conflicting stream approaches 1.
     pub fn wave_parallelism(&self) -> f64 {
         if self.waves == 0 {
             return 0.0;
@@ -234,28 +244,30 @@ impl PipelineStats {
         self.parallel_ops as f64 / self.waves as f64
     }
 
-    /// Fraction of ops that needed the serial lane.
+    /// Fraction of the monitored ops that needed the serial lane.
     pub fn serial_fraction(&self) -> f64 {
-        if self.ops == 0 {
-            return 0.0;
-        }
-        self.serial_ops as f64 / self.ops as f64
+        self.of_monitored_ops(self.serial_ops)
     }
 
-    /// Fraction of batches the monitor found pairwise commuting.
+    /// Fraction of the monitored ops whose batch the monitor found
+    /// pairwise commuting (op-weighted, so a ragged last batch weighs
+    /// by its length).
     pub fn bypass_rate(&self) -> f64 {
-        if self.batches == 0 {
-            return 0.0;
-        }
-        self.bypassed_batches as f64 / self.batches as f64
+        self.of_monitored_ops(self.bypassed_ops)
     }
 
-    /// Counts one batch's plan; returns whether the batch pairwise
-    /// commutes (one wave, empty serial lane).
+    /// `part` over the monitored ops, 0 when no op was monitored.
+    fn of_monitored_ops(&self, part: u64) -> f64 {
+        let monitored = self.parallel_ops + self.serial_ops;
+        if monitored == 0 {
+            return 0.0;
+        }
+        part as f64 / monitored as f64
+    }
+
+    /// Counts one monitored batch's plan; returns whether the batch
+    /// pairwise commutes (one wave, empty serial lane).
     fn absorb(&mut self, s: &Schedule) -> bool {
-        let ops = s.ops() as u64;
-        self.batches += 1;
-        self.ops += ops;
         self.parallel_ops += s.parallel_ops() as u64;
         self.serial_ops += s.serial.len() as u64;
         self.waves += s.waves.len() as u64;
@@ -263,7 +275,7 @@ impl PipelineStats {
         let commutes = s.waves.len() == 1 && s.serial.is_empty();
         if commutes {
             self.bypassed_batches += 1;
-            self.bypassed_ops += ops;
+            self.bypassed_ops += s.ops() as u64;
         }
         commutes
     }
@@ -288,43 +300,78 @@ impl<Op, Resp> Default for PipelineRun<Op, Resp> {
     }
 }
 
-/// One batch through the stages, streaming its committed record (and
-/// the batch seal) into `sink`. The batch is applied and committed in
-/// submission order: on one thread that order is trivially a
-/// linearization, with itself as the witness. `scheduler` is the
-/// conflict monitor: its plan reorders nothing and only feeds the
-/// statistics. It runs before the apply, so the stage spans keep
-/// [`Stage`]'s causal order. `obs` is the recorder seam: disabled, each
-/// instrumentation point is one inlined branch. `tickets` parallels
-/// `ops` (empty when the batch carries none) and so the entries.
-fn process_batch<T: ConcurrentObject + ?Sized, K: CommitSink<T>>(
-    scheduler: &mut Scheduler,
-    token: &T,
-    seq: u64,
-    ops: &[(ProcessId, T::Op)],
-    tickets: &[u64],
-    cfg: &PipelineConfig,
-    run: &mut PipelineRun<T::Op, T::Resp>,
-    sink: &mut K,
-    obs: &PipelineObs,
-) {
-    let mut clock = obs.batch_clock(seq);
-    let plan = scheduler.schedule(ops, &cfg.schedule);
-    if run.stats.absorb(&plan) {
-        obs.bypass_engaged();
+/// The conflict monitor reads one batch in this many: the batches whose
+/// `seq` is a multiple of it. `seq` restarts at 0 on every engine run,
+/// so the first batch of every run is monitored, and a run of one batch
+/// (a replica round, say) is always monitored.
+const MONITOR_EVERY: u64 = 16;
+
+/// One engine run in progress: the object it serves, its configuration,
+/// sink and recorder, the conflict monitor's reused [`Scheduler`], and
+/// the run being built. Both entry points drive batches through
+/// [`process_batch`](Self::process_batch).
+struct Engine<'a, T: ConcurrentObject + ?Sized, K> {
+    token: &'a T,
+    cfg: &'a PipelineConfig,
+    sink: &'a mut K,
+    obs: &'a PipelineObs,
+    scheduler: Scheduler,
+    run: PipelineRun<T::Op, T::Resp>,
+}
+
+impl<'a, T: ConcurrentObject + ?Sized, K: CommitSink<T>> Engine<'a, T, K> {
+    fn new(token: &'a T, cfg: &'a PipelineConfig, sink: &'a mut K, obs: &'a PipelineObs) -> Self {
+        Self {
+            token,
+            cfg,
+            sink,
+            obs,
+            scheduler: Scheduler::new(),
+            run: PipelineRun::default(),
+        }
     }
-    clock.lap(Stage::Schedule);
-    let responses = execute_unordered(token, ops, &cfg.exec);
-    clock.lap(Stage::Execute);
-    let start = run.log.append_sequential(seq, ops, &responses);
-    clock.lap(Stage::Commit);
-    if !ops.is_empty() {
-        sink.wave_committed_tagged(token, &run.log.entries()[start..], tickets);
-        run.stats.commit_records += 1;
+
+    /// One batch through the stages, streaming its committed record (and
+    /// the batch seal) into the sink. The batch is applied and committed
+    /// in submission order: on one thread that order is trivially a
+    /// linearization, with itself as the witness. On one batch in
+    /// [`MONITOR_EVERY`] the scheduler runs first as the conflict
+    /// monitor: its plan reorders nothing and only feeds the statistics,
+    /// and running it before the apply keeps the stage spans in
+    /// [`Stage`]'s causal order. Disabled, each recorder call is one
+    /// inlined branch. `tickets` parallels `ops` (empty when the batch
+    /// carries none) and so the entries.
+    fn process_batch(&mut self, seq: u64, ops: &[(ProcessId, T::Op)], tickets: &[u64]) {
+        let mut clock = self.obs.batch_clock(seq);
+        let stats = &mut self.run.stats;
+        stats.batches += 1;
+        stats.ops += ops.len() as u64;
+        if seq.is_multiple_of(MONITOR_EVERY) {
+            let plan = self.scheduler.schedule(ops, &self.cfg.schedule);
+            self.obs.monitored(stats.absorb(&plan));
+            clock.lap(Stage::Schedule);
+        }
+        let responses = execute_unordered(self.token, ops, &self.cfg.exec);
+        clock.lap(Stage::Execute);
+        let start = self.run.log.append_sequential(seq, ops, &responses);
+        clock.lap(Stage::Commit);
+        if !ops.is_empty() {
+            let entries = &self.run.log.entries()[start..];
+            self.sink
+                .wave_committed_tagged(self.token, entries, tickets);
+            self.run.stats.commit_records += 1;
+        }
+        self.sink.batch_sealed(self.token, seq);
+        clock.lap(Stage::Seal);
+        clock.finish(ops.len());
     }
-    sink.batch_sealed(token, seq);
-    clock.lap(Stage::Seal);
-    clock.finish(ops.len());
+
+    /// Ends the run, sampling the sink's durable watermark.
+    fn finish(self) -> PipelineRun<T::Op, T::Resp> {
+        let mut run = self.run;
+        run.stats.durable_seq = self.sink.durable_seq();
+        run
+    }
 }
 
 /// Synchronously executes `script` through the pipeline stages against
@@ -378,24 +425,12 @@ pub fn run_script_observed<T: ConcurrentObject + ?Sized, K: CommitSink<T>>(
     sink: &mut K,
     obs: &PipelineObs,
 ) -> PipelineRun<T::Op, T::Resp> {
-    let mut scheduler = Scheduler::new();
-    let mut run = PipelineRun::default();
+    let mut engine = Engine::new(token, cfg, sink, obs);
     let size = cfg.batch.max_ops.max(1);
     for (seq, ops) in script.chunks(size).enumerate() {
-        process_batch(
-            &mut scheduler,
-            token,
-            seq as u64,
-            ops,
-            &[],
-            cfg,
-            &mut run,
-            sink,
-            obs,
-        );
+        engine.process_batch(seq as u64, ops, &[]);
     }
-    run.stats.durable_seq = sink.durable_seq();
-    run
+    engine.finish()
 }
 
 /// Handle on a spawned engine: join it to collect the run.
@@ -440,6 +475,10 @@ impl<Op, Resp, K> SinkedPipelineHandle<Op, Resp, K> {
 /// The engine's serving shape.
 pub struct Pipeline;
 
+/// What a spawn returns: the producer handle (clone it per client
+/// thread) and the engine handle `H`.
+type Spawned<T, H> = (IntakeClient<<T as ConcurrentObject>::Op>, H);
+
 /// The engine thread body shared by the spawn shapes.
 fn engine_loop<T: ConcurrentObject, K: CommitSink<T>>(
     token: &T,
@@ -448,35 +487,23 @@ fn engine_loop<T: ConcurrentObject, K: CommitSink<T>>(
     sink: &mut K,
     obs: &PipelineObs,
 ) -> PipelineRun<T::Op, T::Resp> {
-    let mut scheduler = Scheduler::new();
-    let mut run = PipelineRun::default();
+    let mut engine = Engine::new(token, cfg, sink, obs);
     loop {
         // The wait for a batch is itself a stage: it is the intake
         // (queueing) component of an op's end-to-end latency.
         let waiting_since = obs.now();
-        let Some(batch) = batcher.next_batch_or(|| sink.idle()) else {
+        let Some(batch) = batcher.next_batch_or(|| engine.sink.idle()) else {
             break;
         };
         obs.record_stage(batch.seq, Stage::IntakeWait, waiting_since);
         obs.sample_queue_depths(|i| batcher.shard_depth(i));
-        process_batch(
-            &mut scheduler,
-            token,
-            batch.seq,
-            &batch.ops,
-            &batch.tickets,
-            cfg,
-            &mut run,
-            sink,
-            obs,
-        );
+        engine.process_batch(batch.seq, &batch.ops, &batch.tickets);
     }
     // Nothing more will arrive: what the sink still holds ripens alone.
-    while let Some(nap) = sink.idle() {
+    while let Some(nap) = engine.sink.idle() {
         std::thread::sleep(nap);
     }
-    run.stats.durable_seq = sink.durable_seq();
-    run
+    engine.finish()
 }
 
 impl Pipeline {
@@ -485,7 +512,7 @@ impl Pipeline {
     pub fn spawn<T: ConcurrentObject + 'static>(
         token: Arc<T>,
         cfg: PipelineConfig,
-    ) -> (IntakeClient<T::Op>, PipelineHandle<T::Op, T::Resp>) {
+    ) -> Spawned<T, PipelineHandle<T::Op, T::Resp>> {
         let (client, mut batcher) = intake(cfg.batch);
         let join = std::thread::spawn(move || {
             engine_loop(
@@ -506,7 +533,7 @@ impl Pipeline {
         token: Arc<T>,
         cfg: PipelineConfig,
         sink: K,
-    ) -> (IntakeClient<T::Op>, SinkedPipelineHandle<T::Op, T::Resp, K>)
+    ) -> Spawned<T, SinkedPipelineHandle<T::Op, T::Resp, K>>
     where
         T: ConcurrentObject + 'static,
         K: CommitSink<T> + Send + 'static,
@@ -523,7 +550,7 @@ impl Pipeline {
         cfg: PipelineConfig,
         mut sink: K,
         obs: PipelineObs,
-    ) -> (IntakeClient<T::Op>, SinkedPipelineHandle<T::Op, T::Resp, K>)
+    ) -> Spawned<T, SinkedPipelineHandle<T::Op, T::Resp, K>>
     where
         T: ConcurrentObject + 'static,
         K: CommitSink<T> + Send + 'static,
@@ -585,6 +612,39 @@ mod tests {
         assert_eq!(replayed, token.snapshot());
         check_linearizable(&spec, &spec.initial_state(), &run.log.to_history())
             .expect("commit log linearizes");
+    }
+
+    #[test]
+    fn a_forty_batch_run_monitors_batches_0_16_and_32() {
+        let token = ShardedErc20::from_state(Erc20State::from_balances(vec![5; 160]));
+        let script: Vec<(ProcessId, Erc20Op)> = (0..80)
+            .map(|i| {
+                (
+                    p(i),
+                    Erc20Op::Transfer {
+                        to: a(80 + i),
+                        value: 1,
+                    },
+                )
+            })
+            .collect();
+        // Trace every batch: a monitored batch's trace opens with the
+        // schedule stage.
+        let reg = tokensync_obs::Registry::new();
+        let obs = PipelineObs::new(&reg, 1).with_sampling(1, 1024);
+        let run = run_script_observed(&token, &script, &small_cfg(2), &mut (), &obs);
+        assert_eq!((run.stats.batches, run.stats.ops), (40, 80));
+        let ring = obs.span_ring().expect("enabled recorder");
+        let monitored: Vec<u64> = ring
+            .batches()
+            .into_iter()
+            .filter(|&b| ring.trace(b).iter().any(|e| e.stage == Stage::Schedule))
+            .collect();
+        assert_eq!(monitored, [0, 16, 32]);
+        let stats = run.stats;
+        assert_eq!(stats.parallel_ops + stats.serial_ops, 6);
+        assert_eq!((stats.bypassed_batches, stats.bypassed_ops), (3, 6));
+        assert_eq!((stats.waves, stats.commit_records), (3, 40));
     }
 
     #[test]

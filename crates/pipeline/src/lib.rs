@@ -18,8 +18,8 @@
 //! sequential owner (the thread model is stated once, in [`exec`]), so
 //! each batch is applied and committed in submission order, which is
 //! trivially a linearization. The footprint analysis runs beside it as
-//! a conflict monitor: it measures how much of each batch commuted and
-//! reorders nothing. The engine scales out by objects, not threads.
+//! a conflict monitor: it measures how much of one batch in 16
+//! commuted and reorders nothing. The engine scales out by objects, not threads.
 //! One engine serves ERC20, ERC721 and ERC1155 — the standard is a type
 //! parameter, not a fork of the pipeline.
 //!

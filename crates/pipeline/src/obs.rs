@@ -8,8 +8,9 @@
 //! * a per-stage latency histogram (`tokensync_pipeline_stage_ns`,
 //!   labelled `stage=intake_wait|schedule|execute|commit|seal`),
 //! * the whole-batch latency (`tokensync_pipeline_batch_ns`),
-//! * batch/op counters, the count of batches the conflict monitor found
-//!   pairwise commuting, and a queue-depth gauge per intake shard,
+//! * batch/op counters, the count of batches the conflict monitor read
+//!   (one in 16) and of those it found pairwise commuting, and a
+//!   queue-depth gauge per intake shard,
 //! * and, for one batch in [`sample_every`](PipelineObs::with_sampling),
 //!   the full lifecycle as causally-linked [`SpanEvent`]s in a bounded
 //!   [`SpanRing`] — the "why was this batch slow" dump.
@@ -40,6 +41,7 @@ struct Inner {
     epoch: Instant,
     batches: Counter,
     ops: Counter,
+    monitored_batches: Counter,
     bypass_engaged: Counter,
     stage_ns: [Histogram; STAGES.len()],
     batch_ns: Histogram,
@@ -94,10 +96,15 @@ impl PipelineObs {
                     "Batches cut and executed.",
                 ),
                 ops: registry.counter("tokensync_pipeline_ops_total", &[], "Operations committed."),
+                monitored_batches: registry.counter(
+                    "tokensync_pipeline_monitored_batches_total",
+                    &[],
+                    "Batches the conflict monitor read (one in 16).",
+                ),
                 bypass_engaged: registry.counter(
                     "tokensync_pipeline_bypass_engaged_total",
                     &[],
-                    "Batches the conflict monitor found pairwise commuting.",
+                    "Monitored batches the conflict monitor found pairwise commuting.",
                 ),
                 stage_ns,
                 batch_ns: registry.histogram(
@@ -123,6 +130,7 @@ impl PipelineObs {
                     epoch: arc.epoch,
                     batches: arc.batches.clone(),
                     ops: arc.ops.clone(),
+                    monitored_batches: arc.monitored_batches.clone(),
                     bypass_engaged: arc.bypass_engaged.clone(),
                     stage_ns: arc.stage_ns.clone(),
                     batch_ns: arc.batch_ns.clone(),
@@ -179,7 +187,7 @@ impl PipelineObs {
                 BatchClockInner {
                     obs,
                     batch,
-                    sampled: batch % obs.sample_every == 0,
+                    sampled: batch.is_multiple_of(obs.sample_every),
                     start: now,
                     last: now,
                 }
@@ -203,7 +211,7 @@ impl PipelineObs {
         };
         let dur = started.elapsed();
         obs.stage_ns[stage_slot(stage)].record(saturating_ns(dur));
-        if batch % obs.sample_every == 0 {
+        if batch.is_multiple_of(obs.sample_every) {
             obs.spans.push(SpanEvent {
                 batch,
                 stage,
@@ -225,11 +233,15 @@ impl PipelineObs {
         }
     }
 
-    /// Counts a batch the conflict monitor found pairwise commuting.
+    /// Counts a batch the conflict monitor read, and whether it found
+    /// the batch pairwise commuting.
     #[inline]
-    pub(crate) fn bypass_engaged(&self) {
+    pub(crate) fn monitored(&self, commutes: bool) {
         if let Some(obs) = self.inner.as_deref() {
-            obs.bypass_engaged.inc();
+            obs.monitored_batches.inc();
+            if commutes {
+                obs.bypass_engaged.inc();
+            }
         }
     }
 }

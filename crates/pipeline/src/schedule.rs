@@ -23,8 +23,10 @@
 //! applies every batch in submission order, so waves add no
 //! concurrency; the plan reorders nothing and only states how much of
 //! the batch commuted (the [`PipelineStats`] wave, serial and bypass
-//! counters). [`Scheduler::batch_commutes`] reads the same plan: a
-//! batch pairwise commutes iff every op lands in wave 0.
+//! counters). The engine schedules one batch in 16, a run's first
+//! batch always, and skips the rest. [`Scheduler::batch_commutes`]
+//! reads the same plan: a batch pairwise commutes iff every op lands in
+//! wave 0.
 //!
 //! [`PipelineStats`]: crate::engine::PipelineStats
 //!

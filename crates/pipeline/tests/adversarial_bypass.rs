@@ -16,6 +16,9 @@
 //! 3. the monitor tells the two batches apart: the disjoint one counts
 //!    as commuting, the trapped one does not, for ERC20, ERC721 and
 //!    ERC1155 alike.
+//!
+//! The monitor reads one batch in 16 (batches 0, 16, 32, …), so each
+//! trap places its disjoint batch at 0 and its trapped batch at 16.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -131,13 +134,33 @@ where
     run.stats
 }
 
+/// The engine's monitor reads the batches whose number is a multiple of
+/// this.
+const MONITOR_EVERY: usize = 16;
+
+/// Lays a trap over the monitor's first two readings: `calm` is batch 0,
+/// `trapped` is batch 16, and batches 1–15 repeat `quiet`, a read, so the
+/// trapped batch meets the state it was written against.
+fn sampled_trap<Op: Clone>(calm: Vec<Op>, quiet: Op, trapped: Vec<Op>) -> Vec<Op> {
+    let mut script = calm;
+    script.extend(std::iter::repeat_n(quiet, (MONITOR_EVERY - 1) * BATCH));
+    script.extend(trapped);
+    script
+}
+
 /// Asserts the monitor told the trap apart: batch 0 (disjoint) counts as
-/// commuting, batch 1 (disjoint prefix, conflicting tail) does not.
+/// commuting, batch 16 (disjoint prefix, conflicting tail) does not, and
+/// the monitor read no batch in between.
 fn assert_trap_sprung(stats: &PipelineStats) {
     assert_eq!(
         (stats.batches, stats.bypassed_batches),
-        (2, 1),
+        (MONITOR_EVERY as u64 + 1, 1),
         "only the disjoint batch commutes, stats: {stats:?}"
+    );
+    assert_eq!(
+        stats.parallel_ops + stats.serial_ops,
+        2 * BATCH as u64,
+        "the monitor reads batches 0 and 16 only, stats: {stats:?}"
     );
     assert!(
         stats.serial_ops + stats.conflicts > 0,
@@ -152,10 +175,10 @@ fn erc20_mispredicted_batch_falls_back_to_the_oracle_order() {
     let n = 64;
     let initial = Erc20State::from_balances(vec![100; n]);
     let token = ShardedErc20::from_state(initial.clone());
-    let mut script: Vec<(ProcessId, Erc20Op)> = Vec::new();
+    let mut calm: Vec<(ProcessId, Erc20Op)> = Vec::new();
     // Batch 0: fully owner-disjoint — commuting.
     for i in 0..BATCH {
-        script.push((
+        calm.push((
             p(i),
             Erc20Op::Transfer {
                 to: a(32 + i),
@@ -163,9 +186,10 @@ fn erc20_mispredicted_batch_falls_back_to_the_oracle_order() {
             },
         ));
     }
-    // Batch 1: a disjoint prefix wearing the same shape…
+    let mut trapped = Vec::new();
+    // Batch 16: a disjoint prefix wearing the same shape…
     for i in 0..BATCH / 2 {
-        script.push((
+        trapped.push((
             p(i),
             Erc20Op::Transfer {
                 to: a(48 + i),
@@ -175,7 +199,7 @@ fn erc20_mispredicted_batch_falls_back_to_the_oracle_order() {
     }
     // …then a conflicting tail: everyone drains account 16's owner.
     for i in 0..BATCH / 2 {
-        script.push((
+        trapped.push((
             p(16),
             Erc20Op::Transfer {
                 to: a(17 + i),
@@ -183,6 +207,7 @@ fn erc20_mispredicted_batch_falls_back_to_the_oracle_order() {
             },
         ));
     }
+    let script = sampled_trap(calm, (p(0), Erc20Op::BalanceOf { account: a(0) }), trapped);
     let stats = run_trapped(&token, &Erc20Spec::new(initial), &script, BATCH);
     assert_trap_sprung(&stats);
     assert_eq!(stats.bypassed_ops as usize, BATCH);
@@ -196,10 +221,10 @@ fn erc721_mispredicted_batch_falls_back_to_the_oracle_order() {
         initial.set_operator(p(0), p(i), true);
     }
     let nft = ShardedErc721::from_state(initial.clone());
-    let mut script: Vec<(ProcessId, Erc721Op)> = Vec::new();
+    let mut calm: Vec<(ProcessId, Erc721Op)> = Vec::new();
     // Batch 0: owner-disjoint token moves — commuting.
     for i in 0..BATCH {
-        script.push((
+        calm.push((
             p(i),
             Erc721Op::TransferFrom {
                 from: p(i),
@@ -208,10 +233,11 @@ fn erc721_mispredicted_batch_falls_back_to_the_oracle_order() {
             },
         ));
     }
-    // Batch 1: disjoint prefix, then everyone claims token 0 — the §6
+    let mut trapped = Vec::new();
+    // Batch 16: disjoint prefix, then everyone claims token 0 — the §6
     // race the monitor must see.
     for i in 0..BATCH / 2 {
-        script.push((
+        trapped.push((
             p(16 + i),
             Erc721Op::TransferFrom {
                 from: p(16 + i),
@@ -221,7 +247,7 @@ fn erc721_mispredicted_batch_falls_back_to_the_oracle_order() {
         ));
     }
     for i in 0..BATCH / 2 {
-        script.push((
+        trapped.push((
             p(1 + i),
             Erc721Op::TransferFrom {
                 from: p(0),
@@ -230,6 +256,16 @@ fn erc721_mispredicted_batch_falls_back_to_the_oracle_order() {
             },
         ));
     }
+    let script = sampled_trap(
+        calm,
+        (
+            p(0),
+            Erc721Op::OwnerOf {
+                token: TokenId::new(0),
+            },
+        ),
+        trapped,
+    );
     let stats = run_trapped(&nft, &Erc721Spec::new(initial), &script, BATCH);
     assert_trap_sprung(&stats);
     assert_eq!(stats.bypassed_ops as usize, BATCH);
@@ -248,10 +284,10 @@ fn erc1155_mispredicted_batch_falls_back_to_the_oracle_order() {
         initial.set_operator(a(0), p(i), true);
     }
     let multi = ShardedErc1155::from_state(initial.clone());
-    let mut script: Vec<(ProcessId, Erc1155Op)> = Vec::new();
+    let mut calm: Vec<(ProcessId, Erc1155Op)> = Vec::new();
     // Batch 0: pairwise cell-disjoint batch transfers — commuting.
     for i in 0..BATCH {
-        script.push((
+        calm.push((
             p(i),
             Erc1155Op::BatchTransfer {
                 from: a(i),
@@ -260,9 +296,10 @@ fn erc1155_mispredicted_batch_falls_back_to_the_oracle_order() {
             },
         ));
     }
-    // Batch 1: disjoint prefix, then overlapping drains of account 0.
+    let mut trapped = Vec::new();
+    // Batch 16: disjoint prefix, then overlapping drains of account 0.
     for i in 0..BATCH / 2 {
-        script.push((
+        trapped.push((
             p(16 + i),
             Erc1155Op::BatchTransfer {
                 from: a(16 + i),
@@ -272,7 +309,7 @@ fn erc1155_mispredicted_batch_falls_back_to_the_oracle_order() {
         ));
     }
     for i in 0..BATCH / 2 {
-        script.push((
+        trapped.push((
             p(1 + i),
             Erc1155Op::BatchTransfer {
                 from: a(0),
@@ -281,6 +318,17 @@ fn erc1155_mispredicted_batch_falls_back_to_the_oracle_order() {
             },
         ));
     }
+    let script = sampled_trap(
+        calm,
+        (
+            p(0),
+            Erc1155Op::BalanceOf {
+                account: a(0),
+                type_id: TypeId::new(0),
+            },
+        ),
+        trapped,
+    );
     let stats = run_trapped(&multi, &Erc1155Spec::new(initial), &script, BATCH);
     assert_trap_sprung(&stats);
     assert_eq!(stats.bypassed_ops as usize, BATCH);
@@ -289,7 +337,8 @@ fn erc1155_mispredicted_batch_falls_back_to_the_oracle_order() {
 #[test]
 fn calm_batches_after_a_burst_count_as_commuting() {
     // A contended burst, then disjoint calm: the monitor reads each
-    // batch on its own, so every calm batch counts as commuting at once.
+    // batch on its own, so every calm batch it reads counts as
+    // commuting at once, the first one right after the burst included.
     let n = 64;
     let mut initial = Erc20State::from_balances(vec![1000; n]);
     for sp in 1..8 {
@@ -297,8 +346,8 @@ fn calm_batches_after_a_burst_count_as_commuting() {
     }
     let token = ShardedErc20::from_state(initial.clone());
     let mut script: Vec<(ProcessId, Erc20Op)> = Vec::new();
-    // 8 batches of hot-row traffic.
-    for i in 0..8 * BATCH {
+    // Batches 0–15 of hot-row traffic.
+    for i in 0..MONITOR_EVERY * BATCH {
         script.push((
             p(1 + (i % 7)),
             Erc20Op::TransferFrom {
@@ -308,7 +357,7 @@ fn calm_batches_after_a_burst_count_as_commuting() {
             },
         ));
     }
-    // 32 batches of disjoint calm.
+    // Batches 16–47 of disjoint calm.
     for _ in 0..32 {
         for i in 0..BATCH {
             script.push((
@@ -321,7 +370,14 @@ fn calm_batches_after_a_burst_count_as_commuting() {
         }
     }
     let stats = run_trapped(&token, &Erc20Spec::new(initial), &script, BATCH);
-    assert_eq!(stats.bypassed_batches, 32, "stats: {stats:?}");
+    // Monitored: hot batch 0, calm batches 16 and 32.
+    assert_eq!(stats.bypassed_batches, 2, "stats: {stats:?}");
+    assert_eq!(stats.bypassed_ops as usize, 2 * BATCH, "stats: {stats:?}");
+    assert_eq!(
+        stats.parallel_ops + stats.serial_ops,
+        3 * BATCH as u64,
+        "stats: {stats:?}"
+    );
 }
 
 /// One adversarial ERC20 op mix: mostly-disjoint transfers with bursts

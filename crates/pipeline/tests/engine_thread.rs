@@ -16,7 +16,7 @@ use tokensync_core::erc20::{Erc20Op, Erc20Resp, Erc20State};
 use tokensync_core::shared::{ConcurrentObject, ShardedErc20};
 use tokensync_pipeline::schedule::schedule;
 use tokensync_pipeline::{
-    run_script, BatchConfig, CommitLog, Pipeline, PipelineConfig, ScheduleConfig,
+    run_script, BatchConfig, CommitLog, Pipeline, PipelineConfig, ScheduleConfig, Scheduler,
 };
 use tokensync_spec::{AccountId, ProcessId};
 
@@ -93,8 +93,18 @@ fn bypassed_batches_apply_on_the_caller_in_commit_order() {
     // 4 096 owner-disjoint transfers: every batch commutes.
     let script: Vec<_> = (0..4096).map(|i| transfer(i, 4096 + i)).collect();
     let object = Recording::new(8192);
-    let run = run_script(&object, &script, &PipelineConfig::default());
-    assert_eq!(run.stats.bypassed_ops, 4096, "every batch must commute");
+    let cfg = PipelineConfig::default();
+    let mut monitor = Scheduler::new();
+    assert!(
+        script
+            .chunks(cfg.batch.max_ops)
+            .all(|batch| monitor.batch_commutes(batch)),
+        "every batch must commute"
+    );
+    let run = run_script(&object, &script, &cfg);
+    // The monitor reads batch 0 of the 4, and finds it commuting.
+    assert_eq!(run.stats.bypassed_ops, 1024);
+    assert_eq!(run.stats.bypass_rate(), 1.0);
 
     let (threads, ops) = object.record();
     let caller = thread::current().id();

@@ -1,5 +1,6 @@
 //! The recorder seam end to end: counters agree with [`PipelineStats`],
-//! stage histograms fill, sampled batches leave span traces, the
+//! stage histograms fill (the schedule stage on the one batch in 16 the
+//! conflict monitor reads), sampled batches leave span traces, the
 //! spawned engine keeps its queue-depth gauges fresh, and a disabled
 //! recorder records nothing.
 
@@ -51,7 +52,9 @@ fn counters_agree_with_pipeline_stats() {
     let token = ShardedErc20::from_state(state);
     let reg = Registry::new();
     let obs = PipelineObs::new(&reg, 4).with_sampling(1, 4096);
-    let run = run_script_observed(&token, &script, &small_cfg(16), &mut (), &obs);
+    // 32 batches: the monitor reads batches 0 and 16.
+    let run = run_script_observed(&token, &script, &small_cfg(4), &mut (), &obs);
+    assert_eq!(run.stats.batches, 32);
 
     let snap = reg.snapshot();
     assert_eq!(
@@ -60,9 +63,14 @@ fn counters_agree_with_pipeline_stats() {
     );
     assert_eq!(snap.counter("tokensync_pipeline_ops_total"), run.stats.ops);
     assert_eq!(
+        snap.counter("tokensync_pipeline_monitored_batches_total"),
+        2
+    );
+    assert_eq!(
         snap.counter("tokensync_pipeline_bypass_engaged_total"),
         run.stats.bypassed_batches
     );
+    assert_eq!(run.stats.bypassed_batches, 2);
 
     // One whole-batch latency sample per batch.
     let batch_ns = obs.batch_latency().expect("enabled recorder");
@@ -74,12 +82,18 @@ fn counters_agree_with_pipeline_stats() {
     let seal = obs.stage_latency(Stage::Seal).unwrap();
     assert_eq!(commit.count, run.stats.batches);
     assert_eq!(seal.count, run.stats.batches);
+    // The schedule stage is the monitor's per-batch cost: one sample per
+    // monitored batch, none for the batches it skips.
+    let schedule = obs.stage_latency(Stage::Schedule).unwrap();
+    assert_eq!(schedule.count, 2);
 
     // The exposition page carries the whole catalog.
     let page = reg.render_text();
     for name in [
         "tokensync_pipeline_batches_total",
         "tokensync_pipeline_ops_total",
+        "tokensync_pipeline_monitored_batches_total",
+        "tokensync_pipeline_bypass_engaged_total",
         "tokensync_pipeline_stage_ns{stage=\"execute\",quantile=\"0.99\"}",
         "tokensync_pipeline_batch_ns_count",
         "tokensync_pipeline_queue_depth{shard=\"3\"}",
@@ -93,26 +107,28 @@ fn sampled_batches_leave_causally_ordered_spans() {
     let (state, script) = disjoint_script(64);
     let token = ShardedErc20::from_state(state);
     let reg = Registry::new();
-    // Sample everything so each batch is traceable.
+    // Sample everything so each batch is traceable; 32 batches.
     let obs = PipelineObs::new(&reg, 1).with_sampling(1, 4096);
-    let run = run_script_observed(&token, &script, &small_cfg(16), &mut (), &obs);
+    let run = run_script_observed(&token, &script, &small_cfg(2), &mut (), &obs);
     let ring = obs.span_ring().expect("enabled recorder");
     assert_eq!(ring.batches().len() as u64, run.stats.batches);
     for batch in ring.batches() {
         let trace = ring.trace(batch);
-        // Every batch takes the one path: monitor → execute → commit → seal.
+        // Every batch takes the one path: monitor → execute → commit →
+        // seal, where the monitor reads batches 0 and 16 only.
         let stages: Vec<Stage> = trace.iter().map(|e| e.stage).collect();
-        assert_eq!(
-            stages,
-            vec![Stage::Schedule, Stage::Execute, Stage::Commit, Stage::Seal],
-            "batch {batch}"
-        );
+        let monitored = batch % 16 == 0;
+        let mut path = vec![Stage::Execute, Stage::Commit, Stage::Seal];
+        if monitored {
+            path.insert(0, Stage::Schedule);
+        }
+        assert_eq!(stages, path, "batch {batch}");
         // Causally linked: each stage starts where the previous ended.
         for pair in trace.windows(2) {
             assert!(pair[0].start_ns + pair[0].dur_ns <= pair[1].start_ns + 1);
         }
         let dump = ring.render_trace(batch);
-        assert!(dump.contains("schedule"));
+        assert_eq!(dump.contains("schedule"), monitored, "batch {batch}");
     }
 }
 

@@ -124,16 +124,12 @@ fn check_pipeline(initial: Erc20State, script: Vec<(ProcessId, Erc20Op)>, batch:
     // sequential responses at each index must appear for the same index
     // in the commit log. Recover the index from commit order.
     let mut commit_resps = vec![None; script.len()];
-    let batch_starts: Vec<usize> = (0..script.len().div_ceil(batch))
-        .map(|b| b * batch)
-        .collect();
     let mut cursor = 0usize;
-    for b in 0..batch_starts.len() {
-        let start = batch_starts[b];
+    for start in (0..script.len()).step_by(batch) {
         let len = batch.min(script.len() - start);
-        // Entries of batch b occupy commit positions cursor..cursor+len;
-        // match them back to submission indices by (caller, op) with a
-        // per-batch multiset scan in submission order.
+        // Entries of the batch at `start` occupy commit positions
+        // cursor..cursor+len; match them back to submission indices by
+        // (caller, op) with a per-batch multiset scan in submission order.
         let mut used = vec![false; len];
         for entry in &run.log.entries()[cursor..cursor + len] {
             let local = (0..len)

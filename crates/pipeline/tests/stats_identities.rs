@@ -2,14 +2,21 @@
 //! stream that crosses the [`CommitSink`] seam, on commuting and
 //! contended batches of all three standards.
 //!
-//! The invariants:
+//! The conflict monitor reads one batch in 16: batches 0, 16, 32, … of
+//! each run. `batches` and `ops` count every batch; the monitor fields
+//! count the monitored ones. The invariants:
 //!
-//! * `ops == parallel_ops + serial_ops` — the conflict monitor places
-//!   every op in exactly one of its waves or its serial lane;
-//! * `bypassed_ops <= parallel_ops` and
-//!   `bypassed_batches <= batches` — a commuting batch is one wave;
-//!   `bypassed_batches` counts exactly the batches with no conflicting
-//!   pair, by the brute-force pairwise relation;
+//! * `parallel_ops + serial_ops` is the length of the monitored batches
+//!   — the monitor places every op it reads in exactly one of its waves
+//!   or its serial lane;
+//! * `bypassed_ops <= parallel_ops` — a commuting batch is one wave;
+//!   `bypassed_batches` and `bypassed_ops` count exactly the monitored
+//!   batches with no conflicting pair, by the brute-force pairwise
+//!   relation;
+//! * `bypass_rate()` and `serial_fraction()` are weighted by ops over
+//!   the monitored batches, and read the same from one run as from the
+//!   field-by-field sum of several runs (the frozen benchmark's replica
+//!   driver folds rounds that way);
 //! * every non-empty batch crosses the seam as exactly one
 //!   `wave_committed_tagged` record followed by exactly one
 //!   `batch_sealed`, so `commit_records == batches == seals`; a record
@@ -23,7 +30,7 @@ use std::sync::Arc;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use tokensync_core::analysis::footprints_conflict;
+use tokensync_core::analysis::{footprints_conflict, FootprintedOp};
 use tokensync_core::erc20::{Erc20Op, Erc20Spec, Erc20State};
 use tokensync_core::shared::{ConcurrentObject, ShardedErc20};
 use tokensync_core::standards::erc1155::{
@@ -33,8 +40,8 @@ use tokensync_core::standards::erc721::{
     Erc721Op, Erc721Spec, Erc721State, ShardedErc721, TokenId,
 };
 use tokensync_pipeline::{
-    run_script_with_sink, BatchConfig, CommitSink, CommittedOp, Pipeline, PipelineConfig,
-    PipelineRun, PipelineStats, ScheduleConfig,
+    run_script, run_script_with_sink, BatchConfig, CommitSink, CommittedOp, Pipeline,
+    PipelineConfig, PipelineRun, PipelineStats, ScheduleConfig,
 };
 use tokensync_spec::{AccountId, ObjectType, ProcessId};
 
@@ -84,6 +91,55 @@ impl<T: ConcurrentObject + ?Sized> CommitSink<T> for SeamSink<T::Op, T::Resp> {
     fn batch_sealed(&mut self, _token: &T, batch: u64) {
         self.calls.push(SeamCall::Seal(batch));
     }
+}
+
+/// The engine's monitor reads the batches whose number is a multiple of
+/// this.
+const MONITOR_EVERY: usize = 16;
+
+/// The batches of a `max_ops`-chunked script the monitor reads.
+fn monitored<Op>(script: &[Op], max_ops: usize) -> impl Iterator<Item = &[Op]> {
+    script.chunks(max_ops).step_by(MONITOR_EVERY)
+}
+
+/// Brute force: the monitored batches of `script` with no conflicting
+/// pair, and their ops.
+fn pairwise_commuting<Op: FootprintedOp>(script: &[(ProcessId, Op)], max_ops: usize) -> (u64, u64) {
+    let commuting: Vec<usize> = monitored(script, max_ops)
+        .filter(|ops| {
+            (0..ops.len()).all(|x| {
+                (x + 1..ops.len())
+                    .all(|y| !footprints_conflict((ops[x].0, &ops[x].1), (ops[y].0, &ops[y].1)))
+            })
+        })
+        .map(<[_]>::len)
+        .collect();
+    (
+        commuting.len() as u64,
+        commuting.iter().sum::<usize>() as u64,
+    )
+}
+
+/// The monitor partitions exactly the ops of the monitored batches, and
+/// counts as commuting exactly the monitored batches with no conflicting
+/// pair.
+fn check_monitor<Op: FootprintedOp>(
+    name: &str,
+    script: &[(ProcessId, Op)],
+    max_ops: usize,
+    s: &PipelineStats,
+) {
+    let read: usize = monitored(script, max_ops).map(<[_]>::len).sum();
+    assert_eq!(
+        s.parallel_ops + s.serial_ops,
+        read as u64,
+        "{name}: partition of the monitored ops"
+    );
+    assert_eq!(
+        (s.bypassed_batches, s.bypassed_ops),
+        pairwise_commuting(script, max_ops),
+        "{name}: the monitor disagrees with the pairwise relation"
+    );
 }
 
 fn cfg(max_ops: usize) -> PipelineConfig {
@@ -216,8 +272,11 @@ fn check_route<T, Build>(
     let sync = run_sync(&format!("{case} sync"), &build(), script, &cfg(max_ops)).stats;
     let spawned = run_spawned(&format!("{case} spawned"), build(), script, max_ops);
     for stats in [sync, spawned] {
-        let commuting = if commutes { stats.batches } else { 0 };
+        let read = stats.batches.div_ceil(MONITOR_EVERY as u64);
+        let commuting = if commutes { read } else { 0 };
         assert_eq!(stats.bypassed_batches, commuting, "{case}: monitor");
+        let rate = if commutes { 1.0 } else { 0.0 };
+        assert_eq!(stats.bypass_rate(), rate, "{case}: bypass rate");
     }
 }
 
@@ -255,19 +314,20 @@ fn mixed_script(n: usize) -> (Erc20State, Vec<(ProcessId, Erc20Op)>) {
     (state, script)
 }
 
-/// Spenders hammering one allowance row: almost everything conflicts.
-fn hotrow_script(n: usize) -> (Erc20State, Vec<(ProcessId, Erc20Op)>) {
-    let mut state = Erc20State::from_balances(vec![10_000; 8]);
-    for sp in 1..8 {
+/// `k` spenders hammering one allowance row (account 0's): almost
+/// everything conflicts.
+fn hotrow_script(k: usize, n: usize) -> (Erc20State, Vec<(ProcessId, Erc20Op)>) {
+    let mut state = Erc20State::from_balances(vec![10_000; k + 1]);
+    for sp in 1..=k {
         state.set_allowance(a(0), p(sp), 5_000);
     }
     let script = (0..n)
         .map(|i| {
             (
-                p(1 + (i % 7)),
+                p(1 + (i % k)),
                 Erc20Op::TransferFrom {
                     from: a(0),
-                    to: a(1 + ((i + 1) % 7)),
+                    to: a(1 + ((i + 1) % k)),
                     value: 1,
                 },
             )
@@ -281,21 +341,24 @@ fn check_matrix(name: &str, state: &Erc20State, script: &[(ProcessId, Erc20Op)],
     let run = run_sync(name, &token, script, &cfg(max_ops));
     let s = run.stats;
 
-    // Monitor partition.
+    // Every batch counts; the monitor reads batches 0, 16, 32, ….
     assert_eq!(s.ops, script.len() as u64, "{name}: ops");
-    assert_eq!(s.ops, s.parallel_ops + s.serial_ops, "{name}: partition");
     assert_eq!(
         s.batches,
         script.len().div_ceil(max_ops) as u64,
         "{name}: batches"
     );
+    assert!(
+        s.batches > MONITOR_EVERY as u64,
+        "{name}: the monitor must read more than one batch"
+    );
+    check_monitor(name, script, max_ops, &s);
 
     // A commuting batch is one wave of the parallel route.
     assert!(
         s.bypassed_ops <= s.parallel_ops,
         "{name}: commuting ⊆ parallel"
     );
-    assert!(s.bypassed_batches <= s.batches, "{name}: commuting batches");
     assert_eq!(s.bypass_aborts, 0, "{name}: nothing speculates");
 
     // The committed (caller, op) sequence is the script…
@@ -320,33 +383,92 @@ fn check_matrix(name: &str, state: &Erc20State, script: &[(ProcessId, Erc20Op)],
 
 #[test]
 fn disjoint_regime_identities() {
-    let (state, script) = disjoint_script(256);
+    let (state, script) = disjoint_script(2048);
     check_matrix("disjoint", &state, &script, 64);
 }
 
 #[test]
 fn mixed_regime_identities() {
-    let (state, script) = mixed_script(300);
+    // 33 batches: the monitor reads 0, 16 and the ragged 32.
+    let (state, script) = mixed_script(2100);
     check_matrix("mixed", &state, &script, 64);
 }
 
 #[test]
 fn hotrow_regime_identities() {
-    let (state, script) = hotrow_script(256);
+    let (state, script) = hotrow_script(7, 2048);
     check_matrix("hotrow", &state, &script, 64);
 }
 
 #[test]
 fn ragged_tail_batch_identities() {
-    // A last batch smaller than max_ops must not skew any identity.
-    let (state, script) = mixed_script(101);
+    // A last batch smaller than max_ops must not skew any identity, not
+    // even when the monitor reads it: batch 16 holds one op.
+    let (state, script) = mixed_script(401);
     check_matrix("ragged", &state, &script, 25);
 }
 
 #[test]
 fn single_op_batches_identities() {
-    let (state, script) = disjoint_script(7);
+    let (state, script) = disjoint_script(40);
     check_matrix("unit-batches", &state, &script, 1);
+}
+
+/// Folds one run's counters into a total field by field, over the 11
+/// fields the frozen benchmark's replica driver folds its rounds with
+/// (`add_stats` in `crates/bench/src/bin/stack/drive.rs`).
+fn add_stats(total: &mut PipelineStats, round: &PipelineStats) {
+    total.batches += round.batches;
+    total.ops += round.ops;
+    total.parallel_ops += round.parallel_ops;
+    total.serial_ops += round.serial_ops;
+    total.waves += round.waves;
+    total.conflicts += round.conflicts;
+    total.bypassed_batches += round.bypassed_batches;
+    total.bypassed_ops += round.bypassed_ops;
+    total.bypass_aborts += round.bypass_aborts;
+    total.commit_records += round.commit_records;
+    total.durable_seq = round.durable_seq;
+}
+
+#[test]
+fn sampled_rates_keep_the_benchmark_shape_checks() {
+    // The frozen benchmark's `Shape` checks: a commuting script reads
+    // `bypass_rate() == 1`, a hot row `bypass_rate() == 0` with
+    // `serial_fraction() > 0.5`. Each script spans 20 batches, so the
+    // monitor skips most of them; served as 5 runs of 4 batches and
+    // folded, it is monitored on each run's first batch instead.
+    const MAX_OPS: usize = 64;
+    const BATCHES: usize = 20;
+    let commuting = ("commuting", disjoint_script(BATCHES * MAX_OPS), true);
+    let hot = ("hot row", hotrow_script(8, BATCHES * MAX_OPS), false);
+    for (name, (state, script), commutes) in [commuting, hot] {
+        let token = ShardedErc20::from_state(state.clone());
+        let whole = run_script(&token, &script, &cfg(MAX_OPS)).stats;
+        assert_eq!(whole.batches, BATCHES as u64, "{name}");
+        // Monitored: batches 0 and 16.
+        let read = whole.parallel_ops + whole.serial_ops;
+        assert_eq!(read, 2 * MAX_OPS as u64, "{name}");
+        let token = ShardedErc20::from_state(state);
+        let mut folded = PipelineStats::default();
+        for round in script.chunks(4 * MAX_OPS) {
+            add_stats(&mut folded, &run_script(&token, round, &cfg(MAX_OPS)).stats);
+        }
+        assert_eq!(folded.batches, BATCHES as u64, "{name}");
+        // Monitored: the first batch of each of the 5 runs.
+        let read = folded.parallel_ops + folded.serial_ops;
+        assert_eq!(read, 5 * MAX_OPS as u64, "{name}");
+        for (how, stats) in [("one run", whole), ("folded", folded)] {
+            if commutes {
+                assert_eq!(stats.bypass_rate(), 1.0, "{name}, {how}: {stats:?}");
+            } else {
+                assert_eq!(stats.bypass_rate(), 0.0, "{name}, {how}: {stats:?}");
+                assert!(stats.serial_fraction() > 0.5, "{name}, {how}: {stats:?}");
+            }
+        }
+        assert_eq!(folded.bypass_rate(), whole.bypass_rate(), "{name}");
+        assert_eq!(folded.serial_fraction(), whole.serial_fraction(), "{name}");
+    }
 }
 
 // The per-standard scripts below come in two shapes over 16 owners.
@@ -433,7 +555,8 @@ fn erc1155_batches_cross_the_seam_as_one_record_then_one_seal() {
 
 /// One random script through the synchronous engine: it commits in
 /// submission order and replays to the sequential state, and the monitor
-/// counts as commuting exactly the batches with no conflicting pair.
+/// counts as commuting exactly the monitored batches with no conflicting
+/// pair.
 fn check_random<T, S>(name: &str, token: &T, spec: &S, script: &[(ProcessId, T::Op)], batch: usize)
 where
     T: ConcurrentObject,
@@ -452,21 +575,7 @@ where
         spec.apply(&mut sequential, *caller, op);
     }
     assert_eq!(replayed, sequential, "{name}: oracle");
-    let s = run.stats;
-    assert_eq!(s.ops, s.parallel_ops + s.serial_ops, "{name}: partition");
-    let commuting = script
-        .chunks(batch)
-        .filter(|ops| {
-            (0..ops.len()).all(|x| {
-                (x + 1..ops.len())
-                    .all(|y| !footprints_conflict((ops[x].0, &ops[x].1), (ops[y].0, &ops[y].1)))
-            })
-        })
-        .count();
-    assert_eq!(
-        s.bypassed_batches, commuting as u64,
-        "{name}: the monitor disagrees with the pairwise relation"
-    );
+    check_monitor(name, script, batch, &run.stats);
 }
 
 fn arb_erc20() -> impl Strategy<Value = (ProcessId, Erc20Op)> {
@@ -570,7 +679,8 @@ proptest! {
     /// whatever the monitor reads inside a batch, the batch crosses the
     /// seam as one whole record in submission order, the committed log
     /// replays to the sequential state, and the monitor's commuting
-    /// batches are exactly the batches with no conflicting pair.
+    /// batches are exactly the monitored batches with no conflicting
+    /// pair.
     #[test]
     fn random_scripts_commit_one_record_per_batch(
         balances in vec(0u64..10, 12),
