@@ -189,10 +189,14 @@ impl Session {
         if frames == 0 {
             return Effect::Idle;
         }
-        for then in self.staged_admitted.drain(..frames) {
-            obs.request_ns
-                .record(now.duration_since(then).as_nanos() as u64);
+        // Every reply of a read burst shares the burst's admit instant:
+        // one record per run of equal instants, weighted by the run's
+        // length, leaves what one record per reply would.
+        for run in self.staged_admitted[..frames].chunk_by(|a, b| a == b) {
+            let waited = now.duration_since(run[0]).as_nanos() as u64;
+            obs.request_ns.record_n(waited, run.len() as u64);
         }
+        self.staged_admitted.drain(..frames);
         let later = self.staged.split_off(bytes);
         let share = std::mem::replace(&mut self.staged, later);
         let pushed = self.push(share, frames, obs);
@@ -650,6 +654,39 @@ mod tests {
         assert!(s.next_write().is_some());
         assert_eq!(s.next_write(), None);
         assert!(!s.parked);
+    }
+
+    /// `request_ns` holds what one record per reply would: three bursts
+    /// admitted at distinct instants, the middle one split across two
+    /// cuts and its halves staged apart, released at two instants.
+    #[test]
+    fn request_latency_matches_one_record_per_reply() {
+        let (mut s, obs) = session();
+        s.cap = 64;
+        let t0 = Instant::now();
+        let at = |micros| t0 + Duration::from_micros(micros);
+        // Sequence numbers 0..=2, 3..=4 and 5..=8.
+        s.register(1..=3, at(0));
+        s.register(4..=5, at(7));
+        s.register(6..=9, at(31));
+        let reference = tokensync_obs::Histogram::new();
+        let replies = |s: &mut Session, seqs: &[u32], covers: u64, now: Instant| {
+            for &seq in seqs {
+                s.stage(seq, |_| {});
+                let admitted = at([0, 0, 0, 7, 7, 31, 31, 31, 31][seq as usize]);
+                reference.record(now.duration_since(admitted).as_nanos() as u64);
+            }
+            s.cut(covers);
+        };
+        let (first, second) = (at(100), at(2_500));
+        replies(&mut s, &[0, 1, 2, 3], 1, first);
+        replies(&mut s, &[5, 4, 6, 7, 8], 2, second);
+        assert_eq!(s.release(1, first, &obs), Effect::Idle);
+        assert_eq!(s.release(2, second, &obs), Effect::Idle);
+        assert_eq!(s.outstanding, 0);
+        // Count, sum, max and every quantile.
+        assert_eq!(reference.count(), 9);
+        assert_eq!(obs.request_ns.snapshot(), reference.snapshot());
     }
 
     /// A sink whose durable watermark the test moves by hand.

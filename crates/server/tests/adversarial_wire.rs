@@ -109,12 +109,7 @@ proptest! {
     fn decoder_total_on_random_bytes(bytes in proptest::collection::vec(0u8..=255, 0..4096)) {
         let mut dec = FrameDecoder::new();
         dec.feed(&bytes);
-        loop {
-            match dec.try_frame() {
-                Ok(Some(_)) => continue,
-                Ok(None) | Err(_) => break,
-            }
-        }
+        while let Ok(Some(_)) = dec.try_frame() {}
     }
 
     /// A stream of valid frames decodes to the same bodies however it
@@ -165,16 +160,13 @@ proptest! {
         frame[pos] ^= xor;
         let mut dec = FrameDecoder::new();
         dec.feed(&frame);
-        match dec.try_frame() {
-            Ok(Some(got)) => {
-                // Only reachable when the flipped bit enlarged `len` in a
-                // way that still CRC-validates — impossible for a single
-                // deterministic CRC; a yielded frame must equal a prefix
-                // reinterpretation that re-checksummed, which CRC-32
-                // forbids for single-byte flips within 64 KiB.
-                panic!("corrupted frame decoded as {got:?}");
-            }
-            Ok(None) | Err(_) => {}
+        if let Ok(Some(got)) = dec.try_frame() {
+            // Only reachable when the flipped bit enlarged `len` in a
+            // way that still CRC-validates — impossible for a single
+            // deterministic CRC; a yielded frame must equal a prefix
+            // reinterpretation that re-checksummed, which CRC-32
+            // forbids for single-byte flips within 64 KiB.
+            panic!("corrupted frame decoded as {got:?}");
         }
     }
 

@@ -317,7 +317,7 @@ impl StoreObs {
             return;
         };
         let Some(ring) = &i.spans else { return };
-        if batch % i.sample_every != 0 {
+        if !batch.is_multiple_of(i.sample_every) {
             return;
         }
         ring.push(SpanEvent {
